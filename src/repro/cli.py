@@ -472,6 +472,14 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 f"buffer pool: {pool['logical_reads']} logical reads, "
                 f"{pool['misses']} misses ({100 * pool['hit_ratio']:.0f}% hit)"
             )
+        decoded = snapshot.get("decoded_cells")
+        if decoded and decoded["hits"] + decoded["misses"]:
+            print(
+                f"decoded cells: {decoded['hits']} hits / "
+                f"{decoded['hits'] + decoded['misses']} asked for, "
+                f"{decoded['entries']} kept in {decoded['bytes']} bytes, "
+                f"{decoded['evictions']} evicted"
+            )
     return 0
 
 
@@ -1396,7 +1404,8 @@ def build_parser() -> argparse.ArgumentParser:
     simtest.add_argument(
         "--inject-bug",
         choices=["lost-wal-record", "stale-cache", "dropped-push",
-                 "stale-slice", "vector-skew", "lost-shard-route",
+                 "stale-slice", "vector-skew", "stale-decoded-cell",
+                 "lost-shard-route",
                  "silent-shard-drop", "stuck-scatter"],
         help="canary mode: flip a known-bad code path and assert the "
         "harness catches it (and that the shrunk trace still fails)",

@@ -80,11 +80,6 @@ class SummaryInfo:
         return out
 
     @property
-    def raw_bytes(self) -> int:
-        """Summed node bytes before page rounding (eta-tuning metric)."""
-        return sum(node.size_bytes() for node in self._nodes)
-
-    @property
     def size_bytes(self) -> int:
         """Serialised size: bitmap + f32 weight + u32 count."""
         return self.sig.size_bytes + 8

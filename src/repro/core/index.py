@@ -141,8 +141,9 @@ class I3Index:
         return self.data.capacity
 
     def clear_cache(self) -> None:
-        """Drop the data-file buffer pool (no-op when unbuffered) — run
-        before a query set to measure cold-cache I/O like the paper."""
+        """Drop the data file's decoded cells and its buffer pool (if
+        any), so the next query reads every page it needs — run before a
+        query (set) to measure cold-cache I/O like the paper."""
         self.data.clear_cache()
 
     # ------------------------------------------------------------------
@@ -522,15 +523,14 @@ class I3Index:
         """Answer a batch of queries; results in input order.
 
         Each answer is exactly what :meth:`query` would return for that
-        query alone; the batch amortizes work across its members —
-        identical queries execute once, and under the vector engine all
-        queries share one columnar cell cache so a keyword cell's pages
-        are read at most once per batch (:mod:`repro.exec.batch`).
+        query alone; identical queries execute once
+        (:mod:`repro.exec.batch`), and under the vector engine the
+        members share keyword cells the way all queries do, through the
+        data file's decoded-cell cache.
 
-        The caller is responsible for mutual exclusion with writers for
-        the duration of the call (the service layer holds its read lock
-        across the whole batch), which is what makes the shared cell
-        cache sound.
+        As with :meth:`query`, the caller keeps writers out for the
+        duration of the call (the service layer holds its read lock
+        across the whole batch), which gives every answer one epoch.
         """
         from repro.exec.batch import run_batch
 

@@ -1,21 +1,18 @@
 """``query_many``: amortized execution of a query batch.
 
 Motivation (WISK, arXiv:2302.14287): concurrent queries over the same
-hot regions touch the same keyword cells; loading each cell once per
-*batch* instead of once per *query* removes the redundant page reads
-and (for the vector engine) the redundant columnar decodes.
+hot regions touch the same keyword cells, and identical queries repeat.
 
 The batch runs sequentially inside one snapshot of the index — callers
 holding a read lock around the call (``QueryService.search_many``) get
-one consistent epoch for every answer.  Amortization comes from two
-layers:
-
-* identical ``(query, alpha)`` pairs are executed once and the result
-  list is copied per occurrence;
-* under the vector engine all queries share one
-  :class:`~repro.exec.columns.BatchContext`, so a keyword cell's pages
-  are read and decoded at most once per batch no matter how many
-  queries traverse it.
+one consistent epoch for every answer.  Identical ``(query, alpha)``
+pairs are executed once and the result list is copied per occurrence.
+Cells are shared the way every vector-engine query shares them: through
+the data file's decoded-cell cache
+(:class:`~repro.core.kwcells.DecodedCellCache`), so a keyword cell that
+fits the cache's budget is read and decoded once however many queries —
+of this batch or of the calls before it — traverse it.  The batch itself
+keeps no cell state.
 
 Results are returned in input order, and each is exactly what
 ``index.query`` would have produced for that query alone — the batch is
@@ -27,7 +24,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec import resolve_engine
 from repro.model.query import TopKQuery
 from repro.model.results import ScoredDoc
 from repro.model.scoring import Ranker
@@ -59,21 +55,11 @@ def run_batch(
     queries = list(queries)
     if not queries:
         return []
-    engine_name = resolve_engine(
-        engine if engine is not None else getattr(index, "engine", None)
-    )
-    processor = index.engine_processor(engine_name)
-    context = None
-    if engine_name == "vector":
-        from repro.exec.columns import BatchContext
-
-        context = BatchContext()
+    processor = index.engine_processor(engine)
 
     def execute(query: TopKQuery) -> List[ScoredDoc]:
         if guard is not None:
             guard(query)
-        if context is not None:
-            return processor.search(query, ranker, context=context)
         return processor.search(query, ranker)
 
     def run_all() -> List:

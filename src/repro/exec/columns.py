@@ -11,18 +11,29 @@ Filtering by ``src == cell.source_id`` is exactly the occupied-slot
 filter of :meth:`repro.core.kwcells.DataFile.read_cell`: empty slots are
 zeroed (source id 0 is reserved) and occupied slots of *other* cells
 sharing the page carry a different source id.
+
+Decoded columns outlive the query that decoded them: :func:`cell_columns`
+keeps them in the data file's
+:class:`~repro.core.kwcells.DecodedCellCache`, which the data file
+empties cell by cell as tuples change.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.headfile import CellPages
 from repro.storage.records import TUPLE_SIZE
 
-__all__ = ["WordColumns", "BatchContext", "load_cell_columns", "RECORD_DTYPE"]
+__all__ = [
+    "WordColumns",
+    "cell_columns",
+    "load_cell_columns",
+    "RECORD_DTYPE",
+    "COLUMNS_OVERHEAD",
+]
 
 RECORD_DTYPE = np.dtype(
     [
@@ -35,6 +46,12 @@ RECORD_DTYPE = np.dtype(
 )
 assert RECORD_DTYPE.itemsize == TUPLE_SIZE
 
+COLUMNS_OVERHEAD = 704
+"""Bytes a :class:`WordColumns` costs to keep beyond its arrays' data:
+the object, four array headers, the cached signature and weight, and
+the cell cache's own entry (measured on CPython 3.11 with numpy 2: about
+700, most of it the array headers)."""
+
 
 class WordColumns:
     """One query keyword's tuples in a candidate cell, as columns.
@@ -45,7 +62,7 @@ class WordColumns:
     scalar engine's ``DocAccumulator.absorb`` (a ``setdefault``) keeps.
     """
 
-    __slots__ = ("ids", "xs", "ys", "ws", "_id_set", "_max_w")
+    __slots__ = ("ids", "xs", "ys", "ws", "_sig", "_max_w")
 
     def __init__(
         self, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray, ws: np.ndarray
@@ -54,23 +71,39 @@ class WordColumns:
         self.xs = xs
         self.ys = ys
         self.ws = ws
-        self._id_set: Optional[FrozenSet[int]] = None
+        self._sig: Optional[Tuple[int, int]] = None  # (eta, bits)
         self._max_w: Optional[float] = None
 
     def __len__(self) -> int:
         return self.ids.size
 
     @property
-    def id_set(self) -> FrozenSet[int]:
-        """The ids as a frozenset (cached; feeds the OR Apriori lattice).
+    def nbytes(self) -> int:
+        """What keeping this object costs (the figure the cell cache is
+        given): the four arrays' data plus :data:`COLUMNS_OVERHEAD`."""
+        return (
+            self.ids.nbytes + self.xs.nbytes + self.ys.nbytes + self.ws.nbytes
+            + COLUMNS_OVERHEAD
+        )
 
-        Columns are immutable and shared — across a BatchContext, and
-        from parent to child when a split leaves the whole column in one
-        quadrant — so the set is built at most once per distinct column.
+    def sig_bits(self, eta: int) -> int:
+        """The column's own signature: bit ``id % eta`` set for every id
+        (cached for the ``eta`` it was last asked with — in practice the
+        owning index's, which never varies).
+
+        One Python int stands in for the id set wherever the question is
+        "could some document here pass these dense signatures" — the
+        answer is ``sig_bits & dense_bits != 0``, with no per-id work.
         """
-        if self._id_set is None:
-            self._id_set = frozenset(self.ids.tolist())
-        return self._id_set
+        cached = self._sig
+        if cached is None or cached[0] != eta:
+            flags = np.zeros(eta, dtype=bool)
+            flags[self.ids % np.uint64(eta)] = True
+            bits = int.from_bytes(
+                np.packbits(flags, bitorder="little").tobytes(), "little"
+            )
+            cached = self._sig = (eta, bits)
+        return cached[1]
 
     @property
     def max_w(self) -> float:
@@ -139,33 +172,18 @@ def load_cell_columns(index, cell: CellPages) -> WordColumns:
     return WordColumns(ids, rows["x"][sel], rows["y"][sel], rows["w"][sel])
 
 
-class BatchContext:
-    """Per-batch cache of loaded keyword-cell columns.
+def cell_columns(index, cell: CellPages) -> WordColumns:
+    """A keyword cell's columns: from the data file's decoded-cell cache,
+    or loaded (one counted read per page) and kept there.
 
-    ``query_many`` runs a whole batch under one read lock, so no cell
-    mutates while the context lives and cached columns stay valid.  The
-    cache key is the :class:`CellPages` object's identity (cells are
-    mutated in place, never swapped, by the index); the object itself is
-    retained so an id is never recycled while its entry exists.
-
-    Reusing a cached column skips the page re-read entirely — this is
-    the traversal amortization the batch API exists for, and it is
-    visible in the I/O counters (fewer ``i3.data`` reads per query than
-    the same queries run one by one).
+    Columns are immutable and the data file drops a cell's entry before
+    its tuples change, so a cached column is always the cell's current
+    content.  As everywhere in this library, callers keep queries and
+    writers apart (the service layer's read/write lock).
     """
-
-    __slots__ = ("_cells",)
-
-    def __init__(self) -> None:
-        self._cells: Dict[int, Tuple[CellPages, WordColumns]] = {}
-
-    def load(self, index, cell: CellPages) -> WordColumns:
-        entry = self._cells.get(id(cell))
-        if entry is not None and entry[0] is cell:
-            return entry[1]
-        cols = load_cell_columns(index, cell)
-        self._cells[id(cell)] = (cell, cols)
-        return cols
-
-    def __len__(self) -> int:
-        return len(self._cells)
+    cells = index.data.cells
+    col = cells.get(cell)
+    if col is None:
+        col = load_cell_columns(index, cell)
+        cells.put(cell, col, col.nbytes)
+    return col

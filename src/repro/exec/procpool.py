@@ -129,10 +129,9 @@ class SnapshotProcessPool:
     ) -> List[List[ScoredDoc]]:
         """Answer a batch across the pool; results in input order.
 
-        The batch is split into per-worker chunks (amortizing one
-        :class:`~repro.exec.columns.BatchContext` per chunk under the
-        vector engine) and scattered; chunking preserves input order on
-        reassembly.
+        The batch is split into per-worker chunks (each worker keeps
+        its own decoded cells across chunks) and scattered; chunking
+        preserves input order on reassembly.
         """
         queries = list(queries)
         if not queries:

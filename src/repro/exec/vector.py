@@ -17,11 +17,17 @@ Why the answers are byte-identical (full argument in ``docs/exec.md``):
 * cell upper bounds only need to stay *admissible* (never below any
   contained document's true final score): a candidate whose bound ties
   the current delta is still expanded, so equal-score ties resolve by
-  doc id regardless of bound tightness.  This engine's OR bound reuses
-  the scalar Apriori lattice verbatim; its AND bound skips the
-  per-document signature filter (a conservative superset of the scalar
-  survivors — bound never smaller, never inadmissible, and impostors
-  are rejected at finalise by the exact all-keywords presence check).
+  doc id regardless of bound tightness.  This engine's OR bound is the
+  scalar Apriori lattice's value, bit for bit, computed in witness form
+  (:func:`witness_max`); its AND bound skips the per-document signature
+  filter (a conservative superset of the scalar survivors — bound never
+  smaller, never inadmissible, and impostors are rejected at finalise
+  by the exact all-keywords presence check).
+
+Keyword cells are decoded once per index, not once per query: every
+load goes through :func:`repro.exec.columns.cell_columns`, i.e. the data
+file's decoded-cell cache, so consecutive queries — and the members of a
+``query_many`` batch — share cells without sharing any per-call state.
 
 ``iter_search`` (streaming) and ``range_search`` remain tuple-only:
 both are lazy/region-driven paths where per-tuple work is not the
@@ -34,22 +40,97 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.candidates import DenseRef
-from repro.core.or_semantics import OrSemantics, _Item
 from repro.core.query import QueryTrace, SpatialFilter
 from repro.exec import kernels
-from repro.exec.columns import BatchContext, WordColumns
+from repro.exec.columns import WordColumns, cell_columns
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc, TopKCollector
 from repro.model.scoring import Ranker
 from repro.spatial.cells import ROOT_CELL, child_cell
 from repro.text.signature import Signature
 
-__all__ = ["VectorQueryProcessor", "VectorCandidate"]
+__all__ = ["VectorQueryProcessor", "VectorCandidate", "witness_max"]
+
+# One available query keyword in a cell: (best score, dense signature
+# bits, fetched column) — exactly one of the last two is not None.
+BoundItem = Tuple[float, Optional[int], Optional[WordColumns]]
+
+
+def witness_max(items: List[BoundItem], eta: int) -> float:
+    """Section 5.3's lattice bound, without walking document ids.
+
+    The Apriori lattice (``OrSemantics._apriori_max``) calls a keyword
+    subset valid when some document could carry all of it: some id
+    common to the subset's fetched keywords whose bit survives the AND
+    of its dense keywords' signatures.  Validity is downward closed, so
+    the level-wise expansion reaches exactly the valid subsets, and its
+    result is the best left-to-right score sum among them.  This
+    function enumerates the same subsets depth-first in item order
+    (same sums, same maximum) and answers "is there such a document"
+    with integers:
+
+    * dense keywords only — the signature AND is non-zero;
+    * one fetched keyword — ``column bits & dense bits != 0``: a set bit
+      *is* a fetched id that passes every dense signature;
+    * two or more fetched keywords — their ids are intersected, on
+      plain sets built for this call and dropped with it, and the few
+      common ids are tested against the dense bits.
+    """
+    n = len(items)
+    best = 0.0
+    fetched_ids: Dict[int, Set[int]] = {}
+
+    def ids_of(j: int) -> Set[int]:
+        found = fetched_ids.get(j)
+        if found is None:
+            found = fetched_ids[j] = set(items[j][2].ids.tolist())
+        return found
+
+    def grow(start: int, score: float, dense, single: int, common) -> None:
+        # (dense, single, common): AND of the subset's dense signatures
+        # (None: no dense keyword yet), the item index of its only
+        # fetched keyword (-1: none), and the ids common to its fetched
+        # keywords once there are two or more (None before that).
+        nonlocal best
+        for j in range(start, n):
+            item_score, bits, col = items[j]
+            if col is None:
+                next_dense = bits if dense is None else dense & bits
+                next_single, next_common = single, common
+            else:
+                next_dense = dense
+                if common is not None:
+                    next_single, next_common = single, common & ids_of(j)
+                elif single >= 0:
+                    next_single, next_common = single, ids_of(single) & ids_of(j)
+                else:
+                    next_single, next_common = j, None
+            if next_common is not None:
+                valid = bool(next_common) and (
+                    next_dense is None
+                    or any(next_dense >> (d % eta) & 1 for d in next_common)
+                )
+            elif next_single >= 0:
+                valid = next_dense is None or bool(
+                    items[next_single][2].sig_bits(eta) & next_dense
+                )
+            else:
+                valid = bool(next_dense)
+            if not valid:
+                continue  # downward closure: no superset is valid either
+            total = item_score if start == 0 else score + item_score
+            if total > best:
+                best = total
+            if j + 1 < n:
+                grow(j + 1, total, next_dense, next_single, next_common)
+
+    grow(0, 0.0, None, -1, None)
+    return best
 
 
 class VectorCandidate:
@@ -87,7 +168,6 @@ class VectorQueryProcessor:
     def __init__(self, index, or_lattice: bool = True) -> None:
         self.index = index
         self.or_lattice = or_lattice
-        self._or = OrSemantics(index.eta, use_lattice=or_lattice)
         self._trace_local = threading.local()
 
     @property
@@ -104,29 +184,21 @@ class VectorQueryProcessor:
         ranker: Ranker,
         spatial_filter: Optional[SpatialFilter] = None,
         trace: Optional[QueryTrace] = None,
-        context: Optional[BatchContext] = None,
     ) -> List[ScoredDoc]:
-        """Answer ``query``; same contract as the scalar ``search``.
-
-        ``context`` optionally shares a :class:`BatchContext` across the
-        queries of a batch so cells touched by several queries are
-        loaded (and their pages read) once.
-        """
+        """Answer ``query``; same contract as the scalar ``search``."""
         if trace is None:
             trace = QueryTrace()
         self._trace_local.trace = trace
-        if context is None:
-            context = BatchContext()
         conjunctive = query.semantics is Semantics.AND
         collector = TopKCollector(query.k)
-        root = self._root_candidate(query, context)
+        root = self._root_candidate(query)
         if root is None:
             return []
         counter = itertools.count()
         heap: List[tuple] = []
         self._consider(
             root, query, ranker, conjunctive, collector, heap, counter,
-            trace, spatial_filter, context,
+            trace, spatial_filter,
         )
         while heap:
             neg_upper, _, candidate = heapq.heappop(heap)
@@ -140,19 +212,17 @@ class VectorQueryProcessor:
                     spatial_filter,
                 )
                 continue
-            for child in self._children_of(candidate, context):
+            for child in self._children_of(candidate):
                 self._consider(
                     child, query, ranker, conjunctive, collector, heap,
-                    counter, trace, spatial_filter, context,
+                    counter, trace, spatial_filter,
                 )
         return collector.results()
 
     # ------------------------------------------------------------------
     # Candidate creation
     # ------------------------------------------------------------------
-    def _root_candidate(
-        self, query: TopKQuery, context: BatchContext
-    ) -> Optional[VectorCandidate]:
+    def _root_candidate(self, query: TopKQuery) -> Optional[VectorCandidate]:
         dense: Dict[str, DenseRef] = {}
         cols: Dict[str, WordColumns] = {}
         fetched: Set[str] = set()
@@ -173,14 +243,12 @@ class VectorQueryProcessor:
                 )
             else:
                 fetched.add(word)
-                col = context.load(self.index, entry.target)
+                col = cell_columns(self.index, entry.target)
                 if col.ids.size:
                     cols[word] = col
         return VectorCandidate(ROOT_CELL, dense, cols, frozenset(fetched))
 
-    def _children_of(
-        self, candidate: VectorCandidate, context: BatchContext
-    ) -> List[VectorCandidate]:
+    def _children_of(self, candidate: VectorCandidate) -> List[VectorCandidate]:
         """The four child candidates (scalar ``_children_of``, columnar)."""
         nodes = {}
         for word, ref in candidate.dense.items():
@@ -219,7 +287,7 @@ class VectorQueryProcessor:
                     fetched.add(word)
                 else:
                     fetched.add(word)
-                    col = context.load(self.index, ptr)
+                    col = cell_columns(self.index, ptr)
                     if col.ids.size:
                         cols[word] = col
             children.append(
@@ -241,7 +309,6 @@ class VectorQueryProcessor:
         counter,
         trace: QueryTrace,
         spatial_filter: Optional[SpatialFilter],
-        context: BatchContext,
     ) -> None:
         if spatial_filter is not None and not spatial_filter.may_intersect(
             self.index.grid.rect(candidate.cell)
@@ -341,41 +408,22 @@ class VectorQueryProcessor:
         phi_s = ranker.spatial_upper_bound(
             query.x, query.y, self.index.grid.rect(candidate.cell)
         )
-        items: List[_Item] = []
+        items: List[BoundItem] = []
         for word in query.words:
             ref = candidate.dense.get(word)
             if ref is not None and ref.info.count > 0:
-                items.append(
-                    _Item(
-                        word=word,
-                        score=ref.info.max_s,
-                        doc_ids=None,
-                        sig=ref.info.sig,
-                    )
-                )
+                items.append((ref.info.max_s, ref.info.sig.bits, None))
                 continue
             if word in candidate.fetched:
                 col = candidate.cols.get(word)
                 if col is not None and col.ids.size:
-                    # id_set / max_w are cached on the (shared, immutable)
-                    # column, so the set is built at most once per
-                    # distinct column rather than once per candidate.
-                    items.append(
-                        _Item(
-                            word=word,
-                            score=col.max_w,
-                            doc_ids=col.id_set,
-                            sig=None,
-                        )
-                    )
+                    items.append((col.max_w, None, col))
         if not items:
             phi_t = 0.0
         elif not self.or_lattice:
-            phi_t = sum(item.score for item in items)
+            phi_t = sum(item[0] for item in items)
         else:
-            # The scalar Apriori lattice, fed columnar evidence: bounds
-            # come out byte-identical to the tuple engine's.
-            phi_t = self._or._apriori_max(items)
+            phi_t = witness_max(items, self.index.eta)
         return ranker.combine(phi_s, phi_t)
 
     # ------------------------------------------------------------------
@@ -450,17 +498,23 @@ class VectorQueryProcessor:
             all_ids = all_ids[keep]
             scores = scores[keep]
         trace.docs_scored += all_ids.size
+        delta = collector.delta
+        if delta > float("-inf"):
+            # Rows below delta can never be offered: delta only rises,
+            # and the loop below stops at the first such row anyway.
+            keep = scores >= delta
+            all_ids = all_ids[keep]
+            scores = scores[keep]
         if not all_ids.size:
             return
         # Offer best-first (score desc, id asc); once k results are held
         # a strictly-below-delta score ends the loop — every later entry
         # is no better.  Ties AT delta still go through offer, where the
         # collector's id tie-break decides, same as the scalar engine.
-        order = np.lexsort((all_ids, -scores))
-        ids_list = all_ids.tolist()
-        scores_list = scores.tolist()
-        for i in order:
-            score = scores_list[i]
-            if score < collector.delta:
+        # (Negation is exact both ways, so ``-neg_score`` is the score.)
+        for neg_score, doc_id in sorted(
+            zip((-scores).tolist(), all_ids.tolist())
+        ):
+            if -neg_score < collector.delta:
                 break
-            collector.offer(ids_list[i], score)
+            collector.offer(doc_id, -neg_score)

@@ -258,6 +258,22 @@ class QueryService:
         self._close_lock = threading.Lock()
         self._started = self._now()
         self.metrics.gauge("service.workers").set(self.config.workers)
+        # The data file's decoded-cell cache (absent on temporal stores
+        # and index-shaped test doubles) and the registry metrics
+        # _publish_decoded_cells copies its counters onto.
+        self._decoded_cells = getattr(
+            getattr(self._index, "data", None), "cells", None
+        )
+        self._decoded_lock = threading.Lock()
+        if self._decoded_cells is not None:
+            self._decoded_counters = {
+                name: self.metrics.counter(f"decoded_cells.{name}")
+                for name in ("hits", "misses", "evictions")
+            }
+            self._decoded_gauges = {
+                name: self.metrics.gauge(f"decoded_cells.{name}")
+                for name in ("bytes", "entries")
+            }
         if self._temporal is not None:
             self._temporal.bind_metrics(self.metrics)
         if executor is None:
@@ -369,10 +385,10 @@ class QueryService:
 
         Unlike :meth:`search_batch` (which spreads queries across the
         worker pool for parallelism), the batch runs on a single worker
-        under a single read-lock acquisition and shares one columnar
-        cell cache, so queries touching the same keyword cells amortize
-        page reads and decodes (:meth:`I3Index.query_many`).  The batch
-        occupies one admission slot.
+        under a single read-lock acquisition — one epoch for every
+        answer, identical queries executed once
+        (:meth:`I3Index.query_many`).  The batch occupies one admission
+        slot.
         """
         if self._closed:
             raise ServiceClosed("service is closed")
@@ -667,6 +683,7 @@ class QueryService:
             else:
                 result = self._execute(task.query)
                 self.metrics.counter("queries.completed").inc()
+            self._publish_decoded_cells()
             self.metrics.histogram("latency_ms").observe(
                 (self._now() - started) * 1000.0
             )
@@ -713,11 +730,10 @@ class QueryService:
         """One batch under ONE shared-lock acquisition.
 
         Holding the read lock across the batch gives every query the
-        same index epoch and makes the shared columnar cell cache sound
-        (no mutation can invalidate a cached cell mid-batch).  The
-        ``guard`` enforces the batch deadline per query: queries the
-        deadline expires on become :class:`QueryTimeout` outcomes while
-        earlier queries keep their results.
+        same index epoch.  The ``guard`` enforces the batch deadline per
+        query: queries the deadline expires on become
+        :class:`QueryTimeout` outcomes while earlier queries keep their
+        results.
         """
 
         def guard(_query: TopKQuery) -> None:
@@ -788,14 +804,38 @@ class QueryService:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
+    def _publish_decoded_cells(self) -> Optional[Dict[str, int]]:
+        """Copy the decoded-cell cache's counters onto the registry.
+
+        Runs after every executed query and before every snapshot, so
+        the Prometheus exposition and the cluster's per-shard rollup see
+        ``decoded_cells.{hits,misses,evictions}`` (counters) and
+        ``decoded_cells.{bytes,entries}`` (gauges, as of the last query)
+        like any other metric.  Returns what it published.
+        """
+        if self._decoded_cells is None:
+            return None
+        with self._decoded_lock:
+            stats = self._decoded_cells.stats()
+            for name, counter in self._decoded_counters.items():
+                counter.inc(stats[name] - counter.value)
+            for name, gauge in self._decoded_gauges.items():
+                gauge.set(stats[name])
+        return stats
+
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Everything observable about the service, as one plain dict.
 
         Merges the metrics registry (counters/gauges/histograms), the
-        result-cache counters, the shared buffer pool's counters (when
-        the index has one) and derived service-level figures (uptime,
-        completed queries per second).
+        result-cache counters, the data file's decoded-cell cache and
+        buffer pool counters (when the index has them) and derived
+        service-level figures (uptime, completed queries per second).
+        ``decoded_cells.hits + decoded_cells.misses`` is the number of
+        keyword cells the vector engine asked for; only the misses read
+        pages, so ``io.reads_per_query`` counts warm queries' head-file
+        reads plus the cells they were first to touch.
         """
+        decoded = self._publish_decoded_cells()
         snapshot = self.metrics.as_dict()
         uptime = self._now() - self._started
         completed = snapshot["counters"].get("queries.completed", 0)
@@ -812,6 +852,8 @@ class QueryService:
             snapshot["cache"] = self.cache.stats()
         if self._temporal is not None:
             snapshot["temporal"] = self._temporal.slice_stats()
+        if decoded is not None:
+            snapshot["decoded_cells"] = decoded
         data = getattr(self._index, "data", None)
         pool = data.buffer if data is not None else None
         if pool is not None:

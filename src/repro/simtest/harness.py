@@ -73,6 +73,11 @@ comparison, caught only by the bit-exact ``exec-equivalence``
 differential; ``lost-shard-route`` drops the best-bound shard from
 every scatter plan with more than one candidate shard, so the
 documents it owns silently vanish from merged answers;
+``stale-decoded-cell`` skips the decoded-cell invalidation in
+``DataFile.insert_into_cell``, so the vector engine keeps answering
+from a keyword cell's columns as they were before an insert while the
+tuple engine reads the pages — the same cross-engine differential
+convicts it;
 ``silent-shard-drop`` strips the degraded flag (and the failed-shard
 ids) off any answer that lost shards, passing a partial answer off as
 complete — caught by ``degraded-correctness`` comparing it to the
@@ -129,6 +134,7 @@ BUGS = (
     "dropped-push",
     "stale-slice",
     "vector-skew",
+    "stale-decoded-cell",
     "lost-shard-route",
     "silent-shard-drop",
     "stuck-scatter",
@@ -181,13 +187,10 @@ class _SkewedVectorProcessor:
 
         self._real = VectorQueryProcessor(index)
 
-    def search(self, query, ranker, context=None):
+    def search(self, query, ranker):
         import math
 
-        if context is not None:
-            out = self._real.search(query, ranker, context=context)
-        else:
-            out = self._real.search(query, ranker)
+        out = self._real.search(query, ranker)
         return [
             type(r)(math.nextafter(r.score, math.inf), r.doc_id) for r in out
         ]
@@ -283,7 +286,7 @@ class _Simulation:
         )
         if self.bug == "stale-cache":
             self.service.cache = _StaleCache(capacity=64)
-        self._install_vector_skew()
+        self._install_engine_bug()
         self.streams = self.service.streams(StreamConfig())
         if self.bug == "dropped-push":
             matcher = self.streams.matcher
@@ -325,19 +328,36 @@ class _Simulation:
             self._drops_seen[name] = 0
         self._setup_temporal(cfg.get("temporal"))
 
-    def _install_vector_skew(self) -> None:
-        """Plant the vector-skew bug on the index currently served.
+    def _install_engine_bug(self) -> None:
+        """Plant the vector-engine bugs on the index currently served.
 
         Re-run after every recovery: a crash step swaps in a freshly
         rebuilt index, and the canary must keep limping on it."""
-        if self.bug != "vector-skew":
+        if self.bug not in ("vector-skew", "stale-decoded-cell"):
             return
         from repro.exec import available_engines
 
         if "vector" not in available_engines():
-            return  # no vector engine to skew on this host
+            return  # no vector engine to break on this host
         index = self.service.index
-        index._vector_processor = _SkewedVectorProcessor(index)
+        if self.bug == "vector-skew":
+            index._vector_processor = _SkewedVectorProcessor(index)
+            return
+        # Serve from the tuple engine, which never consults decoded
+        # cells: the vector engine then runs only inside the cross-engine
+        # differential, and that differential has to be what convicts.
+        index.engine = "tuple"
+        data = index.data
+        insert_into_cell = data.insert_into_cell
+
+        def forgetful_insert(cell, record, allow_overflow=False):
+            # The bug: whatever was decoded before the insert survives it.
+            stale = data.cells.get(cell)
+            insert_into_cell(cell, record, allow_overflow)
+            if stale is not None:
+                data.cells.put(cell, stale, stale.nbytes)
+
+        data.insert_into_cell = forgetful_insert
 
     def _setup_temporal(self, tcfg: Optional[Dict]) -> None:
         """The temporal sub-system and its naive oracle (single mode).
@@ -787,7 +807,7 @@ class _Simulation:
                 f"acknowledged history left it at {expected_epoch}",
             )
         self.oracle.truncate_to(recovered)
-        self._install_vector_skew()  # recovery swapped in a fresh index
+        self._install_engine_bug()  # recovery swapped in a fresh index
         self._epoch_watermark = self.service.index.epoch
         self.events.append({"op": "crash", "recovered": recovered,
                             "acked": acked, "submitted": submitted})

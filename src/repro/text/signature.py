@@ -100,6 +100,11 @@ class Signature:
             )
 
     @property
+    def bits(self) -> int:
+        """The bitmap as an integer (bit ``H(id)`` set per added id)."""
+        return self._bits
+
+    @property
     def is_zero(self) -> bool:
         """Whether no bit is set (a provably empty intersection)."""
         return self._bits == 0

@@ -1,6 +1,7 @@
 """White-box tests for the Apriori lattice internals (Section 5.3)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.or_semantics import OrSemantics, _Item, _SubsetState
 from repro.text.signature import Signature, mod_hash
@@ -129,3 +130,56 @@ class TestAprioriMax:
         query = TopKQuery(0.5, 0.5, ("a", "b"), semantics=Semantics.OR)
         assert sem.textual_bound(cand, query) == pytest.approx(1.3)
         assert OrSemantics(16).textual_bound(cand, query) == pytest.approx(0.7)
+
+
+class TestWitnessForm:
+    """The vector engine's bound (``repro.exec.vector.witness_max``) is
+    the lattice's value computed with integer ANDs; it must equal
+    ``_apriori_max`` bit for bit, or the two engines' traversals part."""
+
+    # Small eta forces signature collisions (false positives); a small
+    # id universe forces overlapping id sets.
+    _ids = st.frozensets(st.integers(0, 23), min_size=1, max_size=8)
+    _scores = st.floats(0.0, 1.0, width=32, allow_subnormal=False)
+    _mixes = st.lists(
+        st.tuples(st.booleans(), _scores, _ids), min_size=1, max_size=5
+    )
+
+    @given(eta=st.integers(1, 9), mix=_mixes, blank=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_apriori_bit_for_bit(self, eta, mix, blank):
+        np = pytest.importorskip("numpy")
+        from repro.exec.columns import WordColumns
+        from repro.exec.vector import witness_max
+
+        scalar, columnar = [], []
+        for n, (dense, score, ids) in enumerate(mix):
+            if dense:
+                # A dense keyword's signature; `blank` also covers the
+                # degenerate all-zero signature on the first item.
+                sig = sig_of(eta, () if blank and n == 0 else ids)
+                scalar.append(item(f"w{n}", score, sig=sig))
+                columnar.append((score, sig.bits, None))
+            else:
+                order = np.array(sorted(ids), dtype=np.uint64)
+                blanks = np.zeros(order.size)
+                col = WordColumns(
+                    order, blanks, blanks, blanks.astype(np.float32)
+                )
+                scalar.append(item(f"w{n}", score, doc_ids=ids))
+                columnar.append((score, None, col))
+        expected = OrSemantics(eta)._apriori_max(scalar)
+        assert witness_max(columnar, eta).hex() == expected.hex()
+
+    def test_column_signature_is_the_scalar_signature(self):
+        np = pytest.importorskip("numpy")
+        from repro.exec.columns import WordColumns
+
+        ids = [0, 5, 299, 300, 601, 2**40 + 7]
+        blanks = np.zeros(len(ids))
+        col = WordColumns(
+            np.array(ids, dtype=np.uint64), blanks, blanks,
+            blanks.astype(np.float32),
+        )
+        for eta in (1, 7, 64, 300, 7):  # the cached value follows eta
+            assert col.sig_bits(eta) == sig_of(eta, ids).bits
