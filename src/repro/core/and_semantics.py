@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.candidates import Candidate
+from repro.core.candidates import AccumulatorCells, Candidate
 from repro.model.query import TopKQuery
 from repro.model.scoring import Ranker
 from repro.spatial.cells import CellGrid
@@ -29,8 +29,8 @@ from repro.text.signature import Signature
 __all__ = ["AndSemantics"]
 
 
-class AndSemantics:
-    """Pruning strategy for conjunctive (AND) top-k queries."""
+class AndSemantics(AccumulatorCells):
+    """The scalar cell model for conjunctive (AND) top-k queries."""
 
     def __init__(self, eta: int) -> None:
         self.eta = eta

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.candidates import Candidate
+from repro.core.candidates import AccumulatorCells, Candidate
 from repro.model.query import TopKQuery
 from repro.model.scoring import Ranker
 from repro.spatial.cells import CellGrid
@@ -61,8 +61,8 @@ class _SubsetState:
         return self.sig is not None and not self.sig.is_zero
 
 
-class OrSemantics:
-    """Pruning strategy for disjunctive (OR) top-k queries.
+class OrSemantics(AccumulatorCells):
+    """The scalar cell model for disjunctive (OR) top-k queries.
 
     ``use_lattice = False`` replaces the Apriori subset bound with the
     naive "sum of every available keyword's maximum" bound — still

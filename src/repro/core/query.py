@@ -12,6 +12,12 @@ from the data file with one page I/O).
 
 The traversal terminates when the best remaining upper bound no longer
 beats delta, the current k-th score.
+
+The walk is written once, in :class:`BestFirstProcessor`; how fetched
+tuples are held, bounded and scored is the engine's *cell model*.
+:class:`I3QueryProcessor` walks with the scalar model (``AndSemantics``
+/ ``OrSemantics``), ``repro.exec.vector.VectorQueryProcessor`` with the
+columnar one.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ import threading
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.core.and_semantics import AndSemantics
-from repro.core.candidates import Candidate, DenseRef, DocAccumulator
-from repro.core.headfile import CellPages
+from repro.core.candidates import Candidate, DenseRef
 from repro.core.or_semantics import OrSemantics
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc, TopKCollector
@@ -33,7 +38,7 @@ from repro.spatial.cells import ROOT_CELL, child_cell
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.index import I3Index
 
-__all__ = ["I3QueryProcessor", "QueryTrace", "SpatialFilter"]
+__all__ = ["BestFirstProcessor", "I3QueryProcessor", "QueryTrace", "SpatialFilter"]
 
 
 class SpatialFilter:
@@ -70,13 +75,44 @@ class QueryTrace:
         self.docs_scored = 0
 
 
-class I3QueryProcessor:
-    """Executes top-k spatial keyword queries against an :class:`I3Index`."""
+class BestFirstProcessor:
+    """Algorithm 4, once: the best-first walk both engines share.
 
-    def __init__(self, index: "I3Index", or_lattice: bool = True) -> None:
+    A subclass supplies :meth:`cells_for`, which picks the **cell
+    model** for a query's semantics — the object that knows how fetched
+    tuples are held in ``Candidate.docs``.  The walk creates ``docs``
+    as an empty dict, tests it for emptiness, and otherwise only passes
+    it back to the model's five methods:
+
+    ``fetch(index, word, cell, docs)``
+        load keyword cell ``cell`` (a ``CellPages``) of ``word`` into
+        ``docs``.  Called in the order keywords turn non-dense along the
+        root path — the order textual sums accumulate in.
+    ``split(docs, rect)``
+        four fresh ``docs``, one per quadrant of ``rect`` (non-empty
+        ``docs`` only); the children fetch into them.
+    ``prune(candidate, query)``
+        whether the cell provably holds no result; may narrow
+        ``candidate.docs`` to the tuples that can still matter.
+    ``upper_bound(candidate, query, ranker, grid)``
+        an admissible score bound: never below the final score of any
+        document in the cell.  Tightness only costs work — a bound that
+        ties delta is still expanded.
+    ``finalise(candidate, query, ranker, collector, trace, spatial_filter)``
+        exact scores for a resolved cell's qualifying documents, offered
+        to ``collector`` and counted in ``trace.docs_scored``.
+
+    The model knows nothing about the heap, and the walk nothing about
+    tuples.
+    """
+
+    def __init__(self, index: "I3Index") -> None:
         self.index = index
-        self.or_lattice = or_lattice
         self._trace_local = threading.local()
+
+    def cells_for(self, semantics: Semantics):  # pragma: no cover - interface
+        """The cell model answering queries under ``semantics``."""
+        raise NotImplementedError
 
     @property
     def last_trace(self) -> Optional[QueryTrace]:
@@ -109,21 +145,33 @@ class I3QueryProcessor:
         if trace is None:
             trace = QueryTrace()
         self._trace_local.trace = trace
-        semantics = (
-            AndSemantics(self.index.eta)
-            if query.semantics is Semantics.AND
-            else OrSemantics(self.index.eta, use_lattice=self.or_lattice)
-        )
+        cells = self.cells_for(query.semantics)
         collector = TopKCollector(query.k)
-        root = self._root_candidate(query)
+        root = self._root_candidate(query, cells)
         if root is None:
             return []
+        grid = self.index.grid
         counter = itertools.count()
         heap: List[tuple] = []
-        self._consider(
-            root, query, ranker, semantics, collector, heap, counter, trace,
-            spatial_filter,
-        )
+
+        def consider(candidate: Candidate) -> None:
+            """Prune-or-push a freshly created candidate (lines 21-24)."""
+            if spatial_filter is not None and not spatial_filter.may_intersect(
+                grid.rect(candidate.cell)
+            ):
+                trace.cells_pruned += 1
+                return
+            if cells.prune(candidate, query):
+                trace.cells_pruned += 1
+                return
+            candidate.upper_score = cells.upper_bound(candidate, query, ranker, grid)
+            if candidate.upper_score < collector.delta:
+                trace.cells_pruned += 1
+                return
+            trace.candidates_pushed += 1
+            heapq.heappush(heap, (-candidate.upper_score, next(counter), candidate))
+
+        consider(root)
         while heap:
             neg_upper, _, candidate = heapq.heappop(heap)
             trace.candidates_popped += 1
@@ -133,16 +181,99 @@ class I3QueryProcessor:
             if -neg_upper < collector.delta:
                 break
             if candidate.is_resolved:
-                self._finalise(
-                    candidate, query, ranker, semantics, collector, trace,
-                    spatial_filter,
+                cells.finalise(
+                    candidate, query, ranker, collector, trace, spatial_filter
                 )
                 continue
-            self._expand(
-                candidate, query, ranker, semantics, collector, heap, counter,
-                trace, spatial_filter,
-            )
+            # Expansion (Algorithm 4, lines 12-24).
+            for child in self._children_of(candidate, cells):
+                consider(child)
         return collector.results()
+
+    # ------------------------------------------------------------------
+    # Candidate creation
+    # ------------------------------------------------------------------
+    def _root_candidate(self, query: TopKQuery, cells) -> Optional[Candidate]:
+        """Build the whole-space candidate from the lookup table."""
+        dense: Dict[str, DenseRef] = {}
+        docs: dict = {}
+        fetched: Set[str] = set()
+        for word in query.words:
+            entry = self.index.lookup.get(word)
+            if entry is None:
+                if query.semantics is Semantics.AND:
+                    return None  # a missing keyword empties an AND query
+                continue
+            if entry.dense:
+                node = self.index.head.read(entry.target)
+                if node.own.count == 0:
+                    if query.semantics is Semantics.AND:
+                        return None
+                    continue
+                dense[word] = DenseRef(
+                    info=node.own, node_id=entry.target, node=node
+                )
+            else:
+                fetched.add(word)
+                cells.fetch(self.index, word, entry.target, docs)
+        return Candidate(
+            cell=ROOT_CELL, dense=dense, docs=docs, fetched=frozenset(fetched)
+        )
+
+    def _children_of(self, candidate: Candidate, cells) -> List[Candidate]:
+        """Materialise the four child candidates (shared by the
+        best-first top-k expansion, the streaming search and the region
+        search): each dense keyword moves down its summary-node chain or,
+        where it stops being dense, is fetched into the child's docs."""
+        nodes = {}
+        for word, ref in candidate.dense.items():
+            if ref.node is None:
+                ref.node = self.index.head.read(ref.node_id)
+            nodes[word] = ref.node
+        if candidate.docs:
+            doc_groups = cells.split(
+                candidate.docs, self.index.grid.rect(candidate.cell)
+            )
+        else:
+            doc_groups = [{}, {}, {}, {}]
+        children: List[Candidate] = []
+        for quadrant in range(4):
+            child_id = child_cell(candidate.cell, quadrant)
+            dense: Dict[str, DenseRef] = {}
+            docs = doc_groups[quadrant]
+            fetched: Set[str] = set(candidate.fetched)
+            for word, node in nodes.items():
+                ptr = node.child_ptrs[quadrant]
+                info = node.children[quadrant]
+                if isinstance(ptr, int) and info.count > 0:
+                    dense[word] = DenseRef(info=info, node_id=ptr)
+                elif ptr is None or isinstance(ptr, int) or info.count == 0:
+                    fetched.add(word)
+                else:
+                    fetched.add(word)
+                    cells.fetch(self.index, word, ptr, docs)
+            children.append(
+                Candidate(
+                    cell=child_id, dense=dense, docs=docs, fetched=frozenset(fetched)
+                )
+            )
+        return children
+
+
+class I3QueryProcessor(BestFirstProcessor):
+    """The scalar reference engine: the shared walk over
+    :class:`~repro.core.candidates.DocAccumulator` cells, plus the two
+    accumulator-only searches (streaming and region)."""
+
+    def __init__(self, index: "I3Index", or_lattice: bool = True) -> None:
+        super().__init__(index)
+        self.or_lattice = or_lattice
+
+    def cells_for(self, semantics: Semantics):
+        """``AndSemantics`` or ``OrSemantics`` over document accumulators."""
+        if semantics is Semantics.AND:
+            return AndSemantics(self.index.eta)
+        return OrSemantics(self.index.eta, use_lattice=self.or_lattice)
 
     # ------------------------------------------------------------------
     # Incremental (streaming) search
@@ -159,12 +290,8 @@ class I3QueryProcessor:
 
         ``query.k`` is ignored; ``query.semantics`` applies as usual.
         """
-        semantics = (
-            AndSemantics(self.index.eta)
-            if query.semantics is Semantics.AND
-            else OrSemantics(self.index.eta, use_lattice=self.or_lattice)
-        )
-        root = self._root_candidate(query)
+        semantics = self.cells_for(query.semantics)
+        root = self._root_candidate(query, semantics)
         if root is None:
             return
         counter = itertools.count()
@@ -202,7 +329,7 @@ class I3QueryProcessor:
                     score = ranker.score_partial(query, acc.x, acc.y, acc.weight_sum)
                     heapq.heappush(ready, (-score, doc_id))
                 continue
-            for child in self._children_of(candidate, query):
+            for child in self._children_of(candidate, semantics):
                 push_cell(child)
 
     # ------------------------------------------------------------------
@@ -226,12 +353,8 @@ class I3QueryProcessor:
         probe = TopKQuery(
             region.center[0], region.center[1], words, k=1, semantics=semantics
         )
-        strategy = (
-            AndSemantics(self.index.eta)
-            if semantics is Semantics.AND
-            else OrSemantics(self.index.eta)
-        )
-        root = self._root_candidate(probe)
+        strategy = self.cells_for(semantics)
+        root = self._root_candidate(probe, strategy)
         if root is None:
             return []
         grid = self.index.grid
@@ -251,153 +374,6 @@ class I3QueryProcessor:
                         continue
                     hits.append(ScoredDoc(score=acc.weight_sum, doc_id=doc_id))
                 continue
-            stack.extend(self._children_of(candidate, probe))
+            stack.extend(self._children_of(candidate, strategy))
         hits.sort(key=lambda h: (-h.score, h.doc_id))
         return hits
-
-    def _children_of(self, candidate: Candidate, query: TopKQuery) -> List[Candidate]:
-        """Materialise the four child candidates (shared by both the
-        best-first top-k expansion and the region search)."""
-        nodes = {}
-        for word, ref in candidate.dense.items():
-            if ref.node is None:
-                ref.node = self.index.head.read(ref.node_id)
-            nodes[word] = ref.node
-        doc_groups: List[Dict[int, DocAccumulator]] = [{}, {}, {}, {}]
-        if candidate.docs:
-            rect = self.index.grid.rect(candidate.cell)
-            for doc_id, acc in candidate.docs.items():
-                doc_groups[rect.quadrant_of(acc.x, acc.y)][doc_id] = acc.copy()
-        children: List[Candidate] = []
-        for quadrant in range(4):
-            child_id = child_cell(candidate.cell, quadrant)
-            dense: Dict[str, DenseRef] = {}
-            docs = doc_groups[quadrant]
-            fetched: Set[str] = set(candidate.fetched)
-            for word, node in nodes.items():
-                ptr = node.child_ptrs[quadrant]
-                info = node.children[quadrant]
-                if isinstance(ptr, int) and info.count > 0:
-                    dense[word] = DenseRef(info=info, node_id=ptr)
-                elif ptr is None or isinstance(ptr, int) or info.count == 0:
-                    fetched.add(word)
-                else:
-                    fetched.add(word)
-                    self._fetch_cell(word, ptr, docs)
-            children.append(
-                Candidate(
-                    cell=child_id, dense=dense, docs=docs, fetched=frozenset(fetched)
-                )
-            )
-        return children
-
-    # ------------------------------------------------------------------
-    # Candidate creation
-    # ------------------------------------------------------------------
-    def _root_candidate(self, query: TopKQuery) -> Optional[Candidate]:
-        """Build the whole-space candidate from the lookup table."""
-        dense: Dict[str, DenseRef] = {}
-        docs: Dict[int, DocAccumulator] = {}
-        fetched: Set[str] = set()
-        for word in query.words:
-            entry = self.index.lookup.get(word)
-            if entry is None:
-                if query.semantics is Semantics.AND:
-                    return None  # a missing keyword empties an AND query
-                continue
-            if entry.dense:
-                node = self.index.head.read(entry.target)
-                if node.own.count == 0:
-                    if query.semantics is Semantics.AND:
-                        return None
-                    continue
-                dense[word] = DenseRef(
-                    info=node.own, node_id=entry.target, node=node
-                )
-            else:
-                fetched.add(word)
-                self._fetch_cell(word, entry.target, docs)
-        return Candidate(
-            cell=ROOT_CELL, dense=dense, docs=docs, fetched=frozenset(fetched)
-        )
-
-    def _fetch_cell(
-        self, word: str, cell: CellPages, docs: Dict[int, DocAccumulator]
-    ) -> None:
-        """Load a non-dense keyword cell into document accumulators."""
-        for record in self.index.data.read_cell(cell):
-            acc = docs.get(record.doc_id)
-            if acc is None:
-                acc = DocAccumulator(x=record.x, y=record.y)
-                docs[record.doc_id] = acc
-            acc.absorb(word, record.weight)
-
-    # ------------------------------------------------------------------
-    # Expansion (Algorithm 4, lines 12-24)
-    # ------------------------------------------------------------------
-    def _expand(
-        self,
-        candidate,
-        query,
-        ranker,
-        semantics,
-        collector,
-        heap,
-        counter,
-        trace,
-        spatial_filter=None,
-    ) -> None:
-        for child in self._children_of(candidate, query):
-            self._consider(
-                child, query, ranker, semantics, collector, heap, counter,
-                trace, spatial_filter,
-            )
-
-    def _consider(
-        self,
-        candidate,
-        query,
-        ranker,
-        semantics,
-        collector,
-        heap,
-        counter,
-        trace,
-        spatial_filter=None,
-    ) -> None:
-        """Prune-or-push a freshly created candidate (lines 21-24)."""
-        if spatial_filter is not None and not spatial_filter.may_intersect(
-            self.index.grid.rect(candidate.cell)
-        ):
-            trace.cells_pruned += 1
-            return
-        if semantics.prune(candidate, query):
-            trace.cells_pruned += 1
-            return
-        candidate.upper_score = semantics.upper_bound(
-            candidate, query, ranker, self.index.grid
-        )
-        if candidate.upper_score < collector.delta:
-            trace.cells_pruned += 1
-            return
-        trace.candidates_pushed += 1
-        heapq.heappush(heap, (-candidate.upper_score, next(counter), candidate))
-
-    # ------------------------------------------------------------------
-    # Finalisation (Algorithm 4, lines 6-10)
-    # ------------------------------------------------------------------
-    def _finalise(
-        self, candidate, query, ranker, semantics, collector, trace,
-        spatial_filter=None,
-    ) -> None:
-        """Score every accumulated document of a fully-fetched cell."""
-        for doc_id, acc in candidate.docs.items():
-            if not semantics.document_qualifies(acc.words, query):
-                continue
-            if spatial_filter is not None and not spatial_filter.contains(
-                acc.x, acc.y
-            ):
-                continue
-            score = ranker.score_partial(query, acc.x, acc.y, acc.weight_sum)
-            trace.docs_scored += 1
-            collector.offer(doc_id, score)

@@ -3,9 +3,10 @@
 The scalar (``"tuple"``) engine is :class:`repro.core.query.I3QueryProcessor`
 — one python object per stored tuple, the reference implementation that
 mirrors the paper's pseudocode line by line.  The vectorized
-(``"vector"``) engine (:mod:`repro.exec.vector`) runs the *same*
-best-first cell traversal but represents every keyword cell as columnar
-numpy arrays and scores whole cells with batch kernels
+(``"vector"``) engine (:mod:`repro.exec.vector`) is the one best-first
+traversal (:class:`repro.core.query.BestFirstProcessor`, shared code)
+given a different *cell model*: every keyword cell is columnar numpy
+arrays, and whole cells are bounded and scored with batch kernels
 (:mod:`repro.exec.kernels`).  Results are byte-identical — the
 cross-engine differential suites assert it — because final document
 scores are computed with bit-identical IEEE-754 operation sequences and

@@ -1,12 +1,12 @@
 """The vectorized I3 query engine: Algorithm 4 over columnar cells.
 
-This processor runs the *same* best-first cell traversal as the scalar
-:class:`repro.core.query.I3QueryProcessor` — same root candidate, same
-4-way child split, same prune/push/finalise decisions, same
-tie-at-delta expansion rule — but represents every candidate's fetched
-documents as per-keyword :class:`~repro.exec.columns.WordColumns`
-(sorted doc-id arrays with aligned coordinate/weight columns) and
-scores whole cells with the batch kernels of :mod:`repro.exec.kernels`.
+The best-first walk is :class:`repro.core.query.BestFirstProcessor` —
+the very code the scalar engine runs, not a copy of it.  This module
+supplies only the columnar **cell model**: every candidate's fetched
+documents are per-keyword :class:`~repro.exec.columns.WordColumns`
+(sorted doc-id arrays with aligned coordinate/weight columns), and
+whole cells are bounded and scored with the batch kernels of
+:mod:`repro.exec.kernels`.
 
 Why the answers are byte-identical (full argument in ``docs/exec.md``):
 
@@ -37,24 +37,21 @@ scalar processor unconditionally.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import threading
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.candidates import DenseRef
-from repro.core.query import QueryTrace, SpatialFilter
+from repro.core.candidates import Candidate
+from repro.core.query import BestFirstProcessor, QueryTrace, SpatialFilter
 from repro.exec import kernels
 from repro.exec.columns import WordColumns, cell_columns
 from repro.model.query import Semantics, TopKQuery
-from repro.model.results import ScoredDoc, TopKCollector
+from repro.model.results import TopKCollector
 from repro.model.scoring import Ranker
-from repro.spatial.cells import ROOT_CELL, child_cell
+from repro.spatial.cells import CellGrid
 from repro.text.signature import Signature
 
-__all__ = ["VectorQueryProcessor", "VectorCandidate", "witness_max"]
+__all__ = ["VectorQueryProcessor", "ColumnAnd", "ColumnOr", "witness_max"]
 
 # One available query keyword in a cell: (best score, dense signature
 # bits, fetched column) — exactly one of the last two is not None.
@@ -133,316 +130,62 @@ def witness_max(items: List[BoundItem], eta: int) -> float:
     return best
 
 
-class VectorCandidate:
-    """A candidate search cell with columnar document state.
+class _ColumnCells:
+    """How the columnar cell model holds fetched tuples.
 
-    ``cols`` maps each *fetched* query keyword that has tuples here to
-    its columns; dict insertion order is the keyword fetch order along
-    the root path — the order textual sums accumulate in.  ``fetched``
-    also contains keywords fetched empty (absent in this subtree).
+    ``Candidate.docs`` maps each *fetched* query keyword that has tuples
+    in the cell to its columns; dict insertion order is the keyword
+    fetch order along the root path — the order textual sums accumulate
+    in.  (``Candidate.fetched`` also contains keywords fetched empty,
+    i.e. absent in this subtree.)
     """
 
-    __slots__ = ("cell", "dense", "cols", "fetched", "upper_score")
+    conjunctive: bool  # set by ColumnAnd / ColumnOr
 
-    def __init__(
-        self,
-        cell: int,
-        dense: Dict[str, DenseRef],
-        cols: Dict[str, WordColumns],
-        fetched: FrozenSet[str],
-    ) -> None:
-        self.cell = cell
-        self.dense = dense
-        self.cols = cols
-        self.fetched = fetched
-        self.upper_score = 0.0
+    def __init__(self, eta: int) -> None:
+        self.eta = eta
 
-    @property
-    def is_resolved(self) -> bool:
-        return not self.dense
+    def fetch(self, index, word: str, cell, docs: Dict[str, WordColumns]) -> None:
+        """Add the keyword cell's (cached) columns unless it is empty."""
+        col = cell_columns(index, cell)
+        if col.ids.size:
+            docs[word] = col
 
-
-class VectorQueryProcessor:
-    """Executes top-k queries against an I3Index with batch kernels."""
-
-    def __init__(self, index, or_lattice: bool = True) -> None:
-        self.index = index
-        self.or_lattice = or_lattice
-        self._trace_local = threading.local()
-
-    @property
-    def last_trace(self) -> Optional[QueryTrace]:
-        """The calling thread's most recent search trace."""
-        return getattr(self._trace_local, "trace", None)
-
-    # ------------------------------------------------------------------
-    # Top-k search (Algorithm 4)
-    # ------------------------------------------------------------------
-    def search(
-        self,
-        query: TopKQuery,
-        ranker: Ranker,
-        spatial_filter: Optional[SpatialFilter] = None,
-        trace: Optional[QueryTrace] = None,
-    ) -> List[ScoredDoc]:
-        """Answer ``query``; same contract as the scalar ``search``."""
-        if trace is None:
-            trace = QueryTrace()
-        self._trace_local.trace = trace
-        conjunctive = query.semantics is Semantics.AND
-        collector = TopKCollector(query.k)
-        root = self._root_candidate(query)
-        if root is None:
-            return []
-        counter = itertools.count()
-        heap: List[tuple] = []
-        self._consider(
-            root, query, ranker, conjunctive, collector, heap, counter,
-            trace, spatial_filter,
-        )
-        while heap:
-            neg_upper, _, candidate = heapq.heappop(heap)
-            trace.candidates_popped += 1
-            # Ties at delta are expanded, exactly like the scalar loop.
-            if -neg_upper < collector.delta:
-                break
-            if candidate.is_resolved:
-                self._finalise(
-                    candidate, query, ranker, conjunctive, collector, trace,
-                    spatial_filter,
-                )
-                continue
-            for child in self._children_of(candidate):
-                self._consider(
-                    child, query, ranker, conjunctive, collector, heap,
-                    counter, trace, spatial_filter,
-                )
-        return collector.results()
-
-    # ------------------------------------------------------------------
-    # Candidate creation
-    # ------------------------------------------------------------------
-    def _root_candidate(self, query: TopKQuery) -> Optional[VectorCandidate]:
-        dense: Dict[str, DenseRef] = {}
-        cols: Dict[str, WordColumns] = {}
-        fetched: Set[str] = set()
-        for word in query.words:
-            entry = self.index.lookup.get(word)
-            if entry is None:
-                if query.semantics is Semantics.AND:
-                    return None
-                continue
-            if entry.dense:
-                node = self.index.head.read(entry.target)
-                if node.own.count == 0:
-                    if query.semantics is Semantics.AND:
-                        return None
-                    continue
-                dense[word] = DenseRef(
-                    info=node.own, node_id=entry.target, node=node
-                )
-            else:
-                fetched.add(word)
-                col = cell_columns(self.index, entry.target)
-                if col.ids.size:
-                    cols[word] = col
-        return VectorCandidate(ROOT_CELL, dense, cols, frozenset(fetched))
-
-    def _children_of(self, candidate: VectorCandidate) -> List[VectorCandidate]:
-        """The four child candidates (scalar ``_children_of``, columnar)."""
-        nodes = {}
-        for word, ref in candidate.dense.items():
-            if ref.node is None:
-                ref.node = self.index.head.read(ref.node_id)
-            nodes[word] = ref.node
+    def split(
+        self, docs: Dict[str, WordColumns], rect
+    ) -> List[Dict[str, WordColumns]]:
+        """Each keyword's rows into the quadrant of ``rect`` they lie in."""
         quad_cols: List[Dict[str, WordColumns]] = [{}, {}, {}, {}]
-        if candidate.cols:
-            rect = self.index.grid.rect(candidate.cell)
-            cx, cy = rect.center
-            for word, col in candidate.cols.items():
-                # Vectorized Rect.quadrant_of: index = (y>=cy)<<1 | (x>=cx).
-                quadrant = (col.ys >= cy) * 2 + (col.xs >= cx)
-                counts = np.bincount(quadrant, minlength=4)
-                for q in range(4):
-                    if not counts[q]:
-                        continue
-                    if counts[q] == col.ids.size:
-                        # Whole column falls in one quadrant: share the
-                        # (immutable) column, no copies.
-                        quad_cols[q][word] = col
-                        break
-                    quad_cols[q][word] = col.take(quadrant == q)
-        children: List[VectorCandidate] = []
-        for q in range(4):
-            child_id = child_cell(candidate.cell, q)
-            dense: Dict[str, DenseRef] = {}
-            cols = quad_cols[q]
-            fetched: Set[str] = set(candidate.fetched)
-            for word, node in nodes.items():
-                ptr = node.child_ptrs[q]
-                info = node.children[q]
-                if isinstance(ptr, int) and info.count > 0:
-                    dense[word] = DenseRef(info=info, node_id=ptr)
-                elif ptr is None or isinstance(ptr, int) or info.count == 0:
-                    fetched.add(word)
-                else:
-                    fetched.add(word)
-                    col = cell_columns(self.index, ptr)
-                    if col.ids.size:
-                        cols[word] = col
-            children.append(
-                VectorCandidate(child_id, dense, cols, frozenset(fetched))
-            )
-        return children
+        cx, cy = rect.center
+        for word, col in docs.items():
+            # Vectorized Rect.quadrant_of: index = (y>=cy)<<1 | (x>=cx).
+            quadrant = (col.ys >= cy) * 2 + (col.xs >= cx)
+            counts = np.bincount(quadrant, minlength=4)
+            for q in range(4):
+                if not counts[q]:
+                    continue
+                if counts[q] == col.ids.size:
+                    # Whole column falls in one quadrant: share the
+                    # (immutable) column, no copies.
+                    quad_cols[q][word] = col
+                    break
+                quad_cols[q][word] = col.take(quadrant == q)
+        return quad_cols
 
-    # ------------------------------------------------------------------
-    # Prune + bound (AND: Algorithms 5-6; OR: Section 5.3 lattice)
-    # ------------------------------------------------------------------
-    def _consider(
+    def finalise(
         self,
-        candidate: VectorCandidate,
+        candidate: Candidate,
         query: TopKQuery,
         ranker: Ranker,
-        conjunctive: bool,
-        collector: TopKCollector,
-        heap: List[tuple],
-        counter,
-        trace: QueryTrace,
-        spatial_filter: Optional[SpatialFilter],
-    ) -> None:
-        if spatial_filter is not None and not spatial_filter.may_intersect(
-            self.index.grid.rect(candidate.cell)
-        ):
-            trace.cells_pruned += 1
-            return
-        pruned = (
-            self._prune_and(candidate, query)
-            if conjunctive
-            else self._prune_or(candidate)
-        )
-        if pruned:
-            trace.cells_pruned += 1
-            return
-        candidate.upper_score = (
-            self._upper_bound_and(candidate, query, ranker)
-            if conjunctive
-            else self._upper_bound_or(candidate, query, ranker)
-        )
-        if candidate.upper_score < collector.delta:
-            trace.cells_pruned += 1
-            return
-        trace.candidates_pushed += 1
-        heapq.heappush(heap, (-candidate.upper_score, next(counter), candidate))
-
-    def _prune_and(self, candidate: VectorCandidate, query: TopKQuery) -> bool:
-        for word in query.words:
-            if word not in candidate.dense and word not in candidate.fetched:
-                return True
-        if candidate.dense:
-            sig = Signature.full(self.index.eta)
-            for ref in candidate.dense.values():
-                sig = sig.intersect(ref.info.sig)
-            if sig.is_zero:
-                return True
-        if candidate.fetched:
-            # Survivors: documents present in EVERY fetched keyword's
-            # column.  (The scalar engine additionally drops documents
-            # the dense-signature intersection rules out; skipping that
-            # per-id python filter keeps a superset — the bound stays
-            # admissible, never smaller than the scalar one, and
-            # impostors die at finalise's exact presence check.  The
-            # filter rarely removes anything in practice, and paying it
-            # per candidate costs more than the tighter bound saves.)
-            survivors: Optional[np.ndarray] = None
-            for word in candidate.fetched:
-                col = candidate.cols.get(word)
-                if col is None or not col.ids.size:
-                    return True
-                survivors = (
-                    col.ids
-                    if survivors is None
-                    else np.intersect1d(survivors, col.ids, assume_unique=True)
-                )
-                if not survivors.size:
-                    return True
-            filtered: Dict[str, WordColumns] = {}
-            for word, col in candidate.cols.items():
-                if col.ids.size != survivors.size:
-                    # survivors is a subset of every column, so equal
-                    # sizes mean equal (sorted-unique) id sets already.
-                    col = col.take(
-                        np.isin(col.ids, survivors, assume_unique=True)
-                    )
-                filtered[word] = col
-            candidate.cols = filtered
-        return False
-
-    @staticmethod
-    def _prune_or(candidate: VectorCandidate) -> bool:
-        return not candidate.dense and not candidate.cols
-
-    def _upper_bound_and(
-        self, candidate: VectorCandidate, query: TopKQuery, ranker: Ranker
-    ) -> float:
-        phi_s = ranker.spatial_upper_bound(
-            query.x, query.y, self.index.grid.rect(candidate.cell)
-        )
-        dense_part = sum(ref.info.max_s for ref in candidate.dense.values())
-        fetched_part = 0.0
-        if candidate.cols:
-            # After _prune_and every column holds exactly the survivor
-            # id set, so the columns are element-aligned: summing the
-            # weight arrays in fetch order performs the same
-            # left-to-right double additions as accumulate_weights
-            # (0.0 + w is exact), without any searchsorted.
-            sums: Optional[np.ndarray] = None
-            for col in candidate.cols.values():
-                ws = col.ws.astype(np.float64)
-                sums = ws if sums is None else sums + ws
-            fetched_part = float(sums.max())
-        return ranker.combine(phi_s, dense_part + fetched_part)
-
-    def _upper_bound_or(
-        self, candidate: VectorCandidate, query: TopKQuery, ranker: Ranker
-    ) -> float:
-        phi_s = ranker.spatial_upper_bound(
-            query.x, query.y, self.index.grid.rect(candidate.cell)
-        )
-        items: List[BoundItem] = []
-        for word in query.words:
-            ref = candidate.dense.get(word)
-            if ref is not None and ref.info.count > 0:
-                items.append((ref.info.max_s, ref.info.sig.bits, None))
-                continue
-            if word in candidate.fetched:
-                col = candidate.cols.get(word)
-                if col is not None and col.ids.size:
-                    items.append((col.max_w, None, col))
-        if not items:
-            phi_t = 0.0
-        elif not self.or_lattice:
-            phi_t = sum(item[0] for item in items)
-        else:
-            phi_t = witness_max(items, self.index.eta)
-        return ranker.combine(phi_s, phi_t)
-
-    # ------------------------------------------------------------------
-    # Finalisation: score a resolved cell as arrays
-    # ------------------------------------------------------------------
-    def _finalise(
-        self,
-        candidate: VectorCandidate,
-        query: TopKQuery,
-        ranker: Ranker,
-        conjunctive: bool,
         collector: TopKCollector,
         trace: QueryTrace,
         spatial_filter: Optional[SpatialFilter],
     ) -> None:
-        cols = [col for col in candidate.cols.values() if col.ids.size]
+        """Score a resolved cell as arrays."""
+        cols = [col for col in candidate.docs.values() if col.ids.size]
         if not cols:
             return
-        if len(cols) == 1 and (not conjunctive or len(query.words) == 1):
+        if len(cols) == 1 and (not self.conjunctive or len(query.words) == 1):
             # Single-keyword fast path: the column already IS the
             # accumulator table (0.0 + w is exact, coordinates come
             # from the only tuple each document has here).
@@ -457,7 +200,7 @@ class VectorQueryProcessor:
             # unique passes).
             all_ids = np.unique(np.concatenate([col.ids for col in cols]))
             pos = [np.searchsorted(all_ids, col.ids) for col in cols]
-            if conjunctive:
+            if self.conjunctive:
                 presence = np.zeros(all_ids.size, dtype=np.int64)
                 for p in pos:
                     presence[p] += 1
@@ -518,3 +261,111 @@ class VectorQueryProcessor:
             if -neg_score < collector.delta:
                 break
             collector.offer(doc_id, -neg_score)
+
+
+class ColumnAnd(_ColumnCells):
+    """Algorithms 5-6 over columns: the AND prune and upper bound."""
+
+    conjunctive = True
+
+    def prune(self, candidate: Candidate, query: TopKQuery) -> bool:
+        for word in query.words:
+            if word not in candidate.dense and word not in candidate.fetched:
+                return True
+        if candidate.dense:
+            sig = Signature.full(self.eta)
+            for ref in candidate.dense.values():
+                sig = sig.intersect(ref.info.sig)
+            if sig.is_zero:
+                return True
+        if candidate.fetched:
+            # Survivors: documents present in EVERY fetched keyword's
+            # column.  (The scalar engine additionally drops documents
+            # the dense-signature intersection rules out; skipping that
+            # per-id python filter keeps a superset — the bound stays
+            # admissible, never smaller than the scalar one, and
+            # impostors die at finalise's exact presence check.  The
+            # filter rarely removes anything in practice, and paying it
+            # per candidate costs more than the tighter bound saves.)
+            survivors: Optional[np.ndarray] = None
+            for word in candidate.fetched:
+                col = candidate.docs.get(word)
+                if col is None or not col.ids.size:
+                    return True
+                survivors = (
+                    col.ids
+                    if survivors is None
+                    else np.intersect1d(survivors, col.ids, assume_unique=True)
+                )
+                if not survivors.size:
+                    return True
+            filtered: Dict[str, WordColumns] = {}
+            for word, col in candidate.docs.items():
+                if col.ids.size != survivors.size:
+                    # survivors is a subset of every column, so equal
+                    # sizes mean equal (sorted-unique) id sets already.
+                    col = col.take(
+                        np.isin(col.ids, survivors, assume_unique=True)
+                    )
+                filtered[word] = col
+            candidate.docs = filtered
+        return False
+
+    def upper_bound(
+        self, candidate: Candidate, query: TopKQuery, ranker: Ranker, grid: CellGrid
+    ) -> float:
+        phi_s = ranker.spatial_upper_bound(
+            query.x, query.y, grid.rect(candidate.cell)
+        )
+        dense_part = sum(ref.info.max_s for ref in candidate.dense.values())
+        fetched_part = 0.0
+        if candidate.docs:
+            # After prune every column holds exactly the survivor id
+            # set, so the columns are element-aligned: summing the
+            # weight arrays in fetch order performs the same
+            # left-to-right double additions as accumulate_weights
+            # (0.0 + w is exact), without any searchsorted.
+            sums: Optional[np.ndarray] = None
+            for col in candidate.docs.values():
+                ws = col.ws.astype(np.float64)
+                sums = ws if sums is None else sums + ws
+            fetched_part = float(sums.max())
+        return ranker.combine(phi_s, dense_part + fetched_part)
+
+
+class ColumnOr(_ColumnCells):
+    """Section 5.3 over columns: the OR prune and the lattice bound."""
+
+    conjunctive = False
+
+    def prune(self, candidate: Candidate, query: TopKQuery) -> bool:
+        return not candidate.dense and not candidate.docs
+
+    def upper_bound(
+        self, candidate: Candidate, query: TopKQuery, ranker: Ranker, grid: CellGrid
+    ) -> float:
+        phi_s = ranker.spatial_upper_bound(
+            query.x, query.y, grid.rect(candidate.cell)
+        )
+        items: List[BoundItem] = []
+        for word in query.words:
+            ref = candidate.dense.get(word)
+            if ref is not None and ref.info.count > 0:
+                items.append((ref.info.max_s, ref.info.sig.bits, None))
+                continue
+            if word in candidate.fetched:
+                col = candidate.docs.get(word)
+                if col is not None and col.ids.size:
+                    items.append((col.max_w, None, col))
+        phi_t = witness_max(items, self.eta) if items else 0.0
+        return ranker.combine(phi_s, phi_t)
+
+
+class VectorQueryProcessor(BestFirstProcessor):
+    """The shared walk over columnar cells, scored with batch kernels."""
+
+    def cells_for(self, semantics: Semantics):
+        """``ColumnAnd`` or ``ColumnOr`` over per-keyword columns."""
+        if semantics is Semantics.AND:
+            return ColumnAnd(self.index.eta)
+        return ColumnOr(self.index.eta)

@@ -121,4 +121,6 @@ class DirectionAwareSearcher:
         if ranker is None:
             ranker = Ranker(self.index.space)
         sector = Sector(x=query.x, y=query.y, direction=direction, width=width)
-        return self.index._processor.search(query, ranker, spatial_filter=sector)
+        return self.index.engine_processor().search(
+            query, ranker, spatial_filter=sector
+        )

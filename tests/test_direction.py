@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core.index import I3Index
+from repro.exec import available_engines
 from repro.extensions.direction import DirectionAwareSearcher, Sector
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import TopKCollector
@@ -74,14 +75,19 @@ class TestSectorGeometry:
                 assert sector.may_intersect(rect), (sector, rect)
 
 
+@pytest.fixture
+def loaded(rng):
+    index = I3Index(UNIT_SQUARE, page_size=64)
+    docs = make_documents(250, rng)
+    for doc in docs:
+        index.insert_document(doc)
+    return index, {d.doc_id: d for d in docs}
+
+
 class TestDirectionAwareSearch:
-    @pytest.fixture
-    def loaded(self, rng):
-        index = I3Index(UNIT_SQUARE, page_size=64)
-        docs = make_documents(250, rng)
-        for doc in docs:
-            index.insert_document(doc)
-        return index, {d.doc_id: d for d in docs}
+    """Runs on the default engine (the searcher goes through
+    ``index.engine_processor()``); the subclass below selects each
+    engine in turn."""
 
     def sector_oracle(self, store, query, ranker, sector):
         collector = TopKCollector(query.k)
@@ -138,3 +144,38 @@ class TestDirectionAwareSearch:
         searcher.search(query, direction=0.0, width=2 * math.pi, ranker=ranker)
         full = index.stats.reads()
         assert narrow < full
+
+
+@pytest.mark.usefixtures("engine")
+class TestDirectionAwareSearchEachEngine(TestDirectionAwareSearch):
+    """The same checks under each engine.  (A subclass, not a
+    parametrized base: the base class's test ids are pinned.)"""
+
+
+@pytest.mark.skipif(
+    "vector" not in available_engines(), reason="needs the vector engine"
+)
+def test_vector_filter_matches_tuple_byte_for_byte(loaded, rng):
+    """The columnar model's ``spatial_filter`` handling against the
+    scalar one: same documents, same score bits."""
+    index, _ = loaded
+    searcher = DirectionAwareSearcher(index)
+    ranker = Ranker(UNIT_SQUARE, 0.5)
+    for i in range(100):
+        query = TopKQuery(
+            rng.random(),
+            rng.random(),
+            tuple(rng.sample(["spicy", "restaurant", "bar"], rng.randint(1, 3))),
+            k=rng.choice([1, 5, 20]),
+            semantics=Semantics.AND if i % 2 else Semantics.OR,
+        )
+        direction = rng.uniform(-math.pi, math.pi)
+        width = rng.uniform(0.3, 2 * math.pi)
+        answers = {}
+        for engine in ("tuple", "vector"):
+            index.engine = engine
+            answers[engine] = [
+                (r.doc_id, r.score.hex())
+                for r in searcher.search(query, direction, width, ranker)
+            ]
+        assert answers["vector"] == answers["tuple"]

@@ -1,14 +1,18 @@
 """Tests for the query-processing diagnostics (QueryTrace) and the
 pruning behaviour they make observable."""
 
+import random
+
 import pytest
 
 from repro.core.index import I3Index
+from repro.core.query import QueryTrace
+from repro.exec import available_engines
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
 from repro.spatial.geometry import UNIT_SQUARE
 
-from tests.helpers import make_documents
+from tests.helpers import DEFAULT_VOCAB, make_documents
 
 
 @pytest.fixture
@@ -20,6 +24,9 @@ def loaded(rng):
 
 
 class TestQueryTrace:
+    """Reads the default engine's trace; the subclass below selects
+    each engine in turn."""
+
     def test_trace_populated(self, loaded):
         ranker = Ranker(UNIT_SQUARE, 0.5)
         loaded.query(TopKQuery(0.5, 0.5, ("restaurant",), k=5), ranker)
@@ -72,3 +79,53 @@ class TestQueryTrace:
         second = loaded.engine_processor().last_trace
         assert second is not first
         assert second.docs_scored == 0
+
+
+@pytest.mark.usefixtures("engine")
+class TestQueryTraceEachEngine(TestQueryTrace):
+    """The same checks under each engine.  (A subclass, not a
+    parametrized base: the base class's test ids are pinned.)"""
+
+
+@pytest.mark.skipif(
+    "vector" not in available_engines(), reason="needs the vector engine"
+)
+class TestSameWalkAcrossEngines:
+    """Both engines run one traversal; what can differ is the cell
+    model's bounds."""
+
+    def run(self, index, semantics, compare_counters):
+        rng = random.Random(14)
+        ranker = Ranker(UNIT_SQUARE, 0.5)
+        for _ in range(200):
+            query = TopKQuery(
+                rng.random(),
+                rng.random(),
+                tuple(rng.sample(DEFAULT_VOCAB, rng.randint(1, 3))),
+                k=rng.choice([1, 5, 20]),
+                semantics=semantics,
+            )
+            answers, counters = {}, {}
+            for engine in ("tuple", "vector"):
+                found = index.query(query, ranker, engine=engine)
+                answers[engine] = [(r.doc_id, r.score.hex()) for r in found]
+                trace = index.engine_processor(engine).last_trace
+                counters[engine] = [
+                    getattr(trace, name) for name in QueryTrace.__slots__
+                ]
+            assert answers["vector"] == answers["tuple"]
+            if compare_counters:
+                assert counters["vector"] == counters["tuple"]
+
+    def test_or_walks_are_identical(self, loaded):
+        """The columnar OR bound is the scalar lattice's value bit for
+        bit, so every prune/push/pop decision — and so every counter —
+        is the same."""
+        self.run(loaded, Semantics.OR, compare_counters=True)
+
+    def test_and_answers_are_identical(self, loaded):
+        """Answers only: the columnar AND bound skips the per-document
+        signature filter (a documented superset of the scalar
+        survivors), so it may push cells the scalar model prunes — the
+        counters legitimately differ, the answers may not."""
+        self.run(loaded, Semantics.AND, compare_counters=False)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
@@ -69,13 +69,30 @@ class TestAttemptBudgetProperties:
             st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30
         ),
     )
+    @example(start=524288.0, deadline=0.001, attempt_timeout=None, fractions=[1.0])
+    @example(
+        start=0.0,
+        deadline=1.5000000000000002,
+        attempt_timeout=None,
+        fractions=[2.2204460492503128e-16, 1.0],
+    )
     def test_consumed_slices_never_sum_past_the_deadline(
         self, start, deadline, attempt_timeout, fractions
     ):
         """Walk a query through attempts, each consuming any portion of
-        its granted slice: the total consumed can never exceed the
-        deadline, and the walk always terminates in expiry or
-        exhaustion — a stall is unrepresentable."""
+        its granted slice: the walk never passes ``deadline_at``, the
+        total consumed never exceeds what was left at the start, and it
+        always terminates in expiry or exhaustion — a stall is
+        unrepresentable.
+
+        ``deadline_at = start + deadline`` rounds at ``ulp(start)``, so
+        the budget is ``deadline_at - start``, not ``deadline`` (first
+        example: 1.2e-10 apart).  The only slack allowed is the walk's
+        own: each ``+=`` below rounds by at most half an ulp, and a
+        round-to-even tie can land ``now`` on the float just above
+        ``deadline_at`` (second example), after which the slice is
+        expired.
+        """
         deadline_at = start + deadline
         now = start
         consumed = 0.0
@@ -89,7 +106,10 @@ class TestAttemptBudgetProperties:
             spend = timeout * fraction
             consumed += spend
             now += spend
-        assert consumed <= deadline * (1 + 1e-9) + 1e-12
+            assert now <= math.nextafter(deadline_at, math.inf)
+        assert consumed <= (deadline_at - start) + len(fractions) * math.ulp(
+            deadline_at
+        )
 
     @given(
         start=finite_times,
