@@ -677,6 +677,7 @@ def _cmd_shard_bench(args: argparse.Namespace) -> int:
     else:
         counters = snapshot["counters"]
         latency = snapshot["histograms"]["cluster.latency_ms"]
+        route = snapshot["histograms"]["cluster.route_ms"]
         print(
             f"{len(queries)} queries over {args.shards} {args.partitioner} "
             f"shards x{args.replicas}: {snapshot['cluster']['qps']:.0f} q/s "
@@ -685,6 +686,9 @@ def _cmd_shard_bench(args: argparse.Namespace) -> int:
         print(
             f"latency ms  p50 {latency['p50']:.2f}  p95 {latency['p95']:.2f}  "
             f"p99 {latency['p99']:.2f}  (mean {latency['mean']:.2f})"
+        )
+        print(
+            f"routing ms  p50 {route['p50']:.3f}  (mean {route['mean']:.3f})"
         )
         queried = counters.get("cluster.shards_queried", 0)
         pruned = counters.get("cluster.shards_pruned", 0)

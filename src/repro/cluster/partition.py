@@ -21,7 +21,9 @@ A third policy lives in :mod:`repro.planner`:
 ``WorkloadPartitioner`` (kind ``"workload"``) subclasses the spatial
 grid but *learns* its leaf assignment from a recorded query workload.
 
-Every policy serialises its routing state into a
+Every policy answers the router's one spatial question,
+``shard_min_dists(x, y)`` — how far the query point is from the nearest
+region of each shard — and serialises its routing state into a
 :class:`~repro.cluster.manifest.ShardManifest`, and
 :func:`partitioner_from_manifest` restores it, so a router restarted
 from disk routes exactly as the one that built the cluster.
@@ -29,11 +31,19 @@ from disk routes exactly as the one that built the cluster.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+import heapq
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.manifest import ShardInfo, ShardManifest
 from repro.model.document import SpatialDocument
-from repro.spatial.cells import ROOT_CELL, CellGrid, cell_level, child_cell
+from repro.spatial.cells import (
+    ROOT_CELL,
+    CellGrid,
+    cell_level,
+    child_cell,
+    parent_cell,
+)
 from repro.spatial.geometry import Rect
 
 __all__ = [
@@ -90,6 +100,11 @@ class HashPartitioner:
         so hash-sharded routers get no spatial pruning."""
         return {sid: [self.space] for sid in range(self.num_shards)}
 
+    def shard_min_dists(self, x: float, y: float) -> List[Optional[float]]:
+        """Distance from ``(x, y)`` to every shard's nearest region —
+        the same number for all of them: each covers the whole space."""
+        return [self.space.min_dist(x, y)] * self.num_shards
+
     def manifest_params(self) -> Dict[str, object]:
         return {}
 
@@ -108,6 +123,12 @@ class SpatialGridPartitioner:
     root until it lands in a leaf; unseen regions fall into whatever
     leaf covers them, so inserts outside the build distribution still
     route deterministically.
+
+    The leaves must tile the space — every point under exactly one
+    leaf.  The constructor rejects a table that does not (it is also
+    what :func:`partitioner_from_manifest` feeds with bytes from disk),
+    so a hole or a shadowed leaf surfaces when the table is loaded, not
+    at the first document routed into it.
 
     Attributes:
         num_shards: Number of shards.
@@ -132,6 +153,52 @@ class SpatialGridPartitioner:
         self.leaves = dict(leaves)
         self._grid = CellGrid(space)
         self._max_level = max(cell_level(cell) for cell in self.leaves)
+        self._descent = self._build_descent()
+
+    def _build_descent(
+        self,
+    ) -> Dict[int, Tuple[int, float, float, float, float]]:
+        """The table :meth:`shard_min_dists` walks, checked on the way.
+
+        For every cell on a root-to-leaf path: the bitmask of shards
+        owning a leaf at or beneath it, and the cell's ``(min_x, max_x,
+        min_y, max_y)``.  Raises ``ValueError`` unless the leaves tile
+        the space: no leaf under another leaf, and the leaf areas —
+        ``4**-level`` of the root each, summed as integers in units of
+        the deepest level's cell — adding up to exactly the root.
+        """
+        masks: Dict[int, int] = {}
+        covered = 0
+        for cell, shard in self.leaves.items():
+            covered += 4 ** (self._max_level - cell_level(cell))
+            bit = 1 << shard
+            masks[cell] = bit
+            while cell > ROOT_CELL:
+                cell = parent_cell(cell)
+                if cell in self.leaves:
+                    raise ValueError(
+                        f"leaf {cell} has another leaf beneath it — "
+                        "the leaf table is not a tiling"
+                    )
+                masks[cell] = masks.get(cell, 0) | bit
+        if covered != 4 ** self._max_level:
+            # Leaves are disjoint by now, so the shortfall is a hole: a
+            # cell off every root-to-leaf path whose parent is on one.
+            hole = next(
+                child
+                for cell in sorted(masks)
+                if cell not in self.leaves
+                for child in self._grid.children(cell)
+                if child not in masks
+            )
+            raise ValueError(
+                f"no leaf covers cell {hole} — the leaf table is not a tiling"
+            )
+        descent = {}
+        for cell, mask in masks.items():
+            rect = self._grid.rect(cell)
+            descent[cell] = (mask, rect.min_x, rect.max_x, rect.min_y, rect.max_y)
+        return descent
 
     # ------------------------------------------------------------------
     # Construction from data
@@ -207,6 +274,50 @@ class SpatialGridPartitioner:
         for cell, shard in sorted(self.leaves.items()):
             regions[shard].append(self._grid.rect(cell))
         return regions
+
+    def shard_min_dists(self, x: float, y: float) -> List[Optional[float]]:
+        """Distance from ``(x, y)`` to the nearest leaf of every shard
+        (``None`` for a shard that owns no leaf).
+
+        A best-first descent of the leaf quadtree under MINDIST — the
+        paper's Algorithm 4 one level up.  A child's box lies inside its
+        parent's, so its distance is never smaller (exactly, in floating
+        point: subtraction, ``max``, squaring, sum and ``sqrt`` are all
+        monotone) and the first leaf popped for a shard carries that
+        shard's minimum of :meth:`Rect.min_dist` over its leaves, bit
+        for bit.  Only children with a still-unseen shard beneath them
+        are pushed, and the walk stops when every shard is seen, so the
+        cost is O(depth x shards) heap steps, not O(leaves).
+
+        Reads only tables built in the constructor: safe to call from
+        any number of threads at once.
+        """
+        descent = self._descent
+        leaves = self.leaves
+        dists: List[Optional[float]] = [None] * self.num_shards
+        unseen = descent[ROOT_CELL][0]
+        heap: List[Tuple[float, int]] = []
+        cells: Tuple[int, ...] = (ROOT_CELL,)
+        while unseen:
+            for cell in cells:
+                mask, min_x, max_x, min_y, max_y = descent[cell]
+                if mask & unseen:
+                    # The expression of Rect.min_dist (sqrt of squares,
+                    # not hypot), so bounds equal the per-leaf scan's.
+                    dx = max(min_x - x, 0.0, x - max_x)
+                    dy = max(min_y - y, 0.0, y - max_y)
+                    heapq.heappush(heap, (math.sqrt(dx * dx + dy * dy), cell))
+            dist, cell = heapq.heappop(heap)
+            shard = leaves.get(cell)
+            if shard is None:
+                base = cell << 2
+                cells = (base, base | 1, base | 2, base | 3)
+            else:
+                cells = ()
+                if unseen >> shard & 1:
+                    dists[shard] = dist
+                    unseen &= ~(1 << shard)
+        return dists
 
     def manifest_params(self) -> Dict[str, object]:
         return {

@@ -10,11 +10,13 @@ queries by scatter-gather with two correctness-preserving shortcuts:
 * **bound-based shard skipping** — every shard advertises, per query
   keyword, the ``max_s`` upper bound the paper stores in its summary
   nodes (:meth:`repro.core.index.I3Index.keyword_bounds`).  Combined
-  with the spatial upper bound of the shard's regions this bounds the
-  best score any of its documents can reach; shards are visited in
-  bound order and skipped once their bound falls strictly below the
-  current k-th best score — they could neither beat nor tie it, so the
-  merged answer is byte-identical to querying one monolithic index;
+  with the spatial upper bound of the shard's nearest region (one
+  ``shard_min_dists`` question to the partitioner per query) this
+  bounds the best score any of its documents can reach; shards are
+  visited in bound order and skipped once their bound falls strictly
+  below the current k-th best score — they could neither beat nor tie
+  it, so the merged answer is byte-identical to querying one monolithic
+  index;
 * **replica failover** — a failed attempt (dead replica, injected
   fault, attempt timeout, shed query) moves to the next replica,
   healthy first, with exponential backoff between retry rounds.  A
@@ -59,7 +61,6 @@ from repro.service.cache import QueryResultCache
 from repro.service.errors import ServiceClosed
 from repro.service.metrics import MetricsRegistry
 from repro.service.service import QueryService, ServiceConfig, _ReadWriteLock
-from repro.spatial.geometry import Rect
 
 __all__ = [
     "ClusterConfig",
@@ -299,7 +300,6 @@ class ClusterService:
             if self.config.cache_capacity
             else None
         )
-        self._regions: Dict[int, List[Rect]] = partitioner.shard_regions()
         self._pool = (
             None
             if executor is not None
@@ -311,8 +311,9 @@ class ClusterService:
         self._closed = False
         self._close_lock = threading.Lock()
         # Topology lock: queries and mutations hold the read side, so
-        # rebalance() can swap the partitioner/regions atomically under
-        # the write side without a query racing a half-moved corpus.
+        # rebalance() can swap the partitioner (documents and routing
+        # geometry both) under the write side without a query racing a
+        # half-moved corpus.
         self._topology = _ReadWriteLock()
         # Per-shard rotation counters: healthy replicas serve reads
         # round-robin instead of failover-only, spreading load.
@@ -547,7 +548,11 @@ class ClusterService:
         return out
 
     def _scatter_gather(self, query: TopKQuery) -> ClusterAnswer:
+        started = self._now()
         ranked, absent, dead_upfront = self._route(query)
+        self.metrics.histogram("cluster.route_ms").observe(
+            (self._now() - started) * 1000.0
+        )
         collector = TopKCollector(query.k)
         failed: List[int] = list(dead_upfront)
         queried = 0
@@ -624,6 +629,10 @@ class ClusterService:
         absent = 0
         dead: List[int] = []
         need_all = query.semantics is Semantics.AND
+        # Asked of the partitioner at most once per query, by the first
+        # shard that gets as far as needing a spatial bound.
+        min_dists: Optional[List[Optional[float]]] = None
+        diagonal = self.ranker.space.diagonal
         for sid in range(self.num_shards):
             rep = self._first_alive(sid)
             if rep is None:
@@ -655,13 +664,12 @@ class ClusterService:
                 absent += 1
                 continue
             phi_t = sum(bounds.values())
-            phi_s = max(
-                (
-                    self.ranker.spatial_upper_bound(query.x, query.y, rect)
-                    for rect in self._regions.get(sid, ())
-                ),
-                default=0.0,
-            )
+            if min_dists is None:
+                min_dists = self.partitioner.shard_min_dists(query.x, query.y)
+            dist = min_dists[sid]
+            # Ranker.spatial_upper_bound over the shard's nearest region
+            # (the regions farther away can only bound lower).
+            phi_s = 0.0 if dist is None else max(0.0, 1.0 - dist / diagonal)
             ranked.append((self.ranker.combine(phi_s, phi_t), sid))
         ranked.sort(key=lambda entry: (-entry[0], entry[1]))
         return ranked, absent, dead
@@ -868,8 +876,9 @@ class ClusterService:
         reconstructs them with their exact stored f32 weights), moved
         by delete+insert on every live replica of the source and target
         shards (each move bumps the shard epochs, so cached answers
-        stamped with the old epoch sum invalidate), and the partitioner,
-        router regions, and manifest are swapped atomically at the end.
+        stamped with the old epoch sum invalidate), and the partitioner
+        (which carries the routing geometry) and manifest are swapped
+        atomically at the end.
         Answers are byte-identical before and after — the
         ``planner-equivalence`` simtest invariant.
 
@@ -924,7 +933,6 @@ class ClusterService:
                     info.num_documents = max(0, info.num_documents - 1)
                     self.manifest.shards[dst].num_documents += 1
             self.partitioner = partitioner
-            self._regions = partitioner.shard_regions()
             with self._bounds_lock:
                 # Epoch validation would catch moved shards on its own,
                 # but a rebalance that moves nothing still swaps the

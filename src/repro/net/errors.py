@@ -91,9 +91,25 @@ class ProtocolError(NetError):
 class FrameTooLarge(NetError):
     """A frame announced a length beyond the negotiated maximum.  The
     receiving side refuses to even read the body; the connection is no
-    longer frame-aligned and must be closed."""
+    longer frame-aligned and must be closed.
+
+    Attributes:
+        announced: The body length the peer's header declared, when a
+            frame reader raised this (``None`` for an outgoing frame or
+            an error rehydrated from the wire) — what a server has to
+            let drain before it can close without a reset.
+    """
 
     code = ERR_FRAME_TOO_LARGE
+
+    def __init__(
+        self,
+        message: str,
+        retry_after_ms: Optional[int] = None,
+        announced: Optional[int] = None,
+    ) -> None:
+        super().__init__(message, retry_after_ms)
+        self.announced = announced
 
 
 class Unauthorized(NetError):

@@ -140,7 +140,8 @@ def read_frame(
     (length,) = _HEADER.unpack(header)
     if length > max_frame:
         raise FrameTooLarge(
-            f"peer announced a {length}-byte frame, limit {max_frame}"
+            f"peer announced a {length}-byte frame, limit {max_frame}",
+            announced=length,
         )
     return decode_payload(recv_exact(recv, length))
 
@@ -166,7 +167,8 @@ class FrameAssembler:
             if length > self._max_frame:
                 raise FrameTooLarge(
                     f"peer announced a {length}-byte frame, "
-                    f"limit {self._max_frame}"
+                    f"limit {self._max_frame}",
+                    announced=length,
                 )
             if len(self._buffer) < HEADER_BYTES + length:
                 break

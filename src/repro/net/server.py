@@ -76,6 +76,12 @@ __all__ = ["ConnectionCore", "NetServer", "NetServerConfig", "ServiceBackend"]
 
 _HTTP_METHOD_PREFIXES = (b"GET ", b"HEAD", b"POST", b"PUT ", b"DELE", b"OPTI")
 
+# How much of a refused frame's body the server reads off before closing,
+# in units of ``max_frame``: enough for any honest client's mistake to get
+# its typed answer, while a header announcing 4 GiB cannot hold a
+# connection thread for 4 GiB.
+_REFUSED_DRAIN_FRAMES = 16
+
 
 @dataclass(frozen=True)
 class NetServerConfig:
@@ -694,7 +700,8 @@ class NetServer:
                     # The stream is no longer frame-aligned: answer once,
                     # then drop the connection.
                     self.metrics.counter("net.frames_rejected").inc()
-                    self._send(sock, error_response(exc))
+                    if self._send(sock, error_response(exc)):
+                        self._drain_refused_body(sock, exc.announced or 0)
                     return
                 except ProtocolError as exc:
                     # Bad JSON in a well-framed body: still aligned, so
@@ -728,6 +735,34 @@ class NetServer:
                 self.metrics.gauge("net.connections").set(
                     len(self._connections)
                 )
+
+    def _drain_refused_body(self, sock: socket.socket, announced: int) -> None:
+        """Let the body of a refused frame arrive before the close.
+
+        Closing a socket whose receive buffer still holds unread bytes
+        makes the kernel send RST instead of FIN, and a reset can
+        destroy the error frame before the peer reads it.  So: half-close
+        (the peer sees EOF right after the error frame), then read off
+        what the peer declared — at most ``_REFUSED_DRAIN_FRAMES`` frame
+        limits of it, and for at most ``read_timeout`` seconds in all.
+        """
+        remaining = min(announced, _REFUSED_DRAIN_FRAMES * self.config.max_frame)
+        timeout = self.config.read_timeout
+        give_up = None if timeout is None else time.monotonic() + timeout
+        try:
+            sock.shutdown(socket.SHUT_WR)
+            while remaining > 0:
+                if give_up is not None:
+                    left = give_up - time.monotonic()
+                    if left <= 0:
+                        return
+                    sock.settimeout(left)
+                chunk = sock.recv(min(remaining, 1 << 16))
+                if not chunk:
+                    return
+                remaining -= len(chunk)
+        except OSError:
+            pass  # peer reset or idled out: nothing left to protect
 
     def _send(self, sock: socket.socket, payload: Dict) -> bool:
         try:

@@ -13,6 +13,7 @@ import random
 import socket
 import struct
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -254,6 +255,62 @@ class TestProtocolEdges:
                     "x": 0.5, "y": 0.5, "k": 1,
                     "words": ["x" * (2 << 20)],
                 })
+
+    def test_oversized_frame_answer_survives_the_unread_body(self, served):
+        """The typed answer must outlive the body the server refuses to
+        read: a close over unread bytes is a TCP reset, and a reset can
+        destroy the error frame.  Fifty connections in a row each write
+        the whole 2 MiB body *after* the header, then read exactly the
+        ``frame_too_large`` frame and a clean EOF — never ECONNRESET."""
+        _service, server = served
+        body = b"x" * (2 << 20)
+        for attempt in range(50):
+            sock = socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            )
+            try:
+                sock.sendall(struct.pack("!I", len(body)))
+                for at in range(0, len(body), 1 << 16):
+                    sock.sendall(body[at:at + (1 << 16)])
+                response = read_frame(sock.recv)
+                assert response["ok"] is False, attempt
+                assert response["error"]["code"] == "frame_too_large"
+                assert sock.recv(1) == b"", attempt  # FIN, not RST
+            finally:
+                sock.close()
+
+    @pytest.mark.parametrize("read_timeout, sent", [
+        (30.0, 16 * 1024),  # the byte bound: sixteen frame limits, no more
+        (0.2, 0),           # the time bound: read_timeout in all
+    ])
+    def test_oversized_frame_drain_is_bounded(self, served, read_timeout, sent):
+        """A header announcing 4 GiB does not get 4 GiB of patience: the
+        server hangs up by itself while the peer keeps the socket open."""
+        service, _server = served
+        server = NetServer(
+            service,
+            tenants=TenantDirectory.from_dict(TENANTS),
+            config=NetServerConfig(
+                port=0, max_frame=1024, read_timeout=read_timeout
+            ),
+        ).start()
+        try:
+            sock = socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            )
+            try:
+                sock.sendall(struct.pack("!I", 0xFFFFFFFF) + b"x" * sent)
+                response = read_frame(sock.recv)
+                assert response["error"]["code"] == "frame_too_large"
+                assert sock.recv(1) == b""  # half-closed right after it
+                give_up = time.monotonic() + 5.0
+                while server.health()["connections"] and time.monotonic() < give_up:
+                    time.sleep(0.01)
+                assert server.health()["connections"] == 0
+            finally:
+                sock.close()
+        finally:
+            server.close()
 
     def test_malformed_json_gets_bad_request(self, served):
         _service, server = served
