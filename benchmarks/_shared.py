@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.bench.harness import BuiltIndex, QueryRunMetrics, run_query_set
 from repro.datasets.querylog import QuerySet

@@ -15,7 +15,6 @@ DESIGN.md calls out:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
 
 import pytest
 

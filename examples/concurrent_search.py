@@ -57,18 +57,28 @@ def main() -> None:
         stream = [hot if rng.random() < 0.6 else rng.choice(cold)
                   for _ in range(60)]
 
-        # search_batch fans the stream across the pool; results come
-        # back in request order, identical to sequential execution.
+        # submit() -> Future fans the stream across the pool (block=True
+        # waits for a queue slot instead of shedding); answers come back
+        # in request order, identical to sequential execution.
         print(f"\nserving {len(stream)} queries on {config.workers} workers...")
-        batches = service.search_batch(stream)
-        top = batches[stream.index(hot)][0]
+        futures = [service.submit(query, block=True) for query in stream]
+        answers = [future.result() for future in futures]
+        top = answers[stream.index(hot)][0]
         print(f"hot query top hit: {PLACES[top.doc_id][0]!r} "
               f"(score {top.score:.3f})")
 
-        # Single queries go through submit() -> Future, or search()
-        # which also enforces the configured deadline for the caller.
-        future = service.submit(TopKQuery(0.2, 0.8, ("korean", "spicy"), k=2))
-        for hit in future.result():
+        # search_many runs a whole batch as ONE admitted unit on one
+        # worker: one index epoch for every answer, duplicates executed
+        # once, and the same answers as the fan-out above.
+        batch = service.search_many(stream)
+        assert [[(h.doc_id, h.score) for h in hits] for hits in batch] == [
+            [(h.doc_id, h.score) for h in hits] for hits in answers
+        ]
+        print(f"search_many: the same {len(batch)} answers from one batch")
+
+        # A single query is search(): submit, then wait no longer than
+        # the configured deadline.
+        for hit in service.search(TopKQuery(0.2, 0.8, ("korean", "spicy"), k=2)):
             print(f"  korean+spicy near (0.2, 0.8): {PLACES[hit.doc_id][0]}")
 
         # ------------------------------------------------------------------

@@ -9,7 +9,6 @@ Usage (also via ``python -m repro``):
     python -m repro info     --index city.i3ix
     python -m repro query    --index city.i3ix --at 0.4,0.6 \
                              --words "spicy restaurant" --k 5 --semantics and
-    python -m repro serve-bench --docs 2000 --queries 400 --workers 4 --json
     python -m repro serve    --index city.i3ix --port 7070 \
                              --tenants tenants.json --metrics-port 9100
 
@@ -22,9 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
 from typing import Iterable, List, Optional
 
 from repro.core.index import I3Index
@@ -250,36 +247,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_bench_queries(index: I3Index, args: argparse.Namespace) -> List[TopKQuery]:
-    """A skewed request stream over the index's own vocabulary.
-
-    Distinct query shapes are drawn from the indexed keywords; requests
-    repeat them with a 1/rank (Zipf-like) skew so the hottest queries
-    dominate — the workload property FAST exploits and the result cache
-    is built for.
-    """
-    rng = random.Random(args.seed)
-    words = sorted(word for word, _ in index.lookup.items())
-    if not words:
-        raise SystemExit("index has no keywords to query")
-    semantics = Semantics.AND if args.semantics == "and" else Semantics.OR
-    distinct = max(1, args.queries // max(1, args.skew))
-    shapes = []
-    for _ in range(distinct):
-        qn = rng.randint(1, min(3, len(words)))
-        shapes.append(
-            TopKQuery(
-                rng.uniform(index.space.min_x, index.space.max_x),
-                rng.uniform(index.space.min_y, index.space.max_y),
-                tuple(rng.sample(words, qn)),
-                k=args.k,
-                semantics=semantics,
-            )
-        )
-    weights = [1.0 / rank for rank in range(1, len(shapes) + 1)]
-    return rng.choices(shapes, weights=weights, k=args.queries)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the network serving tier until interrupted (SIGINT/SIGTERM)."""
     import signal
@@ -389,333 +356,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.service import QueryService, ServiceConfig
-
-    if args.index:
-        index = load_index(args.index)
-        if args.buffer_pages and index.data.buffer is None:
-            # Re-attach a buffer pool so workers share a page cache.
-            from repro.storage.buffer import BufferPool
-
-            index.data.buffer = BufferPool(index.data.file, args.buffer_pages)
-            index.data.slotted.store = index.data.buffer
-    else:
-        corpus = TwitterLikeGenerator(args.docs, seed=args.seed).generate()
-        index = I3Index(
-            corpus.space,
-            page_size=args.page_size,
-            buffer_pages=args.buffer_pages or None,
-        )
-        index.bulk_load(corpus.documents)
-    queries = _serve_bench_queries(index, args)
-    config = ServiceConfig(
-        workers=args.workers,
-        max_pending=max(args.max_pending, args.workers),
-        timeout=args.timeout,
-        cache_capacity=args.cache,
-        metrics_seed=args.seed,
-        engine=args.engine,
-    )
-    ranker = Ranker(index.space, alpha=args.alpha)
-    start = time.perf_counter()
-    with QueryService(index, config, ranker=ranker) as service:
-        exporter = None
-        if args.metrics_port is not None:
-            from repro.net import MetricsHTTPServer
-
-            exporter = MetricsHTTPServer(
-                service.metrics.render_prometheus, port=args.metrics_port
-            )
-            print(f"metrics on {exporter.url}", file=sys.stderr)
-        try:
-            service.search_batch(queries)
-        finally:
-            if exporter is not None:
-                exporter.close()
-        elapsed = time.perf_counter() - start
-        snapshot = service.metrics_snapshot()
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(service.metrics.render_prometheus())
-            print(f"prometheus metrics -> {args.metrics_out}", file=sys.stderr)
-    snapshot["service"]["wall_seconds"] = elapsed
-    snapshot["service"]["qps"] = len(queries) / elapsed if elapsed > 0 else 0.0
-    if args.json:
-        json.dump(snapshot, sys.stdout, indent=2)
-        print()
-    else:
-        latency = snapshot["histograms"]["latency_ms"]
-        wait = snapshot["histograms"]["queue_wait_ms"]
-        print(
-            f"{len(queries)} queries, {args.workers} workers: "
-            f"{snapshot['service']['qps']:.0f} q/s in {elapsed:.2f}s"
-        )
-        print(
-            f"latency ms  p50 {latency['p50']:.2f}  p95 {latency['p95']:.2f}  "
-            f"p99 {latency['p99']:.2f}  (mean {latency['mean']:.2f})"
-        )
-        print(
-            f"queue wait ms  p50 {wait['p50']:.2f}  p95 {wait['p95']:.2f}  "
-            f"p99 {wait['p99']:.2f}"
-        )
-        cache = snapshot.get("cache")
-        if cache:
-            print(
-                f"result cache: {cache['hits']} hits / "
-                f"{cache['hits'] + cache['misses']} lookups "
-                f"({100 * cache['hit_ratio']:.0f}%)"
-            )
-        pool = snapshot.get("buffer_pool")
-        if pool:
-            print(
-                f"buffer pool: {pool['logical_reads']} logical reads, "
-                f"{pool['misses']} misses ({100 * pool['hit_ratio']:.0f}% hit)"
-            )
-        decoded = snapshot.get("decoded_cells")
-        if decoded and decoded["hits"] + decoded["misses"]:
-            print(
-                f"decoded cells: {decoded['hits']} hits / "
-                f"{decoded['hits'] + decoded['misses']} asked for, "
-                f"{decoded['entries']} kept in {decoded['bytes']} bytes, "
-                f"{decoded['evictions']} evicted"
-            )
-    return 0
-
-
-def _standing_queries(corpus, count: int, seed: int) -> List[TopKQuery]:
-    """A mixed standing-query workload: FREQ-derived shapes with
-    randomised k, alternating AND/OR semantics (alpha is randomised at
-    registration time, per query)."""
-    from repro.datasets.querylog import QueryLogGenerator
-
-    rng = random.Random(seed)
-    qlog = QueryLogGenerator(corpus, seed=seed)
-    base: List[TopKQuery] = []
-    qn = 1
-    while len(base) < count:
-        take = min(count - len(base), 100)
-        base.extend(qlog.freq(1 + qn % 3, count=take, k=10).queries)
-        qn += 1
-    queries = []
-    for i, query in enumerate(base[:count]):
-        shaped = query.with_k(rng.choice((1, 5, 10, 20)))
-        if i % 2:
-            shaped = shaped.with_semantics(Semantics.AND)
-        queries.append(shaped)
-    return queries
-
-
-def _cmd_stream_bench(args: argparse.Namespace) -> int:
-    from repro.streaming import StreamConfig, StreamingService
-
-    corpus = TwitterLikeGenerator(args.docs, seed=args.seed).generate()
-    documents = corpus.documents
-    primed = documents[: args.docs // 2]
-    feed = documents[args.docs // 2 :]
-    index = I3Index(corpus.space, page_size=args.page_size)
-    if primed:
-        index.bulk_load(primed)
-    streams = StreamingService(
-        index,
-        StreamConfig(queue_capacity=args.queue_capacity, policy=args.policy),
-    )
-    sub = streams.subscribe("stream-bench")
-    rng = random.Random(args.seed)
-    for query in _standing_queries(corpus, args.standing, args.seed):
-        streams.register(sub, query, alpha=rng.choice((0.2, 0.5, 0.8)))
-    sub.poll()  # drain registration snapshots
-    live = list(primed)
-    delivered = 0
-    mutations = 0
-    start = time.perf_counter()
-    for i, doc in enumerate(feed):
-        index.insert_document(doc)
-        live.append(doc)
-        mutations += 1
-        if args.delete_every and i % args.delete_every == args.delete_every - 1:
-            index.delete_document(live.pop(rng.randrange(len(live))))
-            mutations += 1
-        delivered += len(sub.poll())
-    elapsed = time.perf_counter() - start
-    counters = streams.metrics.as_dict()["counters"]
-    report = {
-        "docs": args.docs,
-        "standing_queries": args.standing,
-        "mutations": mutations,
-        "wall_seconds": elapsed,
-        "mutations_per_second": mutations / elapsed if elapsed > 0 else 0.0,
-        "updates_delivered": delivered,
-        "updates_dropped": sub.dropped,
-        "stream": {
-            name: value
-            for name, value in counters.items()
-            if name.startswith("stream.")
-        },
-    }
-    if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        print()
-    else:
-        print(
-            f"{mutations} mutations against {args.standing} standing queries: "
-            f"{report['mutations_per_second']:.0f} mutations/s in {elapsed:.2f}s"
-        )
-        print(
-            f"delivered {delivered} updates ({sub.dropped} dropped); "
-            f"{counters.get('stream.requeries', 0)} re-queries, "
-            f"{counters.get('stream.buckets_skipped', 0)} buckets pruned, "
-            f"{counters.get('stream.queries_touched', 0)} queries touched"
-        )
-    streams.close()
-    return 0
-
-
-def _shard_bench_queries(corpus, args: argparse.Namespace) -> List[TopKQuery]:
-    """A skewed request stream over the corpus vocabulary (the cluster
-    analogue of the serve-bench stream — same Zipf-like repetition)."""
-    rng = random.Random(args.seed)
-    words = sorted(corpus.vocabulary.words())
-    if not words:
-        raise SystemExit("corpus has no keywords to query")
-    semantics = Semantics.AND if args.semantics == "and" else Semantics.OR
-    distinct = max(1, args.queries // max(1, args.skew))
-    shapes = []
-    for _ in range(distinct):
-        qn = rng.randint(1, min(3, len(words)))
-        shapes.append(
-            TopKQuery(
-                rng.uniform(corpus.space.min_x, corpus.space.max_x),
-                rng.uniform(corpus.space.min_y, corpus.space.max_y),
-                tuple(rng.sample(words, qn)),
-                k=args.k,
-                semantics=semantics,
-            )
-        )
-    weights = [1.0 / rank for rank in range(1, len(shapes) + 1)]
-    return rng.choices(shapes, weights=weights, k=args.queries)
-
-
-def _cmd_shard_bench(args: argparse.Namespace) -> int:
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterService,
-        HashPartitioner,
-        SpatialGridPartitioner,
-    )
-    from repro.service import ServiceConfig
-
-    corpus = TwitterLikeGenerator(args.docs, seed=args.seed).generate()
-    queries = _shard_bench_queries(corpus, args)
-    if args.partitioner == "hash":
-        partitioner = HashPartitioner(args.shards, corpus.space)
-    elif args.partitioner == "spatial":
-        partitioner = SpatialGridPartitioner.from_documents(
-            args.shards, corpus.space, corpus.documents
-        )
-    else:
-        from repro.planner import WorkloadModel, WorkloadPartitioner
-
-        # Learn from the benchmark's own request stream — the offline
-        # analogue of recording live traffic and running `repro plan`.
-        partitioner = WorkloadPartitioner.learn(
-            args.shards,
-            corpus.space,
-            corpus.documents,
-            model=WorkloadModel.from_queries(queries, corpus.space),
-        )
-    config = ClusterConfig(
-        replicas=args.replicas,
-        scatter_width=args.scatter_width,
-        cache_capacity=args.cache,
-        shard_config=ServiceConfig(
-            workers=args.workers, cache_capacity=0, metrics_seed=args.seed
-        ),
-        metrics_seed=args.seed,
-    )
-    ranker = Ranker(corpus.space, alpha=args.alpha)
-    degraded = 0
-    start = time.perf_counter()
-    with ClusterService.build(
-        corpus.documents, partitioner, config, ranker=ranker
-    ) as cluster:
-        exporter = None
-        if args.metrics_port is not None:
-            from repro.net import MetricsHTTPServer
-
-            exporter = MetricsHTTPServer(
-                cluster.metrics.render_prometheus, port=args.metrics_port
-            )
-            print(f"metrics on {exporter.url}", file=sys.stderr)
-        try:
-            kill_at = len(queries) // 2 if args.kill else None
-            for i, query in enumerate(queries):
-                if kill_at is not None and i == kill_at:
-                    # Fault injection half-way: dead primaries exercise the
-                    # failover path for the rest of the run.
-                    for sid in range(min(args.kill, args.shards)):
-                        cluster.replica(sid, 0).kill()
-                if cluster.search(query).degraded:
-                    degraded += 1
-        finally:
-            if exporter is not None:
-                exporter.close()
-        elapsed = time.perf_counter() - start
-        snapshot = cluster.metrics_snapshot()
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(cluster.metrics.render_prometheus())
-            print(f"prometheus metrics -> {args.metrics_out}", file=sys.stderr)
-        if args.manifest_out:
-            cluster.save_manifest(args.manifest_out)
-    snapshot["cluster"]["wall_seconds"] = elapsed
-    snapshot["cluster"]["qps"] = len(queries) / elapsed if elapsed > 0 else 0.0
-    snapshot["cluster"]["degraded_answers"] = degraded
-    if args.json:
-        json.dump(snapshot, sys.stdout, indent=2)
-        print()
-    else:
-        counters = snapshot["counters"]
-        latency = snapshot["histograms"]["cluster.latency_ms"]
-        route = snapshot["histograms"]["cluster.route_ms"]
-        print(
-            f"{len(queries)} queries over {args.shards} {args.partitioner} "
-            f"shards x{args.replicas}: {snapshot['cluster']['qps']:.0f} q/s "
-            f"in {elapsed:.2f}s"
-        )
-        print(
-            f"latency ms  p50 {latency['p50']:.2f}  p95 {latency['p95']:.2f}  "
-            f"p99 {latency['p99']:.2f}  (mean {latency['mean']:.2f})"
-        )
-        print(
-            f"routing ms  p50 {route['p50']:.3f}  (mean {route['mean']:.3f})"
-        )
-        queried = counters.get("cluster.shards_queried", 0)
-        pruned = counters.get("cluster.shards_pruned", 0)
-        no_cand = counters.get("cluster.shards_no_candidates", 0)
-        total = queried + pruned + no_cand
-        skip_pct = 100.0 * (pruned + no_cand) / total if total else 0.0
-        print(
-            f"shard visits: {queried} queried, {pruned} bound-pruned, "
-            f"{no_cand} keyword-absent ({skip_pct:.0f}% skipped)"
-        )
-        print(
-            f"failovers: {counters.get('cluster.failovers', 0)}  "
-            f"attempt failures: {counters.get('cluster.attempt_failures', 0)}  "
-            f"degraded answers: {degraded}"
-        )
-        cache = snapshot.get("cache")
-        if cache:
-            print(
-                f"result cache: {cache['hits']} hits / "
-                f"{cache['hits'] + cache['misses']} lookups "
-                f"({100 * cache['hit_ratio']:.0f}%)"
-            )
-        if args.manifest_out:
-            print(f"manifest -> {args.manifest_out}", file=sys.stderr)
-    return 0
-
-
 def _cmd_plan(args: argparse.Namespace) -> int:
     """Learn a workload-aware shard placement offline.
 
@@ -795,94 +435,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 "no query log: balanced spatial packing only "
                 "(pass --query-log to optimise for a workload)"
             )
-    return 0
-
-
-def _cmd_temporal_bench(args: argparse.Namespace) -> int:
-    """Demonstrate slice-level pruning and O(slices) retention."""
-    import random
-    import time
-
-    from repro.datasets.generators import TEMPORAL_SCENARIOS
-    from repro.temporal import (
-        RecencySpec,
-        TemporalConfig,
-        TemporalIndex,
-        TemporalQuery,
-        TimeRange,
-    )
-
-    corpus = TEMPORAL_SCENARIOS[args.scenario](
-        args.docs, seed=args.seed, horizon=args.horizon
-    )
-    config = TemporalConfig(
-        slice_width=args.slice_width,
-        retention_age=args.hot_window * args.slice_width,
-        page_size=args.page_size,
-    )
-    build_start = time.perf_counter()
-    index = TemporalIndex.build(corpus.space, corpus.temporal_documents(), config)
-    index.advance(args.horizon)  # everything before "now" seals
-    build_s = time.perf_counter() - build_start
-    ranker = Ranker(corpus.space, alpha=args.alpha)
-    rng = random.Random(("temporal-bench", args.seed).__repr__())
-    keywords = corpus.most_frequent_keywords(60)
-    locations = corpus.sample_locations(rng, args.queries)
-    half_life = args.half_life if args.half_life else args.slice_width
-    window = TimeRange(
-        args.horizon - args.hot_window * args.slice_width, args.horizon
-    )
-    query_start = time.perf_counter()
-    for x, y in locations:
-        words = tuple(rng.sample(keywords, rng.randint(1, 3)))
-        index.query(
-            TemporalQuery(
-                TopKQuery(x, y, words, k=args.k),
-                time_range=window,
-                recency=RecencySpec(half_life, args.horizon),
-            ),
-            ranker,
-        )
-    query_s = time.perf_counter() - query_start
-    stats = index.slice_stats()
-    # Retention: expire everything outside the hot window and time it.
-    docs_before = index.num_documents
-    retain_start = time.perf_counter()
-    dropped = index.expire()
-    retention_s = time.perf_counter() - retain_start
-    report = {
-        "scenario": args.scenario,
-        "documents": args.docs,
-        "slices": int(stats["slices"]),
-        "sealed_slices": int(stats["sealed_slices"]),
-        "build_s": round(build_s, 4),
-        "queries": args.queries,
-        "qps": round(args.queries / query_s, 1) if query_s > 0 else None,
-        "sealed_skip_ratio": round(stats["skip_ratio"], 4),
-        "retention": {
-            "slices_dropped": len(dropped),
-            "documents_dropped": docs_before - index.num_documents,
-            "seconds": round(retention_s, 6),
-        },
-    }
-    if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        print()
-    else:
-        print(
-            f"{args.scenario}: {args.docs} docs in {report['slices']} slices "
-            f"({report['sealed_slices']} sealed), built in {build_s:.2f}s"
-        )
-        print(
-            f"hot-window queries ({args.queries}, last "
-            f"{args.hot_window:g} slices): {report['qps']} qps, "
-            f"sealed-slice skip ratio {report['sealed_skip_ratio']:.2f}"
-        )
-        print(
-            f"retention: dropped {len(dropped)} slices "
-            f"({report['retention']['documents_dropped']} docs) in "
-            f"{retention_s * 1000:.2f} ms — O(slices), no per-doc deletes"
-        )
     return 0
 
 
@@ -1135,60 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--json", action="store_true", help="JSON output")
     query.set_defaults(func=_cmd_query)
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="drive the concurrent query service and report serving metrics",
-    )
-    source = serve.add_mutually_exclusive_group()
-    source.add_argument("--index", help="existing .i3ix index to serve")
-    source.add_argument(
-        "--docs", type=int, default=2000,
-        help="size of the generated twitter-like corpus (when no --index)",
-    )
-    serve.add_argument("--queries", type=int, default=400, help="requests to issue")
-    serve.add_argument(
-        "--skew", type=int, default=4,
-        help="requests per distinct query shape (higher = hotter workload)",
-    )
-    serve.add_argument("--k", type=int, default=10)
-    serve.add_argument("--semantics", choices=["and", "or"], default="or")
-    serve.add_argument("--alpha", type=float, default=0.5)
-    serve.add_argument("--workers", type=int, default=4)
-    serve.add_argument(
-        "--max-pending", type=int, default=1024,
-        help="admission limit (queued + running queries)",
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=None, help="per-query deadline in seconds"
-    )
-    serve.add_argument(
-        "--cache", type=int, default=256,
-        help="result-cache entries (0 disables the cache)",
-    )
-    serve.add_argument("--buffer-pages", type=int, default=1024,
-                       help="shared buffer-pool pages (0 = unbuffered)")
-    serve.add_argument("--page-size", type=int, default=4096)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--engine",
-        choices=["tuple", "vector"],
-        default=None,
-        help="execution engine for every worker (default: vector when "
-        "numpy is available, else tuple; REPRO_ENGINE overrides)",
-    )
-    serve.add_argument("--json", action="store_true", help="JSON metrics output")
-    serve.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the Prometheus text exposition of the run's metrics here",
-    )
-    serve.add_argument(
-        "--metrics-port", type=int, default=None,
-        help="serve /metrics and /healthz over HTTP on this port during "
-        "the run (0 = ephemeral)",
-    )
-    serve.set_defaults(func=_cmd_serve_bench)
-
     server = sub.add_parser(
         "serve",
         help="run the network serving tier: length-prefixed JSON over TCP "
@@ -1265,122 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the final Prometheus exposition here on shutdown",
     )
     server.set_defaults(func=_cmd_serve)
-
-    stream = sub.add_parser(
-        "stream-bench",
-        help="ingest a live document feed against standing top-k queries "
-        "and report streaming metrics",
-    )
-    stream.add_argument(
-        "--docs", type=int, default=2000,
-        help="twitter-like corpus size (half primes the index, half streams)",
-    )
-    stream.add_argument(
-        "--standing", type=int, default=200,
-        help="standing queries registered before the feed starts",
-    )
-    stream.add_argument(
-        "--delete-every", type=int, default=25,
-        help="interleave one deletion every N inserts (0 disables)",
-    )
-    stream.add_argument(
-        "--queue-capacity", type=int, default=256,
-        help="bounded subscription queue depth",
-    )
-    stream.add_argument(
-        "--policy", choices=["coalesce", "drop_oldest"], default="coalesce",
-        help="subscription overflow policy",
-    )
-    stream.add_argument("--page-size", type=int, default=4096)
-    stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument("--json", action="store_true", help="JSON report")
-    stream.set_defaults(func=_cmd_stream_bench)
-
-    shard = sub.add_parser(
-        "shard-bench",
-        help="drive a sharded cluster and report scatter-gather metrics",
-    )
-    shard.add_argument(
-        "--docs", type=int, default=2000,
-        help="size of the generated twitter-like corpus",
-    )
-    shard.add_argument("--shards", type=int, default=4)
-    shard.add_argument("--replicas", type=int, default=1)
-    shard.add_argument(
-        "--partitioner", choices=["hash", "spatial", "workload"], default="hash"
-    )
-    shard.add_argument(
-        "--scatter-width", type=int, default=2,
-        help="shards queried concurrently per gather wave",
-    )
-    shard.add_argument("--queries", type=int, default=400)
-    shard.add_argument(
-        "--skew", type=int, default=4,
-        help="requests per distinct query shape (higher = hotter workload)",
-    )
-    shard.add_argument("--k", type=int, default=10)
-    shard.add_argument("--semantics", choices=["and", "or"], default="or")
-    shard.add_argument("--alpha", type=float, default=0.5)
-    shard.add_argument(
-        "--workers", type=int, default=2, help="query workers per shard replica"
-    )
-    shard.add_argument(
-        "--cache", type=int, default=256,
-        help="cluster result-cache entries (0 disables)",
-    )
-    shard.add_argument(
-        "--kill", type=int, default=0,
-        help="primaries to kill half-way through (exercises failover; "
-        "needs --replicas >= 2 to stay non-degraded)",
-    )
-    shard.add_argument(
-        "--manifest-out", help="write the shard manifest JSON here"
-    )
-    shard.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the Prometheus text exposition of the run's metrics here",
-    )
-    shard.add_argument(
-        "--metrics-port", type=int, default=None,
-        help="serve /metrics and /healthz over HTTP on this port during "
-        "the run (0 = ephemeral)",
-    )
-    shard.add_argument("--seed", type=int, default=0)
-    shard.add_argument("--json", action="store_true", help="JSON metrics output")
-    shard.set_defaults(func=_cmd_shard_bench)
-
-    temporal = sub.add_parser(
-        "temporal-bench",
-        help="demo temporal slicing: hot-window pruning and O(slices) retention",
-    )
-    temporal.add_argument(
-        "--scenario", choices=["time-skewed", "burst"], default="time-skewed"
-    )
-    temporal.add_argument("--docs", type=int, default=4000)
-    temporal.add_argument("--seed", type=int, default=0)
-    temporal.add_argument(
-        "--horizon", type=float, default=86400.0,
-        help="corpus time span, seconds (default 1 day)",
-    )
-    temporal.add_argument(
-        "--slice-width", type=float, default=3600.0,
-        help="slice width, seconds (default 1 hour)",
-    )
-    temporal.add_argument("--queries", type=int, default=200)
-    temporal.add_argument("--k", type=int, default=10)
-    temporal.add_argument("--alpha", type=float, default=0.5)
-    temporal.add_argument("--page-size", type=int, default=1024)
-    temporal.add_argument(
-        "--hot-window", type=float, default=2.0,
-        help="queried window, in slice widths back from now (default 2)",
-    )
-    temporal.add_argument(
-        "--half-life", type=float, default=None,
-        help="recency half-life, seconds (default: one slice width)",
-    )
-    temporal.add_argument("--json", action="store_true", help="JSON report")
-    temporal.set_defaults(func=_cmd_temporal_bench)
 
     simtest = sub.add_parser(
         "simtest",

@@ -12,7 +12,7 @@ three things a router needs that a service does not provide:
 * **per-attempt timeouts** — a replica that holds a query past the
   router's attempt budget counts as failed for *this* attempt without
   poisoning the service for others;
-* **fault injection** — tests and the ``shard-bench`` CLI kill replicas
+* **fault injection** — tests and examples kill replicas
   (:meth:`kill`) or inject transient faults (:meth:`inject_faults`) to
   exercise failover exactly like a dead process would.
 """
@@ -20,7 +20,6 @@ three things a router needs that a service does not provide:
 from __future__ import annotations
 
 import threading
-from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Dict, List, Optional
 
 from repro.model.query import TopKQuery
@@ -81,11 +80,12 @@ class ShardReplica:
     def search(self, query: TopKQuery, timeout: Optional[float] = None) -> List[Any]:
         """One attempt against this replica.
 
-        Raises :class:`ReplicaFault` when the replica is dead, an
-        injected fault fires, or the attempt exceeds ``timeout``.
-        Service-level failures (overload shedding, closed mid-flight)
-        surface as :class:`ReplicaFault` too, so the router's failover
-        loop has a single failure type to react to.
+        Raises :class:`ReplicaFault` when the replica is dead or an
+        injected fault fires.  Service-level failures (overload
+        shedding, closed mid-flight, the attempt outliving ``timeout`` —
+        see :meth:`repro.service.QueryService.search`) surface as
+        :class:`ReplicaFault` too, so the router's failover loop has a
+        single failure type to react to.
         """
         with self._lock:
             if self._injected_faults > 0:
@@ -94,18 +94,7 @@ class ShardReplica:
         if self.service.closed:
             raise ReplicaFault(self.shard_id, self.replica_id, "service closed")
         try:
-            future = self.service.submit(query)
-            if self.service.sim_executor is not None:
-                # Simulation mode: the service has no worker threads, so
-                # blocking on the future would hang — drive the seeded
-                # scheduler until the query resolves instead.
-                self.service.sim_executor.run_until(future.done)
-                timeout = 0
-            return future.result(timeout)
-        except FutureTimeout:
-            raise ReplicaFault(
-                self.shard_id, self.replica_id, f"attempt exceeded {timeout}s"
-            ) from None
+            return self.service.search(query, timeout)
         except ServiceError as exc:
             raise ReplicaFault(self.shard_id, self.replica_id, str(exc)) from exc
 

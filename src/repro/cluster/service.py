@@ -425,7 +425,8 @@ class ClusterService:
                 return rep
         return None
 
-    def cluster_epoch(self) -> int:
+    @property
+    def epoch(self) -> int:
         """Sum of per-shard mutation epochs — the cross-shard cache
         stamp.  Any mutation on any shard changes it, so cached merged
         answers self-invalidate exactly like single-index results."""
@@ -434,6 +435,19 @@ class ClusterService:
             rep = self._first_alive(sid) or self._shards[sid][0]
             total += rep.index.epoch
         return total
+
+    # A spatial cluster has no time axis (sharding x slicing is
+    # :class:`~repro.temporal.TemporalCluster`), so front ends must
+    # refuse temporal queries rather than ignore their time range.
+    temporal = None
+
+    def streams(self, config=None):
+        """Per-subscriber standing queries are a single-index service
+        (:meth:`repro.service.QueryService.streams`); a cluster merges
+        per-shard standing queries through :meth:`stream_router`."""
+        raise NotImplementedError(
+            "per-subscriber streaming is not supported on cluster targets"
+        )
 
     def stream_router(self, config=None):
         """The cluster's :class:`~repro.streaming.ClusterStreamRouter`.
@@ -486,29 +500,80 @@ class ClusterService:
     # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------
-    def search(self, query: TopKQuery) -> ClusterAnswer:
+    def search(
+        self, query: TopKQuery, timeout: Optional[float] = None
+    ) -> ClusterAnswer:
         """Scatter-gather top-k across the shards.
 
         Never raises for shard failures — unreachable shards surface as
         :attr:`ClusterAnswer.degraded` (with the ids in
         ``failed_shards``) so callers can distinguish a complete answer
-        from a partial one.
+        from a partial one.  ``timeout`` is the caller's own remaining
+        deadline in seconds: the gather runs under the tighter of it and
+        ``config.deadline``, and running out degrades the answer like
+        any other unreachable shard.
+        """
+        return self.search_many([query], timeout)[0]
+
+    def search_many(
+        self,
+        queries: Sequence[TopKQuery],
+        timeout: Optional[float] = None,
+        return_exceptions: bool = False,
+    ) -> List[Any]:
+        """Answer a batch of queries; one slot per query, in input order.
+
+        Each query is answered exactly as :meth:`search` would answer it
+        alone (scatter-gather, cache, degraded accounting; ``timeout``
+        spans the whole batch); duplicates within the batch are
+        scattered once and share the (immutable) :class:`ClusterAnswer`.
+        A slot is the query's answer or the exception it raised: with
+        ``return_exceptions=False`` (default) the first failed slot is
+        raised, after the whole batch ran.  Per-shard batch amortization
+        happens one level down: shard services run their local work
+        through the engine seam, so the cluster tier stays a pure router.
         """
         if self._closed:
             raise ServiceClosed("cluster service is closed")
+        give_up_at = None if timeout is None else self._now() + timeout
+        memo: Dict[TopKQuery, ClusterAnswer] = {}
+        slots: List[Any] = []
+        for query in queries:
+            answer = memo.get(query)
+            if answer is None:
+                try:
+                    answer = self._search(query, give_up_at)
+                except Exception as exc:  # noqa: BLE001 - its slot
+                    answer = exc
+                else:
+                    if not answer.degraded:
+                        # A degraded answer is retried for later
+                        # duplicates — same contract as the cluster cache.
+                        memo[query] = answer
+            slots.append(answer)
+        if not return_exceptions:
+            for slot in slots:
+                if isinstance(slot, BaseException):
+                    raise slot
+        return slots
+
+    def _search(
+        self, query: TopKQuery, give_up_at: Optional[float]
+    ) -> ClusterAnswer:
+        """One query: cluster cache, else scatter-gather."""
         if self._recorder is not None:
             self._recorder.record(query)
         self.metrics.counter("cluster.queries").inc()
         self._topology.acquire_read()
         try:
-            epoch = self.cluster_epoch()
+            epoch = self.epoch
             key = (query, self.ranker.alpha)
             if self.cache is not None:
                 cached = self.cache.get(key, epoch)
                 if cached is not None:
                     return replace(cached, from_cache=True)
             started = self._now()
-            answer = self._scatter_gather(query)
+            answer = self._scatter_gather(query, give_up_at)
             self.metrics.histogram("cluster.latency_ms").observe(
                 (self._now() - started) * 1000.0
             )
@@ -522,32 +587,9 @@ class ClusterService:
         finally:
             self._topology.release_read()
 
-    def query_many(self, queries: Sequence[TopKQuery]) -> List[ClusterAnswer]:
-        """Answer a batch of queries; answers in input order.
-
-        Each query is answered exactly as :meth:`search` would answer it
-        alone (scatter-gather, cache, degraded accounting); duplicates
-        within the batch are scattered once and share the (immutable)
-        :class:`ClusterAnswer`.  Per-shard batch amortization happens one
-        level down: shard services run their local work through the
-        engine seam, so the cluster tier stays a pure router.
-        """
-        if self._closed:
-            raise ServiceClosed("cluster service is closed")
-        memo: Dict[TopKQuery, ClusterAnswer] = {}
-        out: List[ClusterAnswer] = []
-        for query in queries:
-            answer = memo.get(query)
-            if answer is None:
-                answer = self.search(query)
-                if not answer.degraded:
-                    # A degraded answer is retried for later duplicates —
-                    # same contract as the cluster cache.
-                    memo[query] = answer
-            out.append(answer)
-        return out
-
-    def _scatter_gather(self, query: TopKQuery) -> ClusterAnswer:
+    def _scatter_gather(
+        self, query: TopKQuery, give_up_at: Optional[float]
+    ) -> ClusterAnswer:
         started = self._now()
         ranked, absent, dead_upfront = self._route(query)
         self.metrics.histogram("cluster.route_ms").observe(
@@ -557,11 +599,12 @@ class ClusterService:
         failed: List[int] = list(dead_upfront)
         queried = 0
         pruned = 0
-        deadline_at = (
-            self._now() + self.config.deadline
-            if self.config.deadline is not None
-            else None
-        )
+        # The tighter of this query's own budget and the caller's.
+        deadline_at = give_up_at
+        if self.config.deadline is not None:
+            deadline_at = self._now() + self.config.deadline
+            if give_up_at is not None:
+                deadline_at = min(deadline_at, give_up_at)
         i = 0
         while i < len(ranked):
             delta = collector.delta
@@ -803,7 +846,7 @@ class ClusterService:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def insert_document(self, doc) -> int:
+    def insert(self, doc) -> int:
         """Route ``doc`` to its shard and insert on every live replica.
 
         Returns the shard id.  Each replica applies the write under its
@@ -831,7 +874,7 @@ class ClusterService:
         finally:
             self._topology.release_read()
 
-    def delete_document(self, doc) -> bool:
+    def delete(self, doc) -> bool:
         """Route a delete to the owning shard's live replicas; True when
         the primary-path replica found every tuple."""
         if self._closed:
@@ -946,7 +989,7 @@ class ClusterService:
             return {
                 "moved": len(moves),
                 "shards": self.num_shards,
-                "epoch": self.cluster_epoch(),
+                "epoch": self.epoch,
             }
         finally:
             self._topology.release_write()

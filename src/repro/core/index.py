@@ -24,6 +24,7 @@ Query processing lives in :mod:`repro.core.query`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.core.headfile import CellPages, HeadFile, SummaryInfo, SummaryNode
@@ -523,18 +524,44 @@ class I3Index:
         """Answer a batch of queries; results in input order.
 
         Each answer is exactly what :meth:`query` would return for that
-        query alone; identical queries execute once
-        (:mod:`repro.exec.batch`), and under the vector engine the
-        members share keyword cells the way all queries do, through the
-        data file's decoded-cell cache.
+        query alone — the batch is an amortization, never an
+        approximation.  Identical queries execute once and every
+        occurrence gets its own copy of the result list; cells
+        are shared the way all queries share them, through the data
+        file's decoded-cell cache
+        (:class:`~repro.core.kwcells.DecodedCellCache`), which is why the
+        batch keeps no cell state of its own.  A query that raises
+        aborts the batch.
 
         As with :meth:`query`, the caller keeps writers out for the
         duration of the call (the service layer holds its read lock
         across the whole batch), which gives every answer one epoch.
         """
-        from repro.exec.batch import run_batch
+        if ranker is None:
+            ranker = Ranker(self.space)
+        processor = self.engine_processor(engine)
 
-        return run_batch(self, queries, ranker, cache, io_sink, engine)
+        def run_all() -> List[List[ScoredDoc]]:
+            unique: Dict[TopKQuery, List[ScoredDoc]] = {}
+            out = []
+            for query in queries:
+                hit = unique.get(query)
+                if hit is None:
+                    run = partial(processor.search, query, ranker)
+                    hit = unique[query] = (
+                        run()
+                        if cache is None
+                        else cache.get_or_compute(
+                            (query, ranker.alpha), self.epoch, run
+                        )
+                    )
+                out.append(list(hit))
+            return out
+
+        if io_sink is None:
+            return run_all()
+        with self.stats.tee(io_sink):
+            return run_all()
 
     def iter_query(self, query: TopKQuery, ranker: Optional[Ranker] = None):
         """Stream matching documents best-first, without a k bound.

@@ -3,8 +3,9 @@
 Thread-based serving (:class:`~repro.service.QueryService`) keeps one
 mutable index consistent under a read/write lock, but Python threads
 share one GIL: per-query CPU (traversal, scoring) serialises, so QPS
-plateaus as workers grow — the throughput wall BENCH_service.json
-documents.  :class:`SnapshotProcessPool` trades mutability for
+plateaus as workers grow — two in-process callers together answer
+fewer queries than one (``docs/exec.md``, "The next rung").
+:class:`SnapshotProcessPool` trades mutability for
 parallelism: it freezes the index into an I3IX v2 snapshot file and
 fans queries out to worker *processes*, each of which opens the file
 through :func:`repro.exec.snapshot.open_snapshot`.  The page images are
@@ -59,10 +60,8 @@ def _init_worker(path: str, alpha: float, engine: Optional[str]) -> None:
 
 
 def _run_chunk(queries: Sequence[TopKQuery]) -> List[List[ScoredDoc]]:
-    from repro.exec.batch import run_batch
-
-    return run_batch(
-        _worker_index, queries, _worker_ranker, None, None, _worker_engine
+    return _worker_index.query_many(
+        queries, _worker_ranker, engine=_worker_engine
     )
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import mmap
 import struct
 import zlib
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from repro.core.index import I3Index
 from repro.core.persistence import (

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc

@@ -31,9 +31,8 @@ import math
 import socket
 import threading
 import time
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.model.document import SpatialDocument
 from repro.temporal.model import TemporalQuery
@@ -72,7 +71,7 @@ from repro.service.errors import (
 )
 from repro.service.metrics import MetricsRegistry
 
-__all__ = ["ConnectionCore", "NetServer", "NetServerConfig", "ServiceBackend"]
+__all__ = ["Backend", "ConnectionCore", "NetServer", "NetServerConfig"]
 
 _HTTP_METHOD_PREFIXES = (b"GET ", b"HEAD", b"POST", b"PUT ", b"DELE", b"OPTI")
 
@@ -122,141 +121,61 @@ class NetServerConfig:
             )
 
 
-class ServiceBackend:
-    """Adapts a query/cluster service to the five verbs of the wire.
+class Backend(Protocol):
+    """What the wire needs of the serving stack behind it.
 
-    Hides the two API shapes from the protocol layer: queries against a
-    :class:`~repro.service.QueryService` go through ``submit`` so the
-    request's remaining deadline bounds the wait (and the simulation
-    scheduler is driven when injected); cluster answers come from
-    scatter-gather ``search`` and are refused when degraded — a network
-    caller must never mistake a partial answer for a complete one.
+    :class:`~repro.service.QueryService` and
+    :class:`~repro.cluster.ClusterService` satisfy it as they are;
+    :class:`NetServer` (and the simulated transport) call the target
+    through these names and never ask what kind of target it is.
     """
 
-    def __init__(self, target: Any) -> None:
-        self.target = target
-        self._is_cluster = hasattr(target, "scatter") or hasattr(
-            target, "cluster_epoch"
+    metrics: MetricsRegistry
+    #: ``None`` when the backend cannot answer a ``TemporalQuery``.
+    temporal: Any
+    #: Mutation epoch, reported back to writers.
+    epoch: int
+
+    def search(self, query, timeout: Optional[float] = None) -> Any:
+        """One answer: a result list, or a cluster answer (``results``,
+        ``degraded``, ``failed_shards``).  ``timeout`` is the request's
+        remaining deadline in seconds; the backend enforces it."""
+
+    def search_many(
+        self, queries, timeout: Optional[float] = None,
+        return_exceptions: bool = False,
+    ) -> List[Any]:
+        """One slot per query, in order: its answer as :meth:`search`
+        would return it, or (``return_exceptions=True``) the exception
+        it raised — a failed slot never discards its batch-mates."""
+
+    def insert(self, doc: SpatialDocument) -> Any: ...
+
+    def delete(self, doc: SpatialDocument) -> Any: ...
+
+    def streams(self) -> Any:
+        """The per-subscriber streaming service; raises
+        ``NotImplementedError`` where there is none."""
+
+
+_TEMPORAL_REFUSED = "temporal queries require a temporal-index backend"
+
+
+def _outcome(slot: Any) -> Any:
+    """One backend slot as the wire reports it: a result list or a
+    :class:`NetError`.  A degraded cluster answer is refused — a network
+    caller must never mistake a partial answer for a complete one."""
+    if isinstance(slot, (list, NetError)):
+        return slot
+    if isinstance(slot, QueryTimeout):
+        return DeadlineExceeded(str(slot))
+    if isinstance(slot, BaseException):
+        return RemoteError(f"{type(slot).__name__}: {slot}")
+    if slot.degraded:
+        return RemoteError(
+            f"answer degraded (failed shards {slot.failed_shards})"
         )
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self.target.metrics
-
-    def query(self, query, timeout_s: Optional[float]) -> List[Any]:
-        if isinstance(query, TemporalQuery) and (
-            self._is_cluster or getattr(self.target, "temporal", None) is None
-        ):
-            # Silently ignoring the temporal axis would serve *wrong*
-            # answers; an explicit refusal is the only safe default.
-            raise ProtocolError(
-                "temporal queries require a temporal-index backend"
-            )
-        if self._is_cluster:
-            answer = self.target.search(query)
-            if answer.degraded:
-                raise RemoteError(
-                    f"answer degraded (failed shards {answer.failed_shards})"
-                )
-            return list(answer.results)
-        service = self.target
-        future = service.submit(query)
-        if service.sim_executor is not None:
-            service.sim_executor.run_until(future.done)
-            try:
-                return future.result(timeout=0)
-            except FutureTimeout:
-                raise QueryTimeout(timeout_s or 0.0, queued=False) from None
-        try:
-            return future.result(timeout=timeout_s)
-        except FutureTimeout:
-            raise QueryTimeout(timeout_s or 0.0, queued=False) from None
-
-    def query_many(self, queries, timeout_s: Optional[float]) -> List[Any]:
-        """Answer a batch; one outcome slot per query, input order.
-
-        A slot is a result list or a :class:`NetError` — per-query
-        failures (deadline, temporal refusal, degraded shard answer)
-        never discard batch-mates' results.  On a
-        :class:`~repro.service.QueryService` the batch is submitted as
-        one admitted unit (``submit_many``), so the whole batch shares
-        one queue slot and one read-lock acquisition.
-        """
-        temporal_ok = (
-            not self._is_cluster
-            and getattr(self.target, "temporal", None) is not None
-        )
-        outcomes: List[Any] = [None] * len(queries)
-        accepted: List[Tuple[int, Any]] = []
-        for i, query in enumerate(queries):
-            if isinstance(query, TemporalQuery) and not temporal_ok:
-                outcomes[i] = ProtocolError(
-                    "temporal queries require a temporal-index backend"
-                )
-            else:
-                accepted.append((i, query))
-        if not accepted:
-            return outcomes
-        batch = [query for _, query in accepted]
-        if self._is_cluster:
-            for (i, _), answer in zip(accepted, self.target.query_many(batch)):
-                if answer.degraded:
-                    outcomes[i] = RemoteError(
-                        "answer degraded "
-                        f"(failed shards {answer.failed_shards})"
-                    )
-                else:
-                    outcomes[i] = list(answer.results)
-            return outcomes
-        service = self.target
-        future = service.submit_many(batch)
-        if service.sim_executor is not None:
-            service.sim_executor.run_until(future.done)
-            try:
-                raw = future.result(timeout=0)
-            except FutureTimeout:
-                raise QueryTimeout(timeout_s or 0.0, queued=False) from None
-        else:
-            try:
-                raw = future.result(timeout=timeout_s)
-            except FutureTimeout:
-                raise QueryTimeout(timeout_s or 0.0, queued=False) from None
-        for (i, _), outcome in zip(accepted, raw):
-            if isinstance(outcome, BaseException):
-                if isinstance(outcome, QueryTimeout):
-                    outcomes[i] = DeadlineExceeded(str(outcome))
-                elif isinstance(outcome, NetError):
-                    outcomes[i] = outcome
-                else:
-                    outcomes[i] = RemoteError(
-                        f"{type(outcome).__name__}: {outcome}"
-                    )
-            else:
-                outcomes[i] = outcome
-        return outcomes
-
-    def insert(self, doc: SpatialDocument):
-        if self._is_cluster:
-            return self.target.insert_document(doc)
-        return self.target.insert(doc)
-
-    def delete(self, doc: SpatialDocument):
-        if self._is_cluster:
-            return self.target.delete_document(doc)
-        return self.target.delete(doc)
-
-    def streams(self):
-        if self._is_cluster:
-            raise ProtocolError(
-                "streaming over the wire is not supported on cluster targets"
-            )
-        return self.target.streams()
-
-    @property
-    def epoch(self) -> int:
-        if self._is_cluster:
-            return self.target.cluster_epoch()
-        return self.target.index.epoch
+    return list(slot.results)
 
 
 def _doc_from_args(args: Dict) -> SpatialDocument:
@@ -407,6 +326,31 @@ class ConnectionCore:
             )
         return remaining
 
+    def _answerable(self, query) -> bool:
+        """Silently ignoring the temporal axis would serve *wrong*
+        answers; an explicit refusal is the only safe default."""
+        return (
+            not isinstance(query, TemporalQuery)
+            or self._server.backend.temporal is not None
+        )
+
+    def _outcomes(self, queries: List[Any], deadline_s: Optional[float]) -> List[Any]:
+        """Wire outcomes of a batch, in input order: a query the backend
+        cannot answer is refused in its own slot; the rest reach the
+        backend as one batch."""
+        answerable = [self._answerable(query) for query in queries]
+        slots = iter(
+            self._server.backend.search_many(
+                [q for q, ok in zip(queries, answerable) if ok],
+                deadline_s,
+                return_exceptions=True,
+            )
+        )
+        return [
+            _outcome(next(slots)) if ok else ProtocolError(_TEMPORAL_REFUSED)
+            for ok in answerable
+        ]
+
     def _dispatch(
         self,
         op: str,
@@ -418,15 +362,19 @@ class ConnectionCore:
         args = payload.get("args", {})
         try:
             if op == "query":
-                results = server.backend.query(
-                    query_from_args(args), timeout_s=deadline_s
-                )
-                return results_to_wire(results)
+                query = query_from_args(args)
+                if not self._answerable(query):
+                    raise ProtocolError(_TEMPORAL_REFUSED)
+                outcome = _outcome(server.backend.search(query, deadline_s))
+                if isinstance(outcome, NetError):
+                    raise outcome
+                return results_to_wire(outcome)
             if op == "query_many":
-                outcomes = server.backend.query_many(
-                    queries_from_args(args), timeout_s=deadline_s
-                )
-                return {"outcomes": outcomes_to_wire(outcomes)}
+                return {
+                    "outcomes": outcomes_to_wire(
+                        self._outcomes(queries_from_args(args), deadline_s)
+                    )
+                }
             if op in ("insert", "delete"):
                 if not tenant.quota.allow_writes:
                     raise Unauthorized(
@@ -471,13 +419,16 @@ class ConnectionCore:
             raise DeadlineExceeded(str(exc)) from None
         except ServiceClosed as exc:
             raise ServerClosed(str(exc)) from None
+        except NotImplementedError as exc:
+            raise ProtocolError(str(exc)) from None
 
 
 class NetServer:
     """The threaded TCP front end.  See the module docstring.
 
     Args:
-        target: A ``QueryService`` or ``ClusterService`` to serve.
+        target: The :class:`Backend` to serve — a ``QueryService`` or a
+            ``ClusterService``.
         tenants: The tenant roster; defaults to an open (unauthenticated,
             unlimited) directory for development use.
         config: Network tuning knobs.
@@ -489,24 +440,19 @@ class NetServer:
 
     def __init__(
         self,
-        target: Any,
+        target: Backend,
         tenants: Optional[TenantDirectory] = None,
         config: Optional[NetServerConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        self.backend = (
-            target if isinstance(target, ServiceBackend)
-            else ServiceBackend(target)
-        )
+        self.backend = target
         self.config = config if config is not None else NetServerConfig()
         self.clock = clock if clock is not None else time.monotonic
         self.tenants = (
             tenants if tenants is not None else TenantDirectory.open(clock=clock)
         )
-        self.metrics = (
-            metrics if metrics is not None else self.backend.metrics
-        )
+        self.metrics = metrics if metrics is not None else target.metrics
         self._started = self.clock()
         self._closed = False
         self._listener: Optional[socket.socket] = None

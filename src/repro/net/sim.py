@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -56,7 +55,7 @@ from repro.cluster.service import ShardChannel
 from repro.net.client import Client
 from repro.net.errors import ConnectionLost
 from repro.net.protocol import MAX_FRAME_BYTES, FrameAssembler, encode_frame
-from repro.net.server import ConnectionCore, ServiceBackend
+from repro.net.server import ConnectionCore
 from repro.net.tenants import TenantDirectory
 from repro.service.metrics import MetricsRegistry
 
@@ -97,18 +96,13 @@ class SimNetServer:
         metrics: Optional[MetricsRegistry] = None,
         max_frame: int = MAX_FRAME_BYTES,
     ) -> None:
-        self.backend = (
-            target if isinstance(target, ServiceBackend)
-            else ServiceBackend(target)
-        )
+        self.backend = target
         self.clock = clock
         self.tenants = (
             tenants if tenants is not None
             else TenantDirectory.open(clock=clock)
         )
-        self.metrics = (
-            metrics if metrics is not None else self.backend.metrics
-        )
+        self.metrics = metrics if metrics is not None else target.metrics
         self.max_frame = max_frame
         self.closed = False
 

@@ -15,8 +15,9 @@ module provides the three metric kinds such a tier exports:
   estimates over the whole run.
 
 All metrics are thread-safe; a :class:`MetricsRegistry` names them,
-creates them on demand and renders everything to one plain dict (JSON-
-ready) for the ``repro serve-bench`` CLI and the benchmark suite.
+creates them on demand and renders everything to one plain dict
+(JSON-ready, :meth:`MetricsRegistry.as_dict`) or to the Prometheus text
+page ``repro serve`` exposes.
 """
 
 from __future__ import annotations

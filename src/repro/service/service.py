@@ -16,8 +16,8 @@ module provides:
 * a **read-through result cache** (epoch-invalidated on insert/delete);
 * **serving metrics** — counters, queue-depth gauges and reservoir
   latency histograms exported by
-  :meth:`QueryService.metrics_snapshot` and the ``repro serve-bench``
-  CLI.
+  :meth:`QueryService.metrics_snapshot` and, as a Prometheus page, by
+  ``repro serve``.
 
 Reads run concurrently (shared lock); mutations submitted through
 :meth:`QueryService.insert` / :meth:`QueryService.delete` /
@@ -40,7 +40,6 @@ from repro.core.index import I3Index
 from repro.core.recovery import DurableIndex, RecoveryReport
 from repro.db import SpatialKeywordDatabase
 from repro.exec import ENGINES
-from repro.exec.batch import run_batch
 from repro.model.query import TopKQuery
 from repro.model.scoring import Ranker
 from repro.service.admission import AdmissionController
@@ -152,21 +151,24 @@ class _ReadWriteLock:
 class _Task:
     """One admitted unit of work waiting in (or leaving) the queue.
 
-    ``query`` is a single :class:`TopKQuery`, or — when ``many`` — the
-    list of queries of one :meth:`QueryService.submit_many` batch.
+    Always a batch: ``queries`` is a list, of length one when ``single``
+    — the future then resolves to that query's result (or raises its
+    exception) instead of to the list of slots.  ``deadline`` is
+    ``enqueued + timeout`` (``None`` without a timeout).
     """
 
-    __slots__ = ("query", "future", "enqueued", "deadline", "many")
+    __slots__ = ("queries", "future", "enqueued", "timeout", "deadline", "single")
 
     def __init__(
-        self, query, future: "Future", enqueued: float,
-        deadline: Optional[float], many: bool = False,
+        self, queries: List[Any], enqueued: float,
+        timeout: Optional[float], single: bool,
     ) -> None:
-        self.query = query
-        self.future = future
+        self.queries = queries
+        self.future: "Future" = Future()
         self.enqueued = enqueued
-        self.deadline = deadline
-        self.many = many
+        self.timeout = timeout
+        self.deadline = None if timeout is None else enqueued + timeout
+        self.single = single
 
 
 _SHUTDOWN = object()
@@ -300,107 +302,80 @@ class QueryService:
         traffic) the call waits for admission instead — backpressure,
         not failure.
         """
-        if self._closed:
-            raise ServiceClosed("service is closed")
-        if self._recorder is not None:
-            self._recorder.record(query)
-        self.metrics.counter("queries.submitted").inc()
-        admitted = (
-            self._admission.acquire() if block else self._admission.try_acquire()
-        )
-        if not admitted:
-            self.metrics.counter("queries.shed").inc()
-            raise ServiceOverloaded(self._admission.pending, self.config.max_pending)
-        if self._closed:  # closed while we waited for admission
-            self._admission.release()
-            raise ServiceClosed("service is closed")
-        now = self._now()
-        deadline = (
-            now + self.config.timeout if self.config.timeout is not None else None
-        )
-        task = _Task(query, Future(), enqueued=now, deadline=deadline)
-        self.metrics.gauge("queue.depth").inc()
-        self._queue.put(task)
-        if self._executor is not None:
-            # Sim mode: one scheduler thunk stands in for one worker
-            # dequeue — it runs when the seeded scheduler picks it.
-            self._executor.spawn(self._step_once)
-        return task.future
+        return self._enqueue([query], block, self.config.timeout, single=True)
 
-    def search(self, query: TopKQuery) -> List[Any]:
+    def search(
+        self, query: TopKQuery, timeout: Optional[float] = None
+    ) -> List[Any]:
         """Submit one query and wait for its results.
 
-        Applies the configured per-query timeout to the wait: a caller
-        never blocks longer than the deadline it was promised, even if a
-        worker is still grinding on its query.
+        ``timeout`` is the caller's own remaining deadline in seconds (a
+        wire request's ``deadline_ms``, a shard attempt's slice of the
+        cluster deadline); the query's budget is the tighter of it and
+        the configured per-query timeout.  The budget bounds the wait —
+        a caller never blocks longer than the deadline it was promised,
+        even if a worker is still grinding on its query — and a query
+        still queued when it runs out is never executed.
         """
-        future = self.submit(query)
-        if self._executor is not None:
-            # Sim mode: drive the cooperative scheduler instead of
-            # blocking a thread; the future is resolved (or failed)
-            # entirely by simulated work.
-            self._executor.run_until(future.done)
-            try:
-                return future.result(timeout=0)
-            except FutureTimeout:
-                self.metrics.counter("queries.timed_out").inc()
-                raise QueryTimeout(self.config.timeout, queued=False) from None
-        if self.config.timeout is None:
-            return future.result()
-        try:
-            return future.result(timeout=self.config.timeout)
-        except FutureTimeout:
-            self.metrics.counter("queries.timed_out").inc()
-            raise QueryTimeout(self.config.timeout, queued=False) from None
+        budget = self._budget(timeout)
+        return self._wait(
+            self._enqueue([query], False, budget, single=True), budget
+        )
 
-    def attach_recorder(self, recorder) -> None:
-        """Fold every subsequently submitted query into ``recorder`` (a
-        :class:`~repro.planner.QueryLogRecorder`); ``None`` detaches.
-        Recording happens at submission, before admission control, so
-        the workload model sees shed traffic too — placement should
-        follow demand, not just served load."""
-        self._recorder = recorder
+    def search_many(
+        self,
+        queries: Sequence[TopKQuery],
+        timeout: Optional[float] = None,
+        return_exceptions: bool = False,
+    ) -> List[Any]:
+        """Answer a batch as ONE unit of work; one slot per query, in
+        input order.
 
-    def search_batch(self, queries: Sequence[TopKQuery]) -> List[List[Any]]:
-        """Execute many queries through the pool; results in input order.
-
-        Submission blocks for admission (backpressure) instead of
-        shedding, so arbitrarily large batches flow through the bounded
-        queue.  The first query failure (e.g. a queued-deadline expiry)
-        propagates after all submissions complete.
+        The batch occupies one admission slot (waiting for it rather
+        than shedding, so arbitrarily large batches flow through the
+        bounded queue) and runs on one worker under one read-lock
+        acquisition — one epoch for every answer, identical queries
+        executed once.  Failures are isolated per slot, never poisoning
+        the rest of the batch: a slot is the query's result list or the
+        exception it raised (:class:`QueryTimeout` for queries the
+        budget — see :meth:`search` — expired on).  With
+        ``return_exceptions=False`` (default) the first failed slot is
+        raised, after the whole batch ran; with ``True`` the slots are
+        returned as they are.
         """
-        futures = [self.submit(query, block=True) for query in queries]
-        return [future.result() for future in futures]
+        queries = list(queries)
+        if not queries:
+            return []
+        budget = self._budget(timeout)
+        slots = self._wait(self._enqueue(queries, True, budget), budget)
+        if not return_exceptions:
+            for slot in slots:
+                if isinstance(slot, BaseException):
+                    raise slot
+        return slots
 
-    def submit_many(
-        self, queries: Sequence[TopKQuery], block: bool = True
+    def _budget(self, timeout: Optional[float]) -> Optional[float]:
+        """The tighter of the configured timeout and the caller's."""
+        own = self.config.timeout
+        if timeout is None or (own is not None and own < timeout):
+            return own
+        return timeout
+
+    def _enqueue(
+        self,
+        queries: List[TopKQuery],
+        block: bool,
+        timeout: Optional[float],
+        single: bool = False,
     ) -> "Future":
-        """Enqueue a query batch as ONE unit of work; returns a future.
-
-        The future resolves to a list with one entry per query, in
-        input order: the query's result list, or — failures being
-        isolated per query, never poisoning the rest of the batch — the
-        exception that query raised (e.g. :class:`QueryTimeout` for
-        queries the batch deadline expired on).
-
-        Unlike :meth:`search_batch` (which spreads queries across the
-        worker pool for parallelism), the batch runs on a single worker
-        under a single read-lock acquisition — one epoch for every
-        answer, identical queries executed once
-        (:meth:`I3Index.query_many`).  The batch occupies one admission
-        slot.
-        """
+        """Admit ``queries`` as one task and queue it."""
         if self._closed:
             raise ServiceClosed("service is closed")
-        queries = list(queries)
         if self._recorder is not None:
             self._recorder.record_many(queries)
         self.metrics.counter("queries.submitted").inc(len(queries))
-        self.metrics.counter("batches.submitted").inc()
-        if not queries:
-            future: "Future" = Future()
-            future.set_result([])
-            return future
+        if not single:
+            self.metrics.counter("batches.submitted").inc()
         admitted = (
             self._admission.acquire() if block else self._admission.try_acquire()
         )
@@ -410,49 +385,44 @@ class QueryService:
         if self._closed:  # closed while we waited for admission
             self._admission.release()
             raise ServiceClosed("service is closed")
-        now = self._now()
-        deadline = (
-            now + self.config.timeout if self.config.timeout is not None else None
-        )
-        task = _Task(queries, Future(), enqueued=now, deadline=deadline, many=True)
+        task = _Task(queries, self._now(), timeout, single)
         self.metrics.gauge("queue.depth").inc()
         self._queue.put(task)
         if self._executor is not None:
+            # Sim mode: one scheduler thunk stands in for one worker
+            # dequeue — it runs when the seeded scheduler picks it.
             self._executor.spawn(self._step_once)
         return task.future
 
-    def search_many(
-        self, queries: Sequence[TopKQuery], return_exceptions: bool = False
-    ) -> List[Any]:
-        """Execute a batch through :meth:`submit_many` and wait.
+    def _wait(self, future: "Future", timeout: Optional[float]) -> Any:
+        """Block until ``future`` resolves, for at most ``timeout`` seconds.
 
-        With ``return_exceptions=False`` (default) the first per-query
-        failure is raised — after the whole batch ran, so one bad query
-        cannot suppress its neighbours' execution.  With
-        ``return_exceptions=True`` the raw outcome list is returned
-        (result list or exception per query, in input order).
+        The one place that knows how to wait: on a thread in production;
+        under the simulation executor by driving the cooperative
+        scheduler, so the future is resolved (or left unresolved) by
+        simulated work alone.  Running out of time is a
+        :class:`QueryTimeout`, counted under ``queries.timed_out`` here
+        and — the future being cancelled if its task is still queued —
+        not a second time by the worker that later dequeues it.
         """
-        future = self.submit_many(queries)
+        wait = timeout
         if self._executor is not None:
             self._executor.run_until(future.done)
-            try:
-                outcomes = future.result(timeout=0)
-            except FutureTimeout:
-                self.metrics.counter("queries.timed_out").inc()
-                raise QueryTimeout(self.config.timeout, queued=False) from None
-        elif self.config.timeout is None:
-            outcomes = future.result()
-        else:
-            try:
-                outcomes = future.result(timeout=self.config.timeout)
-            except FutureTimeout:
-                self.metrics.counter("queries.timed_out").inc()
-                raise QueryTimeout(self.config.timeout, queued=False) from None
-        if not return_exceptions:
-            for outcome in outcomes:
-                if isinstance(outcome, BaseException):
-                    raise outcome
-        return outcomes
+            wait = 0
+        try:
+            return future.result(wait)
+        except FutureTimeout:
+            future.cancel()
+            self.metrics.counter("queries.timed_out").inc()
+            raise QueryTimeout(timeout or 0.0, queued=False) from None
+
+    def attach_recorder(self, recorder) -> None:
+        """Fold every subsequently submitted query into ``recorder`` (a
+        :class:`~repro.planner.QueryLogRecorder`); ``None`` detaches.
+        Recording happens at submission, before admission control, so
+        the workload model sees shed traffic too — placement should
+        follow demand, not just served load."""
+        self._recorder = recorder
 
     # ------------------------------------------------------------------
     # Mutations (exclusive with respect to queries)
@@ -529,12 +499,9 @@ class QueryService:
         return self._index
 
     @property
-    def sim_executor(self) -> Optional[Any]:
-        """The injected simulation scheduler, or ``None`` when this
-        service runs real worker threads.  Callers that would block on a
-        future (e.g. :meth:`repro.cluster.ShardReplica.search`) must
-        drive this scheduler instead."""
-        return self._executor
+    def epoch(self) -> int:
+        """The served index's mutation epoch."""
+        return self._index.epoch
 
     # ------------------------------------------------------------------
     # Streaming (standing queries)
@@ -657,13 +624,15 @@ class QueryService:
         """Run one dequeued task: deadline check, execute, resolve."""
         self.metrics.gauge("queue.depth").dec()
         now = self._now()
+        if not task.future.set_running_or_notify_cancel():
+            # Abandoned while queued, by a waiter that counted the expiry.
+            self._admission.release()
+            return
         if task.deadline is not None and now >= task.deadline:
             # Expired while queued: shed the work, fail the waiter.
-            self.metrics.counter("queries.timed_out").inc()
+            self.metrics.counter("queries.timed_out").inc(len(task.queries))
             self._admission.release()
-            task.future.set_exception(
-                QueryTimeout(self.config.timeout, queued=True)
-            )
+            task.future.set_exception(QueryTimeout(task.timeout, queued=True))
             return
         self.metrics.histogram("queue_wait_ms").observe(
             (now - task.enqueued) * 1000.0
@@ -671,135 +640,89 @@ class QueryService:
         self.metrics.gauge("queries.inflight").inc()
         try:
             started = self._now()
-            if task.many:
-                result = self._execute_many(task.query, task.deadline)
-                completed = sum(
-                    1 for r in result if not isinstance(r, BaseException)
-                )
-                self.metrics.counter("queries.completed").inc(completed)
-                failed = len(result) - completed
-                if failed:
-                    self.metrics.counter("queries.failed").inc(failed)
-            else:
-                result = self._execute(task.query)
-                self.metrics.counter("queries.completed").inc()
+            slots = self._run(task)
             self._publish_decoded_cells()
             self.metrics.histogram("latency_ms").observe(
                 (self._now() - started) * 1000.0
             )
-            task.future.set_result(result)
+            if not task.single:
+                task.future.set_result(slots)
+            elif isinstance(slots[0], BaseException):
+                task.future.set_exception(slots[0])
+            else:
+                task.future.set_result(slots[0])
         except BaseException as exc:  # noqa: BLE001 - forwarded to waiter
-            self.metrics.counter("queries.failed").inc()
+            self.metrics.counter("queries.failed").inc(len(task.queries))
             task.future.set_exception(exc)
         finally:
             self.metrics.gauge("queries.inflight").dec()
             self._admission.release()
 
-    def _execute(self, query: TopKQuery) -> List[Any]:
-        """One query under the shared lock, with per-query I/O metrics."""
-        local = IOStats()
-        self._rwlock.acquire_read()
-        try:
-            with self._index.stats.tee(local):
-                if self._db is not None:
-                    result = self._db.search(
-                        query.x,
-                        query.y,
-                        list(query.words),
-                        k=query.k,
-                        semantics=query.semantics,
-                        alpha=self._ranker.alpha,
-                        cache=self.cache,
-                        **self._engine_kwargs,
-                    )
-                else:
-                    result = self._index.query(
-                        query, self._ranker, cache=self.cache,
-                        **self._engine_kwargs,
-                    )
-        finally:
-            self._rwlock.release_read()
-        self.metrics.histogram("io.reads_per_query").observe(
-            local.snapshot().total_reads
-        )
-        return result
+    def _run(self, task: _Task) -> List[Any]:
+        """Answer a task's queries; one slot per query, in order.
 
-    def _execute_many(
-        self, queries: List[TopKQuery], deadline: Optional[float]
-    ) -> List[Any]:
-        """One batch under ONE shared-lock acquisition.
-
-        Holding the read lock across the batch gives every query the
-        same index epoch.  The ``guard`` enforces the batch deadline per
-        query: queries the deadline expires on become
-        :class:`QueryTimeout` outcomes while earlier queries keep their
-        results.
+        The whole task runs under ONE shared-lock acquisition, so every
+        answer sees the same index epoch.  Per slot: the deadline guard
+        (a query the task's deadline expires on becomes a
+        :class:`QueryTimeout` while earlier queries keep their results),
+        then the answer — computed once per distinct query, each
+        occurrence getting its own copy of the list — or the exception
+        the query raised.  Failures are never remembered: a later
+        duplicate of a failed query is attempted again.
         """
-
-        def guard(_query: TopKQuery) -> None:
-            if deadline is not None and self._now() >= deadline:
-                raise QueryTimeout(self.config.timeout, queued=False)
-
+        slots: List[Any] = []
+        answered: Dict[TopKQuery, List[Any]] = {}
+        timed_out = failed = 0
         local = IOStats()
         self._rwlock.acquire_read()
         try:
             with self._index.stats.tee(local):
-                if self._db is not None:
-                    outcomes: List[Any] = []
-                    for query in queries:
-                        try:
-                            guard(query)
-                            outcomes.append(
-                                self._db.search(
-                                    query.x,
-                                    query.y,
-                                    list(query.words),
-                                    k=query.k,
-                                    semantics=query.semantics,
-                                    alpha=self._ranker.alpha,
-                                    cache=self.cache,
-                                    **self._engine_kwargs,
-                                )
-                            )
-                        except Exception as exc:
-                            outcomes.append(exc)
-                elif self._temporal is not None or not hasattr(
-                    self._index, "engine_processor"
-                ):
-                    # Temporal scans are slice-ordered streams above the
-                    # engine seam (and index-shaped test doubles have no
-                    # engine seam at all); run these one by one — still
-                    # under the single lock acquisition, with the same
-                    # per-query deadline guard.
-                    outcomes = []
-                    for query in queries:
-                        try:
-                            guard(query)
-                            outcomes.append(
-                                self._index.query(
-                                    query, self._ranker, cache=self.cache,
-                                    **self._engine_kwargs,
-                                )
-                            )
-                        except Exception as exc:
-                            outcomes.append(exc)
-                else:
-                    outcomes = run_batch(
-                        self._index,
-                        queries,
-                        self._ranker,
-                        self.cache,
-                        None,
-                        self.config.engine,
-                        guard=guard,
-                        capture_errors=True,
-                    )
+                for query in task.queries:
+                    try:
+                        if (
+                            task.deadline is not None
+                            and self._now() >= task.deadline
+                        ):
+                            raise QueryTimeout(task.timeout, queued=False)
+                        hit = answered.get(query)
+                        if hit is None:
+                            hit = answered[query] = self._answer(query)
+                        slots.append(list(hit))
+                    except QueryTimeout as exc:
+                        timed_out += 1
+                        slots.append(exc)
+                    except Exception as exc:  # noqa: BLE001 - its slot
+                        failed += 1
+                        slots.append(exc)
         finally:
             self._rwlock.release_read()
+        counter = self.metrics.counter
+        counter("queries.completed").inc(len(slots) - timed_out - failed)
+        if timed_out:
+            counter("queries.timed_out").inc(timed_out)
+        if failed:
+            counter("queries.failed").inc(failed)
         self.metrics.histogram("io.reads_per_query").observe(
-            local.snapshot().total_reads / max(1, len(queries))
+            local.snapshot().total_reads / len(slots)
         )
-        return outcomes
+        return slots
+
+    def _answer(self, query: TopKQuery) -> List[Any]:
+        """One query against the target, read through the result cache."""
+        if self._db is not None:
+            return self._db.search(
+                query.x,
+                query.y,
+                list(query.words),
+                k=query.k,
+                semantics=query.semantics,
+                alpha=self._ranker.alpha,
+                cache=self.cache,
+                **self._engine_kwargs,
+            )
+        return self._index.query(
+            query, self._ranker, cache=self.cache, **self._engine_kwargs
+        )
 
     # ------------------------------------------------------------------
     # Metrics
@@ -906,7 +829,8 @@ class QueryService:
             for task in cancelled:
                 self.metrics.gauge("queue.depth").dec()
                 self._admission.release()
-                task.future.set_exception(ServiceClosed("service closed"))
+                if task.future.set_running_or_notify_cancel():
+                    task.future.set_exception(ServiceClosed("service closed"))
         for _ in self._workers:
             self._queue.put(_SHUTDOWN)
         for thread in self._workers:

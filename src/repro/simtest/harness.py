@@ -460,8 +460,8 @@ class _Simulation:
             cluster = self.cluster
             real_scatter = cluster._scatter_gather
 
-            def lying_scatter(query):
-                answer = real_scatter(query)
+            def lying_scatter(query, give_up_at):
+                answer = real_scatter(query, give_up_at)
                 if answer.failed_shards:
                     # The bug: shards that contributed nothing are
                     # scrubbed from the answer's provenance, so a
@@ -539,9 +539,8 @@ class _Simulation:
     # Shared per-step checks
     # ------------------------------------------------------------------
     def _current_epoch(self) -> int:
-        if self.cluster is not None:
-            return self.cluster.cluster_epoch()
-        return self.service.index.epoch
+        target = self.cluster if self.cluster is not None else self.service
+        return target.epoch
 
     def _check_step(self, i: int, step: Dict) -> None:
         epoch = self._current_epoch()
@@ -995,13 +994,13 @@ class _Simulation:
             doc = doc_from_dict(step["doc"])
             if self.oracle.get(doc.doc_id) is not None:
                 return
-            self.cluster.insert_document(doc)
+            self.cluster.insert(doc)
             self.oracle.apply_insert(doc)
         else:
             doc = self.oracle.get(step["doc_id"])
             if doc is None:
                 return
-            self.cluster.delete_document(doc)
+            self.cluster.delete(doc)
             self.oracle.apply_delete(doc)
 
     def _search_and_check(self, query_dict: Dict, context: str) -> None:
@@ -1080,7 +1079,7 @@ class _Simulation:
 
     def _do_search_many(self, step: Dict) -> None:
         queries = [query_from_dict(q) for q in step["queries"]]
-        answers = self.cluster.query_many(queries)
+        answers = self.cluster.search_many(queries)
         batch_results = []
         for i, (query, answer) in enumerate(zip(queries, answers)):
             if answer.degraded:

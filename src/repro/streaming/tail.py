@@ -23,7 +23,7 @@ re-queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.recovery import DurableIndex, decode_document
 from repro.model.document import SpatialDocument

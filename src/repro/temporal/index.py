@@ -31,7 +31,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.index import I3Index, MutationEvent
 from repro.core.recovery import DurableIndex
@@ -43,10 +43,8 @@ from repro.spatial.geometry import Rect
 from repro.storage.fs import OS_FILESYSTEM, FileSystem
 from repro.storage.iostats import IOStats
 from repro.temporal.model import (
-    RecencySpec,
     TemporalDocument,
     TemporalQuery,
-    TimeRange,
     recency_weight,
     slice_of,
     slice_span,

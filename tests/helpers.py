@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
+import pathlib
 import random
+import signal
+import subprocess
+import sys
+import time
+from types import SimpleNamespace
 from typing import Dict, List, Sequence
 
 from repro.model.document import SpatialDocument
 from repro.spatial.geometry import Rect, UNIT_SQUARE
+from repro.storage.iostats import IOStats
 from repro.storage.records import f32
 
 DEFAULT_VOCAB = [
@@ -47,3 +57,68 @@ def make_documents(
 def results_as_pairs(results) -> List[tuple]:
     """Normalise ScoredDoc lists for exact comparison."""
     return [(r.doc_id, round(r.score, 9)) for r in results]
+
+
+def stub_index(gate=None):
+    """An index-shaped stub whose queries block on ``gate`` (if given) —
+    makes overload/timeout behaviour deterministic in tests."""
+    stub = SimpleNamespace(
+        space=UNIT_SQUARE,
+        stats=IOStats(),
+        epoch=0,
+        data=SimpleNamespace(buffer=None),
+    )
+
+    def query(q, ranker=None, cache=None, io_sink=None):
+        if gate is not None:
+            gate.wait(timeout=10)
+        return [q.k]
+
+    stub.query = query
+    return stub
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@contextlib.contextmanager
+def serving(port_file: pathlib.Path, *args: str, timeout_s: float = 30.0):
+    """A real ``python -m repro serve --port 0 ...`` subprocess.
+
+    Yields ``(address, process)`` once the server has written
+    ``port_file`` (it does so only after everything is bound); on exit a
+    still-running server gets SIGTERM and is waited for.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--port", "0", "--port-file", str(port_file), *args,
+        ],
+        cwd=str(REPO_ROOT),
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + timeout_s
+        while not (port_file.exists() and port_file.read_text().strip()):
+            if proc.poll() is not None:
+                raise RuntimeError(
+                    f"serve exited early (rc={proc.returncode}): "
+                    f"{proc.stderr.read()[-2000:]}"
+                )
+            if time.monotonic() >= deadline:
+                raise TimeoutError("serve never wrote its port file")
+            time.sleep(0.05)
+        yield json.loads(port_file.read_text()), proc
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                proc.wait(timeout=15)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()

@@ -1,6 +1,5 @@
 """Unit tests for the aggregated R-tree (S2I's per-keyword structure)."""
 
-import random
 
 import pytest
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.config import FULL, QUICK, active_profile
-from repro.bench.harness import BuiltIndex, build_index, run_query_set, run_updates
+from repro.bench.harness import build_index, run_query_set, run_updates
 from repro.bench.reporting import Table, collect, drain_reports, format_bytes
 from repro.bench.workloads import update_workload
 from repro.datasets.generators import TwitterLikeGenerator

@@ -9,13 +9,11 @@ only availability and cost.
 from __future__ import annotations
 
 import json
-import math
 import random
 
 import pytest
 
 from repro.cluster import (
-    ClusterAnswer,
     ClusterConfig,
     ClusterService,
     HashPartitioner,
@@ -238,10 +236,10 @@ class TestEquivalence:
         with _cluster(docs, kind="hash", cache_capacity=0) as cluster:
             for doc in extra:
                 mono.insert_document(doc)
-                cluster.insert_document(doc)
+                cluster.insert(doc)
             for doc in docs[::5]:
                 mono.delete_document(doc)
-                cluster.delete_document(doc)
+                cluster.delete(doc)
             for query in queries:
                 expected = results_as_pairs(mono.query(query, ranker))
                 assert results_as_pairs(cluster.search(query).results) == expected
@@ -393,7 +391,7 @@ class TestFailover:
             sid = cluster.partitioner.shard_of(doc)
             cluster.replica(sid, 0).kill()
             with pytest.raises(ServiceClosed):
-                cluster.insert_document(doc)
+                cluster.insert(doc)
 
 
 # ----------------------------------------------------------------------
@@ -406,14 +404,14 @@ class TestClusterCache:
         with _cluster(docs, cache_capacity=64) as cluster:
             first = cluster.search(query)
             assert cluster.search(query).from_cache
-            epoch = cluster.cluster_epoch()
+            epoch = cluster.epoch
             new_doc = SpatialDocument(7777, 0.3, 0.3, {"spicy": 0.99})
-            cluster.insert_document(new_doc)
-            assert cluster.cluster_epoch() > epoch
+            cluster.insert(new_doc)
+            assert cluster.epoch > epoch
             fresh = cluster.search(query)
             assert not fresh.from_cache
             assert 7777 in {d for d, _ in results_as_pairs(fresh.results)}
-            cluster.delete_document(new_doc)
+            cluster.delete(new_doc)
             again = cluster.search(query)
             assert not again.from_cache
             assert results_as_pairs(again.results) == results_as_pairs(
@@ -468,7 +466,7 @@ class TestBoundsCache:
             empty = cluster.search(query)
             assert empty.results == []
             new_doc = SpatialDocument(8888, 0.5, 0.5, {word: 0.97})
-            cluster.insert_document(new_doc)
+            cluster.insert(new_doc)
             found = cluster.search(query)
             assert [d for d, _ in results_as_pairs(found.results)] == [8888]
 

@@ -1,7 +1,6 @@
 """Tests for collective spatial keyword queries (the mCK-style extension)."""
 
 import itertools
-import random
 
 import pytest
 

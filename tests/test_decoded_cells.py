@@ -362,7 +362,8 @@ class TestServiceSurface:
         config = ServiceConfig(workers=2, cache_capacity=0, engine="vector")
         with QueryService(index, config, ranker=RANKER) as service:
             queries = _or_queries(25, seed=6)
-            service.search_batch(queries)
+            for future in [service.submit(q, block=True) for q in queries]:
+                future.result(timeout=30)
             service.search_many(queries[:10])
             block = service.metrics_snapshot()["decoded_cells"]
             text = service.metrics.render_prometheus()

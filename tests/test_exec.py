@@ -9,7 +9,6 @@ I/O accounting.  On top of it,
 answers out of worker processes.
 """
 
-import os
 import random
 
 import pytest

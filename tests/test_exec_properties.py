@@ -13,7 +13,6 @@ with the tuple engine — when the vector engine cannot exist) and the
 decay kernel's exact match with scalar ``2.0 ** x`` weighting.
 """
 
-import math
 import random
 
 import pytest

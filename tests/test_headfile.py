@@ -6,7 +6,6 @@ from repro.core.headfile import CellPages, HeadFile, SummaryInfo, SummaryNode
 from repro.spatial.cells import ROOT_CELL
 from repro.storage.iostats import IOStats
 from repro.storage.records import StoredTuple
-from repro.text.signature import Signature
 
 
 def tup(doc_id, weight=0.5, x=0.5, y=0.5):

@@ -1,6 +1,5 @@
 """Unit and structural tests for the I3 index's data operations."""
 
-import random
 
 import pytest
 

@@ -1,6 +1,5 @@
 """Unit tests for the IR-tree baseline's structure and accounting."""
 
-import random
 
 import pytest
 

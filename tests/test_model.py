@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model.document import SpatialDocument, SpatialTuple, documents_from_tuples
+from repro.model.document import SpatialDocument, documents_from_tuples
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc, TopKCollector
 from repro.model.scoring import Ranker

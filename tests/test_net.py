@@ -18,6 +18,13 @@ import urllib.request
 
 import pytest
 
+from repro.cluster import (
+    ClusterConfig,
+    ClusterService,
+    HashPartitioner,
+    ReplicaFault,
+    ShardChannel,
+)
 from repro.core.index import I3Index
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
@@ -29,7 +36,7 @@ from repro.net import (
     NetServerConfig,
     ProtocolError,
     QuotaExceeded,
-    ServerOverloaded,
+    RemoteError,
     TenantDirectory,
     Unauthorized,
 )
@@ -37,8 +44,9 @@ from repro.net.errors import ConnectionLost, NetError
 from repro.net.protocol import encode_frame, query_to_args, read_frame, results_to_wire
 from repro.service.service import QueryService, ServiceConfig
 from repro.spatial.geometry import UNIT_SQUARE
+from repro.temporal import TemporalQuery, TimeRange
 
-from tests.helpers import DEFAULT_VOCAB, make_documents
+from tests.helpers import DEFAULT_VOCAB, make_documents, stub_index
 
 TENANTS = {
     "tenants": [
@@ -354,6 +362,91 @@ class TestProtocolEdges:
         with _client(server) as client:
             with pytest.raises(ProtocolError):
                 client.call("frobnicate")
+
+
+class _PoisonedChannel(ShardChannel):
+    """Every shard attempt for one particular query fails."""
+
+    def __init__(self, poisoned):
+        self.poisoned = poisoned
+
+    def search(self, replica, query, timeout):
+        if query == self.poisoned:
+            raise ReplicaFault(replica.shard_id, replica.replica_id, "poisoned")
+        return super().search(replica, query, timeout)
+
+
+class TestOneRefusedSlot:
+    """A slot the server must refuse never costs its batch-mates their
+    answers — whichever :class:`~repro.net.server.Backend` is behind the
+    wire."""
+
+    TEMPORAL = TemporalQuery(
+        TopKQuery(0.5, 0.5, ("cafe",), 3), time_range=TimeRange(0.0, 10.0)
+    )
+
+    def test_temporal_query_on_a_plain_service(self, served):
+        _service, server = served
+        first, last = _queries(2, seed=31)
+        with _client(server) as client:
+            slots = client.search_many(
+                [first, self.TEMPORAL, last], return_exceptions=True
+            )
+            assert isinstance(slots[1], ProtocolError)
+            assert [slots[0], slots[2]] == [
+                client.search(first), client.search(last)
+            ]
+            with pytest.raises(ProtocolError, match="temporal"):
+                client.search(self.TEMPORAL)
+
+    def test_degraded_and_temporal_slots_on_a_cluster(self):
+        docs = make_documents(200, random.Random(8))
+        mono = I3Index(UNIT_SQUARE, page_size=256)
+        mono.bulk_load(docs)
+        first, poisoned, last = _queries(3, seed=32)
+        with ClusterService.build(
+            docs, HashPartitioner(3, UNIT_SQUARE), ClusterConfig(retry_rounds=0),
+            channel=_PoisonedChannel(poisoned), page_size=256,
+        ) as cluster, NetServer(cluster) as server, Client(
+            server.host, server.port
+        ) as client:
+            slots = client.search_many(
+                [first, poisoned, self.TEMPORAL, last], return_exceptions=True
+            )
+            assert isinstance(slots[1], RemoteError)
+            assert "degraded" in str(slots[1])
+            assert isinstance(slots[2], ProtocolError)
+            assert [slots[0], slots[3]] == [mono.query(first), mono.query(last)]
+            assert client.search(first) == slots[0]
+            with pytest.raises(RemoteError, match="degraded"):
+                client.search(poisoned)
+            # The rest of the protocol, against a cluster: writes report
+            # the cluster epoch, per-connection streaming is refused.
+            extra = SpatialDocument(9_000, 0.5, 0.5, {"cafe": 1.0})
+            assert client.insert(extra) == cluster.epoch
+            assert client.search(x=0.5, y=0.5, words=["cafe"], k=1)[0].doc_id == 9_000
+            assert client.delete(extra) == cluster.epoch
+            with pytest.raises(ProtocolError, match="cluster"):
+                client.register(first)
+
+
+class TestDeadlineOverTheWire:
+    def test_expiry_while_waiting_is_counted_by_the_service(self):
+        """A wire deadline that runs out while the connection thread
+        waits on the service is the service's ``queries.timed_out``."""
+        gate = threading.Event()
+        try:
+            with QueryService(
+                stub_index(gate), ServiceConfig(workers=1)
+            ) as service, \
+                    NetServer(service) as server, \
+                    Client(server.host, server.port, retries=0) as client:
+                with pytest.raises(DeadlineExceeded):
+                    client.search(x=0.5, y=0.5, words=["cafe"], deadline_ms=50)
+                assert service.metrics.counter("queries.timed_out").value == 1
+                gate.set()
+        finally:
+            gate.set()
 
 
 class TestHTTPOnMainPort:

@@ -9,14 +9,9 @@ the server down cleanly with SIGTERM.
 """
 
 import json
-import os
-import pathlib
 import random
 import signal
 import socket
-import subprocess
-import sys
-import time
 
 import pytest
 
@@ -28,8 +23,8 @@ from repro.net.errors import FrameTooLarge, Unauthorized
 from repro.net.protocol import results_to_wire
 from repro.model.scoring import Ranker
 from repro.service.service import QueryService, ServiceConfig
+from tests.helpers import serving
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS = 400
 SEED = 7
 N_QUERIES = 200
@@ -42,53 +37,18 @@ TENANTS = {
 }
 
 
-def _wait_for_port_file(path: pathlib.Path, proc, timeout_s: float = 30.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            raise RuntimeError(
-                f"serve exited early (rc={proc.returncode}): "
-                f"{proc.stderr.read()[-2000:]}"
-            )
-        if path.exists() and path.read_text().strip():
-            return json.loads(path.read_text())
-        time.sleep(0.05)
-    raise TimeoutError("serve never wrote its port file")
-
-
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("net_smoke")
     tenants_path = tmp / "tenants.json"
     tenants_path.write_text(json.dumps(TENANTS))
-    port_file = tmp / "port.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--docs", str(DOCS), "--seed", str(SEED),
-            "--port", "0", "--port-file", str(port_file),
-            "--tenants", str(tenants_path),
-            "--workers", "2",
-        ],
-        cwd=str(REPO_ROOT),
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        address = _wait_for_port_file(port_file, proc)
+    with serving(
+        tmp / "port.json",
+        "--docs", str(DOCS), "--seed", str(SEED),
+        "--tenants", str(tenants_path),
+        "--workers", "2",
+    ) as (address, proc):
         yield address, proc
-    finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-            try:
-                proc.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
 
 
 @pytest.fixture(scope="module")

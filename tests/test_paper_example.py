@@ -17,9 +17,8 @@ from repro.core.or_semantics import OrSemantics
 from repro.baselines.naive import NaiveScanIndex
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
-from repro.spatial.cells import CellGrid, ROOT_CELL, child_cell
+from repro.spatial.cells import ROOT_CELL, child_cell
 from repro.spatial.geometry import UNIT_SQUARE
-from repro.storage.records import StoredTuple
 from repro.text.signature import Signature, mod_hash
 
 from tests.helpers import results_as_pairs

@@ -1,6 +1,5 @@
 """Round-trip tests for the binary index format (I3IX v2)."""
 
-import random
 
 import pytest
 

@@ -20,7 +20,6 @@ Covers the record -> model -> partition -> rebalance loop:
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -310,8 +309,8 @@ class TestRebalance:
         with _build_cluster(docs, shards=3) as cluster:
             cluster.rebalance(learned)
             extra = SpatialDocument(9999, 0.42, 0.42, {"cafe": f32(0.5)})
-            assert cluster.insert_document(extra) == learned.shard_of(extra)
-            assert cluster.delete_document(extra)
+            assert cluster.insert(extra) == learned.shard_of(extra)
+            assert cluster.delete(extra)
 
     def test_manifest_counts_follow_the_moves(self, rng):
         docs = make_documents(120, rng, vocab=list(VOCAB))

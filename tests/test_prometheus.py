@@ -8,8 +8,11 @@ ride through the same renderer, so label escaping (quotes, backslashes,
 newlines in tenant names) is hardened here too.
 """
 
-from repro.cli import main
+import signal
+
+from repro.net.client import Client
 from repro.service.metrics import MetricsRegistry, escape_label_value
+from tests.helpers import serving
 
 GOLDEN = """\
 # HELP repro_cache_hits cache.hits
@@ -162,12 +165,19 @@ class TestLabelledMetrics:
 
 class TestServeBenchMetricsOut:
     def test_writes_exposition_file(self, tmp_path):
+        """``repro serve --metrics-out``: the final exposition is written
+        on shutdown, after the last request was counted."""
         out = tmp_path / "metrics.prom"
-        assert main([
-            "serve-bench", "--docs", "150", "--queries", "20",
-            "--workers", "2", "--seed", "3", "--json",
+        with serving(
+            tmp_path / "port.json",
+            "--docs", "150", "--seed", "3", "--workers", "2",
             "--metrics-out", str(out),
-        ]) == 0
+        ) as (address, proc):
+            with Client(address["host"], address["port"]) as client:
+                for i in range(20):
+                    client.search(x=0.05 * i, y=0.5, words=["kw1"], k=3)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=15) == 0
         text = out.read_text()
         assert text.endswith("\n")
         assert "# TYPE repro_queries_completed counter" in text

@@ -11,7 +11,6 @@ The three load-bearing properties:
 """
 
 import math
-import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 

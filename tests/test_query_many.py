@@ -8,21 +8,33 @@ a poisoned query never suppresses batch-mates' results).  Cache
 interaction follows the single-query rules exactly: entries are
 epoch-stamped, duplicates inside one batch collapse to one execution,
 and failures are never cached.
+
+``TestOneContract`` states the part every layer shares — index,
+service (threads and simulation executor), cluster, process pool, wire
+client and simulated wire: one single verb, one batch verb, and
+``batch([q]) == [single(q)]``.
 """
 
+import contextlib
 import random
 from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster import ClusterService, HashPartitioner
 from repro.core.index import I3Index
+from repro.core.persistence import save_index
 from repro.exec import available_engines
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
+from repro.exec.procpool import SnapshotProcessPool
+from repro.net import Client, NetServer
+from repro.net.sim import SimNetServer, sim_client
 from repro.service import QueryService, ServiceConfig
 from repro.service.cache import QueryResultCache
 from repro.service.errors import QueryTimeout
+from repro.simtest.clock import SimClock, SimScheduler
 from repro.spatial.geometry import UNIT_SQUARE
 from repro.storage.iostats import IOStats
 from repro.storage.records import f32
@@ -257,6 +269,11 @@ class TestServiceSearchMany:
                 isinstance(o, QueryTimeout) for o in outcomes[3:]
             )
             assert len(executed) == 3
+            # Each expired slot is a deadline expiry, not a failure.
+            counters = service.metrics_snapshot()["counters"]
+            assert counters["queries.timed_out"] == 3
+            assert counters["queries.completed"] == 3
+            assert counters.get("queries.failed", 0) == 0
         finally:
             service.close()
 
@@ -314,3 +331,105 @@ class TestServiceSearchMany:
     def test_bad_engine_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="engine"):
             ServiceConfig(engine="warp")
+
+
+# ----------------------------------------------------------------------
+# Every layer: one single verb, one batch verb, one contract
+# ----------------------------------------------------------------------
+
+
+def _corpus(count, seed=29):
+    rng = random.Random(seed)
+    return [
+        SpatialDocument(
+            doc_id, rng.random(), rng.random(),
+            {w: f32(rng.random()) for w in rng.sample(VOCAB, rng.randint(1, 4))},
+        )
+        for doc_id in range(count)
+    ]
+
+
+def _hexes(results):
+    return [(d.doc_id, d.score.hex()) for d in results]
+
+
+@contextlib.contextmanager
+def _layer(name, tmp_path):
+    """``(single, batch)`` verbs of one layer over the same 150
+    documents, each returning plain ``ScoredDoc`` lists."""
+    docs = _corpus(150)
+    index = I3Index(UNIT_SQUARE, page_size=256)
+    index.bulk_load(docs)
+    ranker = Ranker(UNIT_SQUARE, 0.5)
+    with contextlib.ExitStack() as stack:
+        if name == "index":
+            yield (
+                lambda q: index.query(q, ranker),
+                lambda qs: index.query_many(qs, ranker),
+            )
+        elif name == "cluster":
+            cluster = stack.enter_context(
+                ClusterService.build(
+                    docs, HashPartitioner(3, UNIT_SQUARE), ranker=ranker,
+                    page_size=256,
+                )
+            )
+            yield (
+                lambda q: cluster.search(q).results,
+                lambda qs: [a.results for a in cluster.search_many(qs)],
+            )
+        elif name == "pool":
+            path = str(tmp_path / "contract.i3ix")
+            save_index(index, path)
+            pool = stack.enter_context(SnapshotProcessPool(path, workers=2))
+            yield pool.search, pool.search_many
+        else:
+            sim = name in ("service-sim", "simnet")
+            clock = SimClock()
+            service = stack.enter_context(
+                QueryService(
+                    index,
+                    ServiceConfig(workers=2),
+                    ranker=ranker,
+                    clock=clock if sim else None,
+                    executor=SimScheduler(seed=3, clock=clock) if sim else None,
+                )
+            )
+            if name == "client":
+                server = stack.enter_context(NetServer(service))
+                client = stack.enter_context(Client(server.host, server.port))
+            elif name == "simnet":
+                client = sim_client(SimNetServer(service, clock=clock))
+            else:
+                client = service
+            yield client.search, client.search_many
+
+
+LAYERS = (
+    "index", "service-threads", "service-sim", "cluster", "pool",
+    "client", "simnet",
+)
+
+
+class TestOneContract:
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_a_query_is_a_batch_of_one(self, layer, tmp_path):
+        with _layer(layer, tmp_path) as (single, batch):
+            for query in _queries(12, seed=97):
+                alone = single(query)
+                (slot,) = batch([query])
+                assert _hexes(slot) == _hexes(alone)
+
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_duplicates_get_equal_independent_lists(self, layer, tmp_path):
+        with _layer(layer, tmp_path) as (single, batch):
+            query, other = _queries(2, seed=98)
+            first, between, second = batch([query, other, query])
+            assert _hexes(first) == _hexes(second) == _hexes(single(query))
+            assert _hexes(between) == _hexes(single(other))
+            if layer != "cluster":
+                # Callers may mutate what they were handed.  (A cluster
+                # hands duplicates the one frozen ClusterAnswer.)
+                assert first is not second
+                first.clear()
+                assert _hexes(second) == _hexes(single(query))

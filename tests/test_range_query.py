@@ -6,7 +6,6 @@ the same keyword-cell traversal (cells outside the region are skipped;
 AND-semantics signature pruning still applies).
 """
 
-import random
 
 import pytest
 

@@ -1,7 +1,6 @@
 """Recovery-path tests: DurableIndex round trips and replay, snapshot
 corruption detection, and recover() at the service and cluster layers."""
 
-import random
 import struct
 
 import pytest
@@ -277,7 +276,7 @@ class TestClusterRecovery:
         query = TopKQuery(0.5, 0.5, ("spicy", "pizza"), k=5, semantics=Semantics.OR)
         extra = make_documents(5, rng, start_id=10_000)
         for doc in extra:
-            cluster.insert_document(doc)
+            cluster.insert(doc)
         baseline = cluster.search(query)
         epoch_before = cluster.replica(0, 0).index.epoch
         cluster.replica(0, 0).kill()

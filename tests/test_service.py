@@ -3,10 +3,10 @@
 import random
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster import ReplicaFault, ShardReplica
 from repro.core.index import I3Index
 from repro.db import SpatialKeywordDatabase
 from repro.model.query import TopKQuery
@@ -27,7 +27,7 @@ from repro.service import (
 )
 from repro.spatial.geometry import UNIT_SQUARE
 from repro.storage.iostats import IOStats
-from tests.helpers import make_documents, results_as_pairs
+from tests.helpers import make_documents, results_as_pairs, stub_index as _stub_index
 
 
 class TestMetrics:
@@ -191,25 +191,6 @@ class TestAdmissionController:
         assert gate.acquire(timeout=0)  # zero-wait poll stays legal
 
 
-def _stub_index(gate=None):
-    """An index-shaped stub whose queries block on ``gate`` (if given) —
-    makes overload/timeout behaviour deterministic in tests."""
-    stub = SimpleNamespace(
-        space=UNIT_SQUARE,
-        stats=IOStats(),
-        epoch=0,
-        data=SimpleNamespace(buffer=None),
-    )
-
-    def query(q, ranker=None, cache=None, io_sink=None):
-        if gate is not None:
-            gate.wait(timeout=10)
-        return [q.k]
-
-    stub.query = query
-    return stub
-
-
 def _query(words=("spicy",), k=3, x=0.5, y=0.5):
     return TopKQuery(x, y, tuple(words), k=k)
 
@@ -229,7 +210,7 @@ class TestQueryServiceBasics:
         ]
         expected = [results_as_pairs(self.index.query(q, self.ranker)) for q in queries]
         with QueryService(self.index, ServiceConfig(workers=2)) as service:
-            got = [results_as_pairs(r) for r in service.search_batch(queries)]
+            got = [results_as_pairs(r) for r in service.search_many(queries)]
         assert got == expected
 
     def test_cache_hit_skips_execution(self):
@@ -326,7 +307,10 @@ class TestAdmissionAndTimeouts:
     def test_blocking_submit_applies_backpressure(self):
         index = _stub_index()
         with QueryService(index, ServiceConfig(workers=2, max_pending=2)) as service:
-            results = service.search_batch([_query(k=i + 1) for i in range(20)])
+            futures = [
+                service.submit(_query(k=i + 1), block=True) for i in range(20)
+            ]
+            results = [future.result(timeout=5) for future in futures]
         assert [r[0] for r in results] == [i + 1 for i in range(20)]
 
     def test_queued_deadline_expires_without_executing(self):
@@ -358,6 +342,49 @@ class TestAdmissionAndTimeouts:
             with pytest.raises(QueryTimeout) as err:
                 service.search(_query())
             assert not err.value.queued
+            assert service.metrics.counter("queries.timed_out").value == 1
+        finally:
+            gate.set()
+            service.close()
+
+    def test_abandoned_queued_query_counts_once_and_never_runs(self):
+        """The waiter's expiry and the worker's later dequeue of the
+        same, still queued query are one timeout, not two."""
+        gate = threading.Event()
+        stub = _stub_index(gate)
+        service = QueryService(stub, ServiceConfig(workers=1, max_pending=4))
+        try:
+            blocker = service.submit(_query(k=1))
+            time.sleep(0.05)  # worker has dequeued and is blocked on the gate
+            with pytest.raises(QueryTimeout):
+                service.search(_query(k=2), timeout=0.05)
+            gate.set()
+            assert blocker.result(timeout=5) == [1]
+        finally:
+            gate.set()
+            service.close()  # drains: the abandoned task is dequeued
+        counters = service.metrics_snapshot()["counters"]
+        assert counters["queries.timed_out"] == 1
+        assert counters["queries.completed"] == 1
+        assert service.metrics_snapshot()["admission"]["pending"] == 0
+
+    def test_callers_deadline_tightens_the_configured_one(self):
+        """``search(query, timeout)`` waits for the tighter of the
+        caller's remaining deadline and the configured timeout, and the
+        expiry is counted however the query arrived — here as a shard
+        attempt through :class:`ShardReplica`."""
+        gate = threading.Event()
+        service = QueryService(
+            _stub_index(gate), ServiceConfig(workers=1, timeout=30.0)
+        )
+        try:
+            started = time.monotonic()
+            with pytest.raises(ReplicaFault, match="deadline"):
+                ShardReplica(0, 0, service).search(_query(), timeout=0.05)
+            assert time.monotonic() - started < 5.0
+            assert service.metrics.counter("queries.timed_out").value == 1
+            gate.set()
+            assert service.search(_query(), timeout=60.0) == [3]
         finally:
             gate.set()
             service.close()

@@ -97,7 +97,8 @@ class TestStressAgainstSequential:
         # Cache disabled: every request must actually execute concurrently.
         config = ServiceConfig(workers=12, max_pending=48, cache_capacity=0)
         with QueryService(index, config, ranker=ranker) as service:
-            got = [results_as_pairs(r) for r in service.search_batch(requests)]
+            futures = [service.submit(q, block=True) for q in requests]
+            got = [results_as_pairs(f.result(timeout=30)) for f in futures]
             snap = service.metrics_snapshot()
 
         assert got == expected
@@ -128,7 +129,8 @@ class TestStressAgainstSequential:
 
         config = ServiceConfig(workers=8, max_pending=32, cache_capacity=128)
         with QueryService(index, config, ranker=ranker) as service:
-            got = [results_as_pairs(r) for r in service.search_batch(requests)]
+            futures = [service.submit(q, block=True) for q in requests]
+            got = [results_as_pairs(f.result(timeout=30)) for f in futures]
             cache = service.cache.stats()
 
         assert got == expected

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterService, HashPartitioner
-from repro.core.index import I3Index, MutationEvent
+from repro.core.index import I3Index
 from repro.core.recovery import DurableIndex
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
@@ -20,7 +20,6 @@ from repro.model.scoring import Ranker
 from repro.service.service import QueryService, ServiceConfig
 from repro.spatial.geometry import UNIT_SQUARE
 from repro.streaming import (
-    IncrementalMatcher,
     QueryRegistry,
     ResultUpdate,
     StandingQuery,
@@ -420,8 +419,8 @@ class TestClusterStreamRouter:
             cqid = router.register(q)
             assert router.results(cqid) == cluster.search(q).results
             for d in docs[80:]:
-                cluster.insert_document(d)
-            cluster.delete_document(docs[80])
+                cluster.insert(d)
+            cluster.delete(docs[80])
             updates = router.poll()
             assert updates and updates[-1].query_id == cqid
             assert router.results(cqid) == cluster.search(q).results

@@ -265,14 +265,41 @@ class TestCLI:
             main(["build", "--corpus", str(plain),
                   "--temporal-dir", str(tmp_path / "x")])
 
-    def test_temporal_bench_smoke(self, capsys):
-        assert main([
-            "temporal-bench", "--scenario", "burst", "--docs", "300",
-            "--seed", "1", "--horizon", "5000", "--slice-width", "250",
-            "--queries", "30", "--json",
-        ]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["scenario"] == "burst"
-        assert report["queries"] == 30
-        assert 0.0 <= report["sealed_skip_ratio"] <= 1.0
-        assert report["retention"]["slices_dropped"] > 0
+    def test_temporal_bench_smoke(self):
+        """The two temporal headline behaviours on the ``burst``
+        scenario: hot-window queries skip sealed slices, and retention
+        drops whole slices."""
+        import random
+
+        from repro.datasets.generators import TEMPORAL_SCENARIOS
+
+        horizon, width, hot_slices = 5000.0, 250.0, 2.0
+        corpus = TEMPORAL_SCENARIOS["burst"](300, seed=1, horizon=horizon)
+        index = TemporalIndex.build(
+            corpus.space,
+            corpus.temporal_documents(),
+            TemporalConfig(
+                slice_width=width,
+                retention_age=hot_slices * width,
+                page_size=1024,
+            ),
+        )
+        index.advance(horizon)  # everything before "now" seals
+        ranker = Ranker(corpus.space, alpha=0.5)
+        rng = random.Random(1)
+        keywords = corpus.most_frequent_keywords(60)
+        window = TimeRange(horizon - hot_slices * width, horizon)
+        for x, y in corpus.sample_locations(rng, 30):
+            words = tuple(rng.sample(keywords, rng.randint(1, 3)))
+            index.query(
+                TemporalQuery(
+                    TopKQuery(x, y, words, k=10),
+                    time_range=window,
+                    recency=RecencySpec(width, horizon),
+                ),
+                ranker,
+            )
+        assert 0.0 <= index.slice_stats()["skip_ratio"] <= 1.0
+        documents = index.num_documents
+        assert len(index.expire()) > 0
+        assert index.num_documents < documents

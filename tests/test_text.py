@@ -1,7 +1,6 @@
 """Unit tests for the textual substrate: tokenizer, vocab, tf-idf,
 signatures, inverted lists."""
 
-import math
 
 import pytest
 
