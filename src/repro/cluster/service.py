@@ -28,6 +28,16 @@ Results are cached cluster-wide, stamped with the sum of shard epochs,
 so a mutation on any shard invalidates exactly like the single-index
 epoch cache.
 
+This is the only scatter-gather: nothing on the query path asks what
+kind of index a replica serves or what kind of query it carries.
+Replica sets of ``QueryService(TemporalIndex)`` handed to the
+constructor make a time-sliced cluster (``docs/temporal.md``,
+"Sharding × slicing") — a :class:`~repro.temporal.TemporalQuery` is
+routed by the same bound, which stays admissible because recency only
+multiplies a score by a weight in (0, 1] and a time range only removes
+candidates — and :meth:`ClusterService.advance` /
+:meth:`ClusterService.expire` fan the time controls out.
+
 Every shard/replica read — the per-attempt ``search`` and the router's
 ``keyword_bounds`` lookup — goes through a :class:`ShardChannel`, the
 shard-transport seam: production uses the default in-process channel,
@@ -199,14 +209,18 @@ class ClusterConfig:
             raise ValueError(
                 f"scatter_width must be positive, got {self.scatter_width}"
             )
-        if self.attempt_timeout is not None and not self.attempt_timeout > 0:
-            # `not > 0` also rejects NaN, like ServiceConfig.timeout.
+        if self.attempt_timeout is not None and not (
+            0 < self.attempt_timeout < math.inf
+        ):
+            # The chained comparison also rejects NaN, like
+            # ServiceConfig.timeout; "no budget" is spelled None.
             raise ValueError(
-                f"attempt_timeout must be positive, got {self.attempt_timeout}"
+                "attempt_timeout must be positive and finite, "
+                f"got {self.attempt_timeout}"
             )
-        if self.deadline is not None and not self.deadline > 0:
+        if self.deadline is not None and not 0 < self.deadline < math.inf:
             raise ValueError(
-                f"deadline must be positive, got {self.deadline}"
+                f"deadline must be positive and finite, got {self.deadline}"
             )
         _require_non_negative("backoff", self.backoff)
         if self.retry_rounds < 0:
@@ -436,10 +450,23 @@ class ClusterService:
             total += rep.index.epoch
         return total
 
-    # A spatial cluster has no time axis (sharding x slicing is
-    # :class:`~repro.temporal.TemporalCluster`), so front ends must
-    # refuse temporal queries rather than ignore their time range.
-    temporal = None
+    @property
+    def temporal(self):
+        """The shards' temporal handle, as the ``Backend`` protocol
+        reads it: the first replica's (every replica serves the same
+        kind of index).  ``None`` over I3 shards, which have no time
+        axis — front ends then refuse a temporal query rather than
+        ignore its time range."""
+        return self._shards[0][0].service.temporal
+
+    def _provably_empty(self, sid: int) -> bool:
+        """Whether the manifest counts no document on shard ``sid``: an
+        unreachable shard that holds nothing has nothing to lose, so it
+        is skipped without degrading the answer."""
+        return (
+            self.manifest is not None
+            and self.manifest.shards[sid].num_documents == 0
+        )
 
     def streams(self, config=None):
         """Per-subscriber standing queries are a single-index service
@@ -678,25 +705,17 @@ class ClusterService:
         diagonal = self.ranker.space.diagonal
         for sid in range(self.num_shards):
             rep = self._first_alive(sid)
-            if rep is None:
-                if (
-                    self.manifest is not None
-                    and self.manifest.shards[sid].num_documents == 0
-                ):
-                    absent += 1  # empty shard: nothing to lose, not degraded
-                else:
-                    dead.append(sid)
-                continue
-            try:
-                bounds = self._shard_bounds(sid, rep, query.words)
-            except Exception:
-                rep.mark_failure()
-                self.metrics.counter("cluster.route_failures").inc()
-                if (
-                    self.manifest is not None
-                    and self.manifest.shards[sid].num_documents == 0
-                ):
-                    absent += 1  # unreachable but provably empty
+            bounds = None
+            if rep is not None:
+                try:
+                    bounds = self._shard_bounds(sid, rep, query.words)
+                except Exception:
+                    rep.mark_failure()
+                    self.metrics.counter("cluster.route_failures").inc()
+            if bounds is None:
+                # No live replica, or its bounds read failed.
+                if self._provably_empty(sid):
+                    absent += 1
                 else:
                     dead.append(sid)
                 continue
@@ -899,6 +918,39 @@ class ClusterService:
             self._topology.release_read()
 
     # ------------------------------------------------------------------
+    # Time control (temporal shards only)
+    # ------------------------------------------------------------------
+    def advance(self, now: float) -> None:
+        """Advance the temporal watermark of every live replica
+        (:meth:`repro.service.QueryService.advance`, which refuses an
+        I3 shard with ``ValueError``)."""
+        self._each_live_service(lambda service: service.advance(now))
+
+    def expire(self, now: Optional[float] = None) -> Dict[int, List[int]]:
+        """Rolling retention on every live replica; returns ``{shard
+        id: dropped slice ids}``.  A drop bumps that replica's index
+        epoch, which is all it takes to retire cached cluster answers
+        (stamped with the epoch sum) and the shard's router bounds."""
+        return self._each_live_service(lambda service: service.expire(now))
+
+    def _each_live_service(self, call) -> Dict[int, Any]:
+        """``call(service)`` on every live replica under the topology
+        read lock; ``{shard id: what its first live replica returned}``."""
+        if self._closed:
+            raise ServiceClosed("cluster service is closed")
+        self._topology.acquire_read()
+        try:
+            returned: Dict[int, Any] = {}
+            for sid, replicas in enumerate(self._shards):
+                for rep in replicas:
+                    if rep.alive:
+                        result = call(rep.service)
+                        returned.setdefault(sid, result)
+            return returned
+        finally:
+            self._topology.release_read()
+
+    # ------------------------------------------------------------------
     # Workload planning (repro.planner)
     # ------------------------------------------------------------------
     def attach_recorder(self, recorder) -> None:
@@ -937,16 +989,17 @@ class ClusterService:
             )
         if partitioner.space != self.partitioner.space:
             raise ValueError("rebalance cannot change the data space")
+        if self.temporal is not None:
+            # A move is delete + insert of the *timestamped* document,
+            # and the retention horizon may refuse the insert half.
+            raise ValueError("rebalance cannot move temporal shards")
         self._topology.acquire_write()
         try:
             moves: List[Tuple[Any, int, int]] = []
             for sid in range(self.num_shards):
                 rep = self._first_alive(sid)
                 if rep is None:
-                    if (
-                        self.manifest is not None
-                        and self.manifest.shards[sid].num_documents == 0
-                    ):
+                    if self._provably_empty(sid):
                         continue  # empty and dead: nothing to move
                     raise ServiceClosed(
                         f"shard {sid} has no live replica to rebalance from"

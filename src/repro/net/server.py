@@ -315,8 +315,10 @@ class ConnectionCore:
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is None:
             return None
-        if not isinstance(deadline_ms, (int, float)) or math.isnan(
-            float(deadline_ms)
+        # Python's json reads NaN and Infinity; neither is a deadline
+        # ("none" is spelled by leaving the field out).
+        if not isinstance(deadline_ms, (int, float)) or not math.isfinite(
+            deadline_ms
         ):
             raise ProtocolError(f"bad deadline_ms: {deadline_ms!r}")
         remaining = float(deadline_ms) / 1000.0

@@ -29,6 +29,7 @@ answers.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import Future, TimeoutError as FutureTimeout
@@ -98,10 +99,13 @@ class ServiceConfig:
                 f"max_pending ({self.max_pending}) must be >= workers "
                 f"({self.workers}); a smaller bound would idle the pool"
             )
-        if self.timeout is not None and not self.timeout > 0:
-            # `not > 0` (rather than `<= 0`) also rejects NaN, which
-            # would otherwise slip through and disarm every deadline.
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            # The chained comparison also rejects NaN, which would
+            # otherwise slip through and disarm every deadline, and
+            # infinity, which no lock can wait for ("never" is None).
+            raise ValueError(
+                f"timeout must be positive and finite, got {self.timeout}"
+            )
         if self.cache_capacity < 0:
             raise ValueError(
                 f"cache_capacity must be >= 0, got {self.cache_capacity}"
@@ -405,7 +409,10 @@ class QueryService:
         and — the future being cancelled if its task is still queued —
         not a second time by the worker that later dequeues it.
         """
-        wait = timeout
+        # A caller's budget may be any positive float (a wire peer's
+        # ``deadline_ms: 1e300``, an unbounded cluster slice spelled
+        # ``inf``); the lock underneath can wait TIMEOUT_MAX at most.
+        wait = None if timeout is None else min(timeout, threading.TIMEOUT_MAX)
         if self._executor is not None:
             self._executor.run_until(future.done)
             wait = 0
@@ -554,22 +561,16 @@ class QueryService:
         its log (bounds replay work after the next crash).  On a
         temporal target with a durable root, persists every slice."""
         if self._temporal is not None and self._temporal.durable_root is not None:
-            if self._closed:
-                raise ServiceClosed("service is closed")
-            self._rwlock.acquire_write()
-            try:
-                self._temporal.checkpoint()
-            finally:
-                self._rwlock.release_write()
-            self.metrics.counter("service.checkpoints").inc()
-            return
-        if self._durable is None:
+            store: Any = self._temporal
+        elif self._durable is not None:
+            store = self._durable
+        else:
             raise ValueError("checkpoint() requires a DurableIndex target")
         if self._closed:
             raise ServiceClosed("service is closed")
         self._rwlock.acquire_write()
         try:
-            self._durable.checkpoint()
+            store.checkpoint()
         finally:
             self._rwlock.release_write()
         self.metrics.counter("service.checkpoints").inc()

@@ -2,8 +2,9 @@
 
 See :mod:`repro.temporal.model` for the query/document vocabulary,
 :mod:`repro.temporal.index` for the rolling sliced index,
-:mod:`repro.temporal.oracle` for the naive reference implementation,
-and :mod:`repro.temporal.cluster` for sharding composed with slicing.
+:mod:`repro.temporal.oracle` for the naive reference implementation.
+Sharding composed with slicing is :class:`~repro.cluster.ClusterService`
+over replica sets of ``QueryService(TemporalIndex)`` (docs/temporal.md).
 """
 
 from repro.temporal.index import TemporalConfig, TemporalIndex, TimeSlice
@@ -17,13 +18,10 @@ from repro.temporal.model import (
     slice_span,
 )
 from repro.temporal.oracle import NaiveTemporalIndex
-from repro.temporal.cluster import TemporalCluster, TemporalClusterAnswer
 
 __all__ = [
     "NaiveTemporalIndex",
     "RecencySpec",
-    "TemporalCluster",
-    "TemporalClusterAnswer",
     "TemporalConfig",
     "TemporalDocument",
     "TemporalIndex",

@@ -593,18 +593,6 @@ class TemporalIndex:
             else:
                 collector.offer(sd.doc_id, base)
 
-    def upper_bound(
-        self, query: Union[TemporalQuery, TopKQuery], ranker: Ranker
-    ) -> Optional[float]:
-        """Admissible upper bound on any document's final score here,
-        or ``None`` when no slice can contribute — the shard-routing
-        hook :class:`~repro.temporal.cluster.TemporalCluster` uses."""
-        tq = query if isinstance(query, TemporalQuery) else TemporalQuery(query)
-        ranked, _, _ = self._slice_candidates(tq, ranker)
-        if not ranked:
-            return None
-        return ranked[0][0]
-
     def keyword_bound(self, word: str) -> Optional[float]:
         """Max ``keyword_bound`` across live slices (router metadata)."""
         best: Optional[float] = None

@@ -96,7 +96,10 @@ def recency_weight(spec: RecencySpec, ts: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class TemporalDocument:
-    """A spatial document stamped with its ingestion/event time."""
+    """A spatial document stamped with its ingestion/event time.
+
+    ``doc_id``/``x``/``y`` read through to the document, so a
+    partitioner's ``shard_of`` places it exactly like the plain one."""
 
     doc: SpatialDocument
     timestamp: float
@@ -108,6 +111,14 @@ class TemporalDocument:
     @property
     def doc_id(self) -> int:
         return self.doc.doc_id
+
+    @property
+    def x(self) -> float:
+        return self.doc.x
+
+    @property
+    def y(self) -> float:
+        return self.doc.y
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,10 +14,13 @@ import time
 from types import SimpleNamespace
 from typing import Dict, List, Sequence
 
+from repro.cluster import ClusterConfig, ClusterService, ShardReplica
 from repro.model.document import SpatialDocument
+from repro.service import QueryService
 from repro.spatial.geometry import Rect, UNIT_SQUARE
 from repro.storage.iostats import IOStats
 from repro.storage.records import f32
+from repro.temporal import TemporalIndex
 
 DEFAULT_VOCAB = [
     "spicy",
@@ -57,6 +60,39 @@ def make_documents(
 def results_as_pairs(results) -> List[tuple]:
     """Normalise ScoredDoc lists for exact comparison."""
     return [(r.doc_id, round(r.score, 9)) for r in results]
+
+
+def temporal_cluster(
+    tdocs, partitioner, temporal_config=None, config=None,
+    *, clock=None, executor=None, channel=None,
+) -> ClusterService:
+    """Temporal shards on the one scatter-gather, stood up the way
+    docs/temporal.md ("Sharding × slicing") says: every replica a
+    ``QueryService(TemporalIndex)``, handed to the ``ClusterService``
+    constructor and fed oldest-first through ``cluster.insert``.
+    ``clock``/``executor``/``channel`` are the simulation seams."""
+    config = config if config is not None else ClusterConfig()
+    shards = [
+        [
+            ShardReplica(
+                sid, rid,
+                QueryService(
+                    TemporalIndex(partitioner.space, temporal_config),
+                    config.shard_config, clock=clock, executor=executor,
+                ),
+                failure_threshold=config.failure_threshold,
+            )
+            for rid in range(config.replicas)
+        ]
+        for sid in range(partitioner.num_shards)
+    ]
+    cluster = ClusterService(
+        shards, partitioner, config,
+        clock=clock, executor=executor, channel=channel,
+    )
+    for tdoc in sorted(tdocs, key=lambda t: (t.timestamp, t.doc_id)):
+        cluster.insert(tdoc)
+    return cluster
 
 
 def stub_index(gate=None):

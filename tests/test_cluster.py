@@ -546,6 +546,23 @@ class TestClusterMetrics:
         with pytest.raises(ValueError):
             ClusterConfig(cache_capacity=-1)
 
+    def test_unbounded_is_spelled_none_not_infinity(self, rng):
+        """An infinite configured budget is refused up front (it would
+        surface as ``OverflowError`` inside every shard attempt); an
+        infinite *caller* budget just means the caller is in no hurry."""
+        with pytest.raises(ValueError, match="finite"):
+            ClusterConfig(deadline=float("inf"))
+        with pytest.raises(ValueError, match="finite"):
+            ClusterConfig(attempt_timeout=float("inf"))
+        docs = _corpus(rng, count=60)
+        query = TopKQuery(0.5, 0.5, ("bar",), k=3, semantics=Semantics.OR)
+        with _cluster(docs, shards=2, cache_capacity=0) as cluster:
+            unhurried = cluster.search(query, timeout=float("inf"))
+            assert not unhurried.degraded
+            assert unhurried.results == cluster.search(query).results
+            counters = cluster.metrics_snapshot()["counters"]
+            assert counters.get("cluster.attempt_failures", 0) == 0
+
     def test_close_is_idempotent_and_final(self, rng):
         docs = _corpus(rng, count=40)
         cluster = _cluster(docs, shards=2)

@@ -9,6 +9,7 @@ contract of ``docs/wire_protocol.md``.
 """
 
 import json
+import math
 import random
 import socket
 import struct
@@ -24,6 +25,7 @@ from repro.cluster import (
     HashPartitioner,
     ReplicaFault,
     ShardChannel,
+    SpatialGridPartitioner,
 )
 from repro.core.index import I3Index
 from repro.model.document import SpatialDocument
@@ -42,11 +44,25 @@ from repro.net import (
 )
 from repro.net.errors import ConnectionLost, NetError
 from repro.net.protocol import encode_frame, query_to_args, read_frame, results_to_wire
+from repro.net.sim import SimNetServer, sim_client
 from repro.service.service import QueryService, ServiceConfig
+from repro.simtest import SimClock
 from repro.spatial.geometry import UNIT_SQUARE
-from repro.temporal import TemporalQuery, TimeRange
+from repro.temporal import (
+    NaiveTemporalIndex,
+    RecencySpec,
+    TemporalConfig,
+    TemporalDocument,
+    TemporalQuery,
+    TimeRange,
+)
 
-from tests.helpers import DEFAULT_VOCAB, make_documents, stub_index
+from tests.helpers import (
+    DEFAULT_VOCAB,
+    make_documents,
+    stub_index,
+    temporal_cluster,
+)
 
 TENANTS = {
     "tenants": [
@@ -447,6 +463,81 @@ class TestDeadlineOverTheWire:
                 gate.set()
         finally:
             gate.set()
+
+    @pytest.mark.parametrize("transport", ["socket", "sim"])
+    def test_a_deadline_is_a_finite_number(self, served, transport):
+        """``Infinity`` parses as JSON here but is no deadline: refused
+        as a protocol error before any work is admitted — not answered
+        with the ``OverflowError`` of a lock asked to wait forever, its
+        task still running.  A finite but absurd budget is served."""
+        service, server = served
+        query = _queries(1, seed=33)[0]
+        if transport == "socket":
+            client = _client(server, retries=0)
+        else:
+            client = sim_client(
+                SimNetServer(service, clock=SimClock()), retries=0
+            )
+        submitted = service.metrics.counter("queries.submitted")
+        with client:
+            before = submitted.value
+            with pytest.raises(ProtocolError, match="deadline_ms"):
+                client.search(query, deadline_ms=math.inf)
+            with pytest.raises(ProtocolError, match="deadline_ms"):
+                client.search_many([query], deadline_ms=math.inf)
+            assert submitted.value == before
+            assert client.search(query, deadline_ms=1e300) == service.search(query)
+            assert client.search_many([query], deadline_ms=1e300) == [
+                service.search(query)
+            ]
+
+
+class TestTemporalShardsOverTheWire:
+    """Temporal shards behind the one scatter-gather, over a real
+    socket: ``ClusterService.temporal`` is the shards' handle, so the
+    wire serves a ``TemporalQuery`` instead of refusing it."""
+
+    def test_singles_and_batches_match_the_oracle(self):
+        rng = random.Random(19)
+        tdocs = [
+            TemporalDocument(doc, float(rng.randrange(0, 600)))
+            for doc in make_documents(240, rng)
+        ]
+        oracle = NaiveTemporalIndex(UNIT_SQUARE, 50.0)
+        for tdoc in tdocs:
+            oracle.insert(tdoc)
+        queries = [
+            TemporalQuery(
+                base,
+                TimeRange(100.0, 450.0) if i % 2 else None,
+                RecencySpec(80.0, 600.0) if i % 3 else None,
+            )
+            for i, base in enumerate(_queries(36, seed=34))
+        ]
+        with temporal_cluster(
+            tdocs,
+            SpatialGridPartitioner.from_documents(
+                3, UNIT_SQUARE, tdocs, leaf_capacity=16
+            ),
+            TemporalConfig(slice_width=50.0, page_size=256),
+            ClusterConfig(replicas=2),
+        ) as cluster, NetServer(cluster) as server, Client(
+            server.host, server.port
+        ) as client:
+            expected = [oracle.query(tq, cluster.ranker) for tq in queries]
+            singles = [client.search(tq) for tq in queries]
+            cluster.replica(1, 0).kill()  # batches ride the failover
+            batch = client.search_many(queries + queries[:3])
+            for got in (singles, batch[: len(queries)]):
+                assert [json.dumps(results_to_wire(r)) for r in got] == [
+                    json.dumps(results_to_wire(r)) for r in expected
+                ]
+            assert batch[len(queries):] == batch[:3]
+            assert any(expected)
+            # A plain query over temporal shards: all time, no decay.
+            assert client.search(queries[0].base) == oracle.query(
+                queries[0].base, cluster.ranker
+            )
 
 
 class TestHTTPOnMainPort:

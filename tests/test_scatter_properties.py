@@ -10,7 +10,10 @@ slice stays expired at every later time.  The integration test closes
 the loop end to end: a cluster whose every replica is scripted to
 stall (via :class:`repro.net.sim.SimShardChannel` ``delay`` faults)
 must return a *degraded* answer within the deadline on virtual time —
-never hang.
+never hang.  Both run over I3 shards and over temporal shards
+(``QueryService(TemporalIndex)`` replicas): the scatter never asks
+which it is serving, so the deadline and the degraded contract hold
+for a :class:`~repro.temporal.TemporalQuery` by the same code.
 """
 
 from __future__ import annotations
@@ -33,6 +36,16 @@ from repro.net.sim import SimShardChannel
 from repro.service import ServiceConfig
 from repro.simtest import SimClock, SimScheduler
 from repro.spatial.geometry import UNIT_SQUARE
+from repro.temporal import (
+    NaiveTemporalIndex,
+    RecencySpec,
+    TemporalConfig,
+    TemporalDocument,
+    TemporalQuery,
+    TimeRange,
+)
+
+from tests.helpers import results_as_pairs, temporal_cluster
 
 finite_times = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -137,9 +150,10 @@ class TestAttemptBudgetProperties:
         assert timeout == attempt_timeout
 
 
-def _stalling_cluster(deadline, attempt_timeout):
+def _stalling_cluster(deadline, attempt_timeout, temporal=False):
     """A 2-shard, 2-replica cluster on virtual time whose every replica
-    read goes through a scripted chaos channel."""
+    read goes through a scripted chaos channel.  ``temporal`` stamps
+    document ``i`` with time ``i`` and serves time-sliced shards."""
     clock = SimClock()
     sched = SimScheduler(seed=0, clock=clock)
     channel = SimShardChannel(clock)
@@ -147,25 +161,33 @@ def _stalling_cluster(deadline, attempt_timeout):
         SpatialDocument(i, (i % 10) / 10.0, (i // 10) / 10.0, {"pizza": 0.5})
         for i in range(40)
     ]
-    cluster = ClusterService.build(
-        docs,
-        HashPartitioner(2, UNIT_SQUARE),
-        ClusterConfig(
-            replicas=2,
-            scatter_width=2,
-            retry_rounds=1,
-            backoff=0.001,
-            deadline=deadline,
-            attempt_timeout=attempt_timeout,
-            cache_capacity=0,
-            shard_config=ServiceConfig(workers=2, metrics_seed=0),
-            metrics_seed=0,
-        ),
-        clock=clock,
-        executor=sched,
-        channel=channel,
+    partitioner = HashPartitioner(2, UNIT_SQUARE)
+    config = ClusterConfig(
+        replicas=2,
+        scatter_width=2,
+        retry_rounds=1,
+        backoff=0.001,
+        deadline=deadline,
+        attempt_timeout=attempt_timeout,
+        cache_capacity=0,
+        shard_config=ServiceConfig(workers=2, metrics_seed=0),
+        metrics_seed=0,
     )
+    seams = dict(clock=clock, executor=sched, channel=channel)
+    if temporal:
+        cluster = temporal_cluster(
+            [TemporalDocument(doc, float(doc.doc_id)) for doc in docs],
+            partitioner, TemporalConfig(slice_width=10.0), config, **seams,
+        )
+    else:
+        cluster = ClusterService.build(docs, partitioner, config, **seams)
     return clock, channel, cluster
+
+
+PIZZA = TopKQuery(0.5, 0.5, ("pizza",), k=5, semantics=Semantics.OR)
+RECENT_PIZZA = TemporalQuery(
+    PIZZA, TimeRange(5.0, 35.0), RecencySpec(half_life=10.0, origin=40.0)
+)
 
 
 class TestStalledScatterDegrades:
@@ -175,14 +197,17 @@ class TestStalledScatterDegrades:
         attempt_timeout=st.one_of(
             st.none(), st.floats(min_value=0.05, max_value=5.0)
         ),
+        temporal=st.booleans(),
     )
     def test_all_replicas_stalling_degrades_within_deadline(
-        self, deadline, attempt_timeout
+        self, deadline, attempt_timeout, temporal
     ):
         """Every attempt against every replica burns its whole slice and
         fails: the exhausted budget must surface as ``degraded`` within
         the deadline on virtual time, never as a hang."""
-        clock, channel, cluster = _stalling_cluster(deadline, attempt_timeout)
+        clock, channel, cluster = _stalling_cluster(
+            deadline, attempt_timeout, temporal
+        )
         try:
             channel.set_plan(
                 {
@@ -191,7 +216,7 @@ class TestStalledScatterDegrades:
                     for rid in range(2)
                 }
             )
-            query = TopKQuery(0.5, 0.5, ("pizza",), k=5, semantics=Semantics.OR)
+            query = RECENT_PIZZA if temporal else PIZZA
             started = clock()
             answer = cluster.search(query)
             elapsed = clock() - started
@@ -200,6 +225,35 @@ class TestStalledScatterDegrades:
             assert answer.results == []
             assert elapsed <= deadline + 1e-6
             assert math.isfinite(elapsed)
+        finally:
+            channel.clear_plan()
+            cluster.close()
+
+    def test_a_stalled_temporal_shard_degrades_to_the_oracle_over_the_rest(self):
+        """One temporal shard stalls on both replicas through every
+        retry round: the answer is flagged, names the shard, and is
+        exactly the naive oracle over the documents of the shards that
+        did respond — still inside the deadline on virtual time."""
+        clock, channel, cluster = _stalling_cluster(2.0, 0.25, temporal=True)
+        try:
+            channel.set_plan({"1:0": ["delay"] * 8, "1:1": ["delay"] * 8})
+            started = clock()
+            answer = cluster.search(RECENT_PIZZA)
+            assert clock() - started <= 2.0 + 1e-6
+            assert answer.degraded and answer.failed_shards == (1,)
+            survivors = NaiveTemporalIndex(UNIT_SQUARE, 10.0)
+            for i in range(40):
+                if cluster.partitioner.shard_of_id(i) != 1:
+                    survivors.insert(cluster.replica(0).index.get(i))
+            assert answer.results
+            assert results_as_pairs(answer.results) == results_as_pairs(
+                survivors.query(RECENT_PIZZA, cluster.ranker)
+            )
+            # The stall over, the same query is complete again.
+            channel.clear_plan()
+            whole = cluster.search(RECENT_PIZZA)
+            assert not whole.degraded
+            assert len(whole.results) == 5
         finally:
             channel.clear_plan()
             cluster.close()

@@ -403,6 +403,19 @@ class TestAdmissionAndTimeouts:
         with pytest.raises(ValueError):
             ServiceConfig(cache_capacity=-1)
 
+    def test_unbounded_is_spelled_none_not_infinity(self):
+        """``inf`` is no configured timeout (no lock can wait for it),
+        while a caller's own budget may be any positive float: the one
+        wait helper caps it at what a lock accepts."""
+        with pytest.raises(ValueError, match="finite"):
+            ServiceConfig(timeout=float("inf"))
+        with QueryService(_stub_index(), ServiceConfig(workers=1)) as service:
+            for budget in (float("inf"), 1e300, threading.TIMEOUT_MAX * 2):
+                assert service.search(_query(), timeout=budget) == [3]
+                assert service.search_many([_query()], timeout=budget) == [[3]]
+            assert service.metrics.counter("queries.failed").value == 0
+            assert service.metrics.counter("queries.timed_out").value == 0
+
 
 class TestLifecycle:
     def test_submit_after_close_raises(self):

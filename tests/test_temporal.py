@@ -281,10 +281,15 @@ class TestQuery:
                 RecencySpec(10.0, 40.0),
             ),
         ):
-            bound = index.upper_bound(tq, ranker)
+            # The bounds the slice loop ranks and prunes by: every
+            # answer must score no higher than its own slice's bound.
+            ranked, _outside, _unmatched = index._slice_candidates(tq, ranker)
+            bound_of = {sid: bound for bound, sid, _slice, _decay in ranked}
             results = index.query(tq, ranker)
-            if results:
-                assert bound is not None and bound >= results[0].score - 1e-12
+            assert results
+            for sd in results:
+                sid = slice_of(index.get(sd.doc_id).timestamp, 10.0)
+                assert sd.score <= bound_of[sid]
 
 
 # ----------------------------------------------------------------------

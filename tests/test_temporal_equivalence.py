@@ -4,16 +4,18 @@ For both temporal corpus scenarios (time-skewed recency decay and
 burst arrivals), 120 randomized queries mixing time-range filters,
 recency decay, both semantics and assorted k must return results
 **byte-identical** to the naive full-scan oracle — through the
-single-node :class:`TemporalIndex` and through a sharded
-:class:`TemporalCluster`.  Slice pruning, per-slice decay bounds, the
-early-stop rule and the shard router all sit on the hot path these
-comparisons pin down.
+single-node :class:`TemporalIndex` and through temporal shards on
+the one scatter-gather (:class:`ClusterService` over replica sets of
+``QueryService(TemporalIndex)``).  Slice pruning, per-slice decay
+bounds, the early-stop rule and the shard router all sit on the hot
+path these comparisons pin down.
 """
 
 import random
 
 import pytest
 
+from repro.cluster import ClusterConfig
 from repro.cluster.partition import HashPartitioner, SpatialGridPartitioner
 from repro.datasets.generators import TEMPORAL_SCENARIOS
 from repro.model.query import Semantics, TopKQuery
@@ -22,14 +24,13 @@ from repro.spatial.geometry import UNIT_SQUARE
 from repro.temporal import (
     NaiveTemporalIndex,
     RecencySpec,
-    TemporalCluster,
     TemporalConfig,
     TemporalIndex,
     TemporalQuery,
     TimeRange,
 )
 
-from tests.helpers import results_as_pairs
+from tests.helpers import results_as_pairs, temporal_cluster
 
 HORIZON = 5000.0
 SLICE_WIDTH = 250.0
@@ -161,37 +162,75 @@ def make_partitioner(kind, tdocs, queries=()):
     )
 
 
+def sharded(scenario, kind, **config):
+    """The scenario's corpus as temporal shards behind ``ClusterService``,
+    watermark advanced to the horizon (every slice sealed)."""
+    cluster = temporal_cluster(
+        scenario["tdocs"],
+        make_partitioner(kind, scenario["tdocs"], scenario["queries"]),
+        TemporalConfig(slice_width=SLICE_WIDTH, page_size=512),
+        ClusterConfig(**config),
+    )
+    cluster.advance(HORIZON)
+    return cluster
+
+
+def assert_cluster_equivalent(cluster, scenario):
+    """Every query complete (never degraded) and oracle-identical."""
+
+    def answer(tq):
+        got = cluster.search(tq)
+        assert not got.degraded
+        return got.results
+
+    assert_equivalent(
+        f"cluster[{scenario['name']}]",
+        answer,
+        scenario["oracle"],
+        scenario["queries"],
+        cluster.ranker,
+    )
+
+
 class TestSharded:
     @pytest.mark.parametrize("kind", ["hash", "grid", "workload"])
     def test_matches_oracle(self, scenario, kind):
-        cluster = TemporalCluster.build(
-            UNIT_SQUARE,
-            scenario["tdocs"],
-            make_partitioner(kind, scenario["tdocs"], scenario["queries"]),
-            TemporalConfig(slice_width=SLICE_WIDTH, page_size=512),
-        )
-        cluster.advance(HORIZON)
-        assert_equivalent(
-            f"cluster[{scenario['name']}]",
-            cluster.query,
-            scenario["oracle"],
-            scenario["queries"],
-            cluster.ranker,
-        )
-        assert cluster.queries == N_QUERIES
+        with sharded(scenario, kind) as cluster:
+            assert_cluster_equivalent(cluster, scenario)
+            counters = cluster.metrics_snapshot()["counters"]
+            assert counters["cluster.queries"] == N_QUERIES
+
+    @pytest.mark.parametrize("kind", ["hash", "grid", "workload"])
+    def test_matches_oracle_with_two_replicas(self, scenario, kind):
+        """Round-robin reads over two replicas, then the same stream
+        again with every primary dead: failover, never a wrong answer."""
+        with sharded(scenario, kind, replicas=2, cache_capacity=0) as cluster:
+            assert_cluster_equivalent(cluster, scenario)
+            for sid in range(cluster.num_shards):
+                cluster.replica(sid, 0).kill()
+            assert_cluster_equivalent(cluster, scenario)
+            counters = cluster.metrics_snapshot()["counters"]
+            assert counters["cluster.failovers"] > 0
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("kind", ["hash", "grid", "workload"])
+    def test_matches_oracle_at_scatter_width(self, scenario, kind, width):
+        with sharded(scenario, kind, scatter_width=width) as cluster:
+            assert_cluster_equivalent(cluster, scenario)
 
     def test_router_skips_shards_on_selective_queries(self, scenario):
-        cluster = TemporalCluster.build(
-            UNIT_SQUARE,
-            scenario["tdocs"],
-            make_partitioner("grid", scenario["tdocs"]),
-            TemporalConfig(slice_width=SLICE_WIDTH, page_size=512),
-        )
-        for tq in scenario["queries"]:
-            cluster.search(tq)
+        with sharded(scenario, "grid", scatter_width=1) as cluster:
+            for tq in scenario["queries"]:
+                cluster.search(tq)
+            counters = cluster.metrics_snapshot()["counters"]
         # Spatial partitioning makes distant shards' bounds fall below
-        # delta for selective queries; the router must use that.
-        assert cluster.shards_skipped > 0
+        # delta for selective queries, and a shard missing a required
+        # keyword is never a candidate; the router must use both.
+        assert (
+            counters.get("cluster.shards_pruned", 0)
+            + counters.get("cluster.shards_no_candidates", 0)
+        ) > 0
+        assert counters["cluster.shards_queried"] < N_QUERIES * cluster.num_shards
 
 
 class TestMutationsPreserveEquivalence:

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the temporal subsystem.
 
-Three load-bearing properties:
+Four load-bearing properties:
 
 1. **slice-boundary assignment** — every finite timestamp belongs to
    exactly one slice: ``slice_of`` lands inside its own span, and no
@@ -11,15 +11,21 @@ Three load-bearing properties:
    slice span has aged out, nothing else;
 3. **recency monotonicity** — at equal relevance an older document
    never scores higher: the decay weight is monotone non-decreasing in
-   the timestamp and always in ``(0, 1]``.
+   the timestamp and always in ``(0, 1]``;
+4. **routed-bound admissibility** — over temporal shards the cluster
+   router never ranks a shard below a document it holds, and never
+   counts a shard absent that holds a qualifying document, whatever
+   the placement and whether the query carries a range, a decay, both
+   or neither.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster import HashPartitioner, SpatialGridPartitioner
 from repro.model.document import SpatialDocument
-from repro.model.query import TopKQuery
+from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
 from repro.simtest.simfs import SimFileSystem
 from repro.spatial.geometry import UNIT_SQUARE
@@ -37,7 +43,7 @@ from repro.temporal import (
     slice_span,
 )
 
-from tests.helpers import results_as_pairs
+from tests.helpers import results_as_pairs, temporal_cluster
 
 timestamps = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -203,42 +209,85 @@ def test_equal_relevance_orders_by_recency(docs, half_life, origin):
 # ----------------------------------------------------------------------
 # Oracle equivalence over arbitrary corpora (mini, randomized shapes)
 # ----------------------------------------------------------------------
+@st.composite
+def temporal_queries(draw):
+    """Range, recency, both or neither, over the corpora's time span."""
+    words = tuple(sorted(draw(st.sets(small_words, min_size=1, max_size=3))))
+    base = TopKQuery(
+        draw(coords), draw(coords), words,
+        k=draw(st.integers(min_value=1, max_value=8)),
+        semantics=draw(st.sampled_from(list(Semantics))),
+    )
+    start = draw(st.floats(min_value=-10.0, max_value=90.0, allow_nan=False))
+    return TemporalQuery(
+        base,
+        time_range=draw(st.one_of(
+            st.none(),
+            st.just(TimeRange(start, start + draw(
+                st.floats(min_value=1.0, max_value=60.0, allow_nan=False)
+            ))),
+        )),
+        recency=draw(st.one_of(st.none(), st.just(
+            RecencySpec(
+                draw(st.floats(min_value=1.0, max_value=50.0, allow_nan=False)),
+                draw(st.floats(min_value=0.0, max_value=120.0, allow_nan=False)),
+            )
+        ))),
+    )
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    docs=temporal_corpora(),
-    data=st.data(),
-)
-def test_arbitrary_corpus_matches_oracle(docs, data):
+@given(docs=temporal_corpora(), tq=temporal_queries())
+def test_arbitrary_corpus_matches_oracle(docs, tq):
     index = TemporalIndex.build(
         UNIT_SQUARE, docs, TemporalConfig(slice_width=10.0, page_size=256)
     )
     oracle = NaiveTemporalIndex(UNIT_SQUARE, 10.0)
     for tdoc in docs:
         oracle.insert(tdoc)
-    words = tuple(sorted(data.draw(
-        st.sets(small_words, min_size=1, max_size=3)
-    )))
-    base = TopKQuery(
-        data.draw(coords), data.draw(coords), words,
-        k=data.draw(st.integers(min_value=1, max_value=8)),
-    )
-    start = data.draw(st.floats(min_value=-10.0, max_value=90.0, allow_nan=False))
-    tq = TemporalQuery(
-        base,
-        time_range=data.draw(st.one_of(
-            st.none(),
-            st.just(TimeRange(start, start + data.draw(
-                st.floats(min_value=1.0, max_value=60.0, allow_nan=False)
-            ))),
-        )),
-        recency=data.draw(st.one_of(st.none(), st.just(
-            RecencySpec(
-                data.draw(st.floats(min_value=1.0, max_value=50.0, allow_nan=False)),
-                data.draw(st.floats(min_value=0.0, max_value=120.0, allow_nan=False)),
-            )
-        ))),
-    )
     ranker = Ranker(UNIT_SQUARE)
     assert results_as_pairs(index.query(tq, ranker)) == results_as_pairs(
         oracle.query(tq, ranker)
     )
+
+
+# ----------------------------------------------------------------------
+# 4. Routed-bound admissibility over temporal shards
+# ----------------------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+@given(
+    docs=temporal_corpora(),
+    tq=temporal_queries(),
+    placement=st.sampled_from(["hash", "grid"]),
+    num_shards=st.integers(min_value=1, max_value=4),
+)
+def test_routed_bound_is_admissible_for_temporal_shards(
+    docs, tq, placement, num_shards
+):
+    partitioner = (
+        HashPartitioner(num_shards, UNIT_SQUARE)
+        if placement == "hash"
+        else SpatialGridPartitioner.from_documents(
+            num_shards, UNIT_SQUARE, docs, leaf_capacity=3
+        )
+    )
+    with temporal_cluster(
+        docs, partitioner, TemporalConfig(slice_width=10.0, page_size=256)
+    ) as cluster:
+        ranked, absent, dead = cluster._route(tq)
+        assert not dead
+        assert len(ranked) + absent == num_shards
+        bound_of = {sid: bound for bound, sid in ranked}
+        for tdoc in docs:
+            if tq.time_range is not None and not tq.time_range.contains(
+                tdoc.timestamp
+            ):
+                continue
+            score = cluster.ranker.score_document(tq.base, tdoc.doc)
+            if score is None:
+                continue
+            if tq.recency is not None:
+                score *= recency_weight(tq.recency, tdoc.timestamp)
+            # A qualifying document: its shard was ranked (not counted
+            # absent), at a bound the document cannot exceed.
+            assert score <= bound_of[partitioner.shard_of(tdoc)]

@@ -1,13 +1,21 @@
 """Service-tier integration of the temporal index: QueryService
-composition, per-slice metrics (snapshot + Prometheus), standing
-queries aging out under retention, the wire protocol's temporal
-fields, and the CLI surfaces.
+composition, per-slice metrics (snapshot + Prometheus), temporal
+shards behind ``ClusterService`` (placement, time-control fan-out,
+failover, cache invalidation by retention), standing queries aging out
+under retention, the wire protocol's temporal fields, and the CLI
+surfaces.
 """
 
 import json
 
 import pytest
 
+from repro.cluster import (
+    ClusterConfig,
+    ClusterService,
+    HashPartitioner,
+    SpatialGridPartitioner,
+)
 from repro.core.index import I3Index
 from repro.cli import main
 from repro.model.query import Semantics, TopKQuery
@@ -22,6 +30,7 @@ from repro.storage.records import f32
 from repro.model.document import SpatialDocument
 from repro.streaming import StreamConfig
 from repro.temporal import (
+    NaiveTemporalIndex,
     RecencySpec,
     TemporalConfig,
     TemporalDocument,
@@ -30,7 +39,7 @@ from repro.temporal import (
     TimeRange,
 )
 
-from tests.helpers import results_as_pairs
+from tests.helpers import results_as_pairs, temporal_cluster
 
 
 def tdoc(doc_id, ts, words=("cafe",), x=0.5, y=0.5):
@@ -110,6 +119,143 @@ class TestQueryService:
             svc.checkpoint()
         reopened = TemporalIndex.open(root)
         assert reopened.num_documents == 8
+
+
+def spread(n=24):
+    """Documents on a diagonal, one every 5 time units."""
+    return [
+        tdoc(i, float(i * 5), x=(i % 12) / 12.0, y=((i * 7) % 12) / 12.0)
+        for i in range(n)
+    ]
+
+
+def sharded(tdocs, partitioner=None, retention=None, **config):
+    return temporal_cluster(
+        tdocs,
+        partitioner or HashPartitioner(3, UNIT_SQUARE),
+        TemporalConfig(slice_width=10.0, retention_age=retention, page_size=256),
+        ClusterConfig(shard_config=ServiceConfig(workers=1), **config),
+    )
+
+
+CAFES = TemporalQuery(
+    TopKQuery(0.5, 0.5, ("cafe",), k=6), recency=RecencySpec(40.0, 120.0)
+)
+
+
+class TestTemporalShards:
+    """``ClusterService`` over ``QueryService(TemporalIndex)`` replicas:
+    the one scatter-gather serves them with no code of their own."""
+
+    def test_the_temporal_handle_is_the_shards(self):
+        with sharded(spread()) as cluster:
+            assert cluster.temporal is cluster.replica(0).service.temporal
+            assert cluster.temporal is not None
+        docs = [t.doc for t in spread()]
+        with ClusterService.build(
+            docs, HashPartitioner(2, UNIT_SQUARE)
+        ) as plain:
+            assert plain.temporal is None
+            with pytest.raises(ValueError, match="TemporalIndex"):
+                plain.advance(10.0)
+            with pytest.raises(ValueError, match="TemporalIndex"):
+                plain.expire()
+
+    def test_spatial_placement_reads_the_timestamped_document(self):
+        """``SpatialGridPartitioner.shard_of(tdoc)`` reads ``.x``/``.y``
+        off the temporal document, so routed inserts and deletes work
+        under a spatial placement, not only under hash."""
+        tdocs = spread()
+        partitioner = SpatialGridPartitioner.from_documents(
+            3, UNIT_SQUARE, tdocs, leaf_capacity=4
+        )
+        with sharded(tdocs, partitioner) as cluster:
+            for t in tdocs:
+                home = partitioner.shard_of_point(t.doc.x, t.doc.y)
+                for sid in range(3):
+                    held = cluster.replica(sid).index.get(t.doc_id)
+                    assert (held is not None) == (sid == home)
+            assert cluster.delete(tdocs[3])
+            oracle = NaiveTemporalIndex(UNIT_SQUARE, 10.0)
+            for t in tdocs[:3] + tdocs[4:]:
+                oracle.insert(t)
+            answer = cluster.search(CAFES)
+            assert not answer.degraded
+            assert results_as_pairs(answer.results) == results_as_pairs(
+                oracle.query(CAFES, cluster.ranker)
+            )
+
+    def test_killing_a_primary_keeps_answers_exact(self):
+        tdocs = spread()
+        oracle = NaiveTemporalIndex(UNIT_SQUARE, 10.0)
+        for t in tdocs:
+            oracle.insert(t)
+        expected = results_as_pairs(oracle.query(CAFES, Ranker(UNIT_SQUARE)))
+        with sharded(tdocs, replicas=2) as cluster:
+            failovers = cluster.metrics.counter("cluster.failovers")
+            assert results_as_pairs(cluster.search(CAFES).results) == expected
+            for sid in range(cluster.num_shards):
+                cluster.replica(sid, 0).kill()
+            # Same epoch, same key: the cluster cache answers, no shard
+            # is asked and so no failover is counted ...
+            cached = cluster.search(CAFES)
+            assert cached.from_cache and failovers.value == 0
+            assert results_as_pairs(cached.results) == expected
+            # ... until a query the cache has not seen reaches the shards.
+            other = TemporalQuery(CAFES.base, TimeRange(0.0, 200.0), CAFES.recency)
+            fresh = cluster.search(other)
+            assert not fresh.from_cache and not fresh.degraded
+            assert results_as_pairs(fresh.results) == expected
+            assert failovers.value == cluster.num_shards
+
+    def test_expire_retires_cached_answers_and_router_bounds(self):
+        tdocs = spread()
+        oracle = NaiveTemporalIndex(UNIT_SQUARE, 10.0, retention_age=60.0)
+        for t in tdocs:
+            oracle.insert(t)
+        with sharded(tdocs, retention=60.0, replicas=2) as cluster:
+            plain = CAFES.base  # no decay: the oldest documents compete
+            before = cluster.search(plain)
+            assert cluster.search(plain).from_cache
+            misses = cluster.metrics.counter("cluster.bounds_cache_misses")
+            fetched, epoch = misses.value, cluster.epoch
+
+            cluster.advance(150.0)  # seals slices; answers unchanged
+            assert cluster.epoch == epoch
+            assert cluster.search(plain).from_cache
+
+            dropped = cluster.expire()
+            gone = set(oracle.expire(150.0))
+            assert gone and set(dropped) == set(range(cluster.num_shards))
+            assert any(dropped.values())
+            for sid, replicas in enumerate(cluster._shards):
+                # Every live replica dropped the same slices.
+                assert len({tuple(sorted(
+                    rep.index.live_slice_ids())) for rep in replicas}) == 1
+            # The epoch bump inside each replica's expire() is the whole
+            # invalidation: the cached answer held dropped documents and
+            # must not be served again, and the router refetches bounds.
+            assert cluster.epoch > epoch
+            assert gone & {sd.doc_id for sd in before.results}
+            after = cluster.search(plain)
+            assert not after.from_cache and not after.degraded
+            assert misses.value > fetched
+            assert results_as_pairs(after.results) == results_as_pairs(
+                oracle.query(plain, cluster.ranker)
+            )
+            assert not gone & {sd.doc_id for sd in after.results}
+
+    def test_rebalance_refuses_temporal_shards_before_moving_anything(self):
+        tdocs = spread()
+        with sharded(tdocs) as cluster:
+            epoch = cluster.epoch
+            with pytest.raises(ValueError, match="temporal"):
+                cluster.rebalance(
+                    SpatialGridPartitioner.from_documents(3, UNIT_SQUARE, tdocs)
+                )
+            assert cluster.epoch == epoch
+            assert isinstance(cluster.partitioner, HashPartitioner)
+            assert not cluster.search(CAFES).degraded
 
 
 class TestStandingQueriesAgeOut:
