@@ -1,15 +1,18 @@
-"""Concurrent search: serving one index to many clients at once.
+"""Concurrent search: serving one index to many callers at once.
 
 Everything else in ``examples/`` calls the index from a single thread.
 This walkthrough stands up the serving tier instead: a
-:class:`repro.QueryService` wraps the database with a worker pool, an
-admission-controlled queue, a result cache that invalidates itself on
-updates, and latency/throughput metrics.
+:class:`repro.QueryService` puts an admission-controlled queue in front
+of the database and answers it on one lane — many callers, one query
+at a time, in the order they were admitted — with a result cache that
+invalidates itself on updates, and metrics that say how long a query
+waited for its turn.
 
 Run with:  python examples/concurrent_search.py
 """
 
 import random
+import threading
 
 from repro import QueryService, ServiceConfig, SpatialKeywordDatabase, TopKQuery
 from repro.service import ServiceOverloaded
@@ -38,10 +41,10 @@ def main() -> None:
     print(f"indexed {len(db)} places")
 
     # ------------------------------------------------------------------
-    # 2. A serving tier: 4 workers, at most 16 admitted queries, a
-    #    128-entry result cache, and a half-second per-query deadline.
+    # 2. A serving tier: at most 16 admitted queries, a 128-entry
+    #    result cache, and a half-second per-query deadline.
     # ------------------------------------------------------------------
-    config = ServiceConfig(workers=4, max_pending=16, timeout=0.5,
+    config = ServiceConfig(max_pending=16, timeout=0.5,
                            cache_capacity=128, metrics_seed=7)
     with QueryService(db, config) as service:
         # A skewed request stream: a few hot queries dominate, the way
@@ -56,24 +59,42 @@ def main() -> None:
         ]
         stream = [hot if rng.random() < 0.6 else rng.choice(cold)
                   for _ in range(60)]
+        sequential = [
+            [(h.doc_id, h.score) for h in db.search(q.x, q.y, list(q.words), k=q.k)]
+            for q in stream
+        ]
 
-        # submit() -> Future fans the stream across the pool (block=True
-        # waits for a queue slot instead of shedding); answers come back
-        # in request order, identical to sequential execution.
-        print(f"\nserving {len(stream)} queries on {config.workers} workers...")
-        futures = [service.submit(query, block=True) for query in stream]
-        answers = [future.result() for future in futures]
+        # Six callers share the service.  Each submit() takes a slot in
+        # the queue (block=True waits for one instead of shedding) and
+        # the lane answers the queue in order: however the callers
+        # interleave, every answer is the sequential one.
+        callers = 6
+        answers = [None] * len(stream)
+
+        def caller(first: int) -> None:
+            for i in range(first, len(stream), callers):
+                answers[i] = service.submit(stream[i], block=True).result()
+
+        threads = [threading.Thread(target=caller, args=(n,)) for n in range(callers)]
+        print(f"\nserving {len(stream)} queries from {callers} caller threads...")
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert [[(h.doc_id, h.score) for h in hits] for hits in answers] == sequential
+        print("every answer identical to sequential db.search")
         top = answers[stream.index(hot)][0]
         print(f"hot query top hit: {PLACES[top.doc_id][0]!r} "
               f"(score {top.score:.3f})")
+        turn = service.metrics_snapshot()["histograms"]["queue_wait_ms"]
+        print(f"wait for a turn (queue_wait_ms): p50 {turn['p50']:.3f}  "
+              f"p95 {turn['p95']:.3f}")
 
-        # search_many runs a whole batch as ONE admitted unit on one
-        # worker: one index epoch for every answer, duplicates executed
-        # once, and the same answers as the fan-out above.
+        # search_many runs a whole batch as ONE admitted unit — one
+        # turn on the lane: one index epoch for every answer, duplicates
+        # executed once, and the same answers as the callers got above.
         batch = service.search_many(stream)
-        assert [[(h.doc_id, h.score) for h in hits] for hits in batch] == [
-            [(h.doc_id, h.score) for h in hits] for hits in answers
-        ]
+        assert [[(h.doc_id, h.score) for h in hits] for hits in batch] == sequential
         print(f"search_many: the same {len(batch)} answers from one batch")
 
         # A single query is search(): submit, then wait no longer than
@@ -91,13 +112,24 @@ def main() -> None:
               f"{[h.doc_id for h in refreshed]}")
 
         # Overload behaviour is typed: a full queue sheds instead of
-        # building unbounded latency. (With the pool idle this submit
-        # is admitted; ServiceOverloaded is what heavy traffic sees.)
-        try:
-            service.submit(hot).result()
-            print("queue had room: query admitted and served")
-        except ServiceOverloaded as exc:
-            print(f"shed: {exc}")
+        # building unbounded latency.  Deliberately small here: two
+        # slots, and an update holding the index so nothing drains while
+        # a burst of five arrives — two are admitted, three are shed.
+        with QueryService(db, ServiceConfig(max_pending=2)) as small:
+            admitted, shed = [], []
+
+            def burst(_db) -> None:
+                for query in stream[:5]:
+                    try:
+                        admitted.append(small.submit(query))
+                    except ServiceOverloaded as exc:
+                        shed.append(exc)
+
+            small.mutate(burst)
+            answered = [future.result() for future in admitted]
+            print(f"\nmax_pending=2, burst of 5: {len(answered)} admitted and "
+                  f"answered, {len(shed)} shed")
+            print(f"  shed: {shed[0]}")
 
         # ------------------------------------------------------------------
         # 4. What the operators see: counters, queue depth, latency
@@ -112,7 +144,7 @@ def main() -> None:
         print(f"  result cache: {snap['cache']['hits']} hits / "
               f"{snap['cache']['hits'] + snap['cache']['misses']} lookups")
         print(f"  qps since start: {snap['service']['qps']:.0f}")
-    print("\nservice closed; workers drained")
+    print("\nservice closed; queue drained")
 
 
 if __name__ == "__main__":

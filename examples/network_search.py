@@ -51,8 +51,7 @@ def main() -> None:
         db.add(doc_id, x, y, text)
     print(f"indexed {len(db)} places")
 
-    config = ServiceConfig(workers=2, max_pending=16, cache_capacity=64,
-                           metrics_seed=7)
+    config = ServiceConfig(max_pending=16, cache_capacity=64, metrics_seed=7)
     with QueryService(db, config) as service:
         server = NetServer(
             service,

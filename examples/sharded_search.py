@@ -56,7 +56,7 @@ def main() -> None:
         replicas=2,
         scatter_width=2,
         cache_capacity=0,  # every request exercises the scatter path
-        shard_config=ServiceConfig(workers=2, metrics_seed=0),
+        shard_config=ServiceConfig(metrics_seed=0),
         metrics_seed=0,
     )
     mono = I3Index(UNIT_SQUARE)

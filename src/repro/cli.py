@@ -286,8 +286,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tenants = TenantDirectory.open()
         roster = "(open access — no API keys configured)"
     config = ServiceConfig(
-        workers=args.workers,
-        max_pending=max(args.max_pending, args.workers),
+        max_pending=args.max_pending,
         timeout=args.timeout,
         cache_capacity=args.cache,
         metrics_seed=args.seed,
@@ -334,7 +333,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     fh.write("\n")
             print(
                 f"serving on {server.host}:{server.port} "
-                f"(workers={args.workers}, tenants: {roster})",
+                f"(tenants: {roster})",
                 file=sys.stderr,
             )
             if exporter is not None:
@@ -721,7 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the bound address as JSON here once ready "
         "(supervisors and tests poll this)",
     )
-    server.add_argument("--workers", type=int, default=4)
     server.add_argument(
         "--max-pending", type=int, default=1024,
         help="service-wide admission limit (queued + running queries)",

@@ -2,7 +2,8 @@
 
 A shard is served by one or more replicas, each a full copy of the
 shard's index behind its own :class:`~repro.service.QueryService`
-(per-shard admission control and worker pool come with it).  The
+(per-shard admission control and the one lane that executes its
+queries come with it).  The
 cluster router talks to replicas through this wrapper, which adds the
 three things a router needs that a service does not provide:
 
@@ -106,7 +107,7 @@ class ShardReplica:
     @property
     def index(self):
         """The replica's underlying :class:`~repro.core.index.I3Index`."""
-        return self.service._index
+        return self.service.index
 
     # ------------------------------------------------------------------
     # Health

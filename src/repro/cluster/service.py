@@ -3,7 +3,7 @@
 One :class:`~repro.service.QueryService` serves one index; this module
 serves many.  A :class:`ClusterService` owns ``num_shards`` replica
 sets (each replica a full :class:`~repro.core.index.I3Index` behind its
-own query service, so admission control and worker pools are per
+own query service, so admission control and turn-taking are per
 shard), routes mutations through the partitioner, and answers top-k
 queries by scatter-gather with two correctness-preserving shortcuts:
 

@@ -1,10 +1,10 @@
 """A process-pool query executor over an mmap-served snapshot.
 
-Thread-based serving (:class:`~repro.service.QueryService`) keeps one
+In-process serving (:class:`~repro.service.QueryService`) keeps one
 mutable index consistent under a read/write lock, but Python threads
-share one GIL: per-query CPU (traversal, scoring) serialises, so QPS
-plateaus as workers grow — two in-process callers together answer
-fewer queries than one (``docs/exec.md``, "The next rung").
+share one GIL: per-query CPU (traversal, scoring) serialises — two
+in-process traversals together answer fewer queries than one, which is
+why a service runs one at a time (``docs/exec.md``, "Taking turns").
 :class:`SnapshotProcessPool` trades mutability for
 parallelism: it freezes the index into an I3IX v2 snapshot file and
 fans queries out to worker *processes*, each of which opens the file

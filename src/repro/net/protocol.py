@@ -68,7 +68,7 @@ MAX_FRAME_BYTES = 1 << 20
 
 # Ceiling on one query_many request's batch size.  Keeps a single
 # dispatch (which runs the whole batch as one admitted unit server-side)
-# from monopolising a worker, independent of the frame-size bound.
+# from monopolising the lane, independent of the frame-size bound.
 MAX_BATCH_QUERIES = 256
 
 _HEADER = struct.Struct("!I")

@@ -81,6 +81,10 @@ _HTTP_METHOD_PREFIXES = (b"GET ", b"HEAD", b"POST", b"PUT ", b"DELE", b"OPTI")
 # connection thread for 4 GiB.
 _REFUSED_DRAIN_FRAMES = 16
 
+# Listen backlog: covers a burst of dials between two trips of the accept
+# loop; ``max_connections`` is the front door's one concurrency setting.
+_LISTEN_BACKLOG = 128
+
 
 @dataclass(frozen=True)
 class NetServerConfig:
@@ -95,7 +99,6 @@ class NetServerConfig:
             before the server drops it (``None`` = never).
         max_connections: Concurrent connections; further accepts are
             answered with one ``overloaded`` error frame and closed.
-        backlog: Listen backlog.
         drain_timeout: Seconds ``close()`` waits for in-flight requests
             to answer before force-closing sockets.
     """
@@ -105,7 +108,6 @@ class NetServerConfig:
     max_frame: int = MAX_FRAME_BYTES
     read_timeout: Optional[float] = 30.0
     max_connections: int = 128
-    backlog: int = 128
     drain_timeout: float = 5.0
 
     def __post_init__(self) -> None:
@@ -477,7 +479,7 @@ class NetServer:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.config.host, self.config.port))
-        listener.listen(self.config.backlog)
+        listener.listen(_LISTEN_BACKLOG)
         # A blocked accept() does not reliably wake when another thread
         # closes the listener; poll so shutdown is bounded.
         listener.settimeout(0.2)

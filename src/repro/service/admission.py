@@ -1,4 +1,4 @@
-"""Admission control: a bounded-pending gate in front of the worker pool.
+"""Admission control: a bounded-pending gate in front of the lane.
 
 Unbounded queues turn overload into unbounded latency — every query
 eventually gets served, long after its caller stopped caring.  The

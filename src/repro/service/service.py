@@ -5,8 +5,10 @@ production search tier (the ROADMAP's north star, and what FAST
 (arXiv:1709.02529) builds for spatio-textual data) needs the layer this
 module provides:
 
-* a **bounded worker pool** executing queries concurrently against one
-  shared index and one shared buffer pool;
+* **one lane** — a single traversal thread per service, fed by a FIFO
+  queue, so queries take turns in the order they were admitted (under
+  one interpreter lock a second traversal thread only adds hand-offs:
+  DESIGN.md "Taking turns");
 * **admission control** — a configurable pending limit with load
   shedding (:class:`~repro.service.errors.ServiceOverloaded`) for
   interactive callers and blocking backpressure for batch callers;
@@ -19,12 +21,13 @@ module provides:
   :meth:`QueryService.metrics_snapshot` and, as a Prometheus page, by
   ``repro serve``.
 
-Reads run concurrently (shared lock); mutations submitted through
+The lane and out-of-band readers (:meth:`QueryService.read`) hold the
+shared side of one lock; mutations submitted through
 :meth:`QueryService.insert` / :meth:`QueryService.delete` /
 :meth:`QueryService.mutate` take the exclusive side, so queries never
 observe a half-applied update.  Results are exactly those of calling
-``I3Index.query`` sequentially — concurrency changes throughput, never
-answers.
+``I3Index.query`` sequentially — how many callers there are changes
+who waits for whom, never answers.
 """
 
 from __future__ import annotations
@@ -62,14 +65,12 @@ class ServiceConfig:
     """Tuning knobs of a :class:`QueryService`.
 
     Attributes:
-        workers: Worker threads executing queries.
         max_pending: Admission limit — queued plus running queries; a
             non-blocking submit beyond it is shed.
         timeout: Per-query deadline in seconds (``None`` = no deadline):
             enforced both while queued (expired queries are never run)
             and while the caller waits for the result.
         cache_capacity: Result-cache entries; ``0`` disables the cache.
-        metrics_reservoir: Latency-histogram reservoir size.
         metrics_seed: Seed for the histogram reservoirs (reproducible
             quantiles in tests/benchmarks); ``None`` = nondeterministic.
         engine: Execution engine for index queries (``"tuple"`` /
@@ -79,25 +80,20 @@ class ServiceConfig:
             Both engines return byte-identical results.
     """
 
-    workers: int = 4
     max_pending: int = 64
     timeout: Optional[float] = None
     cache_capacity: int = 256
-    metrics_reservoir: int = 1024
     metrics_seed: Optional[int] = None
     engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.workers <= 0:
-            raise ValueError(f"workers must be positive, got {self.workers}")
         if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if self.max_pending < self.workers:
+        if self.max_pending <= 0:
             raise ValueError(
-                f"max_pending ({self.max_pending}) must be >= workers "
-                f"({self.workers}); a smaller bound would idle the pool"
+                f"max_pending must be positive, got {self.max_pending}"
             )
         if self.timeout is not None and not 0 < self.timeout < math.inf:
             # The chained comparison also rejects NaN, which would
@@ -178,8 +174,20 @@ class _Task:
 _SHUTDOWN = object()
 
 
+def _lock_wait(timeout: Optional[float]) -> Optional[float]:
+    """``timeout`` as a lock accepts it.  A caller's budget may be any
+    positive float (a wire peer's ``deadline_ms: 1e300``, an unbounded
+    cluster slice spelled ``inf``); a lock waits TIMEOUT_MAX at most."""
+    return None if timeout is None else min(timeout, threading.TIMEOUT_MAX)
+
+
 class QueryService:
-    """A thread-based concurrent query service over one index.
+    """A query service over one index: many callers, one lane.
+
+    Every query — ``submit``, ``search``, a ``search_many`` batch — is
+    admitted into one FIFO queue and executed by the service's single
+    traversal thread, so the queue *is* the turn order and the
+    ``queue_wait_ms`` histogram is the time a query waited for its turn.
 
     ``target`` is either a raw :class:`~repro.core.index.I3Index` (query
     results are :class:`~repro.model.results.ScoredDoc` lists), a
@@ -187,9 +195,10 @@ class QueryService:
     :class:`~repro.db.SearchHit` lists), or a
     :class:`~repro.core.recovery.DurableIndex` (index-style results,
     with mutations going through the write-ahead log and
-    :meth:`recover`/:meth:`checkpoint` available).  Either way all
-    workers share the target's buffer pool and I/O counters — the
-    storage layer's locks (see :mod:`repro.storage`) make that safe.
+    :meth:`recover`/:meth:`checkpoint` available).  Either way the
+    lane shares the target's buffer pool and I/O counters with
+    :meth:`read` callers, streams and anyone using the index directly —
+    the storage layer's locks (see :mod:`repro.storage`) make that safe.
 
     Use as a context manager or call :meth:`close` when done.
     """
@@ -206,8 +215,8 @@ class QueryService:
         """``clock`` and ``executor`` are the deterministic-simulation
         seams (:mod:`repro.simtest`): ``clock`` replaces
         ``time.monotonic`` and ``executor`` (a
-        :class:`~repro.simtest.SimScheduler`) replaces the worker
-        threads — queries then execute as cooperatively scheduled steps
+        :class:`~repro.simtest.SimScheduler`) replaces the lane's
+        thread — queries then execute as cooperatively scheduled steps
         whose interleaving is a pure function of the scheduler's seed.
         Leave both ``None`` in production."""
         self.config = config if config is not None else ServiceConfig()
@@ -245,10 +254,7 @@ class QueryService:
         self.metrics = (
             metrics
             if metrics is not None
-            else MetricsRegistry(
-                histogram_reservoir=self.config.metrics_reservoir,
-                seed=self.config.metrics_seed,
-            )
+            else MetricsRegistry(seed=self.config.metrics_seed)
         )
         self.cache: Optional[QueryResultCache] = (
             QueryResultCache(self.config.cache_capacity)
@@ -263,7 +269,6 @@ class QueryService:
         self._closed = False
         self._close_lock = threading.Lock()
         self._started = self._now()
-        self.metrics.gauge("service.workers").set(self.config.workers)
         # The data file's decoded-cell cache (absent on temporal stores
         # and index-shaped test doubles) and the registry metrics
         # _publish_decoded_cells copies its counters onto.
@@ -282,17 +287,12 @@ class QueryService:
             }
         if self._temporal is not None:
             self._temporal.bind_metrics(self.metrics)
+        self._lane: Optional[threading.Thread] = None
         if executor is None:
-            self._workers = [
-                threading.Thread(
-                    target=self._worker_loop, name=f"repro-query-{i}", daemon=True
-                )
-                for i in range(self.config.workers)
-            ]
-            for thread in self._workers:
-                thread.start()
-        else:
-            self._workers = []
+            self._lane = threading.Thread(
+                target=self._lane_loop, name="repro-query", daemon=True
+            )
+            self._lane.start()
 
     # ------------------------------------------------------------------
     # Query submission
@@ -318,7 +318,7 @@ class QueryService:
         cluster deadline); the query's budget is the tighter of it and
         the configured per-query timeout.  The budget bounds the wait —
         a caller never blocks longer than the deadline it was promised,
-        even if a worker is still grinding on its query — and a query
+        even if the lane is still grinding on its query — and a query
         still queued when it runs out is never executed.
         """
         budget = self._budget(timeout)
@@ -337,9 +337,13 @@ class QueryService:
 
         The batch occupies one admission slot (waiting for it rather
         than shedding, so arbitrarily large batches flow through the
-        bounded queue) and runs on one worker under one read-lock
-        acquisition — one epoch for every answer, identical queries
-        executed once.  Failures are isolated per slot, never poisoning
+        bounded queue) and takes one turn on the lane under one
+        read-lock acquisition — one epoch for every answer, identical
+        queries executed once.  The wait for the slot is charged to the
+        budget: a batch the gate never admitted in time raises
+        :class:`QueryTimeout` (``queued=True``) from this call, whatever
+        ``return_exceptions`` says — that flag governs the slots of an
+        admitted batch.  Failures are isolated per slot, never poisoning
         the rest of the batch: a slot is the query's result list or the
         exception it raised (:class:`QueryTimeout` for queries the
         budget — see :meth:`search` — expired on).  With
@@ -372,7 +376,9 @@ class QueryService:
         timeout: Optional[float],
         single: bool = False,
     ) -> "Future":
-        """Admit ``queries`` as one task and queue it."""
+        """Admit ``queries`` as one task and queue it.  The task's clock
+        starts before admission, so a blocking wait for a slot spends
+        (and is bounded by) the same ``timeout`` the queue checks."""
         if self._closed:
             raise ServiceClosed("service is closed")
         if self._recorder is not None:
@@ -380,21 +386,22 @@ class QueryService:
         self.metrics.counter("queries.submitted").inc(len(queries))
         if not single:
             self.metrics.counter("batches.submitted").inc()
-        admitted = (
-            self._admission.acquire() if block else self._admission.try_acquire()
-        )
-        if not admitted:
-            self.metrics.counter("queries.shed").inc(len(queries))
-            raise ServiceOverloaded(self._admission.pending, self.config.max_pending)
+        task = _Task(queries, self._now(), timeout, single)
+        if not block:
+            if not self._admission.try_acquire():
+                self.metrics.counter("queries.shed").inc(len(queries))
+                raise ServiceOverloaded(self._admission.pending, self.config.max_pending)
+        elif not self._admission.acquire(_lock_wait(timeout)):
+            self.metrics.counter("queries.timed_out").inc()
+            raise QueryTimeout(timeout, queued=True)
         if self._closed:  # closed while we waited for admission
             self._admission.release()
             raise ServiceClosed("service is closed")
-        task = _Task(queries, self._now(), timeout, single)
         self.metrics.gauge("queue.depth").inc()
         self._queue.put(task)
         if self._executor is not None:
-            # Sim mode: one scheduler thunk stands in for one worker
-            # dequeue — it runs when the seeded scheduler picks it.
+            # Sim mode: one scheduler thunk stands in for one dequeue by
+            # the lane — it runs when the seeded scheduler picks it.
             self._executor.spawn(self._step_once)
         return task.future
 
@@ -407,12 +414,9 @@ class QueryService:
         simulated work alone.  Running out of time is a
         :class:`QueryTimeout`, counted under ``queries.timed_out`` here
         and — the future being cancelled if its task is still queued —
-        not a second time by the worker that later dequeues it.
+        not a second time when the lane later dequeues it.
         """
-        # A caller's budget may be any positive float (a wire peer's
-        # ``deadline_ms: 1e300``, an unbounded cluster slice spelled
-        # ``inf``); the lock underneath can wait TIMEOUT_MAX at most.
-        wait = None if timeout is None else min(timeout, threading.TIMEOUT_MAX)
+        wait = _lock_wait(timeout)
         if self._executor is not None:
             self._executor.run_until(future.done)
             wait = 0
@@ -602,9 +606,9 @@ class QueryService:
         return self.mutate(lambda _target: self._temporal.expire(now))
 
     # ------------------------------------------------------------------
-    # Worker pool
+    # The lane
     # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
+    def _lane_loop(self) -> None:
         while True:
             task = self._queue.get()
             if task is _SHUTDOWN:
@@ -612,12 +616,10 @@ class QueryService:
             self._process(task)
 
     def _step_once(self) -> None:
-        """Sim-mode worker step: dequeue and process at most one task."""
+        """Sim-mode lane step: dequeue and process at most one task."""
         try:
             task = self._queue.get_nowait()
         except Empty:
-            return
-        if task is _SHUTDOWN:
             return
         self._process(task)
 
@@ -764,7 +766,6 @@ class QueryService:
         uptime = self._now() - self._started
         completed = snapshot["counters"].get("queries.completed", 0)
         snapshot["service"] = {
-            "workers": self.config.workers,
             "max_pending": self.config.max_pending,
             "timeout_s": self.config.timeout,
             "uptime_s": uptime,
@@ -808,7 +809,7 @@ class QueryService:
         With ``drain=True`` (default) already-admitted queries finish
         first; with ``drain=False`` queued queries fail with
         :class:`ServiceClosed` without executing.  ``timeout`` bounds
-        the per-worker join.  Idempotent.
+        the join of the lane's thread.  Idempotent.
         """
         with self._close_lock:
             if self._closed:
@@ -817,25 +818,19 @@ class QueryService:
         if self._streams is not None:
             self._streams.close()
         if not drain:
-            # Fail everything still queued; sentinels go in behind them.
-            cancelled: List[_Task] = []
+            # Fail everything still queued; the sentinel goes in behind.
             while True:
                 try:
                     task = self._queue.get_nowait()
-                except Exception:
+                except Empty:
                     break
-                if task is _SHUTDOWN:
-                    continue
-                cancelled.append(task)
-            for task in cancelled:
                 self.metrics.gauge("queue.depth").dec()
                 self._admission.release()
                 if task.future.set_running_or_notify_cancel():
                     task.future.set_exception(ServiceClosed("service closed"))
-        for _ in self._workers:
+        if self._lane is not None:
             self._queue.put(_SHUTDOWN)
-        for thread in self._workers:
-            thread.join(timeout)
+            self._lane.join(timeout)
 
     @property
     def closed(self) -> bool:

@@ -278,8 +278,7 @@ class _Simulation:
         )
         self.service = QueryService(
             self.durable,
-            ServiceConfig(workers=2, max_pending=64, cache_capacity=64,
-                          metrics_seed=0),
+            ServiceConfig(max_pending=64, cache_capacity=64, metrics_seed=0),
             ranker=self.ranker,
             clock=self.clock,
             executor=self.sched,
@@ -423,7 +422,7 @@ class _Simulation:
                 failure_threshold=2,
                 cache_capacity=64,
                 shard_config=ServiceConfig(
-                    workers=2, max_pending=64, cache_capacity=32, metrics_seed=0
+                    max_pending=64, cache_capacity=32, metrics_seed=0
                 ),
                 metrics_seed=0,
             ),

@@ -12,8 +12,9 @@ only forwards misses and dirty evictions to the underlying file (the
 Thread-safety contract
 ----------------------
 One :class:`BufferPool` may be shared by any number of concurrently
-executing queries (the serving layer in :mod:`repro.service` runs all
-its workers against a single pool).  Every operation — reads, writes,
+executing queries (a :mod:`repro.service` lane, the cluster router's
+out-of-band reads and library callers of ``index.query`` all reach the
+one pool of their index).  Every operation — reads, writes,
 allocation, eviction, flush, clear — runs under one internal lock, so:
 
 * the LRU structure and the dirty set never see interleaved updates;

@@ -237,7 +237,7 @@ class StreamingService:
             )
             # Seed directly against the index: on a QueryService target
             # we already hold the write lock, so going through the
-            # service's worker pool would deadlock.
+            # service's queue would deadlock.
             sq.seed(self._index.query(query, resolved))
             self.registry.add(sq)
             self._owner[query_id] = subscription.subscriber_id

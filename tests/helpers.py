@@ -114,6 +114,14 @@ def stub_index(gate=None):
     return stub
 
 
+def wait_for(condition, seconds: float = 5.0) -> None:
+    """Poll until ``condition()`` holds; fail the test if it never does."""
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 

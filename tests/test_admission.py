@@ -85,7 +85,7 @@ class TestRejectionVisibility:
         rng = random.Random(0)
         index = I3Index(UNIT_SQUARE, page_size=256)
         index.bulk_load(make_documents(30, rng))
-        with QueryService(index, ServiceConfig(workers=1)) as service:
+        with QueryService(index, ServiceConfig()) as service:
             gate = service._admission
             # Occupy the gate directly and shed one admission.
             while gate.try_acquire():

@@ -177,3 +177,11 @@ class TestInfoAndQuery:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_serve_has_no_pool_size(self, capsys):
+        """A service is one lane: ``--workers`` is not a flag, and
+        argparse says so (exit 2) before anything is built or bound."""
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--docs", "50", "--workers", "2"])
+        assert err.value.code == 2
+        assert "--workers" in capsys.readouterr().err

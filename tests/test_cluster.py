@@ -91,7 +91,7 @@ def _partitioner(kind, shards, docs):
 
 
 def _cluster(docs, kind="hash", shards=4, **config_kwargs):
-    config_kwargs.setdefault("shard_config", ServiceConfig(workers=1))
+    config_kwargs.setdefault("shard_config", ServiceConfig())
     return ClusterService.build(
         docs,
         _partitioner(kind, shards, docs),
@@ -269,7 +269,7 @@ class TestEquivalence:
             part,
             ClusterConfig(
                 scatter_width=1, cache_capacity=0,
-                shard_config=ServiceConfig(workers=1),
+                shard_config=ServiceConfig(),
             ),
             ranker=ranker,
         )
@@ -292,7 +292,7 @@ class TestEquivalence:
         part = SpatialGridPartitioner(2, UNIT_SQUARE, {4: 0, 5: 0, 6: 1, 7: 1})
         cluster = ClusterService.build(
             docs, part,
-            ClusterConfig(cache_capacity=0, shard_config=ServiceConfig(workers=1)),
+            ClusterConfig(cache_capacity=0, shard_config=ServiceConfig()),
             ranker=Ranker(UNIT_SQUARE),
         )
         with cluster:

@@ -301,7 +301,7 @@ class TestServiceSurface:
         queries = _or_queries(60, seed=4) + probes(DEFAULT_VOCAB[:3])
         fresh = make_documents(40, rng, start_id=10_000)
         mismatches, errors = [], []
-        config = ServiceConfig(workers=4, max_pending=64, cache_capacity=0)
+        config = ServiceConfig(max_pending=64, cache_capacity=0)
         with QueryService(index, config, ranker=RANKER) as service:
             for query in queries:
                 service.search(query)  # warm
@@ -359,11 +359,24 @@ class TestServiceSurface:
         index = I3Index(UNIT_SQUARE, page_size=256)
         for d in _corpus(200):
             index.insert_document(d)
-        config = ServiceConfig(workers=2, cache_capacity=0, engine="vector")
+        config = ServiceConfig(cache_capacity=0, engine="vector")
         with QueryService(index, config, ranker=RANKER) as service:
             queries = _or_queries(25, seed=6)
+            # Two callers read the index themselves while the lane
+            # works: the counters are lock-free and must lose nothing.
+            readers = [
+                threading.Thread(target=lambda: [
+                    service.read(lambda t: t.query(q, RANKER, engine="vector"))
+                    for q in queries
+                ])
+                for _ in range(2)
+            ]
+            for t in readers:
+                t.start()
             for future in [service.submit(q, block=True) for q in queries]:
                 future.result(timeout=30)
+            for t in readers:
+                t.join()
             service.search_many(queries[:10])
             block = service.metrics_snapshot()["decoded_cells"]
             text = service.metrics.render_prometheus()
@@ -384,7 +397,7 @@ class TestServiceSurface:
         with ClusterService.build(
             docs,
             HashPartitioner(2, UNIT_SQUARE),
-            ClusterConfig(shard_config=ServiceConfig(workers=1)),
+            ClusterConfig(shard_config=ServiceConfig()),
             ranker=RANKER,
         ) as cluster:
             for query in _or_queries(12, seed=2):

@@ -1,0 +1,297 @@
+"""How queries take turns: a ``QueryService`` is one lane.
+
+One traversal thread per service, fed by the admission-bounded FIFO
+queue — the queue is the turn order (DESIGN.md "Taking turns").  These
+tests pin the lane itself (who owns which thread, the order of
+execution, what a long task does to the one behind it, that a writer
+still gets in) and the one hole the policy made reachable: a batch
+caller's budget must bound, and be charged for, its wait at the gate.
+"""
+
+import random
+import threading
+import time
+
+import pytest
+
+from repro.cluster import ClusterConfig, ClusterService, HashPartitioner
+from repro.model.query import TopKQuery
+from repro.service import QueryService, QueryTimeout, ServiceConfig
+from repro.simtest.clock import SimClock, SimScheduler
+from repro.spatial.geometry import UNIT_SQUARE
+from tests.helpers import make_documents, stub_index, wait_for
+
+
+def _query(k=3):
+    return TopKQuery(0.5, 0.5, ("spicy",), k=k)
+
+
+def _recording_index(gate=None, gated_k=1, hold=0.0):
+    """A stub index that records every query it executes, in order, and
+    the most it ever had inside at once.  The query with ``k ==
+    gated_k`` blocks on ``gate``; every query holds for ``hold``
+    seconds.  ``insert_document`` records how many queries had started
+    when the write ran."""
+    stub = stub_index()
+    stub.order, stub.inside, stub.most, stub.writes = [], 0, 0, []
+    lock = threading.Lock()
+
+    def query(q, ranker=None, cache=None, io_sink=None):
+        with lock:
+            stub.order.append(q.k)
+            stub.inside += 1
+            stub.most = max(stub.most, stub.inside)
+        if gate is not None and q.k == gated_k:
+            gate.wait(timeout=10)
+        time.sleep(hold)
+        with lock:
+            stub.inside -= 1
+        return [q.k]
+
+    stub.query = query
+    stub.insert_document = lambda doc: stub.writes.append(len(stub.order))
+    return stub
+
+
+def _lanes(before):
+    return [
+        t for t in threading.enumerate()
+        if t not in before and t.name.startswith("repro-query")
+    ]
+
+
+class TestOneLane:
+    def test_a_running_service_owns_exactly_one_thread(self):
+        before = set(threading.enumerate())
+        service = QueryService(stub_index(), ServiceConfig())
+        try:
+            (lane,) = _lanes(before)
+            callers = [
+                threading.Thread(
+                    target=lambda: [service.search(_query()) for _ in range(20)]
+                )
+                for _ in range(4)
+            ]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join()
+            assert _lanes(before) == [lane]  # load grows the queue, not the pool
+        finally:
+            service.close()
+        assert not lane.is_alive()  # close() joined it
+        assert _lanes(before) == []
+
+    def test_a_simulated_service_owns_no_thread(self):
+        before = set(threading.enumerate())
+        clock = SimClock()
+        with QueryService(
+            stub_index(), clock=clock, executor=SimScheduler(seed=0, clock=clock)
+        ) as service:
+            assert service.search(_query()) == [3]
+            assert _lanes(before) == []
+
+    def test_a_cluster_owns_one_lane_per_replica_and_the_scatter_pool(self):
+        before = set(threading.enumerate())
+        docs = make_documents(80, random.Random(3))
+        config = ClusterConfig(scatter_width=2)
+        with ClusterService.build(
+            docs, HashPartitioner(4, UNIT_SQUARE), config
+        ) as cluster:
+            for i in range(30):
+                cluster.search(TopKQuery(0.1 * (i % 10), 0.5, ("spicy", "bar"), k=5))
+            assert len(_lanes(before)) == 4
+            scatter = [
+                t for t in threading.enumerate()
+                if t not in before and t.name.startswith("repro-cluster")
+            ]
+            assert len(scatter) <= config.scatter_width
+            others = set(threading.enumerate()) - before
+            assert others == set(_lanes(before)) | set(scatter)
+        assert _lanes(before) == []
+
+    def test_tasks_execute_in_admission_order_one_at_a_time(self):
+        """``submit``, ``search`` and ``search_many`` share the queue:
+        whatever verb admitted a task, it runs after everything admitted
+        before it and never beside anything."""
+        gate = threading.Event()
+        stub = _recording_index(gate)
+        service = QueryService(stub, ServiceConfig(max_pending=16))
+        waiters = []
+
+        def admitted():
+            return service.metrics_snapshot()["admission"]["admitted"]
+
+        def in_a_thread(call, *args):
+            count = admitted()
+            thread = threading.Thread(target=call, args=args)
+            thread.start()
+            waiters.append(thread)
+            wait_for(lambda: admitted() == count + 1)
+
+        try:
+            futures = [service.submit(_query(k=1))]       # holds the lane
+            wait_for(lambda: stub.order == [1])
+            futures.append(service.submit(_query(k=2)))
+            in_a_thread(service.search, _query(k=3))
+            in_a_thread(service.search_many, [_query(k=4), _query(k=5), _query(k=4)])
+            futures.append(service.submit(_query(k=6), block=True))
+            in_a_thread(service.search, _query(k=7))
+            assert stub.order == [1]  # nobody overtook the running task
+            gate.set()
+            for thread in waiters:
+                thread.join(timeout=5)
+            assert [f.result(timeout=5) for f in futures] == [[1], [2], [6]]
+        finally:
+            gate.set()
+            service.close()
+        # (the batch's duplicate k=4 is answered once: one execution)
+        assert stub.order == [1, 2, 3, 4, 5, 6, 7]
+        assert stub.most == 1
+
+    def test_a_single_queued_behind_a_long_batch_expires_unexecuted(self):
+        """What a long task does to the one behind it: the single's own
+        deadline still holds — it fails as ``queued`` the moment the
+        lane reaches it, and is never run late."""
+        gate = threading.Event()
+        stub = _recording_index(gate)
+        service = QueryService(stub, ServiceConfig(max_pending=8, timeout=0.05))
+        batch_outcome = []
+
+        def batch():
+            try:
+                service.search_many([_query(k=1), _query(k=2)])
+            except QueryTimeout as exc:
+                batch_outcome.append(exc)
+
+        caller = threading.Thread(target=batch)
+        try:
+            caller.start()
+            wait_for(lambda: stub.order == [1])  # the batch has the lane
+            single = service.submit(_query(k=9))
+            caller.join(timeout=5)  # its waiter gave up at the budget
+            time.sleep(0.06)        # ...and the single's deadline lapsed
+            gate.set()
+            with pytest.raises(QueryTimeout) as err:
+                single.result(timeout=5)
+            assert err.value.queued
+        finally:
+            gate.set()
+            service.close()
+        assert len(batch_outcome) == 1 and not batch_outcome[0].queued
+        assert 9 not in stub.order
+
+    def test_a_writer_gets_in_while_callers_keep_the_queue_full(self):
+        """Writer preference survives the lane: an ``insert`` waits for
+        the task that is running, not for the queue to drain."""
+        stub = _recording_index(hold=0.003)
+        service = QueryService(stub, ServiceConfig(max_pending=4, cache_capacity=0))
+        stop = threading.Event()
+        errors = []
+
+        def caller():
+            try:
+                while not stop.is_set():
+                    assert service.submit(_query(), block=True).result(5) == [3]
+            except Exception as exc:  # noqa: BLE001 - collected
+                errors.append(exc)
+
+        callers = [threading.Thread(target=caller) for _ in range(8)]
+        try:
+            for t in callers:
+                t.start()
+            wait_for(lambda: len(stub.order) >= 20)
+            wait_for(
+                lambda: service.metrics_snapshot()["admission"]["pending"] == 4
+            )
+            started = len(stub.order)
+            service.insert(object())
+            # The task running when the insert was issued, at most one
+            # more that took its turn before the writer had queued up.
+            assert stub.writes[0] - started <= 2
+        finally:
+            stop.set()
+            for t in callers:
+                t.join(timeout=5)
+            service.close()
+        assert errors == [] and stub.most == 1
+
+
+class TestBatchWaitsAtTheGateOnItsBudget:
+    def test_a_never_admitted_batch_fails_within_its_budget(self):
+        gate = threading.Event()
+        service = QueryService(stub_index(gate), ServiceConfig(max_pending=1))
+        try:
+            running = service.submit(_query(k=1))  # fills the gate
+            for return_exceptions in (False, True):
+                started = time.monotonic()
+                with pytest.raises(QueryTimeout) as err:
+                    service.search_many(
+                        [_query(k=2), _query(k=3)], timeout=0.05,
+                        return_exceptions=return_exceptions,
+                    )
+                assert err.value.queued
+                assert time.monotonic() - started < 2.0
+            snap = service.metrics_snapshot()
+            # Counted once per refused batch, like any abandoned wait.
+            assert snap["counters"]["queries.timed_out"] == 2
+            assert snap["admission"]["rejected"] == 2
+            assert snap["admission"]["pending"] == 1
+            gate.set()
+            assert running.result(timeout=5) == [1]
+            assert service.search_many([_query(k=2)], timeout=5.0) == [[2]]
+        finally:
+            gate.set()
+            service.close()
+        assert service.metrics_snapshot()["admission"]["pending"] == 0
+
+    def test_a_blocking_submit_is_bounded_by_the_configured_timeout(self):
+        gate = threading.Event()
+        service = QueryService(
+            stub_index(gate), ServiceConfig(max_pending=1, timeout=0.05)
+        )
+        try:
+            service.submit(_query(k=1))
+            with pytest.raises(QueryTimeout) as err:
+                service.submit(_query(k=2), block=True)
+            assert err.value.queued
+        finally:
+            gate.set()
+            service.close()
+
+    def test_the_wait_at_the_gate_is_charged_to_the_budget(self):
+        """The task's clock starts before admission: a batch admitted
+        after its deadline (here on an injected clock, so no margin) is
+        shed from the queue instead of running on a fresh budget."""
+        gate = threading.Event()
+        stub = _recording_index(gate)
+        now = [0.0]
+        service = QueryService(
+            stub, ServiceConfig(max_pending=1), clock=lambda: now[0]
+        )
+        outcome = []
+
+        def batch():
+            try:
+                outcome.append(service.search_many([_query(k=2)], timeout=10.0))
+            except QueryTimeout as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=batch)
+        try:
+            service.submit(_query(k=1))
+            wait_for(lambda: stub.order == [1])
+            caller.start()
+            wait_for(
+                lambda: service.metrics.counter("batches.submitted").value == 1
+            )
+            time.sleep(0.05)  # the caller is now waiting outside the gate
+            now[0] = 20.0
+            gate.set()
+            caller.join(timeout=5)
+        finally:
+            gate.set()
+            service.close()
+        (exc,) = outcome
+        assert isinstance(exc, QueryTimeout) and exc.queued
+        assert stub.order == [1]

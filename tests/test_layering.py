@@ -11,6 +11,12 @@ reaching up for it.
 Every ``import`` statement is read with :mod:`ast` — module level,
 function-local and ``TYPE_CHECKING`` alike — so a deleted module cannot
 be papered over with a lazy back-import.
+
+The same walk takes a **thread census**: every place ``src/repro``
+constructs a thread, a thread pool, a process pool or anything from
+``multiprocessing`` is on a list that says what runs in parallel there.
+A ``QueryService`` is one lane (DESIGN.md "Taking turns"); a pool that
+comes back has to say here what it buys.
 """
 
 import ast
@@ -29,6 +35,33 @@ BESIDE = ("repro.baselines", "repro.bench", "repro.extensions", "repro.simtest")
 # one serving-stack module that exists *for* the simulation harness.
 ALLOWED = {("repro.net.sim", "repro.simtest")}
 ABOVE_TEMPORAL = ("repro.cluster", "repro.service", "repro.net")
+
+
+# (file under src/repro, what it constructs) -> (how many sites, why).
+THREAD_CENSUS = {
+    ("service/service.py", "Thread"): (
+        1, "the lane: the one thread that executes a QueryService's queue",
+    ),
+    ("net/server.py", "Thread"): (
+        2, "the accept loop, and one per connection blocked in recv "
+        "(capped by max_connections); neither traverses an index",
+    ),
+    ("net/httpserver.py", "Thread"): (
+        2, "the metrics exporter's accept loop and one per scrape",
+    ),
+    ("cluster/service.py", "ThreadPoolExecutor"): (
+        1, "the scatter pool: scatter_width threads that only wait on "
+        "shard attempts (sockets, under ROADMAP 5a)",
+    ),
+    ("exec/procpool.py", "ProcessPoolExecutor"): (
+        1, "SnapshotProcessPool: processes, the one place parallel "
+        "traversals are real",
+    ),
+    ("exec/procpool.py", "multiprocessing.get_context"): (
+        1, "the fork context SnapshotProcessPool hands its executor",
+    ),
+}
+_CONSTRUCTORS = ("Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor")
 
 
 def _within(name: str, package: str) -> bool:
@@ -67,6 +100,45 @@ def edges(*subpackages: str):
     for sub in subpackages:
         for path in sorted((PACKAGE_ROOT / sub).rglob("*.py")):
             yield from imports_of(path)
+
+
+def concurrency_sites(source: str):
+    """What a source text constructs that runs beside its caller: calls
+    of ``Thread``/``Timer``/``*PoolExecutor`` (bare or through a
+    module), and any call into ``multiprocessing``."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = ast.unparse(node.func)
+        if callee.startswith("multiprocessing."):
+            yield callee
+        elif callee.rpartition(".")[2] in _CONSTRUCTORS:
+            yield callee.rpartition(".")[2]
+
+
+def test_every_thread_and_pool_says_what_runs_on_it():
+    source = (
+        "import threading as t\n"
+        "def f():\n"
+        "    t.Thread(target=g).start()\n"
+        "    pool = ThreadPoolExecutor(max_workers=4)\n"
+        "    multiprocessing.Pool(2)\n"
+    )
+    assert sorted(concurrency_sites(source)) == [
+        "Thread", "ThreadPoolExecutor", "multiprocessing.Pool",
+    ]
+    found = {}
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        for what in concurrency_sites(path.read_text()):
+            key = (path.relative_to(PACKAGE_ROOT).as_posix(), what)
+            found[key] = found.get(key, 0) + 1
+    listed = {key: count for key, (count, _why) in THREAD_CENSUS.items()}
+    assert found == listed, (
+        "src/repro constructs a thread or pool the census does not list "
+        "(or no longer constructs one it lists): add the site to "
+        "THREAD_CENSUS with what runs in parallel on it"
+    )
+    assert all(why for _count, why in THREAD_CENSUS.values())
 
 
 def test_the_walker_sees_lazy_and_relative_imports():

@@ -62,6 +62,7 @@ from tests.helpers import (
     make_documents,
     stub_index,
     temporal_cluster,
+    wait_for,
 )
 
 TENANTS = {
@@ -100,7 +101,7 @@ def served():
     rng = random.Random(42)
     index = I3Index(UNIT_SQUARE, page_size=256)
     index.bulk_load(make_documents(250, rng))
-    service = QueryService(index, ServiceConfig(workers=2, metrics_seed=0))
+    service = QueryService(index, ServiceConfig(metrics_seed=0))
     server = NetServer(
         service,
         tenants=TenantDirectory.from_dict(TENANTS),
@@ -453,7 +454,7 @@ class TestDeadlineOverTheWire:
         gate = threading.Event()
         try:
             with QueryService(
-                stub_index(gate), ServiceConfig(workers=1)
+                stub_index(gate), ServiceConfig()
             ) as service, \
                     NetServer(service) as server, \
                     Client(server.host, server.port, retries=0) as client:
@@ -463,6 +464,41 @@ class TestDeadlineOverTheWire:
                 gate.set()
         finally:
             gate.set()
+
+    @pytest.mark.parametrize("transport", ["socket", "sim"])
+    def test_a_batch_at_a_full_gate_is_refused_within_its_budget(self, transport):
+        """``query_many`` waits for its one admission slot — on its
+        ``deadline_ms``, not for as long as the gate stays full: the
+        frame is answered ``deadline_exceeded`` and the connection
+        serves the next one."""
+        gate = threading.Event()
+        stub = stub_index(gate)
+        gated = stub.query
+        stub.query = lambda *args, **kwargs: gated(*args, **kwargs)[:0]
+        query = _queries(1, seed=35)[0]
+        service = QueryService(stub, ServiceConfig(max_pending=1))
+        server = NetServer(service).start()
+        if transport == "socket":
+            client = Client(server.host, server.port, retries=0)
+        else:
+            client = sim_client(
+                SimNetServer(service, clock=SimClock()), retries=0
+            )
+        try:
+            with client:
+                running = service.submit(query)  # fills the gate
+                started = time.monotonic()
+                with pytest.raises(DeadlineExceeded, match="in queue"):
+                    client.search_many([query, query], deadline_ms=50)
+                assert time.monotonic() - started < 2.0
+                assert service.metrics.counter("queries.timed_out").value == 1
+                gate.set()
+                assert running.result(timeout=5) == []
+                assert client.search_many([query], deadline_ms=5000) == [[]]
+        finally:
+            gate.set()
+            server.close()
+            service.close()
 
     @pytest.mark.parametrize("transport", ["socket", "sim"])
     def test_a_deadline_is_a_finite_number(self, served, transport):
@@ -622,12 +658,78 @@ class TestRetries:
             assert client.attempts == before + 1
 
 
+class TestConnectionCap:
+    def test_the_cap_refuses_with_one_frame_and_frees_on_close(
+        self, served, monkeypatch
+    ):
+        """``max_connections`` is the front door's one concurrency
+        setting.  At a cap of 2: the third dial reads exactly one
+        ``overloaded`` frame and EOF, the two inside keep answering
+        byte-identical to in-process, and a slot freed by a close is
+        reusable."""
+        service, _shared = served
+        server = NetServer(
+            service,
+            tenants=TenantDirectory.from_dict(TENANTS),
+            config=NetServerConfig(port=0, max_connections=2),
+        ).start()
+        gauge = server.metrics.gauge("net.connections")
+        levels = []
+        plain_set = type(gauge).set
+
+        def recording_set(self, value):
+            if self is gauge:
+                levels.append(value)
+            plain_set(self, value)
+
+        monkeypatch.setattr(type(gauge), "set", recording_set)
+        refused = server.metrics.counter("net.connections_refused")
+        queries = _queries(12, seed=36)
+
+        def inside(count):
+            wait_for(lambda: server.health()["connections"] == count)
+
+        def same_as_in_process(client, batch):
+            for query in batch:
+                assert json.dumps(results_to_wire(client.search(query))) == \
+                    json.dumps(results_to_wire(service.search(query)))
+
+        first, second = _client(server, retries=0), _client(server, retries=0)
+        try:
+            assert first.ping() and second.ping()
+            inside(2)
+            before = refused.value
+            third = socket.create_connection(("127.0.0.1", server.port), timeout=10)
+            try:
+                response = read_frame(third.recv)
+                assert response["ok"] is False
+                assert response["error"]["code"] == "overloaded"
+                assert response["error"]["retryable"] is True
+                assert third.recv(1) == b""  # one frame, then EOF
+            finally:
+                third.close()
+            assert refused.value == before + 1
+            same_as_in_process(first, queries[:4])
+            same_as_in_process(second, queries[4:8])
+            first.close()
+            inside(1)
+            with _client(server, retries=0) as fourth:
+                same_as_in_process(fourth, queries[8:])
+                same_as_in_process(second, queries[:2])
+                inside(2)
+        finally:
+            first.close()
+            second.close()
+            server.close()
+        assert levels and max(levels) <= 2
+
+
 class TestLifecycle:
     def test_graceful_close_then_connect_refused(self):
         rng = random.Random(1)
         index = I3Index(UNIT_SQUARE, page_size=256)
         index.bulk_load(make_documents(40, rng))
-        service = QueryService(index, ServiceConfig(workers=1))
+        service = QueryService(index, ServiceConfig())
         server = NetServer(service, config=NetServerConfig(
             port=0, drain_timeout=2.0)).start()
         client = Client("127.0.0.1", server.port)
@@ -645,7 +747,7 @@ class TestLifecycle:
         rng = random.Random(2)
         index = I3Index(UNIT_SQUARE, page_size=256)
         index.bulk_load(make_documents(20, rng))
-        service = QueryService(index, ServiceConfig(workers=1))
+        service = QueryService(index, ServiceConfig())
         with NetServer(service, config=NetServerConfig(port=0)) as server:
             assert server.port != 0
             server.close()

@@ -33,7 +33,7 @@ def sim_setup():
     index = I3Index(UNIT_SQUARE, page_size=256)
     index.bulk_load(make_documents(120, rng))
     clock = SimClock()
-    service = QueryService(index, ServiceConfig(workers=1, metrics_seed=0))
+    service = QueryService(index, ServiceConfig(metrics_seed=0))
     server = SimNetServer(service, clock=clock)
     try:
         yield service, server, clock
@@ -93,7 +93,7 @@ class TestScriptedFaults:
                           "rate": 1.0, "burst": 1}]},
             clock=clock,
         )
-        with QueryService(index, ServiceConfig(workers=1)) as service:
+        with QueryService(index, ServiceConfig()) as service:
             server = SimNetServer(service, clock=clock, tenants=tenants)
             client = sim_client(server, key="k", retries=3)
             direct = service.search(QUERY)

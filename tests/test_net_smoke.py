@@ -46,7 +46,6 @@ def served(tmp_path_factory):
         tmp / "port.json",
         "--docs", str(DOCS), "--seed", str(SEED),
         "--tenants", str(tenants_path),
-        "--workers", "2",
     ) as (address, proc):
         yield address, proc
 
@@ -59,7 +58,7 @@ def reference():
     index.bulk_load(corpus.documents)
     service = QueryService(
         index,
-        ServiceConfig(workers=2, metrics_seed=SEED),
+        ServiceConfig(metrics_seed=SEED),
         ranker=Ranker(corpus.space, alpha=0.5),
     )
     try:

@@ -260,7 +260,7 @@ class TestPartitionerProperties:
 # Online rebalance
 # ----------------------------------------------------------------------
 def _build_cluster(docs, shards=3, replicas=1, **config_kwargs):
-    config_kwargs.setdefault("shard_config", ServiceConfig(workers=1))
+    config_kwargs.setdefault("shard_config", ServiceConfig())
     config_kwargs.setdefault("metrics_seed", 0)
     return ClusterService.build(
         docs,

@@ -170,7 +170,7 @@ class TestServeBenchMetricsOut:
         out = tmp_path / "metrics.prom"
         with serving(
             tmp_path / "port.json",
-            "--docs", "150", "--seed", "3", "--workers", "2",
+            "--docs", "150", "--seed", "3",
             "--metrics-out", str(out),
         ) as (address, proc):
             with Client(address["host"], address["port"]) as client:

@@ -172,13 +172,13 @@ def _stub_service(query_fn, **config_kwargs):
         data=SimpleNamespace(buffer=None),
     )
     stub.query = query_fn
-    return QueryService(stub, ServiceConfig(workers=1, **config_kwargs))
+    return QueryService(stub, ServiceConfig(**config_kwargs))
 
 
 class TestServiceSearchMany:
     def test_matches_singles_and_preserves_order(self):
         index = _build()
-        service = QueryService(index, ServiceConfig(workers=2))
+        service = QueryService(index, ServiceConfig())
         try:
             queries = _queries(25, seed=41)
             singles = [service.search(q) for q in queries]
@@ -188,7 +188,7 @@ class TestServiceSearchMany:
 
     def test_empty_and_singleton(self):
         index = _build(num_docs=40)
-        service = QueryService(index, ServiceConfig(workers=1))
+        service = QueryService(index, ServiceConfig())
         try:
             assert service.search_many([]) == []
             query = _queries(1)[0]
@@ -200,7 +200,7 @@ class TestServiceSearchMany:
         """A 50-query batch must not need 50 queue slots."""
         index = _build(num_docs=60)
         service = QueryService(
-            index, ServiceConfig(workers=1, max_pending=2)
+            index, ServiceConfig(max_pending=2)
         )
         try:
             outcomes = service.search_many(_queries(50, seed=8))
@@ -255,7 +255,7 @@ class TestServiceSearchMany:
         stub.query = query_fn
         service = QueryService(
             stub,
-            ServiceConfig(workers=1, timeout=1.0),
+            ServiceConfig(timeout=1.0),
             clock=lambda: clock[0],
         )
         try:
@@ -301,7 +301,7 @@ class TestServiceSearchMany:
     def test_cache_interaction_with_singles(self):
         index = _build(num_docs=100)
         service = QueryService(
-            index, ServiceConfig(workers=1, cache_capacity=64)
+            index, ServiceConfig(cache_capacity=64)
         )
         try:
             queries = _queries(8, seed=61)
@@ -318,7 +318,7 @@ class TestServiceSearchMany:
     def test_engine_config_respected(self, engine):
         index = _build(num_docs=120)
         service = QueryService(
-            index, ServiceConfig(workers=1, engine=engine)
+            index, ServiceConfig(engine=engine)
         )
         try:
             queries = _queries(10, seed=71)
@@ -389,7 +389,7 @@ def _layer(name, tmp_path):
             service = stack.enter_context(
                 QueryService(
                     index,
-                    ServiceConfig(workers=2),
+                    ServiceConfig(),
                     ranker=ranker,
                     clock=clock if sim else None,
                     executor=SimScheduler(seed=3, clock=clock) if sim else None,

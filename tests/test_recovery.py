@@ -217,7 +217,7 @@ class TestSnapshotCorruption:
 
 
 class TestServiceRecovery:
-    CONFIG = ServiceConfig(workers=2, max_pending=8, metrics_seed=0)
+    CONFIG = ServiceConfig(max_pending=8, metrics_seed=0)
 
     def test_recover_swaps_index_and_invalidates_cache(self, rng, tmp_path):
         docs = make_documents(40, rng)
@@ -262,7 +262,7 @@ class TestClusterRecovery:
         partitioner = HashPartitioner(2, UNIT_SQUARE)
         config = ClusterConfig(
             replicas=replicas,
-            shard_config=ServiceConfig(workers=2, max_pending=8, metrics_seed=0),
+            shard_config=ServiceConfig(max_pending=8, metrics_seed=0),
             metrics_seed=0,
         )
         cluster = ClusterService.build(
@@ -300,7 +300,7 @@ class TestClusterRecovery:
         docs = make_documents(20, rng)
         cluster = ClusterService.build(
             docs, HashPartitioner(2, UNIT_SQUARE),
-            ClusterConfig(shard_config=ServiceConfig(workers=2, max_pending=8)),
+            ClusterConfig(shard_config=ServiceConfig(max_pending=8)),
             eta=8,
         )
         with pytest.raises(ValueError, match="durable"):

@@ -308,7 +308,7 @@ def learned_cluster():
     cluster = ClusterService.build(
         docs,
         _learned(4, docs, leaf_capacity=2),
-        ClusterConfig(cache_capacity=0, shard_config=ServiceConfig(workers=1)),
+        ClusterConfig(cache_capacity=0, shard_config=ServiceConfig()),
         ranker=Ranker(UNIT_SQUARE),
     )
     try:
@@ -367,7 +367,7 @@ class TestRouteIsUnchanged:
 # ----------------------------------------------------------------------
 class _CallsOnThisThread:
     """Counts calls to a method made on the creating thread — the
-    router's; shard engines run theirs on their services' workers."""
+    router's; shard engines run theirs on their services' lanes."""
 
     def __init__(self, monkeypatch, owner, name: str) -> None:
         self.calls = 0
@@ -445,7 +445,7 @@ class TestRouteHistogram:
         cluster = ClusterService.build(
             docs,
             SpatialGridPartitioner.from_documents(3, UNIT_SQUARE, docs, leaf_capacity=8),
-            ClusterConfig(shard_config=ServiceConfig(workers=1), metrics_seed=0),
+            ClusterConfig(shard_config=ServiceConfig(), metrics_seed=0),
             ranker=Ranker(UNIT_SQUARE),
         )
         with cluster:

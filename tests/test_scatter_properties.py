@@ -170,7 +170,7 @@ def _stalling_cluster(deadline, attempt_timeout, temporal=False):
         deadline=deadline,
         attempt_timeout=attempt_timeout,
         cache_capacity=0,
-        shard_config=ServiceConfig(workers=2, metrics_seed=0),
+        shard_config=ServiceConfig(metrics_seed=0),
         metrics_seed=0,
     )
     seams = dict(clock=clock, executor=sched, channel=channel)

@@ -209,13 +209,13 @@ class TestQueryServiceBasics:
             _query(("bar",), k=3, x=0.9, y=0.1),
         ]
         expected = [results_as_pairs(self.index.query(q, self.ranker)) for q in queries]
-        with QueryService(self.index, ServiceConfig(workers=2)) as service:
+        with QueryService(self.index, ServiceConfig()) as service:
             got = [results_as_pairs(r) for r in service.search_many(queries)]
         assert got == expected
 
     def test_cache_hit_skips_execution(self):
         query = _query(("spicy",), k=4)
-        with QueryService(self.index, ServiceConfig(workers=2)) as service:
+        with QueryService(self.index, ServiceConfig()) as service:
             first = service.search(query)
             before = self.index.stats.reads()
             second = service.search(query)
@@ -228,7 +228,7 @@ class TestQueryServiceBasics:
         from repro.model.document import SpatialDocument
 
         query = _query(("spicy",), k=50)
-        with QueryService(self.index, ServiceConfig(workers=2)) as service:
+        with QueryService(self.index, ServiceConfig()) as service:
             before = service.search(query)
             service.insert(SpatialDocument(5000, 0.5, 0.5, {"spicy": 0.99}))
             after = service.search(query)
@@ -240,7 +240,7 @@ class TestQueryServiceBasics:
 
         doc = SpatialDocument(6000, 0.4, 0.6, {"noodle": 0.8})
         query = _query(("noodle",), k=50, x=0.4, y=0.6)
-        with QueryService(self.index, ServiceConfig(workers=2)) as service:
+        with QueryService(self.index, ServiceConfig()) as service:
             before = service.search(query)
             epoch0 = self.index.epoch
 
@@ -262,12 +262,12 @@ class TestQueryServiceBasics:
         db.add(1, 0.2, 0.3, "spicy noodle bar")
         db.add(2, 0.8, 0.8, "quiet tea house")
         expected = [(h.doc_id, round(h.score, 9)) for h in db.search(0.2, 0.3, "spicy bar")]
-        with QueryService(db, ServiceConfig(workers=2)) as service:
+        with QueryService(db, ServiceConfig()) as service:
             got = service.search(_query(("spicy", "bar"), k=10, x=0.2, y=0.3))
         assert [(h.doc_id, round(h.score, 9)) for h in got] == expected
 
     def test_metrics_snapshot_schema(self):
-        with QueryService(self.index, ServiceConfig(workers=2, metrics_seed=0)) as service:
+        with QueryService(self.index, ServiceConfig(metrics_seed=0)) as service:
             service.search(_query())
             snap = service.metrics_snapshot()
         assert snap["counters"]["queries.completed"] == 1
@@ -275,11 +275,14 @@ class TestQueryServiceBasics:
         pool = snap["buffer_pool"]
         assert pool["hits"] + pool["misses"] == pool["logical_reads"]
         assert {"evictions", "writebacks"} <= set(pool)
-        assert snap["service"]["workers"] == 2
+        assert set(snap["service"]) == {
+            "max_pending", "timeout_s", "uptime_s", "qps", "closed"
+        }
+        assert "service.workers" not in snap["gauges"]
         assert snap["cache"]["capacity"] == 256
 
     def test_query_error_propagates(self):
-        with QueryService(self.index, ServiceConfig(workers=1)) as service:
+        with QueryService(self.index, ServiceConfig()) as service:
             future = service.submit("not a query")  # type: ignore[arg-type]
             with pytest.raises(AttributeError):
                 future.result(timeout=5)
@@ -290,7 +293,7 @@ class TestAdmissionAndTimeouts:
     def test_overload_sheds_with_typed_error(self):
         gate = threading.Event()
         stub = _stub_index(gate)
-        service = QueryService(stub, ServiceConfig(workers=1, max_pending=1))
+        service = QueryService(stub, ServiceConfig(max_pending=1))
         try:
             first = service.submit(_query())
             time.sleep(0.05)  # worker has dequeued and is blocked on the gate
@@ -306,7 +309,7 @@ class TestAdmissionAndTimeouts:
 
     def test_blocking_submit_applies_backpressure(self):
         index = _stub_index()
-        with QueryService(index, ServiceConfig(workers=2, max_pending=2)) as service:
+        with QueryService(index, ServiceConfig(max_pending=2)) as service:
             futures = [
                 service.submit(_query(k=i + 1), block=True) for i in range(20)
             ]
@@ -317,7 +320,7 @@ class TestAdmissionAndTimeouts:
         gate = threading.Event()
         stub = _stub_index(gate)
         service = QueryService(
-            stub, ServiceConfig(workers=1, max_pending=8, timeout=0.05)
+            stub, ServiceConfig(max_pending=8, timeout=0.05)
         )
         try:
             blocker = service.submit(_query())
@@ -337,7 +340,7 @@ class TestAdmissionAndTimeouts:
     def test_search_stops_waiting_at_deadline(self):
         gate = threading.Event()
         stub = _stub_index(gate)
-        service = QueryService(stub, ServiceConfig(workers=1, timeout=0.05))
+        service = QueryService(stub, ServiceConfig(timeout=0.05))
         try:
             with pytest.raises(QueryTimeout) as err:
                 service.search(_query())
@@ -352,7 +355,7 @@ class TestAdmissionAndTimeouts:
         same, still queued query are one timeout, not two."""
         gate = threading.Event()
         stub = _stub_index(gate)
-        service = QueryService(stub, ServiceConfig(workers=1, max_pending=4))
+        service = QueryService(stub, ServiceConfig(max_pending=4))
         try:
             blocker = service.submit(_query(k=1))
             time.sleep(0.05)  # worker has dequeued and is blocked on the gate
@@ -375,7 +378,7 @@ class TestAdmissionAndTimeouts:
         attempt through :class:`ShardReplica`."""
         gate = threading.Event()
         service = QueryService(
-            _stub_index(gate), ServiceConfig(workers=1, timeout=30.0)
+            _stub_index(gate), ServiceConfig(timeout=30.0)
         )
         try:
             started = time.monotonic()
@@ -390,10 +393,10 @@ class TestAdmissionAndTimeouts:
             service.close()
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(workers=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(workers=4, max_pending=2)
+        with pytest.raises(ValueError, match="max_pending"):
+            ServiceConfig(max_pending=0)
+        with pytest.raises(TypeError):
+            ServiceConfig(workers=2)  # the pool size is not an option
         with pytest.raises(ValueError):
             ServiceConfig(timeout=0)
         with pytest.raises(ValueError):
@@ -409,7 +412,7 @@ class TestAdmissionAndTimeouts:
         wait helper caps it at what a lock accepts."""
         with pytest.raises(ValueError, match="finite"):
             ServiceConfig(timeout=float("inf"))
-        with QueryService(_stub_index(), ServiceConfig(workers=1)) as service:
+        with QueryService(_stub_index(), ServiceConfig()) as service:
             for budget in (float("inf"), 1e300, threading.TIMEOUT_MAX * 2):
                 assert service.search(_query(), timeout=budget) == [3]
                 assert service.search_many([_query()], timeout=budget) == [[3]]
@@ -419,14 +422,14 @@ class TestAdmissionAndTimeouts:
 
 class TestLifecycle:
     def test_submit_after_close_raises(self):
-        service = QueryService(_stub_index(), ServiceConfig(workers=1))
+        service = QueryService(_stub_index(), ServiceConfig())
         service.close()
         with pytest.raises(ServiceClosed):
             service.submit(_query())
 
     def test_close_drains_pending_queries(self):
         index = _stub_index()
-        service = QueryService(index, ServiceConfig(workers=1))
+        service = QueryService(index, ServiceConfig())
         futures = [service.submit(_query(k=i + 1)) for i in range(5)]
         service.close(drain=True)
         assert [f.result(timeout=5) for f in futures] == [[i + 1] for i in range(5)]
@@ -434,7 +437,7 @@ class TestLifecycle:
     def test_close_without_drain_fails_queued(self):
         gate = threading.Event()
         stub = _stub_index(gate)
-        service = QueryService(stub, ServiceConfig(workers=1, max_pending=8))
+        service = QueryService(stub, ServiceConfig(max_pending=8))
         running = service.submit(_query())
         time.sleep(0.05)
         queued = [service.submit(_query()) for _ in range(3)]
@@ -448,13 +451,13 @@ class TestLifecycle:
                 future.result(timeout=5)
 
     def test_close_is_idempotent(self):
-        service = QueryService(_stub_index(), ServiceConfig(workers=1))
+        service = QueryService(_stub_index(), ServiceConfig())
         service.close()
         service.close()
         assert service.closed
 
     def test_mutate_after_close_raises(self):
-        service = QueryService(_stub_index(), ServiceConfig(workers=1))
+        service = QueryService(_stub_index(), ServiceConfig())
         service.close()
         with pytest.raises(ServiceClosed):
             service.mutate(lambda target: None)

@@ -1,11 +1,14 @@
 """Stress tests: the serving layer under real thread concurrency.
 
-The acceptance bar for the service is that concurrency changes
-throughput only, never answers or accounting: batch results through
->= 8 workers must be byte-identical to sequential ``I3Index.query``
-execution, and the shared buffer pool / I/O counters must not lose
-updates (hits + misses == logical reads, physical reads == pool
-misses).
+The acceptance bar for the service is that concurrency never changes
+answers or accounting.  A service runs its own queries one at a time
+(one lane), but its index is still read concurrently — by the lane, by
+router threads through ``QueryService.read``, by streams and by library
+callers of ``index.query`` — so the stress passes put 8 caller threads
+on one index at once (:func:`_concurrently`): results must be
+byte-identical to sequential ``I3Index.query`` execution, and the
+shared buffer pool / I/O counters must not lose updates (hits + misses
+== logical reads, physical reads == pool misses).
 
 The *timing-sensitive* behaviours — admission-control shedding and
 per-query deadlines — run on the simulation clock/scheduler
@@ -16,6 +19,7 @@ exact counts rather than wall-clock races.
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -62,6 +66,41 @@ def _mixed_workload(rng, count=400, distinct=60):
     return rng.choices(shapes, weights=weights, k=count)
 
 
+def _concurrently(service, requests, direct, callers=8):
+    """Answers to ``requests`` in input order, computed by ``callers``
+    threads at once.  Each thread sends every other query of its share
+    through the service (a turn on the lane) and runs the rest itself
+    as ``direct(query)`` under ``service.read`` — several traversals on
+    one index at the same time, the lane's among them."""
+    answers = [None] * len(requests)
+    errors = []
+
+    def caller(first):
+        try:
+            for i in range(first, len(requests), callers):
+                query = requests[i]
+                if (i // callers) % 2:
+                    answers[i] = service.read(lambda _target: direct(query))
+                else:
+                    answers[i] = service.submit(query, block=True).result(timeout=30)
+        except Exception as exc:  # noqa: BLE001 - collected
+            errors.append(exc)
+
+    threads = [threading.Thread(target=caller, args=(n,)) for n in range(callers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the traversals for real
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    return answers
+
+
 class TestStressAgainstSequential:
     def test_batch_results_identical_and_no_lost_io(self):
         rng = random.Random(7)
@@ -94,11 +133,14 @@ class TestStressAgainstSequential:
         pre_fills = pool.fill_reads
         pre_physical = index.stats.reads("i3.data")
 
-        # Cache disabled: every request must actually execute concurrently.
-        config = ServiceConfig(workers=12, max_pending=48, cache_capacity=0)
+        # Cache disabled: every request must actually execute, the lane's
+        # half and the callers' own half at the same time.
+        config = ServiceConfig(max_pending=48, cache_capacity=0)
         with QueryService(index, config, ranker=ranker) as service:
-            futures = [service.submit(q, block=True) for q in requests]
-            got = [results_as_pairs(f.result(timeout=30)) for f in futures]
+            answers = _concurrently(
+                service, requests, lambda q: index.query(q, ranker)
+            )
+            got = [results_as_pairs(a) for a in answers]
             snap = service.metrics_snapshot()
 
         assert got == expected
@@ -117,7 +159,8 @@ class TestStressAgainstSequential:
         # partial-write fill) is exactly one physical page read.
         physical = index.stats.reads("i3.data") - pre_physical
         assert physical == (misses - pre_misses) + (pool.fill_reads - pre_fills)
-        assert snap["counters"]["queries.completed"] == len(requests)
+        # 400 requests over 8 callers: rounds 0, 2, ... of each took the lane.
+        assert snap["counters"]["queries.completed"] == len(requests) // 2
 
     def test_hot_cold_with_result_cache(self):
         rng = random.Random(21)
@@ -127,10 +170,13 @@ class TestStressAgainstSequential:
 
         expected = [results_as_pairs(index.query(q, ranker)) for q in requests]
 
-        config = ServiceConfig(workers=8, max_pending=32, cache_capacity=128)
+        config = ServiceConfig(max_pending=32, cache_capacity=128)
         with QueryService(index, config, ranker=ranker) as service:
-            futures = [service.submit(q, block=True) for q in requests]
-            got = [results_as_pairs(f.result(timeout=30)) for f in futures]
+            answers = _concurrently(
+                service, requests,
+                lambda q: index.query(q, ranker, cache=service.cache),
+            )
+            got = [results_as_pairs(a) for a in answers]
             cache = service.cache.stats()
 
         assert got == expected
@@ -146,7 +192,7 @@ class TestStressAgainstSequential:
         new_docs = make_documents(30, rng, start_id=10_000)
         errors = []
 
-        config = ServiceConfig(workers=8, max_pending=64)
+        config = ServiceConfig(max_pending=64)
         with QueryService(index, config, ranker=ranker) as service:
 
             def reader(chunk):
@@ -192,7 +238,7 @@ class TestStressAgainstSequential:
 
         clock = SimClock()
         sched = SimScheduler(seed=2, clock=clock)
-        config = ServiceConfig(workers=8, max_pending=8, cache_capacity=0)
+        config = ServiceConfig(max_pending=8, cache_capacity=0)
         outcomes = {"ok": 0, "shed": 0}
         admitted = []
         with QueryService(
@@ -228,7 +274,7 @@ class TestStressAgainstSequential:
         clock = SimClock()
         sched = SimScheduler(seed=5, clock=clock)
         config = ServiceConfig(
-            workers=1, max_pending=8, timeout=0.05, cache_capacity=0
+            max_pending=8, timeout=0.05, cache_capacity=0
         )
         query = TopKQuery(0.5, 0.5, (DEFAULT_VOCAB[0],), k=3)
         with QueryService(index, config, clock=clock, executor=sched) as service:
@@ -246,7 +292,7 @@ class TestStressAgainstSequential:
     def test_virtual_scheduler_matches_sequential_results(self):
         """The sim-scheduled service returns byte-identical answers to
         direct index execution, whatever order the seeded scheduler
-        interleaves the worker steps in."""
+        interleaves the lane's steps in."""
         index = _build_index(random.Random(11), docs=80)
         requests = _mixed_workload(random.Random(12), count=60, distinct=20)
         ranker = Ranker(UNIT_SQUARE, alpha=0.5)
@@ -254,7 +300,7 @@ class TestStressAgainstSequential:
         for seed in (0, 1, 2):
             clock = SimClock()
             sched = SimScheduler(seed=seed, clock=clock)
-            config = ServiceConfig(workers=4, max_pending=64, cache_capacity=0)
+            config = ServiceConfig(max_pending=64, cache_capacity=0)
             with QueryService(
                 index, config, ranker=ranker, clock=clock, executor=sched
             ) as service:

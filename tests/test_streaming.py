@@ -276,7 +276,7 @@ class TestStreamingService:
 
     def test_service_target_runs_under_write_lock(self):
         index, docs = self.build()
-        with QueryService(index, ServiceConfig(workers=2)) as service:
+        with QueryService(index, ServiceConfig()) as service:
             streams = service.streams()
             assert service.streams() is streams  # lazily built once
             sub = streams.subscribe()

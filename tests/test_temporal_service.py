@@ -60,7 +60,7 @@ def temporal_index(retention=None, n=12):
 def service():
     with QueryService(
         temporal_index(retention=30.0),
-        ServiceConfig(workers=1, metrics_seed=0),
+        ServiceConfig(metrics_seed=0),
     ) as svc:
         yield svc
 
@@ -114,7 +114,7 @@ class TestQueryService:
             durable_root=root,
         )
         with QueryService(
-            index, ServiceConfig(workers=1, metrics_seed=0)
+            index, ServiceConfig(metrics_seed=0)
         ) as svc:
             svc.checkpoint()
         reopened = TemporalIndex.open(root)
@@ -134,7 +134,7 @@ def sharded(tdocs, partitioner=None, retention=None, **config):
         tdocs,
         partitioner or HashPartitioner(3, UNIT_SQUARE),
         TemporalConfig(slice_width=10.0, retention_age=retention, page_size=256),
-        ClusterConfig(shard_config=ServiceConfig(workers=1), **config),
+        ClusterConfig(shard_config=ServiceConfig(), **config),
     )
 
 
@@ -262,7 +262,7 @@ class TestStandingQueriesAgeOut:
     def test_expire_removes_expired_docs_from_standing_topk(self):
         with QueryService(
             temporal_index(retention=30.0),
-            ServiceConfig(workers=1, metrics_seed=0),
+            ServiceConfig(metrics_seed=0),
         ) as svc:
             streams = svc.streams(StreamConfig())
             sub = streams.subscribe("aging", capacity=64)
@@ -319,7 +319,7 @@ class TestWire:
     def test_temporal_query_over_the_sim_wire(self):
         clock = SimClock()
         with QueryService(
-            temporal_index(), ServiceConfig(workers=1, metrics_seed=0)
+            temporal_index(), ServiceConfig(metrics_seed=0)
         ) as svc:
             server = SimNetServer(svc, clock=clock)
             tq = TemporalQuery(
@@ -344,7 +344,7 @@ class TestWire:
         index = I3Index(UNIT_SQUARE, page_size=256)
         index.insert_document(SpatialDocument(1, 0.5, 0.5, {"cafe": f32(0.5)}))
         with QueryService(
-            index, ServiceConfig(workers=1, metrics_seed=0)
+            index, ServiceConfig(metrics_seed=0)
         ) as svc:
             server = SimNetServer(svc, clock=clock)
             tq = TemporalQuery(
@@ -360,7 +360,7 @@ class TestWire:
     def test_standing_registration_refuses_temporal_queries(self):
         clock = SimClock()
         with QueryService(
-            temporal_index(), ServiceConfig(workers=1, metrics_seed=0)
+            temporal_index(), ServiceConfig(metrics_seed=0)
         ) as svc:
             svc.streams(StreamConfig())
             server = SimNetServer(svc, clock=clock)
