@@ -24,7 +24,6 @@ Query processing lives in :mod:`repro.core.query`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.core.headfile import CellPages, HeadFile, SummaryInfo, SummaryNode
@@ -477,24 +476,14 @@ class I3Index:
         self,
         query: TopKQuery,
         ranker: Optional[Ranker] = None,
-        cache=None,
         io_sink: Optional[IOStats] = None,
         engine: Optional[str] = None,
     ) -> List[ScoredDoc]:
         """Answer a top-k spatial keyword query (Algorithm 4).
 
-        ``cache`` is an optional external read-through result cache (any
-        object with ``get_or_compute(key, epoch, compute)``, e.g.
-        :class:`~repro.service.cache.QueryResultCache`): results are
-        keyed by ``(query, alpha)`` and stamped with the current
-        :attr:`epoch`, so a hit after any mutation recomputes.  Both
-        engines produce byte-identical results, so cache entries are
-        engine-agnostic.
-
         ``io_sink`` is an optional external :class:`IOStats` receiving a
         private copy of this call's I/O (this thread's only), letting
-        concurrent callers attribute I/O per query.  A cache hit
-        records no I/O.
+        concurrent callers attribute I/O per query.
 
         ``engine`` overrides the execution engine for this call (see
         :meth:`engine_processor`).
@@ -502,22 +491,15 @@ class I3Index:
         if ranker is None:
             ranker = Ranker(self.space)
         processor = self.engine_processor(engine)
-
-        def run() -> List[ScoredDoc]:
-            if io_sink is None:
-                return processor.search(query, ranker)
-            with self.stats.tee(io_sink):
-                return processor.search(query, ranker)
-
-        if cache is None:
-            return run()
-        return cache.get_or_compute((query, ranker.alpha), self.epoch, run)
+        if io_sink is None:
+            return processor.search(query, ranker)
+        with self.stats.tee(io_sink):
+            return processor.search(query, ranker)
 
     def query_many(
         self,
         queries,
         ranker: Optional[Ranker] = None,
-        cache=None,
         io_sink: Optional[IOStats] = None,
         engine: Optional[str] = None,
     ) -> List[List[ScoredDoc]]:
@@ -547,14 +529,7 @@ class I3Index:
             for query in queries:
                 hit = unique.get(query)
                 if hit is None:
-                    run = partial(processor.search, query, ranker)
-                    hit = unique[query] = (
-                        run()
-                        if cache is None
-                        else cache.get_or_compute(
-                            (query, ranker.alpha), self.epoch, run
-                        )
-                    )
+                    hit = unique[query] = processor.search(query, ranker)
                 out.append(list(hit))
             return out
 
@@ -566,12 +541,13 @@ class I3Index:
     def iter_query(self, query: TopKQuery, ranker: Optional[Ranker] = None):
         """Stream matching documents best-first, without a k bound.
 
-        A lazy generator: consuming n results costs no more I/O than a
-        top-n query.  ``query.k`` is ignored.
+        A lazy generator: consuming n results reads exactly the pages a
+        top-n query reads under the same engine.  ``query.k`` is ignored;
+        the engine is resolved as in :meth:`query`.
         """
         if ranker is None:
             ranker = Ranker(self.space)
-        return self._processor.iter_search(query, ranker)
+        return self.engine_processor().iter_search(query, ranker)
 
     def range_query(self, region: Rect, words, semantics=None) -> List[ScoredDoc]:
         """All documents inside ``region`` matching ``words``.
@@ -579,12 +555,13 @@ class I3Index:
         The region-constrained variant of spatial keyword search (the
         paper's Section 2 first query family).  Scores are the textual
         relevance (matched weight sums); ordering is score-descending.
+        The engine is resolved as in :meth:`query`.
         """
         from repro.model.query import Semantics
 
         if semantics is None:
             semantics = Semantics.OR
-        return self._processor.range_search(region, words, semantics)
+        return self.engine_processor().range_search(region, words, semantics)
 
     def documents(self) -> List[SpatialDocument]:
         """Reconstruct every stored document, in id order.

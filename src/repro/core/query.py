@@ -11,13 +11,14 @@ the candidate's document accumulators (its child keyword cell is fetched
 from the data file with one page I/O).
 
 The traversal terminates when the best remaining upper bound no longer
-beats delta, the current k-th score.
+beats delta, the collector's current cut-off score.
 
-The walk is written once, in :class:`BestFirstProcessor`; how fetched
-tuples are held, bounded and scored is the engine's *cell model*.
-:class:`I3QueryProcessor` walks with the scalar model (``AndSemantics``
-/ ``OrSemantics``), ``repro.exec.vector.VectorQueryProcessor`` with the
-columnar one.
+One loop, two cell models, three collectors: the walk is written once,
+in :class:`BestFirstProcessor`; how fetched tuples are held, bounded and
+scored is the engine's *cell model* (:class:`I3QueryProcessor`: scalar
+``AndSemantics`` / ``OrSemantics``; ``repro.exec.vector``: columnar);
+what becomes of the scored documents is the search's *collector* — the
+top k, a best-first stream, or every match inside a region.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
 
 from repro.core.and_semantics import AndSemantics
 from repro.core.candidates import Candidate, DenseRef
 from repro.core.or_semantics import OrSemantics
 from repro.model.query import Semantics, TopKQuery
-from repro.model.results import ScoredDoc, TopKCollector
+from repro.model.results import AllHitsCollector, ScoredDoc, TopKCollector
 from repro.model.scoring import Ranker
 from repro.spatial.cells import ROOT_CELL, child_cell
 
@@ -103,7 +104,11 @@ class BestFirstProcessor:
         to ``collector`` and counted in ``trace.docs_scored``.
 
     The model knows nothing about the heap, and the walk nothing about
-    tuples.
+    tuples.  The three public searches are three **collectors** on the
+    one loop: a collector provides ``delta``, the score strictly below
+    which nothing matters to it any more, and ``offer(doc_id, score)``
+    — ``TopKCollector`` for :meth:`search`, ``AllHitsCollector`` for
+    :meth:`iter_search` and :meth:`range_search`.
     """
 
     def __init__(self, index: "I3Index") -> None:
@@ -123,33 +128,19 @@ class BestFirstProcessor:
         """
         return getattr(self._trace_local, "trace", None)
 
-    def search(
-        self,
-        query: TopKQuery,
-        ranker: Ranker,
-        spatial_filter: Optional["SpatialFilter"] = None,
-        trace: Optional[QueryTrace] = None,
-    ) -> List[ScoredDoc]:
-        """Answer ``query``; returns at most ``query.k`` scored documents.
-
-        ``spatial_filter`` optionally restricts results to an arbitrary
-        spatial predicate (e.g. a direction sector): cells the filter
-        rules out are skipped, documents it rejects are dropped at
-        scoring time.  The filter must be *conservative* on cells —
-        ``may_intersect(rect)`` may err toward True, never toward False.
-
-        ``trace`` optionally supplies an external :class:`QueryTrace` to
-        fill (callers attributing diagnostics per query); by default a
-        fresh one is created and exposed as :attr:`last_trace`.
-        """
+    def _walk(
+        self, query: TopKQuery, ranker: Ranker, collector, spatial_filter=None, trace=None
+    ) -> Iterator[float]:
+        """The one loop.  Yields each candidate's upper bound just before
+        processing it (finalise into ``collector``, or expand): nothing
+        unseen beats that bound, and a driver that stops, stops the I/O."""
         if trace is None:
             trace = QueryTrace()
         self._trace_local.trace = trace
         cells = self.cells_for(query.semantics)
-        collector = TopKCollector(query.k)
         root = self._root_candidate(query, cells)
         if root is None:
-            return []
+            return
         grid = self.index.grid
         counter = itertools.count()
         heap: List[tuple] = []
@@ -180,6 +171,7 @@ class BestFirstProcessor:
             # equal-score ties resolve by doc id exactly like the oracle.
             if -neg_upper < collector.delta:
                 break
+            yield -neg_upper
             if candidate.is_resolved:
                 cells.finalise(
                     candidate, query, ranker, collector, trace, spatial_filter
@@ -188,7 +180,80 @@ class BestFirstProcessor:
             # Expansion (Algorithm 4, lines 12-24).
             for child in self._children_of(candidate, cells):
                 consider(child)
+
+    def search(
+        self,
+        query: TopKQuery,
+        ranker: Ranker,
+        spatial_filter: Optional["SpatialFilter"] = None,
+        trace: Optional[QueryTrace] = None,
+    ) -> List[ScoredDoc]:
+        """Answer ``query``; returns at most ``query.k`` scored documents.
+
+        ``spatial_filter`` optionally restricts results to an arbitrary
+        spatial predicate (e.g. a direction sector): cells the filter
+        rules out are skipped, documents it rejects are dropped at
+        scoring time.  The filter must be *conservative* on cells —
+        ``may_intersect(rect)`` may err toward True, never toward False.
+
+        ``trace`` optionally supplies an external :class:`QueryTrace` to
+        fill (callers attributing diagnostics per query); by default a
+        fresh one is created and exposed as :attr:`last_trace`.
+        """
+        collector = TopKCollector(query.k)
+        for _ in self._walk(query, ranker, collector, spatial_filter, trace):
+            pass
         return collector.results()
+
+    def iter_search(self, query: TopKQuery, ranker: Ranker) -> Iterator[ScoredDoc]:
+        """Yield matching documents in decreasing score order, lazily.
+
+        The distance-browsing analogue of Algorithm 4: instead of a
+        fixed k, results stream out as soon as their exact score
+        dominates every remaining cell's upper bound, and cells are only
+        expanded when the consumer actually needs more results.  Useful
+        for "give me results until I say stop" interfaces; consuming
+        exactly n results reads the pages a top-n query reads.
+
+        ``query.k`` is ignored; ``query.semantics`` applies as usual.
+        """
+        ready = AllHitsCollector()
+        # Before a candidate is processed, emit every ready document that
+        # strictly beats its bound (a tie is resolved by processing the
+        # cell first, so equal-score results still come out in doc-id
+        # order); the closing -inf flushes what is left.
+        for bound in itertools.chain(self._walk(query, ranker, ready), [float("-inf")]):
+            while ready.heap and -ready.heap[0][0] > bound:
+                neg_score, doc_id = heapq.heappop(ready.heap)
+                yield ScoredDoc(score=-neg_score, doc_id=doc_id)
+
+    def range_search(
+        self, region, words, semantics: Semantics = Semantics.OR
+    ) -> List[ScoredDoc]:
+        """All documents inside ``region`` matching ``words`` (the
+        Section 2 query family with a spatial range constraint instead
+        of a top-k ranking).
+
+        Results carry the textual relevance (matched weight sum) as
+        their score and are ordered score-descending (doc id ascending
+        on ties).  Cells outside the region are skipped outright; under
+        AND semantics the signature-intersection prune of Algorithm 5
+        applies unchanged — region queries reuse the same summaries.
+        """
+        words = tuple(dict.fromkeys(words))
+        if not words:
+            return []
+        probe = TopKQuery(
+            region.center[0], region.center[1], words, k=1, semantics=semantics
+        )
+        inside = SpatialFilter()  # the rectangle: exact on cells and on points
+        inside.may_intersect, inside.contains = region.intersects, region.contains_point
+        # alpha = 0: combine() returns the matched weight sum bit for bit.
+        textual = Ranker(self.index.space, 0.0)
+        hits = AllHitsCollector()
+        for _ in self._walk(probe, textual, hits, inside):
+            pass
+        return hits.results()
 
     # ------------------------------------------------------------------
     # Candidate creation
@@ -221,10 +286,9 @@ class BestFirstProcessor:
         )
 
     def _children_of(self, candidate: Candidate, cells) -> List[Candidate]:
-        """Materialise the four child candidates (shared by the
-        best-first top-k expansion, the streaming search and the region
-        search): each dense keyword moves down its summary-node chain or,
-        where it stops being dense, is fetched into the child's docs."""
+        """Materialise the four child candidates: each dense keyword
+        moves down its summary-node chain or, where it stops being
+        dense, is fetched into the child's docs."""
         nodes = {}
         for word, ref in candidate.dense.items():
             if ref.node is None:
@@ -262,8 +326,7 @@ class BestFirstProcessor:
 
 class I3QueryProcessor(BestFirstProcessor):
     """The scalar reference engine: the shared walk over
-    :class:`~repro.core.candidates.DocAccumulator` cells, plus the two
-    accumulator-only searches (streaming and region)."""
+    :class:`~repro.core.candidates.DocAccumulator` cells."""
 
     def __init__(self, index: "I3Index", or_lattice: bool = True) -> None:
         super().__init__(index)
@@ -274,106 +337,3 @@ class I3QueryProcessor(BestFirstProcessor):
         if semantics is Semantics.AND:
             return AndSemantics(self.index.eta)
         return OrSemantics(self.index.eta, use_lattice=self.or_lattice)
-
-    # ------------------------------------------------------------------
-    # Incremental (streaming) search
-    # ------------------------------------------------------------------
-    def iter_search(self, query: TopKQuery, ranker: Ranker):
-        """Yield matching documents in decreasing score order, lazily.
-
-        The distance-browsing analogue of Algorithm 4: instead of a
-        fixed k, results stream out as soon as their exact score
-        dominates every remaining cell's upper bound, and cells are only
-        expanded when the consumer actually needs more results.  Useful
-        for "give me results until I say stop" interfaces; consuming
-        exactly k results touches no more pages than a k-query would.
-
-        ``query.k`` is ignored; ``query.semantics`` applies as usual.
-        """
-        semantics = self.cells_for(query.semantics)
-        root = self._root_candidate(query, semantics)
-        if root is None:
-            return
-        counter = itertools.count()
-        cells: List[tuple] = []  # max-heap of candidate cells by bound
-        ready: List[tuple] = []  # max-heap of exactly-scored documents
-        emitted: Set[int] = set()
-
-        def push_cell(candidate: Candidate) -> None:
-            if semantics.prune(candidate, query):
-                return
-            candidate.upper_score = semantics.upper_bound(
-                candidate, query, ranker, self.index.grid
-            )
-            heapq.heappush(
-                cells, (-candidate.upper_score, next(counter), candidate)
-            )
-
-        push_cell(root)
-        while cells or ready:
-            # Emit every ready document that strictly beats all remaining
-            # cell bounds (a tie is resolved by expanding the cell first,
-            # so equal-score results still come out in doc-id order).
-            while ready and (not cells or ready[0][0] < cells[0][0]):
-                neg_score, doc_id = heapq.heappop(ready)
-                if doc_id not in emitted:
-                    emitted.add(doc_id)
-                    yield ScoredDoc(score=-neg_score, doc_id=doc_id)
-            if not cells:
-                continue
-            _, _, candidate = heapq.heappop(cells)
-            if candidate.is_resolved:
-                for doc_id, acc in candidate.docs.items():
-                    if not semantics.document_qualifies(acc.words, query):
-                        continue
-                    score = ranker.score_partial(query, acc.x, acc.y, acc.weight_sum)
-                    heapq.heappush(ready, (-score, doc_id))
-                continue
-            for child in self._children_of(candidate, semantics):
-                push_cell(child)
-
-    # ------------------------------------------------------------------
-    # Region-constrained search (the Section 2 query family with a
-    # spatial range constraint instead of a top-k ranking)
-    # ------------------------------------------------------------------
-    def range_search(
-        self, region, words, semantics: Semantics = Semantics.OR
-    ) -> List[ScoredDoc]:
-        """All documents inside ``region`` matching ``words``.
-
-        Results carry the textual relevance (matched weight sum) as
-        their score and are ordered score-descending (doc id ascending
-        on ties).  Cells outside the region are skipped outright; under
-        AND semantics the signature-intersection prune of Algorithm 5
-        applies unchanged — region queries reuse the same summaries.
-        """
-        words = tuple(dict.fromkeys(words))
-        if not words:
-            return []
-        probe = TopKQuery(
-            region.center[0], region.center[1], words, k=1, semantics=semantics
-        )
-        strategy = self.cells_for(semantics)
-        root = self._root_candidate(probe, strategy)
-        if root is None:
-            return []
-        grid = self.index.grid
-        hits: List[ScoredDoc] = []
-        stack = [root]
-        while stack:
-            candidate = stack.pop()
-            if not region.intersects(grid.rect(candidate.cell)):
-                continue
-            if strategy.prune(candidate, probe):
-                continue
-            if candidate.is_resolved:
-                for doc_id, acc in candidate.docs.items():
-                    if not region.contains_point(acc.x, acc.y):
-                        continue
-                    if not strategy.document_qualifies(acc.words, probe):
-                        continue
-                    hits.append(ScoredDoc(score=acc.weight_sum, doc_id=doc_id))
-                continue
-            stack.extend(self._children_of(candidate, strategy))
-        hits.sort(key=lambda h: (-h.score, h.doc_id))
-        return hits

@@ -162,18 +162,12 @@ class SpatialKeywordDatabase:
         k: int = 10,
         semantics: Semantics = Semantics.OR,
         alpha: Optional[float] = None,
-        cache=None,
         engine: Optional[str] = None,
     ) -> List[SearchHit]:
         """Top-k documents for a location plus keywords.
 
         ``keywords`` may be a raw query string (tokenised with the same
         pipeline as documents) or a pre-split sequence of keywords.
-
-        ``cache`` is an optional external read-through result cache
-        (see :meth:`repro.core.index.I3Index.query`); the finished
-        :class:`SearchHit` lists are cached, stamped with the index
-        epoch so inserts/deletes invalidate them.
 
         ``engine`` selects the execution engine for the underlying
         index query (both engines return byte-identical results).
@@ -187,15 +181,9 @@ class SpatialKeywordDatabase:
         query = TopKQuery(x, y, tuple(words), k=k, semantics=semantics)
         ranker = Ranker(self.space, self.alpha if alpha is None else alpha)
 
-        def run() -> List[SearchHit]:
-            return [
-                self._hit(r)
-                for r in self.index.query(query, ranker, engine=engine)
-            ]
-
-        if cache is None:
-            return run()
-        return cache.get_or_compute((query, ranker.alpha), self.index.epoch, run)
+        return [
+            self._hit(r) for r in self.index.query(query, ranker, engine=engine)
+        ]
 
     def _hit(self, result: ScoredDoc) -> SearchHit:
         x, y, text = self._texts[result.doc_id]

@@ -29,10 +29,8 @@ load goes through :func:`repro.exec.columns.cell_columns`, i.e. the data
 file's decoded-cell cache, so consecutive queries — and the members of a
 ``query_many`` batch — share cells without sharing any per-call state.
 
-``iter_search`` (streaming) and ``range_search`` remain tuple-only:
-both are lazy/region-driven paths where per-tuple work is not the
-bottleneck, and :class:`repro.core.index.I3Index` routes them to the
-scalar processor unconditionally.
+The cell model is all an engine is: ``search``, ``iter_search`` and
+``range_search`` are the walk's three collectors and run here unchanged.
 """
 
 from __future__ import annotations

@@ -4,6 +4,10 @@ Every search algorithm in this library maintains the same state: the best
 ``k`` scored documents seen so far and the score ``delta`` of the k-th
 best, which drives all pruning ("if the upper bound score of a cell is
 smaller than delta, the cell can be pruned" — paper Section 5.1).
+
+A *collector* is anything with that ``delta`` and an ``offer(doc_id,
+score)``: :class:`TopKCollector`, and :class:`AllHitsCollector` for the
+searches that have no k (streams, region queries).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-__all__ = ["ScoredDoc", "TopKCollector"]
+__all__ = ["AllHitsCollector", "ScoredDoc", "TopKCollector"]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -104,3 +108,27 @@ class TopKCollector:
         """The single best result, or ``None`` if empty."""
         results = self.results()
         return results[0] if results else None
+
+
+class AllHitsCollector:
+    """The unbounded collector: keeps every offered document.
+
+    :attr:`delta` never rises, so a search driven by it cuts nothing by
+    score.  Documents sit on :attr:`heap` as ``(-score, doc_id)`` — a
+    ``heapq`` min-heap whose root is the best result so far (doc id
+    ascending on ties); a streaming search pops it as results become
+    final, a region search takes :meth:`results` at the end.
+    """
+
+    delta = float("-inf")
+
+    def __init__(self) -> None:
+        self.heap: List[Tuple[float, int]] = []
+
+    def offer(self, doc_id: int, score: float) -> None:
+        """Keep a scored document."""
+        heapq.heappush(self.heap, (-score, doc_id))
+
+    def results(self) -> List[ScoredDoc]:
+        """Everything offered, best first (score desc, doc id asc)."""
+        return [ScoredDoc(score=-neg, doc_id=doc_id) for neg, doc_id in sorted(self.heap)]

@@ -711,7 +711,23 @@ class QueryService:
         return slots
 
     def _answer(self, query: TopKQuery) -> List[Any]:
-        """One query against the target, read through the result cache."""
+        """One query against the target, read through the result cache.
+
+        The one place results are cached: keyed by ``(query, alpha)``
+        and stamped with the target's epoch, so a hit after any mutation
+        recomputes.  Both engines answer byte-identically, so entries
+        are engine-agnostic; a hit reads no pages.
+        """
+        cache = self.cache
+        if cache is None:
+            return self._compute(query)
+        return cache.get_or_compute(
+            (query, self._ranker.alpha),
+            self._index.epoch,
+            lambda: self._compute(query),
+        )
+
+    def _compute(self, query: TopKQuery) -> List[Any]:
         if self._db is not None:
             return self._db.search(
                 query.x,
@@ -720,12 +736,9 @@ class QueryService:
                 k=query.k,
                 semantics=query.semantics,
                 alpha=self._ranker.alpha,
-                cache=self.cache,
                 **self._engine_kwargs,
             )
-        return self._index.query(
-            query, self._ranker, cache=self.cache, **self._engine_kwargs
-        )
+        return self._index.query(query, self._ranker, **self._engine_kwargs)
 
     # ------------------------------------------------------------------
     # Metrics

@@ -47,10 +47,11 @@ Invariants checked (named for shrinking identity):
   tier (real :class:`~repro.net.server.ConnectionCore`, scripted
   connection faults, virtual-time retries) return exactly the model's
   top-k: wire trouble may cost retries, never correctness.
-* ``exec-equivalence`` — on every ``query_many`` step, the same batch
-  executed directly under each available execution engine returns
-  **bit-identical** ``ScoredDoc`` streams (``float.hex`` comparison,
-  stricter than the 9-decimal rounding every other invariant uses).
+* ``exec-equivalence`` — on every ``query_many`` step and every
+  temporal query step, the same queries executed directly under each
+  available execution engine return **bit-identical** ``ScoredDoc``
+  streams (``float.hex`` comparison, stricter than the 9-decimal
+  rounding every other invariant uses).
   This is the only invariant that can see a sub-rounding score drift
   in the vectorized engine.
 * ``temporal-equivalence`` — every time-filtered / recency-weighted
@@ -700,15 +701,23 @@ class _Simulation:
                 f"batch slot {i} ({step['queries'][i]}) returned {got[i]}, "
                 f"model says {expected[i]}",
             )
-        self._check_exec_equivalence(queries, step)
+        self._check_exec_equivalence(
+            lambda engine: self.service.read(
+                lambda _t: self.service.index.query_many(
+                    queries, self.ranker, engine=engine
+                )
+            ),
+            [f"batch slot {i} ({q})" for i, q in enumerate(step["queries"])],
+        )
         self.events.append({"op": "query_many", "results": got})
 
-    def _check_exec_equivalence(self, queries: List[TopKQuery], step) -> None:
+    def _check_exec_equivalence(self, run, labels: List[str]) -> None:
         """The cross-engine differential, bit-exact.
 
-        Runs the batch directly against the index — no service, no
-        cache — once per available engine and compares ``float.hex``
-        score streams, so a divergence is attributable to the engines
+        ``run(engine)`` answers the same queries (one result list per
+        label) directly against the index — no service, no cache — and
+        is called once per available engine; ``float.hex`` score streams
+        are compared, so a divergence is attributable to the engines
         alone and even a one-ulp drift is a conviction.
         """
         from repro.exec import available_engines
@@ -716,17 +725,13 @@ class _Simulation:
         engines = available_engines()
         if len(engines) < 2:
             return  # one engine: nothing to differ
-        streams = {}
-        for engine in engines:
-            answers = self.service.read(
-                lambda _t, e=engine: self.service.index.query_many(
-                    queries, self.ranker, engine=e
-                )
-            )
-            streams[engine] = [
+        streams = {
+            engine: [
                 [(d.doc_id, d.score.hex()) for d in result]
-                for result in answers
+                for result in run(engine)
             ]
+            for engine in engines
+        }
         baseline_engine = engines[0]
         baseline = streams[baseline_engine]
         for engine in engines[1:]:
@@ -738,7 +743,7 @@ class _Simulation:
                 )
                 raise InvariantViolation(
                     "exec-equivalence",
-                    f"batch slot {i} ({step['queries'][i]}): engine "
+                    f"{labels[i]}: engine "
                     f"{engine!r} returned {streams[engine][i]}, "
                     f"{baseline_engine!r} returned {baseline[i]}",
                 )
@@ -923,6 +928,13 @@ class _Simulation:
                 f"recency {step.get('recency')}) returned {got}, "
                 f"the naive oracle says {expected}",
             )
+        self._check_exec_equivalence(
+            lambda engine: [self.temporal.query(tq, self.ranker, engine=engine)],
+            [
+                f"temporal query {step['query']['words']} (range "
+                f"{step.get('time_range')}, recency {step.get('recency')})"
+            ],
+        )
         self.events.append({"op": "t_query", "results": got})
 
     def _do_t_advance(self, step: Dict) -> None:

@@ -35,6 +35,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.index import I3Index, MutationEvent
 from repro.core.recovery import DurableIndex
+from repro.exec import resolve_engine
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc, TopKCollector
@@ -444,7 +445,6 @@ class TemporalIndex:
         self,
         query: Union[TemporalQuery, TopKQuery],
         ranker: Optional[Ranker] = None,
-        cache=None,
         io_sink: Optional[IOStats] = None,
         engine: Optional[str] = None,
     ) -> List[ScoredDoc]:
@@ -452,31 +452,22 @@ class TemporalIndex:
 
         Plain :class:`TopKQuery` objects are answered over all time
         with no recency term — the shape ``QueryService`` and standing
-        queries use.  Caching follows the I3 contract: entries keyed by
-        ``(query, alpha)`` and stamped with :attr:`epoch`.
+        queries use.
 
-        ``engine`` is accepted for interface compatibility with
-        :meth:`repro.core.index.I3Index.query` (the service layer passes
-        its configured engine to whatever target it serves).  Temporal
-        answers come from best-first slice *streams* whose per-document
-        rescore sits above the engine seam, so both engines are — by
-        construction — byte-identical here; the parameter currently
-        selects nothing.
+        ``engine`` selects the execution engine every slice scan runs on,
+        resolved and validated as in
+        :meth:`repro.core.index.I3Index.query`.  Both engines answer
+        byte-identically; the vector engine (the default) reads each
+        slice's keyword cells through that slice's decoded-cell cache.
         """
-        del engine  # temporal scans are engine-independent (see above)
+        engine = resolve_engine(engine)
         tq = query if isinstance(query, TemporalQuery) else TemporalQuery(query)
         if ranker is None:
             ranker = Ranker(self.space)
-
-        def run() -> List[ScoredDoc]:
-            if io_sink is None:
-                return self._search(tq, ranker)
-            with self.stats.tee(io_sink):
-                return self._search(tq, ranker)
-
-        if cache is None:
-            return run()
-        return cache.get_or_compute((tq, ranker.alpha), self.epoch, run)
+        if io_sink is None:
+            return self._search(tq, ranker, engine)
+        with self.stats.tee(io_sink):
+            return self._search(tq, ranker, engine)
 
     def _slice_candidates(
         self, tq: TemporalQuery, ranker: Ranker
@@ -523,7 +514,9 @@ class TemporalIndex:
         ranked.sort(key=lambda item: (-item[0], -item[1]))
         return ranked, outside, unmatched
 
-    def _search(self, tq: TemporalQuery, ranker: Ranker) -> List[ScoredDoc]:
+    def _search(
+        self, tq: TemporalQuery, ranker: Ranker, engine: str
+    ) -> List[ScoredDoc]:
         collector = TopKCollector(tq.k)
         ranked, outside, unmatched = self._slice_candidates(tq, ranker)
         scanned = 0
@@ -538,7 +531,7 @@ class TemporalIndex:
             scanned += 1
             if s.sealed:
                 sealed_scanned += 1
-            self._scan_slice(s, tq, ranker, decay_ub, collector)
+            self._scan_slice(s, tq, ranker, decay_ub, collector, engine)
         live = sum(1 for s in self._slices.values() if s.docs)
         sealed_live = sum(
             1 for s in self._slices.values() if s.docs and s.sealed
@@ -556,6 +549,10 @@ class TemporalIndex:
             "outside_range": outside,
             "unmatched": unmatched,
         }
+        if self._metrics is not None:  # queries are what fill these caches
+            self._metrics.gauge("temporal_decoded_cell_bytes").set(
+                self._decoded_cell_stats()["decoded_cell_bytes"]
+            )
         return collector.results()
 
     def _scan_slice(
@@ -565,6 +562,7 @@ class TemporalIndex:
         ranker: Ranker,
         decay_ub: float,
         collector: TopKCollector,
+        engine: str,
     ) -> None:
         """Stream one slice best-first, stopping at the decay-adjusted
         score bound.
@@ -576,7 +574,7 @@ class TemporalIndex:
         """
         tr = tq.time_range
         spec = tq.recency
-        for sd in s.index.iter_query(tq.base, ranker):
+        for sd in s.index.engine_processor(engine).iter_search(tq.base, ranker):
             if sd.score * decay_ub < collector.delta:
                 break
             tdoc = s.docs.get(sd.doc_id)
@@ -822,6 +820,17 @@ class TemporalIndex:
             s.index.size_bytes for s in self._slices.values() if s.sealed
         )
 
+    def _decoded_cell_stats(self) -> Dict[str, int]:
+        """Decoded-cell cache counters summed over live slices (each
+        slice's data file owns one ``DECODED_CELL_BUDGET`` cache, which
+        leaves with the slice)."""
+        total = dict.fromkeys(("hits", "misses", "bytes", "entries"), 0)
+        for s in self._slices.values():
+            stats = s.index.data.cells.stats()
+            for name in total:
+                total[name] += stats[name]
+        return {f"decoded_cell_{name}": n for name, n in total.items()}
+
     def slice_stats(self) -> Dict[str, float]:
         hot_docs = sum(
             len(s.docs) for s in self._slices.values() if not s.sealed
@@ -840,6 +849,7 @@ class TemporalIndex:
             "queries": self.queries,
             "slices_scanned": self.slices_scanned,
             "skip_ratio": self.skip_ratio,
+            **self._decoded_cell_stats(),
         }
 
     def bind_metrics(self, registry) -> None:
@@ -861,6 +871,11 @@ class TemporalIndex:
             "temporal_skip_ratio",
             "Cumulative fraction of sealed slices skipped by queries",
         )
+        registry.describe(
+            "temporal_decoded_cell_bytes",
+            "Decoded keyword cells held across live slices "
+            "(bounded by 8 MiB per slice)",
+        )
         self._refresh_gauges()
 
     def _refresh_gauges(self) -> None:
@@ -876,6 +891,9 @@ class TemporalIndex:
             stats["retention_drops"]
         )
         registry.gauge("temporal_skip_ratio").set(stats["skip_ratio"])
+        registry.gauge("temporal_decoded_cell_bytes").set(
+            stats["decoded_cell_bytes"]
+        )
 
     def check_invariants(self) -> None:
         """Structural invariants, used by tests and the simulation."""

@@ -105,7 +105,7 @@ def stub_index(gate=None):
         data=SimpleNamespace(buffer=None),
     )
 
-    def query(q, ranker=None, cache=None, io_sink=None):
+    def query(q, ranker=None, io_sink=None):
         if gate is not None:
             gate.wait(timeout=10)
         return [q.k]

@@ -24,6 +24,9 @@ def pair(rng):
 
 
 class TestIterQuery:
+    """Streams from the default engine; the subclass below selects each
+    engine in turn."""
+
     @pytest.mark.parametrize("semantics", [Semantics.AND, Semantics.OR])
     def test_full_stream_matches_unbounded_oracle(self, pair, rng, semantics):
         index, naive = pair
@@ -81,3 +84,37 @@ class TestIterQuery:
         assert list(index.iter_query(and_query, ranker)) == []
         or_query = TopKQuery(0.5, 0.5, ("ghost",), semantics=Semantics.OR)
         assert list(index.iter_query(or_query, ranker)) == []
+
+    @pytest.mark.parametrize("semantics", [Semantics.AND, Semantics.OR])
+    def test_prefix_reads_exactly_what_topk_reads(self, pair, rng, semantics):
+        """The lazy-read property as an equality: cold, consuming n
+        results reads the pages a top-n query reads — no more (nothing
+        is expanded ahead of the consumer) and no fewer."""
+        index, _ = pair
+        ranker = Ranker(UNIT_SQUARE, 0.5)
+        vocab = ["spicy", "restaurant", "pizza", "bar"]
+
+        def cold_reads(run):
+            index.clear_cache()
+            index.stats.reset()
+            run()
+            return index.stats.reads("i3.head"), index.stats.reads("i3.data")
+
+        for _ in range(12):
+            words = tuple(rng.sample(vocab, rng.randint(1, 3)))
+            query = TopKQuery(
+                rng.random(), rng.random(), words, k=1, semantics=semantics
+            )
+            n = rng.choice([1, 2, 5, 17, 400])
+            streamed = cold_reads(
+                lambda: list(itertools.islice(index.iter_query(query, ranker), n))
+            )
+            assert streamed == cold_reads(
+                lambda: index.query(query.with_k(n), ranker)
+            )
+
+
+@pytest.mark.usefixtures("engine")
+class TestIterQueryOnEachEngine(TestIterQuery):
+    """``iter_query`` resolves its engine as ``query`` does, so the
+    whole suite holds under each one."""

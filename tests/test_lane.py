@@ -36,7 +36,7 @@ def _recording_index(gate=None, gated_k=1, hold=0.0):
     stub.order, stub.inside, stub.most, stub.writes = [], 0, 0, []
     lock = threading.Lock()
 
-    def query(q, ranker=None, cache=None, io_sink=None):
+    def query(q, ranker=None, io_sink=None):
         with lock:
             stub.order.append(q.k)
             stub.inside += 1

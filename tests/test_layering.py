@@ -17,6 +17,13 @@ constructs a thread, a thread pool, a process pool or anything from
 ``multiprocessing`` is on a list that says what runs in parallel there.
 A ``QueryService`` is one lane (DESIGN.md "Taking turns"); a pool that
 comes back has to say here what it buys.
+
+And a **walk census**: Algorithm 4 is one loop
+(``BestFirstProcessor._walk``) with three collectors on it (DESIGN.md
+"One walk, two cell models, three collectors"), so the two methods that
+create candidates are called from that loop and nowhere else, no engine
+overrides a search, and the temporal tier reaches an index's walk only
+through ``engine_processor``.
 """
 
 import ast
@@ -170,3 +177,62 @@ def test_temporal_sits_below_service_cluster_and_net():
         if any(_within(name, package) for package in ABOVE_TEMPORAL)
     )
     assert not offenders, offenders
+
+
+def _calls_of(tree: ast.AST, method: str) -> int:
+    """How many ``x.<method>(...)`` calls a syntax tree contains."""
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == method
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_walk_and_nothing_beside_it():
+    trees = {
+        path.relative_to(PACKAGE_ROOT).as_posix(): ast.parse(path.read_text())
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+    }
+    (loop,) = (
+        node
+        for node in ast.walk(trees["core/query.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_walk"
+    )
+    for method in ("_root_candidate", "_children_of"):
+        sites = {name: _calls_of(tree, method) for name, tree in trees.items()}
+        assert {n: c for n, c in sites.items() if c} == {"core/query.py": 1}, method
+        assert _calls_of(loop, method) == 1, f"{method} is called outside the loop"
+    classes = {}  # class name -> (base names, methods it defines)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = {ast.unparse(b).rpartition(".")[2] for b in node.bases}
+                methods = {
+                    n.name for n in node.body if isinstance(n, ast.FunctionDef)
+                }
+                classes[node.name] = (bases, methods)
+    walk = classes["BestFirstProcessor"][1]
+    assert {"_walk", "search", "iter_search", "range_search"} <= walk
+
+    def is_processor(name: str) -> bool:
+        bases = classes.get(name, (set(), set()))[0]
+        return "BestFirstProcessor" in bases or any(map(is_processor, bases))
+
+    for name, (_bases, methods) in classes.items():
+        if name == "BestFirstProcessor":
+            continue
+        # ``search`` is also the verb of services, clients and baselines;
+        # what must not exist is an *engine* with a walk of its own.
+        banned = {"iter_search", "range_search"}
+        if is_processor(name):
+            banned |= {"search", "_walk"}
+        assert not banned & methods, (name, sorted(banned & methods))
+    assert classes["I3QueryProcessor"][1] == {"__init__", "cells_for"}
+    for name, tree in trees.items():
+        if name.startswith("temporal/"):
+            named = {
+                getattr(node, "attr", getattr(node, "id", None))
+                for node in ast.walk(tree)
+            }
+            assert "_processor" not in named, name

@@ -32,7 +32,6 @@ from repro.exec.procpool import SnapshotProcessPool
 from repro.net import Client, NetServer
 from repro.net.sim import SimNetServer, sim_client
 from repro.service import QueryService, ServiceConfig
-from repro.service.cache import QueryResultCache
 from repro.service.errors import QueryTimeout
 from repro.simtest.clock import SimClock, SimScheduler
 from repro.spatial.geometry import UNIT_SQUARE
@@ -141,20 +140,20 @@ class TestIndexQueryMany:
     def test_cache_shared_with_single_queries(self):
         index = _build(num_docs=80)
         ranker = Ranker(UNIT_SQUARE, 0.5)
-        cache = QueryResultCache(64)
         queries = _queries(6, seed=31)
-        index.query_many(queries, ranker, cache=cache)
-        misses_after_batch = cache.stats()["misses"]
-        # Singles now hit the batch's entries...
-        for query in queries:
-            assert index.query(query, ranker, cache=cache) is not None
-        assert cache.stats()["misses"] == misses_after_batch
-        # ...until a mutation bumps the epoch and invalidates them all.
-        index.insert_document(
-            SpatialDocument(10**6, 0.5, 0.5, {VOCAB[0]: f32(0.9)})
-        )
-        index.query_many(queries[:1], ranker, cache=cache)
-        assert cache.stats()["misses"] == misses_after_batch + 1
+        config = ServiceConfig(cache_capacity=64)
+        with QueryService(index, config, ranker=ranker) as service:
+            cache = service.cache
+            service.search_many(queries)
+            misses_after_batch = cache.stats()["misses"]
+            # Singles now hit the batch's entries...
+            for query in queries:
+                assert service.search(query) is not None
+            assert cache.stats()["misses"] == misses_after_batch
+            # ...until a mutation bumps the epoch and invalidates them all.
+            service.insert(SpatialDocument(10**6, 0.5, 0.5, {VOCAB[0]: f32(0.9)}))
+            service.search_many(queries[:1])
+            assert cache.stats()["misses"] == misses_after_batch + 1
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +212,7 @@ class TestServiceSearchMany:
         every other query in the batch still answers."""
         boom = _queries(1, seed=77)[0]
 
-        def query_fn(q, ranker=None, cache=None, io_sink=None):
+        def query_fn(q, ranker=None, io_sink=None):
             if q is boom:
                 raise RuntimeError("poisoned query")
             return [q.k]
@@ -241,7 +240,7 @@ class TestServiceSearchMany:
         clock = [0.0]
         executed = []
 
-        def query_fn(q, ranker=None, cache=None, io_sink=None):
+        def query_fn(q, ranker=None, io_sink=None):
             executed.append(q)
             clock[0] += 0.4  # each query "takes" 0.4s of virtual time
             return [q.k]
@@ -283,7 +282,7 @@ class TestServiceSearchMany:
         fail_once = {"armed": True}
         target = _queries(1, seed=55)[0]
 
-        def query_fn(q, ranker=None, cache=None, io_sink=None):
+        def query_fn(q, ranker=None, io_sink=None):
             if q == target and fail_once["armed"]:
                 fail_once["armed"] = False
                 raise RuntimeError("transient")

@@ -1,6 +1,7 @@
 """Tests for the query-processing diagnostics (QueryTrace) and the
 pruning behaviour they make observable."""
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from repro.core.query import QueryTrace
 from repro.exec import available_engines
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
-from repro.spatial.geometry import UNIT_SQUARE
+from repro.spatial.geometry import Rect, UNIT_SQUARE
 
 from tests.helpers import DEFAULT_VOCAB, make_documents
 
@@ -80,6 +81,24 @@ class TestQueryTrace:
         assert second is not first
         assert second.docs_scored == 0
 
+    def test_streams_and_region_queries_fill_the_trace(self, loaded):
+        """All three searches are one walk, so all three leave a trace."""
+        ranker = Ranker(UNIT_SQUARE, 0.5)
+        query = TopKQuery(0.5, 0.5, ("restaurant",), k=1)
+        loaded.query(query, ranker)
+        topk = loaded.engine_processor().last_trace
+        streamed = list(loaded.iter_query(query, ranker))
+        stream = loaded.engine_processor().last_trace
+        assert stream is not topk
+        assert stream.docs_scored == len(streamed) > 0
+        assert stream.candidates_popped >= topk.candidates_popped
+        region = Rect(0.25, 0.25, 0.75, 0.75)
+        hits = loaded.range_query(region, ("restaurant",))
+        ranged = loaded.engine_processor().last_trace
+        assert ranged is not stream
+        assert ranged.docs_scored == len(hits) > 0
+        assert ranged.cells_pruned > 0  # the cells outside the region
+
 
 @pytest.mark.usefixtures("engine")
 class TestQueryTraceEachEngine(TestQueryTrace):
@@ -116,6 +135,39 @@ class TestSameWalkAcrossEngines:
             assert answers["vector"] == answers["tuple"]
             if compare_counters:
                 assert counters["vector"] == counters["tuple"]
+
+    @pytest.mark.parametrize("semantics", [Semantics.AND, Semantics.OR])
+    def test_streams_and_regions_are_identical(self, loaded, semantics):
+        """``iter_search`` (drained, and a random prefix) and
+        ``range_search`` from each engine's processor: same documents,
+        same scores bit for bit, on pages small enough to split."""
+        rng = random.Random(41)
+        ranker = Ranker(UNIT_SQUARE, 0.5)
+
+        def pairs(results):
+            return [(r.doc_id, r.score.hex()) for r in results]
+
+        for _ in range(60):
+            words = tuple(rng.sample(DEFAULT_VOCAB, rng.randint(1, 3)))
+            query = TopKQuery(
+                rng.random(), rng.random(), words, k=1, semantics=semantics
+            )
+            n = rng.randint(1, 30)
+            x1, x2 = sorted((rng.random(), rng.random()))
+            y1, y2 = sorted((rng.random(), rng.random()))
+            region = Rect(x1, y1, x2, y2)
+            seen = {}
+            for engine in ("tuple", "vector"):
+                processor = loaded.engine_processor(engine)
+                seen[engine] = (
+                    pairs(processor.iter_search(query, ranker)),
+                    pairs(itertools.islice(processor.iter_search(query, ranker), n)),
+                    pairs(processor.range_search(region, words, semantics)),
+                )
+            assert seen["vector"] == seen["tuple"]
+            stream, prefix, _ = seen["tuple"]
+            assert prefix == stream[:n]
+            assert stream == pairs(loaded.query(query.with_k(10_000), ranker))
 
     def test_or_walks_are_identical(self, loaded):
         """The columnar OR bound is the scalar lattice's value bit for

@@ -32,6 +32,9 @@ def as_pairs(hits):
 
 
 class TestRangeQuery:
+    """Region queries on the default engine; the subclass at the end of
+    the file selects each engine in turn."""
+
     @pytest.mark.parametrize("semantics", [Semantics.AND, Semantics.OR])
     def test_matches_oracle(self, pair, rng, semantics):
         index, naive = pair
@@ -92,3 +95,9 @@ class TestRangeQuery:
             got = index.range_query(region, ("spicy", "restaurant"), semantics)
             want = naive.range_query(region, ("spicy", "restaurant"), semantics)
             assert as_pairs(got) == as_pairs(want)
+
+
+@pytest.mark.usefixtures("engine")
+class TestRangeQueryOnEachEngine(TestRangeQuery):
+    """``range_query`` resolves its engine as ``query`` does, so the
+    whole suite holds under each one."""

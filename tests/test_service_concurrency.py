@@ -174,7 +174,9 @@ class TestStressAgainstSequential:
         with QueryService(index, config, ranker=ranker) as service:
             answers = _concurrently(
                 service, requests,
-                lambda q: index.query(q, ranker, cache=service.cache),
+                lambda q: service.cache.get_or_compute(
+                    (q, ranker.alpha), index.epoch, lambda: index.query(q, ranker)
+                ),
             )
             got = [results_as_pairs(a) for a in answers]
             cache = service.cache.stats()

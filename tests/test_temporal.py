@@ -12,9 +12,13 @@ import math
 import pytest
 
 from repro.core.index import I3Index
+from repro.core.kwcells import DECODED_CELL_BUDGET
+from repro.exec import available_engines
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
+from repro.service import QueryService, ServiceConfig
+from repro.service.metrics import MetricsRegistry
 from repro.simtest.simfs import SimFileSystem
 from repro.spatial.geometry import UNIT_SQUARE
 from repro.storage.records import f32
@@ -215,6 +219,34 @@ class TestRetention:
 # ----------------------------------------------------------------------
 # Queries and pruning evidence
 # ----------------------------------------------------------------------
+class TestDecodedCellMemory:
+    """Each slice's data file owns one decoded-cell budget; the temporal
+    store reports the sum and gives a dropped slice's share back."""
+
+    def test_bytes_are_bounded_reported_and_returned_by_expire(self):
+        index = build(
+            [tdoc(i, float(i), words=("cafe", "bar")) for i in range(40)],
+            retention=20.0,
+        )
+        registry = MetricsRegistry()
+        index.bind_metrics(registry)
+        gauge = registry.gauge("temporal_decoded_cell_bytes")
+        assert gauge.value == 0
+        index.query(TopKQuery(0.5, 0.5, ("cafe", "bar"), k=40), engine="vector")
+        stats = index.slice_stats()
+        held = stats["decoded_cell_bytes"]
+        assert 0 < held <= DECODED_CELL_BUDGET * stats["slices"]
+        assert stats["decoded_cell_entries"] > 0
+        assert gauge.value == held  # current after a query, not only a write
+        oldest = index._slices[index.live_slice_ids()[0]].index.data.cells
+        share = oldest.stats()["bytes"]
+        assert share > 0
+        assert index.expire(now=45.0) == [0, 1]
+        after = index.slice_stats()["decoded_cell_bytes"]
+        assert after <= held - share
+        assert gauge.value == after
+
+
 class TestQuery:
     def test_plain_query_covers_all_time(self):
         index = build([tdoc(1, 5.0), tdoc(2, 500.0)])
@@ -250,23 +282,55 @@ class TestQuery:
         assert index.last_query_stats["unmatched"] == 1
 
     def test_query_cache_serves_repeats_and_invalidates(self):
-        from repro.service.cache import QueryResultCache
-
         index = build([tdoc(i, float(i), words=("cafe", "bar")) for i in range(10)])
-        ranker = Ranker(UNIT_SQUARE)
-        cache = QueryResultCache(capacity=8)
         tq = TemporalQuery(
             TopKQuery(0.5, 0.5, ("cafe",), k=3),
             recency=RecencySpec(5.0, 10.0),
         )
-        first = results_as_pairs(index.query(tq, ranker, cache=cache))
-        scanned = index.slices_scanned
-        assert results_as_pairs(index.query(tq, ranker, cache=cache)) == first
-        assert index.slices_scanned == scanned  # served from cache
-        # A mutation bumps the epoch, so the same key recomputes.
-        index.insert(tdoc(99, 9.5, words=("cafe",)))
-        refreshed = results_as_pairs(index.query(tq, ranker, cache=cache))
+        config = ServiceConfig(cache_capacity=8)
+        with QueryService(index, config, ranker=Ranker(UNIT_SQUARE)) as service:
+            first = results_as_pairs(service.search(tq))
+            scanned = index.slices_scanned
+            assert results_as_pairs(service.search(tq)) == first
+            assert index.slices_scanned == scanned  # served from cache
+            # A mutation bumps the epoch, so the same key recomputes.
+            service.insert(tdoc(99, 9.5, words=("cafe",)))
+            refreshed = results_as_pairs(service.search(tq))
         assert any(p[0] == 99 for p in refreshed)
+
+    def test_unknown_engine_is_refused_like_the_plain_index(self):
+        index = build([tdoc(1, 5.0)])
+        query = TopKQuery(0.5, 0.5, ("cafe",), k=3)
+        with pytest.raises(ValueError, match="unknown engine") as plain:
+            I3Index(UNIT_SQUARE).query(query, engine="warp")
+        with pytest.raises(ValueError, match="unknown engine") as temporal:
+            index.query(query, engine="warp")
+        assert str(temporal.value) == str(plain.value)
+
+    @pytest.mark.skipif(
+        "vector" not in available_engines(), reason="needs the vector engine"
+    )
+    def test_engine_selects_what_scans_each_slice(self):
+        """The tuple engine never consults a slice's decoded-cell cache;
+        the vector engine (the default) reads every cell through it."""
+        index = build([tdoc(i, float(i), words=("cafe", "bar")) for i in range(30)])
+        query = TopKQuery(0.5, 0.5, ("cafe", "bar"), k=30)
+
+        def lookups():
+            stats = index.slice_stats()
+            return stats["decoded_cell_hits"] + stats["decoded_cell_misses"]
+
+        pinned = index.query(query, engine="tuple")
+        assert lookups() == 0
+        # The path `repro serve --temporal-dir D --engine tuple` takes.
+        with QueryService(index, ServiceConfig(engine="tuple")) as service:
+            assert service.search(query) == pinned
+        assert lookups() == 0
+        assert index.query(query, engine="vector") == pinned
+        assert lookups() > 0
+        before = lookups()
+        assert index.query(query) == pinned
+        assert lookups() > before
 
     def test_upper_bound_is_admissible(self):
         index = build(

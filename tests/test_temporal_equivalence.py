@@ -68,10 +68,9 @@ def make_queries(rng, vocab):
 @pytest.fixture(autouse=True)
 def _engines(engine):
     """Both execution engines must produce oracle-identical temporal
-    answers.  The temporal rescore itself streams above the engine seam,
-    so this pins the documented invariant that ``engine`` never changes
-    a temporal result — and keeps pinning it if slice scans are ever
-    routed through the seam."""
+    answers: every slice scan is the engine's ``iter_search`` (default
+    resolution, which this fixture points at each engine in turn), and
+    ``engine`` must never change a temporal result."""
 
 
 @pytest.fixture(scope="module", params=sorted(TEMPORAL_SCENARIOS))
