@@ -50,11 +50,11 @@ def main() -> None:
     print(f"partitioned {len(docs)} documents over 4 spatial shards: {counts}")
 
     # ------------------------------------------------------------------
-    # 2. Build the cluster: two replicas per shard, scatter width 2.
+    # 2. Build the cluster: two replicas per shard. A query visits the
+    #    shards one at a time, best bound first, on the caller's thread.
     # ------------------------------------------------------------------
     config = ClusterConfig(
         replicas=2,
-        scatter_width=2,
         cache_capacity=0,  # every request exercises the scatter path
         shard_config=ServiceConfig(metrics_seed=0),
         metrics_seed=0,

@@ -13,10 +13,10 @@ queries by scatter-gather with two correctness-preserving shortcuts:
   with the spatial upper bound of the shard's nearest region (one
   ``shard_min_dists`` question to the partitioner per query) this
   bounds the best score any of its documents can reach; shards are
-  visited in bound order and skipped once their bound falls strictly
-  below the current k-th best score — they could neither beat nor tie
-  it, so the merged answer is byte-identical to querying one monolithic
-  index;
+  visited one at a time in bound order, on the caller's thread, and
+  skipped once their bound falls strictly below the current k-th best
+  score — they could neither beat nor tie it, so the merged answer is
+  byte-identical to querying one monolithic index;
 * **replica failover** — a failed attempt (dead replica, injected
   fault, attempt timeout, shed query) moves to the next replica,
   healthy first, with exponential backoff between retry rounds.  A
@@ -55,7 +55,6 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -167,17 +166,14 @@ class ClusterConfig:
 
     Attributes:
         replicas: Replicas per shard (1 = primary only, no failover).
-        scatter_width: Shards queried concurrently per gather wave.
-            Width 1 maximises bound-based skipping (every shard sees the
-            tightest possible threshold); larger widths trade wasted
-            shard work for lower latency.
         attempt_timeout: Per-attempt budget in seconds against one
             replica (``None`` = wait for the replica's own deadline).
-        deadline: Whole-query budget in seconds, sliced across the
-            gather waves: every shard attempt is capped by the time
-            remaining, and shards reached after the budget runs out
-            fail their slice (degrading the answer) instead of
-            stretching the query (``None`` = no cluster deadline).
+        deadline: Whole-query budget in seconds from the start of the
+            query (routing included), sliced across the shard
+            attempts: every attempt is capped by the time remaining,
+            and shards reached after the budget runs out fail their
+            slice (degrading the answer) instead of stretching the
+            query (``None`` = no cluster deadline).
         retry_rounds: Extra passes over the replica set after the first
             all-replicas sweep fails.
         backoff: Base seconds slept before retry round ``n`` (doubles
@@ -192,7 +188,6 @@ class ClusterConfig:
     """
 
     replicas: int = 1
-    scatter_width: int = 2
     attempt_timeout: Optional[float] = None
     deadline: Optional[float] = None
     retry_rounds: int = 1
@@ -205,10 +200,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.replicas <= 0:
             raise ValueError(f"replicas must be positive, got {self.replicas}")
-        if self.scatter_width <= 0:
-            raise ValueError(
-                f"scatter_width must be positive, got {self.scatter_width}"
-            )
         if self.attempt_timeout is not None and not (
             0 < self.attempt_timeout < math.inf
         ):
@@ -289,11 +280,13 @@ class ClusterService:
     ) -> None:
         """``clock``/``executor`` are the deterministic-simulation seams
         (see :mod:`repro.simtest` and the same seams on
-        :class:`~repro.service.QueryService`): with an executor the
-        scatter pool is replaced by sequential in-wave execution and
-        :meth:`recover` rebuilds replica services in sim mode.
-        ``channel`` is the shard-transport seam (default: direct
-        in-process :class:`ShardChannel`).  Leave all three ``None`` in
+        :class:`~repro.service.QueryService`): the clock times routing,
+        deadlines and backoff, and the executor is only handed on to
+        the replica services :meth:`recover` rebuilds — the scatter
+        never asks for it, so a simulated cluster runs the same
+        statements as a production one.  ``channel`` is the
+        shard-transport seam (default: direct in-process
+        :class:`ShardChannel`).  Leave all three ``None`` in
         production."""
         if not shards:
             raise ValueError("a cluster needs at least one shard")
@@ -313,14 +306,6 @@ class ClusterService:
             QueryResultCache(self.config.cache_capacity)
             if self.config.cache_capacity
             else None
-        )
-        self._pool = (
-            None
-            if executor is not None
-            else ThreadPoolExecutor(
-                max_workers=self.config.scatter_width,
-                thread_name_prefix="repro-cluster",
-            )
         )
         self._closed = False
         self._close_lock = threading.Lock()
@@ -618,6 +603,14 @@ class ClusterService:
         self, query: TopKQuery, give_up_at: Optional[float]
     ) -> ClusterAnswer:
         started = self._now()
+        # The tighter of this query's own budget and the caller's; both
+        # run from the start of the query, so routing (which can wait
+        # behind a shard's writer) spends from them too.
+        deadline_at = give_up_at
+        if self.config.deadline is not None:
+            deadline_at = started + self.config.deadline
+            if give_up_at is not None:
+                deadline_at = min(deadline_at, give_up_at)
         ranked, absent, dead_upfront = self._route(query)
         self.metrics.histogram("cluster.route_ms").observe(
             (self._now() - started) * 1000.0
@@ -626,50 +619,22 @@ class ClusterService:
         failed: List[int] = list(dead_upfront)
         queried = 0
         pruned = 0
-        # The tighter of this query's own budget and the caller's.
-        deadline_at = give_up_at
-        if self.config.deadline is not None:
-            deadline_at = self._now() + self.config.deadline
-            if give_up_at is not None:
-                deadline_at = min(deadline_at, give_up_at)
-        i = 0
-        while i < len(ranked):
-            delta = collector.delta
-            wave: List[int] = []
-            while i < len(ranked) and len(wave) < self.config.scatter_width:
-                bound, sid = ranked[i]
-                if bound < delta:
-                    # Bounds are sorted descending: nothing past this
-                    # point can beat (or tie) the current k-th score.
-                    pruned += len(ranked) - i
-                    i = len(ranked)
-                    break
-                wave.append(sid)
-                i += 1
-            if not wave:
+        # Algorithm 4 one level up: one shard at a time in bound order,
+        # delta checked before each.  The attempt runs on this thread
+        # and hops once, into the shard's QueryService lane.
+        for i, (bound, sid) in enumerate(ranked):
+            if bound < collector.delta:
+                # Bounds are sorted descending: nothing from here on can
+                # beat (or tie) the current k-th score.
+                pruned = len(ranked) - i
                 break
-            if len(wave) == 1 or self._pool is None:
-                # Single-shard waves and simulation mode both run the
-                # wave sequentially (in sim mode, deterministically).
-                outcomes = [
-                    self._query_shard(sid, query, deadline_at) for sid in wave
-                ]
-            else:
-                # Concurrent fan-out: every shard of the wave runs on
-                # the scatter pool at once, each attempt capped by its
-                # remaining slice of the cluster deadline.
-                futures = [
-                    self._pool.submit(self._query_shard, sid, query, deadline_at)
-                    for sid in wave
-                ]
-                outcomes = [future.result() for future in futures]
-            queried += len(wave)
-            for sid, result in zip(wave, outcomes):
-                if result is None:
-                    failed.append(sid)
-                    continue
-                for doc in result:
-                    collector.offer(doc.doc_id, doc.score)
+            queried += 1
+            result = self._query_shard(sid, query, deadline_at)
+            if result is None:
+                failed.append(sid)
+                continue
+            for doc in result:
+                collector.offer(doc.doc_id, doc.score)
         self.metrics.counter("cluster.shards_queried").inc(queried)
         self.metrics.counter("cluster.shards_pruned").inc(pruned)
         self.metrics.counter("cluster.shards_no_candidates").inc(absent)
@@ -1065,7 +1030,6 @@ class ClusterService:
             "num_shards": self.num_shards,
             "replicas": self.config.replicas,
             "partitioner": getattr(self.partitioner, "kind", "unknown"),
-            "scatter_width": self.config.scatter_width,
             "uptime_s": uptime,
             "closed": self._closed,
         }
@@ -1106,7 +1070,7 @@ class ClusterService:
         self.manifest.save(path)
 
     def close(self) -> None:
-        """Close every replica service and the scatter pool. Idempotent."""
+        """Close every replica service. Idempotent."""
         with self._close_lock:
             if self._closed:
                 return
@@ -1118,8 +1082,6 @@ class ClusterService:
                 rep.service.close()
                 if rep.service.durable is not None:
                     rep.service.durable.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
 
     @property
     def closed(self) -> bool:

@@ -416,7 +416,6 @@ class _Simulation:
             partitioner,
             ClusterConfig(
                 replicas=cfg["replicas"],
-                scatter_width=2,
                 retry_rounds=1,
                 backoff=0.001,
                 deadline=cfg.get("deadline"),

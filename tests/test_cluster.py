@@ -267,10 +267,7 @@ class TestEquivalence:
         cluster = ClusterService.build(
             docs,
             part,
-            ClusterConfig(
-                scatter_width=1, cache_capacity=0,
-                shard_config=ServiceConfig(),
-            ),
+            ClusterConfig(cache_capacity=0, shard_config=ServiceConfig()),
             ranker=ranker,
         )
         with cluster:
@@ -281,6 +278,33 @@ class TestEquivalence:
             assert answer.shards_queried == 1
             assert answer.shards_skipped == 1
             assert cluster.metrics.counter("cluster.shards_pruned").value == 1
+
+    def test_delta_is_checked_before_every_shard(self):
+        # The query sits on shard A's only document: its score (0.95)
+        # beats shard B's routed bound (B is at least 0.4 away), so with
+        # the default config B is pruned after A — never queried.
+        near = SpatialDocument(1, 0.1, 0.1, {"spicy": 0.5})
+        far = SpatialDocument(2, 0.9, 0.9, {"spicy": 1.0})
+        part = SpatialGridPartitioner.from_documents(
+            2, UNIT_SQUARE, [near, far], leaf_capacity=1
+        )
+        shard_b = part.shard_of(far)
+        assert part.shard_of(near) != shard_b
+        ranker = Ranker(UNIT_SQUARE, alpha=0.9)
+        mono = I3Index(UNIT_SQUARE)
+        mono.bulk_load([near, far])
+        query = TopKQuery(0.1, 0.1, ("spicy",), k=1, semantics=Semantics.OR)
+        with ClusterService.build(
+            [near, far], part, ClusterConfig(), ranker=ranker
+        ) as cluster:
+            answer = cluster.search(query)
+            counters = cluster.metrics_snapshot()["counters"]
+        assert results_as_pairs(answer.results) == results_as_pairs(
+            mono.query(query, ranker)
+        )
+        assert [doc.doc_id for doc in answer.results] == [1]
+        assert counters["cluster.shards_pruned"] == 1
+        assert f"shard.{shard_b}.queries" not in counters
 
     def test_and_semantics_skip_keyword_absent_shards(self, rng):
         # "tea" on shard A only, "vegan" on shard B only: an AND query
@@ -529,8 +553,8 @@ class TestClusterMetrics:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ClusterConfig(replicas=0)
-        with pytest.raises(ValueError):
-            ClusterConfig(scatter_width=0)
+        with pytest.raises(TypeError):
+            ClusterConfig(scatter_width=2)  # one shard at a time: no width
         with pytest.raises(ValueError):
             ClusterConfig(attempt_timeout=0)
         with pytest.raises(ValueError):

@@ -91,23 +91,19 @@ class TestOneLane:
             assert service.search(_query()) == [3]
             assert _lanes(before) == []
 
-    def test_a_cluster_owns_one_lane_per_replica_and_the_scatter_pool(self):
+    def test_a_cluster_owns_one_lane_per_replica_and_no_other_thread(self):
+        """The scatter visits shards on the caller's thread: the only
+        threads a 4-shard cluster starts are its 4 shard lanes."""
         before = set(threading.enumerate())
         docs = make_documents(80, random.Random(3))
-        config = ClusterConfig(scatter_width=2)
         with ClusterService.build(
-            docs, HashPartitioner(4, UNIT_SQUARE), config
+            docs, HashPartitioner(4, UNIT_SQUARE), ClusterConfig()
         ) as cluster:
             for i in range(30):
                 cluster.search(TopKQuery(0.1 * (i % 10), 0.5, ("spicy", "bar"), k=5))
-            assert len(_lanes(before)) == 4
-            scatter = [
-                t for t in threading.enumerate()
-                if t not in before and t.name.startswith("repro-cluster")
-            ]
-            assert len(scatter) <= config.scatter_width
-            others = set(threading.enumerate()) - before
-            assert others == set(_lanes(before)) | set(scatter)
+            lanes = _lanes(before)
+            assert len(lanes) == 4
+            assert set(threading.enumerate()) - before == set(lanes)
         assert _lanes(before) == []
 
     def test_tasks_execute_in_admission_order_one_at_a_time(self):

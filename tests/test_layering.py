@@ -56,10 +56,6 @@ THREAD_CENSUS = {
     ("net/httpserver.py", "Thread"): (
         2, "the metrics exporter's accept loop and one per scrape",
     ),
-    ("cluster/service.py", "ThreadPoolExecutor"): (
-        1, "the scatter pool: scatter_width threads that only wait on "
-        "shard attempts (sockets, under ROADMAP 5a)",
-    ),
     ("exec/procpool.py", "ProcessPoolExecutor"): (
         1, "SnapshotProcessPool: processes, the one place parallel "
         "traversals are real",
@@ -68,7 +64,7 @@ THREAD_CENSUS = {
         1, "the fork context SnapshotProcessPool hands its executor",
     ),
 }
-_CONSTRUCTORS = ("Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor")
+_CONSTRUCTORS = ("Thread", "Timer")
 
 
 def _within(name: str, package: str) -> bool:
@@ -117,10 +113,11 @@ def concurrency_sites(source: str):
         if not isinstance(node, ast.Call):
             continue
         callee = ast.unparse(node.func)
+        name = callee.rpartition(".")[2]
         if callee.startswith("multiprocessing."):
             yield callee
-        elif callee.rpartition(".")[2] in _CONSTRUCTORS:
-            yield callee.rpartition(".")[2]
+        elif name in _CONSTRUCTORS or name.endswith("PoolExecutor"):
+            yield name
 
 
 def test_every_thread_and_pool_says_what_runs_on_it():
@@ -128,11 +125,11 @@ def test_every_thread_and_pool_says_what_runs_on_it():
         "import threading as t\n"
         "def f():\n"
         "    t.Thread(target=g).start()\n"
-        "    pool = ThreadPoolExecutor(max_workers=4)\n"
+        "    pool = futures.InterpreterPoolExecutor(max_workers=4)\n"
         "    multiprocessing.Pool(2)\n"
     )
     assert sorted(concurrency_sites(source)) == [
-        "Thread", "ThreadPoolExecutor", "multiprocessing.Pool",
+        "InterpreterPoolExecutor", "Thread", "multiprocessing.Pool",
     ]
     found = {}
     for path in sorted(PACKAGE_ROOT.rglob("*.py")):

@@ -1,7 +1,7 @@
 """End-to-end smoke: a real ``repro serve`` subprocess, real sockets.
 
-This is the CI server-smoke content run as a tier-1 test: boot the CLI
-server over a seeded corpus, drive 200 client queries against it —
+A tier-1 test, so CI runs it on every Python version it tests: boot
+the CLI server over a seeded corpus, drive 200 client queries against it —
 including an unauthorized key and an oversized frame — and require the
 answers byte-identical to an in-process :class:`QueryService` built
 from the *same* seed.  Finishes by scraping ``/metrics`` and shutting

@@ -10,7 +10,7 @@ Covers the record -> model -> partition -> rebalance loop:
   manifest unchanged (fuzzed with hypothesis);
 * rebalancing a live cluster onto a learned placement never changes an
   answer (byte-identity, the planner-equivalence property);
-* the concurrent scatter path: round-robin replica reads spread load,
+* the scatter path: round-robin replica reads spread load,
   and an exhausted cluster deadline degrades answers instead of
   corrupting them;
 * a snapshot process pool following a durable index refreshes itself on
@@ -335,7 +335,7 @@ class TestRebalance:
 
 
 # ----------------------------------------------------------------------
-# Concurrent scatter-gather: round-robin reads and deadline slices
+# Scatter-gather: round-robin reads and deadline slices
 # ----------------------------------------------------------------------
 class TestScatterPath:
     def test_round_robin_spreads_reads_over_healthy_replicas(self, rng):

@@ -27,6 +27,7 @@ from repro.cluster import (
     ClusterConfig,
     ClusterService,
     HashPartitioner,
+    ShardChannel,
     attempt_budget,
     slice_remaining,
 )
@@ -150,6 +151,12 @@ class TestAttemptBudgetProperties:
         assert timeout == attempt_timeout
 
 
+DOCS = [
+    SpatialDocument(i, (i % 10) / 10.0, (i // 10) / 10.0, {"pizza": 0.5})
+    for i in range(40)
+]
+
+
 def _stalling_cluster(deadline, attempt_timeout, temporal=False):
     """A 2-shard, 2-replica cluster on virtual time whose every replica
     read goes through a scripted chaos channel.  ``temporal`` stamps
@@ -157,14 +164,9 @@ def _stalling_cluster(deadline, attempt_timeout, temporal=False):
     clock = SimClock()
     sched = SimScheduler(seed=0, clock=clock)
     channel = SimShardChannel(clock)
-    docs = [
-        SpatialDocument(i, (i % 10) / 10.0, (i // 10) / 10.0, {"pizza": 0.5})
-        for i in range(40)
-    ]
     partitioner = HashPartitioner(2, UNIT_SQUARE)
     config = ClusterConfig(
         replicas=2,
-        scatter_width=2,
         retry_rounds=1,
         backoff=0.001,
         deadline=deadline,
@@ -176,11 +178,11 @@ def _stalling_cluster(deadline, attempt_timeout, temporal=False):
     seams = dict(clock=clock, executor=sched, channel=channel)
     if temporal:
         cluster = temporal_cluster(
-            [TemporalDocument(doc, float(doc.doc_id)) for doc in docs],
+            [TemporalDocument(doc, float(doc.doc_id)) for doc in DOCS],
             partitioner, TemporalConfig(slice_width=10.0), config, **seams,
         )
     else:
-        cluster = ClusterService.build(docs, partitioner, config, **seams)
+        cluster = ClusterService.build(DOCS, partitioner, config, **seams)
     return clock, channel, cluster
 
 
@@ -257,3 +259,41 @@ class TestStalledScatterDegrades:
         finally:
             channel.clear_plan()
             cluster.close()
+
+
+class _SlowBoundsChannel(ShardChannel):
+    """Every router bounds read costs ``cost`` seconds of virtual time,
+    as when the shard's writer holds its read lock; attempts are free."""
+
+    def __init__(self, clock, cost):
+        self.clock = clock
+        self.cost = cost
+
+    def keyword_bounds(self, replica, words):
+        self.clock.advance(self.cost)
+        return super().keyword_bounds(replica, words)
+
+
+class TestDeadlineCoversRouting:
+    def test_slow_routing_spends_the_cluster_deadline(self):
+        """``config.deadline`` runs from the start of the query: routing
+        that eats the whole budget leaves no slice for any shard, so
+        the answer is degraded with every ranked shard failed — not a
+        complete answer delivered after the deadline."""
+        clock = SimClock()
+        config = ClusterConfig(
+            deadline=1.0,
+            cache_capacity=0,
+            shard_config=ServiceConfig(metrics_seed=0),
+            metrics_seed=0,
+        )
+        with ClusterService.build(
+            DOCS, HashPartitioner(2, UNIT_SQUARE), config,
+            clock=clock, executor=SimScheduler(seed=0, clock=clock),
+            channel=_SlowBoundsChannel(clock, 0.6),
+        ) as cluster:
+            answer = cluster.search(PIZZA)
+            assert clock() == 1.2  # two bounds reads, nothing after
+            assert answer.degraded
+            assert answer.failed_shards == (0, 1)
+            assert answer.results == []

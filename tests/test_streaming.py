@@ -411,7 +411,7 @@ class TestClusterStreamRouter:
         partitioner = HashPartitioner(3, UNIT_SQUARE)
         with ClusterService.build(
             docs[:80], partitioner,
-            ClusterConfig(replicas=1, scatter_width=1),
+            ClusterConfig(replicas=1),
         ) as cluster:
             router = cluster.stream_router()
             assert cluster.stream_router() is router

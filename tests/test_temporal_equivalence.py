@@ -12,6 +12,7 @@ path these comparisons pin down.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -191,6 +192,35 @@ def assert_cluster_equivalent(cluster, scenario):
     )
 
 
+def search_concurrently(cluster, queries, callers):
+    """Answer ``queries`` from ``callers`` threads, each taking every
+    ``callers``-th query; every answer complete.  Returns the results
+    keyed by ``id(query)``."""
+    answers, errors = {}, []
+
+    def run(stripe):
+        try:
+            for tq in stripe:
+                got = cluster.search(tq)
+                assert not got.degraded
+                answers[id(tq)] = got.results
+        except BaseException as exc:  # re-raised on the test's thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(queries[i::callers],))
+        for i in range(callers)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads), "a caller hung"
+    if errors:
+        raise errors[0]
+    return answers
+
+
 class TestSharded:
     @pytest.mark.parametrize("kind", ["hash", "grid", "workload"])
     def test_matches_oracle(self, scenario, kind):
@@ -214,11 +244,29 @@ class TestSharded:
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("kind", ["hash", "grid", "workload"])
     def test_matches_oracle_at_scatter_width(self, scenario, kind, width):
-        with sharded(scenario, kind, scatter_width=width) as cluster:
-            assert_cluster_equivalent(cluster, scenario)
+        """A scatter visits one shard at a time on its caller's thread,
+        delta checked before each, so ``width`` callers put ``width``
+        scatters in flight on the shared shard lanes.  Every query
+        scattered (no result cache): every shard visit is accounted for
+        as queried, pruned or keyword-absent, and no answer moves."""
+        with sharded(scenario, kind, cache_capacity=0) as cluster:
+            answers = search_concurrently(cluster, scenario["queries"], width)
+            assert_equivalent(
+                f"cluster[{scenario['name']}] x{width}",
+                lambda tq: answers[id(tq)],
+                scenario["oracle"],
+                scenario["queries"],
+                cluster.ranker,
+            )
+            counters = cluster.metrics_snapshot()["counters"]
+        visits = sum(
+            counters.get(f"cluster.shards_{what}", 0)
+            for what in ("queried", "pruned", "no_candidates")
+        )
+        assert visits == N_QUERIES * cluster.num_shards
 
     def test_router_skips_shards_on_selective_queries(self, scenario):
-        with sharded(scenario, "grid", scatter_width=1) as cluster:
+        with sharded(scenario, "grid") as cluster:
             for tq in scenario["queries"]:
                 cluster.search(tq)
             counters = cluster.metrics_snapshot()["counters"]
