@@ -10,7 +10,7 @@ Usage (also via ``python -m repro``):
     python -m repro query    --index city.i3ix --at 0.4,0.6 \
                              --words "spicy restaurant" --k 5 --semantics and
     python -m repro serve    --index city.i3ix --port 7070 \
-                             --tenants tenants.json --metrics-port 9100
+                             --tenants tenants.json
 
 Corpora are exchanged as JSON lines, one document per line:
 
@@ -252,12 +252,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.net import (
-        MetricsHTTPServer,
-        NetServer,
-        NetServerConfig,
-        TenantDirectory,
-    )
+    from repro.net import NetServer, NetServerConfig, TenantDirectory
     from repro.service import QueryService, ServiceConfig
 
     if args.index:
@@ -299,7 +294,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, request_stop)
-    exporter = None
     with QueryService(target, config, ranker=Ranker(space, alpha=args.alpha)) as service:
         server = NetServer(
             service,
@@ -312,32 +306,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ),
         ).start()
         try:
-            if args.metrics_port is not None:
-                exporter = MetricsHTTPServer(
-                    service.metrics.render_prometheus,
-                    host=args.host,
-                    port=args.metrics_port,
-                )
             if args.port_file:
-                # Written only once everything is bound, so a supervisor
+                # Written only once the server is bound, so a supervisor
                 # polling this file never dials a half-started server.
                 with open(args.port_file, "w", encoding="utf-8") as fh:
-                    json.dump(
-                        {
-                            "host": server.host,
-                            "port": server.port,
-                            "metrics_port": exporter.port if exporter else None,
-                        },
-                        fh,
-                    )
+                    json.dump({"host": server.host, "port": server.port}, fh)
                     fh.write("\n")
             print(
                 f"serving on {server.host}:{server.port} "
-                f"(tenants: {roster})",
+                f"(tenants: {roster}; GET /metrics and /healthz on the same port)",
                 file=sys.stderr,
             )
-            if exporter is not None:
-                print(f"metrics on {exporter.url}", file=sys.stderr)
             try:
                 while not stop.is_set():
                     stop.wait(0.2)
@@ -346,12 +325,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("shutting down...", file=sys.stderr)
         finally:
             server.close()
-            if exporter is not None:
-                exporter.close()
-            if args.metrics_out:
-                with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                    fh.write(service.metrics.render_prometheus())
-                print(f"prometheus metrics -> {args.metrics_out}", file=sys.stderr)
     return 0
 
 
@@ -749,16 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execution engine for every worker (default: vector when "
         "numpy is available, else tuple; REPRO_ENGINE overrides)",
-    )
-    server.add_argument(
-        "--metrics-port", type=int, default=None,
-        help="also serve /metrics and /healthz over HTTP on this port "
-        "(0 = ephemeral; the main port answers them too)",
-    )
-    server.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the final Prometheus exposition here on shutdown",
     )
     server.set_defaults(func=_cmd_serve)
 

@@ -34,7 +34,7 @@ import io
 import os
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.core.index import I3Index
 from repro.core.persistence import read_index, write_index
@@ -175,9 +175,6 @@ class DurableIndex:
         self._sync_every = sync_every
         self._sync_window = sync_window
         self.last_report: Optional[RecoveryReport] = None
-        # Checkpoint listeners (e.g. SnapshotProcessPool.follow): called
-        # with the snapshot path after each completed checkpoint.
-        self._checkpoint_listeners: List[Callable[[str], None]] = []
 
     # ------------------------------------------------------------------
     # Construction
@@ -345,31 +342,6 @@ class DurableIndex:
             sync_every=self._sync_every,
             sync_window=self._sync_window,
         )
-        # The snapshot is durable and the log reset: followers (e.g. a
-        # SnapshotProcessPool serving the old mmap) can now cut over.
-        for listener in list(self._checkpoint_listeners):
-            listener(self._snapshot_path)
-
-    def add_checkpoint_listener(self, listener: Callable[[str], None]) -> None:
-        """Register a callback invoked with the snapshot path after
-        every completed checkpoint.
-
-        Listeners run synchronously on the checkpointing thread, after
-        the snapshot has been atomically renamed into place and the WAL
-        reset — the path they receive always names a complete, durable
-        snapshot.  Listeners must not mutate the index or checkpoint
-        reentrantly.
-        """
-        self._checkpoint_listeners.append(listener)
-
-    def remove_checkpoint_listener(
-        self, listener: Callable[[str], None]
-    ) -> None:
-        """Unregister a previously added listener (no-op if absent)."""
-        try:
-            self._checkpoint_listeners.remove(listener)
-        except ValueError:
-            pass
 
     # ------------------------------------------------------------------
     # Recovery

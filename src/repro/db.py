@@ -21,11 +21,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.index import I3Index
+from repro.core.kwcells import DataFile
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc
 from repro.model.scoring import Ranker
 from repro.spatial.geometry import Rect, UNIT_SQUARE
+from repro.storage.iostats import IOStats
 from repro.storage.records import f32
 from repro.text.tfidf import TfIdfWeigher
 from repro.text.tokenizer import Tokenizer
@@ -52,6 +54,12 @@ class SearchHit:
 
 class SpatialKeywordDatabase:
     """Top-k spatial keyword search over raw geo-tagged text.
+
+    The facade presents the shape a :class:`~repro.service.QueryService`
+    serves, as :class:`~repro.temporal.TemporalIndex` does: ``query``,
+    ``epoch``, ``stats``, ``data`` and ``insert_document`` /
+    ``delete_document``, all reading the *current* :attr:`index` (which
+    :meth:`reweigh` replaces).
 
     Attributes:
         space: Data-space rectangle locations must fall into.
@@ -81,6 +89,21 @@ class SpatialKeywordDatabase:
 
     def __contains__(self, doc_id: int) -> bool:
         return doc_id in self._docs
+
+    @property
+    def epoch(self) -> int:
+        """The current index's mutation epoch."""
+        return self.index.epoch
+
+    @property
+    def stats(self) -> IOStats:
+        """The current index's I/O counters."""
+        return self.index.stats
+
+    @property
+    def data(self) -> DataFile:
+        """The current index's data file."""
+        return self.index.data
 
     # ------------------------------------------------------------------
     # Updates
@@ -115,6 +138,10 @@ class SpatialKeywordDatabase:
         x, y, text = self._texts.pop(doc_id)
         self.vocabulary.remove_document(self.tokenizer.tokenize(text))
         return self.index.delete_document(doc)
+
+    # The index-shaped names a QueryService mutates through.
+    insert_document = add
+    delete_document = remove
 
     def move(self, doc_id: int, x: float, y: float) -> None:
         """Relocate a document (delete + reinsert, per the paper)."""
@@ -180,7 +207,12 @@ class SpatialKeywordDatabase:
             return []
         query = TopKQuery(x, y, tuple(words), k=k, semantics=semantics)
         ranker = Ranker(self.space, self.alpha if alpha is None else alpha)
+        return self.query(query, ranker, engine=engine)
 
+    def query(
+        self, query: TopKQuery, ranker: Ranker, engine: Optional[str] = None
+    ) -> List[SearchHit]:
+        """Top-k hits for a parsed query under ``ranker``."""
         return [
             self._hit(r) for r in self.index.query(query, ranker, engine=engine)
         ]

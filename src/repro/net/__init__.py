@@ -14,7 +14,7 @@ Layers (bottom-up):
 - :mod:`repro.net.client` — the synchronous client with retries,
   backoff, and remaining-budget deadline propagation.
 - :mod:`repro.net.httpserver` — ``/metrics`` and ``/healthz`` plumbing
-  (standalone exporter and in-band sniffed routes).
+  for the routes the server sniffs on its main port.
 - :mod:`repro.net.sim` — deterministic in-memory transport with
   scripted fault injection for the simulation harness.
 
@@ -35,7 +35,6 @@ from repro.net.errors import (
     Unauthorized,
     error_from_payload,
 )
-from repro.net.httpserver import MetricsHTTPServer
 from repro.net.protocol import MAX_FRAME_BYTES, PROTOCOL_VERSION
 from repro.net.server import ConnectionCore, NetServer, NetServerConfig
 from repro.net.tenants import (
@@ -52,7 +51,6 @@ __all__ = [
     "ConnectionLost",
     "DeadlineExceeded",
     "FrameTooLarge",
-    "MetricsHTTPServer",
     "NetError",
     "NetServer",
     "NetServerConfig",

@@ -3,11 +3,9 @@
 The serving tier speaks length-prefixed JSON for queries, but operators
 speak HTTP: Prometheus scrapes ``GET /metrics`` and load balancers poll
 ``GET /healthz``.  This module provides just enough of HTTP to answer
-those two requests — request-line parsing, a response writer, and
-:class:`MetricsHTTPServer`, the standalone exporter behind every CLI's
-``--metrics-port`` flag.  (:class:`~repro.net.server.NetServer` also
-answers the same two routes on its main port by sniffing the first
-bytes of each connection.)
+those two requests — request-line parsing and a response writer —
+for :class:`~repro.net.server.NetServer`, which answers both routes on
+its main port by sniffing the first bytes of each connection.
 
 No third-party dependency, no ``http.server`` subclassing — a scrape is
 one short-lived connection, read a line, write a body, close.
@@ -16,11 +14,9 @@ one short-lived connection, read a line, write a body, close.
 from __future__ import annotations
 
 import socket
-import threading
 from typing import Callable, Dict, Optional, Tuple
 
 __all__ = [
-    "MetricsHTTPServer",
     "handle_http_connection",
     "http_response",
     "parse_request_line",
@@ -106,83 +102,3 @@ def handle_http_connection(
             sock.close()
         except OSError:
             pass
-
-
-class MetricsHTTPServer:
-    """A tiny threaded exporter: ``/metrics`` + ``/healthz`` on own port.
-
-    ``render`` is any thunk returning the Prometheus text (typically
-    ``registry.render_prometheus``), so one exporter class serves the
-    query service, the cluster, and the benches alike.  Start it, scrape
-    it, ``close()`` it; ``port`` reports the bound port (pass 0 to let
-    the OS choose — tests and parallel CI runs need that).
-    """
-
-    def __init__(
-        self,
-        render: Callable[[], str],
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self._render = render
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        # A blocked accept() does not reliably wake when another thread
-        # closes the listener; poll so close() is bounded.
-        self._listener.settimeout(0.2)
-        self.host, self.port = self._listener.getsockname()[:2]
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._accept_loop,
-            name=f"repro-metricsd-{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def _routes(self) -> Dict[str, Callable[[], Tuple[str, str]]]:
-        return {
-            "/metrics": lambda: (
-                self._render(),
-                "text/plain; version=0.0.4; charset=utf-8",
-            ),
-            "/healthz": lambda: ('{"status":"ok"}\n', "application/json"),
-        }
-
-    def _accept_loop(self) -> None:
-        routes = self._routes()
-        while not self._closed:
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed
-            sock.settimeout(5.0)
-            threading.Thread(
-                target=handle_http_connection,
-                args=(sock, routes),
-                daemon=True,
-            ).start()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
-
-    def close(self) -> None:
-        """Stop accepting scrapes.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._thread.join(timeout=2.0)
-
-    def __enter__(self) -> "MetricsHTTPServer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

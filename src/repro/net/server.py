@@ -27,6 +27,7 @@ the binary protocol and the observability plane.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import socket
 import threading
@@ -613,7 +614,7 @@ class NetServer:
                 "text/plain; version=0.0.4; charset=utf-8",
             ),
             "/healthz": lambda: (
-                __import__("json").dumps(self.health()) + "\n",
+                json.dumps(self.health()) + "\n",
                 "application/json",
             ),
         }

@@ -38,11 +38,10 @@ import time
 from concurrent.futures import Future, TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from queue import Empty, SimpleQueue
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.index import I3Index
 from repro.core.recovery import DurableIndex, RecoveryReport
-from repro.db import SpatialKeywordDatabase
 from repro.exec import ENGINES
 from repro.model.query import TopKQuery
 from repro.model.scoring import Ranker
@@ -189,13 +188,15 @@ class QueryService:
     traversal thread, so the queue *is* the turn order and the
     ``queue_wait_ms`` histogram is the time a query waited for its turn.
 
-    ``target`` is either a raw :class:`~repro.core.index.I3Index` (query
-    results are :class:`~repro.model.results.ScoredDoc` lists), a
-    :class:`~repro.db.SpatialKeywordDatabase` (results are
-    :class:`~repro.db.SearchHit` lists), or a
-    :class:`~repro.core.recovery.DurableIndex` (index-style results,
-    with mutations going through the write-ahead log and
-    :meth:`recover`/:meth:`checkpoint` available).  Either way the
+    ``target`` is anything with the index shape — ``query``, ``epoch``,
+    ``stats``, ``space`` and ``insert_document``/``delete_document``:
+    an :class:`~repro.core.index.I3Index` (results are
+    :class:`~repro.model.results.ScoredDoc` lists), the :mod:`repro.db`
+    raw-text facade (results are :class:`~repro.db.SearchHit` lists) or a
+    :class:`~repro.temporal.TemporalIndex` — or a
+    :class:`~repro.core.recovery.DurableIndex`, whose current ``index``
+    answers queries while mutations go through the write-ahead log and
+    :meth:`recover`/:meth:`checkpoint` are available.  Either way the
     lane shares the target's buffer pool and I/O counters with
     :meth:`read` callers, streams and anyone using the index directly —
     the storage layer's locks (see :mod:`repro.storage`) make that safe.
@@ -205,7 +206,7 @@ class QueryService:
 
     def __init__(
         self,
-        target: Union[I3Index, SpatialKeywordDatabase, DurableIndex],
+        target: Any,
         config: Optional[ServiceConfig] = None,
         ranker: Optional[Ranker] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -222,26 +223,15 @@ class QueryService:
         self.config = config if config is not None else ServiceConfig()
         self._now = clock if clock is not None else time.monotonic
         self._executor = executor
-        self._durable: Optional[DurableIndex] = None
-        self._temporal: Optional[TemporalIndex] = None
-        if isinstance(target, SpatialKeywordDatabase):
-            self._db: Optional[SpatialKeywordDatabase] = target
-            self._index = target.index
-        elif isinstance(target, DurableIndex):
-            self._db = None
-            self._durable = target
-            self._index = target.index
-        elif isinstance(target, TemporalIndex):
-            # A temporal target quacks like an I3Index everywhere the
-            # service touches it (query/epoch/stats/mutations), so it
-            # rides the plain-index path; the handle here only feeds
-            # slice gauges and the temporal lifecycle methods.
-            self._db = None
-            self._temporal = target
-            self._index = target
-        else:
-            self._db = None
-            self._index = target
+        self._durable: Optional[DurableIndex] = (
+            target if isinstance(target, DurableIndex) else None
+        )
+        # The temporal handle only feeds slice gauges and the temporal
+        # lifecycle methods; queries take the one index-shaped path.
+        self._temporal: Optional[TemporalIndex] = (
+            target if isinstance(target, TemporalIndex) else None
+        )
+        self._index = target.index if self._durable is not None else target
         self.target = target
         self._ranker = (
             ranker if ranker is not None else Ranker(self._index.space)
@@ -269,22 +259,12 @@ class QueryService:
         self._closed = False
         self._close_lock = threading.Lock()
         self._started = self._now()
-        # The data file's decoded-cell cache (absent on temporal stores
-        # and index-shaped test doubles) and the registry metrics
-        # _publish_decoded_cells copies its counters onto.
-        self._decoded_cells = getattr(
-            getattr(self._index, "data", None), "cells", None
-        )
+        # The decoded-cell cache _publish_decoded_cells last copied,
+        # with the registry metrics it copies onto (each counter paired
+        # with its value when that cache was first seen).
+        self._decoded_cells = None
         self._decoded_lock = threading.Lock()
-        if self._decoded_cells is not None:
-            self._decoded_counters = {
-                name: self.metrics.counter(f"decoded_cells.{name}")
-                for name in ("hits", "misses", "evictions")
-            }
-            self._decoded_gauges = {
-                name: self.metrics.gauge(f"decoded_cells.{name}")
-                for name in ("bytes", "entries")
-            }
+        self._publish_decoded_cells()
         if self._temporal is not None:
             self._temporal.bind_metrics(self.metrics)
         self._lane: Optional[threading.Thread] = None
@@ -439,32 +419,20 @@ class QueryService:
     # Mutations (exclusive with respect to queries)
     # ------------------------------------------------------------------
     def insert(self, *args, **kwargs):
-        """Insert under the write lock: ``insert_document(doc)`` on an
-        index target, ``add(doc_id, x, y, text)`` on a database target.
+        """``target.insert_document(*args, **kwargs)`` under the write
+        lock (a database target takes ``doc_id, x, y, text``).
 
         The index epoch bump makes every cached result stale (the
         read-through cache validates epochs), so queries after the
         insert always see it.  On a durable target the mutation is
         logged to the WAL before the index is touched.
         """
-        if self._db is not None:
-            op = self._db.add
-        elif self._durable is not None:
-            op = self._durable.insert_document
-        else:
-            op = self._index.insert_document
-        return self.mutate(lambda _target: op(*args, **kwargs))
+        return self.mutate(lambda t: t.insert_document(*args, **kwargs))
 
     def delete(self, *args, **kwargs):
-        """Delete under the write lock: ``delete_document(doc)`` on an
-        index target, ``remove(doc_id)`` on a database target."""
-        if self._db is not None:
-            op = self._db.remove
-        elif self._durable is not None:
-            op = self._durable.delete_document
-        else:
-            op = self._index.delete_document
-        return self.mutate(lambda _target: op(*args, **kwargs))
+        """``target.delete_document(*args, **kwargs)`` under the write
+        lock (a database target takes ``doc_id``)."""
+        return self.mutate(lambda t: t.delete_document(*args, **kwargs))
 
     def mutate(self, fn):
         """Run ``fn(target)`` holding the exclusive lock.
@@ -506,8 +474,10 @@ class QueryService:
 
     @property
     def index(self) -> I3Index:
-        """The index currently being served (changes on :meth:`recover`)."""
-        return self._index
+        """The index currently being served (changes on :meth:`recover`,
+        and on a database target's ``reweigh``, whose live ``index`` this
+        is)."""
+        return getattr(self._index, "index", self._index)
 
     @property
     def epoch(self) -> int:
@@ -718,45 +688,49 @@ class QueryService:
         recomputes.  Both engines answer byte-identically, so entries
         are engine-agnostic; a hit reads no pages.
         """
+        def compute() -> List[Any]:
+            return self._index.query(query, self._ranker, **self._engine_kwargs)
+
         cache = self.cache
         if cache is None:
-            return self._compute(query)
+            return compute()
         return cache.get_or_compute(
-            (query, self._ranker.alpha),
-            self._index.epoch,
-            lambda: self._compute(query),
+            (query, self._ranker.alpha), self._index.epoch, compute
         )
-
-    def _compute(self, query: TopKQuery) -> List[Any]:
-        if self._db is not None:
-            return self._db.search(
-                query.x,
-                query.y,
-                list(query.words),
-                k=query.k,
-                semantics=query.semantics,
-                alpha=self._ranker.alpha,
-                **self._engine_kwargs,
-            )
-        return self._index.query(query, self._ranker, **self._engine_kwargs)
 
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
     def _publish_decoded_cells(self) -> Optional[Dict[str, int]]:
-        """Copy the decoded-cell cache's counters onto the registry.
+        """Copy the served data file's decoded-cell cache onto the registry.
 
-        Runs after every executed query and before every snapshot, so
-        the Prometheus exposition and the cluster's per-shard rollup see
-        ``decoded_cells.{hits,misses,evictions}`` (counters) and
-        ``decoded_cells.{bytes,entries}`` (gauges, as of the last query)
-        like any other metric.  Returns what it published.
+        Runs at construction, after every executed query and before
+        every snapshot, so the Prometheus exposition and the cluster's
+        per-shard rollup see ``decoded_cells.{hits,misses,evictions}``
+        (counters) and ``decoded_cells.{bytes,entries}`` (gauges, as of
+        the last query) like any other metric.  The cache is looked up
+        on the *current* index (absent on temporal stores and
+        index-shaped test doubles): a rebuilt or recovered index brings
+        a fresh cache, whose counts the registry's counters carry on
+        from.  Returns what it published.
         """
-        if self._decoded_cells is None:
+        cells = getattr(getattr(self._index, "data", None), "cells", None)
+        if cells is None:
             return None
         with self._decoded_lock:
-            stats = self._decoded_cells.stats()
-            for name, counter in self._decoded_counters.items():
+            stats = cells.stats()
+            if cells is not self._decoded_cells:
+                self._decoded_cells = cells
+                self._decoded_counters = {}
+                for name in ("hits", "misses", "evictions"):
+                    counter = self.metrics.counter(f"decoded_cells.{name}")
+                    self._decoded_counters[name] = (counter, counter.value)
+                self._decoded_gauges = {
+                    name: self.metrics.gauge(f"decoded_cells.{name}")
+                    for name in ("bytes", "entries")
+                }
+            for name, (counter, base) in self._decoded_counters.items():
+                stats[name] += base
                 counter.inc(stats[name] - counter.value)
             for name, gauge in self._decoded_gauges.items():
                 gauge.set(stats[name])

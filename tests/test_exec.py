@@ -1,12 +1,10 @@
-"""The mmap snapshot serving path and the process-pool executor.
+"""The mmap snapshot serving path.
 
 Contract under test: an I3IX v2 snapshot opened through
 :func:`repro.exec.snapshot.open_snapshot` answers queries — with either
 engine — byte-identically to the live index it was cut from, refuses
 every mutation, detects corruption on open, and keeps the same counted
-I/O accounting.  On top of it,
-:class:`repro.exec.procpool.SnapshotProcessPool` must fan the same
-answers out of worker processes.
+I/O accounting.
 """
 
 import random
@@ -122,33 +120,3 @@ class TestMmapSnapshot:
         query = _queries(1, seed=3)[0]
         ranker = Ranker(UNIT_SQUARE, 0.5)
         assert snap.query(query, ranker) == live.query(query, ranker)
-
-
-class TestSnapshotProcessPool:
-    def test_pool_matches_in_process(self, snapshot_path):
-        procpool = pytest.importorskip("repro.exec.procpool")
-        path, live = snapshot_path
-        ranker = Ranker(UNIT_SQUARE, 0.5)
-        queries = _queries(30, seed=17)
-        expected = [live.query(q, ranker) for q in queries]
-        with procpool.SnapshotProcessPool(path, workers=2) as pool:
-            assert pool.search_many(queries) == expected
-            assert pool.search(queries[0]) == expected[0]
-            assert pool.search_many([]) == []
-
-    def test_pool_engine_pinning(self, snapshot_path):
-        procpool = pytest.importorskip("repro.exec.procpool")
-        path, live = snapshot_path
-        ranker = Ranker(UNIT_SQUARE, 0.5)
-        queries = _queries(10, seed=29)
-        expected = [live.query(q, ranker, engine="tuple") for q in queries]
-        with procpool.SnapshotProcessPool(
-            path, workers=2, engine="tuple"
-        ) as pool:
-            assert pool.search_many(queries) == expected
-
-    def test_bad_engine_rejected_up_front(self, snapshot_path):
-        procpool = pytest.importorskip("repro.exec.procpool")
-        path, _live = snapshot_path
-        with pytest.raises(ValueError):
-            procpool.SnapshotProcessPool(path, workers=1, engine="warp")

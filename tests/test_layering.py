@@ -53,16 +53,6 @@ THREAD_CENSUS = {
         2, "the accept loop, and one per connection blocked in recv "
         "(capped by max_connections); neither traverses an index",
     ),
-    ("net/httpserver.py", "Thread"): (
-        2, "the metrics exporter's accept loop and one per scrape",
-    ),
-    ("exec/procpool.py", "ProcessPoolExecutor"): (
-        1, "SnapshotProcessPool: processes, the one place parallel "
-        "traversals are real",
-    ),
-    ("exec/procpool.py", "multiprocessing.get_context"): (
-        1, "the fork context SnapshotProcessPool hands its executor",
-    ),
 }
 _CONSTRUCTORS = ("Thread", "Timer")
 

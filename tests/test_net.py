@@ -597,6 +597,8 @@ class TestHTTPOnMainPort:
         ) as response:
             payload = json.loads(response.read())
         assert payload["status"] == "ok"
+        assert {"status", "uptime_s", "connections", "tenants"} <= set(payload)
+        assert "acme" in payload["tenants"]
 
     def test_unknown_path_404(self, served):
         _service, server = served
@@ -605,6 +607,47 @@ class TestHTTPOnMainPort:
                 f"http://127.0.0.1:{server.port}/nope", timeout=5
             )
         assert exc_info.value.code == 404
+
+    @staticmethod
+    def _exchange(server, request: bytes):
+        """Send raw request bytes; ``(status, headers, body)`` back."""
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(request)
+            raw = bytearray()
+            while chunk := sock.recv(4096):
+                raw.extend(chunk)
+        head, _, body = bytes(raw).partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("ascii").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        return int(status_line.split(" ")[1]), headers, body
+
+    def test_head_metrics_has_empty_body(self, served):
+        _service, server = served
+        status, headers, body = self._exchange(
+            server, b"HEAD /metrics HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        assert status == 200
+        assert headers["Content-Length"] == "0" and body == b""
+
+    def test_post_metrics_405(self, served):
+        _service, server = served
+        status, _headers, _body = self._exchange(
+            server, b"POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        assert status == 405
+
+    def test_malformed_request_line_400(self, served):
+        _service, server = served
+        status, _headers, _body = self._exchange(server, b"GET /metrics\r\n\r\n")
+        assert status == 400
+
+    def test_query_string_is_stripped(self, served):
+        _service, server = served
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{server.port}/metrics?x=1", timeout=5
+        ) as response:
+            assert response.status == 200
+            assert "# TYPE repro_net_requests counter" in response.read().decode()
 
 
 class TestRetries:

@@ -384,81 +384,3 @@ class TestScatterPath:
             ClusterConfig(deadline=0.0)
         with pytest.raises(ValueError):
             ClusterConfig(deadline=-1.0)
-
-
-# ----------------------------------------------------------------------
-# Checkpoint-driven snapshot pool refresh
-# ----------------------------------------------------------------------
-class TestCheckpointFollow:
-    def test_pool_refreshes_on_checkpoint(self, rng, tmp_path):
-        from repro.core.recovery import DurableIndex
-        from repro.exec.procpool import SnapshotProcessPool
-
-        docs = make_documents(40, rng, vocab=list(VOCAB))
-        index = I3Index(UNIT_SQUARE, page_size=256)
-        durable = DurableIndex.create(str(tmp_path / "store"), index)
-        durable.bulk_load(docs)
-        durable.checkpoint()
-        probe = TopKQuery(0.42, 0.42, ("cafe",), k=200, semantics=Semantics.OR)
-        with SnapshotProcessPool(durable._snapshot_path, workers=1) as pool:
-            pool.follow(durable)
-            baseline = {d.doc_id for d in pool.search(probe)}
-            assert 9999 not in baseline
-            durable.insert_document(
-                SpatialDocument(9999, 0.42, 0.42, {"cafe": f32(0.9)})
-            )
-            # Not yet checkpointed: the pool still serves the old epoch.
-            assert 9999 not in {d.doc_id for d in pool.search(probe)}
-            durable.checkpoint()
-            assert 9999 in {d.doc_id for d in pool.search(probe)}
-        # close() detached the listener.
-        assert durable._checkpoint_listeners == []
-        durable.close()
-
-    def test_unfollow_stops_refreshing(self, rng, tmp_path):
-        from repro.core.recovery import DurableIndex
-        from repro.exec.procpool import SnapshotProcessPool
-
-        docs = make_documents(20, rng, vocab=list(VOCAB))
-        index = I3Index(UNIT_SQUARE, page_size=256)
-        durable = DurableIndex.create(str(tmp_path / "store"), index)
-        durable.bulk_load(docs)
-        durable.checkpoint()
-        pool = SnapshotProcessPool(durable._snapshot_path, workers=1)
-        try:
-            pool.follow(durable)
-            pool.unfollow(durable)
-            assert durable._checkpoint_listeners == []
-            pool.unfollow(durable)  # no-op, not an error
-        finally:
-            pool.close()
-            durable.close()
-
-    def test_repeated_follow_cycles_do_not_leak_listeners(self, rng, tmp_path):
-        """Regression: each build/follow/close cycle must leave the
-        durable index with zero registered checkpoint listeners — a
-        leaked listener would keep a closed pool alive and refresh it
-        against a shut-down executor on the next checkpoint."""
-        from repro.core.recovery import DurableIndex
-        from repro.exec.procpool import SnapshotProcessPool
-
-        docs = make_documents(20, rng, vocab=list(VOCAB))
-        index = I3Index(UNIT_SQUARE, page_size=256)
-        durable = DurableIndex.create(str(tmp_path / "store"), index)
-        durable.bulk_load(docs)
-        durable.checkpoint()
-        try:
-            for cycle in range(4):
-                with SnapshotProcessPool(
-                    durable._snapshot_path, workers=1
-                ) as pool:
-                    pool.follow(durable)
-                    assert len(durable._checkpoint_listeners) == 1
-                assert durable._checkpoint_listeners == [], (
-                    f"listener leaked after close cycle {cycle}"
-                )
-            # Checkpointing after every pool is gone must not call into
-            # any retired pool.
-            durable.checkpoint()
-        finally:
-            durable.close()

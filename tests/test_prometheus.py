@@ -8,11 +8,7 @@ ride through the same renderer, so label escaping (quotes, backslashes,
 newlines in tenant names) is hardened here too.
 """
 
-import signal
-
-from repro.net.client import Client
 from repro.service.metrics import MetricsRegistry, escape_label_value
-from tests.helpers import serving
 
 GOLDEN = """\
 # HELP repro_cache_hits cache.hits
@@ -161,26 +157,3 @@ class TestLabelledMetrics:
         registry.counter("net.requests", labels={"tenant": "acme"}).inc(3)
         counters = registry.as_dict()["counters"]
         assert counters['net.requests{tenant="acme"}'] == 3
-
-
-class TestServeBenchMetricsOut:
-    def test_writes_exposition_file(self, tmp_path):
-        """``repro serve --metrics-out``: the final exposition is written
-        on shutdown, after the last request was counted."""
-        out = tmp_path / "metrics.prom"
-        with serving(
-            tmp_path / "port.json",
-            "--docs", "150", "--seed", "3",
-            "--metrics-out", str(out),
-        ) as (address, proc):
-            with Client(address["host"], address["port"]) as client:
-                for i in range(20):
-                    client.search(x=0.05 * i, y=0.5, words=["kw1"], k=3)
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=15) == 0
-        text = out.read_text()
-        assert text.endswith("\n")
-        assert "# TYPE repro_queries_completed counter" in text
-        assert "# HELP repro_queries_completed" in text
-        assert "repro_queries_completed 20" in text
-        assert 'repro_latency_ms{quantile="0.99"}' in text

@@ -10,8 +10,8 @@ epoch-stamped, duplicates inside one batch collapse to one execution,
 and failures are never cached.
 
 ``TestOneContract`` states the part every layer shares — index,
-service (threads and simulation executor), cluster, process pool, wire
-client and simulated wire: one single verb, one batch verb, and
+service (threads and simulation executor), cluster, wire client and
+simulated wire: one single verb, one batch verb, and
 ``batch([q]) == [single(q)]``.
 """
 
@@ -23,12 +23,10 @@ import pytest
 
 from repro.cluster import ClusterService, HashPartitioner
 from repro.core.index import I3Index
-from repro.core.persistence import save_index
 from repro.exec import available_engines
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
-from repro.exec.procpool import SnapshotProcessPool
 from repro.net import Client, NetServer
 from repro.net.sim import SimNetServer, sim_client
 from repro.service import QueryService, ServiceConfig
@@ -353,7 +351,7 @@ def _hexes(results):
 
 
 @contextlib.contextmanager
-def _layer(name, tmp_path):
+def _layer(name):
     """``(single, batch)`` verbs of one layer over the same 150
     documents, each returning plain ``ScoredDoc`` lists."""
     docs = _corpus(150)
@@ -377,11 +375,6 @@ def _layer(name, tmp_path):
                 lambda q: cluster.search(q).results,
                 lambda qs: [a.results for a in cluster.search_many(qs)],
             )
-        elif name == "pool":
-            path = str(tmp_path / "contract.i3ix")
-            save_index(index, path)
-            pool = stack.enter_context(SnapshotProcessPool(path, workers=2))
-            yield pool.search, pool.search_many
         else:
             sim = name in ("service-sim", "simnet")
             clock = SimClock()
@@ -405,23 +398,22 @@ def _layer(name, tmp_path):
 
 
 LAYERS = (
-    "index", "service-threads", "service-sim", "cluster", "pool",
-    "client", "simnet",
+    "index", "service-threads", "service-sim", "cluster", "client", "simnet",
 )
 
 
 class TestOneContract:
     @pytest.mark.parametrize("layer", LAYERS)
-    def test_a_query_is_a_batch_of_one(self, layer, tmp_path):
-        with _layer(layer, tmp_path) as (single, batch):
+    def test_a_query_is_a_batch_of_one(self, layer):
+        with _layer(layer) as (single, batch):
             for query in _queries(12, seed=97):
                 alone = single(query)
                 (slot,) = batch([query])
                 assert _hexes(slot) == _hexes(alone)
 
     @pytest.mark.parametrize("layer", LAYERS)
-    def test_duplicates_get_equal_independent_lists(self, layer, tmp_path):
-        with _layer(layer, tmp_path) as (single, batch):
+    def test_duplicates_get_equal_independent_lists(self, layer):
+        with _layer(layer) as (single, batch):
             query, other = _queries(2, seed=98)
             first, between, second = batch([query, other, query])
             assert _hexes(first) == _hexes(second) == _hexes(single(query))

@@ -266,6 +266,30 @@ class TestQueryServiceBasics:
             got = service.search(_query(("spicy", "bar"), k=10, x=0.2, y=0.3))
         assert [(h.doc_id, round(h.score, 9)) for h in got] == expected
 
+    def test_database_target_survives_reweigh(self):
+        # reweigh() replaces db.index; the service must follow the live
+        # index, or the cache keeps validating against a dead epoch.
+        db = SpatialKeywordDatabase()
+        db.add(1, 0.2, 0.3, "spicy noodle bar")
+        db.add(2, 0.8, 0.8, "quiet tea house")
+        q = _query(("spicy",), k=10, x=0.2, y=0.3)
+        with QueryService(db) as service:
+            service.search(q)  # warm the cache
+            service.mutate(lambda d: d.reweigh())
+            service.insert(3, 0.21, 0.31, "spicy spicy ramen")
+            got = [(h.doc_id, h.score) for h in service.search(q)]
+            snap = service.metrics_snapshot()
+        expected = [(h.doc_id, h.score) for h in db.search(0.2, 0.3, ["spicy"], k=10)]
+        assert got == expected
+        assert 3 in {doc_id for doc_id, _ in got}
+        live = db.index.data.cells.stats()
+        assert live["entries"] > 0
+        for name in ("bytes", "entries"):
+            assert snap["gauges"][f"decoded_cells.{name}"] == live[name]
+            assert snap["decoded_cells"][name] == live[name]
+        for name in ("hits", "misses", "evictions"):
+            assert snap["decoded_cells"][name] == snap["counters"][f"decoded_cells.{name}"]
+
     def test_metrics_snapshot_schema(self):
         with QueryService(self.index, ServiceConfig(metrics_seed=0)) as service:
             service.search(_query())
