@@ -16,7 +16,7 @@ from __future__ import annotations
 import collections
 import time
 
-from repro import I3Index, Semantics, StreamingService
+from repro import I3Index, QueryService, Semantics
 from repro.datasets.generators import TwitterLikeGenerator
 from repro.datasets.querylog import QueryLogGenerator
 
@@ -45,8 +45,11 @@ def main() -> None:
           f"({index.num_tuples} tuples)")
 
     # Register the standing queries: each is answered once at
-    # registration, then maintained incrementally on every mutation.
-    streams = StreamingService(index)
+    # registration, then maintained incrementally on every mutation the
+    # service applies.  A stream hangs off the service that serves the
+    # index.
+    service = QueryService(index)
+    streams = service.streams()
     subscription = streams.subscribe("tweet-dashboard")
     names = {}
     for query in queries:
@@ -65,9 +68,9 @@ def main() -> None:
         for _ in range(BATCH):
             # One in, one out: the window slides.
             doc = next(stream)
-            index.insert_document(doc)
+            service.insert(doc)
             window.append(doc)
-            index.delete_document(window.popleft())
+            service.delete(window.popleft())
         total_seconds += time.perf_counter() - start
         total_ops += 2 * BATCH
 
@@ -86,7 +89,7 @@ def main() -> None:
           f"{counters.get('stream.buckets_skipped', 0)} pruned bucket checks")
     index.check_invariants()
     print("index invariants hold after the stream")
-    streams.close()
+    service.close()
 
 
 if __name__ == "__main__":

@@ -37,8 +37,6 @@ from repro.service import QueryService, ServiceConfig
 from repro.spatial.geometry import Rect, UNIT_SQUARE
 from repro.streaming import (
     ResultUpdate,
-    StreamCheckpoint,
-    StreamConfig,
     StreamingService,
     StreamSubscription,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "Rect",
     "UNIT_SQUARE",
     "ResultUpdate",
-    "StreamCheckpoint",
-    "StreamConfig",
     "StreamingService",
     "StreamSubscription",
     "__version__",

@@ -453,7 +453,7 @@ class ClusterService:
             and self.manifest.shards[sid].num_documents == 0
         )
 
-    def streams(self, config=None):
+    def streams(self):
         """Per-subscriber standing queries are a single-index service
         (:meth:`repro.service.QueryService.streams`); a cluster merges
         per-shard standing queries through :meth:`stream_router`."""
@@ -461,13 +461,12 @@ class ClusterService:
             "per-subscriber streaming is not supported on cluster targets"
         )
 
-    def stream_router(self, config=None):
+    def stream_router(self):
         """The cluster's :class:`~repro.streaming.ClusterStreamRouter`.
 
-        Built lazily on first call (``config`` — a
-        :class:`~repro.streaming.StreamConfig` — applies then); standing
-        queries registered through it are maintained on every shard and
-        merged into global top-k notifications (see
+        Built lazily on first call; standing queries registered through
+        it are maintained on every shard and merged into global top-k
+        notifications (see
         :mod:`repro.streaming.cluster`).
         """
         if self._closed:
@@ -475,7 +474,7 @@ class ClusterService:
         if self._stream_router is None:
             from repro.streaming.cluster import ClusterStreamRouter
 
-            self._stream_router = ClusterStreamRouter(self, config=config)
+            self._stream_router = ClusterStreamRouter(self)
         return self._stream_router
 
     def recover(self, shard_id: int, replica_id: int = 0) -> "RecoveryReport":

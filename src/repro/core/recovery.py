@@ -298,16 +298,6 @@ class DurableIndex:
         """Highest acknowledged-durable LSN."""
         return self._wal.synced_lsn
 
-    def log_records(self):
-        """Scan the live log; returns its :class:`~repro.storage.wal.WalScan`.
-
-        The scan covers everything appended so far (buffered appends are
-        flushed first, without forcing an fsync).  WAL-tail subscribers
-        use this to replay the mutations between their last acknowledged
-        LSN and the live tip — see :mod:`repro.streaming.tail`.
-        """
-        return self._wal.scan_live()
-
     # ------------------------------------------------------------------
     # Checkpoint
     # ------------------------------------------------------------------

@@ -445,6 +445,8 @@ class QueryService:
         self._rwlock.acquire_write()
         try:
             result = fn(self.target)
+            if self._streams is not None:
+                self._streams.rebind(self.index)
         finally:
             self._rwlock.release_write()
         self.metrics.counter("mutations").inc()
@@ -487,21 +489,20 @@ class QueryService:
     # ------------------------------------------------------------------
     # Streaming (standing queries)
     # ------------------------------------------------------------------
-    def streams(self, config=None):
+    def streams(self):
         """The service's :class:`~repro.streaming.StreamingService`.
 
-        Built lazily on first call (``config`` applies then; later calls
-        return the same instance).  Standing-query maintenance runs
-        inside the same exclusive lock as the mutation that triggered
-        it, so subscribers never observe a top-k computed against a
-        half-applied update.
+        Built lazily on first call; later calls return the same
+        instance.  Standing-query maintenance runs inside the same
+        exclusive lock as the mutation that triggered it, so subscribers
+        never observe a top-k computed against a half-applied update,
+        and the stream follows the service onto every index it swaps in
+        (:meth:`recover`, a database target's ``reweigh``).
         """
         if self._streams is None:
             from repro.streaming.service import StreamingService
 
-            self._streams = StreamingService(
-                self, config=config, metrics=self.metrics
-            )
+            self._streams = StreamingService(self)
         return self._streams
 
     def recover(self) -> RecoveryReport:
@@ -524,7 +525,7 @@ class QueryService:
             if self.cache is not None:
                 self.cache.invalidate()
             if self._streams is not None:
-                self._streams.rebind(self._index)
+                self._streams.rebind(self.index)
         finally:
             self._rwlock.release_write()
         self.metrics.counter("service.recoveries").inc()

@@ -115,8 +115,6 @@ from repro.simtest.workload import (
     query_from_dict,
 )
 from repro.spatial.geometry import UNIT_SQUARE
-from repro.streaming.service import StreamConfig
-from repro.streaming.tail import StreamCheckpoint
 from repro.temporal.index import TemporalConfig, TemporalIndex
 from repro.temporal.model import (
     RecencySpec,
@@ -287,7 +285,7 @@ class _Simulation:
         if self.bug == "stale-cache":
             self.service.cache = _StaleCache(capacity=64)
         self._install_engine_bug()
-        self.streams = self.service.streams(StreamConfig())
+        self.streams = self.service.streams()
         if self.bug == "dropped-push":
             matcher = self.streams.matcher
             emit = matcher._emit
@@ -314,16 +312,14 @@ class _Simulation:
         self.cluster = None
         # Subscriber-side state.
         self.subs: Dict[str, Any] = {}
-        self.trackers: Dict[str, StreamCheckpoint] = {}
         self.owned: Dict[str, Dict[int, Tuple[TopKQuery, float]]] = {}
         self.last_delivered: Dict[int, List] = {}
         self._drops_seen: Dict[str, int] = {}
         for sub_cfg in cfg["subscribers"]:
             name = sub_cfg["name"]
             self.subs[name] = self.streams.subscribe(
-                name, capacity=sub_cfg["capacity"], policy=sub_cfg["policy"]
+                name, capacity=sub_cfg["capacity"]
             )
-            self.trackers[name] = StreamCheckpoint(name)
             self.owned[name] = {}
             self._drops_seen[name] = 0
         self._setup_temporal(cfg.get("temporal"))
@@ -819,16 +815,11 @@ class _Simulation:
         query = query_from_dict(step["query"])
         qid = self.streams.register(self.subs[name], query, alpha=step["alpha"])
         self.owned[name][qid] = (query, step["alpha"])
-        self.trackers[name].track(qid, query, step["alpha"])
 
     def _do_poll(self, step: Dict) -> None:
         name = step["sub"]
         sub = self.subs[name]
         updates = sub.poll(timeout=0.0)
-        self.trackers[name].record_all(updates)
-        lsns = [u.lsn for u in updates if u.lsn is not None]
-        if lsns:
-            sub.ack(max(lsns))
         for update in updates:
             self.last_delivered[update.query_id] = result_pairs(update.results)
         drops = sub.dropped
@@ -863,9 +854,7 @@ class _Simulation:
         # pending and future pushes are lost on the floor.
         self.subs[name].close()
         sub = self.streams.resume(
-            self.trackers[name],
-            capacity=self.subs[name].capacity,
-            policy=self.subs[name].policy,
+            name, self.owned[name], capacity=self.subs[name].capacity
         )
         self.subs[name] = sub
         # The fresh subscription's drop counter restarts at zero; the

@@ -188,8 +188,10 @@ def _single_trace(seed: int, rng: random.Random, steps: Optional[int]) -> Dict:
         subscribers.append({
             "name": f"sim-sub-{i}",
             "capacity": rng.choice([4, 16, 128]),
-            "policy": rng.choice(["coalesce", "coalesce", "drop_oldest"]),
         })
+        # Draw where the three-way overflow-policy choice used to be, so
+        # every later draw (and each seed's canary catch) stays put.
+        rng.randrange(3)
     pool = _QueryPool(rng, reuse=0.3)
 
     # --- temporal sub-population --------------------------------------

@@ -334,19 +334,6 @@ class WriteAheadLog:
         """Appended records not yet covered by an fsync."""
         return self._unsynced
 
-    def scan_live(self) -> WalScan:
-        """Flush buffered appends and scan the log's current content.
-
-        Lets a WAL-tail subscriber (see :mod:`repro.streaming.tail`)
-        read every appended record — including batched, not-yet-fsynced
-        ones — without disturbing the group-commit state: no fsync is
-        forced, so :attr:`synced_lsn` is unchanged.
-        """
-        self._fh.flush()
-        with self._fs.open(self.path, "rb") as fh:
-            data = fh.read()
-        return scan_wal(data)
-
     def close(self) -> None:
         """Sync outstanding records and close the file handle."""
         self.sync()

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.model.query import TopKQuery
 from repro.model.results import ScoredDoc, TopKCollector
 from repro.streaming.delivery import ResultUpdate
-from repro.streaming.service import StreamConfig
 
 __all__ = ["ClusterStreamRouter"]
 
@@ -66,9 +65,8 @@ class _ClusterQuery:
 class ClusterStreamRouter:
     """Standing top-k queries over a :class:`~repro.cluster.ClusterService`."""
 
-    def __init__(self, cluster, config: Optional[StreamConfig] = None) -> None:
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
-        self.config = config if config is not None else StreamConfig()
         self.metrics = cluster.metrics
         self._streams = []
         self._subs = []
@@ -76,7 +74,7 @@ class ClusterStreamRouter:
         self._by_shard_qid: List[Dict[int, int]] = []
         for sid in range(cluster.num_shards):
             rep = cluster._first_alive(sid) or cluster.replica(sid, 0)
-            stream = rep.service.streams(self.config)
+            stream = rep.service.streams()
             self._streams.append(stream)
             self._subs.append(
                 stream.subscribe(f"cluster-router-shard{sid}")

@@ -1,35 +1,31 @@
-"""Delivery: bounded per-subscriber update queues with backpressure policy.
+"""Delivery: one bounded, coalescing update queue per subscriber.
 
 A push system must decide what happens when a subscriber consumes slower
-than the index mutates.  Unbounded queues are a memory leak wearing a
-trench coat; this layer bounds every subscription and makes the
-overflow behaviour an explicit policy:
-
-* ``"coalesce"`` (default) — the queue holds at most one pending update
-  per standing query, always the *latest*: a new update for a query
-  already queued replaces it in place (updates carry full result
-  snapshots, not diffs, so the older one is redundant).  Overflow of
-  *distinct* queries drops the oldest entry.
-* ``"drop_oldest"`` — a plain FIFO ring: every update is queued, the
-  oldest is dropped on overflow.
+than the index mutates.  A subscription holds at most one pending update
+per standing query, always the *latest*: a new update for a query
+already queued replaces it (updates carry full result snapshots, not
+diffs, so the older one is redundant), so a slow subscriber skips
+intermediate states and never falls behind by more than one snapshot
+per query.  The queue is also bounded: overflow of *distinct* queries
+drops the oldest entry, counted in :attr:`StreamSubscription.dropped`.
 
 Updates carry the index epoch and (on durable targets) the WAL LSN they
-correspond to, so a subscriber can acknowledge progress and later
-resume from its last acknowledged LSN (:mod:`repro.streaming.tail`).
+correspond to.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.model.results import ScoredDoc
 
-__all__ = ["ResultUpdate", "StreamSubscription", "POLICIES"]
+__all__ = ["DEFAULT_CAPACITY", "ResultUpdate", "StreamSubscription"]
 
-POLICIES = ("coalesce", "drop_oldest")
+DEFAULT_CAPACITY = 256
+"""Pending updates (distinct standing queries) a subscription holds."""
 
 # Offer outcomes (also the metric suffixes the service counts).
 QUEUED = "queued"
@@ -47,11 +43,10 @@ class ResultUpdate:
             ``"update"`` (incremental change).
         epoch: Index mutation epoch the results correspond to.
         lsn: WAL LSN the results correspond to (``None`` on non-durable
-            targets) — acknowledge this to enable replay-based resume.
+            targets).
         seq: Per-subscription monotone sequence number.
         results: The query's full current top-k, best first.  Full
-            snapshots (not diffs) make updates trivially coalescable
-            and resumable.
+            snapshots (not diffs) make updates trivially coalescable.
     """
 
     query_id: int
@@ -63,7 +58,7 @@ class ResultUpdate:
 
 
 class StreamSubscription:
-    """A bounded, thread-safe update queue for one subscriber.
+    """A bounded, coalescing, thread-safe update queue for one subscriber.
 
     Producers (the mutating thread, via the streaming service) call
     :meth:`offer`; the subscriber calls :meth:`poll` — from any thread,
@@ -71,22 +66,15 @@ class StreamSubscription:
     """
 
     def __init__(
-        self,
-        subscriber_id: str,
-        capacity: int = 256,
-        policy: str = "coalesce",
+        self, subscriber_id: str, capacity: int = DEFAULT_CAPACITY
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
         self.subscriber_id = subscriber_id
         self.capacity = capacity
-        self.policy = policy
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
-        self._coalesced: "OrderedDict[int, ResultUpdate]" = OrderedDict()
-        self._fifo: "deque[ResultUpdate]" = deque()
+        self._pending: "OrderedDict[int, ResultUpdate]" = OrderedDict()
         self._seq = 0
         self._dropped = 0
         self._closed = False
@@ -115,26 +103,17 @@ class StreamSubscription:
                 seq=self._seq,
                 results=update.results,
             )
-            if self.policy == "coalesce":
-                if stamped.query_id in self._coalesced:
-                    self._coalesced[stamped.query_id] = stamped
-                    self._coalesced.move_to_end(stamped.query_id)
-                    self._ready.notify_all()
-                    return COALESCED
-                outcome = QUEUED
-                if len(self._coalesced) >= self.capacity:
-                    self._coalesced.popitem(last=False)
-                    self._dropped += 1
-                    outcome = DROPPED
-                self._coalesced[stamped.query_id] = stamped
+            if stamped.query_id in self._pending:
+                self._pending[stamped.query_id] = stamped
+                self._pending.move_to_end(stamped.query_id)
                 self._ready.notify_all()
-                return outcome
+                return COALESCED
             outcome = QUEUED
-            if len(self._fifo) >= self.capacity:
-                self._fifo.popleft()
+            if len(self._pending) >= self.capacity:
+                self._pending.popitem(last=False)
                 self._dropped += 1
                 outcome = DROPPED
-            self._fifo.append(stamped)
+            self._pending[stamped.query_id] = stamped
             self._ready.notify_all()
             return outcome
 
@@ -156,17 +135,13 @@ class StreamSubscription:
         with self._lock:
             if timeout != 0.0:
                 self._ready.wait_for(
-                    lambda: self._depth_locked() > 0 or self._closed,
+                    lambda: len(self._pending) > 0 or self._closed,
                     timeout=timeout,
                 )
             taken: List[ResultUpdate] = []
-            limit = max_items if max_items is not None else self._depth_locked()
-            while len(taken) < limit and self._depth_locked() > 0:
-                if self.policy == "coalesce":
-                    _, update = self._coalesced.popitem(last=False)
-                else:
-                    update = self._fifo.popleft()
-                taken.append(update)
+            limit = max_items if max_items is not None else len(self._pending)
+            while len(taken) < limit and self._pending:
+                taken.append(self._pending.popitem(last=False)[1])
             return taken
 
     def ack(self, lsn: Optional[int]) -> None:
@@ -180,18 +155,11 @@ class StreamSubscription:
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    def _depth_locked(self) -> int:
-        return (
-            len(self._coalesced)
-            if self.policy == "coalesce"
-            else len(self._fifo)
-        )
-
     @property
     def depth(self) -> int:
         """Pending updates not yet polled."""
         with self._lock:
-            return self._depth_locked()
+            return len(self._pending)
 
     @property
     def dropped(self) -> int:

@@ -87,7 +87,7 @@ class IncrementalMatcher:
             self.refresh_all()
 
     def apply_insert(self, doc: SpatialDocument) -> None:
-        """Apply one document insertion (also the WAL-replay entry point)."""
+        """Apply one document insertion."""
         doc = _quantize(doc)
         candidates, skipped = self.registry.candidates_insert(doc)
         self.metrics.counter("stream.buckets_skipped").inc(skipped)
@@ -106,7 +106,7 @@ class IncrementalMatcher:
                 self._emit(sq)
 
     def apply_delete(self, doc: SpatialDocument) -> None:
-        """Apply one document deletion (also the WAL-replay entry point)."""
+        """Apply one document deletion."""
         for sq in self.registry.candidates_delete(doc):
             if sq.holds(doc.doc_id):
                 # The one case needing the index: a current result left.

@@ -1,8 +1,8 @@
 """Unit tests: subscription queues at their exact capacity boundaries.
 
-The overflow policies (``coalesce`` vs ``drop_oldest``) are the one
+A subscription is one coalescing queue, and its overflow is the one
 place in the streaming layer where data is *allowed* to disappear, so
-this file pins their behaviour offer-by-offer at the boundary: what the
+this file pins its behaviour offer-by-offer at the boundary: what the
 outcome string says, what the queue then holds, what the ``dropped``
 counter reads, and what the service-level delivery metrics count.
 """
@@ -11,9 +11,9 @@ import pytest
 
 from repro.core.index import I3Index
 from repro.model.query import TopKQuery
+from repro.service.service import QueryService
 from repro.spatial.geometry import UNIT_SQUARE
 from repro.streaming.delivery import ResultUpdate, StreamSubscription
-from repro.streaming.service import StreamConfig, StreamingService
 from tests.helpers import make_documents
 import random
 
@@ -26,13 +26,13 @@ def _update(query_id: int, lsn=None, tag: int = 0) -> ResultUpdate:
 
 class TestCoalescePolicy:
     def test_fills_to_exact_capacity_without_dropping(self):
-        sub = StreamSubscription("s", capacity=3, policy="coalesce")
+        sub = StreamSubscription("s", capacity=3)
         assert [sub.offer(_update(q)) for q in (1, 2, 3)] == ["queued"] * 3
         assert sub.depth == 3
         assert sub.dropped == 0
 
     def test_same_query_coalesces_in_place_at_full_capacity(self):
-        sub = StreamSubscription("s", capacity=2, policy="coalesce")
+        sub = StreamSubscription("s", capacity=2)
         sub.offer(_update(1, tag=1))
         sub.offer(_update(2, tag=1))
         # A repeat of query 1 replaces its pending entry: no eviction,
@@ -45,7 +45,7 @@ class TestCoalescePolicy:
         assert by_query[1].epoch == 2
 
     def test_distinct_query_beyond_capacity_evicts_oldest(self):
-        sub = StreamSubscription("s", capacity=2, policy="coalesce")
+        sub = StreamSubscription("s", capacity=2)
         sub.offer(_update(1))
         sub.offer(_update(2))
         assert sub.offer(_update(3)) == "dropped"
@@ -54,7 +54,7 @@ class TestCoalescePolicy:
         assert [u.query_id for u in sub.poll()] == [2, 3]  # 1 was evicted
 
     def test_coalesced_entry_moves_to_back_of_eviction_order(self):
-        sub = StreamSubscription("s", capacity=2, policy="coalesce")
+        sub = StreamSubscription("s", capacity=2)
         sub.offer(_update(1))
         sub.offer(_update(2))
         sub.offer(_update(1, tag=9))  # 1 refreshed: now newest
@@ -62,35 +62,15 @@ class TestCoalescePolicy:
         assert sorted(u.query_id for u in sub.poll()) == [1, 3]
 
     def test_capacity_one_boundary(self):
-        sub = StreamSubscription("s", capacity=1, policy="coalesce")
+        sub = StreamSubscription("s", capacity=1)
         assert sub.offer(_update(1)) == "queued"
         assert sub.offer(_update(2)) == "dropped"
         assert sub.depth == 1
         assert sub.dropped == 1
         assert [u.query_id for u in sub.poll()] == [2]
 
-
-class TestDropOldestPolicy:
-    def test_fifo_at_exact_capacity_boundary(self):
-        sub = StreamSubscription("s", capacity=3, policy="drop_oldest")
-        assert [sub.offer(_update(q)) for q in (1, 2, 3)] == ["queued"] * 3
-        assert sub.offer(_update(4)) == "dropped"
-        assert sub.depth == 3
-        assert sub.dropped == 1
-        # FIFO order survives; the oldest (query 1) is the casualty.
-        assert [u.query_id for u in sub.poll()] == [2, 3, 4]
-
-    def test_repeats_are_not_coalesced(self):
-        sub = StreamSubscription("s", capacity=2, policy="drop_oldest")
-        sub.offer(_update(7, tag=1))
-        assert sub.offer(_update(7, tag=2)) == "queued"  # both kept
-        assert sub.depth == 2
-        assert sub.offer(_update(7, tag=3)) == "dropped"  # evicts tag=1
-        assert [u.epoch for u in sub.poll()] == [2, 3]
-        assert sub.dropped == 1
-
     def test_seq_numbers_stay_monotonic_across_drops(self):
-        sub = StreamSubscription("s", capacity=2, policy="drop_oldest")
+        sub = StreamSubscription("s", capacity=2)
         for q in range(5):
             sub.offer(_update(q))
         seqs = [u.seq for u in sub.poll()]
@@ -101,7 +81,7 @@ class TestDropOldestPolicy:
 
 class TestPollAndAck:
     def test_poll_max_items_partial_drain(self):
-        sub = StreamSubscription("s", capacity=8, policy="drop_oldest")
+        sub = StreamSubscription("s", capacity=8)
         for q in range(5):
             sub.offer(_update(q))
         first = sub.poll(max_items=2)
@@ -130,20 +110,19 @@ class TestPollAndAck:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             StreamSubscription("s", capacity=0)
-        with pytest.raises(ValueError):
-            StreamSubscription("s", capacity=4, policy="newest-wins")
 
 
 class TestServiceDeliveryMetrics:
     def test_outcome_counters_match_offer_outcomes(self):
-        """End to end through StreamingService: registration snapshots
+        """End to end through a service's stream: registration snapshots
         and mutation updates count under stream.delivery.<outcome>,
         agreeing with the subscription's own accounting."""
         index = I3Index(UNIT_SQUARE, page_size=256)
         for doc in make_documents(30, random.Random(4)):
             index.insert_document(doc)
-        streams = StreamingService(index, config=StreamConfig(queue_capacity=2))
-        sub = streams.subscribe("s", capacity=2, policy="coalesce")
+        service = QueryService(index)
+        streams = service.streams()
+        sub = streams.subscribe("s", capacity=2)
         words = sorted({w for d in make_documents(30, random.Random(4))
                         for w in d.terms})[:3]
         qids = [
@@ -171,4 +150,4 @@ class TestServiceDeliveryMetrics:
         # accounted for exactly once and depth never exceeds capacity.
         assert sum(outcomes) > 0
         assert sub.depth <= 2
-        streams.close()
+        service.close()

@@ -1,5 +1,5 @@
 """Unit tests for the continuous-query subsystem: registry pruning,
-delivery policies, incremental matching, service wiring, WAL-tail
+the coalescing delivery queue, incremental matching, service wiring,
 resume and the cluster stream router.
 
 The end-to-end exactness guarantee (incremental top-k == from-scratch
@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterService, HashPartitioner
 from repro.core.index import I3Index
 from repro.core.recovery import DurableIndex
+from repro.db import SpatialKeywordDatabase
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
@@ -23,11 +24,7 @@ from repro.streaming import (
     QueryRegistry,
     ResultUpdate,
     StandingQuery,
-    StreamCheckpoint,
-    StreamConfig,
-    StreamingService,
     StreamSubscription,
-    read_wal_tail,
 )
 
 
@@ -155,7 +152,7 @@ class TestStreamSubscription:
                             results=tuple(results))
 
     def test_coalesce_keeps_latest_per_query(self):
-        sub = StreamSubscription("s", capacity=8, policy="coalesce")
+        sub = StreamSubscription("s", capacity=8)
         assert sub.offer(self.update(1)) == "queued"
         assert sub.offer(self.update(2)) == "queued"
         assert sub.offer(self.update(1)) == "coalesced"
@@ -164,19 +161,12 @@ class TestStreamSubscription:
         assert polled[1].seq == 3  # the replacement, not the original
 
     def test_coalesce_overflow_drops_oldest_distinct(self):
-        sub = StreamSubscription("s", capacity=2, policy="coalesce")
+        sub = StreamSubscription("s", capacity=2)
         sub.offer(self.update(1))
         sub.offer(self.update(2))
         assert sub.offer(self.update(3)) == "dropped"
         assert [u.query_id for u in sub.poll()] == [2, 3]
         assert sub.dropped == 1
-
-    def test_drop_oldest_is_fifo(self):
-        sub = StreamSubscription("s", capacity=2, policy="drop_oldest")
-        sub.offer(self.update(1))
-        sub.offer(self.update(1))
-        assert sub.offer(self.update(1)) == "dropped"  # no coalescing
-        assert [u.seq for u in sub.poll()] == [2, 3]
 
     def test_poll_max_items_and_ack(self):
         sub = StreamSubscription("s", capacity=8)
@@ -198,8 +188,6 @@ class TestStreamSubscription:
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="capacity"):
             StreamSubscription("s", capacity=0)
-        with pytest.raises(ValueError, match="policy"):
-            StreamSubscription("s", policy="mystery")
 
 
 class TestStreamingService:
@@ -218,61 +206,70 @@ class TestStreamingService:
 
     def test_register_delivers_snapshot_then_updates(self):
         index, docs = self.build()
-        streams = StreamingService(index)
-        sub = streams.subscribe()
-        qid = streams.register(
-            sub, TopKQuery(0.5, 0.5, ("a", "b"), k=5, semantics=Semantics.OR)
-        )
-        snapshot = sub.poll()
-        assert len(snapshot) == 1 and snapshot[0].kind == "snapshot"
-        assert snapshot[0].query_id == qid
-        for d in docs[60:]:
-            index.insert_document(d)
-        for update in sub.poll():
-            assert update.kind == "update"
-        ranker = streams.registry.get(qid).ranker
-        assert streams.results(qid) == index.query(
-            streams.registry.get(qid).query, ranker
-        )
+        with QueryService(index) as service:
+            streams = service.streams()
+            sub = streams.subscribe()
+            qid = streams.register(
+                sub, TopKQuery(0.5, 0.5, ("a", "b"), k=5, semantics=Semantics.OR)
+            )
+            snapshot = sub.poll()
+            assert len(snapshot) == 1 and snapshot[0].kind == "snapshot"
+            assert snapshot[0].query_id == qid
+            for d in docs[60:]:
+                index.insert_document(d)
+            for update in sub.poll():
+                assert update.kind == "update"
+            ranker = streams.registry.get(qid).ranker
+            assert streams.results(qid) == index.query(
+                streams.registry.get(qid).query, ranker
+            )
 
     def test_unregister_and_unsubscribe(self):
         index, _ = self.build()
-        streams = StreamingService(index)
-        sub = streams.subscribe("client")
-        q = TopKQuery(0.5, 0.5, ("a",), k=3, semantics=Semantics.OR)
-        qid = streams.register(sub, q)
-        assert streams.unregister(qid) and not streams.unregister(qid)
-        qid2 = streams.register(sub, q)
-        streams.unsubscribe(sub)
-        assert sub.closed
-        assert streams.results(qid2) is None
-        assert len(streams.registry) == 0
+        with QueryService(index) as service:
+            streams = service.streams()
+            sub = streams.subscribe("client")
+            q = TopKQuery(0.5, 0.5, ("a",), k=3, semantics=Semantics.OR)
+            qid = streams.register(sub, q)
+            assert streams.unregister(qid) and not streams.unregister(qid)
+            qid2 = streams.register(sub, q)
+            streams.unsubscribe(sub)
+            assert sub.closed
+            assert streams.results(qid2) is None
+            assert len(streams.registry) == 0
 
     def test_close_detaches_listener(self):
         index, docs = self.build()
-        streams = StreamingService(index)
-        sub = streams.subscribe()
-        streams.register(
-            sub, TopKQuery(0.5, 0.5, ("a",), k=3, semantics=Semantics.OR)
-        )
-        streams.close()
-        index.insert_document(docs[-1])
-        assert streams.metrics.as_dict()["counters"].get("stream.events", 0) == 0
-        with pytest.raises(ValueError, match="closed"):
-            streams.subscribe()
+        with QueryService(index) as service:
+            streams = service.streams()
+            sub = streams.subscribe()
+            streams.register(
+                sub, TopKQuery(0.5, 0.5, ("a",), k=3, semantics=Semantics.OR)
+            )
+            streams.close()
+            index.insert_document(docs[-1])
+            counters = streams.metrics.as_dict()["counters"]
+            assert counters.get("stream.events", 0) == 0
+            with pytest.raises(ValueError, match="closed"):
+                streams.subscribe()
 
     def test_per_query_alpha_and_semantics(self):
         index, docs = self.build(seed=3)
         for d in docs[60:]:
             index.insert_document(d)
-        streams = StreamingService(index)
-        sub = streams.subscribe()
-        q_and = TopKQuery(0.4, 0.4, ("a", "b"), k=4, semantics=Semantics.AND)
-        q_or = TopKQuery(0.4, 0.4, ("a", "b"), k=4, semantics=Semantics.OR)
-        qid_and = streams.register(sub, q_and, alpha=0.9)
-        qid_or = streams.register(sub, q_or, alpha=0.1)
-        assert streams.results(qid_and) == index.query(q_and, Ranker(UNIT_SQUARE, 0.9))
-        assert streams.results(qid_or) == index.query(q_or, Ranker(UNIT_SQUARE, 0.1))
+        with QueryService(index) as service:
+            streams = service.streams()
+            sub = streams.subscribe()
+            q_and = TopKQuery(0.4, 0.4, ("a", "b"), k=4, semantics=Semantics.AND)
+            q_or = TopKQuery(0.4, 0.4, ("a", "b"), k=4, semantics=Semantics.OR)
+            qid_and = streams.register(sub, q_and, alpha=0.9)
+            qid_or = streams.register(sub, q_or, alpha=0.1)
+            assert streams.results(qid_and) == index.query(
+                q_and, Ranker(UNIT_SQUARE, 0.9)
+            )
+            assert streams.results(qid_or) == index.query(
+                q_or, Ranker(UNIT_SQUARE, 0.1)
+            )
 
     def test_service_target_runs_under_write_lock(self):
         index, docs = self.build()
@@ -311,14 +308,31 @@ class TestStreamingService:
             assert any(r.doc_id == 99 for r in streams.results(qid))
         durable.close()
 
-    def test_stream_config_validation(self):
-        with pytest.raises(ValueError, match="queue_capacity"):
-            StreamConfig(queue_capacity=0)
-        with pytest.raises(ValueError, match="grid_level"):
-            StreamConfig(grid_level=-1)
+    def test_stream_follows_a_reweighed_database(self):
+        # reweigh() swaps the database's index; a stream left listening
+        # on the old one never sees the re-weighted scores or a later
+        # insert.
+        db = SpatialKeywordDatabase()
+        db.add(1, 0.2, 0.3, "spicy ramen noodles")
+        db.add(2, 0.8, 0.8, "quiet library books")
+        q = TopKQuery(0.2, 0.3, ("spicy", "ramen"), k=5)
+        ranker = Ranker(UNIT_SQUARE, 0.5)
+        with QueryService(db) as service:
+            streams = service.streams()
+            sub = streams.subscribe()
+            qid = streams.register(sub, q)
+            service.mutate(lambda target: target.reweigh())
+            service.insert(3, 0.21, 0.31, "spicy spicy ramen")
+            expected = [(h.doc_id, h.score) for h in db.query(q, ranker)]
+            assert 3 in {doc_id for doc_id, _ in expected}
+            got = [(r.doc_id, r.score) for r in streams.results(qid)]
+            assert got == expected
+            assert streams.index is db.index
+            last = {u.query_id: u for u in sub.poll()}[qid]
+            assert [(r.doc_id, r.score) for r in last.results] == expected
 
 
-class TestWalTailResume:
+class TestResume:
     def build_durable(self, tmp_path, n=80, seed=2):
         rng = random.Random(seed)
         durable = DurableIndex.create(
@@ -332,70 +346,50 @@ class TestWalTailResume:
         ]
         return durable, docs
 
-    def test_resume_replays_only_the_tail(self, tmp_path):
+    def test_resume_requeries_every_query(self, tmp_path):
         durable, docs = self.build_durable(tmp_path)
-        streams = StreamingService(durable)
-        sub = streams.subscribe("client")
         q = TopKQuery(0.5, 0.5, ("a", "b"), k=5, semantics=Semantics.OR)
-        checkpoint = StreamCheckpoint("client")
-        qid = streams.register(sub, q, alpha=0.5)
-        checkpoint.track(qid, q, 0.5)
-        for d in docs[:40]:
-            durable.insert_document(d)
-        checkpoint.record_all(sub.poll())
-        assert checkpoint.acked_lsn > 0
-        streams.unsubscribe(sub)  # subscriber dies
-        for d in docs[40:]:
-            durable.insert_document(d)
-        durable.delete_document(docs[0])
-        sub2 = streams.resume(checkpoint)
-        snapshots = sub2.poll()
-        assert [u.kind for u in snapshots] == ["snapshot"]
-        assert snapshots[0].query_id == qid
-        assert streams.results(qid) == durable.index.query(
-            q, Ranker(UNIT_SQUARE, 0.5)
-        )
-        counters = streams.metrics.as_dict()["counters"]
-        assert counters["stream.resume_replayed"] > 0
-        assert "stream.resume_requeries" not in counters
+        with QueryService(durable) as service:
+            streams = service.streams()
+            sub = streams.subscribe("client")
+            qid = streams.register(sub, q, alpha=0.5)
+            held = {qid: (q, 0.5)}
+            for d in docs[:40]:
+                service.insert(d)
+            sub.poll()
+            streams.unsubscribe(sub)  # subscriber dies
+            for d in docs[40:]:
+                service.insert(d)
+            service.delete(docs[0])
+            sub2 = streams.resume("client", held)
+            snapshots = sub2.poll()
+            assert [(u.kind, u.query_id) for u in snapshots] == [("snapshot", qid)]
+            assert snapshots[0].lsn == durable.last_lsn
+            assert streams.results(qid) == durable.index.query(
+                q, Ranker(UNIT_SQUARE, 0.5)
+            )
+            counters = streams.metrics.as_dict()["counters"]
+            assert counters["stream.resume_requeries"] == 1
+            assert streams.register(sub2, q) > qid  # ids are never reused
         durable.close()
 
-    def test_resume_falls_back_when_log_truncated(self, tmp_path):
+    def test_resume_after_a_checkpoint_reset_the_log(self, tmp_path):
         durable, docs = self.build_durable(tmp_path)
-        streams = StreamingService(durable)
-        sub = streams.subscribe("client")
         q = TopKQuery(0.5, 0.5, ("a",), k=4, semantics=Semantics.OR)
-        checkpoint = StreamCheckpoint("client")
-        qid = streams.register(sub, q, alpha=0.5)
-        checkpoint.track(qid, q, 0.5)
-        for d in docs[:30]:
-            durable.insert_document(d)
-        checkpoint.record_all(sub.poll())
-        streams.unsubscribe(sub)
-        for d in docs[30:]:
-            durable.insert_document(d)
-        durable.checkpoint()  # resets the log: the tail is gone
-        tail = read_wal_tail(durable, checkpoint.acked_lsn)
-        assert not tail.covered
-        streams.resume(checkpoint)
-        assert streams.results(qid) == durable.index.query(
-            q, Ranker(UNIT_SQUARE, 0.5)
-        )
-        counters = streams.metrics.as_dict()["counters"]
-        assert counters["stream.resume_requeries"] == 1
-        durable.close()
-
-    def test_update_records_replay_as_both_halves(self, tmp_path):
-        durable, docs = self.build_durable(tmp_path)
-        for d in docs[:10]:
-            durable.insert_document(d)
-        moved = doc(3, 0.9, 0.9, {"a": 0.9})
-        durable.update_document(docs[2], moved)
-        tail = read_wal_tail(durable, 10)
-        assert [(m.kind, m.doc.doc_id) for m in tail.mutations] == [
-            ("delete", 3), ("insert", 3)
-        ]
-        assert tail.mutations[1].doc.x == pytest.approx(0.9)
+        with QueryService(durable) as service:
+            streams = service.streams()
+            sub = streams.subscribe("client")
+            qid = streams.register(sub, q, alpha=0.5)
+            for d in docs[:30]:
+                service.insert(d)
+            streams.unsubscribe(sub)
+            for d in docs[30:]:
+                service.insert(d)
+            service.checkpoint()  # resets the log: the history is gone
+            streams.resume("client", {qid: (q, 0.5)})
+            assert streams.results(qid) == durable.index.query(
+                q, Ranker(UNIT_SQUARE, 0.5)
+            )
         durable.close()
 
 

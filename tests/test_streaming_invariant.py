@@ -5,7 +5,7 @@ standing queries of mixed shape (AND/OR semantics, randomised k and
 alpha), the incrementally maintained top-k of every standing query must
 equal a from-scratch ``I3Index.query`` at every checkpoint — including
 checkpoints right after deletion-triggered evictions, and across a
-subscriber kill + WAL-tail resume from its last acknowledged LSN.
+subscriber kill + resume, which re-runs every standing query.
 
 This is the contract that makes the subsystem trustworthy: push-based
 answers are never approximations of what a fresh search would return.
@@ -19,13 +19,13 @@ from repro.datasets.generators import TwitterLikeGenerator
 from repro.datasets.querylog import QueryLogGenerator
 from repro.model.query import Semantics
 from repro.model.scoring import Ranker
-from repro.streaming import StreamCheckpoint, StreamingService
+from repro.service import QueryService
 
 N_DOCS = 10_000
 N_QUERIES = 200
 N_CHECKPOINTS = 20
 KILL_AT = 5_000      # subscriber dies here ...
-RESUME_AT = 5_400    # ... and replays the missed WAL tail here
+RESUME_AT = 5_400    # ... and comes back here, re-running its queries
 
 
 def standing_workload(corpus, count, seed):
@@ -55,18 +55,19 @@ def test_incremental_topk_equals_from_scratch(tmp_path):
         str(tmp_path / "store"), I3Index(corpus.space), sync_every=1000
     )
     index = durable.index
-    streams = StreamingService(durable)
+    service = QueryService(durable)
+    streams = service.streams()
     sub = streams.subscribe("invariant-client")
     rng = random.Random(99)
 
-    checkpoint = StreamCheckpoint("invariant-client")
+    held = {}
     registered = {}
     for query in standing_workload(corpus, N_QUERIES, seed=7):
         alpha = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
         qid = streams.register(sub, query, alpha=alpha)
-        checkpoint.track(qid, query, alpha)
+        held[qid] = (query, alpha)
         registered[qid] = (query, Ranker(corpus.space, alpha))
-    checkpoint.record_all(sub.poll())
+    sub.poll()
     assert len(registered) == N_QUERIES
 
     def verify_all():
@@ -84,34 +85,31 @@ def test_incremental_topk_equals_from_scratch(tmp_path):
     last_op_was_delete = False
     dead = False
     for i, doc in enumerate(corpus.documents):
-        durable.insert_document(doc)
+        service.insert(doc)
         live.append(doc)
         last_op_was_delete = False
         if i % 17 == 16:
             # Interleaved deletion of a random live document (ids are
             # never reused); some evict current results and force the
             # re-query fallback.
-            assert durable.delete_document(live.pop(rng.randrange(len(live))))
+            assert service.delete(live.pop(rng.randrange(len(live))))
             last_op_was_delete = True
         if not dead:
-            checkpoint.record_all(sub.poll())
+            sub.poll()
         if i == KILL_AT:
             # The subscriber dies: its subscription closes and its
             # standing queries leave the registry; ingest continues.
             streams.unsubscribe(sub)
             dead = True
         elif i == RESUME_AT:
-            sub = streams.resume(checkpoint)
+            sub = streams.resume("invariant-client", held)
             dead = False
             snapshots = sub.poll()
             assert len(snapshots) == N_QUERIES
             assert {u.kind for u in snapshots} == {"snapshot"}
             counters = streams.metrics.as_dict()["counters"]
-            assert counters.get("stream.resume_replayed", 0) > 0, (
-                "resume must replay the WAL tail, not re-run every query"
-            )
+            assert counters["stream.resume_requeries"] == N_QUERIES
             verify_all()
-            checkpoint.record_all(snapshots)
         if i % check_every == check_every - 1 and not dead:
             verify_all()
             checkpoints_verified += 1
@@ -126,5 +124,5 @@ def test_incremental_topk_equals_from_scratch(tmp_path):
     counters = streams.metrics.as_dict()["counters"]
     assert counters["stream.requeries"] > 0  # deletions evicted results
     assert counters["stream.buckets_skipped"] > 0  # pruning engaged
-    streams.close()
+    service.close()
     durable.close()

@@ -28,7 +28,6 @@ from repro.simtest.clock import SimClock
 from repro.spatial.geometry import UNIT_SQUARE
 from repro.storage.records import f32
 from repro.model.document import SpatialDocument
-from repro.streaming import StreamConfig
 from repro.temporal import (
     NaiveTemporalIndex,
     RecencySpec,
@@ -264,7 +263,7 @@ class TestStandingQueriesAgeOut:
             temporal_index(retention=30.0),
             ServiceConfig(metrics_seed=0),
         ) as svc:
-            streams = svc.streams(StreamConfig())
+            streams = svc.streams()
             sub = streams.subscribe("aging", capacity=64)
             qid = streams.register(
                 sub, TopKQuery(0.5, 0.5, ("cafe",), k=4), alpha=0.5
@@ -362,7 +361,7 @@ class TestWire:
         with QueryService(
             temporal_index(), ServiceConfig(metrics_seed=0)
         ) as svc:
-            svc.streams(StreamConfig())
+            svc.streams()
             server = SimNetServer(svc, clock=clock)
             tq = TemporalQuery(
                 TopKQuery(0.5, 0.5, ("cafe",), k=1), TimeRange(0.0, 1.0)

@@ -163,19 +163,6 @@ class TestGroupCommit:
         assert wal.synced_lsn == 2
         wal.close()
 
-    def test_scan_live_sees_unsynced_records(self, tmp_path):
-        # The streaming tail reader must see batched-but-unfsynced
-        # appends without disturbing group-commit accounting.
-        wal = WriteAheadLog.create(str(tmp_path / "wal.log"), sync_every=None)
-        wal.append(WAL_INSERT, b"a")
-        wal.append(WAL_DELETE, b"b")
-        scan = wal.scan_live()
-        mutations = [r.lsn for _, r in scan.records if r.type != WAL_CHECKPOINT]
-        assert mutations == [1, 2]
-        assert wal.synced_lsn == 0
-        assert wal.unsynced_records == 2
-        wal.close()
-
     def test_bad_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="sync_every"):
             WriteAheadLog.create(str(tmp_path / "a.log"), sync_every=0)
