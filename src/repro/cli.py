@@ -230,7 +230,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     semantics = Semantics.AND if args.semantics == "and" else Semantics.OR
     query = TopKQuery(x, y, words, k=args.k, semantics=semantics)
     ranker = Ranker(index.space, alpha=args.alpha)
-    results = index.query(query, ranker, engine=args.engine)
+    results = index.query(query, ranker)
     if args.json:
         json.dump(
             [{"doc_id": r.doc_id, "score": r.score} for r in results],
@@ -285,7 +285,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         cache_capacity=args.cache,
         metrics_seed=args.seed,
-        engine=args.engine,
     )
     stop = threading.Event()
 
@@ -649,13 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--k", type=int, default=10)
     query.add_argument("--semantics", choices=["and", "or"], default="or")
     query.add_argument("--alpha", type=float, default=0.5)
-    query.add_argument(
-        "--engine",
-        choices=["tuple", "vector"],
-        default=None,
-        help="execution engine (default: vector when numpy is "
-        "available, else tuple; REPRO_ENGINE overrides)",
-    )
     query.add_argument("--json", action="store_true", help="JSON output")
     query.set_defaults(func=_cmd_query)
 
@@ -716,13 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument("--alpha", type=float, default=0.5)
     server.add_argument("--page-size", type=int, default=4096)
     server.add_argument("--seed", type=int, default=0)
-    server.add_argument(
-        "--engine",
-        choices=["tuple", "vector"],
-        default=None,
-        help="execution engine for every worker (default: vector when "
-        "numpy is available, else tuple; REPRO_ENGINE overrides)",
-    )
     server.set_defaults(func=_cmd_serve)
 
     simtest = sub.add_parser(

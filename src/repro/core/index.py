@@ -83,10 +83,10 @@ class I3Index:
             bulk load.  External result caches (see
             :mod:`repro.service.cache`) stamp entries with it, which
             makes cached results self-invalidating.
-        engine: Per-index engine override (``"tuple"``/``"vector"``) or
-            ``None`` to resolve per query call from the ``REPRO_ENGINE``
-            environment variable and the numpy-dependent default.  Both
-            engines answer byte-identically; see :mod:`repro.exec`.
+        engine: Engine pin (``"tuple"``/``"vector"``) for calls that name
+            none, or ``None`` (the default) to let numpy decide.  Set it
+            on the instance; both engines answer byte-identically, see
+            :mod:`repro.exec`.
     """
 
     def __init__(
@@ -99,7 +99,6 @@ class I3Index:
         head_component: str = "i3.head",
         data_component: str = "i3.data",
         buffer_pages: Optional[int] = None,
-        engine: Optional[str] = None,
     ) -> None:
         if eta <= 0:
             raise ValueError(f"eta must be positive, got {eta}")
@@ -126,7 +125,7 @@ class I3Index:
         # Per-keyword max_s upper bounds advertised to the cluster layer
         # (see keyword_bound); missing entries are computed on demand.
         self._word_bound: Dict[str, float] = {}
-        self.engine = engine
+        self.engine: Optional[str] = None
         self._processor = I3QueryProcessor(self)
         self._vector_processor = None
         # Mutation listeners (the streaming subsystem's hook).  Events
@@ -458,8 +457,8 @@ class I3Index:
         ``"tuple"`` returns the scalar reference processor; ``"vector"``
         lazily constructs the numpy batch processor
         (:class:`~repro.exec.vector.VectorQueryProcessor`).  Resolution
-        happens per call (argument > index override > environment >
-        default) so one index can serve both engines concurrently.
+        happens per call (argument > index pin > numpy default) so one
+        index can serve both engines concurrently.
         """
         from repro.exec import resolve_engine
 

@@ -32,15 +32,20 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, List, Tuple, Union
+from typing import BinaryIO, Callable, List, Optional, Set, Tuple, Union
 
 from repro.core.headfile import CellPages, SummaryInfo, SummaryNode
 from repro.core.index import I3Index
 from repro.spatial.geometry import Rect
 from repro.storage.errors import SnapshotCorruptionError
 from repro.storage.pager import page_checksum
-from repro.storage.records import TupleCodec
+from repro.storage.records import EMPTY_SOURCE, TupleCodec
 from repro.text.signature import Signature
+
+try:  # the occupancy scan's fast path; numpy is optional
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy-less installs
+    np = None
 
 __all__ = [
     "save_index",
@@ -219,9 +224,22 @@ class _CrcReader:
         return self.fh.tell()
 
 
-def read_index(fh: BinaryIO) -> Tuple[I3Index, SnapshotMeta]:
-    """Deserialise an index (plus metadata) from an open binary stream,
-    verifying every checksum on the way in."""
+def read_index(
+    fh,
+    verify: bool = True,
+    serve_pages: Optional[Callable[[I3Index, int, int], None]] = None,
+) -> Tuple[I3Index, SnapshotMeta]:
+    """Deserialise an index (plus metadata) from an open binary stream
+    or an ``mmap`` — anything with ``read``/``seek``/``tell``.
+
+    The header and tail CRCs are always verified, page CRCs under
+    ``verify``.  By default each page image is copied into the index's
+    in-memory page file as it streams past, so no whole-file buffer is
+    ever held.  ``serve_pages(index, body_start, num_pages)`` replaces
+    that copy: it installs a page file that serves the page region where
+    it lies (:func:`repro.exec.snapshot.open_snapshot` maps it), and the
+    region is read only for CRCs and slot occupancy.
+    """
     header = fh.read(_HEADER.size)
     if len(header) < _HEADER.size:
         raise SnapshotCorruptionError("truncated I3 index file: short header", 0)
@@ -278,29 +296,28 @@ def read_index(fh: BinaryIO) -> Tuple[I3Index, SnapshotMeta]:
             "in the file: truncated or corrupt page count",
             count_at,
         )
+    if serve_pages is not None:
+        serve_pages(index, body_start, pages)
     slotted = index.data.slotted
-    for _ in range(pages):
+    for page_id in range(pages):
         page_at = fh.tell()
-        page_id = slotted.allocate_page()
         image = _must_read(fh, page_size, f"page {page_id}")
         stored_crc = _CRC.unpack(
             _must_read(fh, _CRC.size, f"page {page_id} checksum")
         )[0]
-        if page_checksum(image) != stored_crc:
+        if verify and page_checksum(image) != stored_crc:
             raise SnapshotCorruptionError(
                 f"page {page_id} checksum mismatch: torn or corrupt page write",
                 page_at,
             )
-        index.data.file._pages[page_id][:] = image
-        occupied = [
-            slot
-            for slot in range(slotted.slots_per_page)
-            if not TupleCodec.is_empty(
-                image[slot * TupleCodec.size : (slot + 1) * TupleCodec.size]
-            )
-        ]
-        free = set(range(slotted.slots_per_page)) - set(occupied)
-        slotted._set_free(page_id, free)
+        free = _free_slots(image, slotted.slots_per_page)
+        if serve_pages is None:
+            slotted.allocate_page()
+            index.data.file._pages[page_id][:] = image
+            slotted._set_free(page_id, free)
+        else:
+            slotted._free[page_id] = free
+            slotted._by_free_count[len(free)].add(page_id)
     # Head file and lookup table, verified against the trailing CRC.
     tail = _CrcReader(fh)
     (num_nodes,) = struct.unpack("<I", _must_read(tail, 4, "node count"))
@@ -338,6 +355,21 @@ def _must_read(fh, n: int, what: str = "data") -> bytes:
             at,
         )
     return data
+
+
+def _free_slots(image: bytes, slots: int) -> Set[int]:
+    """Slots of one page image that hold the reserved empty source id."""
+    if np is None:
+        size = TupleCodec.size
+        return {
+            slot
+            for slot in range(slots)
+            if TupleCodec.is_empty(image[slot * size : (slot + 1) * size])
+        }
+    sources = np.frombuffer(
+        image, dtype=np.dtype([("head", "V28"), ("src", "<u4")]), count=slots
+    )["src"]
+    return set(np.flatnonzero(sources == EMPTY_SOURCE).tolist())
 
 
 def _read_str(fh) -> str:

@@ -189,15 +189,11 @@ class SpatialKeywordDatabase:
         k: int = 10,
         semantics: Semantics = Semantics.OR,
         alpha: Optional[float] = None,
-        engine: Optional[str] = None,
     ) -> List[SearchHit]:
         """Top-k documents for a location plus keywords.
 
         ``keywords`` may be a raw query string (tokenised with the same
         pipeline as documents) or a pre-split sequence of keywords.
-
-        ``engine`` selects the execution engine for the underlying
-        index query (both engines return byte-identical results).
         """
         if isinstance(keywords, str):
             words: Sequence[str] = self.tokenizer.keywords(keywords)
@@ -207,15 +203,11 @@ class SpatialKeywordDatabase:
             return []
         query = TopKQuery(x, y, tuple(words), k=k, semantics=semantics)
         ranker = Ranker(self.space, self.alpha if alpha is None else alpha)
-        return self.query(query, ranker, engine=engine)
+        return self.query(query, ranker)
 
-    def query(
-        self, query: TopKQuery, ranker: Ranker, engine: Optional[str] = None
-    ) -> List[SearchHit]:
+    def query(self, query: TopKQuery, ranker: Ranker) -> List[SearchHit]:
         """Top-k hits for a parsed query under ``ranker``."""
-        return [
-            self._hit(r) for r in self.index.query(query, ranker, engine=engine)
-        ]
+        return [self._hit(r) for r in self.index.query(query, ranker)]
 
     def _hit(self, result: ScoredDoc) -> SearchHit:
         x, y, text = self._texts[result.doc_id]

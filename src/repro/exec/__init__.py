@@ -14,33 +14,31 @@ cell bounds only need to stay admissible (see ``docs/exec.md``).
 
 Engine selection
 ----------------
-``resolve_engine`` decides which engine serves a query:
+The engine is chosen per call, else by numpy:
 
 1. an explicit ``engine=`` argument (``I3Index.query(..., engine=...)``),
-2. the ``REPRO_ENGINE`` environment variable,
+2. the index's ``engine`` pin (:attr:`repro.core.index.I3Index.engine`,
+   ``None`` unless a caller sets it),
 3. the default: ``"vector"`` when numpy is importable, else ``"tuple"``.
 
-A request for the vector engine silently falls back to the tuple engine
-when numpy is absent: the engines answer identically, so degrading to
-the slower path is always safe, and it keeps minimal deployments (and
-the numpy-absent fallback test) working with zero configuration.
+No environment variable, config field or CLI flag takes part.  A request
+for the vector engine silently falls back to the tuple engine when numpy
+is absent: the engines answer identically, so degrading to the slower
+path is always safe, and it keeps minimal deployments working with zero
+configuration.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 __all__ = [
-    "ENGINE_ENV_VAR",
     "ENGINES",
     "HAS_NUMPY",
     "available_engines",
     "default_engine",
     "resolve_engine",
 ]
-
-ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 ENGINES = ("tuple", "vector")
 
@@ -63,20 +61,13 @@ def default_engine() -> str:
 
 
 def resolve_engine(explicit: Optional[str] = None) -> str:
-    """Resolve the engine for one query call.
-
-    Precedence: ``explicit`` argument > ``REPRO_ENGINE`` env var >
-    default.  Unknown names raise ``ValueError``; ``"vector"`` degrades
-    to ``"tuple"`` when numpy is unavailable.
+    """Resolve the engine for one query call: ``explicit`` if given,
+    else the default.  Unknown names raise ``ValueError``; ``"vector"``
+    degrades to ``"tuple"`` when numpy is unavailable.
     """
-    choice = explicit
-    if choice is None:
-        env = os.environ.get(ENGINE_ENV_VAR)
-        if env:
-            choice = env
-    if choice is None:
+    if explicit is None:
         return default_engine()
-    choice = choice.lower()
+    choice = explicit.lower()
     if choice not in ENGINES:
         raise ValueError(
             f"unknown engine {choice!r}; expected one of {ENGINES}"

@@ -18,6 +18,7 @@ rectangle explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Mapping, Tuple
 
@@ -43,11 +44,20 @@ class SpatialDocument:
     def __post_init__(self) -> None:
         if self.doc_id < 0:
             raise ValueError(f"doc_id must be non-negative, got {self.doc_id}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(
+                f"document location must be finite, got ({self.x}, {self.y})"
+            )
         for word, weight in self.terms.items():
             if not word:
                 raise ValueError("empty keyword in document terms")
-            if weight < 0:
-                raise ValueError(f"negative weight {weight!r} for keyword {word!r}")
+            # The chained comparison also refuses NaN, which a plain
+            # ``weight < 0`` lets through.
+            if not 0 <= weight < math.inf:
+                raise ValueError(
+                    f"weight {weight!r} for keyword {word!r} must be "
+                    "finite and non-negative"
+                )
 
     @property
     def location(self) -> Tuple[float, float]:

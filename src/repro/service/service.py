@@ -42,7 +42,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.index import I3Index
 from repro.core.recovery import DurableIndex, RecoveryReport
-from repro.exec import ENGINES
 from repro.model.query import TopKQuery
 from repro.model.scoring import Ranker
 from repro.service.admission import AdmissionController
@@ -72,24 +71,14 @@ class ServiceConfig:
         cache_capacity: Result-cache entries; ``0`` disables the cache.
         metrics_seed: Seed for the histogram reservoirs (reproducible
             quantiles in tests/benchmarks); ``None`` = nondeterministic.
-        engine: Execution engine for index queries (``"tuple"`` /
-            ``"vector"``); ``None`` defers to the index's own setting,
-            the ``REPRO_ENGINE`` environment variable, and finally the
-            vector default (see :func:`repro.exec.resolve_engine`).
-            Both engines return byte-identical results.
     """
 
     max_pending: int = 64
     timeout: Optional[float] = None
     cache_capacity: int = 256
     metrics_seed: Optional[int] = None
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
         if self.max_pending <= 0:
             raise ValueError(
                 f"max_pending must be positive, got {self.max_pending}"
@@ -235,11 +224,6 @@ class QueryService:
         self.target = target
         self._ranker = (
             ranker if ranker is not None else Ranker(self._index.space)
-        )
-        # Forwarded to every target query only when an engine is pinned;
-        # unset, the target applies its own default resolution.
-        self._engine_kwargs: Dict[str, str] = (
-            {} if self.config.engine is None else {"engine": self.config.engine}
         )
         self.metrics = (
             metrics
@@ -690,7 +674,7 @@ class QueryService:
         are engine-agnostic; a hit reads no pages.
         """
         def compute() -> List[Any]:
-            return self._index.query(query, self._ranker, **self._engine_kwargs)
+            return self._index.query(query, self._ranker)
 
         cache = self.cache
         if cache is None:

@@ -25,8 +25,8 @@ Invariants checked (named for shrinking identity):
 * ``standing-query`` — every registered standing query's maintained
   top-k equals a from-scratch query of the model.
 * ``stream-delivery`` — after draining a subscription, the last
-  delivered update per query equals the model's top-k (relaxed across
-  windows where the bounded queue legitimately dropped updates).
+  delivered update per query equals the model's top-k, on every poll
+  (a subscription never drops an update).
 * ``cluster-degraded`` — with a full replica set (even during a
   single-replica outage) no scatter-gather answer is degraded.
 * ``degraded-correctness`` — under injected shard faults
@@ -314,14 +314,10 @@ class _Simulation:
         self.subs: Dict[str, Any] = {}
         self.owned: Dict[str, Dict[int, Tuple[TopKQuery, float]]] = {}
         self.last_delivered: Dict[int, List] = {}
-        self._drops_seen: Dict[str, int] = {}
         for sub_cfg in cfg["subscribers"]:
             name = sub_cfg["name"]
-            self.subs[name] = self.streams.subscribe(
-                name, capacity=sub_cfg["capacity"]
-            )
+            self.subs[name] = self.streams.subscribe(name)
             self.owned[name] = {}
-            self._drops_seen[name] = 0
         self._setup_temporal(cfg.get("temporal"))
 
     def _install_engine_bug(self) -> None:
@@ -822,19 +818,6 @@ class _Simulation:
         updates = sub.poll(timeout=0.0)
         for update in updates:
             self.last_delivered[update.query_id] = result_pairs(update.results)
-        drops = sub.dropped
-        if drops != self._drops_seen[name]:
-            # The bounded queue legitimately evicted updates in this
-            # window; a real client resynchronises (that is what resume
-            # is for), so expectations reset to the live maintained
-            # state rather than flagging the documented loss.
-            self._drops_seen[name] = drops
-            for qid in self.owned[name]:
-                current = self.streams.results(qid)
-                if current is not None:
-                    self.last_delivered[qid] = result_pairs(current)
-            self.events.append({"op": "poll", "sub": name, "lossy": drops})
-            return
         for qid, (query, alpha) in self.owned[name].items():
             expected = self.oracle.topk_pairs(query, Ranker(self.space, alpha))
             got = self.last_delivered.get(qid)
@@ -853,14 +836,7 @@ class _Simulation:
         # Kill: the subscriber process dies without unsubscribing —
         # pending and future pushes are lost on the floor.
         self.subs[name].close()
-        sub = self.streams.resume(
-            name, self.owned[name], capacity=self.subs[name].capacity
-        )
-        self.subs[name] = sub
-        # The fresh subscription's drop counter restarts at zero; the
-        # resume snapshots themselves may already have overflowed it, so
-        # baseline at 0 and let the drain below notice any loss.
-        self._drops_seen[name] = 0
+        self.subs[name] = self.streams.resume(name, self.owned[name])
         # Resume queued fresh snapshots; drain them so delivered state
         # reflects the reconnect.
         self._do_poll({"op": "poll", "sub": name})

@@ -185,12 +185,11 @@ def _single_trace(seed: int, rng: random.Random, steps: Optional[int]) -> Dict:
 
     subscribers = []
     for i in range(rng.randint(1, 2)):
-        subscribers.append({
-            "name": f"sim-sub-{i}",
-            "capacity": rng.choice([4, 16, 128]),
-        })
-        # Draw where the three-way overflow-policy choice used to be, so
-        # every later draw (and each seed's canary catch) stays put.
+        subscribers.append({"name": f"sim-sub-{i}"})
+        # Draw where the queue capacity and the three-way overflow-policy
+        # choice used to be, so every later draw (and each seed's canary
+        # catch) stays put.
+        rng.choice([4, 16, 128])
         rng.randrange(3)
     pool = _QueryPool(rng, reuse=0.3)
 

@@ -5,7 +5,7 @@ pushes change to them: standing queries are registered once, indexed
 FAST-style in a :class:`QueryRegistry` (keyword x spatial-grid buckets
 with entry-threshold pruning), maintained incrementally by the
 :class:`IncrementalMatcher` as documents arrive and leave, and served
-through one bounded, coalescing :class:`StreamSubscription` queue per
+through one coalescing :class:`StreamSubscription` queue per
 subscriber.  A disconnected subscriber resumes by re-running its
 standing queries; on clusters the :class:`ClusterStreamRouter` merges
 per-shard standing queries into global top-k notifications.

@@ -1,4 +1,4 @@
-"""Delivery: one bounded, coalescing update queue per subscriber.
+"""Delivery: one coalescing update queue per subscriber.
 
 A push system must decide what happens when a subscriber consumes slower
 than the index mutates.  A subscription holds at most one pending update
@@ -6,8 +6,8 @@ per standing query, always the *latest*: a new update for a query
 already queued replaces it (updates carry full result snapshots, not
 diffs, so the older one is redundant), so a slow subscriber skips
 intermediate states and never falls behind by more than one snapshot
-per query.  The queue is also bounded: overflow of *distinct* queries
-drops the oldest entry, counted in :attr:`StreamSubscription.dropped`.
+per query.  That is also the queue's bound: it never holds more updates
+than its subscriber has standing queries, so nothing is ever evicted.
 
 Updates carry the index epoch and (on durable targets) the WAL LSN they
 correspond to.
@@ -17,15 +17,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from repro.model.results import ScoredDoc
 
-__all__ = ["DEFAULT_CAPACITY", "ResultUpdate", "StreamSubscription"]
-
-DEFAULT_CAPACITY = 256
-"""Pending updates (distinct standing queries) a subscription holds."""
+__all__ = ["ResultUpdate", "StreamSubscription"]
 
 # Offer outcomes (also the metric suffixes the service counts).
 QUEUED = "queued"
@@ -58,27 +55,20 @@ class ResultUpdate:
 
 
 class StreamSubscription:
-    """A bounded, coalescing, thread-safe update queue for one subscriber.
+    """A coalescing, thread-safe update queue for one subscriber.
 
     Producers (the mutating thread, via the streaming service) call
     :meth:`offer`; the subscriber calls :meth:`poll` — from any thread,
-    no index or service lock required — and :meth:`ack`.
+    no index or service lock required.
     """
 
-    def __init__(
-        self, subscriber_id: str, capacity: int = DEFAULT_CAPACITY
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, subscriber_id: str) -> None:
         self.subscriber_id = subscriber_id
-        self.capacity = capacity
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._pending: "OrderedDict[int, ResultUpdate]" = OrderedDict()
         self._seq = 0
-        self._dropped = 0
         self._closed = False
-        self.last_acked_lsn = 0
 
     # ------------------------------------------------------------------
     # Producer side
@@ -87,33 +77,17 @@ class StreamSubscription:
         """Enqueue one update; returns what happened to it.
 
         ``"queued"`` — appended; ``"coalesced"`` — replaced a pending
-        update of the same query; ``"dropped"`` — appended, but the
-        oldest pending entry was evicted to make room.  Offers to a
-        closed subscription are silently dropped.
+        update of the same query (and moved to the back, as the newest);
+        ``"dropped"`` — the subscription is closed.
         """
         with self._lock:
             if self._closed:
                 return DROPPED
             self._seq += 1
-            stamped = ResultUpdate(
-                query_id=update.query_id,
-                kind=update.kind,
-                epoch=update.epoch,
-                lsn=update.lsn,
-                seq=self._seq,
-                results=update.results,
-            )
-            if stamped.query_id in self._pending:
-                self._pending[stamped.query_id] = stamped
-                self._pending.move_to_end(stamped.query_id)
-                self._ready.notify_all()
-                return COALESCED
             outcome = QUEUED
-            if len(self._pending) >= self.capacity:
-                self._pending.popitem(last=False)
-                self._dropped += 1
-                outcome = DROPPED
-            self._pending[stamped.query_id] = stamped
+            if self._pending.pop(update.query_id, None) is not None:
+                outcome = COALESCED
+            self._pending[update.query_id] = replace(update, seq=self._seq)
             self._ready.notify_all()
             return outcome
 
@@ -144,14 +118,6 @@ class StreamSubscription:
                 taken.append(self._pending.popitem(last=False)[1])
             return taken
 
-    def ack(self, lsn: Optional[int]) -> None:
-        """Record that everything up to ``lsn`` was durably consumed."""
-        if lsn is None:
-            return
-        with self._lock:
-            if lsn > self.last_acked_lsn:
-                self.last_acked_lsn = lsn
-
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
@@ -160,12 +126,6 @@ class StreamSubscription:
         """Pending updates not yet polled."""
         with self._lock:
             return len(self._pending)
-
-    @property
-    def dropped(self) -> int:
-        """Updates lost to overflow since the subscription started."""
-        with self._lock:
-            return self._dropped
 
     @property
     def closed(self) -> bool:

@@ -36,11 +36,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.core.index import MutationEvent
 from repro.model.query import TopKQuery
 from repro.model.scoring import Ranker
-from repro.streaming.delivery import (
-    DEFAULT_CAPACITY,
-    ResultUpdate,
-    StreamSubscription,
-)
+from repro.streaming.delivery import ResultUpdate, StreamSubscription
 from repro.streaming.matcher import IncrementalMatcher
 from repro.streaming.registry import QueryRegistry, StandingQuery
 
@@ -111,19 +107,15 @@ class StreamingService:
     # ------------------------------------------------------------------
     # Subscriptions
     # ------------------------------------------------------------------
-    def subscribe(
-        self,
-        subscriber_id: Optional[str] = None,
-        capacity: int = DEFAULT_CAPACITY,
-    ) -> StreamSubscription:
+    def subscribe(self, subscriber_id: Optional[str] = None) -> StreamSubscription:
         """Open a subscription (an id already in use replaces the old
-        subscription, closing it); ``capacity`` bounds its queue."""
+        subscription, closing it)."""
         if self._closed:
             raise ValueError("streaming service is closed")
         if subscriber_id is None:
             subscriber_id = f"sub-{self._next_subscriber}"
             self._next_subscriber += 1
-        sub = StreamSubscription(subscriber_id, capacity)
+        sub = StreamSubscription(subscriber_id)
         return self._with_write(lambda: self._attach(sub))
 
     def _attach(self, sub: StreamSubscription) -> StreamSubscription:
@@ -213,7 +205,6 @@ class StreamingService:
         self,
         subscriber_id: str,
         queries: Mapping[int, Tuple[TopKQuery, float]],
-        capacity: int = DEFAULT_CAPACITY,
     ) -> StreamSubscription:
         """Reconnect a subscriber and re-run its standing queries.
 
@@ -225,7 +216,7 @@ class StreamingService:
         """
         if self._closed:
             raise ValueError("streaming service is closed")
-        sub = StreamSubscription(subscriber_id, capacity)
+        sub = StreamSubscription(subscriber_id)
 
         def do() -> None:
             self._attach(sub)

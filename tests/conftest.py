@@ -16,7 +16,8 @@ from typing import List
 
 import pytest
 
-from repro.exec import ENGINE_ENV_VAR, available_engines
+import repro.exec
+from repro.exec import available_engines
 from repro.model.document import SpatialDocument
 from repro.storage.records import f32
 
@@ -27,14 +28,14 @@ from tests.helpers import make_documents
 def engine(request, monkeypatch) -> str:
     """Parametrizes a test over every available execution engine.
 
-    Sets ``REPRO_ENGINE`` so *default* engine resolution — the path
-    every index/service/wire call takes unless an engine is pinned —
-    selects the parametrized engine.  Suites that must hold for both
-    engines (the equivalence suites) opt in with a module-level autouse
-    fixture depending on this one; without numpy the vector parameter
-    disappears and the suites run tuple-only.
+    Replaces ``repro.exec.default_engine`` so *default* engine
+    resolution — the path every index/service/wire call takes unless an
+    engine is pinned — selects the parametrized engine.  Suites that must
+    hold for both engines (the equivalence suites) opt in with a
+    module-level autouse fixture depending on this one; without numpy
+    the vector parameter disappears and the suites run tuple-only.
     """
-    monkeypatch.setenv(ENGINE_ENV_VAR, request.param)
+    monkeypatch.setattr(repro.exec, "default_engine", lambda: request.param)
     return request.param
 
 

@@ -359,7 +359,8 @@ class TestServiceSurface:
         index = I3Index(UNIT_SQUARE, page_size=256)
         for d in _corpus(200):
             index.insert_document(d)
-        config = ServiceConfig(cache_capacity=0, engine="vector")
+        index.engine = "vector"
+        config = ServiceConfig(cache_capacity=0)
         with QueryService(index, config, ranker=RANKER) as service:
             queries = _or_queries(25, seed=6)
             # Two callers read the index themselves while the lane

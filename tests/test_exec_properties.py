@@ -166,16 +166,6 @@ class TestEngineSeam:
         assert available_engines() == ("tuple", "vector")
         assert default_engine() == "vector"
 
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(exec_seam.ENGINE_ENV_VAR, "tuple")
-        assert resolve_engine(None) == "tuple"
-        monkeypatch.setenv(exec_seam.ENGINE_ENV_VAR, "vector")
-        assert resolve_engine(None) == "vector"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(exec_seam.ENGINE_ENV_VAR, "vector")
-        assert resolve_engine("tuple") == "tuple"
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             resolve_engine("warp")
@@ -206,8 +196,3 @@ class TestEngineSeam:
         query = TopKQuery(0.5, 0.5, tuple(WORDS[:2]), k=5)
         got = index.query(query, ranker)  # default resolution -> tuple
         assert got == index.query(query, ranker, engine="tuple")
-
-    def test_env_var_bad_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(exec_seam.ENGINE_ENV_VAR, "warp")
-        with pytest.raises(ValueError, match="warp"):
-            resolve_engine(None)

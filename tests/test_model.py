@@ -1,5 +1,7 @@
 """Unit tests for the data model: documents, queries, scoring, results."""
 
+import math
+
 import pytest
 
 from repro.model.document import SpatialDocument, documents_from_tuples
@@ -37,6 +39,16 @@ class TestSpatialDocument:
             SpatialDocument(1, 0, 0, {"": 0.5})
         with pytest.raises(ValueError):
             SpatialDocument(1, 0, 0, {"a": -0.5})
+
+    @pytest.mark.parametrize("x, y, weight", [
+        (0.5, 0.5, math.inf), (0.5, 0.5, math.nan),
+        (math.inf, 0.5, 0.5), (0.5, math.nan, 0.5),
+    ])
+    def test_non_finite_refused(self, x, y, weight):
+        # An infinite weight would rank first with score inf under both
+        # engines; NaN slips past a plain ``< 0`` check.
+        with pytest.raises(ValueError, match="finite"):
+            SpatialDocument(10, x, y, {"a": weight})
 
 
 class TestTopKQuery:

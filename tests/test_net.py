@@ -79,8 +79,8 @@ TENANTS = {
 def _engines(engine):
     """Wire equivalence holds under both execution engines: the module
     is parametrized over engine={tuple,vector} via the shared fixture.
-    Engine resolution happens per query call (reading ``REPRO_ENGINE``),
-    so one server boot serves both parameters."""
+    Engine resolution happens per query call (the fixture replaces the
+    default), so one server boot serves both parameters."""
 
 
 def _queries(count: int, seed: int = 7):
@@ -352,6 +352,26 @@ class TestProtocolEdges:
             assert read_frame(sock.recv)["result"] == {"pong": True}
         finally:
             sock.close()
+
+    def test_non_finite_document_is_bad_request(self, served):
+        """``json`` writes ``math.inf`` as the bare token ``Infinity`` and
+        reads it back as a float: the document must be refused before it
+        reaches the index, not ranked first with score ``inf``."""
+        service, server = served
+        epoch = service.index.epoch
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        try:
+            sock.sendall(encode_frame({
+                "op": "insert", "key": "key-acme",
+                "args": {"doc": {"id": 90300, "x": 0.5, "y": 0.5,
+                                 "terms": {"cafe": math.inf}}},
+            }))
+            response = read_frame(sock.recv)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad_request"
+        finally:
+            sock.close()
+        assert service.index.epoch == epoch
 
     def test_expired_deadline_answered_without_executing(self, served):
         _service, server = served

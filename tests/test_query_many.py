@@ -314,9 +314,8 @@ class TestServiceSearchMany:
     @pytest.mark.parametrize("engine", available_engines())
     def test_engine_config_respected(self, engine):
         index = _build(num_docs=120)
-        service = QueryService(
-            index, ServiceConfig(engine=engine)
-        )
+        index.engine = engine
+        service = QueryService(index)
         try:
             queries = _queries(10, seed=71)
             ranker = Ranker(UNIT_SQUARE, 0.5)
@@ -324,10 +323,6 @@ class TestServiceSearchMany:
             assert service.search_many(queries) == expected
         finally:
             service.close()
-
-    def test_bad_engine_rejected_at_config_time(self):
-        with pytest.raises(ValueError, match="engine"):
-            ServiceConfig(engine="warp")
 
 
 # ----------------------------------------------------------------------

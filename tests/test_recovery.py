@@ -9,11 +9,11 @@ from repro.cluster import ClusterConfig, ClusterService, HashPartitioner
 from repro.core.index import I3Index
 from repro.core.persistence import (
     SnapshotMeta,
-    load_index,
     load_snapshot,
     save_index,
 )
 from repro.core.recovery import DurableIndex, decode_document, encode_document
+from repro.exec.snapshot import open_snapshot
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
@@ -153,7 +153,11 @@ class TestDurableIndex:
 
 class TestSnapshotCorruption:
     """Flipped bytes in the snapshot must be *detected* — a clear
-    exception naming the offset, never a silently wrong answer."""
+    exception naming the offset, never a silently wrong answer — and
+    both readers of the file (the streaming loader and the mmap view)
+    must say the same thing about the same damage."""
+
+    READERS = (load_snapshot, open_snapshot)
 
     def build_snapshot(self, rng, tmp_path):
         index = fresh_index()
@@ -168,29 +172,46 @@ class TestSnapshotCorruption:
         data = bytearray(path.read_bytes())
         data[10] ^= 0x08  # inside the fixed header, after magic/version
         path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotCorruptionError, match="header checksum") as info:
-            load_index(str(path))
-        assert info.value.offset == 0
+        for read in self.READERS:
+            with pytest.raises(
+                SnapshotCorruptionError, match="header checksum"
+            ) as info:
+                read(str(path))
+            assert info.value.offset == 0
 
     def test_page_byte_flip_detected(self, rng, tmp_path):
         path = self.build_snapshot(rng, tmp_path)
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0x01  # somewhere inside the page images
         path.write_bytes(bytes(data))
-        with pytest.raises(
-            SnapshotCorruptionError, match="checksum mismatch"
-        ) as info:
-            load_index(str(path))
-        assert info.value.offset >= 0
-        assert "offset" in str(info.value)
+        for read in self.READERS:
+            with pytest.raises(
+                SnapshotCorruptionError, match="checksum mismatch"
+            ) as info:
+                read(str(path))
+            assert info.value.offset >= 0
+            assert "offset" in str(info.value)
 
     def test_tail_section_flip_detected(self, rng, tmp_path):
         path = self.build_snapshot(rng, tmp_path)
         data = bytearray(path.read_bytes())
         data[len(data) - 20] ^= 0x10  # lookup/head sections or their CRC
         path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotCorruptionError):
-            load_index(str(path))
+        for read in self.READERS:
+            with pytest.raises(SnapshotCorruptionError):
+                read(str(path))
+
+    @pytest.mark.parametrize("cut", [2, 4, 6])
+    @pytest.mark.parametrize("read", READERS, ids=lambda f: f.__name__)
+    def test_tail_truncation_detected(self, rng, tmp_path, read, cut):
+        # Cutting into the trailing CRC (2, 4) or the lookup table under
+        # it (6) is a short read with an offset, never a struct.error.
+        path = self.build_snapshot(rng, tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - cut])
+        with pytest.raises(SnapshotCorruptionError, match="truncated") as info:
+            read(str(path))
+        assert info.value.offset is not None
 
     def test_page_count_validated_against_file_size(self, rng, tmp_path):
         # A corrupt page count must fail with a structured error before
@@ -205,15 +226,19 @@ class TestSnapshotCorruption:
         count_at = _HEADER.size + 4
         struct.pack_into("<I", data, count_at, 1_000_000)
         path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotCorruptionError, match="claims 1000000 pages"):
-            load_index(str(path))
+        for read in self.READERS:
+            with pytest.raises(
+                SnapshotCorruptionError, match="claims 1000000 pages"
+            ):
+                read(str(path))
 
     def test_truncated_page_region_detected(self, rng, tmp_path):
         path = self.build_snapshot(rng, tmp_path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) * 2 // 3])
-        with pytest.raises(ValueError, match="truncated|claims"):
-            load_index(str(path))
+        for read in self.READERS:
+            with pytest.raises(ValueError, match="truncated|claims"):
+                read(str(path))
 
 
 class TestServiceRecovery:

@@ -9,6 +9,7 @@ import pytest
 from repro.cluster import ReplicaFault, ShardReplica
 from repro.core.index import I3Index
 from repro.db import SpatialKeywordDatabase
+from repro.exec import available_engines
 from repro.model.query import TopKQuery
 from repro.model.scoring import Ranker
 from repro.service import (
@@ -283,7 +284,8 @@ class TestQueryServiceBasics:
         assert got == expected
         assert 3 in {doc_id for doc_id, _ in got}
         live = db.index.data.cells.stats()
-        assert live["entries"] > 0
+        if "vector" in available_engines():  # only it decodes cells
+            assert live["entries"] > 0
         for name in ("bytes", "entries"):
             assert snap["gauges"][f"decoded_cells.{name}"] == live[name]
             assert snap["decoded_cells"][name] == live[name]

@@ -25,6 +25,7 @@ import threading
 import pytest
 
 from repro.core.index import I3Index
+from repro.exec import available_engines
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
 from repro.service import (
@@ -149,7 +150,8 @@ class TestStressAgainstSequential:
         # Same logical work as the sequential pass: no lost increments,
         # on the pool's locked counters or the cell cache's lock-free one.
         assert [b - a for a, b in zip(base, work_done())] == sequential
-        assert cells.stats()["hits"] > 0
+        if "vector" in available_engines():  # only it decodes cells
+            assert cells.stats()["hits"] > 0
         # Pool counters are internally consistent...
         assert pool.hits + misses == reads
         assert snap["buffer_pool"]["hits"] + snap["buffer_pool"]["misses"] == (

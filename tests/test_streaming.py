@@ -152,7 +152,7 @@ class TestStreamSubscription:
                             results=tuple(results))
 
     def test_coalesce_keeps_latest_per_query(self):
-        sub = StreamSubscription("s", capacity=8)
+        sub = StreamSubscription("s")
         assert sub.offer(self.update(1)) == "queued"
         assert sub.offer(self.update(2)) == "queued"
         assert sub.offer(self.update(1)) == "coalesced"
@@ -160,24 +160,12 @@ class TestStreamSubscription:
         assert [u.query_id for u in polled] == [2, 1]  # 1 moved to back
         assert polled[1].seq == 3  # the replacement, not the original
 
-    def test_coalesce_overflow_drops_oldest_distinct(self):
-        sub = StreamSubscription("s", capacity=2)
-        sub.offer(self.update(1))
-        sub.offer(self.update(2))
-        assert sub.offer(self.update(3)) == "dropped"
-        assert [u.query_id for u in sub.poll()] == [2, 3]
-        assert sub.dropped == 1
-
     def test_poll_max_items_and_ack(self):
-        sub = StreamSubscription("s", capacity=8)
+        sub = StreamSubscription("s")
         for qid in (1, 2, 3):
             sub.offer(self.update(qid))
         assert len(sub.poll(max_items=2)) == 2
         assert sub.depth == 1
-        sub.ack(17)
-        sub.ack(5)   # acks never regress
-        sub.ack(None)
-        assert sub.last_acked_lsn == 17
 
     def test_closed_subscription_drops_offers(self):
         sub = StreamSubscription("s")
@@ -186,8 +174,9 @@ class TestStreamSubscription:
         assert sub.poll() == []
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError, match="capacity"):
-            StreamSubscription("s", capacity=0)
+        # The queue takes no bound: its registrations bound it.
+        with pytest.raises(TypeError):
+            StreamSubscription("s", capacity=8)
 
 
 class TestStreamingService:

