@@ -195,17 +195,17 @@ class I3Index:
     def delete_document(self, doc: SpatialDocument) -> bool:
         """Delete a previously inserted document; True if all its tuples
         were found."""
-        ok = True
+        found = []
         self._doc_op_depth += 1
         try:
             for t in doc.tuples():
-                ok &= self.delete_tuple(t.word, t.doc_id, t.x, t.y)
+                found.append(self.delete_tuple(t.word, t.doc_id, t.x, t.y))
         finally:
             self._doc_op_depth -= 1
-        if self.num_documents > 0:
+        if any(found):  # an absent document was never counted
             self.num_documents -= 1
         self._emit("delete", doc)
-        return ok
+        return all(found)
 
     def update_document(self, old: SpatialDocument, new: SpatialDocument) -> None:
         """Update = delete followed by insert (paper Section 4.5): the

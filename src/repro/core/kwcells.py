@@ -204,13 +204,13 @@ class DataFile:
 
     def read_cell(self, cell: CellPages) -> List[StoredTuple]:
         """All tuples of a cell (one I/O per page of the cell)."""
-        out: List[StoredTuple] = []
-        for page in cell.pages:
-            for _, payload in self.slotted.read_records(page):
-                record = TupleCodec.decode(payload)
-                if record.source_id == cell.source_id:
-                    out.append(record)
-        return out
+        source = cell.source_id
+        return [
+            StoredTuple(*row)
+            for page in cell.pages
+            for row in TupleCodec.rows(self.slotted.store.read(page))
+            if row[4] == source
+        ]
 
     def dissolve_cell(self, cell: CellPages) -> List[StoredTuple]:
         """Remove a cell from its pages and return its tuples.
@@ -219,20 +219,27 @@ class DataFile:
         child cells.  Pages are never deallocated — their freed slots are
         reused by later insertions, the paper's reuse policy.
         """
+        return [StoredTuple(*row) for row in TupleCodec.rows(b"".join(self._cut(cell)))]
+
+    def _cut(self, cell: CellPages) -> List[bytes]:
+        """Free every slot of ``cell`` and return the slot images, in page
+        and slot order (a read, then a read-modify-write, per page)."""
         self.cells.drop(cell)
-        out: List[StoredTuple] = []
+        source, size = cell.source_id, TupleCodec.size
+        images: List[bytes] = []
         for page in cell.pages:
-            doomed = []
-            for slot, payload in self.slotted.read_records(page):
-                record = TupleCodec.decode(payload)
-                if record.source_id == cell.source_id:
-                    out.append(record)
-                    doomed.append(slot)
+            image = self.slotted.store.read(page)
+            doomed = [
+                slot
+                for slot, row in enumerate(TupleCodec.rows(image))
+                if row[4] == source
+            ]
+            images += [image[slot * size : (slot + 1) * size] for slot in doomed]
             if doomed:
                 self.slotted.delete_many(page, doomed)
         cell.pages = []
         cell.count = 0
-        return out
+        return images
 
     # ------------------------------------------------------------------
     # Tuple operations within a cell
@@ -273,11 +280,12 @@ class DataFile:
             cell.count += 1
             return
         # The cell's page is full with tuples of several cells: move this
-        # cell (|O| tuples) plus the new one to a roomier page.
-        moved = self.dissolve_cell(cell)
-        moved.append(stamped)
+        # cell's |O| slot images, unchanged, plus the new one to a
+        # roomier page.
+        moved = self._cut(cell)
+        moved.append(TupleCodec.encode(stamped))
         page = self.slotted.page_with_free(len(moved))
-        self.slotted.insert_many(page, [TupleCodec.encode(t) for t in moved])
+        self.slotted.insert_many(page, moved)
         cell.pages = [page]
         cell.count = len(moved)
 
@@ -296,20 +304,26 @@ class DataFile:
         (Section 4.5) share the same page image.
         """
 
-        def doomed(payload: bytes) -> bool:
-            record = TupleCodec.decode(payload)
-            return record.source_id == cell.source_id and record.doc_id == doc_id
+        source = cell.source_id
+
+        def doomed(image: bytes) -> List[int]:
+            return [
+                slot
+                for slot, row in enumerate(TupleCodec.rows(image))
+                if row[4] == source and row[0] == doc_id
+            ]
 
         self.cells.drop(cell)
         found = False
         remaining: List[StoredTuple] = []
         for page in cell.pages:
-            deleted, kept = self.slotted.scan_and_delete(page, doomed)
+            image, deleted = self.slotted.scan_and_delete(page, doomed)
             found = found or bool(deleted)
-            for _, payload in kept:
-                record = TupleCodec.decode(payload)
-                if record.source_id == cell.source_id:
-                    remaining.append(record)
+            remaining += [
+                StoredTuple(*row)
+                for row in TupleCodec.rows(image)
+                if row[4] == source and row[0] != doc_id
+            ]
         if found:
             cell.count -= 1
             if cell.count == 0:
@@ -349,5 +363,5 @@ class DataFile:
     def scan_all(self) -> Iterable[StoredTuple]:
         """Every live tuple in the file (diagnostics and tests; counted I/O)."""
         for page in range(self.file.num_pages):
-            for _, payload in self.slotted.read_records(page):
-                yield TupleCodec.decode(payload)
+            for _, record in TupleCodec.decode_page(self.slotted.store.read(page)):
+                yield record

@@ -42,11 +42,6 @@ from repro.storage.pager import page_checksum
 from repro.storage.records import EMPTY_SOURCE, TupleCodec
 from repro.text.signature import Signature
 
-try:  # the occupancy scan's fast path; numpy is optional
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less installs
-    np = None
-
 __all__ = [
     "save_index",
     "load_index",
@@ -310,7 +305,7 @@ def read_index(
                 f"page {page_id} checksum mismatch: torn or corrupt page write",
                 page_at,
             )
-        free = _free_slots(image, slotted.slots_per_page)
+        free = _free_slots(image)
         if serve_pages is None:
             slotted.allocate_page()
             index.data.file._pages[page_id][:] = image
@@ -357,19 +352,13 @@ def _must_read(fh, n: int, what: str = "data") -> bytes:
     return data
 
 
-def _free_slots(image: bytes, slots: int) -> Set[int]:
+def _free_slots(image: bytes) -> Set[int]:
     """Slots of one page image that hold the reserved empty source id."""
-    if np is None:
-        size = TupleCodec.size
-        return {
-            slot
-            for slot in range(slots)
-            if TupleCodec.is_empty(image[slot * size : (slot + 1) * size])
-        }
-    sources = np.frombuffer(
-        image, dtype=np.dtype([("head", "V28"), ("src", "<u4")]), count=slots
-    )["src"]
-    return set(np.flatnonzero(sources == EMPTY_SOURCE).tolist())
+    return {
+        slot
+        for slot, row in enumerate(TupleCodec.rows(image))
+        if row[4] == EMPTY_SOURCE
+    }
 
 
 def _read_str(fh) -> str:

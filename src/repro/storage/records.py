@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 __all__ = ["StoredTuple", "TupleCodec", "TUPLE_SIZE", "f32"]
 
@@ -42,8 +42,8 @@ def f32(value: float) -> float:
     """
     return _F32.unpack(_F32.pack(value))[0]
 
-_FORMAT = "<QddfI"
-TUPLE_SIZE = struct.calcsize(_FORMAT)
+_SLOT = struct.Struct("<QddfI")
+TUPLE_SIZE = _SLOT.size
 assert TUPLE_SIZE == 32, "the paper's B = 32 byte layout must hold"
 
 EMPTY_SOURCE = 0
@@ -66,7 +66,12 @@ class StoredTuple:
 
 
 class TupleCodec:
-    """Packs and unpacks 32-byte spatial tuple records."""
+    """Packs and unpacks 32-byte spatial tuple records.
+
+    This is the one place that knows the slot layout: the data file
+    moves slot images as opaque bytes and decodes a page with
+    :meth:`rows`, one ``struct`` call for all of its slots.
+    """
 
     size = TUPLE_SIZE
 
@@ -75,27 +80,34 @@ class TupleCodec:
         """Serialise a stored tuple into its 32-byte slot image."""
         if record.source_id == EMPTY_SOURCE:
             raise ValueError("source id 0 is reserved for empty slots")
-        return struct.pack(
-            _FORMAT, record.doc_id, record.x, record.y, record.weight, record.source_id
+        return _SLOT.pack(
+            record.doc_id, record.x, record.y, record.weight, record.source_id
         )
 
     @staticmethod
     def decode(data: bytes) -> StoredTuple:
         """Deserialise one 32-byte slot image."""
-        doc_id, x, y, weight, source_id = struct.unpack(_FORMAT, data)
-        return StoredTuple(doc_id=doc_id, x=x, y=y, weight=weight, source_id=source_id)
+        return StoredTuple(*_SLOT.unpack(data))
 
     @staticmethod
     def is_empty(data: bytes) -> bool:
         """Whether a slot image is the reserved empty pattern."""
-        return struct.unpack_from("<I", data, 28)[0] == EMPTY_SOURCE
+        return _SLOT.unpack(data)[4] == EMPTY_SOURCE
+
+    @staticmethod
+    def rows(page: bytes) -> Iterator[Tuple[int, float, float, float, int]]:
+        """``(doc_id, x, y, weight, source_id)`` for every slot of a page
+        image, empty slots included (source id 0), from one
+        ``iter_unpack`` call.  Only whole slots are decoded: a page size
+        that is not a multiple of 32 leaves its tail unused."""
+        whole = len(page) - len(page) % TUPLE_SIZE
+        return _SLOT.iter_unpack(memoryview(page)[:whole])
 
     @classmethod
     def decode_page(cls, page: bytes) -> List[Tuple[int, StoredTuple]]:
         """Decode every occupied slot of a page as ``(slot, tuple)`` pairs."""
-        out: List[Tuple[int, StoredTuple]] = []
-        for slot in range(len(page) // cls.size):
-            chunk = page[slot * cls.size : (slot + 1) * cls.size]
-            if not cls.is_empty(chunk):
-                out.append((slot, cls.decode(chunk)))
-        return out
+        return [
+            (slot, StoredTuple(*row))
+            for slot, row in enumerate(cls.rows(page))
+            if row[4] != EMPTY_SOURCE
+        ]

@@ -19,7 +19,7 @@ pattern, such as :class:`~repro.storage.records.TupleCodec`.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 __all__ = ["SlottedFile"]
 
@@ -102,20 +102,15 @@ class SlottedFile:
             raise ValueError(
                 f"page {page_id} has {len(free)} free slots, need {len(payloads)}"
             )
+        slots = sorted(free)[: len(payloads)]  # the lowest free slots
         page = bytearray(self.store.read(page_id))
-        remaining = set(free)
-        slots: List[int] = []
-        for payload in payloads:
-            if len(payload) != self.record_size:
-                raise ValueError(
-                    f"payload of {len(payload)} bytes, expected {self.record_size}"
-                )
-            slot = min(remaining)
-            remaining.discard(slot)
-            page[slot * self.record_size : (slot + 1) * self.record_size] = payload
-            slots.append(slot)
+        size = self.record_size
+        for slot, payload in zip(slots, payloads):
+            if len(payload) != size:
+                raise ValueError(f"payload of {len(payload)} bytes, expected {size}")
+            page[slot * size : (slot + 1) * size] = payload
         self.store.write(page_id, bytes(page))
-        self._set_free(page_id, remaining)
+        self._set_free(page_id, free.difference(slots))
         return slots
 
     def delete(self, page_id: int, slot: int) -> None:
@@ -124,54 +119,42 @@ class SlottedFile:
 
     def delete_many(self, page_id: int, slots: Iterable[int]) -> None:
         """Delete several records of one page with a single page I/O."""
-        slots = list(slots)
+        self._erase(page_id, self.store.read(page_id), list(slots))
+
+    def scan_and_delete(
+        self, page_id: int, doomed: Callable[[bytes], List[int]]
+    ) -> Tuple[bytes, List[int]]:
+        """Read a page once, delete the slots ``doomed`` names, and return
+        the image as read together with those slots.
+
+        ``doomed`` maps the page image to the occupied slots to delete
+        (decoding the image is the record format's business).  This is
+        the single read-modify-write a real system performs where
+        separate read + delete calls would touch the page two or three
+        times; the write is skipped (and not charged) when nothing
+        matched.
+        """
+        image = self.store.read(page_id)
+        slots = doomed(image)
+        if slots:
+            self._erase(page_id, image, slots)
+        return image, slots
+
+    def _erase(self, page_id: int, image: bytes, slots: List[int]) -> None:
+        """Zero ``slots`` of a page image just read and write it back."""
         free = set(self._free[page_id])
-        page = bytearray(self.store.read(page_id))
+        page = bytearray(image)
+        size = self.record_size
+        blank = bytes(size)
         for slot in slots:
             if not 0 <= slot < self.slots_per_page:
                 raise IndexError(f"slot {slot} out of range")
             if slot in free:
                 raise ValueError(f"slot {slot} of page {page_id} is already free")
-            page[slot * self.record_size : (slot + 1) * self.record_size] = bytes(
-                self.record_size
-            )
+            page[slot * size : (slot + 1) * size] = blank
             free.add(slot)
         self.store.write(page_id, bytes(page))
         self._set_free(page_id, free)
-
-    def scan_and_delete(
-        self, page_id: int, doomed
-    ) -> Tuple[List[Tuple[int, bytes]], List[Tuple[int, bytes]]]:
-        """Read a page once, delete the slots ``doomed`` selects, and
-        return ``(deleted, kept)`` record lists.
-
-        ``doomed`` is a predicate over the record payload.  This is the
-        single read-modify-write a real system performs where separate
-        read + delete calls would touch the page two or three times; the
-        write is skipped (and not charged) when nothing matched.
-        """
-        page = bytearray(self.store.read(page_id))
-        free = set(self._free[page_id])
-        deleted: List[Tuple[int, bytes]] = []
-        kept: List[Tuple[int, bytes]] = []
-        for slot in range(self.slots_per_page):
-            if slot in free:
-                continue
-            payload = bytes(
-                page[slot * self.record_size : (slot + 1) * self.record_size]
-            )
-            if doomed(payload):
-                deleted.append((slot, payload))
-                page[slot * self.record_size : (slot + 1) * self.record_size] = (
-                    bytes(self.record_size)
-                )
-                free.add(slot)
-            else:
-                kept.append((slot, payload))
-        if deleted:
-            self.store.write(page_id, bytes(page))
-            self._set_free(page_id, free)
-        return deleted, kept
 
     def read_records(self, page_id: int) -> List[Tuple[int, bytes]]:
         """All occupied ``(slot, payload)`` pairs of a page (one page read)."""

@@ -139,6 +139,14 @@ class TestDeletion:
         assert not idx.delete_tuple("w", 2, 0.5, 0.5)
         assert not idx.delete_tuple("v", 1, 0.5, 0.5)
 
+    def test_deleting_an_absent_document_keeps_the_count(self):
+        idx = tiny_index()
+        idx.insert_document(SpatialDocument(1, 0.5, 0.5, {"w": 0.5}))
+        assert not idx.delete_document(SpatialDocument(99, 0.5, 0.5, {"w": 0.5}))
+        assert idx.num_documents == 1
+        assert idx.delete_document(SpatialDocument(1, 0.5, 0.5, {"w": 0.5}))
+        assert idx.num_documents == 0
+
     def test_delete_last_tuple_removes_keyword(self):
         idx = tiny_index()
         idx.insert_tuple(SpatialTuple(1, "w", 0.5, 0.5, 0.5))

@@ -24,10 +24,16 @@ And a **walk census**: Algorithm 4 is one loop
 create candidates are called from that loop and nowhere else, no engine
 overrides a search, and the temporal tier reaches an index's walk only
 through ``engine_processor``.
+
+And a **layout census**: the 32-byte slot is described once, in
+``storage/records.py`` (``exec/columns.RECORD_DTYPE`` restates it for
+numpy and asserts its itemsize), and ``core`` decodes a data page with
+the codec's page decoder, never one ``TupleCodec.decode`` per slot.
 """
 
 import ast
 import pathlib
+import struct
 
 import repro
 
@@ -223,3 +229,42 @@ def test_one_walk_and_nothing_beside_it():
                 for node in ast.walk(tree)
             }
             assert "_processor" not in named, name
+
+
+_STRUCT_CALLS = {"Struct", "pack", "pack_into", "unpack", "unpack_from", "iter_unpack", "calcsize"}
+
+
+def _struct_size(fmt: str):
+    try:
+        return struct.calcsize(fmt)
+    except struct.error:  # a ``pack`` of something that is not struct
+        return None
+
+
+def test_the_slot_layout_is_written_once():
+    from repro.storage.records import TUPLE_SIZE
+
+    slot_formats = {}
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        name = path.relative_to(PACKAGE_ROOT).as_posix()
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            fmt = node.args[0]
+            if (
+                ast.unparse(node.func).rpartition(".")[2] in _STRUCT_CALLS
+                and isinstance(fmt, ast.Constant)
+                and isinstance(fmt.value, str)
+                and _struct_size(fmt.value) == TUPLE_SIZE
+            ):
+                slot_formats.setdefault(name, []).append(fmt.value)
+        if name.startswith("core/"):
+            decodes = [
+                node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and ast.unparse(node) in ("TupleCodec.decode", "TupleCodec.is_empty")
+            ]
+            assert not decodes, f"{name}:{decodes} decodes a page slot by slot"
+    assert slot_formats == {"storage/records.py": ["<QddfI"]}

@@ -109,6 +109,21 @@ class TestDurableIndex:
             )
         recovered.close()
 
+    def test_absent_delete_keeps_the_count_across_reopen(self, tmp_path):
+        store = str(tmp_path / "s")
+        du = DurableIndex.create(store, fresh_index())
+        du.insert_document(SpatialDocument(1, 0.2, 0.2, {"a": 0.5}))
+        du.insert_document(SpatialDocument(2, 0.8, 0.8, {"b": 0.5}))
+        # Logged (not-found deletes are logged by design), never counted.
+        assert not du.delete_document(SpatialDocument(99, 0.5, 0.5, {"a": 0.5}))
+        assert du.index.num_documents == 2
+        du.close()
+        reopened = DurableIndex.open(store)
+        assert reopened.last_report.records_replayed == 3
+        assert reopened.index.num_documents == 2
+        assert reopened.last_report.num_documents == 2
+        reopened.close()
+
     def test_bulk_load_checkpoints(self, rng, tmp_path):
         du = DurableIndex.create(str(tmp_path / "s"), fresh_index())
         du.bulk_load(make_documents(50, rng))

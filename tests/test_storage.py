@@ -179,6 +179,23 @@ class TestSlottedFile:
         with pytest.raises(ValueError):
             s.delete(pid, slot)
 
+    def test_scan_and_delete_one_read_modify_write(self):
+        stats = IOStats()
+        s = self.make(stats=stats)
+        pid = s.allocate_page()
+        s.insert_many(pid, [b"AAAAAAAA", b"BBBBBBBB", b"CCCCCCCC"])
+        before = stats.total()
+        image, deleted = s.scan_and_delete(pid, lambda image: [1])
+        assert (image, deleted) == (b"AAAAAAAABBBBBBBBCCCCCCCC" + bytes(8), [1])
+        assert stats.total() - before == 2  # one read, one write
+        assert s.store.read(pid) == b"AAAAAAAA" + bytes(8) + b"CCCCCCCC" + bytes(8)
+        assert s.free_count(pid) == 2
+        before = stats.total()
+        assert s.scan_and_delete(pid, lambda image: [])[1] == []
+        assert stats.total() - before == 1  # nothing matched: no write
+        with pytest.raises(ValueError):
+            s.scan_and_delete(pid, lambda image: [1])  # already free
+
     def test_page_with_free_prefers_fullest(self):
         s = self.make()
         a = s.allocate_page()
