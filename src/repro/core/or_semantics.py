@@ -4,76 +4,143 @@ Under OR semantics any document containing a *subset* of the query
 keywords is a candidate, so a cell's textual upper bound is the maximum
 over all keyword subsets that could co-occur in one document there.  The
 paper solves this with the Apriori algorithm (Figure 4): singletons are
-the per-keyword maximum scores; two subsets merge only if a common
-document id can be found (exactly, via fetched documents' id sets, or
+the per-keyword maximum scores; a subset is valid only if a common
+document id can be found (exactly, via fetched documents' ids, or
 approximately, via signature intersection for dense keywords); the bound
 is the best total score among valid subsets.
 
 Because signatures only produce false positives, subset validity is
 over-approximated and the bound stays admissible; and since a common
 document for S is a common document for every subset of S, validity is
-downward closed — the property Apriori's level-wise generation needs.
+downward closed — the property that lets the lattice stop growing a
+subset the moment it turns invalid.
+
+The lattice (:func:`witness_max`) and the OR prune and bound
+(:class:`OrBound`) are written once, here, for both engines.  An
+engine's OR cell model only says how a fetched keyword's documents are
+held (``OrBound.held``): the scalar model as :class:`HolderIds`,
+the columnar one as its ``WordColumns``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.candidates import AccumulatorCells, Candidate
 from repro.model.query import TopKQuery
 from repro.model.scoring import Ranker
 from repro.spatial.cells import CellGrid
-from repro.text.signature import Signature
 
-__all__ = ["OrSemantics"]
+__all__ = ["HolderIds", "OrBound", "OrSemantics", "witness_max"]
 
-
-@dataclass(frozen=True, slots=True)
-class _Item:
-    """One available query keyword in the cell: its best score plus the
-    evidence of *which* documents may carry it."""
-
-    word: str
-    score: float
-    doc_ids: Optional[FrozenSet[int]]  # exact ids (fetched keywords)
-    sig: Optional[Signature]           # signature (dense keywords)
+# One available query keyword in a cell: (best score, dense signature
+# bits, fetched holder) — exactly one of the last two is not None.  A
+# holder answers ``sig_bits(eta)`` (bit ``id % eta`` set per id) and
+# ``id_set()`` (its ids as a set).
+BoundItem = Tuple[float, Optional[int], Optional[object]]
 
 
-@dataclass(frozen=True, slots=True)
-class _SubsetState:
-    """Merged evidence for a keyword subset.
+def witness_max(items: Sequence[BoundItem], eta: int) -> float:
+    """Section 5.3's lattice bound: the best score sum over the keyword
+    subsets some document could carry.
 
-    ``doc_ids`` (when known) is already filtered through ``sig``, so the
-    subset is valid iff ``doc_ids`` is non-empty — or, with no exact ids
-    at all, iff the signature intersection is non-zero.
+    A subset is valid when some id common to its fetched keywords has a
+    bit that survives the AND of its dense keywords' signatures.
+    Subsets are enumerated depth-first in item order, each sum
+    accumulated left to right, and a subset that turns invalid is not
+    grown (downward closure: no superset is valid either).  Validity is
+    answered with integers:
+
+    * dense keywords only — the signature AND is non-zero;
+    * one fetched keyword — ``holder.sig_bits(eta) & dense bits != 0``:
+      a set bit *is* a fetched id that passes every dense signature;
+    * two or more fetched keywords — their id sets (``id_set()``, asked
+      for once per call) are intersected, and the few common ids are
+      tested against the dense bits.
+    """
+    n = len(items)
+    best = 0.0
+    fetched_ids: Dict[int, Set[int]] = {}
+
+    def ids_of(j: int) -> Set[int]:
+        found = fetched_ids.get(j)
+        if found is None:
+            found = fetched_ids[j] = items[j][2].id_set()
+        return found
+
+    def grow(start: int, score: float, dense, single: int, common) -> None:
+        # (dense, single, common): AND of the subset's dense signatures
+        # (None: no dense keyword yet), the item index of its only
+        # fetched keyword (-1: none), and the ids common to its fetched
+        # keywords once there are two or more (None before that).
+        nonlocal best
+        for j in range(start, n):
+            item_score, bits, held = items[j]
+            if held is None:
+                next_dense = bits if dense is None else dense & bits
+                next_single, next_common = single, common
+            else:
+                next_dense = dense
+                if common is not None:
+                    next_single, next_common = single, common & ids_of(j)
+                elif single >= 0:
+                    next_single, next_common = single, ids_of(single) & ids_of(j)
+                else:
+                    next_single, next_common = j, None
+            if next_common is not None:
+                valid = bool(next_common) and (
+                    next_dense is None
+                    or any(next_dense >> (d % eta) & 1 for d in next_common)
+                )
+            elif next_single >= 0:
+                valid = next_dense is None or bool(
+                    items[next_single][2].sig_bits(eta) & next_dense
+                )
+            else:
+                valid = bool(next_dense)
+            if not valid:
+                continue  # downward closure: no superset is valid either
+            total = item_score if start == 0 else score + item_score
+            if total > best:
+                best = total
+            if j + 1 < n:
+                grow(j + 1, total, next_dense, next_single, next_common)
+
+    grow(0, 0.0, None, -1, None)
+    return best
+
+
+class HolderIds(frozenset):
+    """The ids of the accumulated documents holding one fetched keyword:
+    how the scalar cell model answers the lattice's two questions."""
+
+    __slots__ = ()
+
+    def id_set(self) -> "HolderIds":
+        return self
+
+    def sig_bits(self, eta: int) -> int:
+        bits = 0
+        for doc_id in self:
+            bits |= 1 << doc_id % eta
+        return bits
+
+
+class OrBound:
+    """The OR prune and the lattice bound, for either engine's cells.
+
+    A subclass supplies ``eta`` and ``held(candidate, word)``: ``(best
+    score, holder)`` for a fetched keyword with tuples in the cell, else
+    None.  ``use_lattice =
+    False`` replaces the Apriori subset bound with the naive "sum of
+    every available keyword's maximum" bound — still admissible but
+    looser (it assumes one document could carry all the maxima).  The
+    ablation benchmark uses it to quantify what the paper's Section 5.3
+    contributes.
     """
 
-    score: float
-    doc_ids: Optional[FrozenSet[int]]
-    sig: Optional[Signature]
-
-    @property
-    def valid(self) -> bool:
-        if self.doc_ids is not None:
-            return bool(self.doc_ids)
-        return self.sig is not None and not self.sig.is_zero
-
-
-class OrSemantics(AccumulatorCells):
-    """The scalar cell model for disjunctive (OR) top-k queries.
-
-    ``use_lattice = False`` replaces the Apriori subset bound with the
-    naive "sum of every available keyword's maximum" bound — still
-    admissible but looser (it assumes one document could carry all the
-    maxima).  The ablation benchmark uses it to quantify what the
-    paper's Section 5.3 contributes.
-    """
-
-    def __init__(self, eta: int, use_lattice: bool = True) -> None:
-        self.eta = eta
-        self.use_lattice = use_lattice
+    eta: int
+    use_lattice = True
 
     def prune(self, candidate: Candidate, query: TopKQuery) -> bool:
         """A cell is prunable only when it contains no query keyword at
@@ -93,85 +160,41 @@ class OrSemantics(AccumulatorCells):
 
     def textual_bound(self, candidate: Candidate, query: TopKQuery) -> float:
         """Maximum total keyword score over valid subsets (the lattice)."""
-        items = self._items(candidate, query)
-        if not items:
-            return 0.0
-        if not self.use_lattice:
-            return sum(item.score for item in items)
-        return self._apriori_max(items)
-
-    # ------------------------------------------------------------------
-    # Lattice construction
-    # ------------------------------------------------------------------
-    def _items(self, candidate: Candidate, query: TopKQuery) -> List[_Item]:
-        items: List[_Item] = []
+        items: List[BoundItem] = []
         for word in query.words:
             ref = candidate.dense.get(word)
             if ref is not None and ref.info.count > 0:
-                items.append(
-                    _Item(word=word, score=ref.info.max_s, doc_ids=None, sig=ref.info.sig)
-                )
-                continue
-            if word in candidate.fetched:
-                holders = {
-                    doc_id: acc.weights[word]
-                    for doc_id, acc in candidate.docs.items()
-                    if word in acc.weights
-                }
-                if holders:
-                    items.append(
-                        _Item(
-                            word=word,
-                            score=max(holders.values()),
-                            doc_ids=frozenset(holders),
-                            sig=None,
-                        )
-                    )
-        return items
+                items.append((ref.info.max_s, ref.info.sig.bits, None))
+            elif word in candidate.fetched:
+                found = self.held(candidate, word)
+                if found is not None:
+                    items.append((found[0], None, found[1]))
+        if not items:
+            return 0.0
+        if not self.use_lattice:
+            return sum(score for score, _, _ in items)
+        return witness_max(items, self.eta)
 
-    def _apriori_max(self, items: List[_Item]) -> float:
-        """Level-wise subset expansion; returns the best valid score."""
-        level: Dict[Tuple[int, ...], _SubsetState] = {}
-        best = 0.0
-        for i, item in enumerate(items):
-            state = _SubsetState(score=item.score, doc_ids=item.doc_ids, sig=item.sig)
-            if state.valid:
-                level[(i,)] = state
-                best = max(best, state.score)
-        while len(level) > 1:
-            next_level: Dict[Tuple[int, ...], _SubsetState] = {}
-            keys = sorted(level)
-            for a, b in combinations(keys, 2):
-                if a[:-1] != b[:-1] or a[-1] >= b[-1]:
-                    continue
-                subset = a + (b[-1],)
-                # Downward closure: every (len-1)-subset must be valid.
-                if any(
-                    subset[:i] + subset[i + 1 :] not in level
-                    for i in range(len(subset) - 2)
-                ):
-                    continue
-                merged = self._merge(level[a], items[b[-1]])
-                if merged.valid:
-                    next_level[subset] = merged
-                    best = max(best, merged.score)
-            level = next_level
-        return best
 
-    @staticmethod
-    def _merge(state: _SubsetState, item: _Item) -> _SubsetState:
-        score = state.score + item.score
-        if state.doc_ids is not None and item.doc_ids is not None:
-            doc_ids: Optional[FrozenSet[int]] = state.doc_ids & item.doc_ids
-        else:
-            doc_ids = state.doc_ids if state.doc_ids is not None else item.doc_ids
-        if state.sig is not None and item.sig is not None:
-            sig: Optional[Signature] = state.sig.intersect(item.sig)
-        else:
-            sig = state.sig if state.sig is not None else item.sig
-        if doc_ids is not None and sig is not None:
-            doc_ids = frozenset(d for d in doc_ids if sig.might_contain(d))
-        return _SubsetState(score=score, doc_ids=doc_ids, sig=sig)
+class OrSemantics(AccumulatorCells, OrBound):
+    """The scalar cell model for disjunctive (OR) top-k queries."""
+
+    def __init__(self, eta: int, use_lattice: bool = True) -> None:
+        self.eta = eta
+        self.use_lattice = use_lattice
+
+    def held(
+        self, candidate: Candidate, word: str
+    ) -> Optional[Tuple[float, HolderIds]]:
+        """The accumulators holding ``word``: their best weight and ids."""
+        holders = {
+            doc_id: acc.weights[word]
+            for doc_id, acc in candidate.docs.items()
+            if word in acc.weights
+        }
+        if not holders:
+            return None
+        return max(holders.values()), HolderIds(holders)
 
     @staticmethod
     def document_qualifies(acc_words, query: TopKQuery) -> bool:

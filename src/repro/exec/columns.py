@@ -105,6 +105,11 @@ class WordColumns:
             cached = self._sig = (eta, bits)
         return cached[1]
 
+    def id_set(self) -> set:
+        """The ids as a plain set, built per call (the lattice asks only
+        for subsets with two or more fetched keywords)."""
+        return set(self.ids.tolist())
+
     @property
     def max_w(self) -> float:
         """Largest stored weight (cached).  f32 -> f64 is exact, so this

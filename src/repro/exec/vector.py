@@ -17,12 +17,14 @@ Why the answers are byte-identical (full argument in ``docs/exec.md``):
 * cell upper bounds only need to stay *admissible* (never below any
   contained document's true final score): a candidate whose bound ties
   the current delta is still expanded, so equal-score ties resolve by
-  doc id regardless of bound tightness.  This engine's OR bound is the
-  scalar Apriori lattice's value, bit for bit, computed in witness form
-  (:func:`witness_max`); its AND bound skips the per-document signature
-  filter (a conservative superset of the scalar survivors — bound never
-  smaller, never inadmissible, and impostors are rejected at finalise
-  by the exact all-keywords presence check).
+  doc id regardless of bound tightness.  The OR prune and bound are not
+  written here: :class:`ColumnOr` is :class:`repro.core.or_semantics.
+  OrBound` fed with columns, and the scalar engine feeds the same
+  Section 5.3 lattice with accumulator ids — one lattice, one value,
+  two feeders.  The AND bound skips the per-document signature filter (a
+  conservative superset of the scalar survivors — bound never smaller,
+  never inadmissible, and impostors are rejected at finalise by the
+  exact all-keywords presence check).
 
 Keyword cells are decoded once per index, not once per query: every
 load goes through :func:`repro.exec.columns.cell_columns`, i.e. the data
@@ -35,11 +37,12 @@ The cell model is all an engine is: ``search``, ``iter_search`` and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.candidates import Candidate
+from repro.core.or_semantics import OrBound
 from repro.core.query import BestFirstProcessor, QueryTrace, SpatialFilter
 from repro.exec import kernels
 from repro.exec.columns import WordColumns, cell_columns
@@ -49,83 +52,7 @@ from repro.model.scoring import Ranker
 from repro.spatial.cells import CellGrid
 from repro.text.signature import Signature
 
-__all__ = ["VectorQueryProcessor", "ColumnAnd", "ColumnOr", "witness_max"]
-
-# One available query keyword in a cell: (best score, dense signature
-# bits, fetched column) — exactly one of the last two is not None.
-BoundItem = Tuple[float, Optional[int], Optional[WordColumns]]
-
-
-def witness_max(items: List[BoundItem], eta: int) -> float:
-    """Section 5.3's lattice bound, without walking document ids.
-
-    The Apriori lattice (``OrSemantics._apriori_max``) calls a keyword
-    subset valid when some document could carry all of it: some id
-    common to the subset's fetched keywords whose bit survives the AND
-    of its dense keywords' signatures.  Validity is downward closed, so
-    the level-wise expansion reaches exactly the valid subsets, and its
-    result is the best left-to-right score sum among them.  This
-    function enumerates the same subsets depth-first in item order
-    (same sums, same maximum) and answers "is there such a document"
-    with integers:
-
-    * dense keywords only — the signature AND is non-zero;
-    * one fetched keyword — ``column bits & dense bits != 0``: a set bit
-      *is* a fetched id that passes every dense signature;
-    * two or more fetched keywords — their ids are intersected, on
-      plain sets built for this call and dropped with it, and the few
-      common ids are tested against the dense bits.
-    """
-    n = len(items)
-    best = 0.0
-    fetched_ids: Dict[int, Set[int]] = {}
-
-    def ids_of(j: int) -> Set[int]:
-        found = fetched_ids.get(j)
-        if found is None:
-            found = fetched_ids[j] = set(items[j][2].ids.tolist())
-        return found
-
-    def grow(start: int, score: float, dense, single: int, common) -> None:
-        # (dense, single, common): AND of the subset's dense signatures
-        # (None: no dense keyword yet), the item index of its only
-        # fetched keyword (-1: none), and the ids common to its fetched
-        # keywords once there are two or more (None before that).
-        nonlocal best
-        for j in range(start, n):
-            item_score, bits, col = items[j]
-            if col is None:
-                next_dense = bits if dense is None else dense & bits
-                next_single, next_common = single, common
-            else:
-                next_dense = dense
-                if common is not None:
-                    next_single, next_common = single, common & ids_of(j)
-                elif single >= 0:
-                    next_single, next_common = single, ids_of(single) & ids_of(j)
-                else:
-                    next_single, next_common = j, None
-            if next_common is not None:
-                valid = bool(next_common) and (
-                    next_dense is None
-                    or any(next_dense >> (d % eta) & 1 for d in next_common)
-                )
-            elif next_single >= 0:
-                valid = next_dense is None or bool(
-                    items[next_single][2].sig_bits(eta) & next_dense
-                )
-            else:
-                valid = bool(next_dense)
-            if not valid:
-                continue  # downward closure: no superset is valid either
-            total = item_score if start == 0 else score + item_score
-            if total > best:
-                best = total
-            if j + 1 < n:
-                grow(j + 1, total, next_dense, next_single, next_common)
-
-    grow(0, 0.0, None, -1, None)
-    return best
+__all__ = ["VectorQueryProcessor", "ColumnAnd", "ColumnOr"]
 
 
 class _ColumnCells:
@@ -331,32 +258,18 @@ class ColumnAnd(_ColumnCells):
         return ranker.combine(phi_s, dense_part + fetched_part)
 
 
-class ColumnOr(_ColumnCells):
-    """Section 5.3 over columns: the OR prune and the lattice bound."""
+class ColumnOr(_ColumnCells, OrBound):
+    """Section 5.3 over columns: a fetched keyword is held as its column."""
 
     conjunctive = False
 
-    def prune(self, candidate: Candidate, query: TopKQuery) -> bool:
-        return not candidate.dense and not candidate.docs
-
-    def upper_bound(
-        self, candidate: Candidate, query: TopKQuery, ranker: Ranker, grid: CellGrid
-    ) -> float:
-        phi_s = ranker.spatial_upper_bound(
-            query.x, query.y, grid.rect(candidate.cell)
-        )
-        items: List[BoundItem] = []
-        for word in query.words:
-            ref = candidate.dense.get(word)
-            if ref is not None and ref.info.count > 0:
-                items.append((ref.info.max_s, ref.info.sig.bits, None))
-                continue
-            if word in candidate.fetched:
-                col = candidate.docs.get(word)
-                if col is not None and col.ids.size:
-                    items.append((col.max_w, None, col))
-        phi_t = witness_max(items, self.eta) if items else 0.0
-        return ranker.combine(phi_s, phi_t)
+    def held(
+        self, candidate: Candidate, word: str
+    ) -> Optional[Tuple[float, WordColumns]]:
+        col = candidate.docs.get(word)
+        if col is None or not col.ids.size:
+            return None
+        return col.max_w, col
 
 
 class VectorQueryProcessor(BestFirstProcessor):

@@ -30,7 +30,7 @@ class SpatialDocument:
     """A document with a point location and weighted keywords.
 
     Attributes:
-        doc_id: Unique non-negative integer identifier.
+        doc_id: Unique integer identifier in ``[0, 2**64)``.
         x: Horizontal coordinate (longitude in geographic use).
         y: Vertical coordinate (latitude in geographic use).
         terms: Mapping from keyword to its term weight (e.g. tf-idf).
@@ -42,8 +42,8 @@ class SpatialDocument:
     terms: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.doc_id < 0:
-            raise ValueError(f"doc_id must be non-negative, got {self.doc_id}")
+        if not 0 <= self.doc_id < 1 << 64:  # stored as an unsigned 64-bit int
+            raise ValueError(f"doc_id must be in [0, 2**64), got {self.doc_id}")
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(
                 f"document location must be finite, got ({self.x}, {self.y})"

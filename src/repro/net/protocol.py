@@ -57,6 +57,7 @@ __all__ = [
     "recv_exact",
     "results_from_wire",
     "results_to_wire",
+    "wire_int",
 ]
 
 PROTOCOL_VERSION = 1
@@ -249,6 +250,18 @@ def _recency_from_args(raw) -> RecencySpec:
         raise ProtocolError(str(exc)) from None
 
 
+def wire_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, else :class:`ProtocolError`.
+
+    ``int()`` would run ``2.9`` as 2, ``true`` as 1 and ``"7"`` as 7,
+    and raise ``OverflowError`` on ``Infinity``; none of those is an
+    integer on the wire.
+    """
+    if type(value) is not int:  # bool is an int subclass
+        raise ProtocolError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def query_from_args(args: Dict):
     """Parse and validate a wire query; schema violations raise
     :class:`ProtocolError` (mapped to ``bad_request`` on the wire).
@@ -262,7 +275,7 @@ def query_from_args(args: Dict):
         x = float(args["x"])
         y = float(args["y"])
         words = args["words"]
-        k = int(args.get("k", 10))
+        k = wire_int(args.get("k", 10), "k")
         semantics = str(args.get("semantics", "or"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed query args: {exc}") from None

@@ -59,6 +59,7 @@ from repro.net.protocol import (
     query_from_args,
     read_frame,
     results_to_wire,
+    wire_int,
 )
 from repro.net.tenants import (
     REJECT_QUOTA,
@@ -187,7 +188,7 @@ def _doc_from_args(args: Dict) -> SpatialDocument:
     record = args["doc"]
     try:
         return SpatialDocument(
-            int(record["id"]),
+            wire_int(record["id"], "document id"),
             float(record["x"]),
             float(record["y"]),
             {str(w): float(v) for w, v in record["terms"].items()},
@@ -399,8 +400,8 @@ class ConnectionCore:
                         "out via retention, not via a per-query time range)"
                     )
                 alpha = args.get("alpha", 0.5)
-                if not isinstance(alpha, (int, float)):
-                    raise ProtocolError(f"bad alpha: {alpha!r}")
+                if type(alpha) not in (int, float) or not 0 <= alpha <= 1:
+                    raise ProtocolError(f"alpha must be in [0, 1], got {alpha!r}")
                 qid = server.backend.streams().register(
                     self._sub(), query, alpha=float(alpha)
                 )

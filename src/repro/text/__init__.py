@@ -1,7 +1,7 @@
 """Textual substrate: tokenisation, tf-idf, signatures, inverted lists."""
 
 from repro.text.inverted import InvertedIndex, Posting
-from repro.text.signature import Signature, mod_hash
+from repro.text.signature import Signature
 from repro.text.tfidf import TfIdfWeigher
 from repro.text.tokenizer import DEFAULT_STOPWORDS, Tokenizer
 from repro.text.vocabulary import Vocabulary
@@ -10,7 +10,6 @@ __all__ = [
     "InvertedIndex",
     "Posting",
     "Signature",
-    "mod_hash",
     "TfIdfWeigher",
     "DEFAULT_STOPWORDS",
     "Tokenizer",

@@ -8,24 +8,17 @@ all query keywords in a cell and finding no common bit **proves** no
 document there contains every keyword — the cell can be pruned under
 AND semantics without touching its pages (Algorithm 5).
 
-The paper's worked example uses ``H(id) = id mod eta``; that is the
-default here.
+The hash is the paper's worked example, ``H(id) = id mod eta``, and
+nothing else: the OR lattice and the columnar engine's ``sig_bits`` test
+``id % eta`` directly, so any other hash would make their bounds
+inadmissible.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
-__all__ = ["Signature", "mod_hash"]
-
-
-def mod_hash(eta: int) -> Callable[[int], int]:
-    """The paper's example hash: ``H(id) = id mod eta``."""
-
-    def h(doc_id: int) -> int:
-        return doc_id % eta
-
-    return h
+__all__ = ["Signature"]
 
 
 class Signature:
@@ -36,18 +29,12 @@ class Signature:
     bit lengths used here (eta defaults to 300, the paper's tuned value).
     """
 
-    __slots__ = ("eta", "_hash", "_bits")
+    __slots__ = ("eta", "_bits")
 
-    def __init__(
-        self,
-        eta: int,
-        hash_fn: Optional[Callable[[int], int]] = None,
-        bits: int = 0,
-    ) -> None:
+    def __init__(self, eta: int, bits: int = 0) -> None:
         if eta <= 0:
             raise ValueError(f"signature length must be positive, got {eta}")
         self.eta = eta
-        self._hash = hash_fn if hash_fn is not None else mod_hash(eta)
         self._bits = bits
 
     # ------------------------------------------------------------------
@@ -55,10 +42,7 @@ class Signature:
     # ------------------------------------------------------------------
     def add(self, doc_id: int) -> None:
         """Set the bit of ``doc_id``."""
-        bit = self._hash(doc_id)
-        if not 0 <= bit < self.eta:
-            raise ValueError(f"hash produced out-of-range bit {bit}")
-        self._bits |= 1 << bit
+        self._bits |= 1 << doc_id % self.eta
 
     def add_all(self, doc_ids: Iterable[int]) -> None:
         """Set the bits of many document ids."""
@@ -67,13 +51,13 @@ class Signature:
 
     def copy(self) -> "Signature":
         """An independent copy."""
-        return Signature(self.eta, self._hash, self._bits)
+        return Signature(self.eta, self._bits)
 
     @classmethod
-    def full(cls, eta: int, hash_fn: Optional[Callable[[int], int]] = None) -> "Signature":
+    def full(cls, eta: int) -> "Signature":
         """A signature with every bit set — the identity for intersection
         (Algorithm 5 line 1: "set all bits of sig to be 1")."""
-        return cls(eta, hash_fn, (1 << eta) - 1)
+        return cls(eta, (1 << eta) - 1)
 
     # ------------------------------------------------------------------
     # Queries
@@ -81,17 +65,17 @@ class Signature:
     def might_contain(self, doc_id: int) -> bool:
         """Whether ``doc_id``'s bit is set (false positives possible,
         false negatives impossible)."""
-        return bool(self._bits >> self._hash(doc_id) & 1)
+        return bool(self._bits >> doc_id % self.eta & 1)
 
     def intersect(self, other: "Signature") -> "Signature":
         """Bitwise AND of two signatures of equal length."""
         self._check_compatible(other)
-        return Signature(self.eta, self._hash, self._bits & other._bits)
+        return Signature(self.eta, self._bits & other._bits)
 
     def union(self, other: "Signature") -> "Signature":
         """Bitwise OR of two signatures of equal length."""
         self._check_compatible(other)
-        return Signature(self.eta, self._hash, self._bits | other._bits)
+        return Signature(self.eta, self._bits | other._bits)
 
     def _check_compatible(self, other: "Signature") -> None:
         if self.eta != other.eta:
@@ -101,7 +85,7 @@ class Signature:
 
     @property
     def bits(self) -> int:
-        """The bitmap as an integer (bit ``H(id)`` set per added id)."""
+        """The bitmap as an integer (bit ``id % eta`` set per added id)."""
         return self._bits
 
     @property

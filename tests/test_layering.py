@@ -25,6 +25,11 @@ create candidates are called from that loop and nowhere else, no engine
 overrides a search, and the temporal tier reaches an index's walk only
 through ``engine_processor``.
 
+And a **lattice census**: Section 5.3's OR bound is one stdlib-only
+lattice, ``core/or_semantics.witness_max``, behind one ``OrBound``;
+each engine's OR cell model says only how a fetched keyword's documents
+are held.
+
 And a **layout census**: the 32-byte slot is described once, in
 ``storage/records.py`` (``exec/columns.RECORD_DTYPE`` restates it for
 numpy and asserts its itemsize), and ``core`` decodes a data page with
@@ -33,6 +38,7 @@ the codec's page decoder, never one ``TupleCodec.decode`` per slot.
 
 import ast
 import pathlib
+import re
 import struct
 
 import repro
@@ -268,3 +274,51 @@ def test_the_slot_layout_is_written_once():
             ]
             assert not decodes, f"{name}:{decodes} decodes a page slot by slot"
     assert slot_formats == {"storage/records.py": ["<QddfI"]}
+
+
+_LATTICE_NAME = re.compile(r"apriori|lattice|witness|subset|powerset", re.I)
+_HOLDER_CALLS = ("sig_bits", "id_set")  # what the lattice asks a holder
+
+
+def _is_lattice(func: ast.AST) -> bool:
+    """Whether a function is (or holds) a Section 5.3 lattice: it says
+    so in its name, or it asks fetched holders for signature bits or id
+    sets, which only a lattice needs."""
+    if _LATTICE_NAME.search(func.name):
+        return True
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _HOLDER_CALLS
+        for node in ast.walk(func)
+    )
+
+
+def test_the_or_lattice_is_written_once():
+    lattices = []
+    classes = {}  # class name -> methods it defines
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        name = path.relative_to(PACKAGE_ROOT).as_posix()
+        tree = ast.parse(path.read_text())
+        # Module-level functions and methods; nested helpers count as
+        # part of the function that holds them.
+        outer = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+                classes[node.name] = {m.name for m in methods}
+                outer += methods
+        lattices += [f"{name}::{f.name}" for f in outer if _is_lattice(f)]
+        if name.startswith("core/"):
+            imported = {n for _m, n in imports_of(path)}
+            uses = {
+                ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            }
+            assert "itertools.combinations" not in imported | uses, name
+    assert lattices == ["core/or_semantics.py::witness_max"]
+    numpy = [n for _m, n in imports_of(PACKAGE_ROOT / "core/or_semantics.py")
+             if _within(n, "numpy")]
+    assert not numpy
+    assert {"prune", "upper_bound", "textual_bound"} <= classes["OrBound"]
+    for model in ("ColumnOr", "OrSemantics"):
+        assert not {"prune", "upper_bound", "textual_bound"} & classes[model], model

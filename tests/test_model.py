@@ -36,6 +36,9 @@ class TestSpatialDocument:
         with pytest.raises(ValueError):
             SpatialDocument(-1, 0, 0, {})
         with pytest.raises(ValueError):
+            SpatialDocument(2**64, 0, 0, {})  # the store keeps a u64
+        SpatialDocument(2**64 - 1, 0, 0, {})
+        with pytest.raises(ValueError):
             SpatialDocument(1, 0, 0, {"": 0.5})
         with pytest.raises(ValueError):
             SpatialDocument(1, 0, 0, {"a": -0.5})

@@ -373,6 +373,47 @@ class TestProtocolEdges:
             sock.close()
         assert service.index.epoch == epoch
 
+    @pytest.mark.parametrize("doc_id", [2**64, math.inf, 3.5, True, "7"])
+    def test_non_integer_document_id_is_bad_request(self, served, doc_id):
+        """An id must be a JSON integer below 2**64: ``3.5`` was stored
+        as doc 3 (aliasing another document), and 2**64 or ``Infinity``
+        failed inside the store as ``internal``."""
+        service, server = served
+        epoch = service.index.epoch
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        try:
+            sock.sendall(encode_frame({
+                "op": "insert", "key": "key-acme",
+                "args": {"doc": {"id": doc_id, "x": 0.5, "y": 0.5,
+                                 "terms": {"cafe": 1.0}}},
+            }))
+            response = read_frame(sock.recv)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad_request"
+        finally:
+            sock.close()
+        assert service.index.epoch == epoch
+
+    @pytest.mark.parametrize("alpha", [math.nan, 2.0, -0.5, True])
+    def test_alpha_outside_the_unit_interval_is_bad_request(self, served, alpha):
+        """``alpha`` must be a finite number in [0, 1]: NaN and 2.0 failed
+        inside ``Ranker`` as ``internal``, and ``true`` registered as 1."""
+        service, server = served
+        epoch = service.index.epoch
+        query = query_to_args(TopKQuery(0.5, 0.5, ("cafe",), 3))
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        try:
+            sock.sendall(encode_frame({
+                "op": "register", "key": "key-acme",
+                "args": {"query": query, "alpha": alpha},
+            }))
+            response = read_frame(sock.recv)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad_request"
+        finally:
+            sock.close()
+        assert service.index.epoch == epoch
+
     def test_expired_deadline_answered_without_executing(self, served):
         _service, server = served
         sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)

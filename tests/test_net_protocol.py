@@ -138,6 +138,7 @@ class TestQueryCodec:
     @pytest.mark.parametrize("mutation", [
         {"k": 0}, {"k": "five"}, {"words": []}, {"words": "cafe"},
         {"x": "left"}, {"semantics": "xor"}, {"x": float("nan")},
+        {"k": float("inf")}, {"k": 2.9}, {"k": True}, {"k": "7"},
     ])
     def test_malformed_args_rejected(self, mutation):
         args = query_to_args(TopKQuery(0.1, 0.2, ("bar",), 3))

@@ -19,7 +19,7 @@ from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
 from repro.spatial.cells import ROOT_CELL, child_cell
 from repro.spatial.geometry import UNIT_SQUARE
-from repro.text.signature import Signature, mod_hash
+from repro.text.signature import Signature
 
 from tests.helpers import results_as_pairs
 
@@ -94,7 +94,7 @@ class TestFigure4OrLattice:
 
     def make_candidate(self):
         eta = 4
-        rest_sig = Signature(eta, mod_hash(eta))
+        rest_sig = Signature(eta)
         rest_sig.add_all([4, 7, 8])
         dense = {
             "restaurant": DenseRef(

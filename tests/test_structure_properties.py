@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.spatial.geometry import Rect, UNIT_SQUARE, point_distance
 from repro.spatial.quadtree import PointQuadtree
-from repro.text.signature import Signature, mod_hash
+from repro.text.signature import Signature
 
 coords = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, exclude_max=True)
 points = st.lists(st.tuples(coords, coords), min_size=1, max_size=120)
@@ -171,7 +171,7 @@ class TestSignatureFiltering:
     @settings(max_examples=60, deadline=None)
     @given(id_sets, etas)
     def test_copy_isolated_and_hash_consistent(self, ids, eta):
-        sig = Signature(eta, mod_hash(eta))
+        sig = Signature(eta)
         sig.add_all(ids)
         dup = sig.copy()
         assert dup == sig and hash(dup) == hash(sig)

@@ -5,7 +5,7 @@ signatures, inverted lists."""
 import pytest
 
 from repro.text.inverted import InvertedIndex
-from repro.text.signature import Signature, mod_hash
+from repro.text.signature import Signature
 from repro.text.tfidf import TfIdfWeigher
 from repro.text.tokenizer import Tokenizer
 from repro.text.vocabulary import Vocabulary
@@ -178,7 +178,7 @@ class TestSignature:
     def test_paper_example_hash(self):
         # Section 5.3's example: eta = 4, H(id) = id % 4; "restaurant" in
         # C4 contains {d4, d7, d8} -> signature 1001 (bits 0 and 3).
-        s = Signature(4, mod_hash(4))
+        s = Signature(4)
         s.add_all([4, 7, 8])
         assert s.might_contain(4) and s.might_contain(8)  # bit 0
         assert s.might_contain(7)  # bit 3
