@@ -38,6 +38,7 @@ from repro.core.headfile import CellPages, SummaryInfo, SummaryNode
 from repro.core.index import I3Index
 from repro.spatial.geometry import Rect
 from repro.storage.errors import SnapshotCorruptionError
+from repro.storage.iostats import IOStats
 from repro.storage.pager import page_checksum
 from repro.storage.records import EMPTY_SOURCE, TupleCodec
 from repro.text.signature import Signature
@@ -223,6 +224,7 @@ def read_index(
     fh,
     verify: bool = True,
     serve_pages: Optional[Callable[[I3Index, int, int], None]] = None,
+    stats: Optional[IOStats] = None,
 ) -> Tuple[I3Index, SnapshotMeta]:
     """Deserialise an index (plus metadata) from an open binary stream
     or an ``mmap`` — anything with ``read``/``seek``/``tell``.
@@ -233,7 +235,10 @@ def read_index(
     ever held.  ``serve_pages(index, body_start, num_pages)`` replaces
     that copy: it installs a page file that serves the page region where
     it lies (:func:`repro.exec.snapshot.open_snapshot` maps it), and the
-    region is read only for CRCs and slot occupancy.
+    region is read only for CRCs and slot occupancy.  The index counts
+    its page I/O into ``stats`` (a fresh
+    :class:`~repro.storage.iostats.IOStats` when omitted); parsing
+    counts none.
     """
     header = fh.read(_HEADER.size)
     if len(header) < _HEADER.size:
@@ -268,6 +273,7 @@ def read_index(
         eta=eta,
         page_size=page_size,
         max_depth=max_depth,
+        stats=stats,
     )
     index.num_documents = num_documents
     index.num_tuples = num_tuples
@@ -336,7 +342,6 @@ def read_index(
         raise SnapshotCorruptionError(
             "head-file/lookup section checksum mismatch", tail_at
         )
-    index.stats.reset()
     return index, SnapshotMeta(epoch=epoch, last_lsn=last_lsn)
 
 

@@ -29,8 +29,8 @@ for the deterministic in-memory transport (:mod:`repro.net.sim`).
 from __future__ import annotations
 
 import json
-import math
 import struct
+import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.model.query import Semantics, TopKQuery
@@ -58,6 +58,7 @@ __all__ = [
     "results_from_wire",
     "results_to_wire",
     "wire_int",
+    "wire_number",
 ]
 
 PROTOCOL_VERSION = 1
@@ -224,15 +225,14 @@ def query_to_args(query) -> Dict:
 
 
 def _time_range_from_args(raw) -> TimeRange:
-    if (
-        not isinstance(raw, list)
-        or len(raw) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-    ):
+    if not isinstance(raw, list) or len(raw) != 2:
         raise ProtocolError("time_range must be a [start, end] number pair")
     try:
-        return TimeRange(float(raw[0]), float(raw[1]))
-    except ValueError as exc:  # non-finite or empty interval
+        return TimeRange(
+            wire_number(raw[0], "time_range start"),
+            wire_number(raw[1], "time_range end"),
+        )
+    except ValueError as exc:  # empty interval
         raise ProtocolError(str(exc)) from None
 
 
@@ -240,13 +240,13 @@ def _recency_from_args(raw) -> RecencySpec:
     if not isinstance(raw, dict):
         raise ProtocolError("recency must be an object")
     try:
-        half_life = float(raw["half_life"])
-        origin = float(raw["origin"])
-    except (KeyError, TypeError, ValueError) as exc:
+        half_life = wire_number(raw["half_life"], "half_life")
+        origin = wire_number(raw["origin"], "origin")
+    except KeyError as exc:
         raise ProtocolError(f"malformed recency spec: {exc}") from None
     try:
         return RecencySpec(half_life, origin)
-    except ValueError as exc:  # non-positive half-life, non-finite origin
+    except ValueError as exc:  # non-positive half-life
         raise ProtocolError(str(exc)) from None
 
 
@@ -262,6 +262,21 @@ def wire_int(value, name: str) -> int:
     return value
 
 
+def wire_number(value, name: str) -> float:
+    """``value`` as a float if it is a finite JSON number, else
+    :class:`ProtocolError`.
+
+    ``float()`` would run ``"0.5"`` as 0.5 and ``true`` as 1.0, and
+    Python's ``json`` reads the bare tokens ``NaN`` and ``Infinity``;
+    none of those is a number on the wire.
+    """
+    # NaN fails the comparison; an integer too big for a float fails it
+    # without the OverflowError math.isfinite would raise.
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ProtocolError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def query_from_args(args: Dict):
     """Parse and validate a wire query; schema violations raise
     :class:`ProtocolError` (mapped to ``bad_request`` on the wire).
@@ -272,17 +287,13 @@ def query_from_args(args: Dict):
     if not isinstance(args, dict):
         raise ProtocolError("query args must be an object")
     try:
-        x = float(args["x"])
-        y = float(args["y"])
+        x = wire_number(args["x"], "x")
+        y = wire_number(args["y"], "y")
         words = args["words"]
         k = wire_int(args.get("k", 10), "k")
         semantics = str(args.get("semantics", "or"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ProtocolError(f"malformed query args: {exc}") from None
-    if not (math.isfinite(x) and math.isfinite(y)):
-        # Python's json module emits NaN/Infinity by default; scoring
-        # against them silently poisons every comparison, so refuse.
-        raise ProtocolError(f"query location must be finite, got ({x}, {y})")
     if not isinstance(words, list) or not all(
         isinstance(w, str) for w in words
     ):
@@ -392,5 +403,7 @@ def results_from_wire(pairs) -> List[ScoredDoc]:
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ProtocolError(f"malformed result pair: {pair!r}")
-        decoded.append(ScoredDoc(float(pair[1]), int(pair[0])))
+        decoded.append(
+            ScoredDoc(wire_number(pair[1], "score"), wire_int(pair[0], "doc id"))
+        )
     return decoded

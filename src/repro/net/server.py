@@ -60,6 +60,7 @@ from repro.net.protocol import (
     read_frame,
     results_to_wire,
     wire_int,
+    wire_number,
 )
 from repro.net.tenants import (
     REJECT_QUOTA,
@@ -189,9 +190,12 @@ def _doc_from_args(args: Dict) -> SpatialDocument:
     try:
         return SpatialDocument(
             wire_int(record["id"], "document id"),
-            float(record["x"]),
-            float(record["y"]),
-            {str(w): float(v) for w, v in record["terms"].items()},
+            wire_number(record["x"], "document x"),
+            wire_number(record["y"], "document y"),
+            {
+                str(w): wire_number(v, "term weight")
+                for w, v in record["terms"].items()
+            },
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ProtocolError(f"malformed document: {exc}") from None
@@ -319,13 +323,8 @@ class ConnectionCore:
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is None:
             return None
-        # Python's json reads NaN and Infinity; neither is a deadline
-        # ("none" is spelled by leaving the field out).
-        if not isinstance(deadline_ms, (int, float)) or not math.isfinite(
-            deadline_ms
-        ):
-            raise ProtocolError(f"bad deadline_ms: {deadline_ms!r}")
-        remaining = float(deadline_ms) / 1000.0
+        # "None" is spelled by leaving the field out.
+        remaining = wire_number(deadline_ms, "deadline_ms") / 1000.0
         if remaining <= 0:
             raise DeadlineExceeded(
                 "request arrived with its deadline already expired"
@@ -399,11 +398,11 @@ class ConnectionCore:
                         "standing queries must be plain top-k (results age "
                         "out via retention, not via a per-query time range)"
                     )
-                alpha = args.get("alpha", 0.5)
-                if type(alpha) not in (int, float) or not 0 <= alpha <= 1:
+                alpha = wire_number(args.get("alpha", 0.5), "alpha")
+                if not 0 <= alpha <= 1:
                     raise ProtocolError(f"alpha must be in [0, 1], got {alpha!r}")
                 qid = server.backend.streams().register(
-                    self._sub(), query, alpha=float(alpha)
+                    self._sub(), query, alpha=alpha
                 )
                 return {"query_id": qid}
             if op == "poll":

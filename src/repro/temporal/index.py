@@ -13,8 +13,15 @@ pure function of its timestamp (``slice_of``), which buys three things:
 * **rolling retention** — expiry drops whole slices in O(1) index work
   each, never touching a per-document delete path;
 * **seal-grained durability** — slices behind the watermark seal and
-  checkpoint through :class:`~repro.core.recovery.DurableIndex`, while
-  the hot slice stays a cheap mutable in-memory index.
+  persist, while the hot slice stays a cheap mutable in-memory index
+  until it seals or ``checkpoint()`` runs.
+
+A persisted slice is two files.  ``meta.json`` is its log: every
+document with its timestamp plus a per-slice mutation counter ``lsn``,
+rewritten atomically by each mutation of the slice before it returns.
+``snapshot.i3ix`` is a cache of that log, stamped with the ``lsn`` it
+covers; ``open()`` trusts it only when the stamp equals the sidecar's
+``lsn`` and otherwise rebuilds the slice from the sidecar.
 
 Exactness: the recency term is a per-document monotone multiplier (see
 :mod:`repro.temporal.model`), so slice skipping uses the same strict
@@ -27,14 +34,15 @@ pin down against :class:`~repro.temporal.oracle.NaiveTemporalIndex`.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.index import I3Index, MutationEvent
-from repro.core.recovery import DurableIndex
+from repro.core.persistence import read_index, write_index
 from repro.exec import resolve_engine
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
@@ -55,6 +63,7 @@ __all__ = ["TemporalConfig", "TemporalIndex", "TimeSlice"]
 
 MANIFEST_NAME = "slices.json"
 META_NAME = "meta.json"
+SNAPSHOT_NAME = "snapshot.i3ix"
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,14 +77,12 @@ class TemporalConfig:
             drops *whole sealed slices* whose span has fully aged out.
         page_size: Page size of each per-slice I3 index.
         eta: Signature length of each per-slice I3 index.
-        sync_every: Group-commit interval for durable slices.
     """
 
     slice_width: float = 3600.0
     retention_age: Optional[float] = None
     page_size: int = 4096
     eta: int = 300
-    sync_every: int = 1
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.slice_width) and self.slice_width > 0):
@@ -98,6 +105,8 @@ class TimeSlice:
     and delete-by-id possible without touching the page files.
     ``min_ts``/``max_ts`` are sticky envelope bounds (deletes never
     shrink them), which keeps the recency decay bound admissible.
+    ``persisted`` slices log each mutation to their sidecar, numbered
+    by ``lsn``.
     """
 
     __slots__ = (
@@ -105,45 +114,46 @@ class TimeSlice:
         "start",
         "end",
         "index",
-        "durable",
         "docs",
         "min_ts",
         "max_ts",
         "sealed",
         "dirty",
+        "persisted",
+        "lsn",
     )
 
     def __init__(self, slice_id: int, width: float, index: I3Index) -> None:
         self.slice_id = slice_id
         self.start, self.end = slice_span(slice_id, width)
         self.index = index
-        self.durable: Optional[DurableIndex] = None
         self.docs: Dict[int, TemporalDocument] = {}
         self.min_ts = math.inf
         self.max_ts = -math.inf
         self.sealed = False
         self.dirty = False
-
-    @property
-    def store(self):
-        """The mutation target: the durable wrapper when present."""
-        return self.durable if self.durable is not None else self.index
+        self.persisted = False
+        self.lsn = 0
 
     def insert(self, tdoc: TemporalDocument) -> None:
-        self.store.insert_document(tdoc.doc)
+        self.index.insert_document(tdoc.doc)
+        self.track(tdoc)
+        if self.sealed:
+            self.dirty = True
+
+    def track(self, tdoc: TemporalDocument) -> None:
+        """Own ``tdoc`` without touching the index."""
         self.docs[tdoc.doc_id] = tdoc
         if tdoc.timestamp < self.min_ts:
             self.min_ts = tdoc.timestamp
         if tdoc.timestamp > self.max_ts:
             self.max_ts = tdoc.timestamp
-        if self.sealed:
-            self.dirty = True
 
     def delete(self, doc_id: int) -> Optional[TemporalDocument]:
         tdoc = self.docs.pop(doc_id, None)
         if tdoc is None:
             return None
-        self.store.delete_document(tdoc.doc)
+        self.index.delete_document(tdoc.doc)
         if self.sealed:
             self.dirty = True
         return tdoc
@@ -240,13 +250,10 @@ class TemporalIndex:
     ) -> "TemporalIndex":
         """Reopen a persisted temporal index from its manifest.
 
-        Restores to the last per-slice checkpoint: each slice directory
-        is opened through :class:`DurableIndex`; if its recovered LSN
-        disagrees with the LSN recorded in the slice's ``meta.json``
-        (a crash landed between a checkpoint and its sidecar, or a WAL
-        tail ran past the last checkpoint), the slice is rebuilt from
-        the sidecar — the sidecar and checkpoint are written together,
-        so the pair is the atomic unit of temporal durability.
+        Every listed slice comes back exactly as its ``meta.json``
+        sidecar logged it: from its snapshot when the snapshot's stamp
+        equals the sidecar's ``lsn``, otherwise rebuilt from the
+        sidecar and re-snapshotted.
         """
         fs = fs if fs is not None else OS_FILESYSTEM
         manifest_path = os.path.join(durable_root, MANIFEST_NAME)
@@ -258,11 +265,7 @@ class TemporalIndex:
             manifest = json.loads(fh.read().decode("utf-8"))
         cfg = manifest["config"]
         config = TemporalConfig(
-            slice_width=cfg["slice_width"],
-            retention_age=cfg["retention_age"],
-            page_size=cfg["page_size"],
-            eta=cfg["eta"],
-            sync_every=cfg["sync_every"],
+            **{f.name: cfg[f.name] for f in fields(TemporalConfig)}
         )
         space = Rect(*manifest["space"])
         index = cls(
@@ -313,9 +316,8 @@ class TemporalIndex:
         if s is None:
             s = self._make_slice(sid)
             self._slices[sid] = s
-        if s.durable is not None:
-            # Sidecar-first ordering: a crash between the two writes
-            # leaves an extra sidecar doc that the LSN check discards.
+        if s.persisted:
+            s.lsn += 1
             self._write_meta(s, extra=tdoc)
         s.insert(tdoc)
         self.num_documents += 1
@@ -347,7 +349,8 @@ class TemporalIndex:
         for s in self._slices.values():
             if doc_id in s.docs:
                 tdoc = s.delete(doc_id)
-                if s.durable is not None:
+                if s.persisted:
+                    s.lsn += 1
                     self._write_meta(s)
                 self.num_documents -= 1
                 self.epoch += 1
@@ -426,11 +429,11 @@ class TemporalIndex:
         self.retention_drops += 1
         self.dropped_documents += len(s.docs)
         self.epoch += 1
-        if s.durable is not None:
-            s.durable.close()
-            self._remove_slice_files(sid)
-        if self.durable_root is not None:
+        if s.persisted:
+            # Unlist first: a crash before the unlinks leaves files no
+            # manifest names, never a listed slice without its files.
             self._write_manifest()
+            self._remove_slice_files(sid)
         if self._listeners:
             for doc_id in sorted(s.docs):
                 self.epoch += 1
@@ -630,14 +633,13 @@ class TemporalIndex:
         if self.durable_root is None:
             raise ValueError("temporal index has no durable root")
         for s in self._slices.values():
-            if s.durable is None or s.dirty or not s.sealed:
+            if not s.persisted or s.dirty or not s.sealed:
                 self._persist_slice(s)
         self._write_manifest()
 
     def close(self) -> None:
-        for s in self._slices.values():
-            if s.durable is not None:
-                s.durable.close()
+        """Nothing to release: every file write is complete when the
+        mutation or checkpoint that made it returns."""
 
     def _slice_dir(self, sid: int) -> str:
         assert self.durable_root is not None
@@ -653,21 +655,20 @@ class TemporalIndex:
         return TimeSlice(sid, self.config.slice_width, index)
 
     def _persist_slice(self, s: TimeSlice) -> None:
-        if s.durable is None:
-            directory = self._slice_dir(s.slice_id)
-            if self.fs.exists(os.path.join(directory, DurableIndex.SNAPSHOT_NAME)):
-                self._remove_slice_files(s.slice_id)
-            s.durable = DurableIndex.create(
-                directory,
-                s.index,
-                sync_every=self.config.sync_every,
-                fs=self.fs,
-            )
-        else:
-            s.durable.checkpoint()
+        """Log the slice to its sidecar, list it, then cache its snapshot.
+
+        A first persist clears whatever an unlisted slice of the same id
+        left behind, so a stale snapshot whose stamp happens to equal
+        the new sidecar's ``lsn`` is never trusted.
+        """
+        if not s.persisted:
+            self._remove_slice_files(s.slice_id)
+            self.fs.makedirs(self._slice_dir(s.slice_id))
+            s.persisted = True
         self._write_meta(s)
-        s.dirty = False
         self._write_manifest()
+        self._write_snapshot(s)
+        s.dirty = False
 
     def _write_meta(self, s: TimeSlice, extra: Optional[TemporalDocument] = None) -> None:
         docs = list(s.docs.values())
@@ -676,7 +677,7 @@ class TemporalIndex:
         meta = {
             "slice_id": s.slice_id,
             "sealed": s.sealed,
-            "lsn": s.durable.last_lsn if s.durable is not None else 0,
+            "lsn": s.lsn,
             "docs": [
                 {
                     "id": t.doc_id,
@@ -688,34 +689,26 @@ class TemporalIndex:
                 for t in docs
             ],
         }
-        if extra is not None:
-            # The extra doc is being logged ahead of its index insert:
-            # record the LSN it will commit at, so a clean shutdown
-            # (where the insert did land) passes the LSN check.
-            meta["lsn"] += 1
         self._atomic_json(
             os.path.join(self._slice_dir(s.slice_id), META_NAME), meta
+        )
+
+    def _write_snapshot(self, s: TimeSlice) -> None:
+        buffer = io.BytesIO()
+        write_index(s.index, buffer, last_lsn=s.lsn)
+        self._atomic_write(
+            os.path.join(self._slice_dir(s.slice_id), SNAPSHOT_NAME),
+            buffer.getvalue(),
         )
 
     def _write_manifest(self) -> None:
         manifest = {
             "version": 1,
-            "space": [
-                self.space.min_x,
-                self.space.min_y,
-                self.space.max_x,
-                self.space.max_y,
-            ],
-            "config": {
-                "slice_width": self.config.slice_width,
-                "retention_age": self.config.retention_age,
-                "page_size": self.config.page_size,
-                "eta": self.config.eta,
-                "sync_every": self.config.sync_every,
-            },
+            "space": astuple(self.space),
+            "config": asdict(self.config),
             "watermark": self.watermark if math.isfinite(self.watermark) else None,
             "slices": sorted(
-                sid for sid, s in self._slices.items() if s.durable is not None
+                sid for sid, s in self._slices.items() if s.persisted
             ),
         }
         self._atomic_json(
@@ -723,20 +716,21 @@ class TemporalIndex:
         )
 
     def _atomic_json(self, path: str, payload: Dict) -> None:
+        self._atomic_write(
+            path, json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        )
+
+    def _atomic_write(self, path: str, data: bytes) -> None:
         tmp = path + ".tmp"
         with self.fs.open(tmp, "wb") as fh:
-            fh.write(json.dumps(payload, separators=(",", ":")).encode("utf-8"))
+            fh.write(data)
             fh.flush()
             self.fs.fsync(fh)
         self.fs.replace(tmp, path)
 
     def _remove_slice_files(self, sid: int) -> None:
         directory = self._slice_dir(sid)
-        for name in (
-            DurableIndex.SNAPSHOT_NAME,
-            DurableIndex.WAL_NAME,
-            META_NAME,
-        ):
+        for name in (SNAPSHOT_NAME, META_NAME):
             path = os.path.join(directory, name)
             if self.fs.exists(path):
                 self.fs.remove(path)
@@ -746,58 +740,34 @@ class TemporalIndex:
 
     def _open_slice(self, sid: int) -> None:
         directory = self._slice_dir(sid)
-        meta_path = os.path.join(directory, META_NAME)
-        with self.fs.open(meta_path, "rb") as fh:
+        with self.fs.open(os.path.join(directory, META_NAME), "rb") as fh:
             meta = json.loads(fh.read().decode("utf-8"))
-        durable = DurableIndex.open(
-            directory, fs=self.fs, sync_every=self.config.sync_every
-        )
-        if durable.last_lsn != meta["lsn"]:
-            # Checkpoint and sidecar disagree (crash between the two
-            # writes, or a WAL tail past the sidecar): the sidecar pair
-            # is authoritative — rebuild the slice store from it.
-            durable.close()
-            self._remove_slice_files(sid)
+        cached = None
+        snapshot = os.path.join(directory, SNAPSHOT_NAME)
+        if self.fs.exists(snapshot):
+            with self.fs.open(snapshot, "rb") as fh:
+                cached, stamp = read_index(fh, stats=self.stats)
+            if stamp.last_lsn != meta["lsn"]:
+                cached = None  # the log ran past its cache: rebuild
+        if cached is None:
             s = self._make_slice(sid)
-            self._slices[sid] = s
-            for rec in meta["docs"]:
-                tdoc = TemporalDocument(
-                    SpatialDocument(rec["id"], rec["x"], rec["y"], rec["terms"]),
-                    rec["ts"],
-                )
-                s.index.insert_document(tdoc.doc)
-                s.docs[tdoc.doc_id] = tdoc
-                if tdoc.timestamp < s.min_ts:
-                    s.min_ts = tdoc.timestamp
-                if tdoc.timestamp > s.max_ts:
-                    s.max_ts = tdoc.timestamp
-            s.durable = DurableIndex.create(
-                directory,
-                s.index,
-                sync_every=self.config.sync_every,
-                fs=self.fs,
-            )
-            self._write_meta(s)
         else:
-            s = TimeSlice(sid, self.config.slice_width, durable.index)
-            s.durable = durable
-            self._slices[sid] = s
-            ids_in_index = set()
-            for rec in meta["docs"]:
-                tdoc = TemporalDocument(
-                    SpatialDocument(rec["id"], rec["x"], rec["y"], rec["terms"]),
-                    rec["ts"],
-                )
-                if tdoc.doc_id in ids_in_index:
-                    continue
-                ids_in_index.add(tdoc.doc_id)
-                s.docs[tdoc.doc_id] = tdoc
-                if tdoc.timestamp < s.min_ts:
-                    s.min_ts = tdoc.timestamp
-                if tdoc.timestamp > s.max_ts:
-                    s.max_ts = tdoc.timestamp
+            s = TimeSlice(sid, self.config.slice_width, cached)
+        for rec in meta["docs"]:
+            tdoc = TemporalDocument(
+                SpatialDocument(rec["id"], rec["x"], rec["y"], rec["terms"]),
+                rec["ts"],
+            )
+            if cached is None:
+                s.index.insert_document(tdoc.doc)
+            s.track(tdoc)
         s.sealed = bool(meta["sealed"])
+        s.persisted = True
+        s.lsn = meta["lsn"]
+        self._slices[sid] = s
         self.num_documents += len(s.docs)
+        if cached is None:
+            self._write_snapshot(s)
 
     # ------------------------------------------------------------------
     # Introspection / metrics

@@ -394,6 +394,31 @@ class TestProtocolEdges:
             sock.close()
         assert service.index.epoch == epoch
 
+    @pytest.mark.parametrize("field, value", [
+        ("x", "0.1"), ("y", False), ("weight", "2"),
+    ])
+    def test_non_number_document_field_is_bad_request(self, served, field, value):
+        """Coordinates and term weights are JSON numbers: ``"0.1"`` and
+        ``false`` were stored as 0.1 and 0.0."""
+        service, server = served
+        epoch = service.index.epoch
+        doc = {"id": 90400, "x": 0.5, "y": 0.5, "terms": {"cafe": 1.0}}
+        if field == "weight":
+            doc["terms"]["cafe"] = value
+        else:
+            doc[field] = value
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        try:
+            sock.sendall(encode_frame({
+                "op": "insert", "key": "key-acme", "args": {"doc": doc},
+            }))
+            response = read_frame(sock.recv)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad_request"
+        finally:
+            sock.close()
+        assert service.index.epoch == epoch
+
     @pytest.mark.parametrize("alpha", [math.nan, 2.0, -0.5, True])
     def test_alpha_outside_the_unit_interval_is_bad_request(self, served, alpha):
         """``alpha`` must be a finite number in [0, 1]: NaN and 2.0 failed
@@ -425,6 +450,21 @@ class TestProtocolEdges:
             response = read_frame(sock.recv)
             assert response["ok"] is False
             assert response["error"]["code"] == "deadline_exceeded"
+        finally:
+            sock.close()
+
+    def test_boolean_deadline_is_bad_request(self, served):
+        """``"deadline_ms": true`` is not a 1 ms deadline."""
+        _service, server = served
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        try:
+            sock.sendall(encode_frame({
+                "op": "query", "key": "key-acme", "deadline_ms": True,
+                "args": query_to_args(TopKQuery(0.5, 0.5, ("cafe",), 3)),
+            }))
+            response = read_frame(sock.recv)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad_request"
         finally:
             sock.close()
 

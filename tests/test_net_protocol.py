@@ -139,6 +139,9 @@ class TestQueryCodec:
         {"k": 0}, {"k": "five"}, {"words": []}, {"words": "cafe"},
         {"x": "left"}, {"semantics": "xor"}, {"x": float("nan")},
         {"k": float("inf")}, {"k": 2.9}, {"k": True}, {"k": "7"},
+        {"x": "0.5"}, {"y": True}, {"y": 10 ** 400},
+        {"recency": {"half_life": "10", "origin": 0.0}},
+        {"recency": {"half_life": 10.0, "origin": True}},
     ])
     def test_malformed_args_rejected(self, mutation):
         args = query_to_args(TopKQuery(0.1, 0.2, ("bar",), 3))
@@ -166,10 +169,12 @@ class TestResultsCodec:
         assert decoded[0].score == score
 
     def test_malformed_pairs_rejected(self):
-        with pytest.raises(ProtocolError):
-            results_from_wire([[1]])
-        with pytest.raises(ProtocolError):
-            results_from_wire("nope")
+        """Ids are JSON integers and scores finite JSON numbers: ``"7"``,
+        ``2.9`` and ``true`` are not doc 7, 2 and 1."""
+        for pairs in ([[1]], "nope", [[1, "x"]], [["7", 0.5]], [[2.9, 0.5]],
+                      [[True, True]], [[1, float("nan")]]):
+            with pytest.raises(ProtocolError):
+                results_from_wire(pairs)
 
 
 class TestErrorPayloads:
