@@ -64,10 +64,11 @@ def main() -> None:
             for q in stream
         ]
 
-        # Six callers share the service.  Each submit() takes a slot in
-        # the queue (block=True waits for one instead of shedding) and
-        # the lane answers the queue in order: however the callers
-        # interleave, every answer is the sequential one.
+        # Six callers share the service.  A submit() the result cache
+        # answers returns at once, on the caller's thread; any other
+        # takes a slot in the queue (block=True waits for one instead
+        # of shedding) and the lane answers the queue in order: however
+        # the callers interleave, every answer is the sequential one.
         callers = 6
         answers = [None] * len(stream)
 
@@ -90,9 +91,10 @@ def main() -> None:
         print(f"wait for a turn (queue_wait_ms): p50 {turn['p50']:.3f}  "
               f"p95 {turn['p95']:.3f}")
 
-        # search_many runs a whole batch as ONE admitted unit — one
-        # turn on the lane: one index epoch for every answer, duplicates
-        # executed once, and the same answers as the callers got above.
+        # search_many runs a whole batch as ONE unit — at most one turn
+        # on the lane (none here: the cache holds every answer): one
+        # index epoch for every answer, duplicates executed once, and
+        # the same answers as the callers got above.
         batch = service.search_many(stream)
         assert [[(h.doc_id, h.score) for h in hits] for hits in batch] == sequential
         print(f"search_many: the same {len(batch)} answers from one batch")

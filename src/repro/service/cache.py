@@ -1,4 +1,4 @@
-"""A keyed read-through LRU cache for query results.
+"""A keyed LRU cache for query results.
 
 FAST (arXiv:1709.02529) shows that real spatio-textual workloads are
 heavily skewed — a small set of hot (location, keywords) queries
@@ -13,18 +13,18 @@ epoch differs from the current one is treated as a miss and the stale
 entry dropped — results can never outlive the data they were computed
 from, without the cache having to know what changed.
 
-Thread-safety contract: all operations take the internal lock;
-:meth:`get_or_compute` releases it while running ``compute`` so a slow
-query never blocks cache hits for other threads (two threads may race
-to compute the same key; both get correct results and the last write
-wins — the standard read-through trade-off).
+Thread-safety contract: all operations take the internal lock, and
+nothing is computed under it — a caller that misses computes the
+answer itself and stores it with :meth:`put` (two callers may race to
+compute the same key; both get correct results and the last write
+wins).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 __all__ = ["QueryResultCache"]
 
@@ -74,23 +74,6 @@ class QueryResultCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-
-    def get_or_compute(
-        self, key: Hashable, epoch: int, compute: Callable[[], Any]
-    ) -> Any:
-        """Read-through: return the cached result or compute and store it.
-
-        ``compute`` runs outside the lock.  The result is stored under
-        the epoch observed *before* computing, so a mutation racing with
-        the computation leaves a stale-stamped entry that the next
-        ``get`` at the new epoch discards.
-        """
-        cached = self.get(key, epoch)
-        if cached is not None:
-            return cached
-        value = compute()
-        self.put(key, epoch, value)
-        return value
 
     def invalidate(self) -> None:
         """Drop every entry (bulk invalidation, e.g. after a reload)."""

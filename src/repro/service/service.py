@@ -15,7 +15,8 @@ module provides:
 * **per-query deadlines** — queries that expire while queued are never
   executed, and waiters stop waiting
   (:class:`~repro.service.errors.QueryTimeout`);
-* a **read-through result cache** (epoch-invalidated on insert/delete);
+* a **result cache** (epoch-invalidated on insert/delete), read at
+  admission: a task it answers whole takes no turn on the lane;
 * **serving metrics** — counters, queue-depth gauges and reservoir
   latency histograms exported by
   :meth:`QueryService.metrics_snapshot` and, as a Prometheus page, by
@@ -110,10 +111,17 @@ class _ReadWriteLock:
         self._writer = False
         self._writers_waiting = 0
 
-    def acquire_read(self) -> None:
+    def acquire_read(self, blocking: bool = True) -> bool:
+        """Take the shared side; ``blocking=False`` takes it only if no
+        writer holds or waits for the lock, and says whether it did."""
         with self._cond:
-            self._cond.wait_for(lambda: not self._writer and not self._writers_waiting)
+            if not self._cond.wait_for(
+                lambda: not self._writer and not self._writers_waiting,
+                None if blocking else 0,
+            ):
+                return False
             self._readers += 1
+            return True
 
     def release_read(self) -> None:
         with self._cond:
@@ -142,10 +150,13 @@ class _Task:
     Always a batch: ``queries`` is a list, of length one when ``single``
     — the future then resolves to that query's result (or raises its
     exception) instead of to the list of slots.  ``deadline`` is
-    ``enqueued + timeout`` (``None`` without a timeout).
+    ``enqueued + timeout`` (``None`` without a timeout).  ``hits`` are
+    the result-cache answers admission found, read at ``stamp`` (the
+    served index and its epoch).
     """
 
-    __slots__ = ("queries", "future", "enqueued", "timeout", "deadline", "single")
+    __slots__ = ("queries", "future", "enqueued", "timeout", "deadline",
+                 "single", "hits", "stamp")
 
     def __init__(
         self, queries: List[Any], enqueued: float,
@@ -157,6 +168,8 @@ class _Task:
         self.timeout = timeout
         self.deadline = None if timeout is None else enqueued + timeout
         self.single = single
+        self.hits: Dict[TopKQuery, List[Any]] = {}
+        self.stamp: Any = None
 
 
 _SHUTDOWN = object()
@@ -173,9 +186,11 @@ class QueryService:
     """A query service over one index: many callers, one lane.
 
     Every query — ``submit``, ``search``, a ``search_many`` batch — is
-    admitted into one FIFO queue and executed by the service's single
-    traversal thread, so the queue *is* the turn order and the
-    ``queue_wait_ms`` histogram is the time a query waited for its turn.
+    first looked up in the result cache on the caller's thread; a task
+    the cache answers whole resolves there.  The rest are admitted into
+    one FIFO queue and executed by the service's single traversal
+    thread, so the queue *is* the turn order and the ``queue_wait_ms``
+    histogram is the time a query waited for its turn.
 
     ``target`` is anything with the index shape — ``query``, ``epoch``,
     ``stats``, ``space`` and ``insert_document``/``delete_document``:
@@ -340,7 +355,8 @@ class QueryService:
         timeout: Optional[float],
         single: bool = False,
     ) -> "Future":
-        """Admit ``queries`` as one task and queue it.  The task's clock
+        """Admit ``queries`` as one task and queue it — unless the result
+        cache answers all of them (:meth:`_lookup`).  The task's clock
         starts before admission, so a blocking wait for a slot spends
         (and is bounded by) the same ``timeout`` the queue checks."""
         if self._closed:
@@ -351,6 +367,8 @@ class QueryService:
         if not single:
             self.metrics.counter("batches.submitted").inc()
         task = _Task(queries, self._now(), timeout, single)
+        if self._lookup(task):
+            return task.future
         if not block:
             if not self._admission.try_acquire():
                 self.metrics.counter("queries.shed").inc(len(queries))
@@ -368,6 +386,44 @@ class QueryService:
             # the lane — it runs when the seeded scheduler picks it.
             self._executor.spawn(self._step_once)
         return task.future
+
+    def _lookup(self, task: _Task) -> bool:
+        """The service's one result-cache read, on the caller's thread
+        (DESIGN.md §8, "One cache read, at admission").
+
+        Every distinct query is looked up at one epoch under the shared
+        lock, so an entry of an index :meth:`recover` replaced cannot
+        pass for the new one.  The lock is never waited for: during a
+        write (possibly this thread's own, submitting from inside
+        :meth:`mutate`) the task skips the lookup and queues.  A task
+        that hits whole resolves here — completed, one 0.0 observed in
+        ``io.reads_per_query``, no slot, no queue, no turn, hence no
+        ``queue_wait_ms`` or ``latency_ms``.  Otherwise its hits ride
+        along for the lane.  Returns whether the task resolved.
+        """
+        cache = self.cache
+        try:
+            distinct = dict.fromkeys(task.queries)
+        except TypeError:  # unhashable: the lane fails it in its own slot
+            return False
+        if cache is None or not self._rwlock.acquire_read(blocking=False):
+            return False
+        try:
+            epoch = self._index.epoch
+            task.stamp = (self._index, epoch)
+            for query in distinct:
+                hit = cache.get((query, self._ranker.alpha), epoch)
+                if hit is not None:
+                    task.hits[query] = hit
+        finally:
+            self._rwlock.release_read()
+        if len(task.hits) < len(distinct):
+            return False
+        slots = [list(task.hits[query]) for query in task.queries]
+        self.metrics.counter("queries.completed").inc(len(slots))
+        self.metrics.histogram("io.reads_per_query").observe(0.0)
+        task.future.set_result(slots[0] if task.single else slots)
+        return True
 
     def _wait(self, future: "Future", timeout: Optional[float]) -> Any:
         """Block until ``future`` resolves, for at most ``timeout`` seconds.
@@ -407,9 +463,9 @@ class QueryService:
         lock (a database target takes ``doc_id, x, y, text``).
 
         The index epoch bump makes every cached result stale (the
-        read-through cache validates epochs), so queries after the
-        insert always see it.  On a durable target the mutation is
-        logged to the WAL before the index is touched.
+        cache validates epochs), so queries after the insert always
+        see it.  On a durable target the mutation is logged to the WAL
+        before the index is touched.
         """
         return self.mutate(lambda t: t.insert_document(*args, **kwargs))
 
@@ -623,17 +679,20 @@ class QueryService:
         answer sees the same index epoch.  Per slot: the deadline guard
         (a query the task's deadline expires on becomes a
         :class:`QueryTimeout` while earlier queries keep their results),
-        then the answer — computed once per distinct query, each
-        occurrence getting its own copy of the list — or the exception
-        the query raised.  Failures are never remembered: a later
-        duplicate of a failed query is attempted again.
+        then the answer — admission's cache hit, else computed once per
+        distinct query, each occurrence getting its own copy of the
+        list — or the exception the query raised.  If the epoch moved
+        since admission the hits are dropped and every query computed.
+        Failures are never remembered: a later duplicate of a failed
+        query is attempted again.
         """
         slots: List[Any] = []
-        answered: Dict[TopKQuery, List[Any]] = {}
         timed_out = failed = 0
         local = IOStats()
         self._rwlock.acquire_read()
         try:
+            epoch = self._index.epoch
+            answered = task.hits if task.stamp == (self._index, epoch) else {}
             with self._index.stats.tee(local):
                 for query in task.queries:
                     try:
@@ -644,7 +703,7 @@ class QueryService:
                             raise QueryTimeout(task.timeout, queued=False)
                         hit = answered.get(query)
                         if hit is None:
-                            hit = answered[query] = self._answer(query)
+                            hit = answered[query] = self._answer(query, epoch)
                         slots.append(list(hit))
                     except QueryTimeout as exc:
                         timed_out += 1
@@ -665,23 +724,18 @@ class QueryService:
         )
         return slots
 
-    def _answer(self, query: TopKQuery) -> List[Any]:
-        """One query against the target, read through the result cache.
+    def _answer(self, query: TopKQuery, epoch: int) -> List[Any]:
+        """One query against the target, stored in the result cache.
 
-        The one place results are cached: keyed by ``(query, alpha)``
-        and stamped with the target's epoch, so a hit after any mutation
-        recomputes.  Both engines answer byte-identically, so entries
-        are engine-agnostic; a hit reads no pages.
+        Keyed by ``(query, alpha)`` and stamped with ``epoch``, so a
+        lookup after any mutation misses.  Both engines answer
+        byte-identically, so entries are engine-agnostic.  The lane
+        only writes the cache: :meth:`_lookup` is its one read.
         """
-        def compute() -> List[Any]:
-            return self._index.query(query, self._ranker)
-
-        cache = self.cache
-        if cache is None:
-            return compute()
-        return cache.get_or_compute(
-            (query, self._ranker.alpha), self._index.epoch, compute
-        )
+        answer = self._index.query(query, self._ranker)
+        if self.cache is not None:
+            self.cache.put((query, self._ranker.alpha), epoch, answer)
+        return answer
 
     # ------------------------------------------------------------------
     # Metrics

@@ -4,8 +4,11 @@ One traversal thread per service, fed by the admission-bounded FIFO
 queue — the queue is the turn order (DESIGN.md "Taking turns").  These
 tests pin the lane itself (who owns which thread, the order of
 execution, what a long task does to the one behind it, that a writer
-still gets in) and the one hole the policy made reachable: a batch
-caller's budget must bound, and be charged for, its wait at the gate.
+still gets in), the one hole the policy made reachable — a batch
+caller's budget must bound, and be charged for, its wait at the gate —
+and what a result-cache hit skips: the cache is read once, at
+admission, on the caller's thread, so a task it answers whole takes no
+admission slot, no queue entry and no turn.
 """
 
 import random
@@ -15,8 +18,15 @@ import time
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterService, HashPartitioner
+from repro.core.index import I3Index
 from repro.model.query import TopKQuery
-from repro.service import QueryService, QueryTimeout, ServiceConfig
+from repro.service import (
+    QueryService,
+    QueryTimeout,
+    ServiceClosed,
+    ServiceConfig,
+    ServiceOverloaded,
+)
 from repro.simtest.clock import SimClock, SimScheduler
 from repro.spatial.geometry import UNIT_SQUARE
 from tests.helpers import make_documents, stub_index, wait_for
@@ -291,3 +301,186 @@ class TestBatchWaitsAtTheGateOnItsBudget:
         (exc,) = outcome
         assert isinstance(exc, QueryTimeout) and exc.queued
         assert stub.order == [1]
+
+
+def _epoch_index(gate=None):
+    """A recording stub whose answer names the epoch it was computed at."""
+    stub = _recording_index(gate)
+    query = stub.query
+    stub.query = lambda q, ranker=None: [(query(q)[0], stub.epoch)]
+    return stub
+
+
+class TestACacheHitTakesNoTurn:
+    def test_a_hit_is_answered_while_the_lane_is_held(self):
+        gate = threading.Event()
+        stub = _recording_index(gate)
+        service = QueryService(stub, ServiceConfig(max_pending=8))
+        try:
+            assert service.search(_query(k=2)) == [2]  # now cached
+            held = service.submit(_query(k=1))
+            wait_for(lambda: stub.order == [2, 1])  # the lane is held
+            assert service.search(_query(k=2), timeout=1.0) == [2]
+            miss = service.submit(_query(k=3))
+            assert service.metrics_snapshot()["gauges"]["queue.depth"] == 1
+            time.sleep(0.05)
+            assert not miss.done() and stub.order == [2, 1]
+            gate.set()
+            assert held.result(timeout=5) == [1]
+            assert miss.result(timeout=5) == [3]
+        finally:
+            gate.set()
+            service.close()
+        assert stub.order == [2, 1, 3]
+
+    def test_a_full_gate_sheds_misses_and_answers_hits(self):
+        gate = threading.Event()
+        service = QueryService(stub_index(gate), ServiceConfig(max_pending=1))
+        try:
+            gate.set()
+            assert service.search(_query(k=2)) == [2]  # now cached
+            gate.clear()
+            service.submit(_query(k=1))  # fills the gate
+            assert service.search(_query(k=2)) == [2]
+            assert service.search_many([_query(k=2), _query(k=2)]) == [[2], [2]]
+            with pytest.raises(ServiceOverloaded):
+                service.search(_query(k=3))
+            snap = service.metrics_snapshot()
+            assert snap["counters"]["queries.shed"] == 1
+            assert snap["admission"]["rejected"] == 1
+            assert snap["admission"]["admitted"] == 2
+        finally:
+            gate.set()
+            service.close()
+
+    def test_a_hit_waits_for_a_writer_and_sees_its_write(self):
+        """The lookup holds the shared lock: a hit cannot slip past a
+        write in progress and answer from the epoch it is replacing —
+        it queues behind the write and is answered after it."""
+        stub = _epoch_index()
+        service = QueryService(stub, ServiceConfig())
+        inside, release = threading.Event(), threading.Event()
+        answers = []
+
+        def write(target):
+            inside.set()
+            release.wait(timeout=10)
+            target.epoch += 1
+
+        writer = threading.Thread(target=service.mutate, args=(write,))
+        reader = threading.Thread(
+            target=lambda: answers.append(service.search(_query()))
+        )
+        try:
+            assert service.search(_query()) == [(3, 0)]  # now cached
+            writer.start()
+            assert inside.wait(timeout=5)
+            reader.start()
+            time.sleep(0.05)
+            assert answers == []  # blocked behind the writer
+            release.set()
+            writer.join(timeout=5)
+            reader.join(timeout=5)
+        finally:
+            release.set()
+            service.close()
+        assert answers == [[(3, 1)]]
+
+    def test_a_submit_from_inside_a_write_queues_behind_it(self):
+        """The lookup never waits for the lock, so a caller holding the
+        exclusive side (submitting from inside ``mutate``) cannot
+        deadlock on its own write."""
+        stub = _epoch_index()
+        with QueryService(stub, ServiceConfig()) as service:
+            assert service.search(_query()) == [(3, 0)]  # now cached
+
+            def write(target):
+                target.epoch += 1
+                return service.submit(_query())
+
+            assert service.mutate(write).result(timeout=5) == [(3, 1)]
+
+    def test_an_unhashable_query_fails_in_its_slot_and_frees_the_lock(self):
+        """The admission lookup cannot key a query whose words are a
+        list; the lane fails that slot alone, as it always did, and no
+        lock is left held for the next writer to wait on."""
+        with QueryService(stub_index(), ServiceConfig()) as service:
+            unhashable = TopKQuery(0.5, 0.5, ["spicy"], k=3)
+            good, bad = service.search_many(
+                [_query(), unhashable], return_exceptions=True
+            )
+            assert good == [3] and isinstance(bad, TypeError)
+            writer = threading.Thread(target=service.mutate, args=(lambda t: t,))
+            writer.start()
+            writer.join(timeout=5)
+            assert not writer.is_alive()
+
+    def test_a_closed_service_refuses_a_hit(self):
+        service = QueryService(stub_index(), ServiceConfig())
+        assert service.search(_query()) == [3]  # now cached
+        service.close()
+        with pytest.raises(ServiceClosed):
+            service.search(_query())
+        with pytest.raises(ServiceClosed):
+            service.search_many([_query()])
+
+    def test_a_batch_a_write_overtakes_is_answered_at_one_epoch(self):
+        """Hits read at admission are stamped with their epoch; a write
+        between admission and the lane's turn makes the lane recompute
+        the whole batch instead of mixing two epochs."""
+        gate = threading.Event()
+        stub = _epoch_index(gate)
+        service = QueryService(stub, ServiceConfig(max_pending=8))
+        batch = []
+        try:
+            assert service.search(_query(k=2)) == [(2, 0)]  # now cached
+            held = service.submit(_query(k=1))
+            wait_for(lambda: stub.order == [2, 1])  # the lane is held
+            caller = threading.Thread(target=lambda: batch.append(
+                service.search_many([_query(k=2), _query(k=3), _query(k=2)])
+            ))
+            caller.start()
+            wait_for(
+                lambda: service.metrics_snapshot()["gauges"]["queue.depth"] == 1
+            )  # admitted at epoch 0, with k=2 a hit
+            writer = threading.Thread(
+                target=service.mutate,
+                args=(lambda t: setattr(t, "epoch", t.epoch + 1),),
+            )
+            writer.start()
+            wait_for(lambda: service._rwlock._writers_waiting == 1)
+            gate.set()
+            assert held.result(timeout=5) == [(1, 0)]
+            caller.join(timeout=5)
+            writer.join(timeout=5)
+        finally:
+            gate.set()
+            service.close()
+        assert batch == [[[(2, 1)], [(3, 1)], [(2, 1)]]]
+        assert stub.order == [2, 1, 2, 3]
+
+    def test_hits_keep_the_metrics_contract(self):
+        """N hits complete N queries and observe ``io.reads_per_query``
+        N times, reading nothing; taking no turn, they observe neither
+        ``queue_wait_ms`` nor ``latency_ms``."""
+        index = I3Index(UNIT_SQUARE, page_size=256)
+        for doc in make_documents(60, random.Random(4)):
+            index.insert_document(doc)
+        with QueryService(index, ServiceConfig()) as service:
+            metrics = service.metrics
+
+            def state():
+                reads = metrics.histogram("io.reads_per_query")
+                return (
+                    reads.count, reads.total,
+                    metrics.counter("queries.completed").value,
+                    metrics.histogram("queue_wait_ms").count,
+                    metrics.histogram("latency_ms").count,
+                )
+
+            first = service.search(_query(k=5))
+            count, total, completed, waits, latencies = state()
+            assert total > 0  # the miss read pages
+            for _ in range(5):
+                assert service.search(_query(k=5)) == first
+            assert state() == (count + 5, total, completed + 5, waits, latencies)

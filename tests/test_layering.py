@@ -30,6 +30,9 @@ lattice, ``core/or_semantics.witness_max``, behind one ``OrBound``;
 each engine's OR cell model says only how a fetched keyword's documents
 are held.
 
+And a **cache-read census**: ``QueryService`` reads its result cache in
+one place, admission on the caller's thread; the lane only writes it.
+
 And a **layout census**: the 32-byte slot is described once, in
 ``storage/records.py`` (``exec/columns.RECORD_DTYPE`` restates it for
 numpy and asserts its itemsize), and ``core`` decodes a data page with
@@ -322,3 +325,34 @@ def test_the_or_lattice_is_written_once():
     assert {"prune", "upper_bound", "textual_bound"} <= classes["OrBound"]
     for model in ("ColumnOr", "OrSemantics"):
         assert not {"prune", "upper_bound", "textual_bound"} & classes[model], model
+
+
+def _cache_calls(func: ast.AST, methods: tuple) -> int:
+    """How many ``cache.<method>(...)`` / ``self.cache.<method>(...)``
+    calls a function makes."""
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in methods
+        and ast.unparse(node.func.value).rpartition(".")[2] == "cache"
+        for node in ast.walk(func)
+    )
+
+
+def test_the_result_cache_is_read_once_at_admission():
+    functions = {}  # "Class.method" or "function" -> node
+    for path in sorted((PACKAGE_ROOT / "service").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        functions[f"{node.name}.{method.name}"] = method
+    readers = [
+        name for name, func in functions.items()
+        if _cache_calls(func, ("get", "get_or_compute"))
+    ]
+    assert readers == ["QueryService._lookup"]
+    assert _cache_calls(functions["QueryService._answer"], ("put",)) == 1

@@ -107,12 +107,11 @@ class TestMetrics:
 
 class TestQueryResultCache:
     def test_read_through(self):
+        """A miss is computed by its caller and put; the next get hits."""
         cache = QueryResultCache(capacity=4)
-        calls = []
-        out = cache.get_or_compute("k", 0, lambda: calls.append(1) or [1, 2])
-        again = cache.get_or_compute("k", 0, lambda: calls.append(1) or [1, 2])
-        assert out == again == [1, 2]
-        assert len(calls) == 1
+        assert cache.get("k", 0) is None
+        cache.put("k", 0, [1, 2])
+        assert cache.get("k", 0) == [1, 2]
         assert cache.hits == 1 and cache.misses == 1
 
     def test_epoch_mismatch_invalidates(self):
