@@ -10,11 +10,30 @@ tenant gets rate-limited with a typed, retryable error carrying a
 That per-tenant isolation is the point of admission control: one
 noisy tenant sheds *its own* traffic, never its neighbours'.
 
+A last leg serves a time-sliced :class:`TemporalIndex` instead: the
+same places arrive over the wire as timestamped document records
+(``{"id", "x", "y", "terms", "ts"}``), and a recency query ranks the
+newest of them first.
+
 Run with:  python examples/network_search.py
 """
 
-from repro import QueryService, ServiceConfig, SpatialKeywordDatabase, TopKQuery
+from repro import (
+    UNIT_SQUARE,
+    QueryService,
+    ServiceConfig,
+    SpatialDocument,
+    SpatialKeywordDatabase,
+    TopKQuery,
+)
 from repro.net import Client, NetServer, NetServerConfig, QuotaExceeded, TenantDirectory
+from repro.temporal import (
+    RecencySpec,
+    TemporalConfig,
+    TemporalDocument,
+    TemporalIndex,
+    TemporalQuery,
+)
 
 PLACES = [
     ("Dragon Wok", 0.32, 0.28, "spicy sichuan chinese restaurant"),
@@ -108,6 +127,30 @@ def main() -> None:
         finally:
             server.close()
     print("server closed cleanly")
+    temporal_leg()
+
+
+def temporal_leg() -> None:
+    # ------------------------------------------------------------------
+    # 5. A temporal store fed over the wire: a document record carrying
+    #    "ts" becomes a TemporalDocument server-side.  One place opens
+    #    every ten minutes; the query halves a place's score for every
+    #    half hour of age at minute 100.
+    # ------------------------------------------------------------------
+    index = TemporalIndex(UNIT_SQUARE, TemporalConfig(slice_width=3600.0))
+    with QueryService(index) as service, NetServer(service) as server, \
+            Client(server.host, server.port) as client:
+        for doc_id, (name, x, y, text) in enumerate(PLACES):
+            doc = SpatialDocument(doc_id, x, y, dict.fromkeys(text.split(), 1.0))
+            client.insert(TemporalDocument(doc, 600.0 * doc_id))
+        query = TemporalQuery(
+            TopKQuery(0.45, 0.45, ("spicy", "restaurant"), k=3),
+            recency=RecencySpec(half_life=1800.0, origin=6000.0),
+        )
+        hits = [(PLACES[r.doc_id][0], round(r.score, 3))
+                for r in client.search(query)]
+    print(f"temporal store fed over the wire: {len(PLACES)} timestamped "
+          f"places; recency-weighted hits: {hits}")
 
 
 if __name__ == "__main__":

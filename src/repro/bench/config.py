@@ -64,11 +64,6 @@ class BenchProfile:
     update_operations: int = 400
     seed: int = 2013  # the paper's year; purely a reproducibility anchor
 
-    @property
-    def default_twitter(self) -> str:
-        """The dataset most experiments default to (the paper's choice)."""
-        return "Twitter5M"
-
 
 QUICK = BenchProfile(name="quick")
 

@@ -54,10 +54,6 @@ class BuiltIndex:
         """Total index bytes."""
         return sum(self.size_breakdown().values())
 
-    def io_snapshot(self) -> IOSnapshot:
-        """Current cumulative I/O of the index."""
-        return self.index.stats.snapshot()
-
 
 @dataclass
 class QueryRunMetrics:

@@ -12,9 +12,14 @@ Usage (also via ``python -m repro``):
     python -m repro serve    --index city.i3ix --port 7070 \
                              --tenants tenants.json
 
-Corpora are exchanged as JSON lines, one document per line:
+Corpora are exchanged as JSON lines, one document record per line:
 
     {"id": 7, "x": 0.41, "y": 0.63, "terms": {"spicy": 0.7, ...}}
+
+A timestamped corpus (``generate --scenario``, read by ``build
+--temporal-dir``) adds ``"ts": <seconds>`` to every record.  Lines are
+decoded by :func:`repro.model.document.document_from_record`, the wire's
+decoder; a bad line exits with its ``path:line``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,11 @@ from repro.core.index import I3Index
 from repro.core.persistence import load_index, save_index
 from repro.core.recovery import DurableIndex
 from repro.datasets.generators import TwitterLikeGenerator, WikipediaLikeGenerator
-from repro.model.document import SpatialDocument
+from repro.model.document import (
+    SpatialDocument,
+    document_from_record,
+    document_to_record,
+)
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
 from repro.spatial.geometry import Rect
@@ -41,10 +50,8 @@ def _write_corpus(
 ) -> int:
     count = 0
     for i, doc in enumerate(documents):
-        record = {"id": doc.doc_id, "x": doc.x, "y": doc.y, "terms": dict(doc.terms)}
-        if timestamps is not None:
-            record["ts"] = timestamps[i]
-        out.write(json.dumps(record) + "\n")
+        ts = None if timestamps is None else timestamps[i]
+        out.write(json.dumps(document_to_record(doc, ts)) + "\n")
         count += 1
     return count
 
@@ -60,16 +67,12 @@ def _read_corpus_records(path: str):
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                documents.append(
-                    SpatialDocument(
-                        record["id"], record["x"], record["y"], record["terms"]
-                    )
-                )
-                if "ts" in record:
-                    timestamps.append(float(record["ts"]))
-            except (KeyError, ValueError, TypeError) as exc:
+                doc, ts = document_from_record(json.loads(line))
+            except ValueError as exc:  # json.JSONDecodeError is one too
                 raise SystemExit(f"{path}:{line_no}: bad document record: {exc}")
+            documents.append(doc)
+            if ts is not None:
+                timestamps.append(ts)
     if timestamps and len(timestamps) != len(documents):
         raise SystemExit(
             f"{path}: {len(timestamps)} of {len(documents)} records carry a "
@@ -324,6 +327,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("shutting down...", file=sys.stderr)
         finally:
             server.close()
+            if service.temporal is not None:
+                # Writes to the hot slice live in memory until it seals.
+                service.checkpoint()
     return 0
 
 

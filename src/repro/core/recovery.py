@@ -40,7 +40,7 @@ from repro.core.index import I3Index
 from repro.core.persistence import read_index, write_index
 from repro.model.document import SpatialDocument
 from repro.storage.errors import WalCorruptionError
-from repro.storage.fs import OS_FILESYSTEM, FileSystem
+from repro.storage.fs import OS_FILESYSTEM, FileSystem, atomic_write
 from repro.storage.wal import (
     WAL_CHECKPOINT,
     WAL_DELETE,
@@ -59,10 +59,6 @@ __all__ = [
 
 _DOC_HEADER = struct.Struct("<QddH")  # doc_id, x, y, number of terms
 _TERM_FIXED = struct.Struct("<Hd")  # word length, weight
-
-_SNAPSHOT_CHUNK = 1 << 16
-"""Snapshot bytes written per file-write call; each chunk is one crash
-point for the fault-injection harness."""
 
 
 def encode_document(doc: SpatialDocument) -> bytes:
@@ -312,16 +308,7 @@ class DurableIndex:
         last_lsn = self._wal.last_lsn if self._wal is not None else 0
         buffer = io.BytesIO()
         write_index(self.index, buffer, last_lsn=last_lsn)
-        data = buffer.getvalue()
-        tmp = self._snapshot_path + ".tmp"
-        fh = self._fs.open(tmp, "wb")
-        try:
-            for start in range(0, len(data), _SNAPSHOT_CHUNK):
-                fh.write(data[start : start + _SNAPSHOT_CHUNK])
-            self._fs.fsync(fh)
-        finally:
-            fh.close()
-        self._fs.replace(tmp, self._snapshot_path)
+        atomic_write(self._fs, self._snapshot_path, buffer.getvalue())
         if self._wal is not None:
             self._wal.close()
         self._wal = WriteAheadLog.create(

@@ -101,8 +101,3 @@ class ZipfSampler:
         if not 0 <= rank < self.n:
             raise IndexError(f"rank {rank} out of range")
         return (1.0 / (rank + 1) ** self.s) / self._total
-
-    def expected_document_frequency(self, rank: int, num_documents: int, draws_per_doc: int) -> float:
-        """Expected number of documents containing the rank-th keyword."""
-        p_absent = (1.0 - self.probability(rank)) ** draws_per_doc
-        return num_documents * (1.0 - p_absent)

@@ -14,15 +14,27 @@ both records.  Coordinates are modelled as abstract ``(x, y)`` floats; the
 benchmark generators use the unit square, but nothing in the library
 assumes a particular extent — every index receives the data-space
 rectangle explicitly.
+
+It also holds the one JSON codec of a document, the record
+``{"id", "x", "y", "terms"[, "ts"]}`` (``ts`` is the temporal model's
+optional timestamp) that every boundary writes and reads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
-__all__ = ["SpatialDocument", "SpatialTuple"]
+__all__ = [
+    "SpatialDocument",
+    "SpatialTuple",
+    "document_from_record",
+    "document_to_record",
+    "json_int",
+    "json_number",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,3 +143,63 @@ def documents_from_tuples(tuples) -> Dict[int, SpatialDocument]:
         doc_id: SpatialDocument(doc_id, x, y, terms[doc_id])
         for doc_id, (x, y) in locations.items()
     }
+
+
+def json_int(value: Any, name: str) -> int:
+    """``value`` if it is a JSON integer, else :class:`ValueError`.
+
+    ``int()`` would run ``2.9`` as 2, ``true`` as 1 and ``"7"`` as 7,
+    and raise ``OverflowError`` on ``Infinity``; none of those is an
+    integer in a record.
+    """
+    if type(value) is not int:  # bool is an int subclass
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value: Any, name: str) -> float:
+    """``value`` as a float if it is a finite JSON number, else
+    :class:`ValueError`.
+
+    ``float()`` would run ``"0.5"`` as 0.5 and ``true`` as 1.0, and
+    Python's ``json`` reads the bare tokens ``NaN`` and ``Infinity``;
+    none of those is a number in a record.
+    """
+    # NaN fails the comparison; an integer too big for a float fails it
+    # without the OverflowError math.isfinite would raise.
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def document_to_record(doc: SpatialDocument, ts: Optional[float] = None) -> Dict:
+    """The JSON record of ``doc``, with ``ts`` when it is given."""
+    record = {"id": doc.doc_id, "x": doc.x, "y": doc.y, "terms": dict(doc.terms)}
+    if ts is not None:
+        record["ts"] = ts
+    return record
+
+
+def document_from_record(record: Any) -> Tuple[SpatialDocument, Optional[float]]:
+    """``(document, ts or None)`` of a record, or one :class:`ValueError`
+    naming the field: the id is a JSON integer, ``x``, ``y``, weights and
+    ``ts`` are finite JSON numbers, keywords are strings."""
+    if not isinstance(record, dict):
+        raise ValueError(f"document record must be an object, got {record!r}")
+    try:
+        doc_id, x, y, terms = (record[f] for f in ("id", "x", "y", "terms"))
+    except KeyError as exc:
+        raise ValueError(f"document {exc.args[0]} is missing") from None
+    if not isinstance(terms, dict) or not all(isinstance(w, str) for w in terms):
+        raise ValueError(
+            f"document terms must map string keywords to weights, got {terms!r}"
+        )
+    doc = SpatialDocument(
+        json_int(doc_id, "document id"),
+        json_number(x, "document x"),
+        json_number(y, "document y"),
+        {w: json_number(v, f"weight of {w!r}") for w, v in terms.items()},
+    )
+    if "ts" not in record:
+        return doc, None
+    return doc, json_number(record["ts"], "document ts")

@@ -26,7 +26,7 @@ import socket
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
-from repro.model.document import SpatialDocument
+from repro.model.document import SpatialDocument, document_to_record
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc
 from repro.net.errors import (
@@ -45,6 +45,7 @@ from repro.net.protocol import (
     read_frame,
     results_from_wire,
 )
+from repro.temporal.model import TemporalDocument
 
 __all__ = ["Client"]
 
@@ -329,17 +330,20 @@ class Client:
 
     def insert(
         self,
-        doc: Union[SpatialDocument, Dict],
+        doc: Union[SpatialDocument, TemporalDocument],
         deadline_ms: Optional[float] = None,
     ) -> int:
-        """Insert a document; returns the index epoch after the write."""
+        """Insert a document; returns the index epoch after the write.
+
+        A temporal backend needs a :class:`TemporalDocument` (its record
+        carries ``ts``); any other backend refuses one."""
         return self.call(
             "insert", {"doc": _doc_to_wire(doc)}, deadline_ms=deadline_ms
         )["epoch"]
 
     def delete(
         self,
-        doc: Union[SpatialDocument, Dict],
+        doc: Union[SpatialDocument, TemporalDocument],
         deadline_ms: Optional[float] = None,
     ) -> int:
         """Delete a document; returns the index epoch after the write."""
@@ -386,14 +390,7 @@ class Client:
         ]
 
 
-def _doc_to_wire(doc: Union[SpatialDocument, Dict]) -> Dict:
-    if isinstance(doc, SpatialDocument):
-        return {
-            "id": doc.doc_id,
-            "x": doc.x,
-            "y": doc.y,
-            "terms": dict(doc.terms),
-        }
-    if isinstance(doc, dict):
-        return doc
-    raise TypeError(f"expected SpatialDocument or dict, got {type(doc)!r}")
+def _doc_to_wire(doc: Union[SpatialDocument, TemporalDocument]) -> Dict:
+    if isinstance(doc, TemporalDocument):
+        return document_to_record(doc.doc, doc.timestamp)
+    return document_to_record(doc)

@@ -30,16 +30,15 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
 from typing import Callable, Dict, List, Optional
 
+from repro.model.document import json_int, json_number
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc
 from repro.net.errors import ConnectionLost, FrameTooLarge, ProtocolError
 from repro.temporal.model import RecencySpec, TemporalQuery, TimeRange
 
 __all__ = [
-    "FrameAssembler",
     "MAX_BATCH_QUERIES",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
@@ -57,8 +56,6 @@ __all__ = [
     "recv_exact",
     "results_from_wire",
     "results_to_wire",
-    "wire_int",
-    "wire_number",
 ]
 
 PROTOCOL_VERSION = 1
@@ -133,12 +130,10 @@ def read_frame(
     ``max_frame`` (without reading the body) and :class:`ConnectionLost`
     on EOF inside a frame.
     """
-    first = recv(HEADER_BYTES)
-    if not first:
+    header = recv(HEADER_BYTES)
+    if not header:
         return None
-    header = first
-    if len(header) < HEADER_BYTES:
-        header += recv_exact(recv, HEADER_BYTES - len(header))
+    header += recv_exact(recv, HEADER_BYTES - len(header))
     (length,) = _HEADER.unpack(header)
     if length > max_frame:
         raise FrameTooLarge(
@@ -146,43 +141,6 @@ def read_frame(
             announced=length,
         )
     return decode_payload(recv_exact(recv, length))
-
-
-class FrameAssembler:
-    """Incremental frame extraction for push-style transports.
-
-    The simulated network delivers bytes in arbitrary chunks; ``feed``
-    buffers them and returns every completed payload.  The same
-    size-limit contract applies: an oversized announcement raises
-    :class:`FrameTooLarge` immediately.
-    """
-
-    def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
-        self._buffer = bytearray()
-        self._max_frame = max_frame
-
-    def feed(self, data: bytes) -> List[Dict]:
-        self._buffer.extend(data)
-        payloads: List[Dict] = []
-        while len(self._buffer) >= HEADER_BYTES:
-            (length,) = _HEADER.unpack(self._buffer[:HEADER_BYTES])
-            if length > self._max_frame:
-                raise FrameTooLarge(
-                    f"peer announced a {length}-byte frame, "
-                    f"limit {self._max_frame}",
-                    announced=length,
-                )
-            if len(self._buffer) < HEADER_BYTES + length:
-                break
-            body = bytes(self._buffer[HEADER_BYTES:HEADER_BYTES + length])
-            del self._buffer[:HEADER_BYTES + length]
-            payloads.append(decode_payload(body))
-        return payloads
-
-    @property
-    def pending_bytes(self) -> int:
-        """Buffered bytes not yet forming a complete frame."""
-        return len(self._buffer)
 
 
 # ---------------------------------------------------------------------------
@@ -224,105 +182,51 @@ def query_to_args(query) -> Dict:
     return args
 
 
-def _time_range_from_args(raw) -> TimeRange:
-    if not isinstance(raw, list) or len(raw) != 2:
-        raise ProtocolError("time_range must be a [start, end] number pair")
-    try:
-        return TimeRange(
-            wire_number(raw[0], "time_range start"),
-            wire_number(raw[1], "time_range end"),
-        )
-    except ValueError as exc:  # empty interval
-        raise ProtocolError(str(exc)) from None
-
-
-def _recency_from_args(raw) -> RecencySpec:
-    if not isinstance(raw, dict):
-        raise ProtocolError("recency must be an object")
-    try:
-        half_life = wire_number(raw["half_life"], "half_life")
-        origin = wire_number(raw["origin"], "origin")
-    except KeyError as exc:
-        raise ProtocolError(f"malformed recency spec: {exc}") from None
-    try:
-        return RecencySpec(half_life, origin)
-    except ValueError as exc:  # non-positive half-life
-        raise ProtocolError(str(exc)) from None
-
-
-def wire_int(value, name: str) -> int:
-    """``value`` if it is a JSON integer, else :class:`ProtocolError`.
-
-    ``int()`` would run ``2.9`` as 2, ``true`` as 1 and ``"7"`` as 7,
-    and raise ``OverflowError`` on ``Infinity``; none of those is an
-    integer on the wire.
-    """
-    if type(value) is not int:  # bool is an int subclass
-        raise ProtocolError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def wire_number(value, name: str) -> float:
-    """``value`` as a float if it is a finite JSON number, else
-    :class:`ProtocolError`.
-
-    ``float()`` would run ``"0.5"`` as 0.5 and ``true`` as 1.0, and
-    Python's ``json`` reads the bare tokens ``NaN`` and ``Infinity``;
-    none of those is a number on the wire.
-    """
-    # NaN fails the comparison; an integer too big for a float fails it
-    # without the OverflowError math.isfinite would raise.
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ProtocolError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def query_from_args(args: Dict):
     """Parse and validate a wire query; schema violations raise
     :class:`ProtocolError` (mapped to ``bad_request`` on the wire).
 
     Returns a :class:`TopKQuery`, or a :class:`TemporalQuery` when the
-    args carry a ``time_range`` and/or ``recency`` field.
+    args carry a ``time_range`` and/or ``recency`` field.  Numbers obey
+    the record rule of :func:`~repro.model.document.json_number`.
     """
     if not isinstance(args, dict):
         raise ProtocolError("query args must be an object")
-    try:
-        x = wire_number(args["x"], "x")
-        y = wire_number(args["y"], "y")
-        words = args["words"]
-        k = wire_int(args.get("k", 10), "k")
-        semantics = str(args.get("semantics", "or"))
-    except KeyError as exc:
-        raise ProtocolError(f"malformed query args: {exc}") from None
-    if not isinstance(words, list) or not all(
-        isinstance(w, str) for w in words
-    ):
+    words, semantics = args.get("words"), args.get("semantics", "or")
+    span, recency = args.get("time_range"), args.get("recency")
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise ProtocolError("query words must be a list of strings")
     if semantics not in ("and", "or"):
         raise ProtocolError(f"unknown semantics {semantics!r}")
+    if span is not None and not (isinstance(span, list) and len(span) == 2):
+        raise ProtocolError("time_range must be a [start, end] number pair")
+    if recency is not None and not isinstance(recency, dict):
+        raise ProtocolError("recency must be an object")
     try:
         base = TopKQuery(
-            x,
-            y,
+            json_number(args["x"], "x"),
+            json_number(args["y"], "y"),
             tuple(words),
-            k=k,
+            k=json_int(args.get("k", 10), "k"),
             semantics=Semantics.AND if semantics == "and" else Semantics.OR,
         )
-    except ValueError as exc:  # empty words, k <= 0
+        if span is not None:
+            span = TimeRange(
+                json_number(span[0], "time_range start"),
+                json_number(span[1], "time_range end"),
+            )
+        if recency is not None:
+            recency = RecencySpec(
+                json_number(recency["half_life"], "half_life"),
+                json_number(recency["origin"], "origin"),
+            )
+    except KeyError as exc:
+        raise ProtocolError(f"malformed query args: missing {exc}") from None
+    except ValueError as exc:  # a bad number, empty words, k <= 0, ...
         raise ProtocolError(str(exc)) from None
-    time_range = (
-        _time_range_from_args(args["time_range"])
-        if args.get("time_range") is not None
-        else None
-    )
-    recency = (
-        _recency_from_args(args["recency"])
-        if args.get("recency") is not None
-        else None
-    )
-    if time_range is None and recency is None:
+    if span is None and recency is None:
         return base
-    return TemporalQuery(base, time_range, recency)
+    return TemporalQuery(base, span, recency)
 
 
 def queries_to_args(queries) -> Dict:
@@ -403,7 +307,10 @@ def results_from_wire(pairs) -> List[ScoredDoc]:
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ProtocolError(f"malformed result pair: {pair!r}")
-        decoded.append(
-            ScoredDoc(wire_number(pair[1], "score"), wire_int(pair[0], "doc id"))
-        )
+        try:
+            score = json_number(pair[1], "score")
+            doc_id = json_int(pair[0], "doc id")
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
+        decoded.append(ScoredDoc(score, doc_id))
     return decoded

@@ -10,9 +10,9 @@ hard frame-size limit, per-frame read timeouts, and graceful shutdown
 The request logic itself lives in :class:`ConnectionCore`, which is
 **transport-agnostic**: the real server feeds it frames read from
 sockets, and the deterministic simulation (:mod:`repro.net.sim`) feeds
-it the same frames through an in-memory fault-injecting transport — so
-the exact code the production wire runs is what the seeded fuzzer
-exercises.
+it the same frames, parsed by the same ``read_frame``, through an
+in-memory fault-injecting transport — so the exact code the production
+wire runs, framing included, is what the seeded fuzzer exercises.
 
 Every request is authenticated against the
 :class:`~repro.net.tenants.TenantDirectory` and admitted through the
@@ -35,8 +35,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
-from repro.model.document import SpatialDocument
-from repro.temporal.model import TemporalQuery
+from repro.model.document import SpatialDocument, document_from_record, json_number
+from repro.temporal.model import TemporalDocument, TemporalQuery
 from repro.net.errors import (
     DeadlineExceeded,
     FrameTooLarge,
@@ -59,8 +59,6 @@ from repro.net.protocol import (
     query_from_args,
     read_frame,
     results_to_wire,
-    wire_int,
-    wire_number,
 )
 from repro.net.tenants import (
     REJECT_QUOTA,
@@ -154,7 +152,8 @@ class Backend(Protocol):
         would return it, or (``return_exceptions=True``) the exception
         it raised — a failed slot never discards its batch-mates."""
 
-    def insert(self, doc: SpatialDocument) -> Any: ...
+    def insert(self, doc: SpatialDocument) -> Any:
+        """A temporal backend takes a ``TemporalDocument`` instead."""
 
     def delete(self, doc: SpatialDocument) -> Any: ...
 
@@ -183,21 +182,10 @@ def _outcome(slot: Any) -> Any:
     return list(slot.results)
 
 
-def _doc_from_args(args: Dict) -> SpatialDocument:
-    if not isinstance(args, dict) or not isinstance(args.get("doc"), dict):
-        raise ProtocolError('mutation args must carry a "doc" object')
-    record = args["doc"]
+def _doc_from_args(args: Any) -> Tuple[SpatialDocument, Optional[float]]:
     try:
-        return SpatialDocument(
-            wire_int(record["id"], "document id"),
-            wire_number(record["x"], "document x"),
-            wire_number(record["y"], "document y"),
-            {
-                str(w): wire_number(v, "term weight")
-                for w, v in record["terms"].items()
-            },
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        return document_from_record(args.get("doc") if isinstance(args, dict) else None)
+    except ValueError as exc:
         raise ProtocolError(f"malformed document: {exc}") from None
 
 
@@ -324,7 +312,10 @@ class ConnectionCore:
         if deadline_ms is None:
             return None
         # "None" is spelled by leaving the field out.
-        remaining = wire_number(deadline_ms, "deadline_ms") / 1000.0
+        try:
+            remaining = json_number(deadline_ms, "deadline_ms") / 1000.0
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
         if remaining <= 0:
             raise DeadlineExceeded(
                 "request arrived with its deadline already expired"
@@ -385,7 +376,17 @@ class ConnectionCore:
                     raise Unauthorized(
                         f"tenant {tenant.quota.name!r} is read-only"
                     )
-                doc = _doc_from_args(args)
+                doc, ts = _doc_from_args(args)
+                if ts is not None:
+                    if server.backend.temporal is None:
+                        raise ProtocolError(
+                            "a document ts requires a temporal-index backend"
+                        )
+                    doc = TemporalDocument(doc, ts)
+                elif op == "insert" and server.backend.temporal is not None:
+                    raise ProtocolError(
+                        "an insert into a temporal-index backend needs a document ts"
+                    )
                 if op == "insert":
                     server.backend.insert(doc)
                 else:
@@ -398,7 +399,10 @@ class ConnectionCore:
                         "standing queries must be plain top-k (results age "
                         "out via retention, not via a per-query time range)"
                     )
-                alpha = wire_number(args.get("alpha", 0.5), "alpha")
+                try:
+                    alpha = json_number(args.get("alpha", 0.5), "alpha")
+                except ValueError as exc:
+                    raise ProtocolError(str(exc)) from None
                 if not 0 <= alpha <= 1:
                     raise ProtocolError(f"alpha must be in [0, 1], got {alpha!r}")
                 qid = server.backend.streams().register(

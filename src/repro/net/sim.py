@@ -39,6 +39,7 @@ can fuzz degraded answers and deadline slices under virtual time.
 
 from __future__ import annotations
 
+import io
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -54,7 +55,7 @@ from repro.cluster.replica import ReplicaFault, ShardReplica
 from repro.cluster.service import ShardChannel
 from repro.net.client import Client
 from repro.net.errors import ConnectionLost
-from repro.net.protocol import MAX_FRAME_BYTES, FrameAssembler, encode_frame
+from repro.net.protocol import MAX_FRAME_BYTES, encode_frame, read_frame
 from repro.net.server import ConnectionCore
 from repro.net.tenants import TenantDirectory
 from repro.service.metrics import MetricsRegistry
@@ -114,7 +115,10 @@ class SimTransport:
     """One in-memory connection: client bytes in, response bytes out.
 
     Implements the client transport contract (``sendall`` / ``recv`` /
-    ``close``).  Requests are answered synchronously — by the time
+    ``close``).  ``sendall`` carries whole frames, as :class:`Client`
+    always sends them, and the server side parses them with
+    :func:`~repro.net.protocol.read_frame`, the parser of the TCP
+    server.  Requests are answered synchronously — by the time
     ``sendall`` returns, the full response (or its scripted mutilation)
     sits in the read buffer.
     """
@@ -125,7 +129,6 @@ class SimTransport:
         self._server = server
         self._fault = fault
         self._core = ConnectionCore(server)
-        self._assembler = FrameAssembler(server.max_frame)
         self._buffer = bytearray()
         self._broken = False
         self._closed = False
@@ -138,7 +141,8 @@ class SimTransport:
             # never executed, so a retry is trivially safe.
             self._broken = True
             raise ConnectionResetError("simulated reset before send")
-        for payload in self._assembler.feed(data):
+        read = io.BytesIO(data).read
+        while (payload := read_frame(read, self._server.max_frame)) is not None:
             if self._fault == "delay":
                 self._server.clock.advance(_DELAY_S)
             response = encode_frame(

@@ -96,11 +96,13 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.partition import HashPartitioner
 from repro.cluster.service import ClusterConfig, ClusterService
+from repro.net.protocol import query_from_args
 from repro.net.sim import SimNetServer, SimShardChannel, sim_client
 from repro.net.tenants import TenantDirectory
 from repro.planner import QueryLogRecorder, WorkloadModel, WorkloadPartitioner
 from repro.core.index import I3Index
 from repro.core.recovery import DurableIndex
+from repro.model.document import document_from_record
 from repro.model.query import TopKQuery
 from repro.model.scoring import Ranker
 from repro.service.cache import QueryResultCache
@@ -109,20 +111,10 @@ from repro.simtest.clock import SimClock, SimScheduler
 from repro.simtest.oracle import InvariantViolation, ModelOracle, result_pairs
 from repro.simtest.simfs import SimFileSystem, SimulatedCrash
 from repro.simtest.trace import shrink_trace, trace_hash
-from repro.simtest.workload import (
-    doc_from_dict,
-    generate_trace,
-    query_from_dict,
-)
+from repro.simtest.workload import generate_trace
 from repro.spatial.geometry import UNIT_SQUARE
 from repro.temporal.index import TemporalConfig, TemporalIndex
-from repro.temporal.model import (
-    RecencySpec,
-    TemporalDocument,
-    TemporalQuery,
-    TimeRange,
-    slice_span,
-)
+from repro.temporal.model import TemporalDocument, slice_span
 from repro.temporal.oracle import NaiveTemporalIndex
 
 __all__ = ["BUGS", "SimFailure", "SimReport", "run_seed", "run_trace", "shrink_failure"]
@@ -257,7 +249,9 @@ class _Simulation:
         self.events: List[Dict] = []
         self._mutations = 0
         self._epoch_watermark = 0
-        initial = [doc_from_dict(d) for d in trace["config"]["initial_docs"]]
+        initial = [
+            document_from_record(d)[0] for d in trace["config"]["initial_docs"]
+        ]
         self.oracle = ModelOracle(self.space, alpha=0.5, initial_docs=initial)
         if trace["mode"] == "single":
             self._setup_single(initial)
@@ -376,7 +370,7 @@ class _Simulation:
         for rec in sorted(
             tcfg["initial"], key=lambda r: (r["ts"], r["doc"]["id"])
         ):
-            tdoc = TemporalDocument(doc_from_dict(rec["doc"]), rec["ts"])
+            tdoc = TemporalDocument(document_from_record(rec["doc"])[0], rec["ts"])
             self.temporal.insert(tdoc)
             self.toracle.insert(tdoc)
         if self.bug == "stale-slice":
@@ -589,7 +583,7 @@ class _Simulation:
     def _do_mutation(self, step: Dict) -> None:
         op = step["op"]
         if op == "insert":
-            doc = doc_from_dict(step["doc"])
+            doc = document_from_record(step["doc"])[0]
             if self.oracle.get(doc.doc_id) is not None:
                 return  # duplicate id (possible in shrunk traces): skip
             self._mutate("insert", doc)
@@ -602,7 +596,7 @@ class _Simulation:
             old = self.oracle.get(step["doc_id"])
             if old is None:
                 return
-            self._mutate("update", old, doc_from_dict(step["new"]))
+            self._mutate("update", old, document_from_record(step["new"])[0])
 
     def _mutate(self, kind: str, doc, new=None) -> None:
         self._mutations += 1
@@ -640,7 +634,7 @@ class _Simulation:
             self.oracle.apply_update(doc, new, epoch)
 
     def _do_query(self, step: Dict) -> None:
-        query = query_from_dict(step["query"])
+        query = query_from_args(step["query"])
         got = result_pairs(self.service.search(query))
         expected = self.oracle.topk_pairs(query)
         if got != expected:
@@ -664,7 +658,7 @@ class _Simulation:
         self.events.append({"op": "query", "results": got})
 
     def _do_query_many(self, step: Dict) -> None:
-        queries = [query_from_dict(q) for q in step["queries"]]
+        queries = [query_from_args(q) for q in step["queries"]]
         answers = self.service.search_many(queries)
         got = [result_pairs(r) for r in answers]
         expected = [self.oracle.topk_pairs(q) for q in queries]
@@ -740,7 +734,7 @@ class _Simulation:
                 )
 
     def _do_net_query(self, step: Dict) -> None:
-        query = query_from_dict(step["query"])
+        query = query_from_args(step["query"])
         faults = list(step.get("faults", ()))
         client = sim_client(self.net, key="sim-key", faults=faults)
         try:
@@ -780,7 +774,7 @@ class _Simulation:
             )
         reference = self.oracle.state_at(recovered)
         for probe in step["probes"]:
-            query = query_from_dict(probe)
+            query = query_from_args(probe)
             got = result_pairs(self.service.search(query))
             expected = result_pairs(reference.query(query, self.ranker))
             if got != expected:
@@ -808,7 +802,7 @@ class _Simulation:
 
     def _do_register(self, step: Dict) -> None:
         name = step["sub"]
-        query = query_from_dict(step["query"])
+        query = query_from_args(step["query"])
         qid = self.streams.register(self.subs[name], query, alpha=step["alpha"])
         self.owned[name][qid] = (query, step["alpha"])
 
@@ -844,20 +838,10 @@ class _Simulation:
     # ------------------------------------------------------------------
     # Temporal handlers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _temporal_query(d: Dict) -> TemporalQuery:
-        tr = d.get("time_range")
-        rc = d.get("recency")
-        return TemporalQuery(
-            query_from_dict(d["query"]),
-            TimeRange(tr[0], tr[1]) if tr is not None else None,
-            RecencySpec(rc["half_life"], rc["origin"]) if rc is not None else None,
-        )
-
     def _do_t_insert(self, step: Dict) -> None:
         if self.temporal is None:
             return
-        doc = doc_from_dict(step["doc"])
+        doc = document_from_record(step["doc"])[0]
         ts = step["ts"]
         if self.temporal.get(doc.doc_id) is not None:
             return  # duplicate id (possible in shrunk traces): skip
@@ -881,7 +865,11 @@ class _Simulation:
     def _do_t_query(self, step: Dict) -> None:
         if self.temporal is None:
             return
-        tq = self._temporal_query(step)
+        tq = query_from_args({
+            **step["query"],
+            "time_range": step.get("time_range"),
+            "recency": step.get("recency"),
+        })
         got = result_pairs(self.temporal.query(tq, self.ranker))
         expected = result_pairs(self.toracle.query(tq, self.ranker))
         if got != expected:
@@ -927,7 +915,11 @@ class _Simulation:
                     f"pass with horizon {cutoff}",
                 )
         # (2) Observable: no expired document may ever be served again.
-        probe = self._temporal_query(step["probe"])
+        probe = query_from_args({
+            **step["probe"]["query"],
+            "time_range": step["probe"].get("time_range"),
+            "recency": step["probe"].get("recency"),
+        })
         served = result_pairs(self.temporal.query(probe, self.ranker))
         stale = sorted(p[0] for p in served if p[0] in self.t_expired)
         if stale:
@@ -966,7 +958,7 @@ class _Simulation:
 
     def _do_cluster_mutation(self, step: Dict) -> None:
         if step["op"] == "insert":
-            doc = doc_from_dict(step["doc"])
+            doc = document_from_record(step["doc"])[0]
             if self.oracle.get(doc.doc_id) is not None:
                 return
             self.cluster.insert(doc)
@@ -979,7 +971,7 @@ class _Simulation:
             self.oracle.apply_delete(doc)
 
     def _search_and_check(self, query_dict: Dict, context: str) -> None:
-        query = query_from_dict(query_dict)
+        query = query_from_args(query_dict)
         answer = self.cluster.search(query)
         if answer.degraded:
             raise InvariantViolation(
@@ -1003,7 +995,7 @@ class _Simulation:
     def _do_chaos_search(self, step: Dict) -> None:
         """One search under an armed shard-fault plan, checked against
         the degraded-correctness and scatter-no-hang invariants."""
-        query = query_from_dict(step["query"])
+        query = query_from_args(step["query"])
         plan = step.get("plan", {})
         self.channel.set_plan(
             plan.get("scripts"), plan.get("partition", ())
@@ -1053,7 +1045,7 @@ class _Simulation:
         })
 
     def _do_search_many(self, step: Dict) -> None:
-        queries = [query_from_dict(q) for q in step["queries"]]
+        queries = [query_from_args(q) for q in step["queries"]]
         answers = self.cluster.search_many(queries)
         batch_results = []
         for i, (query, answer) in enumerate(zip(queries, answers)):
@@ -1078,7 +1070,7 @@ class _Simulation:
         """Learn a workload partitioner from the recorded traffic, swap
         the live cluster onto it mid-churn, and prove no answer moved
         (the planner-equivalence invariant)."""
-        probes = [query_from_dict(p) for p in step["probes"]]
+        probes = [query_from_args(p) for p in step["probes"]]
         before = [
             result_pairs(self.cluster.search(p).results) for p in probes
         ]

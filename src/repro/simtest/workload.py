@@ -24,17 +24,10 @@ import math
 import random
 from typing import Dict, List, Optional, Set
 
-from repro.model.document import SpatialDocument
-from repro.model.query import Semantics, TopKQuery
+from repro.model.document import SpatialDocument, document_to_record
 from repro.storage.records import f32
 
-__all__ = [
-    "VOCAB",
-    "doc_from_dict",
-    "doc_to_dict",
-    "generate_trace",
-    "query_from_dict",
-]
+__all__ = ["VOCAB", "generate_trace"]
 
 # A compact vocabulary keeps keyword overlap high, so AND queries match,
 # signatures saturate, and deletes actually shrink posting lists.
@@ -48,47 +41,22 @@ _CLUSTER_FRACTION = 0.25  # of seeds run the sharded-cluster workload
 
 
 # ---------------------------------------------------------------------------
-# JSON <-> model conversions (traces hold only plain JSON values)
-# ---------------------------------------------------------------------------
-def doc_to_dict(doc: SpatialDocument) -> Dict:
-    return {
-        "id": doc.doc_id,
-        "x": doc.x,
-        "y": doc.y,
-        "terms": {w: doc.terms[w] for w in sorted(doc.terms)},
-    }
-
-
-def doc_from_dict(d: Dict) -> SpatialDocument:
-    return SpatialDocument(
-        doc_id=d["id"], x=d["x"], y=d["y"], terms=dict(d["terms"])
-    )
-
-
-def query_from_dict(q: Dict) -> TopKQuery:
-    return TopKQuery(
-        x=q["x"],
-        y=q["y"],
-        words=tuple(q["words"]),
-        k=q["k"],
-        semantics=Semantics.AND if q["semantics"] == "and" else Semantics.OR,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Random pieces
 # ---------------------------------------------------------------------------
 def _rand_doc(rng: random.Random, doc_id: int) -> Dict:
     n_terms = rng.randint(1, 4)
     words = rng.sample(VOCAB, n_terms)
-    return {
-        "id": doc_id,
-        "x": round(rng.random(), 6),
-        "y": round(rng.random(), 6),
-        # f32 quantisation makes naive and I3 scores bit-identical (both
-        # sides round-trip term weights through the page codec's float32).
-        "terms": {w: f32(round(rng.uniform(0.1, 1.0), 3)) for w in sorted(words)},
-    }
+    return document_to_record(
+        SpatialDocument(
+            doc_id,
+            round(rng.random(), 6),
+            round(rng.random(), 6),
+            # f32 quantisation makes naive and I3 scores bit-identical
+            # (both sides round-trip term weights through the page
+            # codec's float32).
+            {w: f32(round(rng.uniform(0.1, 1.0), 3)) for w in sorted(words)},
+        )
+    )
 
 
 def _rand_query(rng: random.Random) -> Dict:

@@ -82,11 +82,6 @@ class RNode:
         return max((e.agg for e in self.entries), default=0.0)
 
 
-def _node_bytes(node: RNode) -> int:
-    """Serialised size estimate used for page-capacity checks."""
-    return NODE_HEADER_BYTES + len(node.entries) * ENTRY_BYTES
-
-
 def _enlargement(mbr: Rect, other: Rect) -> float:
     """Area growth of ``mbr`` to also cover ``other``.
 

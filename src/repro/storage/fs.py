@@ -22,7 +22,9 @@ from __future__ import annotations
 import os
 from typing import BinaryIO
 
-__all__ = ["FileSystem", "OS_FILESYSTEM"]
+__all__ = ["FileSystem", "OS_FILESYSTEM", "atomic_write"]
+
+_CHUNK = 1 << 16  # bytes per write call: each one is a crash point
 
 
 class FileSystem:
@@ -62,3 +64,14 @@ class FileSystem:
 
 OS_FILESYSTEM = FileSystem()
 """Shared default instance (the filesystem is stateless)."""
+
+
+def atomic_write(fs: FileSystem, path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data``: temp file, fsync, rename.  A crash
+    at any point leaves either the old file or the new one."""
+    tmp = path + ".tmp"
+    with fs.open(tmp, "wb") as fh:
+        for start in range(0, len(data), _CHUNK):
+            fh.write(data[start : start + _CHUNK])
+        fs.fsync(fh)
+    fs.replace(tmp, path)

@@ -287,15 +287,6 @@ class WriteAheadLog:
         self._maybe_sync()
         return lsn
 
-    def append_checkpoint(self, snapshot_lsn: int, snapshot_epoch: int) -> None:
-        """Append a checkpoint marker (does not advance the LSN)."""
-        self._append_frame(
-            WAL_CHECKPOINT,
-            snapshot_lsn,
-            _CHECKPOINT_BODY.pack(snapshot_lsn, snapshot_epoch),
-        )
-        self.sync()
-
     def _append_frame(self, rec_type: int, lsn: int, body: bytes) -> None:
         payload = _PREFIX.pack(rec_type, lsn) + body
         if len(payload) > MAX_RECORD_BYTES:

@@ -38,18 +38,25 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.index import I3Index, MutationEvent
 from repro.core.persistence import read_index, write_index
 from repro.exec import resolve_engine
-from repro.model.document import SpatialDocument
+from repro.model.document import (
+    SpatialDocument,
+    document_from_record,
+    document_to_record,
+    json_int,
+    json_number,
+)
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc, TopKCollector
 from repro.model.scoring import Ranker
 from repro.spatial.geometry import Rect
-from repro.storage.fs import OS_FILESYSTEM, FileSystem
+from repro.storage.errors import CorruptionError
+from repro.storage.fs import OS_FILESYSTEM, FileSystem, atomic_write
 from repro.storage.iostats import IOStats
 from repro.temporal.model import (
     TemporalDocument,
@@ -64,6 +71,31 @@ __all__ = ["TemporalConfig", "TemporalIndex", "TimeSlice"]
 MANIFEST_NAME = "slices.json"
 META_NAME = "meta.json"
 SNAPSHOT_NAME = "snapshot.i3ix"
+
+
+@contextlib.contextmanager
+def _decoding(fs: FileSystem, path: str):
+    """Yield the JSON object at ``path``; a damaged file, or a field the
+    block finds missing or ill-typed, is a :class:`CorruptionError`
+    naming the file and the field."""
+    try:
+        with fs.open(path, "rb") as fh:
+            yield _typed(json.loads(fh.read()), dict, "the file")
+    except KeyError as exc:
+        raise CorruptionError(f"{path}: missing field {exc}") from None
+    except ValueError as exc:  # JSON syntax, field type or field value
+        raise CorruptionError(f"{path}: {exc}") from None
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` if it is a ``kind``, else :class:`ValueError`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _number_or_none(value, name: str) -> Optional[float]:
+    return None if value is None else json_number(value, name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,20 +293,29 @@ class TemporalIndex:
             raise FileNotFoundError(
                 f"{durable_root} is not a temporal index (missing {MANIFEST_NAME})"
             )
-        with fs.open(manifest_path, "rb") as fh:
-            manifest = json.loads(fh.read().decode("utf-8"))
-        cfg = manifest["config"]
-        config = TemporalConfig(
-            **{f.name: cfg[f.name] for f in fields(TemporalConfig)}
-        )
-        space = Rect(*manifest["space"])
+        with _decoding(fs, manifest_path) as manifest:
+            cfg = _typed(manifest["config"], dict, "config")
+            config = TemporalConfig(
+                slice_width=json_number(cfg["slice_width"], "config.slice_width"),
+                retention_age=_number_or_none(
+                    cfg["retention_age"], "config.retention_age"
+                ),
+                page_size=json_int(cfg["page_size"], "config.page_size"),
+                eta=json_int(cfg["eta"], "config.eta"),
+            )
+            bounds = _typed(manifest["space"], list, "space")
+            if len(bounds) != 4:
+                raise ValueError(f"space must hold 4 numbers, got {bounds!r}")
+            space = Rect(*(json_number(v, "space") for v in bounds))
+            slices = _typed(manifest["slices"], list, "slices")
+            slice_ids = [json_int(sid, "slices") for sid in slices]
+            watermark = _number_or_none(manifest["watermark"], "watermark")
         index = cls(
             space, config, durable_root=durable_root, fs=fs, stats=stats
         )
-        for sid in manifest["slices"]:
-            index._open_slice(int(sid))
-        stored = manifest["watermark"]
-        index.watermark = -math.inf if stored is None else stored
+        for sid in slice_ids:
+            index._open_slice(sid)
+        index.watermark = -math.inf if watermark is None else watermark
         for s in index._slices.values():
             if s.docs and s.max_ts > index.watermark:
                 index.watermark = s.max_ts
@@ -328,15 +369,11 @@ class TemporalIndex:
         self._emit(MutationEvent("insert", self.epoch, tdoc.doc))
         self._refresh_gauges()
 
-    def insert_document(self, doc: Union[TemporalDocument, SpatialDocument], ts: Optional[float] = None) -> None:
-        """``I3Index``-shaped insert.  A plain :class:`SpatialDocument`
-        needs ``ts``; a :class:`TemporalDocument` carries its own."""
-        if isinstance(doc, TemporalDocument):
-            self.insert(doc)
-        else:
-            if ts is None:
-                raise ValueError("plain SpatialDocument insert needs ts=")
-            self.insert(TemporalDocument(doc, ts))
+    def insert_document(self, tdoc: TemporalDocument) -> None:
+        """``I3Index``-shaped insert; a plain document has no timestamp."""
+        if not isinstance(tdoc, TemporalDocument):
+            raise ValueError(f"expected a TemporalDocument, got {tdoc!r}")
+        self.insert(tdoc)
 
     def delete_document(self, ref: Union[TemporalDocument, SpatialDocument, int]) -> bool:
         """Delete by id (or by any document object carrying one)."""
@@ -678,16 +715,7 @@ class TemporalIndex:
             "slice_id": s.slice_id,
             "sealed": s.sealed,
             "lsn": s.lsn,
-            "docs": [
-                {
-                    "id": t.doc_id,
-                    "x": t.doc.x,
-                    "y": t.doc.y,
-                    "terms": dict(t.doc.terms),
-                    "ts": t.timestamp,
-                }
-                for t in docs
-            ],
+            "docs": [document_to_record(t.doc, t.timestamp) for t in docs],
         }
         self._atomic_json(
             os.path.join(self._slice_dir(s.slice_id), META_NAME), meta
@@ -696,7 +724,8 @@ class TemporalIndex:
     def _write_snapshot(self, s: TimeSlice) -> None:
         buffer = io.BytesIO()
         write_index(s.index, buffer, last_lsn=s.lsn)
-        self._atomic_write(
+        atomic_write(
+            self.fs,
             os.path.join(self._slice_dir(s.slice_id), SNAPSHOT_NAME),
             buffer.getvalue(),
         )
@@ -716,17 +745,11 @@ class TemporalIndex:
         )
 
     def _atomic_json(self, path: str, payload: Dict) -> None:
-        self._atomic_write(
-            path, json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        atomic_write(
+            self.fs,
+            path,
+            json.dumps(payload, separators=(",", ":")).encode("utf-8"),
         )
-
-    def _atomic_write(self, path: str, data: bytes) -> None:
-        tmp = path + ".tmp"
-        with self.fs.open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            self.fs.fsync(fh)
-        self.fs.replace(tmp, path)
 
     def _remove_slice_files(self, sid: int) -> None:
         directory = self._slice_dir(sid)
@@ -740,30 +763,34 @@ class TemporalIndex:
 
     def _open_slice(self, sid: int) -> None:
         directory = self._slice_dir(sid)
-        with self.fs.open(os.path.join(directory, META_NAME), "rb") as fh:
-            meta = json.loads(fh.read().decode("utf-8"))
+        meta_path = os.path.join(directory, META_NAME)
+        tdocs = []
+        with _decoding(self.fs, meta_path) as meta:
+            lsn = json_int(meta["lsn"], "lsn")
+            sealed = _typed(meta["sealed"], bool, "sealed")
+            for record in _typed(meta["docs"], list, "docs"):
+                doc, ts = document_from_record(record)
+                if ts is None:
+                    raise ValueError(f"document ts is missing (id {doc.doc_id})")
+                tdocs.append(TemporalDocument(doc, ts))
         cached = None
         snapshot = os.path.join(directory, SNAPSHOT_NAME)
         if self.fs.exists(snapshot):
             with self.fs.open(snapshot, "rb") as fh:
                 cached, stamp = read_index(fh, stats=self.stats)
-            if stamp.last_lsn != meta["lsn"]:
+            if stamp.last_lsn != lsn:
                 cached = None  # the log ran past its cache: rebuild
         if cached is None:
             s = self._make_slice(sid)
         else:
             s = TimeSlice(sid, self.config.slice_width, cached)
-        for rec in meta["docs"]:
-            tdoc = TemporalDocument(
-                SpatialDocument(rec["id"], rec["x"], rec["y"], rec["terms"]),
-                rec["ts"],
-            )
+        for tdoc in tdocs:
             if cached is None:
                 s.index.insert_document(tdoc.doc)
             s.track(tdoc)
-        s.sealed = bool(meta["sealed"])
+        s.sealed = sealed
         s.persisted = True
-        s.lsn = meta["lsn"]
+        s.lsn = lsn
         self._slices[sid] = s
         self.num_documents += len(s.docs)
         if cached is None:

@@ -18,7 +18,7 @@ consumes the resulting weights opaquely.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Sequence
 
 from repro.text.vocabulary import Vocabulary
 
@@ -59,12 +59,3 @@ class TfIdfWeigher:
         if top <= 0.0:
             return {w: 0.0 for w in raw}
         return {w: v / top for w, v in raw.items()}
-
-    @staticmethod
-    def register_corpus(
-        vocabulary: Vocabulary, token_lists: Iterable[Sequence[str]]
-    ) -> None:
-        """Register many documents' tokens into the vocabulary first, so
-        idf values reflect the whole corpus before any weighing."""
-        for tokens in token_lists:
-            vocabulary.add_document(tokens)

@@ -327,6 +327,51 @@ def test_the_or_lattice_is_written_once():
         assert not {"prune", "upper_bound", "textual_bound"} & classes[model], model
 
 
+def _spells(tree: ast.AST, value: str) -> bool:
+    """Whether the module holds the string constant ``value`` (a
+    docstring never is a bare key like ``"terms"``)."""
+    return any(
+        isinstance(n, ast.Constant) and n.value == value for n in ast.walk(tree)
+    )
+
+
+def test_each_record_is_decoded_once():
+    """One codec per record.  The document record's ``"terms"`` key is
+    spelled only in its codec's module; only ``read_frame`` unpacks a
+    frame header, for sockets and the simulated transport alike; and
+    the simulation builds no query itself, it decodes trace queries
+    with the wire's ``query_from_args``."""
+    terms, frame_formats, unpacks, built, classes = set(), set(), [], [], set()
+    query_types = ("TopKQuery", "TemporalQuery", "TimeRange", "RecencySpec")
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        name = path.relative_to(PACKAGE_ROOT).as_posix()
+        tree = ast.parse(path.read_text())
+        if _spells(tree, "terms"):
+            terms.add(name)
+        if _spells(tree, "!I"):
+            frame_formats.add(name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes.add(node.name)
+            if name.startswith("net/") and isinstance(node, ast.FunctionDef):
+                unpacks += [
+                    f"{name}::{node.name}" for n in ast.walk(node)
+                    if isinstance(n, ast.Call)
+                    and ast.unparse(n.func).startswith("_HEADER.unpack")
+                ]
+            if (
+                name.startswith("simtest/")
+                and isinstance(node, ast.Call)
+                and ast.unparse(node.func).rpartition(".")[2] in query_types
+            ):
+                built.append(f"{name}:{node.lineno}")
+    assert terms == {"model/document.py"}
+    assert frame_formats == {"net/protocol.py"}
+    assert unpacks == ["net/protocol.py::read_frame"]
+    assert "FrameAssembler" not in classes
+    assert not built, built
+
+
 def _cache_calls(func: ast.AST, methods: tuple) -> int:
     """How many ``cache.<method>(...)`` / ``self.cache.<method>(...)``
     calls a function makes."""

@@ -30,6 +30,7 @@ from repro.cluster import (
 from repro.core.index import I3Index
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
+from repro.model.scoring import Ranker
 from repro.net import (
     Client,
     DeadlineExceeded,
@@ -53,6 +54,7 @@ from repro.temporal import (
     RecencySpec,
     TemporalConfig,
     TemporalDocument,
+    TemporalIndex,
     TemporalQuery,
     TimeRange,
 )
@@ -675,6 +677,73 @@ class TestTemporalShardsOverTheWire:
             assert client.search(queries[0].base) == oracle.query(
                 queries[0].base, cluster.ranker
             )
+
+
+class TestTimestampedWritesOverTheWire:
+    """A document record may carry ``ts``: a temporal backend is fed
+    over the wire, and a backend refuses, epoch unchanged, the record
+    it cannot store."""
+
+    def test_inserts_and_deletes_match_the_oracle_and_reopen(self, tmp_path):
+        rng = random.Random(23)
+        tdocs = [
+            TemporalDocument(doc, float(rng.randrange(0, 600)))
+            for doc in make_documents(120, rng)
+        ]
+        root = str(tmp_path / "store")
+        index = TemporalIndex(
+            UNIT_SQUARE, TemporalConfig(slice_width=50.0, page_size=256),
+            durable_root=root,
+        )
+        ranker = Ranker(UNIT_SQUARE, alpha=0.5)
+        oracle = NaiveTemporalIndex(UNIT_SQUARE, 50.0)
+        queries = [
+            TemporalQuery(base, recency=RecencySpec(80.0, 600.0))
+            for base in _queries(12, seed=35)
+        ]
+        with QueryService(index, ranker=ranker) as service, NetServer(
+            service
+        ) as server, Client(server.host, server.port) as client:
+            for tdoc in tdocs:
+                client.insert(tdoc)
+                oracle.insert(tdoc)
+            for tdoc in tdocs[::7]:
+                client.delete(tdoc)
+                oracle.delete(tdoc)
+            expected = [oracle.query(tq, ranker) for tq in queries]
+            assert [client.search(tq) for tq in queries] == expected
+            assert any(expected)
+            service.checkpoint()
+        live = [t for t in tdocs if oracle.get(t.doc_id) is not None]
+        reopened = TemporalIndex.open(root)
+        assert reopened.num_documents == len(live)
+        assert all(reopened.get(t.doc_id) == t for t in live)
+
+    def test_a_ts_to_a_plain_backend_is_bad_request(self, served):
+        service, server = served
+        epoch = service.index.epoch
+        doc = SpatialDocument(90500, 0.5, 0.5, {"cafe": 1.0})
+        with _client(server) as client:
+            with pytest.raises(ProtocolError, match="ts requires a temporal"):
+                client.insert(TemporalDocument(doc, 5.0))
+            with pytest.raises(ProtocolError, match="ts requires a temporal"):
+                client.delete(TemporalDocument(doc, 5.0))
+        assert service.index.epoch == epoch
+
+    def test_an_insert_without_ts_to_a_temporal_backend_is_bad_request(self):
+        doc = SpatialDocument(7, 0.5, 0.5, {"cafe": 1.0})
+        index = TemporalIndex(UNIT_SQUARE, TemporalConfig(slice_width=50.0))
+        with QueryService(index) as service, NetServer(
+            service
+        ) as server, Client(server.host, server.port) as client:
+            client.insert(TemporalDocument(doc, 5.0))
+            epoch = service.epoch
+            with pytest.raises(ProtocolError, match="needs a document ts"):
+                client.insert(SpatialDocument(8, 0.5, 0.5, {"cafe": 1.0}))
+            assert service.epoch == epoch
+            # A delete names its document by id and needs no ts.
+            client.delete(doc)
+            assert index.get(7) is None
 
 
 class TestHTTPOnMainPort:

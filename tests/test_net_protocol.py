@@ -26,7 +26,6 @@ from repro.net.errors import (
 from repro.net.protocol import (
     HEADER_BYTES,
     MAX_FRAME_BYTES,
-    FrameAssembler,
     decode_payload,
     encode_frame,
     query_from_args,
@@ -61,6 +60,14 @@ class TestFraming:
         payload = {"op": "ping", "key": "abc"}
         frame = encode_frame(payload)
         assert read_frame(_reader(frame, chunk=1)) == payload
+
+    def test_three_frames_in_7_byte_chunks(self):
+        # Back-to-back frames delivered in arbitrary chunks: each read
+        # takes exactly one frame, then EOF lands on a frame boundary.
+        blob = b"".join(encode_frame({"i": i}) for i in range(3))
+        recv = _reader(blob, chunk=7)
+        frames = [read_frame(recv) for _ in range(4)]
+        assert frames == [{"i": 0}, {"i": 1}, {"i": 2}, None]
 
     def test_clean_eof_returns_none(self):
         assert read_frame(_reader(b"")) is None
@@ -106,23 +113,6 @@ class TestFraming:
     def test_non_object_payload_rejected(self):
         with pytest.raises(ProtocolError):
             decode_payload(b"[1, 2, 3]")
-
-
-class TestFrameAssembler:
-    def test_incremental_feed(self):
-        frames = [encode_frame({"i": i}) for i in range(3)]
-        blob = b"".join(frames)
-        assembler = FrameAssembler()
-        collected = []
-        for offset in range(0, len(blob), 7):
-            collected.extend(assembler.feed(blob[offset:offset + 7]))
-        assert collected == [{"i": 0}, {"i": 1}, {"i": 2}]
-        assert assembler.pending_bytes == 0
-
-    def test_oversize_raises(self):
-        assembler = FrameAssembler(max_frame=16)
-        with pytest.raises(FrameTooLarge):
-            assembler.feed(struct.pack("!I", 1 << 20))
 
 
 class TestQueryCodec:

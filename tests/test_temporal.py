@@ -23,6 +23,7 @@ from repro.service import QueryService, ServiceConfig
 from repro.service.metrics import MetricsRegistry
 from repro.simtest.simfs import SimFileSystem, SimulatedCrash
 from repro.spatial.geometry import UNIT_SQUARE
+from repro.storage.errors import CorruptionError
 from repro.storage.iostats import IOStats
 from repro.storage.records import f32
 from repro.temporal import (
@@ -435,6 +436,47 @@ class TestDurability:
         fs.makedirs("empty")
         with pytest.raises(FileNotFoundError, match=MANIFEST_NAME):
             TemporalIndex.open("empty", fs=fs)
+
+    # One damaged field per case, in the manifest, in a sidecar, or in
+    # the sidecar's first document record; DROP deletes the field.
+    DROP = object()
+    DAMAGE = [
+        (MANIFEST_NAME, "config", DROP),
+        (MANIFEST_NAME, "watermark", "60"),
+        (MANIFEST_NAME, "slices", DROP),
+        (META_NAME, "lsn", DROP),
+        (META_NAME, "sealed", "yes"),
+        (META_NAME, "docs", {}),
+        (META_NAME, "id", "7"),
+        (META_NAME, "x", DROP),
+        (META_NAME, "y", True),
+        (META_NAME, "terms", ["cafe"]),
+        (META_NAME, "ts", "5"),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, field, value", DAMAGE, ids=[f"{n}:{f}" for n, f, _ in DAMAGE]
+    )
+    def test_a_damaged_field_is_a_corruption_error(self, name, field, value):
+        fs = SimFileSystem()
+        index, _ = self.make_durable(fs)
+        index.checkpoint()
+        path = f"troot/{name}" if name == MANIFEST_NAME else f"troot/slice-0/{name}"
+        with fs.open(path, "rb") as fh:
+            payload = json.loads(fh.read().decode("utf-8"))
+        record = field in ("id", "x", "y", "terms", "ts")
+        target = payload["docs"][0] if record else payload
+        if value is self.DROP:
+            del target[field]
+        else:
+            target[field] = value
+        with fs.open(path, "wb") as fh:
+            fh.write(json.dumps(payload).encode("utf-8"))
+        with pytest.raises(CorruptionError) as info:
+            TemporalIndex.open("troot", fs=fs)
+        assert info.value.offset is None
+        assert str(info.value).startswith(f"{path}: ")
+        assert f"{'document ' if record else ''}{field}" in str(info.value)
 
     def test_manifest_is_valid_json_listing_slices(self):
         fs = SimFileSystem()
