@@ -159,8 +159,7 @@ def run_query_set(
     counts every read, and the one thing an index keeps warm between
     queries — I3's decoded cells — is dropped before each query, outside
     the timed span.  So every page a query needs is read and counted, for
-    all three systems alike, and a buffer pool the caller attached
-    behaves as it always did.
+    all three systems alike.
     """
     gc.collect()
     cells = getattr(getattr(built.index, "data", None), "cells", None)

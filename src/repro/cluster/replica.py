@@ -1,4 +1,4 @@
-"""Shard replicas: health-tracked query endpoints with fault injection.
+"""Shard replicas: health-tracked query endpoints.
 
 A shard is served by one or more replicas, each a full copy of the
 shard's index behind its own :class:`~repro.service.QueryService`
@@ -13,9 +13,10 @@ three things a router needs that a service does not provide:
 * **per-attempt timeouts** — a replica that holds a query past the
   router's attempt budget counts as failed for *this* attempt without
   poisoning the service for others;
-* **fault injection** — tests and examples kill replicas
-  (:meth:`kill`) or inject transient faults (:meth:`inject_faults`) to
-  exercise failover exactly like a dead process would.
+* **kill** — tests and examples kill replicas (:meth:`kill`) to
+  exercise failover exactly like a dead process would; transient
+  faults are injected one level up, through the cluster's
+  :class:`~repro.cluster.service.ShardChannel` seam.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = ["ReplicaFault", "ShardReplica"]
 
 
 class ReplicaFault(ServiceError):
-    """A replica attempt failed: injected fault, closed service, or an
+    """A replica attempt failed: closed service, overload, or an
     attempt timeout.  The router's failover loop treats every
     :class:`ReplicaFault` the same way — try the next replica."""
 
@@ -73,7 +74,6 @@ class ShardReplica:
         self._lock = threading.Lock()
         self._consecutive_failures = 0
         self._total_failures = 0
-        self._injected_faults = 0
 
     # ------------------------------------------------------------------
     # Query path
@@ -81,17 +81,13 @@ class ShardReplica:
     def search(self, query: TopKQuery, timeout: Optional[float] = None) -> List[Any]:
         """One attempt against this replica.
 
-        Raises :class:`ReplicaFault` when the replica is dead or an
-        injected fault fires.  Service-level failures (overload
-        shedding, closed mid-flight, the attempt outliving ``timeout`` —
-        see :meth:`repro.service.QueryService.search`) surface as
+        Raises :class:`ReplicaFault` when the replica is dead.
+        Service-level failures (overload shedding, closed mid-flight,
+        the attempt outliving ``timeout`` — see
+        :meth:`repro.service.QueryService.search`) surface as
         :class:`ReplicaFault` too, so the router's failover loop has a
         single failure type to react to.
         """
-        with self._lock:
-            if self._injected_faults > 0:
-                self._injected_faults -= 1
-                raise ReplicaFault(self.shard_id, self.replica_id, "injected fault")
         if self.service.closed:
             raise ReplicaFault(self.shard_id, self.replica_id, "service closed")
         try:
@@ -145,27 +141,18 @@ class ShardReplica:
             self._total_failures += 1
 
     def revive(self) -> None:
-        """Clear failure state and pending injected faults (a repaired
-        replica rejoining the rotation)."""
+        """Clear failure state (a repaired replica rejoining the
+        rotation)."""
         with self._lock:
             self._consecutive_failures = 0
-            self._injected_faults = 0
 
     # ------------------------------------------------------------------
-    # Fault injection
+    # Lifecycle
     # ------------------------------------------------------------------
     def kill(self) -> None:
         """Permanently kill the replica (closes its service, dropping
         queued queries) — the test stand-in for a dead process."""
         self.service.close(drain=False)
-
-    def inject_faults(self, count: int = 1) -> None:
-        """Make the next ``count`` attempts fail with
-        :class:`ReplicaFault` (transient-fault injection)."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        with self._lock:
-            self._injected_faults += count
 
     def describe(self) -> Dict[str, Any]:
         """Health snapshot for the cluster metrics rollup."""

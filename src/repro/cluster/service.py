@@ -354,7 +354,7 @@ class ClusterService:
         (bulk-loaded with the shard's documents — replicas of one shard
         hold identical data) and its own query service configured from
         ``config.shard_config``.  ``index_kwargs`` (``eta``,
-        ``page_size``, ``buffer_pages``, ...) pass through to every
+        ``page_size``, ``max_depth``, ...) pass through to every
         shard index.
 
         With ``durable_root`` each replica is wrapped in a

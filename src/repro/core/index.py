@@ -96,9 +96,6 @@ class I3Index:
         page_size: int = DEFAULT_PAGE_SIZE,
         max_depth: int = DEFAULT_MAX_DEPTH,
         stats: Optional[IOStats] = None,
-        head_component: str = "i3.head",
-        data_component: str = "i3.data",
-        buffer_pages: Optional[int] = None,
     ) -> None:
         if eta <= 0:
             raise ValueError(f"eta must be positive, got {eta}")
@@ -109,15 +106,8 @@ class I3Index:
         self.max_depth = max_depth
         self.stats = stats if stats is not None else IOStats()
         self.grid = CellGrid(space)
-        self.data = DataFile(
-            stats=self.stats,
-            component=data_component,
-            page_size=page_size,
-            buffer_pages=buffer_pages,
-        )
-        self.head = HeadFile(
-            stats=self.stats, component=head_component, page_size=page_size
-        )
+        self.data = DataFile(stats=self.stats, page_size=page_size)
+        self.head = HeadFile(stats=self.stats, page_size=page_size)
         self.lookup = LookupTable()
         self.num_documents = 0
         self.num_tuples = 0
@@ -140,9 +130,9 @@ class I3Index:
         return self.data.capacity
 
     def clear_cache(self) -> None:
-        """Drop the data file's decoded cells and its buffer pool (if
-        any), so the next query reads every page it needs — run before a
-        query (set) to measure cold-cache I/O like the paper."""
+        """Drop the data file's decoded cells, so the next query reads
+        every page it needs — run before a query (set) to measure
+        cold-cache I/O like the paper."""
         self.data.clear_cache()
 
     # ------------------------------------------------------------------

@@ -17,11 +17,12 @@ its page or relocating it to a roomier page ("find a page with at least
 |O|+1 empty slots", Algorithms 2-3), deleting from and dissolving cells.
 
 Because every change to a cell's tuples goes through here, this is also
-where the *decoded* form of a cell is kept (:class:`DecodedCellCache`):
-the buffer pool caches page bytes, this caches what a query engine made
-of them, and the three methods that rewrite an existing cell
-(:meth:`DataFile.dissolve_cell`, :meth:`DataFile.insert_into_cell`,
-:meth:`DataFile.delete_and_collect`) drop that one cell's entry.
+where the *decoded* form of a cell is kept (:class:`DecodedCellCache`),
+the data file's one cache: pages themselves are never cached, this
+keeps what a query engine made of them, and the three methods that
+rewrite an existing cell (:meth:`DataFile.dissolve_cell`,
+:meth:`DataFile.insert_into_cell`, :meth:`DataFile.delete_and_collect`)
+drop that one cell's entry.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.headfile import CellPages
-from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE, PageFile
 from repro.storage.records import StoredTuple, TupleCodec
@@ -64,8 +64,7 @@ class DecodedCellCache:
     changes the map (:meth:`put`, :meth:`drop`, :meth:`clear`) and the
     ``misses`` count run under one lock.
 
-    A hit is not a page read and is never counted as one (the rule a
-    :class:`~repro.storage.buffer.BufferPool` hit follows); cells
+    A hit is not a page read and is never counted as one; cells
     requested = ``hits + misses`` stays recoverable from the counters.
     """
 
@@ -143,24 +142,17 @@ class DataFile:
         stats: Optional[IOStats] = None,
         component: str = "i3.data",
         page_size: int = DEFAULT_PAGE_SIZE,
-        buffer_pages: Optional[int] = None,
     ) -> None:
         self.file = PageFile(page_size=page_size, stats=stats, component=component)
-        self.buffer: Optional[BufferPool] = (
-            BufferPool(self.file, capacity=buffer_pages) if buffer_pages else None
-        )
-        store = self.buffer if self.buffer is not None else self.file
-        self.slotted = SlottedFile(store, TupleCodec.size)
+        self.slotted = SlottedFile(self.file, TupleCodec.size)
         self.cells = DecodedCellCache()
         self._next_source = 1
 
     def clear_cache(self) -> None:
-        """Drop every decoded cell, and flush and drop the buffer pool if
-        one is attached — the paper's "clear the system cache" step
-        before a query set: the next query reads every page it needs."""
+        """Drop every decoded cell — the paper's "clear the system cache"
+        step before a query set: the next query reads every page it
+        needs."""
         self.cells.clear()
-        if self.buffer is not None:
-            self.buffer.clear()
 
     @property
     def capacity(self) -> int:

@@ -116,9 +116,6 @@ class _CrcWriter:
 
 def write_index(index: I3Index, fh, *, last_lsn: int = 0) -> None:
     """Serialise ``index`` to an open binary stream (I3IX v2)."""
-    if index.data.buffer is not None:
-        # A write-back pool may hold dirty pages newer than the file.
-        index.data.buffer.flush()
     space = index.space
     header = _HEADER.pack(
         MAGIC,

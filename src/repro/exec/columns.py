@@ -3,9 +3,9 @@
 A keyword cell's tuples live in 32-byte slots (``<QddfI``: doc id, x, y,
 f32 weight, source id — :mod:`repro.storage.records`).  The vector
 engine reads each of the cell's pages through the same counted store the
-tuple engine uses (so I/O accounting and the buffer pool behave
-identically) and reinterprets the raw page image as a numpy structured
-array in one call, instead of decoding one ``struct`` per slot.
+tuple engine uses (so I/O accounting behaves identically) and
+reinterprets the raw page image as a numpy structured array in one
+call, instead of decoding one ``struct`` per slot.
 
 Filtering by ``src == cell.source_id`` is exactly the occupied-slot
 filter of :meth:`repro.core.kwcells.DataFile.read_cell`: empty slots are

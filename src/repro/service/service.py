@@ -201,7 +201,7 @@ class QueryService:
     :class:`~repro.core.recovery.DurableIndex`, whose current ``index``
     answers queries while mutations go through the write-ahead log and
     :meth:`recover`/:meth:`checkpoint` are available.  Either way the
-    lane shares the target's buffer pool and I/O counters with
+    lane shares the target's decoded-cell cache and I/O counters with
     :meth:`read` callers, streams and anyone using the index directly —
     the storage layer's locks (see :mod:`repro.storage`) make that safe.
 
@@ -779,9 +779,9 @@ class QueryService:
         """Everything observable about the service, as one plain dict.
 
         Merges the metrics registry (counters/gauges/histograms), the
-        result-cache counters, the data file's decoded-cell cache and
-        buffer pool counters (when the index has them) and derived
-        service-level figures (uptime, completed queries per second).
+        result-cache counters, the data file's decoded-cell counters
+        (when the index has them) and derived service-level figures
+        (uptime, completed queries per second).
         ``decoded_cells.hits + decoded_cells.misses`` is the number of
         keyword cells the vector engine asked for; only the misses read
         pages, so ``io.reads_per_query`` counts warm queries' head-file
@@ -805,25 +805,6 @@ class QueryService:
             snapshot["temporal"] = self._temporal.slice_stats()
         if decoded is not None:
             snapshot["decoded_cells"] = decoded
-        data = getattr(self._index, "data", None)
-        pool = data.buffer if data is not None else None
-        if pool is not None:
-            counters = pool.counters()
-            snapshot["buffer_pool"] = {
-                "capacity": pool.capacity,
-                "cached_pages": pool.cached_pages,
-                "logical_reads": counters.logical_reads,
-                "hits": counters.logical_reads - counters.misses,
-                "misses": counters.misses,
-                "logical_writes": counters.logical_writes,
-                "evictions": counters.evictions,
-                "writebacks": counters.writebacks,
-                "hit_ratio": (
-                    1.0 - counters.misses / counters.logical_reads
-                    if counters.logical_reads
-                    else 0.0
-                ),
-            }
         return snapshot
 
     # ------------------------------------------------------------------

@@ -1,7 +1,6 @@
-"""Simulated disk substrate: pages, buffer pool, slots, I/O accounting,
-plus the durable write path's WAL and filesystem seam."""
+"""Simulated disk substrate: pages, slots, I/O accounting, plus the
+durable write path's WAL and filesystem seam."""
 
-from repro.storage.buffer import BufferCounters, BufferPool
 from repro.storage.errors import (
     CorruptionError,
     SnapshotCorruptionError,
@@ -24,8 +23,6 @@ from repro.storage.wal import (
 )
 
 __all__ = [
-    "BufferCounters",
-    "BufferPool",
     "CorruptionError",
     "SnapshotCorruptionError",
     "WalCorruptionError",

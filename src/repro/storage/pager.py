@@ -12,9 +12,8 @@ Thread-safety contract: a :class:`PageFile` may be shared by
 concurrent readers and writers.  Page allocation and every page
 read/write happens under an internal lock, so reads always observe a
 complete page image (never a torn write) and concurrent allocations
-never hand out the same page id.  Callers needing a consistent cache
-on top of the file should share one :class:`~repro.storage.buffer.BufferPool`,
-which holds its own lock.
+never hand out the same page id.  There is no page cache above the
+file: every read is a counted I/O, the paper's cold pager.
 """
 
 from __future__ import annotations
@@ -44,9 +43,7 @@ class PageFile:
 
     Pages are identified by dense non-negative integers in allocation
     order.  Reading or writing a page costs exactly one I/O against this
-    file's component; callers that cache pages should wrap the file in a
-    :class:`~repro.storage.buffer.BufferPool` instead of bypassing the
-    counters.
+    file's component.
 
     Attributes:
         page_size: Size of every page in bytes.

@@ -28,8 +28,9 @@ class SlottedFile:
     """Fixed-size-record storage over a page store.
 
     Attributes:
-        store: The backing :class:`~repro.storage.pager.PageFile` (or a
-            :class:`~repro.storage.buffer.BufferPool` wrapping one).
+        store: The backing :class:`~repro.storage.pager.PageFile` (or,
+            under :func:`~repro.exec.snapshot.open_snapshot`, a read-only
+            :class:`~repro.exec.snapshot.MmapPageFile`).
         record_size: Size of every record in bytes; must divide into the
             page size at least once.
     """

@@ -18,6 +18,7 @@ from repro.cluster import (
     ClusterService,
     HashPartitioner,
     ReplicaFault,
+    ShardChannel,
     ShardManifest,
     SpatialGridPartitioner,
     build_manifest,
@@ -350,12 +351,31 @@ class TestFailover:
             assert cluster.metrics.counter("cluster.failovers").value > 0
 
     def test_transient_faults_retried_on_sibling(self, rng):
+        class FailTwice(ShardChannel):
+            """Fails the first two attempts on replica (2, 0)."""
+
+            def __init__(self):
+                self.faults = 2
+
+            def search(self, replica, query, timeout):
+                if (replica.shard_id, replica.replica_id) == (2, 0) and self.faults:
+                    self.faults -= 1
+                    raise ReplicaFault(2, 0, "transient fault")
+                return super().search(replica, query, timeout)
+
         docs = _corpus(rng)
-        with _cluster(docs, replicas=2, cache_capacity=0) as cluster:
-            cluster.replica(2, 0).inject_faults(2)
+        channel = FailTwice()
+        with ClusterService.build(
+            docs,
+            _partitioner("hash", 4, docs),
+            ClusterConfig(replicas=2, cache_capacity=0, shard_config=ServiceConfig()),
+            ranker=Ranker(UNIT_SQUARE),
+            channel=channel,
+        ) as cluster:
             for query in _random_queries(rng, docs, count=10):
                 assert not cluster.search(query).degraded
-            assert cluster.metrics.counter("cluster.attempt_failures").value > 0
+            assert channel.faults == 0
+            assert cluster.metrics.counter("cluster.attempt_failures").value == 2
 
     def test_fully_dead_shard_flags_degraded(self, rng):
         docs = _corpus(rng)
@@ -400,8 +420,8 @@ class TestFailover:
         docs = _corpus(rng)
         with _cluster(docs, replicas=1) as cluster:
             rep = cluster.replica(3, 0)
-            rep.inject_faults(1)
-            with pytest.raises(ReplicaFault) as err:
+            rep.kill()
+            with pytest.raises(ReplicaFault, match="service closed") as err:
                 rep.search(
                     TopKQuery(0.5, 0.5, ("bar",), k=3, semantics=Semantics.OR)
                 )

@@ -271,6 +271,27 @@ class TestColdReads:
             index.query(query, RANKER, io_sink=warm, engine="vector")
             assert warm.reads("i3.data") == 0
 
+    def test_warm_queries_cost_less_physical_io(self):
+        """Decoded cells are free to reuse, and ``clear_cache()`` restores
+        the paper's cold-cache measurement conditions."""
+        index = I3Index(UNIT_SQUARE, page_size=256)
+        for d in make_documents(150, random.Random(5)):
+            index.insert_document(d)
+        query = TopKQuery(0.5, 0.5, ("spicy", "restaurant"), k=10)
+
+        def data_reads():
+            io = IOStats()
+            answer = index.query(query, RANKER, io_sink=io, engine="vector")
+            return results_as_pairs(answer), io.reads("i3.data")
+
+        index.clear_cache()
+        cold, cold_io = data_reads()
+        warm, warm_io = data_reads()
+        assert cold == warm
+        assert warm_io < cold_io  # hot cells served decoded
+        index.clear_cache()
+        assert data_reads() == (cold, cold_io)  # cold again
+
     def test_bench_harness_stays_cold(self):
         """``run_query_set`` feeds the Fig. 8-9 tables: same I/O under
         either engine, however warm the index was left."""

@@ -33,6 +33,9 @@ are held.
 And a **cache-read census**: ``QueryService`` reads its result cache in
 one place, admission on the caller's thread; the lane only writes it.
 
+And a **cache census**: the data file keeps one cache, the decoded
+cells; pages sit in one page store with no pool in front of it.
+
 And a **layout census**: the 32-byte slot is described once, in
 ``storage/records.py`` (``exec/columns.RECORD_DTYPE`` restates it for
 numpy and asserts its itemsize), and ``core`` decodes a data page with
@@ -401,3 +404,27 @@ def test_the_result_cache_is_read_once_at_admission():
     ]
     assert readers == ["QueryService._lookup"]
     assert _cache_calls(functions["QueryService._answer"], ("put",)) == 1
+
+
+def test_the_data_file_keeps_one_cache():
+    """The paper counts cold page I/O, and DESIGN.md keeps one thing warm
+    between queries: the decoded cells.  No page pool, no knob that
+    builds one, and a fresh index's slotted file reads its page file
+    directly."""
+    from repro.core.index import I3Index
+    from repro.spatial.geometry import UNIT_SQUARE
+
+    assert not (PACKAGE_ROOT / "storage" / "buffer.py").exists()
+    takers = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                if any(a.arg == "buffer_pages" for a in params):
+                    takers.append(
+                        f"{path.relative_to(PACKAGE_ROOT)}::{node.name}"
+                    )
+    assert not takers, takers
+    index = I3Index(UNIT_SQUARE)
+    assert index.data.slotted.store is index.data.file
