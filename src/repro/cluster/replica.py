@@ -2,8 +2,9 @@
 
 A shard is served by one or more replicas, each a full copy of the
 shard's index behind its own :class:`~repro.service.QueryService`
-(per-shard admission control and the one lane that executes its
-queries come with it).  The
+(per-shard admission control and the one turn order its queries take
+come with it: an unbudgeted attempt that finds the replica idle runs
+on the router's thread, anything else on the replica's lane).  The
 cluster router talks to replicas through this wrapper, which adds the
 three things a router needs that a service does not provide:
 

@@ -619,8 +619,9 @@ class ClusterService:
         queried = 0
         pruned = 0
         # Algorithm 4 one level up: one shard at a time in bound order,
-        # delta checked before each.  The attempt runs on this thread
-        # and hops once, into the shard's QueryService lane.
+        # delta checked before each.  The attempt runs on this thread;
+        # without a deadline slice, on a shard with nothing queued or
+        # running, so does the shard's traversal (no hop to its lane).
         for i, (bound, sid) in enumerate(ranked):
             if bound < collector.delta:
                 # Bounds are sorted descending: nothing from here on can

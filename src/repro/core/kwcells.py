@@ -36,7 +36,10 @@ from repro.storage.pager import DEFAULT_PAGE_SIZE, PageFile
 from repro.storage.records import StoredTuple, TupleCodec
 from repro.storage.slotted import SlottedFile
 
-__all__ = ["DataFile", "DecodedCellCache", "DECODED_CELL_BUDGET"]
+__all__ = ["DataFile", "DecodedCellCache", "DATA_COMPONENT", "DECODED_CELL_BUDGET"]
+
+DATA_COMPONENT = "i3.data"
+"""The name a data file's page I/O is counted under (``IOStats``)."""
 
 DECODED_CELL_BUDGET = 8 << 20
 """Accounted bytes of decoded cells one data file keeps (8 MiB).
@@ -140,10 +143,11 @@ class DataFile:
     def __init__(
         self,
         stats: Optional[IOStats] = None,
-        component: str = "i3.data",
         page_size: int = DEFAULT_PAGE_SIZE,
     ) -> None:
-        self.file = PageFile(page_size=page_size, stats=stats, component=component)
+        self.file = PageFile(
+            page_size=page_size, stats=stats, component=DATA_COMPONENT
+        )
         self.slotted = SlottedFile(self.file, TupleCodec.size)
         self.cells = DecodedCellCache()
         self._next_source = 1

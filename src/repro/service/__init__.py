@@ -1,8 +1,8 @@
 """The serving layer: concurrent query execution over a shared index.
 
 Everything the library needs to go from "a correct index" to "a service
-under load": one lane per index behind admission control and per-query
-deadlines (:class:`QueryService`), an epoch-invalidated result cache
+under load": one turn at a time per index, behind admission control and
+per-query deadlines (:class:`QueryService`), an epoch-invalidated result cache
 (:class:`QueryResultCache`), and the metrics a serving tier reports
 (:class:`MetricsRegistry`).  See ``docs/api.md`` ("Serving layer") for
 the architecture sketch.

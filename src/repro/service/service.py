@@ -5,10 +5,12 @@ production search tier (the ROADMAP's north star, and what FAST
 (arXiv:1709.02529) builds for spatio-textual data) needs the layer this
 module provides:
 
-* **one lane** — a single traversal thread per service, fed by a FIFO
-  queue, so queries take turns in the order they were admitted (under
-  one interpreter lock a second traversal thread only adds hand-offs:
-  DESIGN.md "Taking turns");
+* **one turn at a time** — a single traversal thread per service, fed
+  by a FIFO queue, so queries take turns in the order they were
+  admitted (under one interpreter lock a second traversal thread only
+  adds hand-offs: DESIGN.md "Taking turns"); an unbudgeted
+  ``search``/``search_many`` that finds the service idle takes its turn
+  on the caller's thread instead of handing it to the lane;
 * **admission control** — a configurable pending limit with load
   shedding (:class:`~repro.service.errors.ServiceOverloaded`) for
   interactive callers and blocking backpressure for batch callers;
@@ -183,12 +185,14 @@ def _lock_wait(timeout: Optional[float]) -> Optional[float]:
 
 
 class QueryService:
-    """A query service over one index: many callers, one lane.
+    """A query service over one index: many callers, one turn at a time.
 
     Every query — ``submit``, ``search``, a ``search_many`` batch — is
     first looked up in the result cache on the caller's thread; a task
-    the cache answers whole resolves there.  The rest are admitted into
-    one FIFO queue and executed by the service's single traversal
+    the cache answers whole resolves there.  The rest are admitted.  An
+    unbudgeted ``search``/``search_many`` that finds nothing queued or
+    running takes its turn on the caller's thread; every other task
+    joins one FIFO queue executed by the service's single traversal
     thread, so the queue *is* the turn order and the ``queue_wait_ms``
     histogram is the time a query waited for its turn.
 
@@ -255,6 +259,9 @@ class QueryService:
         self._recorder = None  # attach_recorder() hook (repro.planner)
         self._rwlock = _ReadWriteLock()
         self._queue: "SimpleQueue" = SimpleQueue()
+        # The turn: whoever runs _process holds it — the lane, or an
+        # unbudgeted caller that found the service idle (_enqueue).
+        self._turn = threading.Lock()
         self._closed = False
         self._close_lock = threading.Lock()
         self._started = self._now()
@@ -298,11 +305,16 @@ class QueryService:
         the configured per-query timeout.  The budget bounds the wait —
         a caller never blocks longer than the deadline it was promised,
         even if the lane is still grinding on its query — and a query
-        still queued when it runs out is never executed.
+        still queued when it runs out is never executed.  Without a
+        budget there is nothing to stop waiting at: if nothing is queued
+        or running, the query takes its turn on this thread.
         """
         budget = self._budget(timeout)
         return self._wait(
-            self._enqueue([query], False, budget, single=True), budget
+            self._enqueue(
+                [query], False, budget, single=True, inline=budget is None
+            ),
+            budget,
         )
 
     def search_many(
@@ -316,7 +328,7 @@ class QueryService:
 
         The batch occupies one admission slot (waiting for it rather
         than shedding, so arbitrarily large batches flow through the
-        bounded queue) and takes one turn on the lane under one
+        bounded queue) and takes one turn under one
         read-lock acquisition — one epoch for every answer, identical
         queries executed once.  The wait for the slot is charged to the
         budget: a batch the gate never admitted in time raises
@@ -334,7 +346,9 @@ class QueryService:
         if not queries:
             return []
         budget = self._budget(timeout)
-        slots = self._wait(self._enqueue(queries, True, budget), budget)
+        slots = self._wait(
+            self._enqueue(queries, True, budget, inline=budget is None), budget
+        )
         if not return_exceptions:
             for slot in slots:
                 if isinstance(slot, BaseException):
@@ -354,9 +368,13 @@ class QueryService:
         block: bool,
         timeout: Optional[float],
         single: bool = False,
+        inline: bool = False,
     ) -> "Future":
         """Admit ``queries`` as one task and queue it — unless the result
-        cache answers all of them (:meth:`_lookup`).  The task's clock
+        cache answers all of them (:meth:`_lookup`), or ``inline`` (an
+        unbudgeted ``search``/``search_many``, whose caller waits for the
+        answer anyway) finds the service idle and takes its turn right
+        here (DESIGN.md §8, "Who takes the turn").  The task's clock
         starts before admission, so a blocking wait for a slot spends
         (and is bounded by) the same ``timeout`` the queue checks."""
         if self._closed:
@@ -379,6 +397,17 @@ class QueryService:
         if self._closed:  # closed while we waited for admission
             self._admission.release()
             raise ServiceClosed("service is closed")
+        if inline and self._turn.acquire(blocking=False):
+            # Read under the turn, ``pending == 1`` means this task is
+            # alone: nothing queued, nothing the lane dequeued and has yet
+            # to start.  The turn is never waited for here, so the queue
+            # alone still orders everyone who is not alone.
+            try:
+                if self._admission.pending == 1:
+                    self._process(task)
+                    return task.future
+            finally:
+                self._turn.release()
         self.metrics.gauge("queue.depth").inc()
         self._queue.put(task)
         if self._executor is not None:
@@ -622,9 +651,13 @@ class QueryService:
     def _lane_loop(self) -> None:
         while True:
             task = self._queue.get()
-            if task is _SHUTDOWN:
-                return
-            self._process(task)
+            with self._turn:
+                if task is _SHUTDOWN:
+                    # Taking the turn first lets close() join a caller's
+                    # task still running inline, like any admitted task.
+                    return
+                self.metrics.gauge("queue.depth").dec()
+                self._process(task)
 
     def _step_once(self) -> None:
         """Sim-mode lane step: dequeue and process at most one task."""
@@ -632,11 +665,14 @@ class QueryService:
             task = self._queue.get_nowait()
         except Empty:
             return
-        self._process(task)
+        with self._turn:
+            self.metrics.gauge("queue.depth").dec()
+            self._process(task)
 
     def _process(self, task: _Task) -> None:
-        """Run one dequeued task: deadline check, execute, resolve."""
-        self.metrics.gauge("queue.depth").dec()
+        """Take one turn: deadline check, execute, resolve.  The caller
+        holds ``_turn``: the lane for a dequeued task, ``_enqueue`` for
+        an unbudgeted one that found the service idle."""
         now = self._now()
         if not task.future.set_running_or_notify_cancel():
             # Abandoned while queued, by a waiter that counted the expiry.

@@ -1,4 +1,4 @@
-"""How queries take turns: a ``QueryService`` is one lane.
+"""How queries take turns: a ``QueryService`` takes one turn at a time.
 
 One traversal thread per service, fed by the admission-bounded FIFO
 queue — the queue is the turn order (DESIGN.md "Taking turns").  These
@@ -6,12 +6,15 @@ tests pin the lane itself (who owns which thread, the order of
 execution, what a long task does to the one behind it, that a writer
 still gets in), the one hole the policy made reachable — a batch
 caller's budget must bound, and be charged for, its wait at the gate —
-and what a result-cache hit skips: the cache is read once, at
-admission, on the caller's thread, so a task it answers whole takes no
-admission slot, no queue entry and no turn.
+what a result-cache hit skips (the cache is read once, at admission, on
+the caller's thread, so a task it answers whole takes no admission
+slot, no queue entry and no turn), and who takes the turn: an
+unbudgeted ``search``/``search_many`` that finds the service idle runs
+on its caller's thread, everything else on the lane.
 """
 
 import random
+import sys
 import threading
 import time
 
@@ -44,11 +47,13 @@ def _recording_index(gate=None, gated_k=1, hold=0.0):
     when the write ran."""
     stub = stub_index()
     stub.order, stub.inside, stub.most, stub.writes = [], 0, 0, []
+    stub.threads = []  # the thread each query ran on, in order
     lock = threading.Lock()
 
     def query(q, ranker=None, io_sink=None):
         with lock:
             stub.order.append(q.k)
+            stub.threads.append(threading.get_ident())
             stub.inside += 1
             stub.most = max(stub.most, stub.inside)
         if gate is not None and q.k == gated_k:
@@ -119,7 +124,10 @@ class TestOneLane:
     def test_tasks_execute_in_admission_order_one_at_a_time(self):
         """``submit``, ``search`` and ``search_many`` share the queue:
         whatever verb admitted a task, it runs after everything admitted
-        before it and never beside anything."""
+        before it and never beside anything.  An unbudgeted ``search``
+        that finds the turn held queues like the rest and is answered
+        by the lane; once the service is idle again, the next one runs
+        on its caller's thread."""
         gate = threading.Event()
         stub = _recording_index(gate)
         service = QueryService(stub, ServiceConfig(max_pending=16))
@@ -148,11 +156,16 @@ class TestOneLane:
             for thread in waiters:
                 thread.join(timeout=5)
             assert [f.result(timeout=5) for f in futures] == [[1], [2], [6]]
+            assert not any(thread.is_alive() for thread in waiters)
+            (lane,) = set(stub.threads)  # every queued task: the lane's
+            assert lane != threading.get_ident()
+            assert service.search(_query(k=8)) == [8]
         finally:
             gate.set()
             service.close()
         # (the batch's duplicate k=4 is answered once: one execution)
-        assert stub.order == [1, 2, 3, 4, 5, 6, 7]
+        assert stub.order == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert stub.threads[-1] == threading.get_ident()
         assert stub.most == 1
 
     def test_a_single_queued_behind_a_long_batch_expires_unexecuted(self):
@@ -221,6 +234,195 @@ class TestOneLane:
                 t.join(timeout=5)
             service.close()
         assert errors == [] and stub.most == 1
+
+
+class _LaneWaitsFor:
+    """A turn whose blocking acquire (the lane's) first waits for ``go``,
+    holding the lane in the gap between dequeuing a task and starting
+    it; a caller's non-blocking try is served at once."""
+
+    def __init__(self, go):
+        self._lock = threading.Lock()
+        self._go = go
+
+    def acquire(self, blocking=True):
+        if blocking:
+            self._go.wait(timeout=10)
+        return self._lock.acquire(blocking)
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class TestWhoTakesTheTurn:
+    """An unbudgeted ``search``/``search_many`` that finds its service
+    idle takes its turn on the caller's thread; a budgeted one, a
+    ``submit`` and anything that finds someone ahead of it queue for
+    the lane (DESIGN.md §8, "Who takes the turn")."""
+
+    def test_an_unbudgeted_search_on_an_idle_service_runs_on_its_caller(self):
+        stub = _recording_index()
+        with QueryService(stub, ServiceConfig(cache_capacity=0)) as service:
+            assert service.search(_query(k=1)) == [1]
+            assert service.search_many([_query(k=2), _query(k=3)]) == [[2], [3]]
+        assert stub.threads == [threading.get_ident()] * 3
+
+    def test_a_budgeted_search_and_every_submit_run_on_the_lane(self):
+        before = set(threading.enumerate())
+        stub = _recording_index()
+        with QueryService(stub, ServiceConfig(cache_capacity=0)) as service:
+            (lane,) = _lanes(before)
+            assert service.search(_query(k=1), timeout=5.0) == [1]
+            assert service.search_many([_query(k=2)], timeout=5.0) == [[2]]
+            assert service.submit(_query(k=3)).result(timeout=5) == [3]
+            assert service.submit(_query(k=4), block=True).result(5) == [4]
+        with QueryService(
+            stub, ServiceConfig(cache_capacity=0, timeout=5.0)
+        ) as configured:
+            (other,) = _lanes(before | {lane})
+            assert configured.search(_query(k=5)) == [5]  # the config's budget
+        assert stub.threads == [lane.ident] * 4 + [other.ident]
+
+    def test_a_search_does_not_overtake_a_task_the_lane_has_dequeued(self):
+        """``pending`` is read under the turn: a task the lane has taken
+        off the queue but not yet started still counts, so a caller that
+        wins the turn in that gap queues behind it instead of running."""
+        stub = _recording_index()
+        service = QueryService(stub, ServiceConfig(cache_capacity=0))
+        go = threading.Event()
+        service._turn = _LaneWaitsFor(go)
+        answers = []
+        caller = threading.Thread(
+            target=lambda: answers.append(service.search(_query(k=2)))
+        )
+        depth = service.metrics.gauge("queue.depth")
+        try:
+            held = service.submit(_query(k=1))
+            wait_for(service._queue.empty)  # dequeued, waiting for `go`
+            caller.start()  # finds the turn free, and k=1 ahead of it
+            wait_for(lambda: depth.value == 2 or bool(stub.order))
+            go.set()
+            caller.join(timeout=5)
+            assert not caller.is_alive()
+            assert held.result(timeout=5) == [1]
+        finally:
+            go.set()
+            service.close()
+        assert answers == [[2]] and stub.order == [1, 2]
+
+    def test_a_simulated_search_queues_behind_a_submit(self):
+        """The same rule under the simulation executor: a submitted task
+        not yet stepped is ahead of the search, which therefore queues
+        and is answered second."""
+        stub = _recording_index()
+        clock = SimClock()
+        with QueryService(
+            stub, ServiceConfig(cache_capacity=0), clock=clock,
+            executor=SimScheduler(seed=0, clock=clock),
+        ) as service:
+            held = service.submit(_query(k=1))
+            assert service.search(_query(k=2)) == [2]
+            assert held.result(timeout=0) == [1]
+            assert service.search(_query(k=3)) == [3]  # idle: inline
+        assert stub.order == [1, 2, 3]
+
+    def test_an_inline_turn_keeps_the_metrics_contract(self):
+        """A turn taken on the caller's thread is a turn: it completes
+        its queries and observes ``latency_ms``, and leaves the in-flight
+        gauge and the admission gate as it found them.  Never queued, it
+        touches neither side of ``queue.depth``; a queued task after it
+        brings the gauge back to 0."""
+        with QueryService(
+            _recording_index(), ServiceConfig(cache_capacity=0)
+        ) as service:
+            service.search(_query(k=1))
+            service.search_many([_query(k=2), _query(k=3)])
+            inline = service.metrics_snapshot()
+            assert service.submit(_query(k=4)).result(timeout=5) == [4]
+            queued = service.metrics_snapshot()
+        assert inline["counters"]["queries.completed"] == 3
+        assert inline["histograms"]["latency_ms"]["count"] == 2
+        assert inline["histograms"]["io.reads_per_query"]["count"] == 2
+        assert "queue.depth" not in inline["gauges"]
+        assert inline["gauges"]["queries.inflight"] == 0
+        assert inline["admission"]["pending"] == 0
+        assert inline["admission"]["admitted"] == 2
+        assert queued["gauges"]["queue.depth"] == 0
+        assert queued["histograms"]["latency_ms"]["count"] == 3
+
+    def test_mixed_callers_never_overlap_and_match_sequential(self):
+        """Eight callers mixing ``search``, ``search_many`` and
+        ``submit`` on one real index, switching threads every 10 µs:
+        no two traversals ever overlap, and every answer is the
+        sequential one."""
+        index = I3Index(UNIT_SQUARE, page_size=256)
+        for doc in make_documents(150, random.Random(7)):
+            index.insert_document(doc)
+        words = ("spicy", "bar", "cafe", "pizza")
+        queries = [
+            TopKQuery(x / 4, y / 4, (words[(x + y) % 4],), k=4)
+            for x in range(5) for y in range(5)
+        ]
+        service = QueryService(index, ServiceConfig(cache_capacity=0))
+        expected = {q: index.query(q, service._ranker) for q in queries}
+        inside, overlaps, guard = [0], [], threading.Lock()
+        real_query = index.query
+
+        def query(q, ranker=None):
+            with guard:
+                inside[0] += 1
+                if inside[0] > 1:
+                    overlaps.append(q)
+            try:
+                time.sleep(0.0002)  # hand the interpreter to the others
+                return real_query(q, ranker)
+            finally:
+                with guard:
+                    inside[0] -= 1
+
+        index.query = query
+        errors = []
+
+        def caller(slot):
+            rng = random.Random(slot)
+            try:
+                for _ in range(15):
+                    picked = rng.sample(queries, 3)
+                    verb = rng.randrange(3)
+                    if verb == 0:
+                        assert service.search(picked[0]) == expected[picked[0]]
+                    elif verb == 1:
+                        assert service.search_many(picked) == [
+                            expected[q] for q in picked
+                        ]
+                    else:
+                        future = service.submit(picked[0], block=True)
+                        assert future.result(timeout=30) == expected[picked[0]]
+            except Exception as exc:  # noqa: BLE001 - collected
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and overlaps == []
+        snap = service.metrics_snapshot()
+        assert snap["gauges"]["queue.depth"] == 0
+        assert snap["admission"]["pending"] == 0
 
 
 class TestBatchWaitsAtTheGateOnItsBudget:
