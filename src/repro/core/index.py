@@ -24,9 +24,9 @@ Query processing lives in :mod:`repro.core.query`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.headfile import CellPages, HeadFile, SummaryInfo, SummaryNode
+from repro.core.headfile import CellPages, ChildPtr, HeadFile, SummaryInfo, SummaryNode
 from repro.core.kwcells import DataFile
 from repro.core.lookup import LookupTable
 from repro.core.query import I3QueryProcessor
@@ -38,7 +38,7 @@ from repro.spatial.cells import CellGrid, ROOT_CELL, child_cell
 from repro.spatial.geometry import Rect
 from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE
-from repro.storage.records import StoredTuple, f32
+from repro.storage.records import Row, f32
 
 __all__ = ["I3Index", "MutationEvent", "DEFAULT_ETA", "DEFAULT_MAX_DEPTH"]
 
@@ -212,7 +212,9 @@ class I3Index:
     def bulk_load(self, documents) -> None:
         """Build the index from scratch over a document collection.
 
-        Shreds every document, groups the tuples by keyword and
+        Shreds every document into ``(doc_id, x, y, f32 weight)`` rows
+        grouped by keyword — checking every document before anything is
+        written, so a refused load leaves the index empty — and
         materialises each keyword's quadtree decomposition top-down.
         The resulting cell structure is identical to what incremental
         insertion produces (a keyword cell splits iff it holds more than
@@ -223,31 +225,27 @@ class I3Index:
         """
         if self.num_tuples or self.num_documents:
             raise ValueError("bulk_load requires an empty index")
-        by_word: Dict[str, List[StoredTuple]] = {}
+        contains = self.space.contains_point
+        by_word: Dict[str, List[Row]] = {}
         count = 0
         for doc in documents:
-            if not self.space.contains_point(doc.x, doc.y):
-                raise ValueError(f"document {doc.doc_id} lies outside the data space")
+            doc_id, x, y = doc.doc_id, doc.x, doc.y
+            if not contains(x, y):
+                raise ValueError(f"document {doc_id} lies outside the data space")
             count += 1
-            for t in doc.tuples():
-                by_word.setdefault(t.word, []).append(
-                    StoredTuple(
-                        doc_id=t.doc_id,
-                        x=t.x,
-                        y=t.y,
-                        weight=f32(t.weight),
-                        source_id=1,
-                    )
-                )
-        for word, records in by_word.items():
-            if len(records) <= self.capacity:
-                self.lookup.set_non_dense(word, self.data.create_cell(records))
+            for word, weight in doc.terms.items():
+                rows = by_word.get(word)
+                if rows is None:
+                    rows = by_word[word] = []
+                rows.append((doc_id, x, y, f32(weight)))
+        for word, rows in by_word.items():
+            if len(rows) <= self.capacity:
+                self.lookup.set_non_dense(word, self.data.create_cell(rows))
             else:
-                self.lookup.set_dense(
-                    word, self._build_dense(word, ROOT_CELL, 0, records)
-                )
-            self.num_tuples += len(records)
-            self._word_bound[word] = max(r.weight for r in records)
+                node_id, _ = self._build_dense(word, ROOT_CELL, 0, rows)
+                self.lookup.set_dense(word, node_id)
+            self.num_tuples += len(rows)
+            self._word_bound[word] = max(row[3] for row in rows)
         self.num_documents = count
         self.epoch += 1
         self._emit("bulk_load", None)
@@ -257,54 +255,51 @@ class I3Index:
     # ------------------------------------------------------------------
     def insert_tuple(self, t: SpatialTuple) -> None:
         """Insert one spatial tuple."""
-        record = StoredTuple(
-            doc_id=t.doc_id, x=t.x, y=t.y, weight=f32(t.weight), source_id=1
-        )
+        row = (t.doc_id, t.x, t.y, f32(t.weight))
         entry = self.lookup.get(t.word)
         self.num_tuples += 1
         self.epoch += 1
         if entry is None:
             # A brand-new keyword: one tuple, one cell, any page with room.
-            cell = self.data.create_cell([record])
+            cell = self.data.create_cell([row])
             self.lookup.set_non_dense(t.word, cell)
-            self._word_bound[t.word] = record.weight
+            self._word_bound[t.word] = row[3]
         else:
             cached_bound = self._word_bound.get(t.word)
             if cached_bound is not None:
-                self._word_bound[t.word] = max(cached_bound, record.weight)
+                self._word_bound[t.word] = max(cached_bound, row[3])
             if not entry.dense:
-                self._insert_non_dense_root(t.word, entry.target, record)
+                self._insert_non_dense_root(t.word, entry.target, row)
             else:
-                self._insert_dense(t.word, entry.target, record)
+                self._insert_dense(t.word, entry.target, row)
         if self._doc_op_depth == 0 and self._listeners:
             self._emit(
                 "tuple_insert",
                 SpatialDocument(t.doc_id, t.x, t.y, {t.word: t.weight}),
             )
 
-    def _insert_non_dense_root(
-        self, word: str, cell: CellPages, record: StoredTuple
-    ) -> None:
+    def _insert_non_dense_root(self, word: str, cell: CellPages, row: Row) -> None:
         """Algorithm 2: the keyword is not dense in the root cell."""
         if cell.count < self.capacity:
-            self.data.insert_into_cell(cell, record)
+            self.data.insert_into_cell(cell, row)
             return
         # The root keyword cell overflows: the keyword becomes dense in
         # the whole space; redistribute into child keyword cells.
-        tuples = self.data.dissolve_cell(cell)
-        tuples.append(record)
-        node_id = self._build_dense(word, ROOT_CELL, 0, tuples)
+        rows = self.data.dissolve_cell(cell)
+        rows.append(row)
+        node_id, _ = self._build_dense(word, ROOT_CELL, 0, rows)
         self.lookup.set_dense(word, node_id)
 
-    def _insert_dense(self, word: str, node_id: int, record: StoredTuple) -> None:
+    def _insert_dense(self, word: str, node_id: int, row: Row) -> None:
         """Algorithms 1 and 3: descend the dense chain, updating summaries."""
+        doc_id, x, y, weight = row
         node = self.head.read(node_id)
         cell_id = ROOT_CELL
         level = 0
         while True:
-            quadrant = self.grid.quadrant_of(cell_id, record.x, record.y)
-            node.own.add(record.doc_id, record.weight)
-            node.children[quadrant].add(record.doc_id, record.weight)
+            quadrant = self.grid.quadrant_of(cell_id, x, y)
+            node.own.add(doc_id, weight)
+            node.children[quadrant].add(doc_id, weight)
             ptr = node.child_ptrs[quadrant]
             child_id = child_cell(cell_id, quadrant)
             child_level = level + 1
@@ -315,60 +310,62 @@ class I3Index:
                 cell_id, level = child_id, child_level
                 continue
             if ptr is None:
-                cell = self.data.create_cell([record])
-                node.child_ptrs[quadrant] = cell
+                node.child_ptrs[quadrant] = self.data.create_cell([row])
                 self.head.write(node_id, node)
                 return
             cell = ptr
             if cell.count < self.capacity or child_level >= self.max_depth:
                 self.data.insert_into_cell(
-                    cell, record, allow_overflow=child_level >= self.max_depth
+                    cell, row, allow_overflow=child_level >= self.max_depth
                 )
                 self.head.write(node_id, node)
                 return
             # The child keyword cell overflows and may still split.
-            tuples = self.data.dissolve_cell(cell)
-            tuples.append(record)
-            node.child_ptrs[quadrant] = self._build_dense(
-                word, child_id, child_level, tuples
+            rows = self.data.dissolve_cell(cell)
+            rows.append(row)
+            node.child_ptrs[quadrant], _ = self._build_dense(
+                word, child_id, child_level, rows
             )
             self.head.write(node_id, node)
             return
 
     def _build_dense(
-        self, word: str, cell_id: int, level: int, tuples: List[StoredTuple]
-    ) -> int:
+        self, word: str, cell_id: int, level: int, rows: List[Row]
+    ) -> Tuple[int, SummaryInfo]:
         """Turn an overflowing keyword cell into a summary node subtree.
 
-        Partitions the tuples by quadrant, creates non-dense child cells
-        in the data file, and recurses for any child that itself exceeds
-        capacity (possible when every tuple falls in one quadrant).
+        Partitions the rows by quadrant in one pass, creates non-dense
+        child cells in the data file, and recurses for any child that
+        itself exceeds capacity (possible when every row falls in one
+        quadrant).  Returns the node id and a summary of the whole cell
+        for the parent's child entry: a node's summary is the union of
+        its children's, so each row is summarised once, in its leaf cell.
         """
-        groups: List[List[StoredTuple]] = [[], [], [], []]
-        for record in tuples:
-            groups[self.grid.quadrant_of(cell_id, record.x, record.y)].append(record)
-        children = [SummaryInfo.of_tuples(self.eta, g) for g in groups]
-        child_ptrs: List[object] = []
+        # Rect.quadrant_of's test; the rows already lie inside the cell.
+        cx, cy = self.grid.rect(cell_id).center
+        groups: Tuple[List[Row], ...] = ([], [], [], [])
+        for row in rows:
+            groups[(row[2] >= cy) << 1 | (row[1] >= cx)].append(row)
+        children: List[SummaryInfo] = []
+        child_ptrs: List[ChildPtr] = []
+        child_level = level + 1
         for quadrant, group in enumerate(groups):
-            child_level = level + 1
             if not group:
-                child_ptrs.append(None)
+                ptr, info = None, SummaryInfo.empty(self.eta)
             elif len(group) > self.capacity and child_level < self.max_depth:
-                child_ptrs.append(
-                    self._build_dense(
-                        word, child_cell(cell_id, quadrant), child_level, group
-                    )
+                ptr, info = self._build_dense(
+                    word, child_cell(cell_id, quadrant), child_level, group
                 )
             else:
-                child_ptrs.append(self.data.create_cell(group))
+                ptr = self.data.create_cell(group)
+                info = SummaryInfo.of_rows(self.eta, group)
+            child_ptrs.append(ptr)
+            children.append(info)
+        own = SummaryInfo.combine(self.eta, children)
         node = SummaryNode(
-            word=word,
-            cell=cell_id,
-            own=SummaryInfo.of_tuples(self.eta, tuples),
-            children=children,
-            child_ptrs=child_ptrs,
+            word=word, cell=cell_id, own=own, children=children, child_ptrs=child_ptrs
         )
-        return self.head.allocate(node)
+        return self.head.allocate(node), own.copy()
 
     # ------------------------------------------------------------------
     # Tuple deletion (Section 4.5)
@@ -425,7 +422,7 @@ class I3Index:
                 return False
             self.num_tuples -= 1
             self.epoch += 1
-            node.children[quadrant] = SummaryInfo.of_tuples(self.eta, remaining)
+            node.children[quadrant] = SummaryInfo.of_rows(self.eta, remaining)
             if ptr.count == 0:
                 node.child_ptrs[quadrant] = None
             node.own = SummaryInfo.combine(self.eta, node.children)

@@ -33,7 +33,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.headfile import CellPages
 from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE, PageFile
-from repro.storage.records import StoredTuple, TupleCodec
+from repro.storage.records import Row, StoredTuple, TupleCodec
 from repro.storage.slotted import SlottedFile
 
 __all__ = ["DataFile", "DecodedCellCache", "DATA_COMPONENT", "DECODED_CELL_BUDGET"]
@@ -172,30 +172,30 @@ class DataFile:
     # ------------------------------------------------------------------
     # Cell lifecycle
     # ------------------------------------------------------------------
-    def create_cell(self, tuples: Sequence[StoredTuple]) -> CellPages:
-        """Materialise a new keyword cell holding ``tuples``.
+    def create_cell(self, rows: Sequence[Row]) -> CellPages:
+        """Materialise a new keyword cell holding ``rows``.
 
-        Assigns a fresh source id (incoming source ids are ignored) and
-        places the tuples in a single page when they fit — preferring the
+        Packs each row once, tagged with a fresh source id, and places
+        the slot images in a single page when they fit — preferring the
         fullest page with room, which is what lets unrelated cells share
         pages — or in a page chain when the cell exceeds capacity (only
         legal for maximum-depth cells; the index layer guarantees that).
         """
         cell = CellPages(source_id=self.new_source_id())
-        remaining = [self._stamp(t, cell.source_id) for t in tuples]
-        if len(remaining) <= self.capacity:
-            if remaining:
-                page = self.slotted.page_with_free(len(remaining))
-                self.slotted.insert_many(page, [TupleCodec.encode(t) for t in remaining])
+        images = TupleCodec.encode(rows, cell.source_id)
+        cell.count = len(images)
+        if len(images) <= self.capacity:
+            if images:
+                page = self.slotted.page_with_free(len(images))
+                self.slotted.insert_many(page, images)
                 cell.pages = [page]
         else:
-            while remaining:
+            while images:
                 page = self.slotted.page_with_free(1)
-                chunk_size = min(self.slotted.free_count(page), len(remaining))
-                chunk, remaining = remaining[:chunk_size], remaining[chunk_size:]
-                self.slotted.insert_many(page, [TupleCodec.encode(t) for t in chunk])
+                chunk_size = min(self.slotted.free_count(page), len(images))
+                self.slotted.insert_many(page, images[:chunk_size])
+                images = images[chunk_size:]
                 cell.pages.append(page)
-        cell.count = len(tuples)
         return cell
 
     def read_cell(self, cell: CellPages) -> List[StoredTuple]:
@@ -208,14 +208,14 @@ class DataFile:
             if row[4] == source
         ]
 
-    def dissolve_cell(self, cell: CellPages) -> List[StoredTuple]:
-        """Remove a cell from its pages and return its tuples.
+    def dissolve_cell(self, cell: CellPages) -> List[Row]:
+        """Remove a cell from its pages and return its rows.
 
         Used when a cell turns dense: its tuples are redistributed into
         child cells.  Pages are never deallocated — their freed slots are
         reused by later insertions, the paper's reuse policy.
         """
-        return [StoredTuple(*row) for row in TupleCodec.rows(b"".join(self._cut(cell)))]
+        return [row[:4] for row in TupleCodec.rows(b"".join(self._cut(cell)))]
 
     def _cut(self, cell: CellPages) -> List[bytes]:
         """Free every slot of ``cell`` and return the slot images, in page
@@ -241,9 +241,9 @@ class DataFile:
     # Tuple operations within a cell
     # ------------------------------------------------------------------
     def insert_into_cell(
-        self, cell: CellPages, record: StoredTuple, allow_overflow: bool = False
+        self, cell: CellPages, row: Row, allow_overflow: bool = False
     ) -> None:
-        """Insert one tuple into an existing non-dense keyword cell.
+        """Insert one row into an existing non-dense keyword cell.
 
         Follows Algorithms 2-3's non-splitting branches: use a free slot
         of the cell's page if there is one, otherwise relocate the whole
@@ -252,7 +252,7 @@ class DataFile:
         page instead of relocating.
         """
         self.cells.drop(cell)
-        stamped = self._stamp(record, cell.source_id)
+        (image,) = TupleCodec.encode([row], cell.source_id)
         if not allow_overflow and cell.count >= self.capacity:
             raise ValueError(
                 f"cell with source id {cell.source_id} is at capacity "
@@ -260,18 +260,18 @@ class DataFile:
             )
         for page in cell.pages:
             if self.slotted.free_count(page) > 0:
-                self.slotted.insert(page, TupleCodec.encode(stamped))
+                self.slotted.insert(page, image)
                 cell.count += 1
                 return
         if not cell.pages:
             page = self.slotted.page_with_free(1)
-            self.slotted.insert(page, TupleCodec.encode(stamped))
+            self.slotted.insert(page, image)
             cell.pages = [page]
             cell.count = 1
             return
         if allow_overflow and cell.count >= self.capacity:
             page = self.slotted.page_with_free(1)
-            self.slotted.insert(page, TupleCodec.encode(stamped))
+            self.slotted.insert(page, image)
             cell.pages.append(page)
             cell.count += 1
             return
@@ -279,7 +279,7 @@ class DataFile:
         # cell's |O| slot images, unchanged, plus the new one to a
         # roomier page.
         moved = self._cut(cell)
-        moved.append(TupleCodec.encode(stamped))
+        moved.append(image)
         page = self.slotted.page_with_free(len(moved))
         self.slotted.insert_many(page, moved)
         cell.pages = [page]
@@ -292,8 +292,9 @@ class DataFile:
 
     def delete_and_collect(
         self, cell: CellPages, doc_id: int
-    ) -> tuple[bool, List[StoredTuple]]:
-        """Delete ``doc_id``'s tuple and return the cell's survivors.
+    ) -> tuple[bool, List[Row]]:
+        """Delete ``doc_id``'s tuple and return the rows of the cell's
+        survivors.
 
         One read (plus at most one write) per page of the cell — the
         deletion and the rescan that rebuilds the cell's summary E
@@ -311,12 +312,12 @@ class DataFile:
 
         self.cells.drop(cell)
         found = False
-        remaining: List[StoredTuple] = []
+        remaining: List[Row] = []
         for page in cell.pages:
             image, deleted = self.slotted.scan_and_delete(page, doomed)
             found = found or bool(deleted)
             remaining += [
-                StoredTuple(*row)
+                row[:4]
                 for row in TupleCodec.rows(image)
                 if row[4] == source and row[0] != doc_id
             ]
@@ -329,18 +330,6 @@ class DataFile:
     # ------------------------------------------------------------------
     # Helpers and introspection
     # ------------------------------------------------------------------
-    @staticmethod
-    def _stamp(record: StoredTuple, source_id: int) -> StoredTuple:
-        if record.source_id == source_id:
-            return record
-        return StoredTuple(
-            doc_id=record.doc_id,
-            x=record.x,
-            y=record.y,
-            weight=record.weight,
-            source_id=source_id,
-        )
-
     @property
     def size_bytes(self) -> int:
         """On-disk size of the data file."""

@@ -308,14 +308,10 @@ def read_index(
                 f"page {page_id} checksum mismatch: torn or corrupt page write",
                 page_at,
             )
-        free = _free_slots(image)
         if serve_pages is None:
-            slotted.allocate_page()
+            index.data.file.allocate()
             index.data.file._pages[page_id][:] = image
-            slotted._set_free(page_id, free)
-        else:
-            slotted._free[page_id] = free
-            slotted._by_free_count[len(free)].add(page_id)
+        slotted.adopt_page(page_id, _free_slots(image))
     # Head file and lookup table, verified against the trailing CRC.
     tail = _CrcReader(fh)
     (num_nodes,) = struct.unpack("<I", _must_read(tail, 4, "node count"))

@@ -36,6 +36,10 @@ __all__ = [
     "json_number",
 ]
 
+F32_LIMIT = float.fromhex("0x1.ffffffp+127")
+"""The smallest double that rounds to infinity in single precision: a
+term weight is stored as an f32, so every weight must lie below it."""
+
 
 @dataclass(frozen=True, slots=True)
 class SpatialDocument:
@@ -65,10 +69,10 @@ class SpatialDocument:
                 raise ValueError("empty keyword in document terms")
             # The chained comparison also refuses NaN, which a plain
             # ``weight < 0`` lets through.
-            if not 0 <= weight < math.inf:
+            if not 0 <= weight < F32_LIMIT:
                 raise ValueError(
                     f"weight {weight!r} for keyword {word!r} must be "
-                    "finite and non-negative"
+                    "non-negative and finite in single precision (f32)"
                 )
 
     @property

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
-__all__ = ["StoredTuple", "TupleCodec", "TUPLE_SIZE", "f32"]
+__all__ = ["Row", "StoredTuple", "TupleCodec", "TUPLE_SIZE", "f32"]
 
 _F32 = struct.Struct("<f")
 
@@ -48,6 +48,11 @@ assert TUPLE_SIZE == 32, "the paper's B = 32 byte layout must hold"
 
 EMPTY_SOURCE = 0
 """Reserved source id marking an empty slot; real source ids start at 1."""
+
+Row = Tuple[int, float, float, float]
+"""A spatial tuple on the write path: ``(doc_id, x, y, weight)`` with the
+weight already f32-quantised; its cell's source id is added when the row
+is packed into a slot."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,13 +81,13 @@ class TupleCodec:
     size = TUPLE_SIZE
 
     @staticmethod
-    def encode(record: StoredTuple) -> bytes:
-        """Serialise a stored tuple into its 32-byte slot image."""
-        if record.source_id == EMPTY_SOURCE:
+    def encode(rows: Iterable[Row], source_id: int) -> List[bytes]:
+        """The 32-byte slot images of one keyword cell's rows, each
+        tagged with the cell's ``source_id``."""
+        if source_id == EMPTY_SOURCE:
             raise ValueError("source id 0 is reserved for empty slots")
-        return _SLOT.pack(
-            record.doc_id, record.x, record.y, record.weight, record.source_id
-        )
+        pack = _SLOT.pack
+        return [pack(doc_id, x, y, w, source_id) for doc_id, x, y, w in rows]
 
     @staticmethod
     def decode(data: bytes) -> StoredTuple:

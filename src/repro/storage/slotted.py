@@ -6,8 +6,8 @@ tuple".  Different keyword cells may share a page, and insertion
 repeatedly needs "a page with at least n empty slots" (Algorithms 2-3).
 :class:`SlottedFile` provides exactly that: slot-granular insert/delete
 on top of any page store, plus an allocator that answers the
-"page with >= n free slots" query in O(slots-per-page) using free-count
-buckets.
+"page with >= n free slots" query in O(1) using free-count buckets and
+a bitmask of the buckets that hold a page.
 
 Slot occupancy is tracked in memory (it is reconstructible metadata — a
 real system would rebuild it by scanning, exactly as the paper scans
@@ -48,15 +48,21 @@ class SlottedFile:
         self.slots_per_page = store.page_size // record_size
         self._free: Dict[int, Set[int]] = {}
         self._by_free_count: Dict[int, Set[int]] = defaultdict(set)
+        self._held = 0  # bit c set iff _by_free_count[c] holds a page
 
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
     def allocate_page(self) -> int:
         """Allocate a fresh all-free page and return its id."""
-        page_id = self.store.allocate()
-        self._free[page_id] = set(range(self.slots_per_page))
-        self._by_free_count[self.slots_per_page].add(page_id)
+        return self.adopt_page(self.store.allocate(), set(range(self.slots_per_page)))
+
+    def adopt_page(self, page_id: int, free: Set[int]) -> int:
+        """Track a page of the store with ``free`` as its free slots — a
+        fresh page, or one a reader restored from a file."""
+        self._free[page_id] = free
+        self._by_free_count[len(free)].add(page_id)
+        self._held |= 1 << len(free)
         return page_id
 
     def page_with_free(self, n: int) -> int:
@@ -73,17 +79,20 @@ class SlottedFile:
             raise ValueError(
                 f"{n} slots can never fit a page of {self.slots_per_page} slots"
             )
-        for count in range(n, self.slots_per_page + 1):
-            bucket = self._by_free_count.get(count)
-            if bucket:
-                return next(iter(bucket))
+        # The lowest held bucket at or above n: the fullest eligible page.
+        above = self._held >> n
+        if above:
+            count = n + (above & -above).bit_length() - 1
+            return next(iter(self._by_free_count[count]))
         return self.allocate_page()
 
     def _set_free(self, page_id: int, free: Set[int]) -> None:
-        old = self._free[page_id]
-        self._by_free_count[len(old)].discard(page_id)
-        self._free[page_id] = free
-        self._by_free_count[len(free)].add(page_id)
+        old = len(self._free[page_id])
+        bucket = self._by_free_count[old]
+        bucket.discard(page_id)
+        if not bucket:
+            self._held &= ~(1 << old)
+        self.adopt_page(page_id, free)
 
     # ------------------------------------------------------------------
     # Record operations (each touches the page: one read + one write)
@@ -103,12 +112,13 @@ class SlottedFile:
             raise ValueError(
                 f"page {page_id} has {len(free)} free slots, need {len(payloads)}"
             )
+        size = self.record_size
+        wrong = set(map(len, payloads)) - {size}
+        if wrong:
+            raise ValueError(f"payload of {wrong.pop()} bytes, expected {size}")
         slots = sorted(free)[: len(payloads)]  # the lowest free slots
         page = bytearray(self.store.read(page_id))
-        size = self.record_size
         for slot, payload in zip(slots, payloads):
-            if len(payload) != size:
-                raise ValueError(f"payload of {len(payload)} bytes, expected {size}")
             page[slot * size : (slot + 1) * size] = payload
         self.store.write(page_id, bytes(page))
         self._set_free(page_id, free.difference(slots))

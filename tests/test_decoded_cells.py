@@ -30,7 +30,7 @@ from repro.model.scoring import Ranker
 from repro.service import QueryService, ServiceConfig
 from repro.spatial.geometry import UNIT_SQUARE
 from repro.storage.iostats import IOStats
-from repro.storage.records import StoredTuple, f32
+from repro.storage.records import f32
 from tests.helpers import DEFAULT_VOCAB, make_documents, results_as_pairs
 
 RANKER = Ranker(UNIT_SQUARE, 0.5)
@@ -197,7 +197,7 @@ class TestBudget:
         surplus = 150
         cells = [
             data.create_cell([
-                StoredTuple(n * 1000 + j, j / 128, n / 4096, f32(0.5), 1)
+                (n * 1000 + j, j / 128, n / 4096, f32(0.5))
                 for j in range(data.capacity)
             ])
             for n in range(DECODED_CELL_BUDGET // per_cell + surplus)
@@ -222,7 +222,7 @@ class TestBudget:
     def test_entry_is_keyed_by_the_cell_object(self):
         cache = DecodedCellCache()
         data = DataFile(page_size=128)
-        cell = data.create_cell([StoredTuple(1, 0.5, 0.5, f32(0.5), 1)])
+        cell = data.create_cell([(1, 0.5, 0.5, f32(0.5))])
         cache.put(cell, "decoded", 10)
         assert cache.get(cell) == "decoded"
         cache.put(cell, "again", 30)  # replaces, does not double-count

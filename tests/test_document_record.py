@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import _read_corpus_records
 from repro.model.document import (
+    F32_LIMIT,
     SpatialDocument,
     document_from_record,
     document_to_record,
@@ -37,7 +38,7 @@ documents = st.builds(
     finite,
     st.dictionaries(
         st.text(min_size=1, max_size=8),
-        st.floats(min_value=0.0, allow_infinity=False),
+        st.floats(min_value=0.0, max_value=math.nextafter(F32_LIMIT, 0.0)),
         max_size=5,
     ),
 )
@@ -73,6 +74,7 @@ BAD = [
     ("string number", _with(x="0.5"), "document x"),
     ("NaN", _with(y=math.nan), "document y"),
     ("Infinity", _with(terms={"cafe": math.inf}), "weight of 'cafe'"),
+    ("beyond f32", _with(terms={"cafe": 1e39}), "keyword 'cafe'"),
     ("missing field", _with(x=_MISSING), "document x"),
     ("non-string keyword", _with(terms={1: 0.5}), "document terms"),
     ("non-finite ts", _with(ts=math.inf), "document ts"),

@@ -5,31 +5,30 @@ import pytest
 from repro.core.headfile import CellPages, HeadFile, SummaryInfo, SummaryNode
 from repro.spatial.cells import ROOT_CELL
 from repro.storage.iostats import IOStats
-from repro.storage.records import StoredTuple
 
 
 def tup(doc_id, weight=0.5, x=0.5, y=0.5):
-    return StoredTuple(doc_id=doc_id, x=x, y=y, weight=weight, source_id=1)
+    return (doc_id, x, y, weight)
 
 
 class TestSummaryInfo:
-    def test_of_tuples(self):
-        info = SummaryInfo.of_tuples(32, [tup(1, 0.3), tup(2, 0.8), tup(3, 0.5)])
+    def test_of_rows(self):
+        info = SummaryInfo.of_rows(32, [tup(1, 0.3), tup(2, 0.8), tup(3, 0.5)])
         assert info.count == 3
         assert info.max_s == 0.8
         assert all(info.sig.might_contain(d) for d in (1, 2, 3))
 
-    def test_add_incrementally_matches_of_tuples(self):
-        tuples = [tup(4, 0.2), tup(9, 0.9)]
-        a = SummaryInfo.of_tuples(16, tuples)
+    def test_add_incrementally_matches_of_rows(self):
+        rows = [tup(4, 0.2), tup(9, 0.9)]
+        a = SummaryInfo.of_rows(16, rows)
         b = SummaryInfo.empty(16)
-        for t in tuples:
-            b.add(t.doc_id, t.weight)
+        for doc_id, _, _, weight in rows:
+            b.add(doc_id, weight)
         assert a.sig == b.sig and a.max_s == b.max_s and a.count == b.count
 
     def test_combine_unions_children(self):
-        a = SummaryInfo.of_tuples(16, [tup(1, 0.3)])
-        b = SummaryInfo.of_tuples(16, [tup(2, 0.7), tup(3, 0.1)])
+        a = SummaryInfo.of_rows(16, [tup(1, 0.3)])
+        b = SummaryInfo.of_rows(16, [tup(2, 0.7), tup(3, 0.1)])
         combined = SummaryInfo.combine(16, [a, b])
         assert combined.count == 3
         assert combined.max_s == 0.7
@@ -37,7 +36,7 @@ class TestSummaryInfo:
             assert combined.sig.might_contain(d)
 
     def test_copy_is_independent(self):
-        a = SummaryInfo.of_tuples(16, [tup(1, 0.3)])
+        a = SummaryInfo.of_rows(16, [tup(1, 0.3)])
         b = a.copy()
         b.add(2, 0.9)
         assert a.count == 1

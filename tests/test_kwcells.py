@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.kwcells import DataFile
 from repro.storage.iostats import IOStats
-from repro.storage.records import StoredTuple, f32
+from repro.storage.records import f32
 
 
 def tup(doc_id, weight=0.5):
-    return StoredTuple(doc_id=doc_id, x=0.5, y=0.5, weight=f32(weight), source_id=1)
+    return (doc_id, 0.5, 0.5, f32(weight))
 
 
 def make(page_size=64, stats=None):
@@ -124,7 +124,7 @@ class TestDeleteAndDissolve:
         cell = data.create_cell([tup(1), tup(2)])
         page = cell.pages[0]
         out = data.dissolve_cell(cell)
-        assert {t.doc_id for t in out} == {1, 2}
+        assert out == [tup(1), tup(2)]
         assert cell.count == 0 and cell.pages == []
         assert data.slotted.free_count(page) == data.capacity
 

@@ -4,11 +4,12 @@ import math
 
 import pytest
 
-from repro.model.document import SpatialDocument, documents_from_tuples
+from repro.model.document import F32_LIMIT, SpatialDocument, documents_from_tuples
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc, TopKCollector
 from repro.model.scoring import Ranker
 from repro.spatial.geometry import Rect, UNIT_SQUARE
+from repro.storage.records import f32
 
 
 class TestSpatialDocument:
@@ -52,6 +53,18 @@ class TestSpatialDocument:
         # engines; NaN slips past a plain ``< 0`` check.
         with pytest.raises(ValueError, match="finite"):
             SpatialDocument(10, x, y, {"a": weight})
+
+    def test_weight_must_fit_an_f32(self):
+        # A weight is stored as an f32; one that overflows there must be
+        # refused here, before a durable store logs it.
+        largest = math.nextafter(F32_LIMIT, 0.0)
+        assert SpatialDocument(1, 0, 0, {"a": largest}).terms["a"] == largest
+        assert f32(largest) < math.inf
+        for weight in (F32_LIMIT, 1e39):
+            with pytest.raises(OverflowError):
+                f32(weight)
+            with pytest.raises(ValueError, match="keyword 'big'"):
+                SpatialDocument(1, 0, 0, {"big": weight})
 
 
 class TestTopKQuery:

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.naive import NaiveScanIndex
 from repro.core.index import I3Index
 from repro.core.persistence import FORMAT_VERSION, MAGIC, load_index, save_index
+from repro.exec.snapshot import ReadOnlySnapshotError, open_snapshot
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
 from repro.spatial.geometry import Rect, UNIT_SQUARE
@@ -92,6 +93,48 @@ class TestRoundTrip:
         save_index(index, str(a))
         save_index(load_index(str(a)), str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestAllocatorAfterReload:
+    """Both readers hand every page to ``SlottedFile.adopt_page``, so the
+    restored allocator holds the pages the saved one held, under the
+    same free counts, and answers "a page with >= n free slots" from
+    the same bucket."""
+
+    def test_readers_restore_the_allocator(self, rng, tmp_path):
+        docs = make_documents(3000, rng)
+        index = I3Index(UNIT_SQUARE, page_size=4096)
+        index.bulk_load(docs[:2000])
+        for doc in docs[2000:]:
+            index.insert_document(doc)
+        for doc in docs[::5]:
+            assert index.delete_document(doc)
+        path = str(tmp_path / "alloc.i3ix")
+        save_index(index, path)
+        fresh = index.data.slotted
+        loaded = load_index(path).data.slotted
+        mapped = open_snapshot(path)[0].data.slotted
+
+        def buckets(slotted):
+            return {c: b for c, b in slotted._by_free_count.items() if b}
+
+        for restored in (loaded, mapped):
+            assert restored._free == fresh._free
+            assert buckets(restored) == buckets(fresh)
+        whole = fresh.slots_per_page
+        for n in range(1, whole + 1):
+            fits = [c for c in buckets(fresh) if c >= n]
+            if not fits:  # only a new page has room: the snapshot cannot grow
+                with pytest.raises(ReadOnlySnapshotError):
+                    mapped.page_with_free(n)
+                continue
+            picks = {s.page_with_free(n) for s in (fresh, loaded, mapped)}
+            assert {fresh.free_count(p) for p in picks} == {min(fits)}
+            if n in (1, 7, 64, 128):
+                assert loaded.page_with_free(n) == mapped.page_with_free(n)
+        assert whole not in buckets(fresh)
+        next_page = fresh.num_pages
+        assert fresh.page_with_free(whole) == loaded.page_with_free(whole) == next_page
 
 
 class TestFormatValidation:

@@ -72,8 +72,8 @@ def corpora(draw, max_docs=40):
 class TestStorageProperties:
     @given(doc_ids, coords, coords, weights, st.integers(1, 2**31 - 1))
     def test_tuple_codec_roundtrip(self, doc_id, x, y, w, source):
-        record = StoredTuple(doc_id=doc_id, x=x, y=y, weight=w, source_id=source)
-        assert TupleCodec.decode(TupleCodec.encode(record)) == record
+        (image,) = TupleCodec.encode([(doc_id, x, y, w)], source)
+        assert TupleCodec.decode(image) == StoredTuple(doc_id, x, y, w, source)
 
     @given(st.lists(st.binary(min_size=8, max_size=8), min_size=0, max_size=12))
     def test_slotted_file_stores_and_returns_payloads(self, payloads):

@@ -17,11 +17,13 @@ from repro.exec.snapshot import open_snapshot
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
+from repro.net.client import Client
+from repro.net.errors import ProtocolError
 from repro.service import QueryService, ServiceConfig
 from repro.spatial.geometry import UNIT_SQUARE
 from repro.storage.errors import SnapshotCorruptionError, WalCorruptionError
 
-from tests.helpers import make_documents, results_as_pairs
+from tests.helpers import make_documents, results_as_pairs, serving
 
 
 def fresh_index(**kwargs):
@@ -164,6 +166,50 @@ class TestDurableIndex:
             du.update_document(doc, SpatialDocument(doc.doc_id + 1, 0.5, 0.5, {"a": 1.0}))
         assert du.last_lsn == 0  # nothing was appended
         du.close()
+
+
+class TestPoisonWeight:
+    """A finite weight that overflows an f32 is refused before the log
+    sees it; logged, it would fail every replay and brick the store."""
+
+    POISON = {"id": 99, "x": 0.5, "y": 0.5, "terms": {"big": 1e39}}
+
+    def _store(self, rng, tmp_path):
+        docs = make_documents(5, rng)
+        store = str(tmp_path / "s")
+        du = DurableIndex.create(store, fresh_index())
+        for doc in docs:
+            du.insert_document(doc)
+        du.close()
+        return store, docs
+
+    def test_durable_insert_refuses_it_and_the_store_reopens(self, rng, tmp_path):
+        store, docs = self._store(rng, tmp_path)
+        du = DurableIndex.open(store)
+        with pytest.raises(ValueError, match="keyword 'big'"):
+            du.insert_document(SpatialDocument(99, 0.5, 0.5, {"big": 1e39}))
+        assert du.last_lsn == len(docs)
+        du.close()
+        reopened = DurableIndex.open(store)
+        assert reopened.index.documents() == docs
+        reopened.close()
+
+    def test_wire_insert_is_refused_and_the_store_restarts(self, rng, tmp_path):
+        store, docs = self._store(rng, tmp_path)
+        good = SpatialDocument(98, 0.25, 0.25, {"fine": 0.5})
+        with serving(tmp_path / "a.json", "--durable-dir", store) as (address, _):
+            with Client(address["host"], address["port"]) as client:
+                with pytest.raises(ProtocolError, match="malformed document.*'big'"):
+                    client.call("insert", {"doc": self.POISON})
+                client.insert(good)
+        # A restart replays the log; the refused record is not in it.
+        with serving(tmp_path / "b.json", "--durable-dir", store) as (address, _):
+            with Client(address["host"], address["port"]) as client:
+                query = TopKQuery(0.25, 0.25, ("fine",), k=1)
+                assert [r.doc_id for r in client.search(query)] == [98]
+        reopened = DurableIndex.open(store)
+        assert reopened.index.documents() == sorted(docs + [good], key=lambda d: d.doc_id)
+        reopened.close()
 
 
 class TestSnapshotCorruption:

@@ -16,18 +16,14 @@ from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
 from repro.spatial.cells import CellGrid, ROOT_CELL
 from repro.spatial.geometry import UNIT_SQUARE
-from repro.storage.records import StoredTuple, f32
+from repro.storage.records import f32
 
 GRID = CellGrid(UNIT_SQUARE)
 
 
 def summary_of(docs, word, eta=64):
-    tuples = [
-        StoredTuple(d.doc_id, d.x, d.y, d.terms[word], 1)
-        for d in docs
-        if word in d.terms
-    ]
-    return SummaryInfo.of_tuples(eta, tuples)
+    rows = [(d.doc_id, d.x, d.y, d.terms[word]) for d in docs if word in d.terms]
+    return SummaryInfo.of_rows(eta, rows)
 
 
 def candidate_for(docs, query, dense_words, eta=64):

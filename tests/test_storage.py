@@ -101,29 +101,27 @@ class TestTupleCodec:
         assert TUPLE_SIZE == 32
 
     def test_roundtrip(self):
-        t = StoredTuple(doc_id=123456789, x=0.25, y=0.75, weight=f32(0.613), source_id=42)
-        back = TupleCodec.decode(TupleCodec.encode(t))
-        assert back == t
+        (image,) = TupleCodec.encode([(123456789, 0.25, 0.75, f32(0.613))], 42)
+        back = TupleCodec.decode(image)
+        assert back == StoredTuple(123456789, 0.25, 0.75, f32(0.613), 42)
 
     def test_weight_survives_f32_quantisation(self):
         w = f32(0.1)
-        t = StoredTuple(doc_id=1, x=0.0, y=0.0, weight=w, source_id=1)
-        assert TupleCodec.decode(TupleCodec.encode(t)).weight == w
+        (image,) = TupleCodec.encode([(1, 0.0, 0.0, w)], 1)
+        assert TupleCodec.decode(image).weight == w
 
     def test_source_zero_reserved(self):
-        t = StoredTuple(doc_id=1, x=0.0, y=0.0, weight=0.5, source_id=0)
         with pytest.raises(ValueError):
-            TupleCodec.encode(t)
+            TupleCodec.encode([(1, 0.0, 0.0, 0.5)], 0)
 
     def test_zeroed_slot_is_empty(self):
         assert TupleCodec.is_empty(bytes(TUPLE_SIZE))
-        t = StoredTuple(doc_id=0, x=0.0, y=0.0, weight=0.0, source_id=7)
-        assert not TupleCodec.is_empty(TupleCodec.encode(t))
+        assert not TupleCodec.is_empty(TupleCodec.encode([(0, 0.0, 0.0, 0.0)], 7)[0])
 
     def test_decode_page_skips_empty_slots(self):
         page = bytearray(4 * TUPLE_SIZE)
         t = StoredTuple(doc_id=9, x=0.5, y=0.5, weight=f32(0.3), source_id=3)
-        page[TUPLE_SIZE : 2 * TUPLE_SIZE] = TupleCodec.encode(t)
+        page[TUPLE_SIZE : 2 * TUPLE_SIZE] = TupleCodec.encode([(9, 0.5, 0.5, f32(0.3))], 3)[0]
         decoded = TupleCodec.decode_page(bytes(page))
         assert decoded == [(1, t)]
 

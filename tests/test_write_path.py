@@ -43,6 +43,10 @@ stored = st.builds(
 slot = st.one_of(st.none(), stored)
 
 
+def slot_image(t: StoredTuple) -> bytes:
+    return TupleCodec.encode([(t.doc_id, t.x, t.y, t.weight)], t.source_id)[0]
+
+
 def reference_slots(page: bytes):
     """``(slot, tuple)`` for every occupied slot, one ``decode`` each."""
     out = []
@@ -57,7 +61,7 @@ def reference_slots(page: bytes):
 def page_images(draw):
     size = draw(st.integers(TUPLE_SIZE, 9 * TUPLE_SIZE))
     slots = draw(st.lists(slot, min_size=size // TUPLE_SIZE, max_size=size // TUPLE_SIZE))
-    body = b"".join(bytes(TUPLE_SIZE) if t is None else TupleCodec.encode(t) for t in slots)
+    body = b"".join(bytes(TUPLE_SIZE) if t is None else slot_image(t) for t in slots)
     return body + draw(st.binary(min_size=size % TUPLE_SIZE, max_size=size % TUPLE_SIZE))
 
 
@@ -86,7 +90,7 @@ class TestPageDecoder:
         for slots in pages:
             slots = slots[:per_page]
             page = data.slotted.allocate_page()
-            data.slotted.insert_many(page, [TupleCodec.encode(t or filler) for t in slots])
+            data.slotted.insert_many(page, [slot_image(t or filler) for t in slots])
             data.slotted.delete_many(page, [i for i, t in enumerate(slots) if t is None])
             cell.pages.append(page)
         images = {p: bytes(data.file._pages[p]) for p in cell.pages}
@@ -102,7 +106,7 @@ class TestPageDecoder:
             for p in cell.pages
         }
         pages_of_cell = list(cell.pages)
-        assert data.dissolve_cell(cell) == expected
+        assert data.dissolve_cell(cell) == [(t.doc_id, t.x, t.y, t.weight) for t in expected]
         assert cell.pages == [] and cell.count == 0
         for p in pages_of_cell:
             assert reference_slots(bytes(data.file._pages[p])) == kept[p]
