@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.manifest import ShardInfo, ShardManifest
 from repro.model.document import SpatialDocument
@@ -41,7 +41,6 @@ from repro.spatial.cells import (
     ROOT_CELL,
     CellGrid,
     cell_level,
-    child_cell,
     parent_cell,
 )
 from repro.spatial.geometry import Rect
@@ -51,6 +50,7 @@ __all__ = [
     "SpatialGridPartitioner",
     "partitioner_from_manifest",
     "build_manifest",
+    "grow_leaves",
 ]
 
 DEFAULT_LEAF_CAPACITY = 64
@@ -214,37 +214,28 @@ class SpatialGridPartitioner:
     ) -> "SpatialGridPartitioner":
         """Grow the leaf decomposition over ``documents`` and pack the
         leaves onto shards by document count."""
+        if num_shards <= 0:
+            raise ValueError(f"num_shards must be positive, got {num_shards}")
         if leaf_capacity <= 0:
             raise ValueError(f"leaf_capacity must be positive, got {leaf_capacity}")
         if max_level < 0:
             raise ValueError(f"max_level must be >= 0, got {max_level}")
-        grid = CellGrid(space)
-        points = [(doc.x, doc.y) for doc in documents]
-        leaf_counts: Dict[int, int] = {}
-
-        def grow(cell: int, members: List[int]) -> None:
-            if len(members) <= leaf_capacity or cell_level(cell) >= max_level:
-                leaf_counts[cell] = len(members)
-                return
-            groups: List[List[int]] = [[], [], [], []]
-            for i in members:
-                x, y = points[i]
-                groups[grid.quadrant_of(cell, x, y)].append(i)
-            for quadrant, group in enumerate(groups):
-                grow(child_cell(cell, quadrant), group)
-
-        grow(ROOT_CELL, list(range(len(points))))
+        grown = grow_leaves(
+            space,
+            list(documents),
+            lambda cell, level, members: len(members) > leaf_capacity
+            and level < max_level,
+        )
         # Greedy balance: heaviest leaves first, each onto the lightest
         # shard so far (ties broken by shard id for determinism).
         loads = [0] * num_shards
         leaves: Dict[int, int] = {}
-        ordered = sorted(
-            leaf_counts.items(), key=lambda item: (-item[1], item[0])
-        )
-        for cell, count in ordered:
+        for cell, members in sorted(
+            grown.items(), key=lambda item: (-len(item[1]), item[0])
+        ):
             shard = min(range(num_shards), key=lambda sid: (loads[sid], sid))
             leaves[cell] = shard
-            loads[shard] += count
+            loads[shard] += len(members)
         return cls(num_shards, space, leaves)
 
     # ------------------------------------------------------------------
@@ -258,15 +249,20 @@ class SpatialGridPartitioner:
         """The shard owning the leaf containing ``(x, y)``."""
         if not self.space.contains_point(x, y):
             raise ValueError(f"point ({x}, {y}) outside the data space")
+        leaves, descent = self.leaves, self._descent
         cell = ROOT_CELL
-        for _ in range(self._max_level + 1):
-            shard = self.leaves.get(cell)
+        while True:  # the leaves tile the space: every descent ends in one
+            shard = leaves.get(cell)
             if shard is not None:
                 return shard
-            cell = self._grid.child_containing(cell, x, y)
-        raise ValueError(
-            f"point ({x}, {y}) reached no leaf — corrupt leaf assignment"
-        )
+            # Rect.quadrant_of's test against Rect.center's expression
+            # over the grid's cached rect: the same split line, bit for bit.
+            _, min_x, max_x, min_y, max_y = descent[cell]
+            cell = (
+                cell << 2
+                | (y >= (min_y + max_y) / 2.0) << 1
+                | (x >= (min_x + max_x) / 2.0)
+            )
 
     def shard_regions(self) -> Dict[int, List[Rect]]:
         """Spatial coverage per shard: the rectangles of its leaves."""
@@ -325,6 +321,43 @@ class SpatialGridPartitioner:
                 [cell, shard] for cell, shard in sorted(self.leaves.items())
             ]
         }
+
+
+def grow_leaves(
+    space: Rect,
+    documents: Sequence[SpatialDocument],
+    split: Callable[[int, int, List[int]], bool],
+) -> Dict[int, List[int]]:
+    """``{leaf: member indices}`` of the quadtree grown over
+    ``documents`` (depth-first, quadrant order): a cell splits while
+    ``split(cell, level, members)`` says so, sending each member where
+    :meth:`Rect.quadrant_of` would, by its ``>=`` test against the
+    centre of the grid's cached rect.  Every document is checked
+    against ``space`` once, here, so the descent tests no containment.
+    """
+    contains = space.contains_point
+    points: List[Tuple[float, float]] = []
+    for doc in documents:
+        if not contains(doc.x, doc.y):
+            raise ValueError(f"document {doc.doc_id} lies outside the data space")
+        points.append((doc.x, doc.y))
+    grid = CellGrid(space)
+    leaves: Dict[int, List[int]] = {}
+
+    def grow(cell: int, level: int, members: List[int]) -> None:
+        if not split(cell, level, members):
+            leaves[cell] = members
+            return
+        cx, cy = grid.rect(cell).center
+        groups: Tuple[List[int], ...] = ([], [], [], [])
+        for i in members:
+            x, y = points[i]
+            groups[(y >= cy) << 1 | (x >= cx)].append(i)
+        for quadrant, group in enumerate(groups):
+            grow(cell << 2 | quadrant, level + 1, group)
+
+    grow(ROOT_CELL, 0, list(range(len(points))))
+    return leaves
 
 
 def partitioner_from_manifest(manifest: ShardManifest):

@@ -108,6 +108,9 @@ class MmapPageFile:
     def write(self, page_id: int, data: bytes) -> None:
         raise ReadOnlySnapshotError("mmap-served snapshots are read-only")
 
+    def rewrite(self, page_id: int, edit) -> None:
+        raise ReadOnlySnapshotError("mmap-served snapshots are read-only")
+
     def close(self) -> None:
         self._view.release()
         self._mm.close()

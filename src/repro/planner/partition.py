@@ -35,11 +35,12 @@ from repro.cluster.partition import (
     DEFAULT_LEAF_CAPACITY,
     DEFAULT_MAX_LEVEL,
     SpatialGridPartitioner,
+    grow_leaves,
 )
 from repro.model.document import SpatialDocument
 from repro.planner.model import WorkloadModel
 from repro.planner.recorder import WorkloadEntry
-from repro.spatial.cells import ROOT_CELL, CellGrid, cell_level, child_cell, is_ancestor
+from repro.spatial.cells import ROOT_CELL, CellGrid
 from repro.spatial.geometry import Rect
 
 __all__ = ["WorkloadPartitioner", "estimate_shards_touched"]
@@ -52,14 +53,44 @@ LOAD_SLACK = 1.25
 """Load cap multiplier over the mean shard load during packing."""
 
 
-def _shape_heat(cell: int, shapes: Sequence[WorkloadEntry]) -> float:
-    """Query heat overlapping ``cell``: a shape counts when its probe
-    cell and ``cell`` lie on one root path (one contains the other)."""
-    heat = 0.0
-    for shape in shapes:
-        if is_ancestor(cell, shape.cell) or is_ancestor(shape.cell, cell):
-            heat += shape.weight
-    return heat
+class HeatTable:
+    """Query heat per cell, from one pass over the shapes.
+
+    A shape heats ``cell`` when its probe cell and ``cell`` lie on one
+    root path (one contains the other).  Each shape is filed under its
+    own cell and under every ancestor of it, so the shapes heating a
+    cell are those filed under it plus those sitting on its strict
+    ancestors: a lookup costs the depth plus the shapes that match, not
+    a pass over all of them.  The matched weights are added in shape
+    order, so the float is the one a loop over the shapes would give,
+    bit for bit (the recorder halves weights, so they need not be
+    integers and the order matters).
+    """
+
+    __slots__ = ("_weights", "_at", "_beneath")
+
+    def __init__(self, shapes: Sequence[WorkloadEntry]) -> None:
+        self._weights = [shape.weight for shape in shapes]
+        self._at: Dict[int, List[int]] = {}
+        self._beneath: Dict[int, List[int]] = {}
+        for i, shape in enumerate(shapes):
+            cell = shape.cell
+            self._at.setdefault(cell, []).append(i)
+            while cell >= ROOT_CELL:
+                self._beneath.setdefault(cell, []).append(i)
+                cell >>= 2
+
+    def __call__(self, cell: int) -> float:
+        matched = list(self._beneath.get(cell, ()))
+        ancestor = cell >> 2
+        while ancestor >= ROOT_CELL:
+            matched += self._at.get(ancestor, ())
+            ancestor >>= 2
+        heat = 0.0
+        weights = self._weights
+        for i in sorted(matched):
+            heat += weights[i]
+        return heat
 
 
 class WorkloadPartitioner(SpatialGridPartitioner):
@@ -102,34 +133,19 @@ class WorkloadPartitioner(SpatialGridPartitioner):
         total_heat = sum(shape.weight for shape in shapes)
         universe: FrozenSet[str] = model.keywords() if model else frozenset()
         grid = CellGrid(space)
+        heat = HeatTable(shapes)
 
         # -- Stage 1: grow leaves where documents or heat concentrate --
-        leaf_members: Dict[int, List[int]] = {}
+        def split(cell: int, level: int, members: List[int]) -> bool:
+            if level >= max_level or len(members) <= 1:
+                return False
+            return len(members) > leaf_capacity or (
+                total_heat > 0.0
+                and len(members) > max(1, leaf_capacity // 4)
+                and heat(cell) >= HOT_SPLIT_FRACTION * total_heat
+            )
 
-        def grow(cell: int, members: List[int]) -> None:
-            level = cell_level(cell)
-            if level < max_level and len(members) > 1:
-                hot = (
-                    total_heat > 0.0
-                    and _shape_heat(cell, shapes)
-                    >= HOT_SPLIT_FRACTION * total_heat
-                )
-                wants_split = len(members) > leaf_capacity or (
-                    hot and len(members) > max(1, leaf_capacity // 4)
-                )
-            else:
-                wants_split = False
-            if not wants_split:
-                leaf_members[cell] = members
-                return
-            groups: List[List[int]] = [[], [], [], []]
-            for i in members:
-                doc = docs[i]
-                groups[grid.quadrant_of(cell, doc.x, doc.y)].append(i)
-            for quadrant, group in enumerate(groups):
-                grow(child_cell(cell, quadrant), group)
-
-        grow(ROOT_CELL, list(range(len(docs))))
+        leaf_members = grow_leaves(space, docs, split)
 
         # -- Stage 2: leaf features the cost model needs --
         leaf_words: Dict[int, FrozenSet[str]] = {}
@@ -141,9 +157,17 @@ class WorkloadPartitioner(SpatialGridPartitioner):
                     if word in universe:
                         words.add(word)
             leaf_words[cell] = frozenset(words)
-            leaf_heat[cell] = _shape_heat(cell, shapes) if shapes else 0.0
+            leaf_heat[cell] = heat(cell)
 
         and_shapes = [s for s in shapes if s.semantics == "and"]
+        # The cost index: which AND shapes each word occurs in, and how
+        # many of each shape's words every shard still lacks.
+        and_words = [frozenset(s.words) for s in and_shapes]
+        word_shapes: Dict[str, List[int]] = {}
+        for i, words in enumerate(and_words):
+            for word in words:
+                word_shapes.setdefault(word, []).append(i)
+        wordless = [i for i, words in enumerate(and_words) if not words]
         or_shapes = [s for s in shapes if s.semantics == "or"]
         # Which leaves each OR shape *touches*: spatial overlap with the
         # shape's probe cell plus at least one shared keyword — the
@@ -161,30 +185,44 @@ class WorkloadPartitioner(SpatialGridPartitioner):
         # -- Stage 3: greedy cost-based packing --
         loads = [0] * num_shards
         covered: List[Set[str]] = [set() for _ in range(num_shards)]
+        lacking = [[len(words) for words in and_words] for _ in range(num_shards)]
         and_done: List[Set[int]] = [set() for _ in range(num_shards)]
         or_done: List[Set[int]] = [set() for _ in range(num_shards)]
         leaves: Dict[int, int] = {}
         total_docs = len(docs)
         cap = LOAD_SLACK * total_docs / num_shards if total_docs else 0.0
 
-        def placement_cost(sid: int, cell: int) -> Tuple[float, List[int], List[int]]:
+        def placement_cost(
+            sid: int, cell: int
+        ) -> Tuple[float, Set[str], List[int], List[int]]:
             """Expected-shards-touched increase of putting ``cell`` on
-            ``sid``, plus the shape ids that become chargeable."""
+            ``sid``, plus the words it adds and the shape ids that
+            become chargeable.
+
+            A shape not yet charged on ``sid`` lacks a word there (it is
+            charged the moment its last word arrives), so only shapes
+            sharing a word the leaf adds can become chargeable: those
+            whose lacking words all arrive at once.  Their weights are
+            added in shape order, as a scan of every shape would.
+            """
+            new_words = leaf_words[cell] - covered[sid]
+            arriving: Dict[int, int] = {}
+            for word in new_words:
+                for i in word_shapes.get(word, ()):
+                    arriving[i] = arriving.get(i, 0) + 1
+            lacks = lacking[sid]
+            new_and = [i for i, n in arriving.items() if n == lacks[i]]
+            new_and += [i for i in wordless if i not in and_done[sid]]
+            new_and.sort()
             cost = 0.0
-            new_and: List[int] = []
+            for i in new_and:
+                cost += and_shapes[i].weight
             new_or: List[int] = []
-            merged = covered[sid] | leaf_words[cell]
-            for i, shape in enumerate(and_shapes):
-                if i in and_done[sid]:
-                    continue
-                if all(word in merged for word in shape.words):
-                    cost += shape.weight
-                    new_and.append(i)
             for j in or_contacts[cell]:
                 if j not in or_done[sid]:
                     cost += or_shapes[j].weight
                     new_or.append(j)
-            return cost, new_and, new_or
+            return cost, new_words, new_and, new_or
 
         ordered = sorted(
             leaf_members,
@@ -204,16 +242,20 @@ class WorkloadPartitioner(SpatialGridPartitioner):
             best = None
             best_key = None
             for sid in candidates:
-                cost, new_and, new_or = placement_cost(sid, cell)
+                cost, new_words, new_and, new_or = placement_cost(sid, cell)
                 key = (round(cost, 9), loads[sid], sid)
                 if best_key is None or key < best_key:
                     best_key = key
-                    best = (sid, new_and, new_or)
+                    best = (sid, new_words, new_and, new_or)
             assert best is not None
-            sid, new_and, new_or = best
+            sid, new_words, new_and, new_or = best
             leaves[cell] = sid
             loads[sid] += count
-            covered[sid] |= leaf_words[cell]
+            covered[sid] |= new_words
+            lacks = lacking[sid]
+            for word in new_words:
+                for i in word_shapes.get(word, ()):
+                    lacks[i] -= 1
             and_done[sid].update(new_and)
             or_done[sid].update(new_or)
         return cls(num_shards, space, leaves)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 import zlib
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.storage.iostats import IOStats
 
@@ -126,4 +126,15 @@ class PageFile:
             page[: len(data)] = data
             if len(data) < self.page_size:
                 page[len(data):] = bytes(self.page_size - len(data))
+        self.stats.record_write(self.component, key=page_id)
+
+    def rewrite(self, page_id: int, edit: Callable[[bytearray], None]) -> None:
+        """Change one page in place: ``edit`` gets the page's own buffer,
+        under the lock; costs one read and one write I/O, the price of
+        the :meth:`read` + :meth:`write` it stands for, without copying
+        the page.  Nothing is counted when ``edit`` raises."""
+        with self._lock:
+            self._check(page_id)
+            edit(self._pages[page_id])
+        self.stats.record_read(self.component, key=page_id)
         self.stats.record_write(self.component, key=page_id)

@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence
 from repro.cluster import ClusterConfig, ClusterService, ShardReplica
 from repro.model.document import SpatialDocument
 from repro.service import QueryService
+from repro.spatial.cells import CellGrid
 from repro.spatial.geometry import Rect, UNIT_SQUARE
 from repro.storage.iostats import IOStats
 from repro.storage.records import f32
@@ -54,6 +55,44 @@ def make_documents(
         x = rng.uniform(space.min_x, space.max_x)
         y = rng.uniform(space.min_y, space.max_y)
         docs.append(SpatialDocument(start_id + i, x, y, terms))
+    return docs
+
+
+def hot_spot_documents(
+    count: int,
+    seed: int,
+    space: Rect = UNIT_SQUARE,
+    vocab: Sequence[str] = DEFAULT_VOCAB,
+) -> List[SpatialDocument]:
+    """Seeded documents, two in three crowded round three hot spots, so
+    a quadtree over them splits deep in some places and not in others,
+    and the last 63 on the split lines of the cells of levels 0-2 (where
+    each cell's quadrant test must pick the higher quadrant)."""
+    rng = random.Random(seed)
+    grid = CellGrid(space)
+    lines = []
+    for cell in [1, *range(4, 8), *range(16, 32)]:
+        r = grid.rect(cell)
+        cx, cy = r.center
+        lines += [(cx, cy), (cx, r.min_y), (r.min_x, cy)]
+    hot = [(rng.random(), rng.random()) for _ in range(3)]
+    points = []
+    for i in range(count - len(lines)):
+        if i % 3:
+            cx, cy = hot[i % 3]
+            u = min(1.0, max(0.0, cx + rng.gauss(0.0, 0.04)))
+            v = min(1.0, max(0.0, cy + rng.gauss(0.0, 0.04)))
+        else:
+            u, v = rng.random(), rng.random()
+        points.append((
+            min(space.max_x, space.min_x + u * (space.max_x - space.min_x)),
+            min(space.max_y, space.min_y + v * (space.max_y - space.min_y)),
+        ))
+    docs = []
+    for i, (x, y) in enumerate(points + lines):
+        words = rng.sample(list(vocab), rng.randint(1, 4))
+        terms = {w: f32(rng.uniform(0.05, 1.0)) for w in words}
+        docs.append(SpatialDocument(i, x, y, terms))
     return docs
 
 

@@ -8,6 +8,7 @@ only availability and cost.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -30,9 +31,10 @@ from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
 from repro.service import ServiceConfig
 from repro.service.errors import ServiceClosed
-from repro.spatial.geometry import UNIT_SQUARE
+from repro.spatial.cells import CellGrid
+from repro.spatial.geometry import UNIT_SQUARE, Rect
 
-from tests.helpers import make_documents, results_as_pairs
+from tests.helpers import hot_spot_documents, make_documents, results_as_pairs
 
 VOCAB_EXTRA = ["tea", "ramen", "vegan", "tapas", "deli", "bakery"]
 
@@ -164,6 +166,85 @@ class TestPartitioners:
             SpatialGridPartitioner(2, UNIT_SQUARE, {})
         with pytest.raises(ValueError):
             SpatialGridPartitioner(2, UNIT_SQUARE, {1: 5})
+
+
+class TestSpatialPlacementPins:
+    """``from_documents``' leaf table, pinned by digest, and routing
+    checked against a scan of every leaf rectangle.  The figures were
+    computed before the point descent went inline; a change to how
+    leaves are grown or points routed must update them on purpose."""
+
+    SPACE = Rect(-3.0, 10.0, 7.5, 11.3)
+    PINS = {
+        (5, 3, 8): "523980cee5bd60018e96f1105badbac2130ab83970933459a10e62831a9c8241",
+        (6, 4, 16): "692eab04651e3d2be5600dd6e24c5ecbf5d71a2d07b6c640bd09f2f129d31d3e",
+        (7, 2, 64): "03825132fb939b94e1b56253fefc1e05462deb4062ef731ebd3d9e964487a993",
+    }
+
+    @pytest.mark.parametrize("seed,shards,capacity", sorted(PINS))
+    def test_leaf_table(self, seed, shards, capacity):
+        docs = hot_spot_documents(900, seed, space=self.SPACE)
+        part = SpatialGridPartitioner.from_documents(
+            shards, self.SPACE, docs, leaf_capacity=capacity
+        )
+        digest = hashlib.sha256(
+            repr(sorted(part.leaves.items())).encode()
+        ).hexdigest()
+        assert digest == self.PINS[seed, shards, capacity]
+
+    @pytest.mark.parametrize("space", [UNIT_SQUARE, SPACE])
+    def test_routing_matches_a_scan_of_the_leaf_rects(self, space):
+        docs = hot_spot_documents(900, 5, space=space)
+        part = SpatialGridPartitioner.from_documents(
+            3, space, docs, leaf_capacity=8
+        )
+        grid = CellGrid(space)
+        rects = [(grid.rect(cell), shard) for cell, shard in part.leaves.items()]
+
+        def scan(x, y):
+            # A point on a split line belongs to the higher quadrant; the
+            # space's max edges belong to the leaves along them.
+            owners = [
+                shard
+                for r, shard in rects
+                if r.min_x <= x and (x < r.max_x or r.max_x == space.max_x)
+                and r.min_y <= y and (y < r.max_y or r.max_y == space.max_y)
+            ]
+            assert len(owners) == 1, (x, y)
+            return owners[0]
+
+        rng = random.Random(11)
+        points = [(d.x, d.y) for d in docs]
+        points += [
+            (rng.uniform(space.min_x, space.max_x), rng.uniform(space.min_y, space.max_y))
+            for _ in range(300)
+        ]
+        inner = {cell >> 2 for cell in part.leaves if cell > 1}
+        for cell in inner:
+            r = grid.rect(cell)
+            cx, cy = r.center
+            points += [(cx, cy), (cx, r.min_y), (r.min_x, cy), (cx, r.max_y), (r.max_x, cy)]
+        points += [
+            (space.max_x, space.max_y), (space.max_x, space.min_y),
+            (space.min_x, space.max_y), (space.min_x, space.min_y),
+            (space.max_x, rng.uniform(space.min_y, space.max_y)),
+            (rng.uniform(space.min_x, space.max_x), space.max_y),
+        ]
+        assert len(inner) > 20
+        for x, y in points:
+            assert part.shard_of_point(x, y) == scan(x, y)
+
+    def test_from_documents_refuses_zero_shards(self, rng):
+        with pytest.raises(ValueError, match="num_shards must be positive"):
+            SpatialGridPartitioner.from_documents(0, UNIT_SQUARE, _corpus(rng))
+
+    def test_from_documents_refuses_a_document_outside_the_space(self):
+        docs = [
+            SpatialDocument(0, 0.5, 0.5, {"cafe": 1.0}),
+            SpatialDocument(7, 0.5, -0.25, {"cafe": 1.0}),
+        ]
+        with pytest.raises(ValueError, match="document 7 lies outside"):
+            SpatialGridPartitioner.from_documents(2, UNIT_SQUARE, docs)
 
 
 # ----------------------------------------------------------------------

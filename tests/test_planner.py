@@ -19,7 +19,9 @@ Covers the record -> model -> partition -> rebalance loop:
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -39,15 +41,18 @@ from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
 from repro.planner import (
     QueryLogRecorder,
+    WorkloadEntry,
     WorkloadModel,
     WorkloadPartitioner,
     estimate_shards_touched,
 )
+from repro.planner.partition import HeatTable
 from repro.service import ServiceConfig
+from repro.spatial.cells import is_ancestor
 from repro.spatial.geometry import UNIT_SQUARE, Rect
 from repro.storage.records import f32
 
-from tests.helpers import make_documents, results_as_pairs
+from tests.helpers import hot_spot_documents, make_documents, results_as_pairs
 
 VOCAB = (
     "cafe", "sushi", "pizza", "museum", "park", "hotel",
@@ -254,6 +259,94 @@ class TestPartitionerProperties:
             WorkloadPartitioner.learn(2, UNIT_SQUARE, docs, leaf_capacity=0)
         with pytest.raises(ValueError):
             WorkloadPartitioner.learn(2, UNIT_SQUARE, docs, max_level=-1)
+
+
+# ----------------------------------------------------------------------
+# Placement pins: the learned leaf table, to the bit
+# ----------------------------------------------------------------------
+def _halved_model(docs, seed):
+    """A recorded log over ``docs`` whose recorder had to compact, so
+    its weights have been halved and are not all whole numbers, plus
+    the wordless AND shape a hand-written log file can carry."""
+    rng = random.Random(seed)
+    pool = []
+    for _ in range(40):
+        doc = rng.choice(docs)
+        words = tuple(rng.sample(VOCAB, rng.randint(1, 3)))
+        semantics = rng.choice([Semantics.AND, Semantics.OR])
+        pool.append((doc.x, doc.y, words, semantics))
+    recorder = QueryLogRecorder(UNIT_SQUARE, capacity=24, level=5)
+    for _ in range(600):
+        x, y, words, semantics = pool[min(int(rng.paretovariate(1.2)) - 1, 39)]
+        recorder.record(TopKQuery(x, y, words, k=5, semantics=semantics))
+    wordless = WorkloadEntry(1 << 10, (), "and", 2.5, 0.0, 0.0, 5)
+    return WorkloadModel(UNIT_SQUARE, 5, recorder.snapshot() + [wordless])
+
+
+def _leaf_digest(part):
+    return hashlib.sha256(repr(sorted(part.leaves.items())).encode()).hexdigest()
+
+
+class TestPlacementPins:
+    """``learn``'s leaf table, pinned by digest on seeded corpora and a
+    log with halved weights.  The figures were computed before the heat
+    table and the cost index replaced per-shape scans; a change to how
+    ``learn`` places leaves must update them on purpose."""
+
+    PINS = {
+        (5, 3, 8): "f024ac5e2f7386adba30846dd10279d661293b3e3689e64ca25d704b730d9224",
+        (6, 4, 16): "d3dc73efb3f69aa4218857cfaf1828028030e4f49ffb1eac03a0611c8006c542",
+        (7, 2, 64): "ad5e171a4e5d9f38ecd10fc5dd88c297d8679fbbcc1843de4ccf0c3ac94c9ba4",
+    }
+
+    @pytest.mark.parametrize("seed,shards,capacity", sorted(PINS))
+    def test_learned_leaf_table(self, seed, shards, capacity):
+        docs = hot_spot_documents(900, seed, vocab=VOCAB)
+        model = _halved_model(docs, seed)
+        assert any(s.weight != int(s.weight) for s in model.shapes)
+        assert {s.semantics for s in model.shapes} == {"and", "or"}
+        part = WorkloadPartitioner.learn(
+            shards, UNIT_SQUARE, docs, model, leaf_capacity=capacity
+        )
+        assert _leaf_digest(part) == self.PINS[seed, shards, capacity]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(
+            st.integers(1, 4**6 - 1).filter(lambda c: c.bit_length() % 2),
+            min_size=1,
+            max_size=30,
+        ),
+        rnd=st.randoms(use_true_random=False),
+        probes=st.lists(st.integers(1, 4**7 - 1).filter(lambda c: c.bit_length() % 2)),
+    )
+    def test_heat_table_equals_the_per_shape_loop(self, cells, rnd, probes):
+        # Small and huge weights together, so the order of the additions
+        # shows in the float.
+        shapes = []
+        for cell in cells:
+            weight = rnd.random() * 10.0 ** rnd.choice([0, 16])
+            shapes.append(WorkloadEntry(cell, ("w",), "and", weight, 0.5, 0.5, 5))
+        heat = HeatTable(shapes)
+        # The shapes' own cells, their parents (shapes beneath) and their
+        # children (shapes on a strict ancestor) all match something.
+        near = [c >> 2 for c in cells if c > 1] + [c << 2 | 3 for c in cells]
+        for cell in probes + cells + near + [1]:
+            expected = 0.0
+            for shape in shapes:
+                if is_ancestor(cell, shape.cell) or is_ancestor(shape.cell, cell):
+                    expected += shape.weight
+            assert heat(cell) == expected
+
+    def test_learn_refuses_a_document_outside_the_space(self):
+        # Both documents fit the root leaf, which never splits, so only a
+        # check at the door can see the outsider.
+        docs = [
+            SpatialDocument(1, 1.5, 0.5, {"cafe": 1.0}),
+            SpatialDocument(0, 0.5, 0.5, {"cafe": 1.0}),
+        ]
+        with pytest.raises(ValueError, match="document 1 lies outside"):
+            WorkloadPartitioner.learn(2, Rect(0.0, 0.0, 1.0, 1.0), docs)
 
 
 # ----------------------------------------------------------------------
