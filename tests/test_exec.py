@@ -95,6 +95,8 @@ class TestMmapSnapshot:
             snap.data.file.allocate()
         with pytest.raises(ReadOnlySnapshotError):
             snap.data.file.write(0, b"x")
+        with pytest.raises(ReadOnlySnapshotError):
+            snap.data.file.rewrite(0, lambda page: None)
 
     def test_page_corruption_detected_on_open(self, snapshot_path, tmp_path):
         path, _live = snapshot_path
