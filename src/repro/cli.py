@@ -466,7 +466,9 @@ def _cmd_simtest(args: argparse.Namespace) -> int:
         start = args.seed if args.seed is not None else 0
         caught = None
         for seed in range(start, start + args.seeds):
-            report = run_seed(seed, steps=args.steps, inject_bug=args.inject_bug)
+            report = run_seed(
+                seed, steps=args.steps, mode=args.mode, inject_bug=args.inject_bug
+            )
             if not report.ok:
                 caught = report
                 break
@@ -733,7 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simtest.add_argument(
         "--mode", choices=["single", "cluster"],
-        help="force the workload mode (default: seed-chosen, ~25%% cluster)",
+        help="force the workload mode (default: seed-chosen, ~25%% cluster; "
+        "with --inject-bug: the stack the bug lives in)",
     )
     simtest.add_argument(
         "--replay", metavar="TRACE",

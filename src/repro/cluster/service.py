@@ -61,13 +61,13 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.cluster.manifest import ShardManifest
 from repro.cluster.partition import build_manifest
 from repro.cluster.replica import ShardReplica
-from repro.core.index import I3Index
+from repro.core.index import I3Index, MutationEvent
 from repro.core.recovery import DurableIndex, RecoveryReport
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc, TopKCollector
 from repro.model.scoring import Ranker
 from repro.service.cache import QueryResultCache
-from repro.service.errors import ServiceClosed
+from repro.service.errors import AnswerDegraded, ServiceClosed
 from repro.service.metrics import MetricsRegistry
 from repro.service.service import QueryService, ServiceConfig, _ReadWriteLock
 
@@ -255,10 +255,6 @@ class ClusterAnswer:
     from_cache: bool = False
 
 
-# Internal routing verdicts for one shard against one query.
-_ABSENT = "absent"  # no query keyword stored here — never a candidate
-
-
 class ClusterService:
     """Scatter-gather top-k search over partitioned, replicated shards.
 
@@ -327,7 +323,8 @@ class ClusterService:
         self._bounds_cache: Dict[int, Tuple[int, Dict[str, Optional[float]]]] = {}
         self._recorder = None  # attach_recorder() hook
         self._started = self._now()
-        self._stream_router = None  # lazily built by stream_router()
+        self._streams = None  # lazily built by streams()
+        self._writes = threading.Lock()  # the stream's exclusive section
         self.metrics.gauge("cluster.shards").set(len(shards))
         self.metrics.gauge("cluster.replicas").set(self.config.replicas)
 
@@ -375,19 +372,15 @@ class ClusterService:
         for sid, shard_docs in enumerate(assignment):
             replicas = []
             for rid in range(config.replicas):
-                index = I3Index(space, **index_kwargs)
+                target: Any = I3Index(space, **index_kwargs)
                 if durable_root is not None:
-                    target: Any = DurableIndex.create(
+                    target = DurableIndex.create(
                         os.path.join(durable_root, f"shard{sid}-r{rid}"),
-                        index,
+                        target,
                         fs=fs,
                     )
-                    if shard_docs:
-                        target.bulk_load(shard_docs)
-                else:
-                    target = index
-                    if shard_docs:
-                        index.bulk_load(shard_docs)
+                if shard_docs:
+                    target.bulk_load(shard_docs)
                 service = QueryService(
                     target, config.shard_config, ranker=ranker,
                     clock=clock, executor=executor,
@@ -454,28 +447,53 @@ class ClusterService:
         )
 
     def streams(self):
-        """Per-subscriber standing queries are a single-index service
-        (:meth:`repro.service.QueryService.streams`); a cluster merges
-        per-shard standing queries through :meth:`stream_router`."""
-        raise NotImplementedError(
-            "per-subscriber streaming is not supported on cluster targets"
-        )
+        """The cluster's :class:`~repro.streaming.StreamingService`, the
+        one :meth:`repro.service.QueryService.streams` builds, holding
+        each standing query once, here at the router.
 
-    def stream_router(self):
-        """The cluster's :class:`~repro.streaming.ClusterStreamRouter`.
-
-        Built lazily on first call; standing queries registered through
-        it are maintained on every shard and merged into global top-k
-        notifications (see
-        :mod:`repro.streaming.cluster`).
+        Built lazily; :meth:`insert`/:meth:`delete` feed its matcher
+        once the write has landed, so no replica's death silences it.
+        Seeds and evicting deletes re-answer through :meth:`search`; a
+        degraded seed raises :class:`~repro.service.errors.AnswerDegraded`
+        and a degraded re-answer waits, stale, for the next mutation or
+        :meth:`recover`.  A standing query's alpha must be
+        ``ranker.alpha``: the cluster ranks with one ranker.
         """
         if self._closed:
             raise ServiceClosed("cluster service is closed")
-        if self._stream_router is None:
-            from repro.streaming.cluster import ClusterStreamRouter
+        if self._streams is None:
+            from repro.streaming.service import StreamingService
 
-            self._stream_router = ClusterStreamRouter(self)
-        return self._stream_router
+            self._streams = StreamingService(
+                self.ranker.space,
+                self.metrics,
+                answer=self._exact_answer,
+                ranker=self._ranker_at,
+                stamp=lambda: (self.epoch, None),
+                exclusive=self._exclusive,
+            )
+        return self._streams
+
+    def _exact_answer(self, query: TopKQuery, _ranker: Ranker) -> List[ScoredDoc]:
+        answer = self.search(query)
+        if answer.degraded:
+            raise AnswerDegraded(answer.failed_shards)
+        return answer.results
+
+    def _ranker_at(self, alpha: float) -> Ranker:
+        if alpha != self.ranker.alpha:
+            raise ValueError(
+                f"a cluster ranks with alpha {self.ranker.alpha}; a "
+                f"standing query cannot ask for {alpha}"
+            )
+        return self.ranker
+
+    def _exclusive(self, fn):
+        # Never taken inside the topology lock: stream work searches,
+        # and a search queued behind a waiting rebalance (the lock
+        # prefers writers) would wait on a read side it holds itself.
+        with self._writes:
+            return fn()
 
     def recover(self, shard_id: int, replica_id: int = 0) -> "RecoveryReport":
         """Recover one replica from its durable store and rejoin it.
@@ -506,6 +524,8 @@ class ClusterService:
             )
         rep.revive()
         self.metrics.counter("cluster.recoveries").inc()
+        if self._streams is not None:
+            self._exclusive(self._streams.matcher.retry_stale)
         return report
 
     # ------------------------------------------------------------------
@@ -839,48 +859,49 @@ class ClusterService:
         A dead replica misses the write — reviving one requires a
         rebuild from the manifest, not a restart (no anti-entropy).
         """
-        if self._closed:
-            raise ServiceClosed("cluster service is closed")
-        self._topology.acquire_read()
-        try:
-            sid = self.partitioner.shard_of(doc)
-            applied = 0
-            for rep in self._shards[sid]:
-                if rep.alive:
-                    rep.service.insert(doc)
-                    applied += 1
-            if applied == 0:
-                raise ServiceClosed(f"shard {sid} has no live replica to write")
-            self.metrics.counter("cluster.mutations").inc()
-            if self.manifest is not None:
-                self.manifest.shards[sid].num_documents += 1
-            return sid
-        finally:
-            self._topology.release_read()
+        return self._write("insert", doc)[0]
 
     def delete(self, doc) -> bool:
         """Route a delete to the owning shard's live replicas; True when
         the primary-path replica found every tuple."""
+        return self._write("delete", doc)[1]
+
+    def _write(self, kind: str, doc) -> Tuple[int, bool]:
+        """``insert``/``delete`` ``doc`` on its shard's live replicas,
+        then hand it to the standing queries: both in the cluster write
+        lock, the stream work after the topology read side is released.
+        Returns ``(shard id, whether a replica found the document)``."""
         if self._closed:
             raise ServiceClosed("cluster service is closed")
-        self._topology.acquire_read()
-        try:
-            sid = self.partitioner.shard_of(doc)
-            found = False
-            applied = 0
-            for rep in self._shards[sid]:
-                if rep.alive:
-                    found = rep.service.delete(doc) or found
-                    applied += 1
-            if applied == 0:
-                raise ServiceClosed(f"shard {sid} has no live replica to write")
-            self.metrics.counter("cluster.mutations").inc()
-            if found and self.manifest is not None:
-                info = self.manifest.shards[sid]
-                info.num_documents = max(0, info.num_documents - 1)
-            return found
-        finally:
-            self._topology.release_read()
+        with self._writes:
+            self._topology.acquire_read()
+            try:
+                sid = self.partitioner.shard_of(doc)
+                found = any(self._on_live(sid, lambda svc: getattr(svc, kind)(doc)))
+                self.metrics.counter("cluster.mutations").inc()
+                if kind == "insert" or found:
+                    self._count(sid, 1 if kind == "insert" else -1)
+            finally:
+                self._topology.release_read()
+            if self._streams is not None:
+                # Standing queries are plain top-k: a temporal document
+                # is scored as the document it stamps.
+                plain = getattr(doc, "doc", doc)
+                self._streams.matcher.handle(MutationEvent(kind, self.epoch, plain))
+        return sid, found
+
+    def _on_live(self, sid: int, call) -> List[Any]:
+        """``call(service)`` on every live replica of shard ``sid``;
+        what each returned."""
+        returned = [call(rep.service) for rep in self._shards[sid] if rep.alive]
+        if not returned:
+            raise ServiceClosed(f"shard {sid} has no live replica to write")
+        return returned
+
+    def _count(self, sid: int, delta: int) -> None:
+        if self.manifest is not None:
+            info = self.manifest.shards[sid]
+            info.num_documents = max(0, info.num_documents + delta)
 
     # ------------------------------------------------------------------
     # Time control (temporal shards only)
@@ -895,8 +916,13 @@ class ClusterService:
         """Rolling retention on every live replica; returns ``{shard
         id: dropped slice ids}``.  A drop bumps that replica's index
         epoch, which is all it takes to retire cached cluster answers
-        (stamped with the epoch sum) and the shard's router bounds."""
-        return self._each_live_service(lambda service: service.expire(now))
+        (stamped with the epoch sum) and the shard's router bounds; a
+        drop re-answers every standing query."""
+        with self._writes:
+            dropped = self._each_live_service(lambda service: service.expire(now))
+            if self._streams is not None and any(dropped.values()):
+                self._streams.matcher.refresh_all()
+        return dropped
 
     def _each_live_service(self, call) -> Dict[int, Any]:
         """``call(service)`` on every live replica under the topology
@@ -977,22 +1003,10 @@ class ClusterService:
                     if dst != sid:
                         moves.append((doc, sid, dst))
             for doc, src, dst in moves:
-                applied = 0
-                for rep in self._shards[dst]:
-                    if rep.alive:
-                        rep.service.insert(doc)
-                        applied += 1
-                if applied == 0:
-                    raise ServiceClosed(
-                        f"shard {dst} has no live replica to rebalance onto"
-                    )
-                for rep in self._shards[src]:
-                    if rep.alive:
-                        rep.service.delete(doc)
-                if self.manifest is not None:
-                    info = self.manifest.shards[src]
-                    info.num_documents = max(0, info.num_documents - 1)
-                    self.manifest.shards[dst].num_documents += 1
+                self._on_live(dst, lambda service: service.insert(doc))
+                self._on_live(src, lambda service: service.delete(doc))
+                self._count(src, -1)
+                self._count(dst, 1)
             self.partitioner = partitioner
             with self._bounds_lock:
                 # Epoch validation would catch moved shards on its own,
@@ -1075,8 +1089,8 @@ class ClusterService:
             if self._closed:
                 return
             self._closed = True
-        if self._stream_router is not None:
-            self._stream_router.close()
+        if self._streams is not None:
+            self._streams.close()
         for replicas in self._shards:
             for rep in replicas:
                 rep.service.close()

@@ -169,10 +169,13 @@ class I3Index:
     # ------------------------------------------------------------------
     # Document-level operations
     # ------------------------------------------------------------------
+    def _check_in_space(self, doc_id: int, x: float, y: float) -> None:
+        if not self.space.contains_point(x, y):
+            raise ValueError(f"document {doc_id} lies outside the data space")
+
     def insert_document(self, doc: SpatialDocument) -> None:
         """Insert a spatial document (one tuple per distinct keyword)."""
-        if not self.space.contains_point(doc.x, doc.y):
-            raise ValueError(f"document {doc.doc_id} lies outside the data space")
+        self._check_in_space(doc.doc_id, doc.x, doc.y)
         self._doc_op_depth += 1
         try:
             for t in doc.tuples():
@@ -254,7 +257,13 @@ class I3Index:
     # Tuple insertion (Algorithms 1-3)
     # ------------------------------------------------------------------
     def insert_tuple(self, t: SpatialTuple) -> None:
-        """Insert one spatial tuple."""
+        """Insert one spatial tuple; ``ValueError`` (with nothing
+        changed) for one no document in this index could carry."""
+        if self._doc_op_depth == 0:
+            # A raw tuple meets a document's rules before anything moves
+            # (a document operation's tuples have met them already).
+            alone = SpatialDocument(t.doc_id, t.x, t.y, {t.word: t.weight})
+            self._check_in_space(t.doc_id, t.x, t.y)
         row = (t.doc_id, t.x, t.y, f32(t.weight))
         entry = self.lookup.get(t.word)
         self.num_tuples += 1
@@ -272,11 +281,8 @@ class I3Index:
                 self._insert_non_dense_root(t.word, entry.target, row)
             else:
                 self._insert_dense(t.word, entry.target, row)
-        if self._doc_op_depth == 0 and self._listeners:
-            self._emit(
-                "tuple_insert",
-                SpatialDocument(t.doc_id, t.x, t.y, {t.word: t.weight}),
-            )
+        if self._doc_op_depth == 0:
+            self._emit("tuple_insert", alone)
 
     def _insert_non_dense_root(self, word: str, cell: CellPages, row: Row) -> None:
         """Algorithm 2: the keyword is not dense in the root cell."""

@@ -66,6 +66,7 @@ from repro.net.tenants import (
     TenantDirectory,
 )
 from repro.service.errors import (
+    AnswerDegraded,
     QueryTimeout,
     ServiceClosed,
     ServiceOverloaded,
@@ -158,8 +159,7 @@ class Backend(Protocol):
     def delete(self, doc: SpatialDocument) -> Any: ...
 
     def streams(self) -> Any:
-        """The per-subscriber streaming service; raises
-        ``NotImplementedError`` where there is none."""
+        """The per-subscriber :class:`~repro.streaming.StreamingService`."""
 
 
 _TEMPORAL_REFUSED = "temporal queries require a temporal-index backend"
@@ -176,9 +176,7 @@ def _outcome(slot: Any) -> Any:
     if isinstance(slot, BaseException):
         return RemoteError(f"{type(slot).__name__}: {slot}")
     if slot.degraded:
-        return RemoteError(
-            f"answer degraded (failed shards {slot.failed_shards})"
-        )
+        return RemoteError(str(AnswerDegraded(slot.failed_shards)))
     return list(slot.results)
 
 
@@ -401,13 +399,14 @@ class ConnectionCore:
                     )
                 try:
                     alpha = json_number(args.get("alpha", 0.5), "alpha")
+                    if not 0 <= alpha <= 1:
+                        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
+                    # A cluster refuses any alpha but its ranker's.
+                    qid = server.backend.streams().register(
+                        self._sub(), query, alpha=alpha
+                    )
                 except ValueError as exc:
                     raise ProtocolError(str(exc)) from None
-                if not 0 <= alpha <= 1:
-                    raise ProtocolError(f"alpha must be in [0, 1], got {alpha!r}")
-                qid = server.backend.streams().register(
-                    self._sub(), query, alpha=alpha
-                )
                 return {"query_id": qid}
             if op == "poll":
                 updates = self._sub().poll(timeout=0.0)
@@ -428,8 +427,8 @@ class ConnectionCore:
             raise DeadlineExceeded(str(exc)) from None
         except ServiceClosed as exc:
             raise ServerClosed(str(exc)) from None
-        except NotImplementedError as exc:
-            raise ProtocolError(str(exc)) from None
+        except AnswerDegraded as exc:
+            raise RemoteError(str(exc)) from None
 
 
 class NetServer:

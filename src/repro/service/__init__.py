@@ -11,6 +11,7 @@ the architecture sketch.
 from repro.service.admission import AdmissionController
 from repro.service.cache import QueryResultCache
 from repro.service.errors import (
+    AnswerDegraded,
     QueryTimeout,
     ServiceClosed,
     ServiceError,
@@ -26,6 +27,7 @@ __all__ = [
     "ServiceOverloaded",
     "QueryTimeout",
     "ServiceClosed",
+    "AnswerDegraded",
     "MetricCounter",
     "Gauge",
     "Histogram",

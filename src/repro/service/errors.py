@@ -8,7 +8,7 @@ the distinction a load balancer or client retry policy needs.
 
 from __future__ import annotations
 
-__all__ = ["ServiceError", "ServiceOverloaded", "QueryTimeout", "ServiceClosed"]
+__all__ = ["ServiceError", "ServiceOverloaded", "QueryTimeout", "ServiceClosed", "AnswerDegraded"]
 
 
 class ServiceError(RuntimeError):
@@ -44,3 +44,12 @@ class ServiceClosed(ServiceError):
     """The service is shut down (or shutting down) and accepts no new
     queries; pending queries cancelled by a non-draining close also
     fail with this error."""
+
+
+class AnswerDegraded(ServiceError):
+    """A cluster reached no replica of some shard where an exact answer
+    is required (a standing query's seed or re-answer)."""
+
+    def __init__(self, failed_shards) -> None:
+        super().__init__(f"answer degraded (failed shards {failed_shards})")
+        self.failed_shards = failed_shards

@@ -566,12 +566,22 @@ class QueryService:
         exclusive lock as the mutation that triggered it, so subscribers
         never observe a top-k computed against a half-applied update,
         and the stream follows the service onto every index it swaps in
-        (:meth:`recover`, a database target's ``reweigh``).
+        (:meth:`recover`, a database target's ``reweigh``).  On a closed
+        service (which mutates nothing) the stream's exclusive section
+        runs directly, so teardown still proceeds.
         """
         if self._streams is None:
             from repro.streaming.service import StreamingService
 
-            self._streams = StreamingService(self)
+            stream = StreamingService(
+                self.index.space, self.metrics,
+                answer=lambda query, ranker: self.index.query(query, ranker),
+                ranker=lambda alpha: Ranker(self.index.space, alpha),
+                stamp=lambda: (self.index.epoch, getattr(self._durable, "last_lsn", None)),
+                exclusive=lambda fn: fn() if self._closed else self.mutate(lambda _t: fn()),
+            )
+            stream.rebind(self.index)
+            self._streams = stream
         return self._streams
 
     def recover(self) -> RecoveryReport:

@@ -23,7 +23,8 @@ Invariants checked (named for shrinking identity):
   to ``M`` (crash-killed calls count as *in doubt*: allowed, not
   required, in the recovered prefix).
 * ``standing-query`` — every registered standing query's maintained
-  top-k equals a from-scratch query of the model.
+  top-k equals a from-scratch query of the model (in both modes: a
+  cluster's stream is the same service; also mid-outage).
 * ``stream-delivery`` — after draining a subscription, the last
   delivered update per query equals the model's top-k, on every poll
   (a subscription never drops an update).
@@ -205,7 +206,7 @@ def run_seed(
     inject_bug: Optional[str] = None,
 ) -> SimReport:
     """Generate the seed's trace and execute it."""
-    if inject_bug is not None:
+    if inject_bug is not None and mode is None:
         # The injected bugs live in the single-node stack — except the
         # routing/scatter bugs, which only exist in the cluster path.
         mode = "cluster" if inject_bug in _CLUSTER_BUGS else "single"
@@ -279,19 +280,7 @@ class _Simulation:
         if self.bug == "stale-cache":
             self.service.cache = _StaleCache(capacity=64)
         self._install_engine_bug()
-        self.streams = self.service.streams()
-        if self.bug == "dropped-push":
-            matcher = self.streams.matcher
-            emit = matcher._emit
-            dropped = [0]
-
-            def lossy_emit(sq):
-                dropped[0] += 1
-                if dropped[0] % 3 == 0:
-                    return
-                emit(sq)
-
-            matcher._emit = lossy_emit
+        self._setup_streams(self.service.streams(), cfg["subscribers"])
         # The network seam: the production ConnectionCore over the sim
         # clock, dialled through a fault-scripted in-memory transport.
         self.net = SimNetServer(
@@ -304,15 +293,32 @@ class _Simulation:
             ),
         )
         self.cluster = None
-        # Subscriber-side state.
+        self._setup_temporal(cfg.get("temporal"))
+
+    def _setup_streams(self, streams, subscribers: List[Dict]) -> None:
+        """The stream under test (a service's or a cluster's — the same
+        :class:`~repro.streaming.StreamingService`) and the subscribers'
+        side of it."""
+        self.streams = streams
+        if self.bug == "dropped-push":
+            matcher = streams.matcher
+            emit = matcher._emit
+            dropped = [0]
+
+            def lossy_emit(sq):
+                dropped[0] += 1
+                if dropped[0] % 3 == 0:
+                    return
+                emit(sq)
+
+            matcher._emit = lossy_emit
         self.subs: Dict[str, Any] = {}
         self.owned: Dict[str, Dict[int, Tuple[TopKQuery, float]]] = {}
         self.last_delivered: Dict[int, List] = {}
-        for sub_cfg in cfg["subscribers"]:
+        for sub_cfg in subscribers:
             name = sub_cfg["name"]
-            self.subs[name] = self.streams.subscribe(name)
+            self.subs[name] = streams.subscribe(name)
             self.owned[name] = {}
-        self._setup_temporal(cfg.get("temporal"))
 
     def _install_engine_bug(self) -> None:
         """Plant the vector-engine bugs on the index currently served.
@@ -421,7 +427,7 @@ class _Simulation:
             page_size=256,
         )
         self.service = None
-        self.streams = None
+        self._setup_streams(self.cluster.streams(), cfg.get("subscribers", []))
         # Every cluster query feeds the workload recorder, so a
         # rebalance step can learn a partitioner from the trace's own
         # traffic — the same loop a production cluster runs.
@@ -536,26 +542,28 @@ class _Simulation:
                 f"after step {i} ({step['op']})",
             )
         self._epoch_watermark = epoch
-        if self.streams is not None:
-            for name, qmap in self.owned.items():
-                for qid, (query, alpha) in qmap.items():
-                    current = self.streams.results(qid)
-                    if current is None:
-                        raise InvariantViolation(
-                            "standing-query",
-                            f"query {qid} vanished from the registry",
-                        )
-                    expected = self.oracle.topk_pairs(
-                        query, Ranker(self.space, alpha)
-                    )
-                    got = result_pairs(current)
-                    if got != expected:
-                        raise InvariantViolation(
-                            "standing-query",
-                            f"standing query {qid} ({name}) maintains {got}, "
-                            f"model says {expected}",
-                        )
+        self._check_standing()
         self.events.append({"i": i, "op": step["op"], "epoch": epoch})
+
+    def _check_standing(self) -> None:
+        for name, qmap in self.owned.items():
+            for qid, (query, alpha) in qmap.items():
+                current = self.streams.results(qid)
+                if current is None:
+                    raise InvariantViolation(
+                        "standing-query",
+                        f"query {qid} vanished from the registry",
+                    )
+                expected = self.oracle.topk_pairs(
+                    query, Ranker(self.space, alpha)
+                )
+                got = result_pairs(current)
+                if got != expected:
+                    raise InvariantViolation(
+                        "standing-query",
+                        f"standing query {qid} ({name}) maintains {got}, "
+                        f"model says {expected}",
+                    )
 
     # ------------------------------------------------------------------
     # Single-node handlers
@@ -599,6 +607,14 @@ class _Simulation:
             self._mutate("update", old, document_from_record(step["new"])[0])
 
     def _mutate(self, kind: str, doc, new=None) -> None:
+        if self.cluster is not None:  # the cluster leg inserts and deletes
+            if kind == "insert":
+                self.cluster.insert(doc)
+                self.oracle.apply_insert(doc)
+            else:
+                self.cluster.delete(doc)
+                self.oracle.apply_delete(doc)
+            return
         self._mutations += 1
         bypass = (
             self.bug == "lost-wal-record" and self._mutations % 5 == 0
@@ -633,58 +649,42 @@ class _Simulation:
         else:
             self.oracle.apply_update(doc, new, epoch)
 
+    def _check_served(self, query, got, expected, what: str) -> None:
+        """A wrong single-node answer: a stale cached one when the index
+        asked directly (bypassing the result cache) is right."""
+        if got == expected:
+            return
+        fresh = result_pairs(
+            self.service.read(
+                lambda _t: self.service.index.query(query, self.ranker)
+            )
+        )
+        if fresh == expected:
+            raise InvariantViolation(
+                "cache-coherence",
+                f"{what} served {got} but a cache-bypassing query agrees "
+                f"with the model ({expected}) — stale cache entry",
+            )
+        raise InvariantViolation(
+            "topk-equivalence", f"{what} returned {got}, model says {expected}"
+        )
+
     def _do_query(self, step: Dict) -> None:
         query = query_from_args(step["query"])
         got = result_pairs(self.service.search(query))
-        expected = self.oracle.topk_pairs(query)
-        if got != expected:
-            # Distinguish a stale cached answer from a wrong index: ask
-            # the index directly, bypassing the result cache.
-            fresh = result_pairs(
-                self.service.read(
-                    lambda _t: self.service.index.query(query, self.ranker)
-                )
-            )
-            if fresh == expected:
-                raise InvariantViolation(
-                    "cache-coherence",
-                    f"served {got} but a cache-bypassing query agrees with "
-                    f"the model ({expected}) — stale cache entry",
-                )
-            raise InvariantViolation(
-                "topk-equivalence",
-                f"query {step['query']} returned {got}, model says {expected}",
-            )
+        self._check_served(
+            query, got, self.oracle.topk_pairs(query), f"query {step['query']}"
+        )
         self.events.append({"op": "query", "results": got})
 
     def _do_query_many(self, step: Dict) -> None:
         queries = [query_from_args(q) for q in step["queries"]]
         answers = self.service.search_many(queries)
         got = [result_pairs(r) for r in answers]
-        expected = [self.oracle.topk_pairs(q) for q in queries]
-        if got != expected:
-            i = next(
-                j for j, (g, e) in enumerate(zip(got, expected)) if g != e
-            )
-            # Same stale-vs-wrong distinction as the single-query path.
-            fresh = result_pairs(
-                self.service.read(
-                    lambda _t: self.service.index.query(
-                        queries[i], self.ranker
-                    )
-                )
-            )
-            if fresh == expected[i]:
-                raise InvariantViolation(
-                    "cache-coherence",
-                    f"batch slot {i} served {got[i]} but a cache-bypassing "
-                    f"query agrees with the model ({expected[i]}) — stale "
-                    f"cache entry",
-                )
-            raise InvariantViolation(
-                "topk-equivalence",
-                f"batch slot {i} ({step['queries'][i]}) returned {got[i]}, "
-                f"model says {expected[i]}",
+        for i, query in enumerate(queries):
+            self._check_served(
+                query, got[i], self.oracle.topk_pairs(query),
+                f"batch slot {i} ({step['queries'][i]})",
             )
         self._check_exec_equivalence(
             lambda engine: self.service.read(
@@ -946,33 +946,21 @@ class _Simulation:
     # ------------------------------------------------------------------
     def _cluster_handlers(self) -> Dict[str, Callable[[Dict], None]]:
         return {
-            "insert": self._do_cluster_mutation,
-            "delete": self._do_cluster_mutation,
+            "insert": self._do_mutation,
+            "delete": self._do_mutation,
             "search": self._do_search,
             "chaos_search": self._do_chaos_search,
             "search_many": self._do_search_many,
             "shard_checkpoint": self._do_shard_checkpoint,
             "outage": self._do_outage,
             "rebalance": self._do_rebalance,
+            "register": self._do_register,
+            "poll": self._do_poll,
+            "kill_resume": self._do_kill_resume,
         }
 
-    def _do_cluster_mutation(self, step: Dict) -> None:
-        if step["op"] == "insert":
-            doc = document_from_record(step["doc"])[0]
-            if self.oracle.get(doc.doc_id) is not None:
-                return
-            self.cluster.insert(doc)
-            self.oracle.apply_insert(doc)
-        else:
-            doc = self.oracle.get(step["doc_id"])
-            if doc is None:
-                return
-            self.cluster.delete(doc)
-            self.oracle.apply_delete(doc)
-
-    def _search_and_check(self, query_dict: Dict, context: str) -> None:
-        query = query_from_args(query_dict)
-        answer = self.cluster.search(query)
+    def _checked(self, query, answer, context: str) -> List:
+        """A cluster answer with a full replica set, held to the model."""
         if answer.degraded:
             raise InvariantViolation(
                 "cluster-degraded",
@@ -987,6 +975,11 @@ class _Simulation:
                 f"{context}: scatter-gather returned {got}, "
                 f"model says {expected}",
             )
+        return got
+
+    def _search_and_check(self, query_dict: Dict, context: str) -> None:
+        query = query_from_args(query_dict)
+        got = self._checked(query, self.cluster.search(query), context)
         self.events.append({"op": "search", "results": got})
 
     def _do_search(self, step: Dict) -> None:
@@ -1047,23 +1040,10 @@ class _Simulation:
     def _do_search_many(self, step: Dict) -> None:
         queries = [query_from_args(q) for q in step["queries"]]
         answers = self.cluster.search_many(queries)
-        batch_results = []
-        for i, (query, answer) in enumerate(zip(queries, answers)):
-            if answer.degraded:
-                raise InvariantViolation(
-                    "cluster-degraded",
-                    f"search_many slot {i}: answer degraded (failed shards "
-                    f"{answer.failed_shards}) with a full replica set",
-                )
-            got = result_pairs(answer.results)
-            expected = self.oracle.topk_pairs(query)
-            if got != expected:
-                raise InvariantViolation(
-                    "topk-equivalence",
-                    f"search_many slot {i} ({step['queries'][i]}) returned "
-                    f"{got}, model says {expected}",
-                )
-            batch_results.append(got)
+        batch_results = [
+            self._checked(query, answer, f"search_many slot {i} ({step['queries'][i]})")
+            for i, (query, answer) in enumerate(zip(queries, answers))
+        ]
         self.events.append({"op": "search_many", "results": batch_results})
 
     def _do_rebalance(self, step: Dict) -> None:
@@ -1122,6 +1102,11 @@ class _Simulation:
                 f"during outage of shard {step['shard']} "
                 f"replica {step['replica']}",
             )
+        # The stream is the router's, not the dead replica's: standing
+        # queries and what every subscriber last saw stay exact.
+        self._check_standing()
+        for name in self.subs:
+            self._do_poll({"op": "poll", "sub": name})
         self.cluster.recover(step["shard"], step["replica"])
         self._search_and_check(
             step["probes"][0],

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.model.document import SpatialDocument, document_to_record
 from repro.storage.records import f32
@@ -441,6 +441,7 @@ def _cluster_trace(seed: int, rng: random.Random, steps: Optional[int]) -> Dict:
                 "replica": rng.randrange(2),
                 "probes": [_state_probe(), pool.next()],
             })
+    subscribers, trace_steps = _weave_stream_steps(seed, trace_steps)
     return {
         "version": 1,
         "seed": seed,
@@ -449,6 +450,7 @@ def _cluster_trace(seed: int, rng: random.Random, steps: Optional[int]) -> Dict:
             "initial_docs": initial,
             "shards": shards,
             "replicas": 2,
+            "subscribers": subscribers,
             # Whole-query budget in virtual seconds: healthy attempts
             # cost zero virtual time, so only chaos delays and retry
             # backoff consume it — scatter-no-hang checks every search
@@ -457,3 +459,34 @@ def _cluster_trace(seed: int, rng: random.Random, steps: Optional[int]) -> Dict:
         },
         "steps": trace_steps,
     }
+
+
+def _weave_stream_steps(
+    seed: int, steps: List[Dict]
+) -> Tuple[List[Dict], List[Dict]]:
+    """A cluster trace's standing-query steps, woven between its steps.
+
+    Drawn from their own generator, so the cluster workload underneath
+    (and every seed's chaos and routing canary) is the one it was
+    without them.  Returns ``(subscribers, steps)``.
+    """
+    rng = random.Random(("repro-simtest-stream", seed).__repr__())
+    pool = _QueryPool(rng, reuse=0.4)
+    names = [f"sim-sub-{i}" for i in range(rng.randint(1, 2))]
+
+    def stream_step(op: str) -> Dict:
+        step = {"op": op, "sub": rng.choice(names)}
+        if op == "register":  # at the harness ranker's: a cluster has one
+            step.update(query=pool.next(), alpha=0.5)
+        return step
+
+    # Standing queries go in early so most of the run exercises them.
+    woven = [stream_step("register") for _ in range(rng.randint(1, 3))]
+    for step in steps:
+        woven.append(step)
+        roll = rng.random()
+        if roll < 0.23:
+            woven.append(stream_step(
+                "register" if roll < 0.05 else "poll" if roll < 0.20 else "kill_resume"
+            ))
+    return [{"name": name} for name in names], woven

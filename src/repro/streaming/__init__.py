@@ -7,15 +7,17 @@ with entry-threshold pruning), maintained incrementally by the
 :class:`IncrementalMatcher` as documents arrive and leave, and served
 through one coalescing :class:`StreamSubscription` queue per
 subscriber.  A disconnected subscriber resumes by re-running its
-standing queries; on clusters the :class:`ClusterStreamRouter` merges
-per-shard standing queries into global top-k notifications.
+standing queries.
 
-Entry points: :meth:`repro.service.QueryService.streams` for a served
-index (a stream hangs off its :class:`~repro.service.QueryService`),
-:meth:`repro.cluster.ClusterService.stream_router` for clusters.
+One stream for every target: :meth:`repro.service.QueryService.streams`
+and :meth:`repro.cluster.ClusterService.streams` both return a
+:class:`StreamingService`, and nothing in this package asks which kind
+of target it serves.  A cluster holds each standing query once, at its
+router, and feeds the one matcher from its own writes; it re-answers
+through its one scatter-gather only to seed a query or when a delete
+evicts a current result.
 """
 
-from repro.streaming.cluster import ClusterStreamRouter
 from repro.streaming.delivery import ResultUpdate, StreamSubscription
 from repro.streaming.matcher import IncrementalMatcher
 from repro.streaming.registry import (
@@ -26,7 +28,6 @@ from repro.streaming.registry import (
 from repro.streaming.service import StreamingService
 
 __all__ = [
-    "ClusterStreamRouter",
     "ResultUpdate",
     "StreamSubscription",
     "IncrementalMatcher",

@@ -1,10 +1,10 @@
 """The incremental matcher: mutation events in, top-k maintenance out.
 
-Hooked into :meth:`repro.core.index.I3Index.add_mutation_listener`, the
-matcher keeps every registered standing query's
-:class:`~repro.model.results.TopKCollector` exactly equal to what a
-from-scratch ``I3Index.query`` would return, without re-running searches
-on the common path:
+Fed by its target — an index's mutation listener, or a cluster once a
+write has landed — the matcher keeps every registered standing query's
+:class:`~repro.model.results.TopKCollector` exactly equal to what the
+target's ``answer`` would return from scratch, without re-running
+searches on the common path:
 
 * **insert** — the registry narrows the event to the queries it can
   affect; each gets the document's *exact* score offered into its
@@ -15,7 +15,7 @@ on the common path:
   top-k cannot change that top-k (all other scores are unaffected), so
   the only cost is one membership check per keyword-sharing query.  A
   deletion that evicts a current result is the one case that genuinely
-  needs the index: the query is re-run from scratch to find the
+  needs the target: the query is re-answered from scratch to find the
   promoted document.
 * **tuple-level events** (raw ``insert_tuple``/``delete_tuple`` outside
   a document operation) carry partial documents, so exact incremental
@@ -23,17 +23,25 @@ on the common path:
   refreshed.
 * **bulk_load** — everything is refreshed.
 
-``emit`` (when given) is called with each standing query whose result
+``emit`` is called with each standing query whose result
 list actually changed — the delivery layer turns that into subscriber
-updates.
+updates.  A re-answer the target cannot give exactly (it raises a
+:class:`~repro.service.errors.ServiceError`: a cluster shard with no
+live replica) is never delivered: the query is held *stale*, skipped by
+incremental matching, and re-answered at the start of the next event
+(or :meth:`IncrementalMatcher.retry_stale`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, List
 
-from repro.core.index import I3Index, MutationEvent
+from repro.core.index import MutationEvent
 from repro.model.document import SpatialDocument
+from repro.model.query import TopKQuery
+from repro.model.results import ScoredDoc
+from repro.model.scoring import Ranker
+from repro.service.errors import ServiceError
 from repro.service.metrics import MetricsRegistry
 from repro.storage.records import f32
 from repro.streaming.registry import QueryRegistry, StandingQuery
@@ -61,22 +69,24 @@ class IncrementalMatcher:
 
     def __init__(
         self,
-        index: I3Index,
+        answer: Callable[[TopKQuery, Ranker], List[ScoredDoc]],
         registry: QueryRegistry,
-        metrics: Optional[MetricsRegistry] = None,
-        emit: Optional[Callable[[StandingQuery], None]] = None,
+        metrics: MetricsRegistry,
+        emit: Callable[[StandingQuery], None],
     ) -> None:
-        self.index = index
+        self.answer = answer
         self.registry = registry
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._emit = emit if emit is not None else (lambda sq: None)
+        self.metrics = metrics
+        self._emit = emit
+        self._stale: Dict[int, StandingQuery] = {}
 
     # ------------------------------------------------------------------
     # Event dispatch
     # ------------------------------------------------------------------
     def handle(self, event: MutationEvent) -> None:
-        """Process one index mutation event."""
+        """Process one mutation event of the target."""
         self.metrics.counter("stream.events").inc()
+        self.retry_stale()
         if event.kind == "insert":
             self.apply_insert(event.doc)
         elif event.kind == "delete":
@@ -93,6 +103,8 @@ class IncrementalMatcher:
         self.metrics.counter("stream.buckets_skipped").inc(skipped)
         self.metrics.counter("stream.queries_touched").inc(len(candidates))
         for sq in candidates:
+            if sq.query_id in self._stale:
+                continue
             if sq.holds(doc.doc_id):
                 # A doc already in the top-k was re-inserted (its stored
                 # tuples changed); incremental scores would be stale.
@@ -108,8 +120,8 @@ class IncrementalMatcher:
     def apply_delete(self, doc: SpatialDocument) -> None:
         """Apply one document deletion."""
         for sq in self.registry.candidates_delete(doc):
-            if sq.holds(doc.doc_id):
-                # The one case needing the index: a current result left.
+            if sq.holds(doc.doc_id) and sq.query_id not in self._stale:
+                # The one case needing the target: a current result left.
                 self._refresh(sq)
 
     def _on_tuple(self, doc: SpatialDocument) -> None:
@@ -120,9 +132,16 @@ class IncrementalMatcher:
     # Full re-query fallback
     # ------------------------------------------------------------------
     def _refresh(self, sq: StandingQuery) -> None:
-        """Re-run ``sq`` from scratch against the live index."""
+        """Re-answer ``sq`` from scratch against the live target."""
         old = sq.results()
-        fresh = self.index.query(sq.query, sq.ranker)
+        try:
+            fresh = self.answer(sq.query, sq.ranker)
+        except ServiceError:
+            if sq.query_id not in self._stale:
+                self.metrics.counter("stream.stale").inc()
+            self._stale[sq.query_id] = sq
+            return
+        self._stale.pop(sq.query_id, None)
         sq.seed(fresh)
         self.registry.bound_dropped(sq)
         self.metrics.counter("stream.requeries").inc()
@@ -131,6 +150,16 @@ class IncrementalMatcher:
             self._emit(sq)
 
     def refresh_all(self) -> None:
-        """Re-run every standing query (bulk load, index swap)."""
+        """Re-answer every standing query (bulk load, index swap,
+        retention)."""
         for sq in self.registry.queries():
             self._refresh(sq)
+
+    def retry_stale(self) -> None:
+        """Re-answer every query held stale by a failed re-answer."""
+        for sq in list(self._stale.values()):
+            self._refresh(sq)
+
+    def forget(self, query_id: int) -> None:
+        """Drop an unregistered query's stale mark."""
+        self._stale.pop(query_id, None)

@@ -1,15 +1,15 @@
 """The streaming service: standing queries, live maintenance, delivery.
 
 This is the façade tying the subsystem together.  A
-:class:`StreamingService` hangs off one
-:class:`~repro.service.QueryService` —
-:meth:`~repro.service.QueryService.streams` builds it — and from then
-on:
+:class:`StreamingService` hangs off one served target — a
+:class:`~repro.service.QueryService` or a
+:class:`~repro.cluster.ClusterService`, whose ``streams()`` builds it —
+and from then on:
 
 1. clients :meth:`subscribe` and :meth:`register` standing top-k
    queries (per-query ``k``, ``alpha`` and semantics); registration
    runs the query once and delivers the initial snapshot;
-2. every mutation of the served index flows through the
+2. every mutation of the target flows through the
    :class:`~repro.streaming.registry.QueryRegistry` and
    :class:`~repro.streaming.matcher.IncrementalMatcher`, and each
    standing query whose top-k actually changed produces one
@@ -17,25 +17,33 @@ on:
    on its owner's coalescing subscription queue;
 3. a disconnected subscriber reconnects with :meth:`resume`, which
    re-registers its standing queries under their old ids and re-runs
-   each one against the live index.
+   each one against the live target.
 
-All registry/collector mutations run under the service's exclusive
-lock (mutation events already fire inside it), so standing-query
-maintenance is serialised with writes exactly like queries are;
-:meth:`StreamSubscription.poll` needs no lock at all.  When the service
-swaps the index it serves (:meth:`~repro.service.QueryService.recover`,
-a database target's ``reweigh``) it moves the stream along with it
-(:meth:`rebind`).  ``stream.*`` metrics land in the service's
+The stream asks nothing about what kind of target it serves.  The
+target hands it what it needs: its data space and metrics, an
+``answer(query, ranker)`` giving the exact top-k (raising a
+:class:`~repro.service.errors.ServiceError` when it cannot), the
+``ranker(alpha)`` a standing query scores with (raising ``ValueError``
+for an alpha the target cannot rank with), the ``stamp()`` an update
+carries — ``(epoch, lsn)`` — and ``exclusive(fn)``, which runs ``fn``
+with the target's writes held off.  The target feeds mutations in
+through :attr:`matcher` from inside that same exclusive section: a
+single index by its mutation listener (:meth:`rebind`), a cluster after
+each write has landed.  So standing-query maintenance is serialised
+with writes exactly like queries are; :meth:`StreamSubscription.poll`
+needs no lock at all.  ``stream.*`` metrics land in the target's
 :class:`~repro.service.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.index import MutationEvent
 from repro.model.query import TopKQuery
+from repro.model.results import ScoredDoc
 from repro.model.scoring import Ranker
+from repro.service.metrics import MetricsRegistry
+from repro.spatial.geometry import Rect
 from repro.streaming.delivery import ResultUpdate, StreamSubscription
 from repro.streaming.matcher import IncrementalMatcher
 from repro.streaming.registry import QueryRegistry, StandingQuery
@@ -44,60 +52,46 @@ __all__ = ["StreamingService"]
 
 
 class StreamingService:
-    """Continuous top-k queries over the index a
-    :class:`~repro.service.QueryService` serves."""
+    """Continuous top-k queries over one served target."""
 
-    def __init__(self, service) -> None:
-        self._service = service
-        self._index = service.index
-        self.metrics = service.metrics
-        self.registry = QueryRegistry(self._index.space)
+    def __init__(
+        self,
+        space: Rect,
+        metrics: MetricsRegistry,
+        answer: Callable[[TopKQuery, Ranker], List[ScoredDoc]],
+        ranker: Callable[[float], Ranker],
+        stamp: Callable[[], Tuple[int, Optional[int]]],
+        exclusive: Callable[[Callable], object],
+    ) -> None:
+        self.metrics = metrics
+        self._ranker = ranker
+        self._stamp = stamp
+        self._exclusive = exclusive
+        self.registry = QueryRegistry(space)
         self.matcher = IncrementalMatcher(
-            self._index, self.registry, metrics=self.metrics, emit=self._changed
+            answer, self.registry, metrics=metrics,
+            emit=lambda sq: self._notify(sq, "update"),
         )
+        self.index = None  # the index whose listener feeds us (rebind)
         self._subs: Dict[str, StreamSubscription] = {}
-        self._owner: Dict[int, str] = {}
         self._next_query_id = 1
         self._next_subscriber = 1
         self._closed = False
-        self._index.add_mutation_listener(self._on_mutation)
 
     # ------------------------------------------------------------------
-    # Target plumbing
+    # Delivery
     # ------------------------------------------------------------------
-    @property
-    def index(self):
-        """The index currently being observed."""
-        return self._index
-
-    def _with_write(self, fn):
-        """Run ``fn`` exclusively with respect to index mutations.
-
-        A closed service mutates nothing anymore, so running ``fn``
-        directly is race-free there — that path lets teardown (e.g. a
-        cluster router unregistering from a killed replica) proceed.
-        """
-        if not self._service.closed:
-            return self._service.mutate(lambda _target: fn())
-        return fn()
-
-    def _on_mutation(self, event: MutationEvent) -> None:
-        self.matcher.handle(event)
-
-    def _changed(self, sq: StandingQuery) -> None:
-        self._notify(sq, "update")
-
     def _notify(self, sq: StandingQuery, kind: str) -> None:
         sub = self._subs.get(sq.subscriber_id)
         if sub is None:
             return
-        durable = self._service.durable
+        epoch, lsn = self._stamp()
         outcome = sub.offer(
             ResultUpdate(
                 query_id=sq.query_id,
                 kind=kind,
-                epoch=self._index.epoch,
-                lsn=durable.last_lsn if durable is not None else None,
+                epoch=epoch,
+                lsn=lsn,
                 seq=0,  # stamped by the subscription
                 results=tuple(sq.results()),
             )
@@ -116,7 +110,7 @@ class StreamingService:
             subscriber_id = f"sub-{self._next_subscriber}"
             self._next_subscriber += 1
         sub = StreamSubscription(subscriber_id)
-        return self._with_write(lambda: self._attach(sub))
+        return self._exclusive(lambda: self._attach(sub))
 
     def _attach(self, sub: StreamSubscription) -> StreamSubscription:
         old = self._subs.get(sub.subscriber_id)
@@ -133,14 +127,12 @@ class StreamingService:
             subscription.close()
             if self._subs.get(subscription.subscriber_id) is subscription:
                 del self._subs[subscription.subscriber_id]
-            for query_id, owner in list(self._owner.items()):
-                if owner == subscription.subscriber_id:
-                    self.registry.remove(query_id)
-                    del self._owner[query_id]
+            for sq in self.registry.queries():
+                if sq.subscriber_id == subscription.subscriber_id:
+                    self._remove(sq.query_id)
             self.metrics.gauge("stream.subscriptions").set(len(self._subs))
-            self.metrics.gauge("stream.standing_queries").set(len(self.registry))
 
-        self._with_write(do)
+        self._exclusive(do)
 
     # ------------------------------------------------------------------
     # Standing queries
@@ -150,48 +142,47 @@ class StreamingService:
         subscription: StreamSubscription,
         query: TopKQuery,
         alpha: float = 0.5,
-        ranker: Optional[Ranker] = None,
     ) -> int:
         """Register a standing query; delivers its initial snapshot.
 
         Returns the query id (use it to :meth:`unregister` and to match
         incoming :class:`~repro.streaming.delivery.ResultUpdate`\\ s).
+        Raises whatever the target's answer raises when it cannot seed
+        the query exactly; nothing is registered then.
         """
         if self._closed:
             raise ValueError("streaming service is closed")
-        resolved = ranker if ranker is not None else Ranker(self._index.space, alpha)
+        ranker = self._ranker(alpha)
 
         def do() -> int:
             query_id = self._next_query_id
             self._start(
-                StandingQuery(query_id, query, resolved, subscription.subscriber_id)
+                StandingQuery(query_id, query, ranker, subscription.subscriber_id)
             )
             self.metrics.counter("stream.registered").inc()
             return query_id
 
-        return self._with_write(do)
+        return self._exclusive(do)
 
     def _start(self, sq: StandingQuery) -> None:
-        """Seed ``sq`` from the live index, index it, deliver its
-        snapshot.  Runs under the write lock, so it queries the index
-        directly: going through the service's lane would deadlock."""
-        sq.seed(self._index.query(sq.query, sq.ranker))
+        """Seed ``sq`` from the live target, index it, deliver its
+        snapshot.  Runs in the exclusive section, so no write lands
+        between the seed and the registry add."""
+        sq.seed(self.matcher.answer(sq.query, sq.ranker))
         self.registry.add(sq)
-        self._owner[sq.query_id] = sq.subscriber_id
         self._next_query_id = max(self._next_query_id, sq.query_id + 1)
         self.metrics.gauge("stream.standing_queries").set(len(self.registry))
         self._notify(sq, "snapshot")
 
+    def _remove(self, query_id: int) -> bool:
+        self.matcher.forget(query_id)
+        removed = self.registry.remove(query_id)
+        self.metrics.gauge("stream.standing_queries").set(len(self.registry))
+        return removed is not None
+
     def unregister(self, query_id: int) -> bool:
         """Remove a standing query; True if it was registered."""
-
-        def do() -> bool:
-            removed = self.registry.remove(query_id)
-            self._owner.pop(query_id, None)
-            self.metrics.gauge("stream.standing_queries").set(len(self.registry))
-            return removed is not None
-
-        return self._with_write(do)
+        return self._exclusive(lambda: self._remove(query_id))
 
     def results(self, query_id: int):
         """The standing query's current top-k (None if unregistered)."""
@@ -210,48 +201,46 @@ class StreamingService:
 
         ``queries`` maps each query id the subscriber held to its
         ``(query, alpha)``.  Every one is re-registered under its old id
-        and seeded by one query of the live index, so the subscriber's
+        and seeded by one answer of the live target, so the subscriber's
         first updates are ``"snapshot"``\\ s stamped with the live epoch
         and LSN — exact whatever it missed while away.
         """
         if self._closed:
             raise ValueError("streaming service is closed")
         sub = StreamSubscription(subscriber_id)
+        rankers = {qid: self._ranker(alpha) for qid, (_q, alpha) in queries.items()}
 
         def do() -> None:
             self._attach(sub)
-            for query_id, (query, alpha) in queries.items():
-                self.registry.remove(query_id)
+            for query_id, (query, _alpha) in queries.items():
+                self._remove(query_id)
                 self._start(
-                    StandingQuery(
-                        query_id, query, Ranker(self._index.space, alpha),
-                        subscriber_id,
-                    )
+                    StandingQuery(query_id, query, rankers[query_id], subscriber_id)
                 )
                 self.metrics.counter("stream.resume_requeries").inc()
 
-        self._with_write(do)
+        self._exclusive(do)
         return sub
 
     # ------------------------------------------------------------------
     # Index swap
     # ------------------------------------------------------------------
     def rebind(self, index) -> None:
-        """Follow the service onto the index it now serves.
+        """Listen to ``index``'s mutation events from now on.
 
-        Called by the :class:`~repro.service.QueryService` under its
-        write lock after every mutation and recovery; a no-op unless the
-        served instance was swapped (recovery, a database's
-        ``reweigh``) under an open stream.  Every standing query is then
-        re-run against the new index and subscribers are notified of any
-        resulting changes.
+        A :class:`~repro.service.QueryService` calls this in its
+        exclusive section when it builds the stream and after every
+        mutation and recovery; a no-op unless the served instance was
+        swapped (recovery, a database's ``reweigh``) under an open
+        stream.  Every standing query is then re-run against the new
+        index and subscribers are notified of any resulting changes.
         """
-        if index is self._index or self._closed:
+        if index is self.index or self._closed:
             return
-        self._index.remove_mutation_listener(self._on_mutation)
-        self._index = index
-        self.matcher.index = index
-        index.add_mutation_listener(self._on_mutation)
+        if self.index is not None:
+            self.index.remove_mutation_listener(self.matcher.handle)
+        self.index = index
+        index.add_mutation_listener(self.matcher.handle)
         self.matcher.refresh_all()
 
     # ------------------------------------------------------------------
@@ -262,16 +251,11 @@ class StreamingService:
         if self._closed:
             return
         self._closed = True
-        self._index.remove_mutation_listener(self._on_mutation)
+        if self.index is not None:
+            self.index.remove_mutation_listener(self.matcher.handle)
         for sub in self._subs.values():
             sub.close()
 
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def __enter__(self) -> "StreamingService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.index import I3Index
 from repro.model.document import SpatialDocument, SpatialTuple
+from repro.model.query import TopKQuery
+from repro.model.scoring import Ranker
 from repro.spatial.cells import ROOT_CELL
 from repro.spatial.quadtree import PointQuadtree
 from repro.spatial.geometry import Rect, UNIT_SQUARE
@@ -73,6 +75,28 @@ class TestBasicInsert:
         idx = tiny_index()
         with pytest.raises(ValueError):
             idx.insert_document(SpatialDocument(1, 1.5, 0.5, {"a": 0.5}))
+
+    @pytest.mark.parametrize("bad", [
+        SpatialTuple(-1, "w", 0.9, 0.5, 1.0),            # doc_id below 0
+        SpatialTuple(1 << 64, "w", 0.9, 0.5, 1.0),       # doc_id past u64
+        SpatialTuple(9, "w", 0.9, 0.5, float("nan")),    # weight
+        SpatialTuple(9, "w", 0.9, 0.5, -0.5),
+        SpatialTuple(9, "", 0.9, 0.5, 1.0),              # empty keyword
+        SpatialTuple(9, "w", 1.5, 0.5, 1.0),             # outside the space
+        SpatialTuple(9, "w", float("nan"), 0.5, 1.0),
+    ])
+    def test_a_bad_tuple_changes_nothing(self, bad):
+        # 128-byte pages hold 4 tuples: a fifth dissolves the full root
+        # cell, so a tuple that failed to pack would lose all of "w".
+        idx = I3Index(UNIT_SQUARE, page_size=128)
+        for i in range(4):
+            idx.insert_document(SpatialDocument(i, 0.1 * i + 0.1, 0.5, {"w": 0.5}))
+        query = TopKQuery(0.5, 0.5, ("w",), k=10)
+        before = (idx.num_tuples, idx.epoch, idx.query(query, Ranker(UNIT_SQUARE)))
+        with pytest.raises(ValueError):
+            idx.insert_tuple(bad)
+        assert (idx.num_tuples, idx.epoch, idx.query(query, Ranker(UNIT_SQUARE))) == before
+        idx.check_invariants()
 
     def test_weights_quantised_to_f32(self):
         idx = tiny_index()

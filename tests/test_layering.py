@@ -161,8 +161,8 @@ def test_the_walker_sees_lazy_and_relative_imports():
     found = set(edges("net", "cluster"))
     # TYPE_CHECKING-guarded, in net/sim.py:
     assert ("repro.net.sim", "repro.simtest.clock") in found
-    # Function-local, in ClusterService.stream_router:
-    assert ("repro.cluster.service", "repro.streaming.cluster") in found
+    # Function-local, in ClusterService.streams:
+    assert ("repro.cluster.service", "repro.streaming.service") in found
 
 
 def test_the_serving_stack_imports_nothing_that_sits_beside_it():

@@ -199,6 +199,49 @@ class TestStreamingOverWire:
             client.delete(doc)
 
 
+class TestClusterStreamOverWire:
+    """``subscribe`` on a cluster backend: the one stream a single index
+    serves, pushed over a real socket."""
+
+    def test_pushed_results_equal_the_scatter(self):
+        docs = make_documents(200, random.Random(8))
+        query = TopKQuery(0.3, 0.6, ("cafe", "noodle"), k=5)
+        wire = lambda results: json.dumps(results_to_wire(results))
+        with ClusterService.build(
+            docs, HashPartitioner(3, UNIT_SQUARE), page_size=256,
+        ) as cluster, NetServer(cluster) as server, Client(
+            server.host, server.port
+        ) as client:
+            qid = client.register(query)
+            [snapshot] = client.poll()
+            assert snapshot["query_id"] == qid
+            assert wire(snapshot["results"]) == wire(cluster.search(query).results)
+            best = SpatialDocument(9_001, 0.3, 0.6, {"cafe": 1.0, "noodle": 1.0})
+            client.insert(best)
+            [update] = client.poll()
+            assert update["results"][0].doc_id == 9_001
+            assert wire(update["results"]) == wire(cluster.search(query).results)
+            with pytest.raises(ProtocolError, match="alpha 0.5"):
+                client.register(query, alpha=0.25)
+
+    def test_a_degraded_seed_is_refused_like_a_degraded_search(self):
+        docs = make_documents(200, random.Random(8))
+        first, poisoned = _queries(2, seed=32)
+        with ClusterService.build(
+            docs, HashPartitioner(3, UNIT_SQUARE), ClusterConfig(retry_rounds=0),
+            channel=_PoisonedChannel(poisoned), page_size=256,
+        ) as cluster, NetServer(cluster) as server, Client(
+            server.host, server.port
+        ) as client:
+            with pytest.raises(RemoteError, match="degraded") as searched:
+                client.search(poisoned)
+            with pytest.raises(RemoteError) as registered:
+                client.register(poisoned)
+            assert str(registered.value) == str(searched.value)
+            client.register(first)
+            assert len(cluster.streams().registry) == 1
+
+
 class TestAuthAndAdmission:
     def test_unknown_key_is_unauthorized(self, served):
         _service, server = served
@@ -541,13 +584,11 @@ class TestOneRefusedSlot:
             with pytest.raises(RemoteError, match="degraded"):
                 client.search(poisoned)
             # The rest of the protocol, against a cluster: writes report
-            # the cluster epoch, per-connection streaming is refused.
+            # the cluster epoch.
             extra = SpatialDocument(9_000, 0.5, 0.5, {"cafe": 1.0})
             assert client.insert(extra) == cluster.epoch
             assert client.search(x=0.5, y=0.5, words=["cafe"], k=1)[0].doc_id == 9_000
             assert client.delete(extra) == cluster.epoch
-            with pytest.raises(ProtocolError, match="cluster"):
-                client.register(first)
 
 
 class TestDeadlineOverTheWire:

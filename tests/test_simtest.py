@@ -180,6 +180,14 @@ class TestHarnessDeterminism:
         modes = {generate_trace(seed)["mode"] for seed in range(20)}
         assert modes == {"single", "cluster"}
 
+    def test_cluster_traces_carry_stream_steps(self):
+        ops = [
+            step["op"]
+            for seed in range(5)
+            for step in generate_trace(seed, mode="cluster")["steps"]
+        ]
+        assert {"register", "poll", "kill_resume", "outage"} <= set(ops)
+
 
 class TestChaosWorkload:
     """Shard-fault chaos steps: generated, self-contained, and actually
@@ -297,6 +305,26 @@ class TestCanaries:
         assert replay.failure.invariant == invariant
         # Without the bug, the shrunk trace is innocent: the failure is
         # the injected defect, not the workload.
+        assert run_trace(shrunk).ok
+
+    def test_dropped_push_is_caught_on_a_cluster_seed(self):
+        """One canary, both stacks: a cluster's stream is the same
+        StreamingService, so the same ``matcher._emit`` wrap convicts it
+        through the cluster leg's register/poll steps."""
+        bug = "dropped-push"
+        caught = next(
+            (report for report in (
+                run_seed(seed, mode="cluster", inject_bug=bug)
+                for seed in range(25)
+            ) if not report.ok),
+            None,
+        )
+        assert caught is not None and caught.mode == "cluster"
+        assert caught.failure.invariant == "stream-delivery"
+        shrunk = shrink_failure(
+            caught.trace, "stream-delivery", inject_bug=bug, max_attempts=200
+        )
+        assert run_trace(shrunk, inject_bug=bug).failure.invariant == "stream-delivery"
         assert run_trace(shrunk).ok
 
     @pytest.mark.parametrize("bug", ["silent-shard-drop", "stuck-scatter"])

@@ -1,6 +1,6 @@
 """Unit tests for the continuous-query subsystem: registry pruning,
 the coalescing delivery queue, incremental matching, service wiring,
-resume and the cluster stream router.
+resume and a cluster's stream.
 
 The end-to-end exactness guarantee (incremental top-k == from-scratch
 query over a long mixed stream) lives in test_streaming_invariant.py;
@@ -8,16 +8,23 @@ these tests pin the individual mechanisms.
 """
 
 import random
+import threading
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterService, HashPartitioner
+from repro.cluster import (
+    ClusterConfig,
+    ClusterService,
+    HashPartitioner,
+    SpatialGridPartitioner,
+)
 from repro.core.index import I3Index
 from repro.core.recovery import DurableIndex
 from repro.db import SpatialKeywordDatabase
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
+from repro.service.errors import AnswerDegraded
 from repro.service.service import QueryService, ServiceConfig
 from repro.spatial.geometry import UNIT_SQUARE
 from repro.streaming import (
@@ -25,7 +32,10 @@ from repro.streaming import (
     ResultUpdate,
     StandingQuery,
     StreamSubscription,
+    StreamingService,
 )
+from repro.temporal import TemporalConfig, TemporalDocument
+from tests.helpers import temporal_cluster
 
 
 def doc(doc_id, x, y, terms):
@@ -382,30 +392,202 @@ class TestResume:
         durable.close()
 
 
-class TestClusterStreamRouter:
-    def test_merged_results_match_scatter_gather(self):
-        rng = random.Random(5)
-        docs = [
-            doc(i, rng.random(), rng.random(),
-                {w: round(rng.uniform(0.1, 1.0), 2)
-                 for w in rng.sample(["a", "b", "c", "d"], 2)})
-            for i in range(1, 161)
-        ]
-        partitioner = HashPartitioner(3, UNIT_SQUARE)
+def _corpus(n, seed=5):
+    rng = random.Random(seed)
+    return [
+        doc(i, rng.random(), rng.random(),
+            {w: round(rng.uniform(0.1, 1.0), 2)
+             for w in rng.sample(["a", "b", "c", "d"], 2)})
+        for i in range(1, n + 1)
+    ]
+
+
+def _bits(results):
+    """A result list byte for byte: ids and the exact score bits."""
+    return [(r.doc_id, r.score.hex()) for r in results]
+
+
+class TestClusterStream:
+    """A cluster's standing queries live in the one StreamingService a
+    single index uses; every delivered list equals the scatter-gather
+    answer byte for byte."""
+
+    Q = TopKQuery(0.5, 0.5, ("a", "b"), k=6, semantics=Semantics.OR)
+
+    @staticmethod
+    def scatter(cluster, query):
+        answer = cluster.search(query)
+        assert not answer.degraded
+        return _bits(answer.results)
+
+    def test_merged_results_match_scatter(self):
+        docs = _corpus(160)
         with ClusterService.build(
-            docs[:80], partitioner,
-            ClusterConfig(replicas=1),
+            docs[:80], HashPartitioner(3, UNIT_SQUARE), ClusterConfig(replicas=1),
         ) as cluster:
-            router = cluster.stream_router()
-            assert cluster.stream_router() is router
-            q = TopKQuery(0.5, 0.5, ("a", "b"), k=6, semantics=Semantics.OR)
-            cqid = router.register(q)
-            assert router.results(cqid) == cluster.search(q).results
+            streams = cluster.streams()
+            assert isinstance(streams, StreamingService)
+            assert cluster.streams() is streams
+            sub = streams.subscribe()
+            qid = streams.register(sub, self.Q)
+            [snapshot] = sub.poll()
+            assert snapshot.kind == "snapshot"
+            assert _bits(snapshot.results) == self.scatter(cluster, self.Q)
             for d in docs[80:]:
                 cluster.insert(d)
-            cluster.delete(docs[80])
-            updates = router.poll()
-            assert updates and updates[-1].query_id == cqid
-            assert router.results(cqid) == cluster.search(q).results
-            assert router.unregister(cqid) and not router.unregister(cqid)
-            assert router.results(cqid) is None
+                assert _bits(streams.results(qid)) == self.scatter(cluster, self.Q)
+            victim = streams.results(qid)[0].doc_id
+            sub.poll()
+            cluster.delete(docs[victim - 1])
+            [update] = sub.poll()
+            assert update.kind == "update" and update.lsn is None
+            assert update.epoch == cluster.epoch
+            assert _bits(update.results) == self.scatter(cluster, self.Q)
+            assert victim not in {r.doc_id for r in update.results}
+            # Inserts were scored in place: the delete is the one re-answer.
+            assert cluster.metrics.counter("stream.requeries").value == 1
+            assert streams.unregister(qid) and not streams.unregister(qid)
+            assert streams.results(qid) is None
+
+    def test_failover_keeps_the_stream(self):
+        docs = _corpus(120)
+        with ClusterService.build(
+            docs, HashPartitioner(3, UNIT_SQUARE), ClusterConfig(replicas=2),
+        ) as cluster:
+            streams = cluster.streams()
+            sub = streams.subscribe()
+            qid = streams.register(sub, self.Q)
+            sub.poll()
+            victim = docs[streams.results(qid)[0].doc_id - 1]
+            cluster.replica(cluster.partitioner.shard_of(victim), 0).kill()
+            cluster.delete(victim)
+            [update] = sub.poll()
+            assert _bits(update.results) == self.scatter(cluster, self.Q)
+            assert victim.doc_id not in {r.doc_id for r in update.results}
+
+    def test_degraded_reanswer_waits_for_recovery(self, tmp_path):
+        docs = _corpus(120)
+        partitioner = HashPartitioner(3, UNIT_SQUARE)
+        with ClusterService.build(
+            docs, partitioner, ClusterConfig(replicas=1),
+            durable_root=str(tmp_path),
+        ) as cluster:
+            streams = cluster.streams()
+            sub = streams.subscribe()
+            qid = streams.register(sub, self.Q)
+            sub.poll()
+            held = streams.results(qid)
+            victim = docs[held[0].doc_id - 1]
+            owner = partitioner.shard_of(victim)
+            dead = (owner + 1) % 3
+            cluster.replica(dead, 0).kill()
+            # A degraded seed raises what the wire reports for a
+            # degraded search; nothing is registered.
+            other = TopKQuery(0.3, 0.3, ("c",), k=3)
+            with pytest.raises(AnswerDegraded, match=r"answer degraded \(failed shards"):
+                streams.register(sub, other)
+            assert len(streams.registry) == 1
+            cluster.delete(victim)
+            assert sub.poll() == []
+            assert streams.results(qid) == held  # held back, never delivered
+            assert cluster.metrics.counter("stream.stale").value == 1
+            # The next mutation re-answers it, and it is still degraded.
+            extra = next(
+                d for d in (doc(i, 0.5, 0.5, {"c": 0.3}) for i in range(500, 600))
+                if partitioner.shard_of(d) == owner
+            )
+            cluster.insert(extra)
+            assert sub.poll() == []
+            cluster.recover(dead, 0)
+            [update] = sub.poll()
+            assert _bits(update.results) == self.scatter(cluster, self.Q)
+            assert _bits(streams.results(qid)) == _bits(update.results)
+            assert victim.doc_id not in {r.doc_id for r in update.results}
+            assert cluster.metrics.counter("stream.stale").value == 1
+
+    def test_rebalance_beside_evicting_deletes_does_not_deadlock(self):
+        docs = _corpus(300, seed=9)
+        by_id = {d.doc_id: d for d in docs}
+        queries = [
+            TopKQuery(x, y, words, k=4, semantics=Semantics.OR)
+            for x, y, words in [(0.2, 0.2, ("a",)), (0.8, 0.3, ("b", "c")),
+                                (0.5, 0.9, ("d",)), (0.4, 0.6, ("a", "d"))]
+        ]
+        with ClusterService.build(
+            docs, HashPartitioner(3, UNIT_SQUARE), ClusterConfig(replicas=1),
+        ) as cluster:
+            streams = cluster.streams()
+            sub = streams.subscribe()
+            qids = [streams.register(sub, q) for q in queries]
+            target = SpatialGridPartitioner.from_documents(3, UNIT_SQUARE, docs)
+            start = threading.Barrier(2)
+            errors = []
+
+            def evict():
+                start.wait()
+                for i in range(40):
+                    results = streams.results(qids[i % len(qids)])
+                    if results:
+                        cluster.delete(by_id.pop(results[0].doc_id))
+
+            def move():
+                start.wait()
+                cluster.rebalance(target)
+
+            def run(fn):
+                try:
+                    fn()
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=run, args=(fn,), daemon=True)
+                for fn in (evict, move)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads), "deadlock"
+            assert errors == []
+            assert cluster.partitioner is target
+            for query, qid in zip(queries, qids):
+                assert _bits(streams.results(qid)) == self.scatter(cluster, query)
+
+    def test_alpha_must_be_the_cluster_rankers(self):
+        with ClusterService.build(
+            _corpus(60), HashPartitioner(2, UNIT_SQUARE), ClusterConfig(replicas=1),
+            ranker=Ranker(UNIT_SQUARE, 0.3),
+        ) as cluster:
+            streams = cluster.streams()
+            sub = streams.subscribe()
+            with pytest.raises(ValueError, match="alpha 0.3"):
+                streams.register(sub, self.Q)  # the default alpha, 0.5
+            with pytest.raises(ValueError, match="alpha 0.3"):
+                streams.resume("s", {1: (self.Q, 0.5)})
+            assert len(streams.registry) == 0
+            qid = streams.register(sub, self.Q, alpha=0.3)
+            assert _bits(streams.results(qid)) == self.scatter(cluster, self.Q)
+
+    def test_a_temporal_cluster_ages_results_out(self):
+        docs = _corpus(90)
+        tdocs = [TemporalDocument(d, float(i)) for i, d in enumerate(docs[:60])]
+        with temporal_cluster(
+            tdocs, HashPartitioner(2, UNIT_SQUARE),
+            TemporalConfig(slice_width=10.0, retention_age=30.0),
+            ClusterConfig(replicas=1),
+        ) as cluster:
+            streams = cluster.streams()
+            sub = streams.subscribe()
+            qid = streams.register(sub, self.Q)
+            for i, d in enumerate(docs[60:], start=60):
+                cluster.insert(TemporalDocument(d, float(i)))
+            # Ids only here: an incremental insert is scored with f32
+            # weights while a temporal slice scores its stored raw
+            # document, so scores can differ in the last bits (the
+            # same holds for a single TemporalIndex's stream).
+            ids = [doc_id for doc_id, _ in self.scatter(cluster, self.Q)]
+            assert [r.doc_id for r in streams.results(qid)] == ids
+            assert any(cluster.expire(90.0).values())
+            assert _bits(streams.results(qid)) == self.scatter(cluster, self.Q)
+            assert all(r.doc_id > 50 for r in streams.results(qid))
