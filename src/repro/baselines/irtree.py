@@ -136,8 +136,7 @@ class IRTree:
         document length (the Wikipedia corpus).
         """
         n = len(terms)
-        self.stats.record_read(self.inv_component, n, key=node_id)
-        self.stats.record_write(self.inv_component, n, key=node_id)
+        self.stats.record_rewrite(self.inv_component, n, key=node_id)
         summary = self._summaries.setdefault(node_id, {})
         for word, weight in terms.items():
             if weight > summary.get(word, 0.0):

@@ -8,18 +8,19 @@ stream (the reader cannot resynchronise) and closes the connection.
 
 Requests and responses are plain JSON objects:
 
-    {"v": 1, "op": "query", "key": "...", "deadline_ms": 1500,
+    {"v": 2, "op": "query", "key": "...", "deadline_ms": 1500,
      "args": {"x": 0.4, "y": 0.6, "words": ["cafe"], "k": 10,
               "semantics": "or"}}
 
-    {"ok": true, "result": [[doc_id, score], ...]}
+    {"ok": true, "result": "<base64 of n u64 ids, then n f64 scores>"}
     {"ok": false, "error": {"code": "overloaded", "message": "...",
                             "retryable": true}}
 
-Scores travel as JSON numbers.  Python's ``json`` emits the shortest
-round-tripping ``repr`` of a float and parses it back to the *same*
-IEEE-754 double, so results that cross the wire compare byte-identical
-to in-process answers — the property the equivalence suites assert.
+A result list travels as one base64 string of packed little-endian
+bytes (:func:`results_to_wire`): every score crosses as its exact 64
+bits, so results that cross the wire compare byte-identical to
+in-process answers — the property the equivalence suites assert — and
+neither side formats or parses a float as text.
 
 Everything here is transport-agnostic: the same functions frame bytes
 for real sockets (:mod:`repro.net.server`, :mod:`repro.net.client`) and
@@ -28,7 +29,9 @@ for the deterministic in-memory transport (:mod:`repro.net.sim`).
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import struct
 from typing import Callable, Dict, List, Optional
 
@@ -58,7 +61,7 @@ __all__ = [
     "results_to_wire",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 # Default ceiling on one frame's JSON body.  Generous for any top-k
 # response (a 400-result state probe is ~12 KB) while bounding what one
@@ -289,28 +292,43 @@ def outcomes_from_wire(raw) -> List:
     return decoded
 
 
-def results_to_wire(results) -> List[List]:
-    """Scored results as ``[doc_id, score]`` pairs, best first."""
-    return [[r.doc_id, r.score] for r in results]
+def results_to_wire(results) -> str:
+    """Scored results, best first, as one ASCII base64 string: the
+    ``n`` doc ids as little-endian u64, then the ``n`` scores as
+    little-endian f64."""
+    n = len(results)
+    packed = struct.pack(
+        f"<{n}Q{n}d",
+        *[r.doc_id for r in results],
+        *[r.score for r in results],
+    )
+    return base64.b64encode(packed).decode("ascii")
 
 
-def results_from_wire(pairs) -> List[ScoredDoc]:
-    """Decode ``[doc_id, score]`` pairs back to :class:`ScoredDoc`.
+def results_from_wire(text) -> List[ScoredDoc]:
+    """Decode :func:`results_to_wire`'s string back to :class:`ScoredDoc`.
 
-    JSON round-trips floats via shortest-repr, so the decoded objects
-    compare **equal** to the server's in-process answer — the property
-    the wire-equivalence suite pins down.
+    The scores are the sender's exact bits (``-0.0`` and subnormals
+    included), so the decoded objects compare **equal** to the server's
+    in-process answer — the property the wire-equivalence suite pins
+    down.  Anything but a base64 string of 16-byte records with finite
+    scores is a :class:`ProtocolError`.
     """
-    if not isinstance(pairs, list):
-        raise ProtocolError("results must be a list")
-    decoded = []
-    for pair in pairs:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ProtocolError(f"malformed result pair: {pair!r}")
-        try:
-            score = json_number(pair[1], "score")
-            doc_id = json_int(pair[0], "doc id")
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
-        decoded.append(ScoredDoc(score, doc_id))
-    return decoded
+    if not isinstance(text, str):
+        raise ProtocolError(
+            f"results must be a base64 string, got {type(text).__name__}"
+        )
+    try:
+        packed = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ProtocolError(f"results are not valid base64: {exc}") from None
+    n, rest = divmod(len(packed), 16)
+    if rest:
+        raise ProtocolError(
+            f"results hold {len(packed)} bytes, not a multiple of 16"
+        )
+    fields = struct.unpack(f"<{n}Q{n}d", packed)
+    scores = fields[n:]
+    if not all(map(math.isfinite, scores)):
+        raise ProtocolError("result scores must be finite")
+    return list(map(ScoredDoc, scores, fields[:n]))

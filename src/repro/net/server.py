@@ -51,6 +51,7 @@ from repro.net.errors import (
 from repro.net.httpserver import handle_http_connection
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     encode_frame,
     error_response,
     ok_response,
@@ -237,7 +238,7 @@ class ConnectionCore:
             if not isinstance(op, str):
                 raise ProtocolError('request must carry a string "op"')
             if op == "ping":
-                return ok_response({"pong": True})
+                return ok_response({"pong": True, "v": PROTOCOL_VERSION})
             if op == "health":
                 return ok_response(server.health())
             if op == "metrics":

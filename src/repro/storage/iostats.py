@@ -126,6 +126,20 @@ class IOStats:
         if sink is not None:
             sink.record_write(component, pages, key)
 
+    def record_rewrite(self, component: str, pages: int = 1, key=None) -> None:
+        """Count ``pages`` page reads *and* as many writes against
+        ``component`` — an in-place page change — under one lock, with
+        the same counters as :meth:`record_read` + :meth:`record_write`."""
+        with self._lock:
+            self._reads[component] += pages
+            self._writes[component] += pages
+            if key is not None:
+                self._unique_reads.setdefault(component, set()).add(key)
+                self._unique_writes.setdefault(component, set()).add(key)
+        sink = getattr(self._local, "sink", None)
+        if sink is not None:
+            sink.record_rewrite(component, pages, key)
+
     # ------------------------------------------------------------------
     # Per-thread attribution
     # ------------------------------------------------------------------

@@ -136,5 +136,4 @@ class PageFile:
         with self._lock:
             self._check(page_id)
             edit(self._pages[page_id])
-        self.stats.record_read(self.component, key=page_id)
-        self.stats.record_write(self.component, key=page_id)
+        self.stats.record_rewrite(self.component, key=page_id)

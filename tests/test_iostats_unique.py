@@ -57,3 +57,23 @@ class TestUniqueWindow:
         file.write(a, b"y")
         assert stats.unique_reads("d") == 2
         assert stats.unique_writes("d") == 1
+
+    def test_rewrite_counts_a_read_and_a_write(self):
+        """``record_rewrite`` moves every counter, the tee'd sink's too,
+        exactly as ``record_read`` + ``record_write`` do."""
+        def drive(stats, rewrite):
+            sink = IOStats()
+            with stats.tee(sink):
+                for key in (1, 1, 2, None):
+                    if rewrite:
+                        stats.record_rewrite("c", 2, key=key)
+                    else:
+                        stats.record_read("c", 2, key=key)
+                        stats.record_write("c", 2, key=key)
+            return [(s.snapshot(), s.unique_reads(), s.unique_writes())
+                    for s in (stats, sink)]
+
+        assert drive(IOStats(), True) == drive(IOStats(), False)
+        stats = IOStats()
+        drive(stats, True)
+        assert (stats.reads("c"), stats.writes("c")) == (8, 8)

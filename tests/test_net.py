@@ -44,7 +44,13 @@ from repro.net import (
     Unauthorized,
 )
 from repro.net.errors import ConnectionLost, NetError
-from repro.net.protocol import encode_frame, query_to_args, read_frame, results_to_wire
+from repro.net.protocol import (
+    PROTOCOL_VERSION,
+    encode_frame,
+    query_to_args,
+    read_frame,
+    results_to_wire,
+)
 from repro.net.sim import SimNetServer, sim_client
 from repro.service.service import QueryService, ServiceConfig
 from repro.simtest import SimClock
@@ -130,7 +136,7 @@ class TestWireEquivalence:
                 over_wire = client.search(query)
                 assert over_wire == direct
                 # Byte-identical, not merely equal: the serialized forms
-                # match down to every float digit.
+                # match down to every score bit.
                 assert json.dumps(results_to_wire(over_wire)) == \
                     json.dumps(results_to_wire(direct))
         finally:
@@ -138,7 +144,7 @@ class TestWireEquivalence:
 
     def test_search_many_matches_singles(self, served):
         """One ``query_many`` round trip equals the same queries one by
-        one — including the JSON float digits — and slots line up with
+        one — down to every score bit — and slots line up with
         input order."""
         service, server = served
         queries = _queries(24, seed=11)
@@ -197,6 +203,22 @@ class TestStreamingOverWire:
             assert updates and updates[-1]["query_id"] == qid
             assert any(r.doc_id == 90100 for r in updates[-1]["results"])
             client.delete(doc)
+
+    def test_every_answer_carries_the_query_string(self, served):
+        """A ``query`` result, a ``query_many`` slot and a ``poll``
+        update are one packed string, the same for the same answer."""
+        service, server = served
+        query = TopKQuery(0.6, 0.3, ("cafe",), 5)
+        args = query_to_args(query)
+        with _client(server) as client:
+            packed = client.call("query", args)
+            assert isinstance(packed, str)
+            assert packed == results_to_wire(service.search(query))
+            slot = client.call("query_many", {"queries": [args]})["outcomes"]
+            assert slot == [{"ok": True, "results": packed}]
+            client.register(query)
+            (update,) = client.call("poll", retries=0)["updates"]
+            assert update["results"] == packed
 
 
 class TestClusterStreamOverWire:
@@ -394,7 +416,9 @@ class TestProtocolEdges:
             # The stream stays frame-aligned: a valid request after the
             # bad one still answers.
             sock.sendall(encode_frame({"op": "ping"}))
-            assert read_frame(sock.recv)["result"] == {"pong": True}
+            assert read_frame(sock.recv)["result"] == {
+                "pong": True, "v": PROTOCOL_VERSION
+            }
         finally:
             sock.close()
 

@@ -6,9 +6,12 @@ size limit enforced *before* the body is read) independently of any
 socket behaviour.
 """
 
+import base64
+import math
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc
@@ -150,21 +153,91 @@ class TestResultsCodec:
         assert results_from_wire(results_to_wire(results)) == results
 
     def test_float_round_trip_exact_through_json(self):
-        # JSON shortest-repr floats survive encode/decode bit-exactly —
-        # the property the wire-equivalence acceptance test relies on.
-        import math
+        # A score survives a JSON frame bit-exactly — the property the
+        # wire-equivalence acceptance test relies on.
         score = math.pi / 3
         frame = encode_frame({"r": results_to_wire([ScoredDoc(score, 1)])})
         decoded = results_from_wire(read_frame(_reader(frame))["r"])
         assert decoded[0].score == score
 
     def test_malformed_pairs_rejected(self):
-        """Ids are JSON integers and scores finite JSON numbers: ``"7"``,
-        ``2.9`` and ``true`` are not doc 7, 2 and 1."""
+        """No pair list is a result list, however its ids and scores are
+        spelled: ``"7"``, ``2.9`` and ``true`` are not doc 7, 2 and 1."""
         for pairs in ([[1]], "nope", [[1, "x"]], [["7", 0.5]], [[2.9, 0.5]],
                       [[True, True]], [[1, float("nan")]]):
             with pytest.raises(ProtocolError):
                 results_from_wire(pairs)
+
+    def test_golden_string(self):
+        """Two ids as little-endian u64, then two scores as little-endian
+        f64, base64 with its padding."""
+        wire = results_to_wire([ScoredDoc(0.75, 3), ScoredDoc(0.5, 258)])
+        assert wire == "AwAAAAAAAAACAQAAAAAAAAAAAAAAAOg/AAAAAAAA4D8="
+
+    @pytest.mark.parametrize("results", [
+        [],
+        [ScoredDoc(-0.0, 1)],
+        [ScoredDoc(5e-324, 2), ScoredDoc(2.2250738585072009e-308, 3)],
+        [ScoredDoc(1.0, (1 << 64) - 1), ScoredDoc(0.5, 0)],
+    ], ids=["empty", "negative-zero", "subnormal", "max-u64-id"])
+    def test_edge_values_round_trip_bit_exactly(self, results):
+        _assert_round_trip(results)
+
+    @pytest.mark.parametrize("wire, reason", [
+        ([[1, 0.5]], "base64 string"),
+        (None, "base64 string"),
+        (base64.b64encode(struct.pack("<Qd", 1, 0.5)), "base64 string"),
+        ("AQAAAAAAAAAAAAAAAADgP!==", "not valid base64"),
+        ("AQAAAAAAAAAAAAAAAADgPé==", "not valid base64"),
+        ("AQAAAAAAAAAAAAAAAADgPw=", "not valid base64"),
+        ("AQAAAAAAAAAAAAAAAADgP=w=", "not valid base64"),
+        (base64.b64encode(bytes(15)).decode(), "multiple of 16"),
+        (base64.b64encode(bytes(17)).decode(), "multiple of 16"),
+        (base64.b64encode(struct.pack("<Qd", 1, math.nan)).decode(), "finite"),
+        (base64.b64encode(struct.pack("<Qd", 1, math.inf)).decode(), "finite"),
+        (base64.b64encode(struct.pack("<Qd", 1, -math.inf)).decode(), "finite"),
+    ], ids=["pair-list", "none", "bytes", "bad-char", "non-ascii",
+            "short-padding", "split-padding", "15-bytes", "17-bytes",
+            "nan", "inf", "minus-inf"])
+    def test_refusals_are_protocol_errors(self, wire, reason):
+        with pytest.raises(ProtocolError, match=reason):
+            results_from_wire(wire)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(
+        st.integers(0, (1 << 64) - 1),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ), max_size=40))
+    def test_fuzzed_round_trip(self, rows):
+        _assert_round_trip([ScoredDoc(score, doc_id) for doc_id, score in rows])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.binary(max_size=100))
+    def test_fuzzed_bytes_decode_or_fail_typed(self, raw):
+        """Any bytes, base64-encoded, decode to ``len // 16`` results
+        exactly when they are whole records with finite scores; anything
+        else is a ProtocolError, never another exception."""
+        n, rest = divmod(len(raw), 16)
+        whole = not rest and all(
+            map(math.isfinite, struct.unpack(f"<{n}d", raw[8 * n:]))
+        )
+        try:
+            decoded = results_from_wire(base64.b64encode(raw).decode())
+        except ProtocolError:
+            assert not whole
+        else:
+            assert whole and len(decoded) == n
+
+
+def _assert_round_trip(results):
+    """``results`` cross a frame as 16 bytes each and come back with
+    every id and every score bit intact."""
+    wire = read_frame(_reader(encode_frame({"r": results_to_wire(results)})))
+    assert len(base64.b64decode(wire["r"], validate=True)) == 16 * len(results)
+    back = results_from_wire(wire["r"])
+    assert [r.doc_id for r in back] == [r.doc_id for r in results]
+    bits = lambda rs: [struct.pack("<d", r.score) for r in rs]
+    assert bits(back) == bits(results)
 
 
 class TestErrorPayloads:
