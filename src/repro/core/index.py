@@ -30,6 +30,7 @@ from repro.core.headfile import CellPages, ChildPtr, HeadFile, SummaryInfo, Summ
 from repro.core.kwcells import DataFile
 from repro.core.lookup import LookupTable
 from repro.core.query import I3QueryProcessor
+from repro.exec.vector import VectorQueryProcessor
 from repro.model.document import SpatialDocument, SpatialTuple
 from repro.model.results import ScoredDoc
 from repro.model.query import TopKQuery
@@ -83,10 +84,6 @@ class I3Index:
             bulk load.  External result caches (see
             :mod:`repro.service.cache`) stamp entries with it, which
             makes cached results self-invalidating.
-        engine: Engine pin (``"tuple"``/``"vector"``) for calls that name
-            none, or ``None`` (the default) to let numpy decide.  Set it
-            on the instance; both engines answer byte-identically, see
-            :mod:`repro.exec`.
     """
 
     def __init__(
@@ -115,9 +112,8 @@ class I3Index:
         # Per-keyword max_s upper bounds advertised to the cluster layer
         # (see keyword_bound); missing entries are computed on demand.
         self._word_bound: Dict[str, float] = {}
-        self.engine: Optional[str] = None
-        self._processor = I3QueryProcessor(self)
-        self._vector_processor = None
+        self._vector_processor = VectorQueryProcessor(self)
+        self._tuple_processor = I3QueryProcessor(self)
         # Mutation listeners (the streaming subsystem's hook).  Events
         # are emitted synchronously after each mutation applies; with no
         # listeners registered the write path pays one truthiness check.
@@ -445,24 +441,23 @@ class I3Index:
     # Queries
     # ------------------------------------------------------------------
     def engine_processor(self, engine: Optional[str] = None):
-        """The query processor serving ``engine`` (resolved if ``None``).
+        """The query processor for ``engine``, the one place an engine
+        name resolves.
 
-        ``"tuple"`` returns the scalar reference processor; ``"vector"``
-        lazily constructs the numpy batch processor
-        (:class:`~repro.exec.vector.VectorQueryProcessor`).  Resolution
-        happens per call (argument > index pin > numpy default) so one
-        index can serve both engines concurrently.
+        ``None`` and ``"vector"`` are the columnar cell model every query
+        runs on (:class:`~repro.exec.vector.VectorQueryProcessor`);
+        ``"tuple"`` names the scalar reference
+        (:class:`~repro.core.query.I3QueryProcessor`), which answers
+        byte-identically and is reached only by name.  Any other name
+        is a ``ValueError``.
         """
-        from repro.exec import resolve_engine
-
-        resolved = resolve_engine(engine if engine is not None else self.engine)
-        if resolved != "vector":
-            return self._processor
-        if self._vector_processor is None:
-            from repro.exec.vector import VectorQueryProcessor
-
-            self._vector_processor = VectorQueryProcessor(self)
-        return self._vector_processor
+        if engine is None or engine == "vector":
+            return self._vector_processor
+        if engine == "tuple":
+            return self._tuple_processor
+        raise ValueError(
+            f"unknown engine {engine!r}; expected 'tuple' or 'vector'"
+        )
 
     def query(
         self,
@@ -477,8 +472,8 @@ class I3Index:
         private copy of this call's I/O (this thread's only), letting
         concurrent callers attribute I/O per query.
 
-        ``engine`` overrides the execution engine for this call (see
-        :meth:`engine_processor`).
+        ``engine`` names the tuple reference (``"tuple"``) instead of
+        the default cell model (see :meth:`engine_processor`).
         """
         if ranker is None:
             ranker = Ranker(self.space)
@@ -534,8 +529,7 @@ class I3Index:
         """Stream matching documents best-first, without a k bound.
 
         A lazy generator: consuming n results reads exactly the pages a
-        top-n query reads under the same engine.  ``query.k`` is ignored;
-        the engine is resolved as in :meth:`query`.
+        top-n query reads.  ``query.k`` is ignored.
         """
         if ranker is None:
             ranker = Ranker(self.space)
@@ -547,7 +541,6 @@ class I3Index:
         The region-constrained variant of spatial keyword search (the
         paper's Section 2 first query family).  Scores are the textual
         relevance (matched weight sums); ordering is score-descending.
-        The engine is resolved as in :meth:`query`.
         """
         from repro.model.query import Semantics
 

@@ -55,7 +55,7 @@ class DecodedCellCache:
 
     The cache knows nothing about what it stores — an engine hands it a
     value and what keeping that value costs, headers and all — so it
-    works unchanged over any page store and imports without numpy.  Entries are keyed by the
+    works unchanged over any page store.  Entries are keyed by the
     :class:`CellPages` object's identity (the index mutates cells in
     place and never swaps them) and hold the object itself, so an
     ``id()`` cannot be recycled under a live entry.

@@ -15,8 +15,9 @@ beats delta, the collector's current cut-off score.
 
 One loop, two cell models, three collectors: the walk is written once,
 in :class:`BestFirstProcessor`; how fetched tuples are held, bounded and
-scored is the engine's *cell model* (:class:`I3QueryProcessor`: scalar
-``AndSemantics`` / ``OrSemantics``; ``repro.exec.vector``: columnar);
+scored is the *cell model* (``repro.exec.vector``: columnar, what every
+query runs on; :class:`I3QueryProcessor`: the scalar ``AndSemantics`` /
+``OrSemantics`` reference, reached by ``engine="tuple"``);
 what becomes of the scored documents is the search's *collector* — the
 top k, a best-first stream, or every match inside a region.
 """

@@ -1,14 +1,15 @@
-"""The vectorized I3 query engine: Algorithm 4 over columnar cells.
+"""The cell model every query runs on: Algorithm 4 over columnar cells.
 
 The best-first walk is :class:`repro.core.query.BestFirstProcessor` —
-the very code the scalar engine runs, not a copy of it.  This module
+the very code the scalar reference runs, not a copy of it.  This module
 supplies only the columnar **cell model**: every candidate's fetched
 documents are per-keyword :class:`~repro.exec.columns.WordColumns`
 (sorted doc-id arrays with aligned coordinate/weight columns), and
 whole cells are bounded and scored with the batch kernels of
 :mod:`repro.exec.kernels`.
 
-Why the answers are byte-identical (full argument in ``docs/exec.md``):
+Why the answers are byte-identical to the scalar reference's (full
+argument in ``docs/exec.md``):
 
 * final document scores use bit-identical operation sequences — the
   kernels mirror the scalar ``Ranker`` expressions, and textual sums are
@@ -19,19 +20,18 @@ Why the answers are byte-identical (full argument in ``docs/exec.md``):
   the current delta is still expanded, so equal-score ties resolve by
   doc id regardless of bound tightness.  The OR prune and bound are not
   written here: :class:`ColumnOr` is :class:`repro.core.or_semantics.
-  OrBound` fed with columns, and the scalar engine feeds the same
+  OrBound` fed with columns, and the scalar reference feeds the same
   Section 5.3 lattice with accumulator ids — one lattice, one value,
-  two feeders.  The AND bound skips the per-document signature filter (a
-  conservative superset of the scalar survivors — bound never smaller,
-  never inadmissible, and impostors are rejected at finalise by the
-  exact all-keywords presence check).
+  two feeders.  :class:`ColumnAnd` is Algorithm 5 whole, the
+  per-document signature filter included, so its survivors — and the
+  AND bound, walk and page reads — are the scalar reference's.
 
 Keyword cells are decoded once per index, not once per query: every
 load goes through :func:`repro.exec.columns.cell_columns`, i.e. the data
 file's decoded-cell cache, so consecutive queries — and the members of a
 ``query_many`` batch — share cells without sharing any per-call state.
 
-The cell model is all an engine is: ``search``, ``iter_search`` and
+The cell model is all this module adds: ``search``, ``iter_search`` and
 ``range_search`` are the walk's three collectors and run here unchanged.
 """
 
@@ -136,7 +136,7 @@ class _ColumnCells:
                 qualified = None  # every accumulated document qualifies
             # Coordinates: iterate columns in REVERSE fetch order so the
             # earliest keyword's tuple wins — the record the scalar
-            # engine's DocAccumulator was constructed from.
+            # reference's DocAccumulator was constructed from.
             xs = np.empty(all_ids.size, dtype=np.float64)
             ys = np.empty(all_ids.size, dtype=np.float64)
             for col, p in zip(reversed(cols), reversed(pos)):
@@ -178,7 +178,7 @@ class _ColumnCells:
         # Offer best-first (score desc, id asc); once k results are held
         # a strictly-below-delta score ends the loop — every later entry
         # is no better.  Ties AT delta still go through offer, where the
-        # collector's id tie-break decides, same as the scalar engine.
+        # collector's id tie-break decides, same as the scalar reference.
         # (Negation is exact both ways, so ``-neg_score`` is the score.)
         for neg_score, doc_id in sorted(
             zip((-scores).tolist(), all_ids.tolist())
@@ -197,6 +197,7 @@ class ColumnAnd(_ColumnCells):
         for word in query.words:
             if word not in candidate.dense and word not in candidate.fetched:
                 return True
+        sig: Optional[Signature] = None
         if candidate.dense:
             sig = Signature.full(self.eta)
             for ref in candidate.dense.values():
@@ -204,14 +205,9 @@ class ColumnAnd(_ColumnCells):
             if sig.is_zero:
                 return True
         if candidate.fetched:
-            # Survivors: documents present in EVERY fetched keyword's
-            # column.  (The scalar engine additionally drops documents
-            # the dense-signature intersection rules out; skipping that
-            # per-id python filter keeps a superset — the bound stays
-            # admissible, never smaller than the scalar one, and
-            # impostors die at finalise's exact presence check.  The
-            # filter rarely removes anything in practice, and paying it
-            # per candidate costs more than the tighter bound saves.)
+            # Survivors (Algorithm 5 lines 7-12): documents present in
+            # EVERY fetched keyword's column whose bit ``id % eta`` is
+            # set in the dense-signature intersection.
             survivors: Optional[np.ndarray] = None
             for word in candidate.fetched:
                 col = candidate.docs.get(word)
@@ -222,6 +218,17 @@ class ColumnAnd(_ColumnCells):
                     if survivors is None
                     else np.intersect1d(survivors, col.ids, assume_unique=True)
                 )
+                if not survivors.size:
+                    return True
+            if sig is not None:
+                mask = np.unpackbits(
+                    np.frombuffer(
+                        sig.bits.to_bytes((self.eta + 7) // 8, "little"), np.uint8
+                    ),
+                    count=self.eta,
+                    bitorder="little",
+                ).view(bool)
+                survivors = survivors[mask[survivors % np.uint64(self.eta)]]
                 if not survivors.size:
                     return True
             filtered: Dict[str, WordColumns] = {}

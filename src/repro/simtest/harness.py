@@ -48,13 +48,13 @@ Invariants checked (named for shrinking identity):
   tier (real :class:`~repro.net.server.ConnectionCore`, scripted
   connection faults, virtual-time retries) return exactly the model's
   top-k: wire trouble may cost retries, never correctness.
-* ``exec-equivalence`` — on every ``query_many`` step and every
-  temporal query step, the same queries executed directly under each
-  available execution engine return **bit-identical** ``ScoredDoc``
-  streams (``float.hex`` comparison, stricter than the 9-decimal
-  rounding every other invariant uses).
+* ``exec-equivalence`` — on every ``query_many`` step, the same queries
+  executed directly on the served (vector) cell model and on the tuple
+  reference, named by ``engine="tuple"``, return **bit-identical**
+  ``ScoredDoc`` streams (``float.hex`` comparison, stricter than the
+  9-decimal rounding every other invariant uses).
   This is the only invariant that can see a sub-rounding score drift
-  in the vectorized engine.
+  in the vector cell model.
 * ``temporal-equivalence`` — every time-filtered / recency-weighted
   query against the time-sliced index equals the naive temporal
   oracle's full-scan answer.
@@ -70,16 +70,16 @@ applies every 5th mutation to the index while skipping its WAL append;
 ``dropped-push`` silently discards every 3rd subscriber notification;
 ``stale-slice`` resurrects every retention-dropped slice so expired
 documents never actually leave the query path; ``vector-skew`` drifts
-every vector-engine score by one ulp — invisible to every rounded
+every vector-model score by one ulp — invisible to every rounded
 comparison, caught only by the bit-exact ``exec-equivalence``
 differential; ``lost-shard-route`` drops the best-bound shard from
 every scatter plan with more than one candidate shard, so the
 documents it owns silently vanish from merged answers;
 ``stale-decoded-cell`` skips the decoded-cell invalidation in
-``DataFile.insert_into_cell``, so the vector engine keeps answering
-from a keyword cell's columns as they were before an insert while the
-tuple engine reads the pages — the same cross-engine differential
-convicts it;
+``DataFile.insert_into_cell``, so the service keeps answering from a
+keyword cell's columns as they were before an insert — the oracle
+check on a served answer, or the differential against the tuple
+reference (which reads the pages), convicts it;
 ``silent-shard-drop`` strips the degraded flag (and the failed-shard
 ids) off any answer that lost shards, passing a partial answer off as
 complete — caught by ``degraded-correctness`` comparing it to the
@@ -165,13 +165,13 @@ class SimReport:
 
 
 class _SkewedVectorProcessor:
-    """Injected bug: the vector engine's scores drift by one ulp.
+    """Injected bug: the vector model's scores drift by one ulp.
 
     This is the failure mode a real vectorization bug produces — an
     accumulation-order or precision change too small for any rounded
     comparison to see.  ``result_pairs`` rounds to 9 decimals, so every
-    other invariant stays green; only the bit-exact cross-engine
-    differential (``exec-equivalence``) can convict it.
+    other invariant stays green; only the bit-exact differential
+    against the tuple reference (``exec-equivalence``) can convict it.
     """
 
     def __init__(self, index) -> None:
@@ -321,24 +321,16 @@ class _Simulation:
             self.owned[name] = {}
 
     def _install_engine_bug(self) -> None:
-        """Plant the vector-engine bugs on the index currently served.
+        """Plant the vector-model bugs on the index currently served.
 
         Re-run after every recovery: a crash step swaps in a freshly
         rebuilt index, and the canary must keep limping on it."""
         if self.bug not in ("vector-skew", "stale-decoded-cell"):
             return
-        from repro.exec import available_engines
-
-        if "vector" not in available_engines():
-            return  # no vector engine to break on this host
         index = self.service.index
         if self.bug == "vector-skew":
             index._vector_processor = _SkewedVectorProcessor(index)
             return
-        # Serve from the tuple engine, which never consults decoded
-        # cells: the vector engine then runs only inside the cross-engine
-        # differential, and that differential has to be what convicts.
-        index.engine = "tuple"
         data = index.data
         insert_into_cell = data.insert_into_cell
 
@@ -686,51 +678,32 @@ class _Simulation:
                 query, got[i], self.oracle.topk_pairs(query),
                 f"batch slot {i} ({step['queries'][i]})",
             )
-        self._check_exec_equivalence(
-            lambda engine: self.service.read(
+        self._check_exec_equivalence(queries, step["queries"])
+        self.events.append({"op": "query_many", "results": got})
+
+    def _check_exec_equivalence(self, queries, args: List) -> None:
+        """The differential against the tuple reference, bit-exact.
+
+        The same queries run directly against the index — no service,
+        no cache — once on the served cell model and once on the tuple
+        reference; ``float.hex`` score streams are compared, so even a
+        one-ulp drift in the served model is a conviction.
+        """
+        def run(engine):
+            answers = self.service.read(
                 lambda _t: self.service.index.query_many(
                     queries, self.ranker, engine=engine
                 )
-            ),
-            [f"batch slot {i} ({q})" for i, q in enumerate(step["queries"])],
-        )
-        self.events.append({"op": "query_many", "results": got})
+            )
+            return [[(d.doc_id, d.score.hex()) for d in r] for r in answers]
 
-    def _check_exec_equivalence(self, run, labels: List[str]) -> None:
-        """The cross-engine differential, bit-exact.
-
-        ``run(engine)`` answers the same queries (one result list per
-        label) directly against the index — no service, no cache — and
-        is called once per available engine; ``float.hex`` score streams
-        are compared, so a divergence is attributable to the engines
-        alone and even a one-ulp drift is a conviction.
-        """
-        from repro.exec import available_engines
-
-        engines = available_engines()
-        if len(engines) < 2:
-            return  # one engine: nothing to differ
-        streams = {
-            engine: [
-                [(d.doc_id, d.score.hex()) for d in result]
-                for result in run(engine)
-            ]
-            for engine in engines
-        }
-        baseline_engine = engines[0]
-        baseline = streams[baseline_engine]
-        for engine in engines[1:]:
-            if streams[engine] != baseline:
-                i = next(
-                    j
-                    for j, (a, b) in enumerate(zip(streams[engine], baseline))
-                    if a != b
-                )
+        served, reference = run("vector"), run("tuple")
+        for i, (got, want) in enumerate(zip(served, reference)):
+            if got != want:
                 raise InvariantViolation(
                     "exec-equivalence",
-                    f"{labels[i]}: engine "
-                    f"{engine!r} returned {streams[engine][i]}, "
-                    f"{baseline_engine!r} returned {baseline[i]}",
+                    f"batch slot {i} ({args[i]}): the vector model "
+                    f"returned {got}, the tuple reference {want}",
                 )
 
     def _do_net_query(self, step: Dict) -> None:
@@ -880,13 +853,6 @@ class _Simulation:
                 f"recency {step.get('recency')}) returned {got}, "
                 f"the naive oracle says {expected}",
             )
-        self._check_exec_equivalence(
-            lambda engine: [self.temporal.query(tq, self.ranker, engine=engine)],
-            [
-                f"temporal query {step['query']['words']} (range "
-                f"{step.get('time_range')}, recency {step.get('recency')})"
-            ],
-        )
         self.events.append({"op": "t_query", "results": got})
 
     def _do_t_advance(self, step: Dict) -> None:

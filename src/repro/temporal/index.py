@@ -43,7 +43,6 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.index import I3Index, MutationEvent
 from repro.core.persistence import read_index, write_index
-from repro.exec import resolve_engine
 from repro.model.document import (
     SpatialDocument,
     document_from_record,
@@ -486,28 +485,21 @@ class TemporalIndex:
         query: Union[TemporalQuery, TopKQuery],
         ranker: Optional[Ranker] = None,
         io_sink: Optional[IOStats] = None,
-        engine: Optional[str] = None,
     ) -> List[ScoredDoc]:
         """Answer a (possibly temporal) top-k query exactly.
 
         Plain :class:`TopKQuery` objects are answered over all time
         with no recency term — the shape ``QueryService`` and standing
-        queries use.
-
-        ``engine`` selects the execution engine every slice scan runs on,
-        resolved and validated as in
-        :meth:`repro.core.index.I3Index.query`.  Both engines answer
-        byte-identically; the vector engine (the default) reads each
-        slice's keyword cells through that slice's decoded-cell cache.
+        queries use.  Each slice scan reads that slice's keyword cells
+        through its decoded-cell cache.
         """
-        engine = resolve_engine(engine)
         tq = query if isinstance(query, TemporalQuery) else TemporalQuery(query)
         if ranker is None:
             ranker = Ranker(self.space)
         if io_sink is None:
-            return self._search(tq, ranker, engine)
+            return self._search(tq, ranker)
         with self.stats.tee(io_sink):
-            return self._search(tq, ranker, engine)
+            return self._search(tq, ranker)
 
     def _slice_candidates(
         self, tq: TemporalQuery, ranker: Ranker
@@ -554,9 +546,7 @@ class TemporalIndex:
         ranked.sort(key=lambda item: (-item[0], -item[1]))
         return ranked, outside, unmatched
 
-    def _search(
-        self, tq: TemporalQuery, ranker: Ranker, engine: str
-    ) -> List[ScoredDoc]:
+    def _search(self, tq: TemporalQuery, ranker: Ranker) -> List[ScoredDoc]:
         collector = TopKCollector(tq.k)
         ranked, outside, unmatched = self._slice_candidates(tq, ranker)
         scanned = 0
@@ -571,7 +561,7 @@ class TemporalIndex:
             scanned += 1
             if s.sealed:
                 sealed_scanned += 1
-            self._scan_slice(s, tq, ranker, decay_ub, collector, engine)
+            self._scan_slice(s, tq, ranker, decay_ub, collector)
         live = sum(1 for s in self._slices.values() if s.docs)
         sealed_live = sum(
             1 for s in self._slices.values() if s.docs and s.sealed
@@ -602,7 +592,6 @@ class TemporalIndex:
         ranker: Ranker,
         decay_ub: float,
         collector: TopKCollector,
-        engine: str,
     ) -> None:
         """Stream one slice best-first, stopping at the decay-adjusted
         score bound.
@@ -614,7 +603,7 @@ class TemporalIndex:
         """
         tr = tq.time_range
         spec = tq.recency
-        for sd in s.index.engine_processor(engine).iter_search(tq.base, ranker):
+        for sd in s.index.iter_query(tq.base, ranker):
             if sd.score * decay_ub < collector.delta:
                 break
             tdoc = s.docs.get(sd.doc_id)

@@ -53,7 +53,7 @@ class Vocabulary:
     def add_document(self, keywords: Iterable[str]) -> None:
         """Register one document's distinct keywords."""
         self.num_documents += 1
-        for word in set(keywords):
+        for word in dict.fromkeys(keywords):
             self.word_id(word)
             self._doc_freq[word] += 1
 
@@ -62,7 +62,7 @@ class Vocabulary:
         if self.num_documents == 0:
             raise ValueError("no documents registered")
         self.num_documents -= 1
-        for word in set(keywords):
+        for word in dict.fromkeys(keywords):
             if self._doc_freq[word] <= 0:
                 raise ValueError(f"{word!r} has no registered occurrences")
             self._doc_freq[word] -= 1

@@ -11,32 +11,92 @@ Conventions used throughout the tests:
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import List
 
 import pytest
 
-import repro.exec
-from repro.exec import available_engines
+from repro.core.index import I3Index
+from repro.exec.vector import VectorQueryProcessor
 from repro.model.document import SpatialDocument
 from repro.storage.records import f32
 
 from tests.helpers import make_documents
 
 
-@pytest.fixture(params=list(available_engines()))
-def engine(request, monkeypatch) -> str:
-    """Parametrizes a test over every available execution engine.
+@pytest.fixture(params=("tuple", "vector"))
+def engine(request) -> str:
+    """Each cell model, by the name ``I3Index.engine_processor`` resolves.
 
-    Replaces ``repro.exec.default_engine`` so *default* engine
-    resolution — the path every index/service/wire call takes unless an
-    engine is pinned — selects the parametrized engine.  Suites that must
-    hold for both engines (the equivalence suites) opt in with a
-    module-level autouse fixture depending on this one; without numpy
-    the vector parameter disappears and the suites run tuple-only.
+    Index-level reference tests pass it on (``I3Index.query(...,
+    engine=engine)``, ``engine_processor(engine)``) or depend on
+    :func:`named_engine`.  Suites above the index, which always serve
+    from the vector model, depend on :func:`reference_check` instead.
     """
-    monkeypatch.setattr(repro.exec, "default_engine", lambda: request.param)
     return request.param
+
+
+@pytest.fixture
+def named_engine(engine, monkeypatch) -> str:
+    """Index-level suites whose calls name no model (``query``,
+    ``iter_query``, ``range_query``, the direction searcher) run on each
+    one in turn: ``I3Index.engine_processor`` resolves ``None`` to the
+    parametrized name for the duration of the test."""
+    resolve = I3Index.engine_processor
+    monkeypatch.setattr(
+        I3Index, "engine_processor",
+        lambda index, name=None: resolve(index, name or engine),
+    )
+    return engine
+
+
+def _hexed(results):
+    return [(d.doc_id, d.score.hex()) for d in results]
+
+
+@pytest.fixture
+def reference_check(engine, monkeypatch) -> None:
+    """Under ``"vector"`` the stack runs as served.  Under ``"tuple"``
+    every answer the vector model gives — ``search``, each streamed
+    ``iter_search`` item, ``range_search`` — is also computed by the
+    tuple reference on the same index at the same moment and must match
+    it bit for bit, so the service, cluster, wire and temporal stacks
+    are a differential against the reference as well as against the
+    naive oracle.  (The reference's page reads land in the index's
+    counters: suites that assert I/O use ``engine`` directly.)
+    """
+    if engine == "vector":
+        return
+    search = VectorQueryProcessor.search
+    iter_search = VectorQueryProcessor.iter_search
+    range_search = VectorQueryProcessor.range_search
+
+    def reference(processor):
+        return processor.index.engine_processor("tuple")
+
+    def checked_search(self, query, ranker, *args, **kwargs):
+        got = search(self, query, ranker, *args, **kwargs)
+        want = reference(self).search(query, ranker, *args, **kwargs)
+        assert _hexed(got) == _hexed(want), query
+        return got
+
+    def checked_iter_search(self, query, ranker):
+        want = reference(self).iter_search(query, ranker)
+        for got in iter_search(self, query, ranker):
+            assert _hexed([got]) == _hexed(itertools.islice(want, 1)), query
+            yield got
+        assert next(want, None) is None, query
+
+    def checked_range_search(self, region, words, semantics):
+        got = range_search(self, region, words, semantics)
+        want = reference(self).range_search(region, words, semantics)
+        assert _hexed(got) == _hexed(want), (region, words)
+        return got
+
+    monkeypatch.setattr(VectorQueryProcessor, "search", checked_search)
+    monkeypatch.setattr(VectorQueryProcessor, "iter_search", checked_iter_search)
+    monkeypatch.setattr(VectorQueryProcessor, "range_search", checked_range_search)
 
 
 @pytest.fixture

@@ -40,11 +40,10 @@ VOCAB_EXTRA = ["tea", "ramen", "vegan", "tapas", "deli", "bakery"]
 
 
 @pytest.fixture(autouse=True)
-def _engines(engine):
-    """The whole module runs under both execution engines (shared
-    ``engine`` fixture): scatter-gather equivalence, failover and
-    caching must hold identically whichever engine the shard services
-    score with."""
+def _engines(reference_check):
+    """The whole module runs twice (shared ``reference_check``
+    fixture): as served, and with every shard answer checked bit for bit
+    against the tuple reference."""
 
 
 def _corpus(rng, count=250):

@@ -1,6 +1,9 @@
 """Unit tests for the synthetic workload generators."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -181,6 +184,31 @@ class TestQueryLog:
     def test_mixed_varies_qn(self, corpus):
         qs = QueryLogGenerator(corpus, seed=3).mixed(count=30)
         assert {len(q.words) for q in qs} >= {2, 3}
+
+    def test_independent_of_the_hash_seed(self):
+        """Document frequencies tie often; ``most_frequent`` breaks ties
+        by the order words were first counted, which must not be set
+        iteration order — so the FREQ pool, and every query drawn from
+        it, is the same under any ``PYTHONHASHSEED``."""
+        script = (
+            "from repro.datasets.generators import wikipedia_like\n"
+            "from repro.datasets.querylog import QueryLogGenerator\n"
+            "corpus = wikipedia_like(300, seed=4)\n"
+            "print(corpus.vocabulary.most_frequent(60))\n"
+            "for q in QueryLogGenerator(corpus, seed=3).freq(3, count=20):\n"
+            "    print(q.x.hex(), q.y.hex(), q.words)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+        def run(seed):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            return subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120,
+            ).stdout
+
+        first = run("1")
+        assert first and run("2") == first
 
 
 class TestStatsFormatting:

@@ -12,9 +12,7 @@ import random
 import threading
 from types import SimpleNamespace
 
-import pytest
-
-np = pytest.importorskip("numpy")
+import numpy as np
 
 from repro.baselines.naive import NaiveScanIndex
 from repro.bench.harness import BuiltIndex, run_query_set
@@ -271,6 +269,33 @@ class TestColdReads:
             index.query(query, RANKER, io_sink=warm, engine="vector")
             assert warm.reads("i3.data") == 0
 
+    def test_and_after_clear_reads_and_pops_what_the_tuple_engine_does(self):
+        """Algorithm 5 lines 7-12: both cell models drop a fetched
+        document whose bit ``id mod eta`` is missing from the dense
+        keywords' signature intersection, so an AND query reads the same
+        pages and pops the same candidates under either model."""
+        index = I3Index(UNIT_SQUARE, page_size=256)
+        for d in _corpus(600):
+            index.insert_document(d)
+        rng = random.Random(21)
+        for _ in range(40):
+            query = TopKQuery(
+                rng.random(), rng.random(),
+                tuple(rng.sample(DEFAULT_VOCAB, rng.randint(2, 3))),
+                k=50, semantics=Semantics.AND,
+            )
+            seen = {}
+            for engine in ("tuple", "vector"):
+                index.clear_cache()
+                io = IOStats()
+                answer = index.query(query, RANKER, io_sink=io, engine=engine)
+                seen[engine] = (
+                    [(d.doc_id, d.score.hex()) for d in answer],
+                    io.snapshot().reads,
+                    index.engine_processor(engine).last_trace.candidates_popped,
+                )
+            assert seen["vector"] == seen["tuple"], query
+
     def test_warm_queries_cost_less_physical_io(self):
         """Decoded cells are free to reuse, and ``clear_cache()`` restores
         the paper's cold-cache measurement conditions."""
@@ -293,18 +318,20 @@ class TestColdReads:
         assert data_reads() == (cold, cold_io)  # cold again
 
     def test_bench_harness_stays_cold(self):
-        """``run_query_set`` feeds the Fig. 8-9 tables: same I/O under
-        either engine, however warm the index was left."""
+        """``run_query_set`` feeds the Fig. 8-9 tables: every query reads
+        what the tuple reference (which keeps no decoded cells) reads,
+        however warm the index was left."""
         index = I3Index(UNIT_SQUARE, page_size=256)
         for d in _corpus():
             index.insert_document(d)
         built = BuiltIndex("I3", index, None, 0.0, index.stats.snapshot())
         queries = QuerySet(name="or", queries=_or_queries(30, seed=8))
-        index.engine = "tuple"
-        scalar = run_query_set(built, queries, RANKER, repeat=2)
-        index.engine = "vector"
+        scalar = IOStats()
+        for _ in range(2):
+            for query in queries:
+                index.query(query, RANKER, io_sink=scalar, engine="tuple")
         vector = run_query_set(built, queries, RANKER, repeat=2)
-        assert vector.io.reads == scalar.io.reads
+        assert vector.io.reads == scalar.snapshot().reads
 
 
 class TestServiceSurface:
@@ -380,7 +407,6 @@ class TestServiceSurface:
         index = I3Index(UNIT_SQUARE, page_size=256)
         for d in _corpus(200):
             index.insert_document(d)
-        index.engine = "vector"
         config = ServiceConfig(cache_capacity=0)
         with QueryService(index, config, ranker=RANKER) as service:
             queries = _or_queries(25, seed=6)

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.core.index import I3Index
-from repro.exec import available_engines
 from repro.extensions.direction import DirectionAwareSearcher, Sector
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import TopKCollector
@@ -85,9 +84,9 @@ def loaded(rng):
 
 
 class TestDirectionAwareSearch:
-    """Runs on the default engine (the searcher goes through
-    ``index.engine_processor()``); the subclass below selects each
-    engine in turn."""
+    """Runs on the default cell model (the searcher goes through
+    ``index.engine_processor()``); the subclass below names each model
+    in turn."""
 
     def sector_oracle(self, store, query, ranker, sector):
         collector = TopKCollector(query.k)
@@ -146,20 +145,16 @@ class TestDirectionAwareSearch:
         assert narrow < full
 
 
-@pytest.mark.usefixtures("engine")
+@pytest.mark.usefixtures("named_engine")
 class TestDirectionAwareSearchEachEngine(TestDirectionAwareSearch):
     """The same checks under each engine.  (A subclass, not a
     parametrized base: the base class's test ids are pinned.)"""
 
 
-@pytest.mark.skipif(
-    "vector" not in available_engines(), reason="needs the vector engine"
-)
 def test_vector_filter_matches_tuple_byte_for_byte(loaded, rng):
     """The columnar model's ``spatial_filter`` handling against the
     scalar one: same documents, same score bits."""
     index, _ = loaded
-    searcher = DirectionAwareSearcher(index)
     ranker = Ranker(UNIT_SQUARE, 0.5)
     for i in range(100):
         query = TopKQuery(
@@ -171,11 +166,13 @@ def test_vector_filter_matches_tuple_byte_for_byte(loaded, rng):
         )
         direction = rng.uniform(-math.pi, math.pi)
         width = rng.uniform(0.3, 2 * math.pi)
+        sector = Sector(query.x, query.y, direction, width)
         answers = {}
         for engine in ("tuple", "vector"):
-            index.engine = engine
             answers[engine] = [
                 (r.doc_id, r.score.hex())
-                for r in searcher.search(query, direction, width, ranker)
+                for r in index.engine_processor(engine).search(
+                    query, ranker, spatial_filter=sector
+                )
             ]
         assert answers["vector"] == answers["tuple"]

@@ -26,13 +26,12 @@ VOCAB = [f"w{i}" for i in range(18)]
 
 
 @pytest.fixture(autouse=True)
-def _engines(engine):
-    """Every equivalence assertion must hold under BOTH execution
-    engines: the whole module is parametrized over engine={tuple,vector}
-    (via the shared ``engine`` fixture), making this the cross-engine
-    differential suite — the naive oracle pins the answer, and the
-    vector engine must match it byte for byte wherever the tuple engine
-    does."""
+def _engines(named_engine):
+    """Every equivalence assertion must hold under both cell models:
+    the whole module is parametrized over engine={tuple,vector} (via the
+    shared ``named_engine`` fixture) — the naive oracle pins the answer,
+    and the vector model must match it byte for byte wherever the tuple
+    reference does."""
 
 
 def build_all(docs, threshold=3, page_size=64, max_entries=4):

@@ -8,26 +8,22 @@ searches that space adversarially; the f32 quantisation of term weights
 is what makes equal-score ties common enough to matter, so the
 strategies bias toward weight collisions on purpose.
 
-Also covered: the numpy-absent fallback (the seam must keep answering —
-with the tuple engine — when the vector engine cannot exist) and the
-decay kernel's exact match with scalar ``2.0 ** x`` weighting.
+Also covered: engine-name resolution at the index and the decay
+kernel's exact match with scalar ``2.0 ** x`` weighting.
 """
 
-import random
-
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.exec as exec_seam
 from repro.core.index import I3Index
-from repro.exec import available_engines, default_engine, resolve_engine
+from repro.core.query import I3QueryProcessor
+from repro.exec.vector import VectorQueryProcessor
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
 from repro.spatial.geometry import UNIT_SQUARE
 from repro.storage.records import f32
-
-np = pytest.importorskip("numpy")
 
 # ----------------------------------------------------------------------
 # Strategies — small vocabularies and quantised weights force shared
@@ -126,7 +122,7 @@ class TestCrossEngineDifferential:
         index = build_index(corpus)
         ranker = Ranker(UNIT_SQUARE, 0.5)
         batch = [query, query, query]
-        for engine in available_engines():
+        for engine in ("tuple", "vector"):
             singles = [index.query(query, ranker, engine=engine)] * 3
             assert index.query_many(batch, ranker, engine=engine) == singles
 
@@ -157,42 +153,17 @@ class TestCrossEngineDifferential:
 
 
 # ----------------------------------------------------------------------
-# Engine resolution and the numpy-absent fallback
+# Engine names: resolved at the index, nowhere else
 # ----------------------------------------------------------------------
 
 
 class TestEngineSeam:
-    def test_available_engines_with_numpy(self):
-        assert available_engines() == ("tuple", "vector")
-        assert default_engine() == "vector"
+    def test_names_resolve_at_the_index(self):
+        index = I3Index(UNIT_SQUARE)
+        assert isinstance(index.engine_processor(), VectorQueryProcessor)
+        assert index.engine_processor("vector") is index.engine_processor()
+        assert isinstance(index.engine_processor("tuple"), I3QueryProcessor)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("warp")
-
-    def test_numpy_absent_falls_back_to_tuple(self, monkeypatch):
-        """Without numpy the seam must keep answering: vector disappears
-        from the roster, the default resolves to tuple, and queries
-        still return correct results."""
-        monkeypatch.setattr(exec_seam, "HAS_NUMPY", False)
-        assert available_engines() == ("tuple",)
-        assert default_engine() == "tuple"
-        assert resolve_engine(None) == "tuple"
-        # An explicit "vector" degrades instead of failing: deployment
-        # configs stay valid on hosts without numpy.
-        assert resolve_engine("vector") == "tuple"
-        rng = random.Random(99)
-        docs = [
-            SpatialDocument(
-                i,
-                rng.random(),
-                rng.random(),
-                {rng.choice(WORDS): f32(rng.random())},
-            )
-            for i in range(40)
-        ]
-        index = build_index(docs)
-        ranker = Ranker(UNIT_SQUARE, 0.5)
-        query = TopKQuery(0.5, 0.5, tuple(WORDS[:2]), k=5)
-        got = index.query(query, ranker)  # default resolution -> tuple
-        assert got == index.query(query, ranker, engine="tuple")
+            I3Index(UNIT_SQUARE).engine_processor("warp")

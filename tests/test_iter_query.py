@@ -24,8 +24,8 @@ def pair(rng):
 
 
 class TestIterQuery:
-    """Streams from the default engine; the subclass below selects each
-    engine in turn."""
+    """Streams from the default cell model; the subclass below names
+    each model in turn."""
 
     @pytest.mark.parametrize("semantics", [Semantics.AND, Semantics.OR])
     def test_full_stream_matches_unbounded_oracle(self, pair, rng, semantics):
@@ -114,7 +114,6 @@ class TestIterQuery:
             )
 
 
-@pytest.mark.usefixtures("engine")
+@pytest.mark.usefixtures("named_engine")
 class TestIterQueryOnEachEngine(TestIterQuery):
-    """``iter_query`` resolves its engine as ``query`` does, so the
-    whole suite holds under each one."""
+    """The same suite on the vector model and on the tuple reference."""

@@ -23,7 +23,12 @@ And a **walk census**: Algorithm 4 is one loop
 "One walk, two cell models, three collectors"), so the two methods that
 create candidates are called from that loop and nowhere else, no engine
 overrides a search, and the temporal tier reaches an index's walk only
-through ``engine_processor``.
+through the index's own query methods.
+
+And an **engine census**: every query runs on the vector cell model; an
+engine name (``"tuple"`` names the scalar reference) resolves in one
+place, ``I3Index.engine_processor``, and only the index's query methods
+and the simulation harness's differential pass one.
 
 And a **lattice census**: Section 5.3's OR bound is one stdlib-only
 lattice, ``core/or_semantics.witness_max``, behind one ``OrBound``;
@@ -241,6 +246,49 @@ def test_one_walk_and_nothing_beside_it():
                 for node in ast.walk(tree)
             }
             assert "_processor" not in named, name
+
+
+# file under src/repro -> why it may pass ``engine=`` or name an engine
+ENGINE_NAMERS = {
+    "core/index.py": "the one resolution point and the query methods "
+    "that take a name",
+    "simtest/harness.py": "the exec-equivalence differential against "
+    "the tuple reference",
+}
+
+
+_ENGINE_SEAM = {"resolve_engine", "available_engines", "default_engine", "HAS_NUMPY"}
+
+
+def _engine_uses(tree: ast.AST):
+    """What a syntax tree does with engine names: ``"name"`` (passes
+    ``engine=``, resolves a name, or takes an ``engine`` parameter),
+    ``"pin"`` (an ``.engine`` attribute) or ``"seam"`` (a deleted
+    resolver)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+            any(k.arg == "engine" for k in node.keywords)
+            or (ast.unparse(node.func).endswith("engine_processor") and node.args)
+        ):
+            yield "name"
+        elif isinstance(node, ast.FunctionDef) and any(
+            a.arg == "engine" for a in node.args.args + node.args.kwonlyargs
+        ):
+            yield "name"
+        elif isinstance(node, ast.Attribute) and node.attr == "engine":
+            yield "pin"
+        if {getattr(node, f, None) for f in ("id", "attr", "name")} & _ENGINE_SEAM:
+            yield "seam"
+
+
+def test_engine_names_resolve_at_the_index():
+    found = {}
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        uses = set(_engine_uses(ast.parse(path.read_text())))
+        if uses:
+            found[path.relative_to(PACKAGE_ROOT).as_posix()] = uses
+    assert found == {name: {"name"} for name in ENGINE_NAMERS}, found
+    assert all(ENGINE_NAMERS.values())
 
 
 _STRUCT_CALLS = {"Struct", "pack", "pack_into", "unpack", "unpack_from", "iter_unpack", "calcsize"}

@@ -8,6 +8,7 @@ reference written here, by ``float.hex()``.
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -197,7 +198,6 @@ class TestWitnessForm:
     @given(eta=st.integers(1, 9), mix=_mixes, blank=st.booleans())
     @settings(max_examples=400, deadline=None)
     def test_equals_apriori_bit_for_bit(self, eta, mix, blank):
-        np = pytest.importorskip("numpy")
         from repro.exec.columns import WordColumns
         from repro.exec.vector import ColumnOr
 
@@ -226,7 +226,6 @@ class TestWitnessForm:
             assert HolderIds(ids).sig_bits(eta) == sig_of(eta, ids).bits
 
     def test_column_signature_is_the_scalar_signature(self):
-        np = pytest.importorskip("numpy")
         from repro.exec.columns import WordColumns
 
         ids = [0, 5, 299, 300, 601, 2**40 + 7]

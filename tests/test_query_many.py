@@ -23,7 +23,6 @@ import pytest
 
 from repro.cluster import ClusterService, HashPartitioner
 from repro.core.index import I3Index
-from repro.exec import available_engines
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
@@ -74,7 +73,7 @@ def _queries(count, seed=5, words=None):
 
 
 class TestIndexQueryMany:
-    @pytest.mark.parametrize("engine", available_engines())
+    @pytest.mark.parametrize("engine", ["tuple", "vector"])
     def test_order_stable_and_equal_to_singles(self, engine):
         index = _build()
         ranker = Ranker(UNIT_SQUARE, 0.5)
@@ -97,8 +96,6 @@ class TestIndexQueryMany:
         """The whole point: hot cells are read and decoded once.  A cold
         batch reads each distinct keyword cell once however many of its
         queries traverse it; a second pass reads no data page at all."""
-        if "vector" not in available_engines():
-            pytest.skip("vector engine unavailable")
         index = _build()
         ranker = Ranker(UNIT_SQUARE, 0.5)
         # A hot-keyword workload: every query hits the same two words.
@@ -308,19 +305,6 @@ class TestServiceSearchMany:
             assert service.cache.stats()["hits"] >= hits_before + len(
                 set(queries)
             )
-        finally:
-            service.close()
-
-    @pytest.mark.parametrize("engine", available_engines())
-    def test_engine_config_respected(self, engine):
-        index = _build(num_docs=120)
-        index.engine = engine
-        service = QueryService(index)
-        try:
-            queries = _queries(10, seed=71)
-            ranker = Ranker(UNIT_SQUARE, 0.5)
-            expected = [index.query(q, ranker, engine=engine) for q in queries]
-            assert service.search_many(queries) == expected
         finally:
             service.close()
 

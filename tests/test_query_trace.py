@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.index import I3Index
 from repro.core.query import QueryTrace
-from repro.exec import available_engines
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
 from repro.spatial.geometry import Rect, UNIT_SQUARE
@@ -25,8 +24,8 @@ def loaded(rng):
 
 
 class TestQueryTrace:
-    """Reads the default engine's trace; the subclass below selects
-    each engine in turn."""
+    """Reads the default cell model's trace; the subclass below names
+    each model in turn."""
 
     def test_trace_populated(self, loaded):
         ranker = Ranker(UNIT_SQUARE, 0.5)
@@ -100,15 +99,12 @@ class TestQueryTrace:
         assert ranged.cells_pruned > 0  # the cells outside the region
 
 
-@pytest.mark.usefixtures("engine")
+@pytest.mark.usefixtures("named_engine")
 class TestQueryTraceEachEngine(TestQueryTrace):
     """The same checks under each engine.  (A subclass, not a
     parametrized base: the base class's test ids are pinned.)"""
 
 
-@pytest.mark.skipif(
-    "vector" not in available_engines(), reason="needs the vector engine"
-)
 class TestSameWalkAcrossEngines:
     """Both engines run one traversal; what can differ is the cell
     model's bounds."""

@@ -32,8 +32,8 @@ def as_pairs(hits):
 
 
 class TestRangeQuery:
-    """Region queries on the default engine; the subclass at the end of
-    the file selects each engine in turn."""
+    """Region queries on the default cell model; the subclass at the end
+    of the file names each model in turn."""
 
     @pytest.mark.parametrize("semantics", [Semantics.AND, Semantics.OR])
     def test_matches_oracle(self, pair, rng, semantics):
@@ -97,7 +97,6 @@ class TestRangeQuery:
             assert as_pairs(got) == as_pairs(want)
 
 
-@pytest.mark.usefixtures("engine")
+@pytest.mark.usefixtures("named_engine")
 class TestRangeQueryOnEachEngine(TestRangeQuery):
-    """``range_query`` resolves its engine as ``query`` does, so the
-    whole suite holds under each one."""
+    """The same suite on the vector model and on the tuple reference."""

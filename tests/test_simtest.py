@@ -257,13 +257,18 @@ class TestCanaries:
         # served); both are the retention invariant.
         "stale-slice": {"retention"},
         # A one-ulp score drift is invisible to every 9-decimal rounded
-        # comparison; only the bit-exact cross-engine differential on
-        # query_many steps can convict it.
+        # comparison; only the bit-exact differential against the tuple
+        # reference on query_many steps can convict it.
         "vector-skew": {"exec-equivalence"},
         # A keyword cell decoded before an insert and never dropped: the
-        # canary serves from the tuple engine, which reads pages, so only
-        # the differential ever runs the engine that holds the stale cell.
-        "stale-decoded-cell": {"exec-equivalence"},
+        # service serves from the stale columns, so whichever served
+        # answer first reads the cell is wrong against the model (a
+        # standing query, a probe, a wire query), or the differential
+        # against the tuple reference (which reads pages) convicts it.
+        "stale-decoded-cell": {
+            "standing-query", "topk-equivalence", "cache-coherence",
+            "net-equivalence", "exec-equivalence",
+        },
         # The routing bug silently drops the best-bound shard from the
         # scatter plan, so its documents vanish from answers: caught as
         # a wrong merged answer at a plain search, or at a rebalance
@@ -282,11 +287,6 @@ class TestCanaries:
 
     @pytest.mark.parametrize("bug", BUGS)
     def test_injected_bug_is_caught_and_shrinks(self, bug):
-        if bug in ("vector-skew", "stale-decoded-cell"):
-            from repro.exec import available_engines
-
-            if "vector" not in available_engines():
-                pytest.skip("vector engine unavailable: nothing to break")
         caught = None
         for seed in range(40):
             report = run_seed(seed, inject_bug=bug)

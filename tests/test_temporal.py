@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.index import I3Index
 from repro.core.kwcells import DECODED_CELL_BUDGET
-from repro.exec import available_engines
 from repro.model.document import SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
@@ -236,16 +235,15 @@ class TestDecodedCellMemory:
         index.bind_metrics(registry)
         gauge = registry.gauge("temporal_decoded_cell_bytes")
         assert gauge.value == 0
-        index.query(TopKQuery(0.5, 0.5, ("cafe", "bar"), k=40), engine="vector")
+        index.query(TopKQuery(0.5, 0.5, ("cafe", "bar"), k=40))
         stats = index.slice_stats()
         held = stats["decoded_cell_bytes"]
         assert held <= DECODED_CELL_BUDGET * stats["slices"]
         assert gauge.value == held  # current after a query, not only a write
         oldest = index._slices[index.live_slice_ids()[0]].index.data.cells
         share = oldest.stats()["bytes"]
-        if "vector" in available_engines():  # without numpy nothing decodes
-            assert held > 0 and stats["decoded_cell_entries"] > 0
-            assert share > 0
+        assert held > 0 and stats["decoded_cell_entries"] > 0
+        assert share > 0
         assert index.expire(now=45.0) == [0, 1]
         after = index.slice_stats()["decoded_cell_bytes"]
         assert after <= held - share
@@ -303,35 +301,23 @@ class TestQuery:
             refreshed = results_as_pairs(service.search(tq))
         assert any(p[0] == 99 for p in refreshed)
 
-    def test_unknown_engine_is_refused_like_the_plain_index(self):
-        index = build([tdoc(1, 5.0)])
-        query = TopKQuery(0.5, 0.5, ("cafe",), k=3)
-        with pytest.raises(ValueError, match="unknown engine") as plain:
-            I3Index(UNIT_SQUARE).query(query, engine="warp")
-        with pytest.raises(ValueError, match="unknown engine") as temporal:
-            index.query(query, engine="warp")
-        assert str(temporal.value) == str(plain.value)
-
-    @pytest.mark.skipif(
-        "vector" not in available_engines(), reason="needs the vector engine"
-    )
-    def test_engine_selects_what_scans_each_slice(self):
-        """The tuple engine never consults a slice's decoded-cell cache;
-        the vector engine (the default) reads every cell through it."""
+    def test_every_slice_scan_reads_through_the_decoded_cell_cache(self):
+        """Each slice is scanned by its index's ``iter_query``: every
+        keyword cell is asked of that slice's decoded-cell cache, and a
+        repeat of the query finds the cells decoded."""
         index = build([tdoc(i, float(i), words=("cafe", "bar")) for i in range(30)])
         query = TopKQuery(0.5, 0.5, ("cafe", "bar"), k=30)
 
         def lookups():
             stats = index.slice_stats()
-            return stats["decoded_cell_hits"] + stats["decoded_cell_misses"]
+            return stats["decoded_cell_hits"], stats["decoded_cell_misses"]
 
-        pinned = index.query(query, engine="tuple")
-        assert lookups() == 0
-        assert index.query(query, engine="vector") == pinned
-        assert lookups() > 0
-        before = lookups()
-        assert index.query(query) == pinned
-        assert lookups() > before
+        assert lookups() == (0, 0)
+        first = index.query(query)
+        hits, misses = lookups()
+        assert misses > 0
+        assert index.query(query) == first
+        assert lookups() == (hits + misses, misses)
 
     def test_upper_bound_is_admissible(self):
         index = build(
@@ -490,8 +476,8 @@ class TestDurability:
     def test_reopened_slices_count_io(self):
         """A slice opened from its snapshot reads through the index's
         shared IOStats, so a query's ``io_sink`` sees its page reads
-        after a reopen exactly as before it (the tuple engine has no
-        decoded-cell cache, so every query reads pages)."""
+        after a reopen exactly as before it (each query runs with every
+        slice's decoded cells dropped, so it reads pages)."""
         fs = SimFileSystem()
         docs = [
             tdoc(i, float(i * 4), words=("cafe", "bar") if i % 3 else ("cafe",),
@@ -511,8 +497,10 @@ class TestDurability:
         def reads(index):
             counts = []
             for _ in range(4):
+                for sid in index.live_slice_ids():
+                    index._slices[sid].index.clear_cache()
                 sink = IOStats()
-                index.query(probe, ranker, io_sink=sink, engine="tuple")
+                index.query(probe, ranker, io_sink=sink)
                 counts.append(sink.reads())
             return counts
 

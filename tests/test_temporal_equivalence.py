@@ -67,11 +67,10 @@ def make_queries(rng, vocab):
 
 
 @pytest.fixture(autouse=True)
-def _engines(engine):
-    """Both execution engines must produce oracle-identical temporal
-    answers: every slice scan is the engine's ``iter_search`` (default
-    resolution, which this fixture points at each engine in turn), and
-    ``engine`` must never change a temporal result."""
+def _engines(reference_check):
+    """The module runs twice (shared ``reference_check`` fixture): as
+    served, and with every slice scan's ``iter_search`` stream checked
+    item by item against the tuple reference's."""
 
 
 @pytest.fixture(scope="module", params=sorted(TEMPORAL_SCENARIOS))
