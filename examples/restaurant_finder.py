@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 
 from repro import I3Index, Ranker, Semantics, SpatialDocument, TopKQuery, UNIT_SQUARE
-from repro.storage.records import f32
 
 CUISINES = ["chinese", "korean", "italian", "thai", "mexican", "japanese"]
 TRAITS = ["spicy", "cheap", "fancy", "vegan", "halal", "late"]
@@ -32,10 +31,10 @@ def build_city(num_pois: int, seed: int = 7) -> list[SpatialDocument]:
         cx, cy = rng.choice(DISTRICTS)
         x = min(max(rng.gauss(cx, 0.06), 0.0), 1.0)
         y = min(max(rng.gauss(cy, 0.06), 0.0), 1.0)
-        terms = {"restaurant": f32(rng.uniform(0.3, 1.0))}
-        terms[rng.choice(CUISINES)] = f32(rng.uniform(0.4, 1.0))
+        terms = {"restaurant": rng.uniform(0.3, 1.0)}
+        terms[rng.choice(CUISINES)] = rng.uniform(0.4, 1.0)
         for trait in rng.sample(TRAITS, rng.randint(0, 2)):
-            terms[trait] = f32(rng.uniform(0.2, 0.9))
+            terms[trait] = rng.uniform(0.2, 0.9)
         pois.append(SpatialDocument(poi_id, x, y, terms))
     return pois
 
@@ -83,15 +82,14 @@ def main() -> None:
     old = pois[42]
     new = SpatialDocument(
         42, old.x, old.y,
-        {"restaurant": f32(0.9), "chinese": f32(0.95), "spicy": f32(0.95)},
+        {"restaurant": 0.9, "chinese": 0.95, "spicy": 0.95},
     )
     index.update_document(old, new)
     pois[42] = new
     show("AND again after #42 became a spicy chinese place",
          index.query(strict, ranker), pois)
 
-    # engine_processor() resolves to whichever engine served the
-    # queries above (vector when numpy is present, tuple otherwise).
+    # engine_processor() is the vector cell model every query above ran on.
     trace = index.engine_processor().last_trace
     print(f"\nlast query examined {trace.candidates_popped} cells, "
           f"pruned {trace.cells_pruned}, scored {trace.docs_scored} documents")

@@ -44,7 +44,7 @@ def update_workload(
             template = rng.choice(alive)
             x = min(max(template.x + rng.gauss(0.0, 0.01), corpus.space.min_x), corpus.space.max_x)
             y = min(max(template.y + rng.gauss(0.0, 0.01), corpus.space.min_y), corpus.space.max_y)
-            doc = SpatialDocument(next_id, x, y, dict(template.terms))
+            doc = SpatialDocument(next_id, x, y, template.terms)
             next_id += 1
             alive.append(doc)
             operations.append(_insert_op(doc))

@@ -31,7 +31,7 @@ from repro.core.kwcells import DataFile
 from repro.core.lookup import LookupTable
 from repro.core.query import I3QueryProcessor
 from repro.exec.vector import VectorQueryProcessor
-from repro.model.document import SpatialDocument, SpatialTuple
+from repro.model.document import SpatialDocument
 from repro.model.results import ScoredDoc
 from repro.model.query import TopKQuery
 from repro.model.scoring import Ranker
@@ -39,7 +39,7 @@ from repro.spatial.cells import CellGrid, ROOT_CELL, child_cell
 from repro.spatial.geometry import Rect
 from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE
-from repro.storage.records import Row, f32
+from repro.storage.records import Row
 
 __all__ = ["I3Index", "MutationEvent", "DEFAULT_ETA", "DEFAULT_MAX_DEPTH"]
 
@@ -56,13 +56,9 @@ class MutationEvent:
     """One observed index mutation, delivered to mutation listeners.
 
     Attributes:
-        kind: ``"insert"`` / ``"delete"`` for whole-document operations
-            (``update_document`` emits its delete and insert halves),
-            ``"tuple_insert"`` / ``"tuple_delete"`` for raw tuple
-            operations outside a document operation (``doc`` is then a
-            synthesised single-term document; deletes carry weight 0.0
-            because the stored weight is unknown at the call site), and
-            ``"bulk_load"`` (``doc`` is ``None``).
+        kind: ``"insert"`` / ``"delete"`` for a document operation
+            (``update_document`` emits its delete and insert halves) and
+            ``"bulk_load"`` (``doc`` is then ``None``).
         epoch: The index mutation epoch *after* the operation applied.
         doc: The document the operation concerned, if any.
     """
@@ -80,10 +76,11 @@ class I3Index:
         eta: Signature bitmap length used in summary nodes.
         grid: Shared quadtree cell geometry.
         stats: I/O counters covering the head and data files.
-        epoch: Mutation counter, bumped by every tuple insert/delete and
-            bulk load.  External result caches (see
-            :mod:`repro.service.cache`) stamp entries with it, which
-            makes cached results self-invalidating.
+        epoch: Mutation counter, bumped by every tuple a document
+            operation inserts or deletes and by a bulk load.  External
+            result caches (see :mod:`repro.service.cache`) stamp
+            entries with it, which makes cached results
+            self-invalidating.
     """
 
     def __init__(
@@ -118,7 +115,6 @@ class I3Index:
         # are emitted synchronously after each mutation applies; with no
         # listeners registered the write path pays one truthiness check.
         self._listeners: List[Callable[[MutationEvent], None]] = []
-        self._doc_op_depth = 0
 
     @property
     def capacity(self) -> int:
@@ -165,32 +161,23 @@ class I3Index:
     # ------------------------------------------------------------------
     # Document-level operations
     # ------------------------------------------------------------------
-    def _check_in_space(self, doc_id: int, x: float, y: float) -> None:
+    def insert_document(self, doc: SpatialDocument) -> None:
+        """Insert a spatial document: one ``(doc_id, x, y, weight)`` row
+        per distinct keyword, each placed by Algorithm 1."""
+        doc_id, x, y = doc.doc_id, doc.x, doc.y
         if not self.space.contains_point(x, y):
             raise ValueError(f"document {doc_id} lies outside the data space")
-
-    def insert_document(self, doc: SpatialDocument) -> None:
-        """Insert a spatial document (one tuple per distinct keyword)."""
-        self._check_in_space(doc.doc_id, doc.x, doc.y)
-        self._doc_op_depth += 1
-        try:
-            for t in doc.tuples():
-                self.insert_tuple(t)
-        finally:
-            self._doc_op_depth -= 1
+        for word, weight in doc.terms.items():
+            self._insert_tuple(word, (doc_id, x, y, weight))
         self.num_documents += 1
         self._emit("insert", doc)
 
     def delete_document(self, doc: SpatialDocument) -> bool:
         """Delete a previously inserted document; True if all its tuples
         were found."""
-        found = []
-        self._doc_op_depth += 1
-        try:
-            for t in doc.tuples():
-                found.append(self.delete_tuple(t.word, t.doc_id, t.x, t.y))
-        finally:
-            self._doc_op_depth -= 1
+        found = [
+            self._delete_tuple(word, doc.doc_id, doc.x, doc.y) for word in doc.terms
+        ]
         if any(found):  # an absent document was never counted
             self.num_documents -= 1
         self._emit("delete", doc)
@@ -211,7 +198,7 @@ class I3Index:
     def bulk_load(self, documents) -> None:
         """Build the index from scratch over a document collection.
 
-        Shreds every document into ``(doc_id, x, y, f32 weight)`` rows
+        Shreds every document into ``(doc_id, x, y, weight)`` rows
         grouped by keyword — checking every document before anything is
         written, so a refused load leaves the index empty — and
         materialises each keyword's quadtree decomposition top-down.
@@ -236,7 +223,7 @@ class I3Index:
                 rows = by_word.get(word)
                 if rows is None:
                     rows = by_word[word] = []
-                rows.append((doc_id, x, y, f32(weight)))
+                rows.append((doc_id, x, y, weight))
         for word, rows in by_word.items():
             if len(rows) <= self.capacity:
                 self.lookup.set_non_dense(word, self.data.create_cell(rows))
@@ -252,33 +239,25 @@ class I3Index:
     # ------------------------------------------------------------------
     # Tuple insertion (Algorithms 1-3)
     # ------------------------------------------------------------------
-    def insert_tuple(self, t: SpatialTuple) -> None:
-        """Insert one spatial tuple; ``ValueError`` (with nothing
-        changed) for one no document in this index could carry."""
-        if self._doc_op_depth == 0:
-            # A raw tuple meets a document's rules before anything moves
-            # (a document operation's tuples have met them already).
-            alone = SpatialDocument(t.doc_id, t.x, t.y, {t.word: t.weight})
-            self._check_in_space(t.doc_id, t.x, t.y)
-        row = (t.doc_id, t.x, t.y, f32(t.weight))
-        entry = self.lookup.get(t.word)
+    def _insert_tuple(self, word: str, row: Row) -> None:
+        """Algorithm 1: place one of a document's rows in ``word``'s
+        inverted list."""
+        entry = self.lookup.get(word)
         self.num_tuples += 1
         self.epoch += 1
         if entry is None:
             # A brand-new keyword: one tuple, one cell, any page with room.
             cell = self.data.create_cell([row])
-            self.lookup.set_non_dense(t.word, cell)
-            self._word_bound[t.word] = row[3]
+            self.lookup.set_non_dense(word, cell)
+            self._word_bound[word] = row[3]
         else:
-            cached_bound = self._word_bound.get(t.word)
+            cached_bound = self._word_bound.get(word)
             if cached_bound is not None:
-                self._word_bound[t.word] = max(cached_bound, row[3])
+                self._word_bound[word] = max(cached_bound, row[3])
             if not entry.dense:
-                self._insert_non_dense_root(t.word, entry.target, row)
+                self._insert_non_dense_root(word, entry.target, row)
             else:
-                self._insert_dense(t.word, entry.target, row)
-        if self._doc_op_depth == 0:
-            self._emit("tuple_insert", alone)
+                self._insert_dense(word, entry.target, row)
 
     def _insert_non_dense_root(self, word: str, cell: CellPages, row: Row) -> None:
         """Algorithm 2: the keyword is not dense in the root cell."""
@@ -372,8 +351,8 @@ class I3Index:
     # ------------------------------------------------------------------
     # Tuple deletion (Section 4.5)
     # ------------------------------------------------------------------
-    def delete_tuple(self, word: str, doc_id: int, x: float, y: float) -> bool:
-        """Delete one tuple; returns whether it was found.
+    def _delete_tuple(self, word: str, doc_id: int, x: float, y: float) -> bool:
+        """Delete one of a document's tuples; returns whether it was found.
 
         For a dense keyword the leaf cell's summary is rebuilt by
         re-scanning its page and the change is propagated up the summary
@@ -381,16 +360,6 @@ class I3Index:
         Dense status is sticky: a cell that shrinks below capacity keeps
         its summary node, matching the paper's lack of a merge step.
         """
-        found = self._delete_tuple(word, doc_id, x, y)
-        if found and self._doc_op_depth == 0 and self._listeners:
-            # The stored weight is unknown at the call site; listeners
-            # treat tuple deletes conservatively anyway.
-            self._emit(
-                "tuple_delete", SpatialDocument(doc_id, x, y, {word: 0.0})
-            )
-        return found
-
-    def _delete_tuple(self, word: str, doc_id: int, x: float, y: float) -> bool:
         entry = self.lookup.get(word)
         if entry is None:
             return False

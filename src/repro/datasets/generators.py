@@ -29,7 +29,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.datasets.zipf import ZipfSampler, heaps_vocabulary_size
 from repro.model.document import SpatialDocument
 from repro.spatial.geometry import Rect, UNIT_SQUARE
-from repro.storage.records import f32
 from repro.text.tfidf import TfIdfWeigher
 from repro.text.vocabulary import Vocabulary
 
@@ -202,8 +201,7 @@ class TwitterLikeGenerator:
         for doc_id, keywords in enumerate(keyword_sets):
             x, y = mixture.sample(rng)
             # Tweets: every keyword appears once (tf = 1 for all).
-            weights = {w: f32(v) for w, v in weigher.weigh(keywords).items()}
-            documents.append(SpatialDocument(doc_id, x, y, weights))
+            documents.append(SpatialDocument(doc_id, x, y, weigher.weigh(keywords)))
         return Corpus(
             name=self.name, space=self.space, documents=documents, vocabulary=vocabulary
         )
@@ -267,8 +265,7 @@ class WikipediaLikeGenerator:
         documents: List[SpatialDocument] = []
         for doc_id, tokens in enumerate(token_lists):
             x, y = mixture.sample(rng)
-            weights = {w: f32(v) for w, v in weigher.weigh(tokens).items()}
-            documents.append(SpatialDocument(doc_id, x, y, weights))
+            documents.append(SpatialDocument(doc_id, x, y, weigher.weigh(tokens)))
         return Corpus(
             name=self.name, space=self.space, documents=documents, vocabulary=vocabulary
         )

@@ -28,7 +28,6 @@ from repro.model.results import ScoredDoc
 from repro.model.scoring import Ranker
 from repro.spatial.geometry import Rect, UNIT_SQUARE
 from repro.storage.iostats import IOStats
-from repro.storage.records import f32
 from repro.text.tfidf import TfIdfWeigher
 from repro.text.tokenizer import Tokenizer
 from repro.text.vocabulary import Vocabulary
@@ -123,8 +122,7 @@ class SpatialKeywordDatabase:
         if not tokens:
             raise ValueError("document has no indexable keywords")
         self.vocabulary.add_document(tokens)
-        weights = {w: f32(v) for w, v in self._weigher.weigh(tokens).items()}
-        doc = SpatialDocument(doc_id, x, y, weights)
+        doc = SpatialDocument(doc_id, x, y, self._weigher.weigh(tokens))
         self.index.insert_document(doc)
         self._docs[doc_id] = doc
         self._texts[doc_id] = (x, y, text)
@@ -150,7 +148,7 @@ class SpatialKeywordDatabase:
         if not self.space.contains_point(x, y):
             raise ValueError(f"location ({x}, {y}) outside the data space")
         old = self._docs[doc_id]
-        new = SpatialDocument(doc_id, x, y, dict(old.terms))
+        new = SpatialDocument(doc_id, x, y, old.terms)
         self.index.update_document(old, new)
         self._docs[doc_id] = new
         _, _, text = self._texts[doc_id]
@@ -173,8 +171,7 @@ class SpatialKeywordDatabase:
         self._docs.clear()
         for doc_id, (x, y, text) in entries:
             tokens = self.tokenizer.tokenize(text)
-            weights = {w: f32(v) for w, v in self._weigher.weigh(tokens).items()}
-            doc = SpatialDocument(doc_id, x, y, weights)
+            doc = SpatialDocument(doc_id, x, y, self._weigher.weigh(tokens))
             self.index.insert_document(doc)
             self._docs[doc_id] = doc
 

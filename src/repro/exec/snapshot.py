@@ -17,10 +17,10 @@ over the map: the header and tail CRCs are always verified; page CRCs
 are verified up front under ``verify=True`` (the default) — after that,
 reads are pure pointer arithmetic.
 
-The resulting :class:`~repro.core.index.I3Index` answers queries through
-either engine with byte-identical results (same counted-read contract,
-same page images) but **refuses writes**: page allocation or mutation
-raises :class:`ReadOnlySnapshotError`.
+The resulting :class:`~repro.core.index.I3Index` answers queries
+byte-identically to the index that was saved (same counted-read
+contract, same page images) but **refuses writes**: page allocation or
+mutation raises :class:`ReadOnlySnapshotError`.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ class MmapPageFile:
     Reads cost one counted I/O against the same ``i3.data`` component as
     the in-memory page file — I/O accounting (and therefore every
     metric built on it) is identical to in-process serving.  Reads
-    return zero-copy ``memoryview`` slices of the map; both engines
-    consume them without materialising page copies (``struct`` unpacking
-    for the tuple engine, ``np.frombuffer`` for the vector engine).
+    return zero-copy ``memoryview`` slices of the map; the vector cell
+    model decodes them with ``np.frombuffer`` and the tuple reference
+    with ``struct``, neither materialising a page copy.
     """
 
     __slots__ = (
@@ -123,7 +123,7 @@ def open_snapshot(path: str, verify: bool = True):
     :func:`repro.core.persistence.load_snapshot`, except the index's
     data pages are zero-copy views of the file — multiple processes
     opening the same path share one page cache.  The index answers
-    queries (either engine) but raises :class:`ReadOnlySnapshotError`
+    queries but raises :class:`ReadOnlySnapshotError`
     on any mutation.  Corruption raises what ``load_snapshot`` raises:
     both run the one :func:`~repro.core.persistence.read_index` parse.
     """

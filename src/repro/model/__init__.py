@@ -1,6 +1,6 @@
 """Shared data model: documents, tuples, queries, scoring, results."""
 
-from repro.model.document import SpatialDocument, SpatialTuple, documents_from_tuples
+from repro.model.document import SpatialDocument, SpatialTuple
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc, TopKCollector
 from repro.model.scoring import Ranker
@@ -8,7 +8,6 @@ from repro.model.scoring import Ranker
 __all__ = [
     "SpatialDocument",
     "SpatialTuple",
-    "documents_from_tuples",
     "Semantics",
     "TopKQuery",
     "ScoredDoc",

@@ -15,6 +15,11 @@ benchmark generators use the unit square, but nothing in the library
 assumes a particular extent — every index receives the data-space
 rectangle explicitly.
 
+A document is where a term weight becomes what the index stores: its
+constructor rounds every weight to single precision (the slot's 4-byte
+weight, Section 4.1) once, so every index, oracle and standing query
+that reads ``terms`` scores the same doubles.
+
 It also holds the one JSON codec of a document, the record
 ``{"id", "x", "y", "terms"[, "ts"]}`` (``ts`` is the temporal model's
 optional timestamp) that every boundary writes and reads.
@@ -26,6 +31,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+
+from repro.storage.records import f32
 
 __all__ = [
     "SpatialDocument",
@@ -49,7 +56,9 @@ class SpatialDocument:
         doc_id: Unique integer identifier in ``[0, 2**64)``.
         x: Horizontal coordinate (longitude in geographic use).
         y: Vertical coordinate (latitude in geographic use).
-        terms: Mapping from keyword to its term weight (e.g. tf-idf).
+        terms: Mapping from keyword to its term weight (e.g. tf-idf),
+            rounded to the nearest f32 on construction (an f32 weight
+            keeps its bits).
     """
 
     doc_id: int
@@ -64,6 +73,7 @@ class SpatialDocument:
             raise ValueError(
                 f"document location must be finite, got ({self.x}, {self.y})"
             )
+        terms = {}
         for word, weight in self.terms.items():
             if not word:
                 raise ValueError("empty keyword in document terms")
@@ -74,6 +84,8 @@ class SpatialDocument:
                     f"weight {weight!r} for keyword {word!r} must be "
                     "non-negative and finite in single precision (f32)"
                 )
+            terms[word] = f32(weight)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def location(self) -> Tuple[float, float]:
@@ -130,23 +142,6 @@ class SpatialTuple:
     def location(self) -> Tuple[float, float]:
         """The tuple's point location as an ``(x, y)`` pair."""
         return (self.x, self.y)
-
-
-def documents_from_tuples(tuples) -> Dict[int, SpatialDocument]:
-    """Reassemble documents from a stream of spatial tuples.
-
-    Inverse of :meth:`SpatialDocument.tuples`; used by tests to check
-    that shredding is lossless.
-    """
-    locations: Dict[int, Tuple[float, float]] = {}
-    terms: Dict[int, Dict[str, float]] = {}
-    for t in tuples:
-        locations[t.doc_id] = (t.x, t.y)
-        terms.setdefault(t.doc_id, {})[t.word] = t.weight
-    return {
-        doc_id: SpatialDocument(doc_id, x, y, terms[doc_id])
-        for doc_id, (x, y) in locations.items()
-    }
 
 
 def json_int(value: Any, name: str) -> int:

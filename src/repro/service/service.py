@@ -774,9 +774,8 @@ class QueryService:
         """One query against the target, stored in the result cache.
 
         Keyed by ``(query, alpha)`` and stamped with ``epoch``, so a
-        lookup after any mutation misses.  Both engines answer
-        byte-identically, so entries are engine-agnostic.  The lane
-        only writes the cache: :meth:`_lookup` is its one read.
+        lookup after any mutation misses.  The lane only writes the
+        cache: :meth:`_lookup` is its one read.
         """
         answer = self._index.query(query, self._ranker)
         if self.cache is not None:

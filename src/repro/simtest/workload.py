@@ -25,7 +25,6 @@ import random
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.model.document import SpatialDocument, document_to_record
-from repro.storage.records import f32
 
 __all__ = ["VOCAB", "generate_trace"]
 
@@ -51,10 +50,9 @@ def _rand_doc(rng: random.Random, doc_id: int) -> Dict:
             doc_id,
             round(rng.random(), 6),
             round(rng.random(), 6),
-            # f32 quantisation makes naive and I3 scores bit-identical
-            # (both sides round-trip term weights through the page
-            # codec's float32).
-            {w: f32(round(rng.uniform(0.1, 1.0), 3)) for w in sorted(words)},
+            # Raw decimal weights: the document rounds them to the f32
+            # values every index and the naive oracle then score.
+            {w: round(rng.uniform(0.1, 1.0), 3) for w in sorted(words)},
         )
     )
 

@@ -8,19 +8,15 @@ searches on the common path:
 
 * **insert** — the registry narrows the event to the queries it can
   affect; each gets the document's *exact* score offered into its
-  collector (term weights are f32-quantised on storage, so the few-term
-  double sum here is float-identical to the query processor's
-  accumulation).  An accepted offer is exactly a top-k change.
+  collector (a document's weights are the f32 values the index stores,
+  so the few-term double sum here is float-identical to the query
+  processor's accumulation).  An accepted offer is exactly a top-k change.
 * **delete** — removing a document that is *not* in a query's current
   top-k cannot change that top-k (all other scores are unaffected), so
   the only cost is one membership check per keyword-sharing query.  A
   deletion that evicts a current result is the one case that genuinely
   needs the target: the query is re-answered from scratch to find the
   promoted document.
-* **tuple-level events** (raw ``insert_tuple``/``delete_tuple`` outside
-  a document operation) carry partial documents, so exact incremental
-  scoring is impossible; every keyword-sharing query is conservatively
-  refreshed.
 * **bulk_load** — everything is refreshed.
 
 ``emit`` is called with each standing query whose result
@@ -43,25 +39,9 @@ from repro.model.results import ScoredDoc
 from repro.model.scoring import Ranker
 from repro.service.errors import ServiceError
 from repro.service.metrics import MetricsRegistry
-from repro.storage.records import f32
 from repro.streaming.registry import QueryRegistry, StandingQuery
 
 __all__ = ["IncrementalMatcher"]
-
-
-def _quantize(doc: SpatialDocument) -> SpatialDocument:
-    """The document as the index stores it: term weights f32-rounded.
-
-    Incremental scores must be float-identical to what ``I3Index.query``
-    computes from the stored tuples, so the matcher scores the
-    quantised weights, never the caller's raw ones.  (Also keeps the
-    registry's textual upper bound admissible: f32 rounds to nearest,
-    so a raw weight may sit slightly *below* its stored value.)
-    """
-    terms = {word: f32(weight) for word, weight in doc.terms.items()}
-    if terms == doc.terms:
-        return doc
-    return SpatialDocument(doc.doc_id, doc.x, doc.y, terms)
 
 
 class IncrementalMatcher:
@@ -91,14 +71,11 @@ class IncrementalMatcher:
             self.apply_insert(event.doc)
         elif event.kind == "delete":
             self.apply_delete(event.doc)
-        elif event.kind in ("tuple_insert", "tuple_delete"):
-            self._on_tuple(event.doc)
         elif event.kind == "bulk_load":
             self.refresh_all()
 
     def apply_insert(self, doc: SpatialDocument) -> None:
         """Apply one document insertion."""
-        doc = _quantize(doc)
         candidates, skipped = self.registry.candidates_insert(doc)
         self.metrics.counter("stream.buckets_skipped").inc(skipped)
         self.metrics.counter("stream.queries_touched").inc(len(candidates))
@@ -123,10 +100,6 @@ class IncrementalMatcher:
             if sq.holds(doc.doc_id) and sq.query_id not in self._stale:
                 # The one case needing the target: a current result left.
                 self._refresh(sq)
-
-    def _on_tuple(self, doc: SpatialDocument) -> None:
-        for sq in self.registry.candidates_delete(doc):
-            self._refresh(sq)
 
     # ------------------------------------------------------------------
     # Full re-query fallback

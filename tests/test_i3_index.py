@@ -4,7 +4,7 @@
 import pytest
 
 from repro.core.index import I3Index
-from repro.model.document import SpatialDocument, SpatialTuple
+from repro.model.document import SpatialDocument
 from repro.model.query import TopKQuery
 from repro.model.scoring import Ranker
 from repro.spatial.cells import ROOT_CELL
@@ -21,10 +21,15 @@ def tiny_index(**kwargs):
     return I3Index(UNIT_SQUARE, **kwargs)
 
 
+def one(doc_id, x, y, weight=0.5):
+    """A single-keyword document: one tuple of keyword ``w``."""
+    return SpatialDocument(doc_id, x, y, {"w": weight})
+
+
 class TestBasicInsert:
     def test_new_keyword_goes_to_lookup_non_dense(self):
         idx = tiny_index()
-        idx.insert_tuple(SpatialTuple(1, "w", 0.5, 0.5, 0.5))
+        idx.insert_document(one(1, 0.5, 0.5))
         entry = idx.lookup.get("w")
         assert entry is not None and not entry.dense
         assert entry.target.count == 1
@@ -33,7 +38,7 @@ class TestBasicInsert:
     def test_keyword_becomes_dense_on_overflow(self):
         idx = tiny_index()  # capacity 2
         for i, (x, y) in enumerate([(0.1, 0.1), (0.9, 0.1), (0.1, 0.9)]):
-            idx.insert_tuple(SpatialTuple(i + 1, "w", x, y, 0.5))
+            idx.insert_document(one(i + 1, x, y))
         entry = idx.lookup.get("w")
         assert entry.dense
         assert idx.head.num_nodes == 1
@@ -43,7 +48,7 @@ class TestBasicInsert:
         idx = tiny_index()
         locs = [(0.1, 0.1), (0.9, 0.1), (0.1, 0.9)]
         for i, (x, y) in enumerate(locs):
-            idx.insert_tuple(SpatialTuple(i + 1, "w", x, y, 0.5))
+            idx.insert_document(one(i + 1, x, y))
         node = idx.head._nodes[idx.lookup.get("w").target]
         counts = [c.count for c in node.children]
         assert sorted(counts) == [0, 1, 1, 1]
@@ -53,14 +58,14 @@ class TestBasicInsert:
         idx = tiny_index()
         # All three tuples in the same quadrant recurse one level deeper.
         for i, (x, y) in enumerate([(0.05, 0.05), (0.30, 0.05), (0.05, 0.40)]):
-            idx.insert_tuple(SpatialTuple(i + 1, "w", x, y, 0.5))
+            idx.insert_document(one(i + 1, x, y))
         assert idx.head.num_nodes >= 1
         idx.check_invariants()
 
     def test_max_depth_chains_pages_for_identical_points(self):
         idx = tiny_index(max_depth=3)
         for i in range(10):
-            idx.insert_tuple(SpatialTuple(i, "w", 0.5, 0.5, 0.5))
+            idx.insert_document(one(i, 0.5, 0.5))
         idx.check_invariants()
         assert idx.num_tuples == 10
 
@@ -77,30 +82,33 @@ class TestBasicInsert:
             idx.insert_document(SpatialDocument(1, 1.5, 0.5, {"a": 0.5}))
 
     @pytest.mark.parametrize("bad", [
-        SpatialTuple(-1, "w", 0.9, 0.5, 1.0),            # doc_id below 0
-        SpatialTuple(1 << 64, "w", 0.9, 0.5, 1.0),       # doc_id past u64
-        SpatialTuple(9, "w", 0.9, 0.5, float("nan")),    # weight
-        SpatialTuple(9, "w", 0.9, 0.5, -0.5),
-        SpatialTuple(9, "", 0.9, 0.5, 1.0),              # empty keyword
-        SpatialTuple(9, "w", 1.5, 0.5, 1.0),             # outside the space
-        SpatialTuple(9, "w", float("nan"), 0.5, 1.0),
+        (-1, "w", 0.9, 0.5, 1.0),                # doc_id below 0
+        (1 << 64, "w", 0.9, 0.5, 1.0),           # doc_id past u64
+        (9, "w", 0.9, 0.5, float("nan")),        # weight
+        (9, "w", 0.9, 0.5, -0.5),
+        (9, "", 0.9, 0.5, 1.0),                  # empty keyword
+        (9, "w", 1.5, 0.5, 1.0),                 # outside the space
+        (9, "w", float("nan"), 0.5, 1.0),
     ])
     def test_a_bad_tuple_changes_nothing(self, bad):
         # 128-byte pages hold 4 tuples: a fifth dissolves the full root
         # cell, so a tuple that failed to pack would lose all of "w".
+        # The document refuses its own bad fields; the index refuses a
+        # location outside its space; either way before a cell moves.
         idx = I3Index(UNIT_SQUARE, page_size=128)
         for i in range(4):
             idx.insert_document(SpatialDocument(i, 0.1 * i + 0.1, 0.5, {"w": 0.5}))
         query = TopKQuery(0.5, 0.5, ("w",), k=10)
         before = (idx.num_tuples, idx.epoch, idx.query(query, Ranker(UNIT_SQUARE)))
+        doc_id, word, x, y, weight = bad
         with pytest.raises(ValueError):
-            idx.insert_tuple(bad)
+            idx.insert_document(SpatialDocument(doc_id, x, y, {word: weight}))
         assert (idx.num_tuples, idx.epoch, idx.query(query, Ranker(UNIT_SQUARE))) == before
         idx.check_invariants()
 
     def test_weights_quantised_to_f32(self):
         idx = tiny_index()
-        idx.insert_tuple(SpatialTuple(1, "w", 0.5, 0.5, 0.1))
+        idx.insert_document(one(1, 0.5, 0.5, 0.1))
         [record] = idx.data.read_cell(idx.lookup.get("w").target)
         assert record.weight == f32(0.1)
 
@@ -128,7 +136,7 @@ class TestInvariantsUnderLoad:
         qt = PointQuadtree(UNIT_SQUARE, capacity=idx.capacity)
         points = [(rng.random(), rng.random()) for _ in range(40)]
         for i, (x, y) in enumerate(points):
-            idx.insert_tuple(SpatialTuple(i, "w", x, y, 0.5))
+            idx.insert_document(one(i, x, y))
             qt.insert(x, y, i)
         got = dict(self._collect_leaf_cells(idx))
         want = {cell: count for cell, count in qt.leaf_cells() if count}
@@ -158,10 +166,10 @@ class TestInvariantsUnderLoad:
 class TestDeletion:
     def test_delete_returns_false_for_missing(self):
         idx = tiny_index()
-        assert not idx.delete_tuple("w", 1, 0.5, 0.5)
-        idx.insert_tuple(SpatialTuple(1, "w", 0.5, 0.5, 0.5))
-        assert not idx.delete_tuple("w", 2, 0.5, 0.5)
-        assert not idx.delete_tuple("v", 1, 0.5, 0.5)
+        assert not idx.delete_document(one(1, 0.5, 0.5))
+        idx.insert_document(one(1, 0.5, 0.5))
+        assert not idx.delete_document(one(2, 0.5, 0.5))
+        assert not idx.delete_document(SpatialDocument(1, 0.5, 0.5, {"v": 0.5}))
 
     def test_deleting_an_absent_document_keeps_the_count(self):
         idx = tiny_index()
@@ -173,8 +181,8 @@ class TestDeletion:
 
     def test_delete_last_tuple_removes_keyword(self):
         idx = tiny_index()
-        idx.insert_tuple(SpatialTuple(1, "w", 0.5, 0.5, 0.5))
-        assert idx.delete_tuple("w", 1, 0.5, 0.5)
+        idx.insert_document(one(1, 0.5, 0.5))
+        assert idx.delete_document(one(1, 0.5, 0.5))
         assert "w" not in idx.lookup
         assert idx.num_tuples == 0
 
@@ -182,9 +190,9 @@ class TestDeletion:
         idx = tiny_index()
         locs = [(0.1, 0.1), (0.9, 0.1), (0.1, 0.9), (0.9, 0.9)]
         for i, (x, y) in enumerate(locs):
-            idx.insert_tuple(SpatialTuple(i + 1, "w", x, y, f32(0.1 * (i + 1))))
+            idx.insert_document(one(i + 1, x, y, 0.1 * (i + 1)))
         assert idx.lookup.get("w").dense
-        assert idx.delete_tuple("w", 4, 0.9, 0.9)
+        assert idx.delete_document(one(4, 0.9, 0.9))
         node = idx.head._nodes[idx.lookup.get("w").target]
         assert node.own.count == 3
         assert node.own.max_s == pytest.approx(f32(0.3))
@@ -194,9 +202,9 @@ class TestDeletion:
         idx = tiny_index()
         locs = [(0.1, 0.1), (0.9, 0.1), (0.1, 0.9)]
         for i, (x, y) in enumerate(locs):
-            idx.insert_tuple(SpatialTuple(i + 1, "w", x, y, 0.5))
+            idx.insert_document(one(i + 1, x, y))
         for i, (x, y) in enumerate(locs):
-            assert idx.delete_tuple("w", i + 1, x, y)
+            assert idx.delete_document(one(i + 1, x, y))
         assert idx.lookup.get("w").dense  # no merge step, like the paper
         idx.check_invariants()
 

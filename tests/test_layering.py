@@ -41,6 +41,11 @@ one place, admission on the caller's thread; the lane only writes it.
 And a **cache census**: the data file keeps one cache, the decoded
 cells; pages sit in one page store with no pool in front of it.
 
+And a **weight census**: a term weight is quantised to f32 once, when
+its ``SpatialDocument`` is made (S2I's public per-tuple API keeps its
+own rounding), and a whole document is the only unit an ``I3Index``
+write takes, so its mutation events are document events.
+
 And a **layout census**: the 32-byte slot is described once, in
 ``storage/records.py`` (``exec/columns.RECORD_DTYPE`` restates it for
 numpy and asserts its itemsize), and ``core`` decodes a data page with
@@ -476,3 +481,35 @@ def test_the_data_file_keeps_one_cache():
     assert not takers, takers
     index = I3Index(UNIT_SQUARE)
     assert index.data.slotted.store is index.data.file
+
+
+def _strings(nodes):
+    return {
+        c.value for n in nodes for c in ast.walk(n)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    }
+
+
+def test_a_weight_is_quantised_once_and_a_document_is_the_write_unit():
+    from repro.core.index import I3Index
+
+    calls, defs, kinds = set(), set(), set()
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        name = path.relative_to(PACKAGE_ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "f32":
+                defs.add(name)
+            elif isinstance(node, ast.Call):
+                callee = ast.unparse(node.func).rpartition(".")[2]
+                if callee == "f32":
+                    calls.add(name)
+                elif callee in ("MutationEvent", "_emit"):
+                    # ``MutationEvent("insert", ...)``, ``_emit(kind="insert", ...)``
+                    kinds |= _strings(node.args[:1])
+                    kinds |= _strings(k.value for k in node.keywords if k.arg == "kind")
+            elif isinstance(node, ast.Compare) and ast.unparse(node.left) == "event.kind":
+                kinds |= _strings(node.comparators)
+    assert defs == {"storage/records.py"}
+    assert calls == {"model/document.py", "baselines/s2i.py"}, calls
+    assert not {"insert_tuple", "delete_tuple"} & set(vars(I3Index))
+    assert kinds == {"insert", "delete", "bulk_load"}, kinds

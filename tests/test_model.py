@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.model.document import F32_LIMIT, SpatialDocument, documents_from_tuples
+from repro.model.document import F32_LIMIT, SpatialDocument
 from repro.model.query import Semantics, TopKQuery
 from repro.model.results import ScoredDoc, TopKCollector
 from repro.model.scoring import Ranker
@@ -18,8 +18,7 @@ class TestSpatialDocument:
         tuples = list(doc.tuples())
         assert len(tuples) == 2
         assert all(t.doc_id == 7 and t.location == (0.2, 0.3) for t in tuples)
-        rebuilt = documents_from_tuples(tuples)
-        assert rebuilt[7].terms == dict(doc.terms)
+        assert {t.word: t.weight for t in tuples} == doc.terms
 
     def test_contains_all_any(self):
         doc = SpatialDocument(1, 0, 0, {"a": 0.1, "b": 0.2})
@@ -29,9 +28,22 @@ class TestSpatialDocument:
         assert not doc.contains_any(["c", "d"])
 
     def test_weight_lookup(self):
+        # A document keeps the f32 its index stores, not the raw weight.
         doc = SpatialDocument(1, 0, 0, {"a": 0.4})
-        assert doc.weight("a") == 0.4
+        assert doc.weight("a") == f32(0.4) != 0.4
         assert doc.weight("missing") == 0.0
+
+    def test_weights_are_quantised_once(self):
+        raw = {"a": 0.1, "b": 0.7, "c": 0.5, "d": 0.0}
+        doc = SpatialDocument(1, 0, 0, raw)
+        assert doc.terms == {w: f32(v) for w, v in raw.items()}
+        assert raw["a"] == 0.1  # the caller's mapping is left alone
+        # An f32 weight keeps its bits: rebuilding a document changes
+        # nothing, so a stored document round-trips exactly.
+        again = SpatialDocument(1, 0, 0, doc.terms)
+        assert [v.hex() for v in again.terms.values()] == [
+            v.hex() for v in doc.terms.values()
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,10 +68,12 @@ class TestSpatialDocument:
 
     def test_weight_must_fit_an_f32(self):
         # A weight is stored as an f32; one that overflows there must be
-        # refused here, before a durable store logs it.
+        # refused here, before a durable store logs it.  The largest
+        # weight a document takes rounds to the largest f32.
         largest = math.nextafter(F32_LIMIT, 0.0)
-        assert SpatialDocument(1, 0, 0, {"a": largest}).terms["a"] == largest
-        assert f32(largest) < math.inf
+        top = float.fromhex("0x1.fffffep+127")
+        assert SpatialDocument(1, 0, 0, {"a": largest}).terms["a"] == top
+        assert f32(largest) == top
         for weight in (F32_LIMIT, 1e39):
             with pytest.raises(OverflowError):
                 f32(weight)

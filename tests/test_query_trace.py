@@ -106,10 +106,10 @@ class TestQueryTraceEachEngine(TestQueryTrace):
 
 
 class TestSameWalkAcrossEngines:
-    """Both engines run one traversal; what can differ is the cell
-    model's bounds."""
+    """Both engines run one traversal over the same bounds, so they fill
+    the same ``QueryTrace`` counters."""
 
-    def run(self, index, semantics, compare_counters):
+    def run(self, index, semantics):
         rng = random.Random(14)
         ranker = Ranker(UNIT_SQUARE, 0.5)
         for _ in range(200):
@@ -129,8 +129,7 @@ class TestSameWalkAcrossEngines:
                     getattr(trace, name) for name in QueryTrace.__slots__
                 ]
             assert answers["vector"] == answers["tuple"]
-            if compare_counters:
-                assert counters["vector"] == counters["tuple"]
+            assert counters["vector"] == counters["tuple"]
 
     @pytest.mark.parametrize("semantics", [Semantics.AND, Semantics.OR])
     def test_streams_and_regions_are_identical(self, loaded, semantics):
@@ -169,11 +168,12 @@ class TestSameWalkAcrossEngines:
         """The columnar OR bound is the scalar lattice's value bit for
         bit, so every prune/push/pop decision — and so every counter —
         is the same."""
-        self.run(loaded, Semantics.OR, compare_counters=True)
+        self.run(loaded, Semantics.OR)
 
-    def test_and_answers_are_identical(self, loaded):
-        """Answers only: the columnar AND bound skips the per-document
-        signature filter (a documented superset of the scalar
-        survivors), so it may push cells the scalar model prunes — the
-        counters legitimately differ, the answers may not."""
-        self.run(loaded, Semantics.AND, compare_counters=False)
+    def test_and_walks_are_identical(self, loaded):
+        """The columnar AND prune is Algorithm 5 whole, as the scalar
+        one is: the dense signatures' intersection, then the per-document
+        ``id mod eta`` filter.  The two models keep the same survivors,
+        so every prune/push/pop decision — and so every counter — is
+        the same."""
+        self.run(loaded, Semantics.AND)

@@ -34,7 +34,7 @@ from repro.streaming import (
     StreamSubscription,
     StreamingService,
 )
-from repro.temporal import TemporalConfig, TemporalDocument
+from repro.temporal import TemporalConfig, TemporalDocument, TemporalIndex
 from tests.helpers import temporal_cluster
 
 
@@ -64,17 +64,6 @@ class TestMutationListener:
         # after the op applied.
         assert events[0].epoch == 2 and events[1].epoch == 4
         assert events[0].doc == d
-
-    def test_raw_tuple_ops_emit_tuple_events(self):
-        index = I3Index(UNIT_SQUARE)
-        events = []
-        index.add_mutation_listener(events.append)
-        from repro.model.document import SpatialTuple
-
-        index.insert_tuple(SpatialTuple(1, "a", 0.1, 0.1, 0.7))
-        index.delete_tuple("a", 1, 0.1, 0.1)
-        index.delete_tuple("a", 99, 0.1, 0.1)  # miss: no event
-        assert [e.kind for e in events] == ["tuple_insert", "tuple_delete"]
 
     def test_remove_listener(self):
         index = I3Index(UNIT_SQUARE)
@@ -330,6 +319,30 @@ class TestStreamingService:
             last = {u.query_id: u for u in sub.poll()}[qid]
             assert [(r.doc_id, r.score) for r in last.results] == expected
 
+    def test_a_temporal_stream_scores_what_its_target_stores(self):
+        # 0.1 and 0.7 are not f32 values: the stream's incremental
+        # offers and the slices' rescoring both read the document's
+        # quantised weights, so every delivered list is the target's
+        # answer bit for bit.
+        rng = random.Random(4)
+        index = TemporalIndex(UNIT_SQUARE, TemporalConfig(slice_width=10.0))
+        q = TopKQuery(0.5, 0.5, ("a", "b"), k=5, semantics=Semantics.OR)
+        with QueryService(index) as service:
+            streams = service.streams()
+            sub = streams.subscribe()
+            qid = streams.register(sub, q)
+            sub.poll()
+            delivered = 0
+            for i in range(1, 61):
+                terms = {w: rng.choice([0.1, 0.7]) for w in rng.sample("abc", 2)}
+                d = doc(i, rng.random(), rng.random(), terms)
+                service.insert(TemporalDocument(d, float(i)))
+                for update in sub.poll():
+                    assert _bits(update.results) == _bits(service.search(q))
+                    delivered += 1
+            assert delivered > 5
+            assert _bits(streams.results(qid)) == _bits(service.search(q))
+
 
 class TestResume:
     def build_durable(self, tmp_path, n=80, seed=2):
@@ -582,12 +595,7 @@ class TestClusterStream:
             qid = streams.register(sub, self.Q)
             for i, d in enumerate(docs[60:], start=60):
                 cluster.insert(TemporalDocument(d, float(i)))
-            # Ids only here: an incremental insert is scored with f32
-            # weights while a temporal slice scores its stored raw
-            # document, so scores can differ in the last bits (the
-            # same holds for a single TemporalIndex's stream).
-            ids = [doc_id for doc_id, _ in self.scatter(cluster, self.Q)]
-            assert [r.doc_id for r in streams.results(qid)] == ids
+            assert _bits(streams.results(qid)) == self.scatter(cluster, self.Q)
             assert any(cluster.expire(90.0).values())
             assert _bits(streams.results(qid)) == self.scatter(cluster, self.Q)
             assert all(r.doc_id > 50 for r in streams.results(qid))
