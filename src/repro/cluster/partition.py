@@ -22,9 +22,9 @@ A third policy lives in :mod:`repro.planner`:
 grid but *learns* its leaf assignment from a recorded query workload.
 
 Every policy answers the router's one spatial question,
-``shard_min_dists(x, y)`` — how far the query point is from the nearest
-region of each shard — and serialises its routing state into a
-:class:`~repro.cluster.manifest.ShardManifest`, and
+``shard_min_dists(x, y, shards)`` — how far the query point is from the
+nearest region of each shard in the mask ``shards`` — and serialises its
+routing state into a :class:`~repro.cluster.manifest.ShardManifest`, and
 :func:`partitioner_from_manifest` restores it, so a router restarted
 from disk routes exactly as the one that built the cluster.
 """
@@ -100,9 +100,11 @@ class HashPartitioner:
         so hash-sharded routers get no spatial pruning."""
         return {sid: [self.space] for sid in range(self.num_shards)}
 
-    def shard_min_dists(self, x: float, y: float) -> List[Optional[float]]:
-        """Distance from ``(x, y)`` to every shard's nearest region —
-        the same number for all of them: each covers the whole space."""
+    def shard_min_dists(
+        self, x: float, y: float, shards: int = -1
+    ) -> List[Optional[float]]:
+        """Distance from ``(x, y)`` to every shard's nearest region — the
+        same for all (each covers the whole space; ``shards`` is ignored)."""
         return [self.space.min_dist(x, y)] * self.num_shards
 
     def manifest_params(self) -> Dict[str, object]:
@@ -271,9 +273,12 @@ class SpatialGridPartitioner:
             regions[shard].append(self._grid.rect(cell))
         return regions
 
-    def shard_min_dists(self, x: float, y: float) -> List[Optional[float]]:
-        """Distance from ``(x, y)`` to the nearest leaf of every shard
-        (``None`` for a shard that owns no leaf).
+    def shard_min_dists(
+        self, x: float, y: float, shards: int = -1
+    ) -> List[Optional[float]]:
+        """Distance from ``(x, y)`` to the nearest leaf of every shard in
+        the bit mask ``shards`` (``-1``: all), else ``None`` — as for a
+        shard that owns no leaf.
 
         A best-first descent of the leaf quadtree under MINDIST — the
         paper's Algorithm 4 one level up.  A child's box lies inside its
@@ -282,8 +287,8 @@ class SpatialGridPartitioner:
         monotone) and the first leaf popped for a shard carries that
         shard's minimum of :meth:`Rect.min_dist` over its leaves, bit
         for bit.  Only children with a still-unseen shard beneath them
-        are pushed, and the walk stops when every shard is seen, so the
-        cost is O(depth x shards) heap steps, not O(leaves).
+        are pushed, and the walk stops when every asked-for shard is
+        seen, so the cost is O(depth x shards) heap steps, not O(leaves).
 
         Reads only tables built in the constructor: safe to call from
         any number of threads at once.
@@ -291,7 +296,7 @@ class SpatialGridPartitioner:
         descent = self._descent
         leaves = self.leaves
         dists: List[Optional[float]] = [None] * self.num_shards
-        unseen = descent[ROOT_CELL][0]
+        unseen = descent[ROOT_CELL][0] & shards
         heap: List[Tuple[float, int]] = []
         cells: Tuple[int, ...] = (ROOT_CELL,)
         while unseen:

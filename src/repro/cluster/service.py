@@ -11,7 +11,8 @@ queries by scatter-gather with two correctness-preserving shortcuts:
   keyword, the ``max_s`` upper bound the paper stores in its summary
   nodes (:meth:`repro.core.index.I3Index.keyword_bounds`).  Combined
   with the spatial upper bound of the shard's nearest region (one
-  ``shard_min_dists`` question to the partitioner per query) this
+  ``shard_min_dists`` question to the partitioner per query, about the
+  shards that hold a query keyword) this
   bounds the best score any of its documents can reach; shards are
   visited one at a time in bound order, on the caller's thread, and
   skipped once their bound falls strictly below the current k-th best
@@ -680,14 +681,10 @@ class ClusterService:
         admissible bound the router can neither rank nor safely skip
         it, so the only honest outcome is a degraded answer.
         """
-        ranked: List[Tuple[float, int]] = []
+        textual: List[Tuple[int, float]] = []
         absent = 0
         dead: List[int] = []
         need_all = query.semantics is Semantics.AND
-        # Asked of the partitioner at most once per query, by the first
-        # shard that gets as far as needing a spatial bound.
-        min_dists: Optional[List[Optional[float]]] = None
-        diagonal = self.ranker.space.diagonal
         for sid in range(self.num_shards):
             rep = self._first_alive(sid)
             bounds = None
@@ -710,9 +707,14 @@ class ClusterService:
                 # any OR candidate when every keyword is missing).
                 absent += 1
                 continue
-            phi_t = sum(bounds.values())
-            if min_dists is None:
-                min_dists = self.partitioner.shard_min_dists(query.x, query.y)
+            textual.append((sid, sum(bounds.values())))
+        # One spatial question, about the shards that hold a keyword.
+        min_dists = self.partitioner.shard_min_dists(
+            query.x, query.y, sum(1 << sid for sid, _ in textual)
+        )
+        diagonal = self.ranker.space.diagonal
+        ranked: List[Tuple[float, int]] = []
+        for sid, phi_t in textual:
             dist = min_dists[sid]
             # Ranker.spatial_upper_bound over the shard's nearest region
             # (the regions farther away can only bound lower).

@@ -208,6 +208,7 @@ class ConnectionCore:
         # Sequential, not id()-based: subscriber names must be a pure
         # function of arrival order so simulation runs stay replayable.
         self._conn_id = next(self._conn_seq)
+        self._tenant_metrics: Dict[Tuple[str, str], Any] = {}
 
     # -- streaming state -------------------------------------------------
     def _sub(self):
@@ -228,6 +229,16 @@ class ConnectionCore:
                 self._server.backend.streams().unsubscribe(sub)
             except Exception:  # noqa: BLE001 - teardown best-effort
                 pass
+
+    def _tenant_metric(self, kind: str, name: str, tenant: str, help_text: str):
+        """The ``kind`` metric ``name{tenant=...}``: one dict read after
+        the first, not the registry's locked lookup by label."""
+        metric = self._tenant_metrics.get((name, tenant))
+        if metric is None:
+            metric = self._tenant_metrics[(name, tenant)] = getattr(
+                self._server.metrics, kind
+            )(name, labels={"tenant": tenant}, help_text=help_text)
+        return metric
 
     # -- request pipeline ------------------------------------------------
     def handle(self, payload: Dict) -> Dict:
@@ -269,17 +280,15 @@ class ConnectionCore:
         started: float,
     ) -> Dict:
         server = self._server
-        labels = {"tenant": tenant.quota.name}
-        server.metrics.counter(
-            "net.requests",
-            labels=labels,
-            help_text="requests received over the wire",
+        name = tenant.quota.name
+        self._tenant_metric(
+            "counter", "net.requests", name, "requests received over the wire"
         ).inc()
         reason = tenant.try_admit()
         if reason is not None:
             server.metrics.counter(
                 "net.rejected",
-                labels={**labels, "reason": reason},
+                labels={"tenant": name, "reason": reason},
                 help_text="requests shed by tenant admission",
             ).inc()
             if reason == REJECT_QUOTA:
@@ -296,10 +305,9 @@ class ConnectionCore:
         try:
             deadline_s = self._deadline_s(payload)
             result = self._dispatch(op, payload, tenant, deadline_s)
-            server.metrics.histogram(
-                "net.request_ms",
-                labels=labels,
-                help_text="request latency over the wire",
+            self._tenant_metric(
+                "histogram", "net.request_ms", name,
+                "request latency over the wire",
             ).observe((server.clock() - started) * 1000.0)
             return ok_response(result)
         finally:

@@ -26,7 +26,7 @@ import json
 import random
 import re
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "MetricCounter",
@@ -225,24 +225,31 @@ class MetricsRegistry:
         # are implicit (key == family, no entry needed).
         self._families: Dict[str, Tuple[str, Dict[str, str]]] = {}
         self._help: Dict[str, str] = {}
-
-    def _register(
-        self,
-        name: str,
-        labels: Optional[Dict[str, str]],
-        help_text: Optional[str],
-    ) -> str:
-        key = _labeled_key(name, labels)
-        if labels:
-            self._families[key] = (name, dict(labels))
-        if help_text is not None and name not in self._help:
-            self._help[name] = help_text
-        return key
+        self._collect: Optional[Callable[[], None]] = None
 
     def describe(self, name: str, help_text: str) -> None:
         """Attach ``# HELP`` text to the metric family ``name``."""
         with self._lock:
             self._help[name] = help_text
+
+    def _metric(self, table, make, name, labels, help_text):
+        """``table``'s metric ``name`` (with ``labels``), ``make()``-d on
+        first use.  A metric is never replaced, so a plain name with no
+        help text is found by one dict read, without the lock."""
+        if not labels and help_text is None:
+            metric = table.get(name)
+            if metric is not None:
+                return metric
+        with self._lock:
+            key = _labeled_key(name, labels)
+            if labels:
+                self._families[key] = (name, dict(labels))
+            if help_text is not None and name not in self._help:
+                self._help[name] = help_text
+            metric = table.get(key)
+            if metric is None:
+                metric = table[key] = make()
+            return metric
 
     def counter(
         self,
@@ -251,12 +258,7 @@ class MetricsRegistry:
         help_text: Optional[str] = None,
     ) -> MetricCounter:
         """The counter called ``name`` (with ``labels``), created if absent."""
-        with self._lock:
-            key = self._register(name, labels, help_text)
-            metric = self._counters.get(key)
-            if metric is None:
-                metric = self._counters[key] = MetricCounter()
-            return metric
+        return self._metric(self._counters, MetricCounter, name, labels, help_text)
 
     def gauge(
         self,
@@ -265,12 +267,7 @@ class MetricsRegistry:
         help_text: Optional[str] = None,
     ) -> Gauge:
         """The gauge called ``name`` (with ``labels``), created if absent."""
-        with self._lock:
-            key = self._register(name, labels, help_text)
-            metric = self._gauges.get(key)
-            if metric is None:
-                metric = self._gauges[key] = Gauge()
-            return metric
+        return self._metric(self._gauges, Gauge, name, labels, help_text)
 
     def histogram(
         self,
@@ -279,17 +276,21 @@ class MetricsRegistry:
         help_text: Optional[str] = None,
     ) -> Histogram:
         """The histogram called ``name`` (with ``labels``), created if absent."""
-        with self._lock:
-            key = self._register(name, labels, help_text)
-            metric = self._histograms.get(key)
-            if metric is None:
-                metric = self._histograms[key] = Histogram(
-                    self._histogram_reservoir, seed=self._seed
-                )
-            return metric
+        return self._metric(
+            self._histograms,
+            lambda: Histogram(self._histogram_reservoir, seed=self._seed),
+            name, labels, help_text,
+        )
+
+    def on_collect(self, hook: Optional[Callable[[], None]]) -> None:
+        """Run ``hook()`` (one; ``None`` removes it) at the start of every
+        :meth:`as_dict`, so also of every Prometheus render."""
+        self._collect = hook
 
     def as_dict(self) -> Dict[str, Dict]:
         """Every metric's current value, grouped by kind."""
+        if self._collect is not None:
+            self._collect()
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)

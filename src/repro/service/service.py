@@ -55,7 +55,6 @@ from repro.service.errors import (
     ServiceOverloaded,
 )
 from repro.service.metrics import MetricsRegistry
-from repro.storage.iostats import IOStats
 from repro.temporal.index import TemporalIndex
 
 __all__ = ["ServiceConfig", "QueryService"]
@@ -144,6 +143,24 @@ class _ReadWriteLock:
         with self._cond:
             self._writer = False
             self._cond.notify_all()
+
+
+class _PageReads:
+    """An ``IOStats.tee`` sink that sums the pages read (a rewrite reads
+    them too): all a task's ``io.reads_per_query`` needs."""
+
+    __slots__ = ("pages",)
+
+    def __init__(self) -> None:
+        self.pages = 0
+
+    def record_read(self, component: str, pages: int = 1, key=None) -> None:
+        self.pages += pages
+
+    record_rewrite = record_read
+
+    def record_write(self, component: str, pages: int = 1, key=None) -> None:
+        pass
 
 
 class _Task:
@@ -265,12 +282,14 @@ class QueryService:
         self._closed = False
         self._close_lock = threading.Lock()
         self._started = self._now()
-        # The decoded-cell cache _publish_decoded_cells last copied,
-        # with the registry metrics it copies onto (each counter paired
-        # with its value when that cache was first seen).
+        # The cache _collect_decoded_cells last copied, the counters' values
+        # when it was first seen, and what it copied.
         self._decoded_cells = None
+        self._decoded_base: Dict[str, int] = {}
+        self._decoded_stats: Optional[Dict[str, int]] = None
         self._decoded_lock = threading.Lock()
-        self._publish_decoded_cells()
+        self._collect_decoded_cells()
+        self.metrics.on_collect(self._collect_decoded_cells)
         if self._temporal is not None:
             self._temporal.bind_metrics(self.metrics)
         self._lane: Optional[threading.Thread] = None
@@ -701,7 +720,6 @@ class QueryService:
         try:
             started = self._now()
             slots = self._run(task)
-            self._publish_decoded_cells()
             self.metrics.histogram("latency_ms").observe(
                 (self._now() - started) * 1000.0
             )
@@ -734,7 +752,7 @@ class QueryService:
         """
         slots: List[Any] = []
         timed_out = failed = 0
-        local = IOStats()
+        local = _PageReads()
         self._rwlock.acquire_read()
         try:
             epoch = self._index.epoch
@@ -766,7 +784,7 @@ class QueryService:
         if failed:
             counter("queries.failed").inc(failed)
         self.metrics.histogram("io.reads_per_query").observe(
-            local.snapshot().total_reads / len(slots)
+            local.pages / len(slots)
         )
         return slots
 
@@ -785,39 +803,41 @@ class QueryService:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def _publish_decoded_cells(self) -> Optional[Dict[str, int]]:
+    def _collect_decoded_cells(self) -> None:
         """Copy the served data file's decoded-cell cache onto the registry.
 
-        Runs at construction, after every executed query and before
-        every snapshot, so the Prometheus exposition and the cluster's
-        per-shard rollup see ``decoded_cells.{hits,misses,evictions}``
-        (counters) and ``decoded_cells.{bytes,entries}`` (gauges, as of
-        the last query) like any other metric.  The cache is looked up
-        on the *current* index (absent on temporal stores and
-        index-shaped test doubles): a rebuilt or recovered index brings
-        a fresh cache, whose counts the registry's counters carry on
-        from.  Returns what it published.
+        The registry runs this whenever it is read, so a snapshot, the
+        Prometheus exposition and the cluster's per-shard rollup see
+        ``decoded_cells.{hits,misses,evictions}`` (counters) and
+        ``decoded_cells.{bytes,entries}`` (gauges) as of that read, and a
+        query pays nothing for them.  The cache is the *current* index's
+        (absent on temporal stores and index-shaped test doubles): a
+        rebuilt or recovered index brings a fresh cache, and the counters
+        carry on from the retired cache's last counts.
         """
         cells = getattr(getattr(self._index, "data", None), "cells", None)
         if cells is None:
-            return None
+            return
         with self._decoded_lock:
-            stats = cells.stats()
             if cells is not self._decoded_cells:
+                if self._decoded_cells is not None:
+                    self._copy_decoded_cells(self._decoded_cells)
                 self._decoded_cells = cells
-                self._decoded_counters = {}
-                for name in ("hits", "misses", "evictions"):
-                    counter = self.metrics.counter(f"decoded_cells.{name}")
-                    self._decoded_counters[name] = (counter, counter.value)
-                self._decoded_gauges = {
-                    name: self.metrics.gauge(f"decoded_cells.{name}")
-                    for name in ("bytes", "entries")
+                self._decoded_base = {
+                    name: self.metrics.counter(f"decoded_cells.{name}").value
+                    for name in ("hits", "misses", "evictions")
                 }
-            for name, (counter, base) in self._decoded_counters.items():
-                stats[name] += base
-                counter.inc(stats[name] - counter.value)
-            for name, gauge in self._decoded_gauges.items():
-                gauge.set(stats[name])
+            self._decoded_stats = self._copy_decoded_cells(cells)
+
+    def _copy_decoded_cells(self, cells) -> Dict[str, int]:
+        """Set ``decoded_cells.*`` to ``cells``' counts (plus the base)."""
+        stats = cells.stats()
+        for name, base in self._decoded_base.items():
+            stats[name] += base
+            counter = self.metrics.counter(f"decoded_cells.{name}")
+            counter.inc(stats[name] - counter.value)
+        for name in ("bytes", "entries"):
+            self.metrics.gauge(f"decoded_cells.{name}").set(stats[name])
         return stats
 
     def metrics_snapshot(self) -> Dict[str, Any]:
@@ -832,7 +852,6 @@ class QueryService:
         pages, so ``io.reads_per_query`` counts warm queries' head-file
         reads plus the cells they were first to touch.
         """
-        decoded = self._publish_decoded_cells()
         snapshot = self.metrics.as_dict()
         uptime = self._now() - self._started
         completed = snapshot["counters"].get("queries.completed", 0)
@@ -848,8 +867,8 @@ class QueryService:
             snapshot["cache"] = self.cache.stats()
         if self._temporal is not None:
             snapshot["temporal"] = self._temporal.slice_stats()
-        if decoded is not None:
-            snapshot["decoded_cells"] = decoded
+        if self._decoded_stats is not None:
+            snapshot["decoded_cells"] = self._decoded_stats
         return snapshot
 
     # ------------------------------------------------------------------

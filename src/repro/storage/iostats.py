@@ -150,9 +150,9 @@ class IOStats:
 
         The serving layer uses this to attribute I/O to individual
         queries even when many run concurrently: each worker thread tees
-        into a private :class:`IOStats` around one query's execution.
-        Tees do not nest (entering replaces the previous sink) and never
-        affect other threads.
+        into a private sink (anything with the three ``record_*``
+        methods) around one query.  Tees do not nest (entering replaces
+        the previous sink) and never affect other threads.
         """
         if sink is self:
             raise ValueError("cannot tee an IOStats into itself")

@@ -165,6 +165,105 @@ class TestTheBoundIsTheSameNumber:
             )
 
 
+def _scan_dists(partitioner, x: float, y: float) -> List[Optional[float]]:
+    """Per shard, the least ``Rect.min_dist`` over its leaves (``None``
+    for a shard that owns none)."""
+    regions = partitioner.shard_regions()
+    return [
+        min((rect.min_dist(x, y) for rect in regions[sid]), default=None)
+        for sid in range(partitioner.num_shards)
+    ]
+
+
+def _hex_or_none(values: List[Optional[float]]) -> List[Optional[str]]:
+    return [None if value is None else value.hex() for value in values]
+
+
+class _Pops:
+    """Counts ``heapq.heappop`` calls and remembers the cells popped."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.cells: List[int] = []
+        real_pop = heapq.heappop
+
+        def counting_pop(heap):
+            entry = real_pop(heap)
+            self.cells.append(entry[1])
+            return entry
+
+        monkeypatch.setattr(heapq, "heappop", counting_pop)
+
+    def during(self, call) -> List[int]:
+        self.cells = []
+        call()
+        return self.cells
+
+
+class TestTheMaskedDescent:
+    """The router asks only about the shards that hold a query keyword:
+    ``shard_min_dists(x, y, shards)`` with ``shards`` a bit mask."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(partitioner=tilings(), data=st.data())
+    def test_a_masked_shard_gets_the_same_number(self, partitioner, data):
+        mask = data.draw(st.integers(0, (1 << partitioner.num_shards) - 1))
+        for x, y in _probe_points(partitioner, data):
+            full = _hex_or_none(partitioner.shard_min_dists(x, y))
+            scan = _hex_or_none(_scan_dists(partitioner, x, y))
+            masked = _hex_or_none(partitioner.shard_min_dists(x, y, mask))
+            for sid in range(partitioner.num_shards):
+                if mask >> sid & 1:
+                    assert masked[sid] == full[sid] == scan[sid]
+                else:
+                    assert masked[sid] is None
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(partitioner=tilings(), data=st.data())
+    def test_a_masked_descent_pops_no_more(self, partitioner, data):
+        mask = data.draw(st.integers(0, (1 << partitioner.num_shards) - 1))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            pops = _Pops(monkeypatch)
+            for x, y in _probe_points(partitioner, data):
+                full = pops.during(lambda: partitioner.shard_min_dists(x, y))
+                masked = pops.during(
+                    lambda: partitioner.shard_min_dists(x, y, mask)
+                )
+                assert len(masked) <= len(full)
+                if mask == 0:
+                    assert masked == []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(partitioner=tilings(), data=st.data())
+    def test_the_owner_of_the_point_is_found_at_its_leaf(self, partitioner, data):
+        """Asked only about the shard owning the leaf that holds the
+        point, the descent walks straight down to that leaf: one pop per
+        level, and the leaf is the only leaf it pops."""
+        leaf = data.draw(st.sampled_from(sorted(partitioner.leaves)))
+        x, y = partitioner._grid.rect(leaf).center
+        shard = partitioner.leaves[leaf]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            pops = _Pops(monkeypatch)
+            popped = pops.during(
+                lambda: partitioner.shard_min_dists(x, y, 1 << shard)
+            )
+        assert popped[-1] == leaf
+        assert len(popped) == cell_level(leaf) + 1
+        assert [cell for cell in popped if cell in partitioner.leaves] == [leaf]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        shards=st.integers(1, 7),
+        mask=st.integers(0, 127),
+        x=st.floats(-3.0, 3.0),
+        y=st.floats(-3.0, 3.0),
+    )
+    def test_hash_ignores_the_mask(self, shards, mask, x, y):
+        partitioner = HashPartitioner(shards, UNIT_SQUARE)
+        assert partitioner.shard_min_dists(x, y, mask) == (
+            partitioner.shard_min_dists(x, y)
+        )
+
+
 # ----------------------------------------------------------------------
 # A leaf table that is not a tiling is rejected when it is loaded
 # ----------------------------------------------------------------------

@@ -531,3 +531,80 @@ class TestIOStatsThreadSafety:
         stats.record_read("a", 2)
         assert snap.reads == {"a": 3}
         assert (stats.snapshot() - snap).reads == {"a": 2}
+
+
+class _CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.taken = 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+class TestBookkeeping:
+    """What a query pays for the service's metrics, and that the figures
+    stay right when it pays less."""
+
+    def setup_method(self):
+        rng = random.Random(23)
+        self.index = I3Index(UNIT_SQUARE, page_size=256)
+        self.index.bulk_load(make_documents(300, rng))
+        self.queries = [
+            _query(words, k=5, x=rng.random(), y=rng.random())
+            for words in [("spicy",), ("bar", "cafe"), ("restaurant",)] * 8
+        ]
+
+    def test_a_warm_query_takes_no_registry_lock(self):
+        config = ServiceConfig(cache_capacity=0)
+        with QueryService(self.index, config) as service:
+            for query in self.queries[:3]:
+                service.search(query)
+            lock = service.metrics._lock = _CountingLock()
+            for query in self.queries:
+                service.search(query)
+            completed = service.metrics.counter("queries.completed").value
+            assert lock.taken == 0
+        assert completed == 3 + len(self.queries)
+
+    def test_the_exposition_collects_decoded_cells_unasked(self):
+        from repro.net import Client, NetServer
+
+        with QueryService(self.index, ServiceConfig(cache_capacity=0)) as service:
+            with NetServer(service) as server, Client(
+                server.host, server.port
+            ) as client:
+                for query in self.queries:
+                    client.search(query)
+                text = client.metrics_text()
+            hits = self.index.data.cells.stats()["hits"]
+        assert hits > 0
+        assert f"repro_decoded_cells_hits {hits}\n" in text
+
+    def test_reads_per_query_sums_to_the_pages_read(self):
+        with QueryService(self.index, ServiceConfig()) as service:
+            histogram = service.metrics.histogram("io.reads_per_query")
+            observed, read = [], []
+
+            def measure(work, slots):
+                before = (histogram.total, self.index.stats.reads())
+                work()
+                observed.append((histogram.total - before[0]) * slots)
+                read.append(self.index.stats.reads() - before[1])
+
+            for query in self.queries[:6]:
+                self.index.clear_cache()
+                measure(lambda: service.search(query), 1)
+            self.index.clear_cache()
+            batch = self.queries[6:]
+            measure(lambda: service.search_many(batch), len(batch))
+            measure(lambda: service.search_many(batch), len(batch))  # cached
+            assert histogram.count == 8
+        assert read[-1] == 0 < min(read[:-1])
+        assert observed == pytest.approx(read, rel=1e-9, abs=0.0)
