@@ -4,7 +4,8 @@
 the protocol that makes its update-friendliness survive a crash:
 
 1. **log first** — every document mutation is encoded as one
-   write-ahead-log record (:mod:`repro.storage.wal`) and appended
+   write-ahead-log record (:mod:`repro.storage.wal`) whose body is the
+   document record as compact JSON (:func:`wal_body`), and appended
    *before* any in-memory page is touched.  With the default
    ``sync_every=1`` the append fsyncs immediately, so a mutation whose
    call returned is acknowledged-durable; larger batches or a
@@ -31,18 +32,20 @@ write path at every possible torn-write offset and prove recovery.
 from __future__ import annotations
 
 import io
+import json
 import os
-import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.index import I3Index
 from repro.core.persistence import read_index, write_index
-from repro.model.document import SpatialDocument
-from repro.storage.errors import WalCorruptionError
+from repro.model.document import (
+    SpatialDocument,
+    document_from_record,
+    document_to_record,
+)
 from repro.storage.fs import OS_FILESYSTEM, FileSystem, atomic_write
 from repro.storage.wal import (
-    WAL_CHECKPOINT,
     WAL_DELETE,
     WAL_INSERT,
     WAL_UPDATE,
@@ -53,42 +56,27 @@ from repro.storage.wal import (
 __all__ = [
     "DurableIndex",
     "RecoveryReport",
-    "encode_document",
-    "decode_document",
+    "wal_body",
+    "wal_documents",
 ]
 
-_DOC_HEADER = struct.Struct("<QddH")  # doc_id, x, y, number of terms
-_TERM_FIXED = struct.Struct("<Hd")  # word length, weight
+def wal_body(record: Any) -> bytes:
+    """A WAL record body: the document record of an insert or a delete
+    (:func:`~repro.model.document.document_to_record`), or the list
+    ``[old, new]`` of an update's two, as compact JSON."""
+    return json.dumps(record, separators=(",", ":")).encode("utf-8")
 
 
-def encode_document(doc: SpatialDocument) -> bytes:
-    """Serialise a document as a WAL record body."""
-    parts = [_DOC_HEADER.pack(doc.doc_id, doc.x, doc.y, len(doc.terms))]
-    for word, weight in sorted(doc.terms.items()):
-        raw = word.encode("utf-8")
-        parts.append(_TERM_FIXED.pack(len(raw), weight))
-        parts.append(raw)
-    return b"".join(parts)
-
-
-def decode_document(body: bytes, offset: int = 0) -> Tuple[SpatialDocument, int]:
-    """Deserialise one document from a record body; returns the document
-    and the offset just past it (update records hold two in a row)."""
-    try:
-        doc_id, x, y, num_terms = _DOC_HEADER.unpack_from(body, offset)
-        offset += _DOC_HEADER.size
-        terms: Dict[str, float] = {}
-        for _ in range(num_terms):
-            length, weight = _TERM_FIXED.unpack_from(body, offset)
-            offset += _TERM_FIXED.size
-            word = body[offset : offset + length]
-            if len(word) < length:
-                raise ValueError("short term bytes")
-            offset += length
-            terms[word.decode("utf-8")] = weight
-    except (struct.error, UnicodeDecodeError, ValueError) as exc:
-        raise WalCorruptionError(f"malformed document record body: {exc}") from exc
-    return SpatialDocument(doc_id, x, y, terms), offset
+def wal_documents(record: WalRecord) -> List[Tuple[SpatialDocument, Optional[float]]]:
+    """The ``(document, ts or None)`` pairs a WAL record carries: one,
+    or an update's ``old`` and ``new``; :class:`ValueError` when its
+    body is not that."""
+    value = json.loads(record.body)
+    if record.type != WAL_UPDATE:
+        return [document_from_record(value)]
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError("an update body must be the list [old, new]")
+    return [document_from_record(half) for half in value]
 
 
 @dataclass(frozen=True)
@@ -255,13 +243,13 @@ class DurableIndex:
         # must never enter the log.
         if not self.index.space.contains_point(doc.x, doc.y):
             raise ValueError(f"document {doc.doc_id} lies outside the data space")
-        self._wal.append(WAL_INSERT, encode_document(doc))
+        self._wal.append(WAL_INSERT, wal_body(document_to_record(doc)))
         self.index.insert_document(doc)
 
     def delete_document(self, doc: SpatialDocument) -> bool:
         """Delete a document; logged even when absent (replay of a
         not-found delete is an idempotent no-op)."""
-        self._wal.append(WAL_DELETE, encode_document(doc))
+        self._wal.append(WAL_DELETE, wal_body(document_to_record(doc)))
         return self.index.delete_document(doc)
 
     def update_document(self, old: SpatialDocument, new: SpatialDocument) -> None:
@@ -270,7 +258,10 @@ class DurableIndex:
             raise ValueError("update must keep the document id")
         if not self.index.space.contains_point(new.x, new.y):
             raise ValueError(f"document {new.doc_id} lies outside the data space")
-        self._wal.append(WAL_UPDATE, encode_document(old) + encode_document(new))
+        self._wal.append(
+            WAL_UPDATE,
+            wal_body([document_to_record(old), document_to_record(new)]),
+        )
         self.index.update_document(old, new)
 
     def bulk_load(self, documents: Iterable[SpatialDocument]) -> None:
@@ -339,48 +330,15 @@ class DurableIndex:
         if self._wal is not None:
             self._wal.close()
             self._wal = None
-        if self._fs.exists(self._wal_path):
-            wal, scan = WriteAheadLog.open(
-                self._wal_path,
-                fs=self._fs,
-                sync_every=self._sync_every,
-                sync_window=self._sync_window,
-            )
-            records = [record for _, record in scan.records]
-            torn = scan.torn_bytes
-        else:
-            # Crash between the snapshot rename and the log reset of the
-            # very first checkpoint: the snapshot alone is the state.
-            wal = WriteAheadLog.create(
-                self._wal_path,
-                snapshot_lsn=meta.last_lsn,
-                snapshot_epoch=meta.epoch,
-                fs=self._fs,
-                sync_every=self._sync_every,
-                sync_window=self._sync_window,
-            )
-            records = []
-            torn = 0
-        replayed = 0
-        expected_lsn = meta.last_lsn + 1
-        for record in records:
-            if record.type == WAL_CHECKPOINT:
-                continue
-            if record.lsn <= meta.last_lsn:
-                continue  # already inside the snapshot: skip, don't reapply
-            if record.lsn != expected_lsn:
-                raise WalCorruptionError(
-                    f"WAL resumes at LSN {record.lsn} but the snapshot covers "
-                    f"through {meta.last_lsn}: acknowledged records are missing"
-                )
-            self._apply(index, record)
-            expected_lsn += 1
-            replayed += 1
-        # The replayed tail is already durable in the log; align the
-        # append cursor in case the log held only stale (< snapshot) lsns.
-        if wal.last_lsn < meta.last_lsn:
-            wal.last_lsn = meta.last_lsn
-            wal.synced_lsn = max(wal.synced_lsn, meta.last_lsn)
+        wal, replayed, torn = WriteAheadLog.replay(
+            self._wal_path,
+            meta.last_lsn,
+            lambda record: self._apply(index, record),
+            snapshot_epoch=meta.epoch,
+            fs=self._fs,
+            sync_every=self._sync_every,
+            sync_window=self._sync_window,
+        )
         self.index = index
         self._wal = wal
         report = RecoveryReport(
@@ -397,18 +355,13 @@ class DurableIndex:
 
     @staticmethod
     def _apply(index: I3Index, record: WalRecord) -> None:
+        docs = [doc for doc, _ts in wal_documents(record)]
         if record.type == WAL_INSERT:
-            doc, _ = decode_document(record.body)
-            index.insert_document(doc)
+            index.insert_document(docs[0])
         elif record.type == WAL_DELETE:
-            doc, _ = decode_document(record.body)
-            index.delete_document(doc)
-        elif record.type == WAL_UPDATE:
-            old, offset = decode_document(record.body)
-            new, _ = decode_document(record.body, offset)
-            index.update_document(old, new)
-        else:  # pragma: no cover - scan_wal rejects unknown types
-            raise WalCorruptionError(f"unreplayable record type {record.type}")
+            index.delete_document(docs[0])
+        else:
+            index.update_document(*docs)
 
     # ------------------------------------------------------------------
     # Query delegation

@@ -225,7 +225,7 @@ class MetricsRegistry:
         # are implicit (key == family, no entry needed).
         self._families: Dict[str, Tuple[str, Dict[str, str]]] = {}
         self._help: Dict[str, str] = {}
-        self._collect: Optional[Callable[[], None]] = None
+        self._collect: List[Callable[[], None]] = []
 
     def describe(self, name: str, help_text: str) -> None:
         """Attach ``# HELP`` text to the metric family ``name``."""
@@ -282,15 +282,15 @@ class MetricsRegistry:
             name, labels, help_text,
         )
 
-    def on_collect(self, hook: Optional[Callable[[], None]]) -> None:
-        """Run ``hook()`` (one; ``None`` removes it) at the start of every
-        :meth:`as_dict`, so also of every Prometheus render."""
-        self._collect = hook
+    def on_collect(self, hook: Callable[[], None]) -> None:
+        """Run ``hook()`` at the start of every :meth:`as_dict`, so also
+        of every Prometheus render (hooks run in the order added)."""
+        self._collect.append(hook)
 
     def as_dict(self) -> Dict[str, Dict]:
         """Every metric's current value, grouped by kind."""
-        if self._collect is not None:
-            self._collect()
+        for hook in self._collect:
+            hook()
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)

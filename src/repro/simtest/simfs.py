@@ -79,7 +79,7 @@ class _SimFile:
     def write(self, data: bytes) -> int:
         if not self._writable:
             raise OSError(f"{self._path}: not open for writing")
-        self._fs.tick("write")
+        self._fs.tick("write", self._path)
         node = self._node
         end = self._pos + len(data)
         if len(node.data) < self._pos:
@@ -92,7 +92,7 @@ class _SimFile:
     def truncate(self, size: Optional[int] = None) -> int:
         if not self._writable:
             raise OSError(f"{self._path}: not open for writing")
-        self._fs.tick("truncate")
+        self._fs.tick("truncate", self._path)
         size = self._pos if size is None else size
         del self._node.data[size:]
         self._node.ops.append(("truncate", size))
@@ -141,7 +141,8 @@ class SimFileSystem(FileSystem):
     Attributes:
         ops: Side-effecting operations performed (or attempted) so far.
         crashed: Whether an armed crash point has fired.
-        trace: Operation kinds in order (diagnostics).
+        trace: ``"<kind> <path>"`` of every operation in order
+            (diagnostics: which file a crash point cuts).
     """
 
     def __init__(self) -> None:
@@ -167,11 +168,12 @@ class SimFileSystem(FileSystem):
         point lay beyond the workload burst)."""
         self._crash_at = None
 
-    def tick(self, kind: str) -> None:
-        """Count one side-effecting op, crashing at the armed point.
-        Once dead, every later operation dies too (the process is gone)."""
+    def tick(self, kind: str, path: str) -> None:
+        """Count one side-effecting op on ``path``, crashing at the armed
+        point.  Once dead, every later operation dies too (the process
+        is gone)."""
         self.ops += 1
-        self.trace.append(kind)
+        self.trace.append(f"{kind} {path}")
         if self._crash_at is not None and self.ops >= self._crash_at:
             self.crashed = True
             raise SimulatedCrash(f"crashed before op {self.ops} ({kind})")
@@ -240,13 +242,13 @@ class SimFileSystem(FileSystem):
         return fh
 
     def fsync(self, fh) -> None:
-        self.tick("fsync")
+        self.tick("fsync", fh._path)
         node = fh._node
         node.stable = bytes(node.data)
         node.ops = []
 
     def replace(self, src: str, dst: str) -> None:
-        self.tick("replace")
+        self.tick("replace", dst)
         node = self._files.pop(src, None)
         if node is None:
             raise FileNotFoundError(f"[sim] no such file: {src}")

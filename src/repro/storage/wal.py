@@ -13,7 +13,10 @@ On-disk layout — a flat sequence of frames::
     frame   := u32 length | u32 crc32(payload) | payload
     payload := u8 type | u64 lsn | body
 
-``length`` counts payload bytes only.  ``lsn`` is the log sequence
+``length`` counts payload bytes only.  ``body`` is opaque here; both
+durable targets (:class:`~repro.core.recovery.DurableIndex` and a
+temporal slice) write the one document record as compact JSON
+(:func:`repro.core.recovery.wal_body`).  ``lsn`` is the log sequence
 number: mutation records (insert/delete/update) carry densely
 increasing LSNs; checkpoint records carry the LSN of the snapshot they
 describe and do not advance the sequence.
@@ -45,7 +48,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, List, Optional, Tuple
+from typing import BinaryIO, Callable, List, Optional, Tuple
 
 from repro.storage.errors import WalCorruptionError
 from repro.storage.fs import OS_FILESYSTEM, FileSystem
@@ -164,8 +167,9 @@ class WriteAheadLog:
     """Append-only framed log over one file, with batched fsync.
 
     Construct with :meth:`create` (fresh log, usually right after a
-    checkpoint) or :meth:`open` (existing log; returns the surviving
-    records for replay and silently drops a torn tail).
+    checkpoint), :meth:`replay` (recovery: apply the records past a
+    base, then append) or :meth:`open` (existing log; returns the
+    surviving records and silently drops a torn tail).
 
     Attributes:
         path: Log file path.
@@ -269,6 +273,62 @@ class WriteAheadLog:
             sync_window=sync_window,
         )
         return wal, scan
+
+    @classmethod
+    def replay(
+        cls,
+        path: str,
+        after_lsn: int,
+        apply: Callable[[WalRecord], None],
+        *,
+        snapshot_epoch: int = 0,
+        fs: Optional[FileSystem] = None,
+        sync_every: Optional[int] = 1,
+        sync_window: float = 0.0,
+    ) -> Tuple["WriteAheadLog", int, int]:
+        """Recovery on top of a base that covers ``after_lsn``: open the
+        log, ``apply`` each mutation record past the base in order, and
+        return ``(log, records applied, torn bytes dropped)``.
+
+        The first record past the base must be ``after_lsn + 1``.  A
+        record ``apply`` refuses with :class:`ValueError` (or whose
+        nesting exhausts the recursion limit) is a
+        :class:`WalCorruptionError` at its offset.  A missing log (a
+        crash before the base's first log existed) starts fresh.
+        """
+        fs = fs if fs is not None else OS_FILESYSTEM
+        policy = {"fs": fs, "sync_every": sync_every, "sync_window": sync_window}
+        if not fs.exists(path):
+            wal = cls.create(
+                path, snapshot_lsn=after_lsn, snapshot_epoch=snapshot_epoch, **policy
+            )
+            return wal, 0, 0
+        wal, scan = cls.open(path, **policy)
+        expected_lsn = after_lsn + 1
+        try:
+            for offset, record in scan.records:
+                if record.type == WAL_CHECKPOINT or record.lsn <= after_lsn:
+                    continue
+                if record.lsn != expected_lsn:
+                    raise WalCorruptionError(
+                        f"WAL resumes at LSN {record.lsn} but its base covers "
+                        f"through {after_lsn}: acknowledged records are missing",
+                        offset,
+                    )
+                try:
+                    apply(record)
+                except (ValueError, RecursionError) as exc:
+                    raise WalCorruptionError(
+                        f"WAL record body does not replay: {exc}", offset
+                    ) from None
+                expected_lsn += 1
+        except BaseException:
+            wal.close()
+            raise
+        # Nothing past the base: a crash inside create() can empty a log.
+        if wal.last_lsn < after_lsn:
+            wal.last_lsn = wal.synced_lsn = after_lsn
+        return wal, expected_lsn - after_lsn - 1, scan.torn_bytes
 
     # ------------------------------------------------------------------
     # Appending

@@ -46,6 +46,13 @@ its ``SpatialDocument`` is made (S2I's public per-tuple API keeps its
 own rounding), and a whole document is the only unit an ``I3Index``
 write takes, so its mutation events are document events.
 
+And a **log census**: the write-ahead log is one module
+(``storage/wal.py`` alone frames records), its two users are the
+durable targets (``DurableIndex`` and the temporal slice), every record
+they append carries the document record (``wal_body``), and no code
+turns bytes into a document by itself: ``document_from_record`` is the
+one decoder.
+
 And a **layout census**: the 32-byte slot is described once, in
 ``storage/records.py`` (``exec/columns.RECORD_DTYPE`` restates it for
 numpy and asserts its itemsize), and ``core`` decodes a data page with
@@ -53,6 +60,7 @@ the codec's page decoder, never one ``TupleCodec.decode`` per slot.
 """
 
 import ast
+import inspect
 import pathlib
 import re
 import struct
@@ -513,3 +521,70 @@ def test_a_weight_is_quantised_once_and_a_document_is_the_write_unit():
     assert calls == {"model/document.py", "baselines/s2i.py"}, calls
     assert not {"insert_tuple", "delete_tuple"} & set(vars(I3Index))
     assert kinds == {"insert", "delete", "bulk_load"}, kinds
+
+
+_DECODING_CALLS = {"unpack", "unpack_from", "iter_unpack", "loads", "frombuffer"}
+
+
+def test_one_write_ahead_log_carries_the_one_document_record():
+    gone = {"encode" + "_document", "decode" + "_document"}  # the binary codec
+    repo = PACKAGE_ROOT.parent.parent
+    spelled, framers, users, appends, decoders = [], set(), set(), [], []
+    for path in sorted(repo.glob("*/**/*.py")):
+        if path.parts[len(repo.parts)] not in ("src", "tests", "benchmarks", "examples"):
+            continue
+        tree = ast.parse(path.read_text())
+        name = path.relative_to(repo).as_posix()
+        spelled += [
+            f"{name}:{n.lineno}" for n in ast.walk(tree)
+            if (isinstance(n, ast.Name) and n.id in gone)
+            or (isinstance(n, ast.Attribute) and n.attr in gone)
+            or (isinstance(n, ast.FunctionDef) and n.name in gone)
+            or (isinstance(n, ast.alias) and n.name in gone)
+        ]
+        if not name.startswith("src/"):
+            continue
+        module = path.relative_to(PACKAGE_ROOT).as_posix()
+        if _spells(tree, "<II") or _spells(tree, "<BQ"):  # frame, record prefix
+            framers.add(module)
+        if any(isinstance(n, ast.Name) and n.id == "WriteAheadLog" for n in ast.walk(tree)):
+            users.add(module)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if (  # ``self._wal.append(...)``, ``s.log.append(...)``
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"
+                and ast.unparse(node.func.value).endswith(("_wal", ".log"))
+            ):
+                body = node.args[1] if len(node.args) > 1 else None
+                appends.append(
+                    f"{module}:{node.lineno}"
+                    + ("" if isinstance(body, ast.Call)
+                       and ast.unparse(body.func) == "wal_body" else " (no wal_body)")
+                )
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                calls = {
+                    ast.unparse(n.func).rpartition(".")[2]
+                    for n in ast.walk(func) if isinstance(n, ast.Call)
+                }
+                if "SpatialDocument" in calls and calls & _DECODING_CALLS:
+                    decoders.append(f"{module}::{func.name}")
+    for doc in [repo / "README.md", repo / "DESIGN.md", *sorted((repo / "docs").glob("*.md"))]:
+        spelled += [doc.name for word in gone if word in doc.read_text()]
+    assert not spelled, spelled
+    assert framers == {"storage/wal.py"}, framers
+    assert users == {"core/recovery.py", "temporal/index.py"}, users
+    # DurableIndex's insert, delete and update, and the slice's _log.
+    assert len(appends) == 4, appends
+    assert not [a for a in appends if a.endswith("(no wal_body)")], appends
+    assert not decoders, decoders
+    from repro.core.recovery import wal_documents
+
+    called = {
+        ast.unparse(n.func)
+        for n in ast.walk(ast.parse(inspect.getsource(wal_documents)))
+        if isinstance(n, ast.Call)
+    }
+    assert "document_from_record" in called

@@ -1,9 +1,14 @@
 """Recovery-path tests: DurableIndex round trips and replay, snapshot
 corruption detection, and recover() at the service and cluster layers."""
 
+import json
+import random
 import struct
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterService, HashPartitioner
 from repro.core.index import I3Index
@@ -12,16 +17,26 @@ from repro.core.persistence import (
     load_snapshot,
     save_index,
 )
-from repro.core.recovery import DurableIndex, decode_document, encode_document
+from repro.core.recovery import DurableIndex, wal_body, wal_documents
 from repro.exec.snapshot import open_snapshot
-from repro.model.document import SpatialDocument
+from repro.model.document import SpatialDocument, document_to_record
 from repro.model.query import Semantics, TopKQuery
 from repro.model.scoring import Ranker
 from repro.net.client import Client
 from repro.net.errors import ProtocolError
 from repro.service import QueryService, ServiceConfig
+from repro.simtest.simfs import SimFileSystem
 from repro.spatial.geometry import UNIT_SQUARE
 from repro.storage.errors import SnapshotCorruptionError, WalCorruptionError
+from repro.storage.wal import (
+    _FRAME,
+    _PREFIX,
+    WAL_DELETE,
+    WAL_INSERT,
+    WAL_UPDATE,
+    WalRecord,
+    scan_wal,
+)
 
 from tests.helpers import make_documents, results_as_pairs, serving
 
@@ -33,31 +48,44 @@ def fresh_index(**kwargs):
 
 
 class TestDocumentCodec:
+    """A WAL body is the document record as compact JSON: one for an
+    insert or a delete, the list ``[old, new]`` for an update."""
+
     def test_round_trip(self, rng):
         for doc in make_documents(25, rng):
-            decoded, end = decode_document(encode_document(doc))
-            assert (decoded.doc_id, decoded.x, decoded.y) == (
-                doc.doc_id,
-                doc.x,
-                doc.y,
-            )
-            assert dict(decoded.terms) == dict(doc.terms)
-            assert end == len(encode_document(doc))
+            for ts in (None, 12.5):
+                body = wal_body(document_to_record(doc, ts))
+                assert json.loads(body) == document_to_record(doc, ts)
+                assert b" " not in body  # compact: no separator padding
+                [(decoded, got)] = wal_documents(WalRecord(WAL_INSERT, 1, body))
+                assert decoded == doc and got == ts
 
     def test_two_documents_concatenated(self, rng):
         a, b = make_documents(2, rng)
-        body = encode_document(a) + encode_document(b)
-        first, offset = decode_document(body)
-        second, end = decode_document(body, offset)
-        assert first.doc_id == a.doc_id
-        assert second.doc_id == b.doc_id
-        assert end == len(body)
+        body = wal_body([document_to_record(a), document_to_record(b)])
+        assert wal_documents(WalRecord(WAL_UPDATE, 1, body)) == [(a, None), (b, None)]
+        with pytest.raises(ValueError, match=r"\[old, new\]"):
+            wal_documents(WalRecord(WAL_UPDATE, 1, wal_body([document_to_record(a)])))
 
     def test_truncated_body_raises(self, rng):
+        """A framed record whose body does not decode is corruption at
+        that record's byte offset, not a bare ValueError."""
         (doc,) = make_documents(1, rng)
-        body = encode_document(doc)
-        with pytest.raises(WalCorruptionError):
-            decode_document(body[: len(body) - 3])
+        fs = SimFileSystem()
+        DurableIndex.create("s", fresh_index(), fs=fs).close()
+        image = fs.read_bytes("s/wal.log")
+        body = wal_body(document_to_record(doc))
+        with fs.open("s/wal.log", "wb") as fh:
+            fh.write(image + frame(WAL_INSERT, 1, body[: len(body) - 3]))
+        with pytest.raises(WalCorruptionError, match="does not replay") as info:
+            DurableIndex.open("s", fs=fs)
+        assert info.value.offset == len(image)
+
+
+def frame(rec_type: int, lsn: int, body: bytes) -> bytes:
+    """One WAL frame with a valid CRC, whatever its body holds."""
+    payload = _PREFIX.pack(rec_type, lsn) + body
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 class TestDurableIndex:
@@ -210,6 +238,107 @@ class TestPoisonWeight:
         reopened = DurableIndex.open(store)
         assert reopened.index.documents() == sorted(docs + [good], key=lambda d: d.doc_id)
         reopened.close()
+
+
+class TestWalImageFuzz:
+    """Hostile WAL images replayed through :meth:`DurableIndex.recover`:
+    every failure is a :class:`WalCorruptionError` carrying the byte
+    offset of a record in the image, and none hangs."""
+
+    # Bodies seeded from this file's corruption cases (a truncated body,
+    # the f32-overflowing poison weight, a document outside the data
+    # space, an update that changes the id) plus JSON that is no record.
+    BAD_BODIES = [
+        wal_body(document_to_record(SpatialDocument(7, 0.5, 0.5, {"a": 0.5})))[:-3],
+        wal_body(TestPoisonWeight.POISON),
+        wal_body({"id": 9, "x": 5.0, "y": 5.0, "terms": {"far": 1.0}}),
+        wal_body([
+            {"id": 1, "x": 0.5, "y": 0.5, "terms": {"a": 0.5}},
+            {"id": 2, "x": 0.5, "y": 0.5, "terms": {"a": 0.5}},
+        ]),
+        b'{"id":1,"x":0.5,"y":0.5,"terms":{"a":NaN}}',
+        b'{"id":-1,"x":0.5,"y":0.5,"terms":{}}',
+        b"\xff\xfe",
+        b"[]",
+        b"null",
+        b"[" * 100_000,  # nesting deep enough to exhaust the recursion limit
+    ]
+
+    @staticmethod
+    def image(rng):
+        """A store whose log holds six mutations past its checkpoint:
+        four inserts, a delete and an update."""
+        fs = SimFileSystem()
+        docs = make_documents(5, rng)
+        du = DurableIndex.create("s", fresh_index(), fs=fs)
+        du.insert_document(docs[4])
+        du.checkpoint()
+        for doc in docs[:4]:
+            du.insert_document(doc)
+        du.delete_document(docs[0])
+        du.update_document(docs[1], SpatialDocument(docs[1].doc_id, 0.1, 0.9, {"moved": 0.5}))
+        du.close()
+        return fs, fs.read_bytes("s/wal.log")
+
+    @staticmethod
+    def replay(fs, image):
+        with fs.open("s/wal.log", "wb") as fh:
+            fh.write(image)
+        try:
+            DurableIndex.open("s", fs=fs).close()
+        except WalCorruptionError as exc:
+            assert exc.offset is not None and 0 <= exc.offset < len(image), exc
+
+    # Every seed body under every record type, except deleting the
+    # out-of-space document: a delete of what is absent is a no-op.
+    SEEDS = [
+        (rec_type, body)
+        for body in range(len(BAD_BODIES))
+        for rec_type in (WAL_INSERT, WAL_DELETE, WAL_UPDATE)
+        if (rec_type, body) != (WAL_DELETE, 2)
+    ]
+
+    @pytest.mark.parametrize("rec_type, body", SEEDS)
+    def test_every_seed_body_is_corruption_at_its_offset(self, rng, rec_type, body):
+        fs, image = self.image(rng)
+        records = scan_wal(image).records
+        at = records[-1][0]  # the update, lsn 6
+        bad = image[:at] + frame(rec_type, records[-1][1].lsn, self.BAD_BODIES[body])
+        with fs.open("s/wal.log", "wb") as fh:
+            fh.write(bad)
+        with pytest.raises(WalCorruptionError) as info:
+            DurableIndex.open("s", fs=fs)
+        assert info.value.offset == at
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        splice=st.one_of(
+            st.none(),
+            st.tuples(
+                st.integers(1, 6),  # which record to replace
+                st.sampled_from([WAL_INSERT, WAL_DELETE, WAL_UPDATE]),
+                st.integers(0, 9),  # lsn shift: 0 keeps it in sequence
+                st.one_of(st.sampled_from(BAD_BODIES), st.binary(max_size=48)),
+            ),
+        ),
+        flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=3),
+        cut=st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    def test_a_damaged_image_recovers_or_names_its_offset(self, splice, flips, cut):
+        fs, image = self.image(random.Random(0xED87))
+        data = bytearray(image)
+        if splice is not None:
+            which, rec_type, shift, body = splice
+            records = scan_wal(image).records
+            start = records[which][0]
+            end = records[which + 1][0] if which + 1 < len(records) else len(image)
+            lsn = records[which][1].lsn + shift
+            data[start:end] = frame(rec_type, lsn, body)
+        for pos, mask in flips:
+            data[pos % len(data)] ^= mask
+        if cut is not None:
+            del data[cut % (len(data) + 1):]
+        self.replay(fs, bytes(data))
 
 
 class TestSnapshotCorruption:

@@ -1,26 +1,26 @@
-"""The temporal crash-point matrix: kill a persisted temporal index at
+"""The temporal crash-point matrix: kill a durable temporal index at
 *every* file operation and prove the reopened index holds exactly what
 was acknowledged.
 
 One scripted run — a build by oldest-first inserts, a checkpoint, late
-inserts and deletes into persisted slices, ``advance``, ``expire`` and a
+inserts and deletes into sealed slices, ``advance``, ``expire`` and a
 re-checkpoint — runs once uncrashed on a :class:`SimFileSystem` to learn
 its operation count and the acknowledged state after every step, then
 once per crash point: the filesystem dies before the Nth write, fsync
-or rename, :meth:`SimFileSystem.crash` decides which unsynced bytes
-survive, and :meth:`TemporalIndex.open` reopens what is left.  After
-every reopen:
+or rename (appends to a slice's ``wal.log`` among them), and
+:meth:`SimFileSystem.crash` decides which unsynced bytes survive, tearing
+a record mid-append or not, and :meth:`TemporalIndex.open` reopens what
+is left.  After every reopen:
 
-* every document acknowledged as durable is present, with its
-  timestamp (a slice is durable once it sealed or a checkpoint
-  persisted it; after that each of its mutations is durable when the
-  call returns);
+* every acknowledged document is present, with its timestamp: each
+  insert is in its slice's write-ahead log, fsynced, before the call
+  returns, hot slice included;
 * no acknowledged delete or retention drop comes back;
 * ``check_invariants()`` holds;
 * every answer to a query bank equals a :class:`NaiveTemporalIndex`
   built over the reopened documents.  That check reads the slice
-  snapshots (candidates) against the sidecars (documents), so it is
-  the one that notices a stale snapshot standing in for its log.
+  snapshots (candidates) against the bases and logs (documents), so it
+  is the one that notices a stale snapshot standing in for them.
 """
 
 import random
@@ -41,7 +41,6 @@ from repro.temporal import (
     TemporalIndex,
     TemporalQuery,
     TimeRange,
-    slice_of,
 )
 from repro.temporal.index import MANIFEST_NAME
 
@@ -68,14 +67,14 @@ def make_doc(rng, doc_id, ts):
 
 def build_script():
     """``(op, arg)`` steps; the deletes name documents that live in
-    slices persisted by then."""
+    slices sealed by then."""
     rng = random.Random(0x7E3D)
     initial = sorted(
         (make_doc(rng, i, round(rng.uniform(0.0, 60.0), 3)) for i in range(48)),
         key=lambda t: (t.timestamp, t.doc_id),
     )
     script = [("insert", t) for t in initial]  # the build: slices 0-4 seal
-    script.append(("checkpoint", None))  # hot slice 5 persists too
+    script.append(("checkpoint", None))  # compacts hot slice 5 too
     late = [make_doc(rng, 100 + i, round(rng.uniform(30.0, 59.0), 3))
             for i in range(6)]
     script += [("insert", t) for t in late[:3]]
@@ -86,7 +85,7 @@ def build_script():
         ("insert", make_doc(rng, 200, 65.0)),  # new slice 6; seals slice 5
         ("delete", victims[2]),
         ("advance", 75.0),  # seals slice 6
-        ("insert", make_doc(rng, 201, 76.0)),  # new hot slice 7, unpersisted
+        ("insert", make_doc(rng, 201, 76.0)),  # new hot slice 7
         ("expire", None),  # horizon 45: slices 0-3 drop
         ("insert", make_doc(rng, 202, 55.0)),  # late, into sealed slice 5
         ("delete", victims[3]),
@@ -141,36 +140,31 @@ def run(fs, returned):
 
 
 def acknowledged_states():
-    """The uncrashed run: after each step, the durable documents
-    ``{id: ts}``, the documents gone for good, and the op count."""
+    """The uncrashed run: after each step, the acknowledged documents
+    ``{id: ts}``, the documents gone for good, and the op count; also
+    the run's operation trace."""
     fs = SimFileSystem()
     index = TemporalIndex(UNIT_SQUARE, CONFIG, durable_root=ROOT, fs=fs)
-    persisted = set()
     seen = set()
     states = [({}, frozenset(), 0)]
     for step in SCRIPT:
         apply(index, step)
         live = {
-            doc_id: index.get(doc_id) for doc_id in INSERTED
+            doc_id: index.get(doc_id).timestamp for doc_id in INSERTED
             if index.get(doc_id) is not None
         }
         seen |= set(live)
-        slices = set(index.live_slice_ids())
-        if step[0] == "checkpoint":
-            persisted |= slices
-        persisted = (persisted & slices) | (slices - set(index.hot_slice_ids()))
-        durable = {
-            doc_id: t.timestamp for doc_id, t in live.items()
-            if slice_of(t.timestamp, WIDTH) in persisted
-        }
-        states.append((durable, frozenset(seen - set(live)), fs.ops))
-    return states
+        states.append((live, frozenset(seen - set(live)), fs.ops))
+    return states, fs.trace
 
 
 def test_temporal_crash_matrix():
-    states = acknowledged_states()
+    states, trace = acknowledged_states()
     total_ops = states[-1][2]
     assert total_ops > len(SCRIPT)
+    # Every logged mutation is a crash point inside a WAL append.
+    appends = [op for op in trace if op.startswith("write ") and op.endswith("/wal.log")]
+    assert len(appends) > len(SCRIPT)
     for crash_at in range(1, total_ops + 1):
         fs = SimFileSystem()
         fs.schedule_crash(crash_at)
@@ -178,7 +172,6 @@ def test_temporal_crash_matrix():
         with pytest.raises(SimulatedCrash):
             run(fs, returned)
         fs.crash(random.Random(crash_at))
-        assert not any(p.endswith("wal.log") for p in fs.listdir())
         done = len(returned)  # steps that returned before the crash
         durable, gone, _ = states[done]
         durable_after, _, _ = states[done + 1]
